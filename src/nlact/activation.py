@@ -17,8 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import DensityMatrix, kron, permute_mat
-from .sdp import SdpOptions, SdpProblem, SdpSolution, solve
-from .states import PAULI, h_theta
+from .sdp import BlockForm, SdpOptions, SdpProblem, SdpSolution, solve
+from .states import PAULI, h_theta, max_entangled, projector
 
 ACTIVATION_TOL = 1e-6
 H_ANGLE = math.pi / 4.0
@@ -26,6 +26,15 @@ H_ANGLE = math.pi / 4.0
 # canonical variable order [A_d, A_q, B_d, B_q] from the natural cost order
 # [A_d, B_d, A_q, B_q]; the permutation is its own inverse
 _COST_PERM = (0, 2, 1, 3)
+
+# Largest entrywise distance of tau^T from its projection onto a twirl
+# algebra at which the block form is still used.  The blocks solve the
+# projected cost C', and for every state X
+# |<C - C', X>| <= ||C - C'||_op <= d^2 * 1e-12 * ||H||_op < 2e-10
+# (d^2 <= 64 under MAX_SIDE, ||H||_op = 1 + sqrt 2); lambda_min(C - PT(S2))
+# moves by no more.  So ub and lb stay certified for the true cost to
+# within 2e-10, far below ACTIVATION_TOL and the 1e-7 gap tolerance.
+TWIRL_FIT_TOL = 1e-12
 
 __all__ = [
     "ACTIVATION_TOL",
@@ -64,18 +73,58 @@ def bisection_options(max_iters: int | None = None) -> SdpOptions:
     return SdpOptions(tol_objective=1e-7, objective_cut=-ACTIVATION_TOL, max_iters=max_iters)
 
 
+def _twirl_algebras(d: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """(projectors, pt_map, pt_inverse) of the U x U and the U x conj(U) invariant algebras.
+
+    Werner: {P_sym, P_anti} with multiplicities d(d+1)/2, d(d-1)/2, whose
+    partial transposes over A_d lie in {1 - Phi, Phi}.  Isotropic: {1 - Phi,
+    Phi} with multiplicities d^2 - 1, 1, mapped back the other way.
+    """
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+    p_sym = 0.5 * (np.eye(d * d) + swap)
+    phi = projector(max_entangled(d)).real
+    werner = np.array([p_sym, np.eye(d * d) - p_sym])
+    isotropic = np.array([np.eye(d * d) - phi, phi])
+    to_isotropic = np.array([[0.5, 0.5], [(d + 1) / 2, -(d - 1) / 2]])
+    to_werner = np.array([[1 - 1 / d, 1 / d], [1 + 1 / d, -1 / d]])
+    return (werner, to_isotropic, to_werner), (isotropic, to_werner, to_isotropic)
+
+
+def _block_form(tau_t: np.ndarray, d: int, h: np.ndarray) -> BlockForm | None:
+    """The twirled block form of the cost tau_t x h, or None if tau_t is not twirl-invariant."""
+    for projectors, pt_map, pt_inverse in _twirl_algebras(d):
+        coeffs = np.einsum("bij,ji->b", projectors, tau_t) / np.trace(projectors, axis1=1, axis2=2)
+        fit = np.einsum("b,bij->ij", coeffs, projectors)
+        if np.max(np.abs(tau_t - fit)) <= TWIRL_FIT_TOL:
+            return BlockForm(
+                costs=coeffs.real[:, None, None] * h,
+                projectors=projectors,
+                pt_map=pt_map,
+                pt_inverse=pt_inverse,
+                outer=(0, 2),
+            )
+    return None
+
+
 def build_cost(tau: DensityMatrix, options: SdpOptions | None = None) -> SdpProblem:
-    """Assemble the SDP for tau: cost tau^T x H_{pi/4} in canonical subsystem order."""
+    """Assemble the SDP for tau: cost tau^T x H_{pi/4} in canonical subsystem order.
+
+    When tau^T is Werner- or isotropic-invariant (it lies in span{P_sym,
+    P_anti} or span{Phi, 1 - Phi}), the problem also carries its twirled
+    block form: two 4x4 blocks on [A_q, B_q] whatever d is.
+    """
     if len(tau.dims) != 2:
         raise ValueError(f"tau must be bipartite, got dims {tau.dims}")
     da, db = tau.dims
-    cost = kron(tau.mat.T, h_theta(H_ANGLE))
+    h = h_theta(H_ANGLE)
+    cost = kron(tau.mat.T, h)
     cost = permute_mat(cost, (da, db, 2, 2), _COST_PERM)
     return SdpProblem(
         cost=cost,
         dims=(da, 2, db, 2),
         t1_split=2,
         options=_activation_options(options),
+        blocks=_block_form(tau.mat.T, da, h) if da == db else None,
     )
 
 

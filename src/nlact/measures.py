@@ -24,6 +24,11 @@ from .states import PAULI, SIGMA_Y, isotropic_state, magic_basis, werner_state
 
 DEGENERATE_TOL = 1e-12
 LORENTZ_IMAG_TOL = 1e-8
+# rounding splits a defective double eigenvalue (a size-2 Jordan block, as in
+# the non-diagonal Lorentz normal form of Hirsch states) into a conjugate
+# pair l +- i delta with delta = O(sqrt(eps ||C||)); a pair within this many
+# multiples of that bound is the real double eigenvalue l
+JORDAN_SPLIT_FACTOR = 8.0
 
 CGLMP_DEFAULT_SETTINGS = (0.0, 0.5, 0.25, -0.25)
 CGLMP_MAX_D = 6
@@ -140,15 +145,17 @@ def hidden_nonlocality(rho: DensityMatrix) -> HiddenNonlocality:
     Eigenvalues of C are sorted in decreasing order; the optimally filtered
     CHSH quantity is M' = (l1 + l2)/l0 and the reported value is the same
     entropy scaling used for CHSH.  Raises for a degenerate correlation
-    matrix (l0 ~ 0, product-state corner) and for a spectrum with a
-    non-negligible imaginary part.
+    matrix (l0 ~ 0, product-state corner) and for a spectrum whose
+    imaginary part exceeds both the rounding level and the rounding split
+    of a defective double eigenvalue.
     """
     t = correlation_matrix(rho)
     eta = np.diag([1.0, -1.0, -1.0, -1.0])
     c = eta @ t @ eta @ t.T
     w = np.linalg.eigvals(c)
     scale = max(1.0, float(np.linalg.norm(c)))
-    if np.max(np.abs(w.imag)) > LORENTZ_IMAG_TOL * scale:
+    jordan_split = JORDAN_SPLIT_FACTOR * math.sqrt(np.finfo(float).eps * scale)
+    if np.max(np.abs(w.imag)) > max(LORENTZ_IMAG_TOL * scale, jordan_split):
         raise ValueError("non-Lorentzian spectrum")
     lam = np.sort(w.real)[::-1]
     if lam[0] <= DEGENERATE_TOL:

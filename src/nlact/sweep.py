@@ -4,8 +4,8 @@ Thresholds are found on boolean property indicators (entangled, CHSH
 violated, filter-violated, teleportation-useful, activation certified,
 CGLMP violated) rather than by root-finding on the values, which are
 non-smooth at onset.  SDP-backed points get a coarse pre-scan to bracket
-and a single 4x-iteration retry on non-convergence; persistent failures
-are recorded as missing instead of aborting a sweep.
+and a 4x iteration budget; points that still do not converge are recorded
+as missing instead of aborting a sweep.
 """
 
 from __future__ import annotations
@@ -89,10 +89,9 @@ def _tlf_point(
         base = bisection_options() if bisect else SdpOptions(tol_objective=1e-7)
     elif bisect and base.objective_cut is None:
         base = replace(base, objective_cut=bisection_options().objective_cut)
-    result = sigma_min(spec.state(p), base)
-    if result.witness.status == "max_iters":
-        # retry once with a 4x iteration budget before recording the point missing
-        result = sigma_min(spec.state(p), replace(base, max_iters=4 * base.max_iters))
+    # one solve with a 4x iteration budget; a point that still runs out is
+    # recorded missing
+    result = sigma_min(spec.state(p), replace(base, max_iters=4 * base.max_iters))
     if result.witness.status == "max_iters":
         return PointResult(result.sigma, False, "sdp did not converge")
     return PointResult(result.sigma, result.activated)

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nlact.activation import ACTIVATION_TOL, ancilla_R, bisection_options, build_cost, sigma_min, verify_ancilla
-from nlact.linalg import min_eig, partial_transpose_mat, permute_systems
+from nlact.linalg import DensityMatrix, min_eig, partial_transpose_mat, permute_systems
 from nlact.rand import random_density, random_separable
-from nlact.states import isotropic_state, wi_state
+from nlact.sdp import SdpOptions, SdpProblem, solve
+from nlact.states import hirsch_state, isotropic_state, werner_state, wi_state
 
 
 def _r_curve(p):
@@ -116,3 +119,79 @@ def test_separable_inputs_never_certify(rng):
         result = sigma_min(tau, bisection_options())
         assert not result.activated
         assert result.sigma >= -1e-5
+
+
+# paper p_TLF for each twirl-invariant input; the grid straddles it
+_TWIRLED = [
+    ("wi", 2, 0.6569),
+    ("werner", 2, 0.6569),
+    ("werner", 3, 0.6360),
+    ("werner", 4, 0.6247),
+    ("isotropic", 2, 0.6569),
+    ("isotropic", 3, 0.5606),
+    ("isotropic", 4, 0.4890),
+]
+
+
+def _twirled_state(family, d, p):
+    if family == "wi":
+        return wi_state(p)
+    return werner_state(d, p) if family == "werner" else isotropic_state(d, p)
+
+
+@pytest.mark.parametrize("family,d,p_tlf", _TWIRLED)
+@pytest.mark.parametrize("options", [bisection_options(), SdpOptions(tol_objective=1e-7)], ids=["sign", "gap"])
+def test_block_form_matches_dense(family, d, p_tlf, options):
+    indicators = []
+    for offset in (-0.02, -0.002, 0.002, 0.02):
+        problem = build_cost(_twirled_state(family, d, p_tlf + offset), options)
+        assert problem.blocks is not None
+        assert problem.blocks.costs.shape == (2, 4, 4)
+        block = solve(problem)
+        dense = solve(SdpProblem(cost=problem.cost, dims=problem.dims, t1_split=2, options=options))
+        assert block.status == dense.status
+        assert block.iterations == dense.iterations
+        activated = [
+            s.status in ("converged", "decided") and s.objective < -ACTIVATION_TOL for s in (block, dense)
+        ]
+        assert activated[0] == activated[1]
+        indicators.append(activated[0])
+        assert abs(block.objective - dense.objective) <= 1e-9
+        assert abs(block.objective_lb - dense.objective_lb) <= 1e-9
+        assert block.minimizer.dims == dense.minimizer.dims
+        assert block.residuals["ppt_slack"] <= 1e-12
+    assert not indicators[0] and indicators[-1]
+
+
+def test_block_form_multiplicities():
+    d = 5
+    werner = build_cost(werner_state(d, 0.6)).blocks
+    assert werner.mult.tolist() == [d * (d + 1) / 2, d * (d - 1) / 2]
+    assert np.allclose(werner.pt_map @ werner.pt_inverse, np.eye(2))
+    isotropic = build_cost(isotropic_state(d, 0.6)).blocks
+    assert isotropic.mult.tolist() == [d * d - 1, 1]
+    assert np.allclose(isotropic.pt_map, werner.pt_inverse)
+
+
+def test_block_form_reproduces_dense_cost():
+    for tau in (werner_state(3, 0.4), isotropic_state(4, 0.7), wi_state(0.2)):
+        problem = build_cost(tau)
+        assert np.max(np.abs(problem.blocks.dense(problem.blocks.costs, problem.dims) - problem.cost)) < 1e-14
+
+
+def test_problem_rejects_mismatched_blocks():
+    problem = build_cost(werner_state(3, 0.5))
+    wrong = dataclasses.replace(problem.blocks, costs=problem.blocks.costs[::-1].copy())
+    with pytest.raises(ValueError, match="block costs"):
+        SdpProblem(cost=problem.cost, dims=problem.dims, t1_split=2, blocks=wrong)
+    partial = dataclasses.replace(problem.blocks, projectors=problem.blocks.projectors[:1])
+    with pytest.raises(ValueError, match="identity"):
+        SdpProblem(cost=problem.cost, dims=problem.dims, t1_split=2, blocks=partial)
+
+
+def test_non_invariant_inputs_stay_dense(rng):
+    perturbed = werner_state(3, 0.5).mat.copy()
+    perturbed[0, 1] += 1e-9
+    perturbed[1, 0] += 1e-9
+    for tau in (hirsch_state(0.3), random_density((2, 2), rng), DensityMatrix(perturbed, (3, 3))):
+        assert build_cost(tau).blocks is None
