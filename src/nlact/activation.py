@@ -11,7 +11,7 @@ stays inside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -21,6 +21,8 @@ from .sdp import BlockForm, SdpOptions, SdpProblem, SdpSolution, solve
 from .states import PAULI, h_theta, max_entangled, projector
 
 ACTIVATION_TOL = 1e-6
+# solver options of every activation solve that is given none
+DEFAULT_OPTIONS = SdpOptions(tol_objective=1e-7)
 H_ANGLE = math.pi / 4.0
 
 # canonical variable order [A_d, A_q, B_d, B_q] from the natural cost order
@@ -33,11 +35,12 @@ _COST_PERM = (0, 2, 1, 3)
 # |<C - C', X>| <= ||C - C'||_op <= d^2 * 1e-12 * ||H||_op < 2e-10
 # (d^2 <= 64 under MAX_SIDE, ||H||_op = 1 + sqrt 2); lambda_min(C - PT(S2))
 # moves by no more.  So ub and lb stay certified for the true cost to
-# within 2e-10, far below ACTIVATION_TOL and the 1e-7 gap tolerance.
+# within 2e-10, far below ACTIVATION_TOL and the gap tolerance of DEFAULT_OPTIONS.
 TWIRL_FIT_TOL = 1e-12
 
 __all__ = [
     "ACTIVATION_TOL",
+    "DEFAULT_OPTIONS",
     "ActivationResult",
     "bisection_options",
     "build_cost",
@@ -54,13 +57,7 @@ class ActivationResult:
     activated: bool
 
 
-def _activation_options(options: SdpOptions | None) -> SdpOptions:
-    if options is None:
-        return SdpOptions(tol_objective=1e-7)
-    return options
-
-
-def bisection_options(max_iters: int | None = None) -> SdpOptions:
+def bisection_options() -> SdpOptions:
     """Solver options for sign-only queries: stop once the bounds settle the cut.
 
     A sign decision against the activation cut certifies orders of
@@ -68,9 +65,7 @@ def bisection_options(max_iters: int | None = None) -> SdpOptions:
     the price of a loose reported value; use only where the indicator is
     all that matters.
     """
-    if max_iters is None:
-        return SdpOptions(tol_objective=1e-7, objective_cut=-ACTIVATION_TOL)
-    return SdpOptions(tol_objective=1e-7, objective_cut=-ACTIVATION_TOL, max_iters=max_iters)
+    return replace(DEFAULT_OPTIONS, objective_cut=-ACTIVATION_TOL)
 
 
 def _twirl_algebras(d: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -123,7 +118,7 @@ def build_cost(tau: DensityMatrix, options: SdpOptions | None = None) -> SdpProb
         cost=cost,
         dims=(da, 2, db, 2),
         t1_split=2,
-        options=_activation_options(options),
+        options=options or DEFAULT_OPTIONS,
         blocks=_block_form(tau.mat.T, da, h) if da == db else None,
     )
 

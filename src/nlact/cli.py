@@ -15,10 +15,11 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
-from .activation import ancilla_R, verify_ancilla
+from .activation import DEFAULT_OPTIONS, ancilla_R, verify_ancilla
 from .linalg import PSD_TOL, min_eig, partial_transpose_mat
 from .measures import k_factor
 from .sdp import SdpOptions
@@ -54,20 +55,14 @@ def _write_output(text: str, out: str | None) -> None:
         raise
 
 
-def _sdp_options(args: argparse.Namespace) -> SdpOptions | None:
-    if args.sdp_max_iters is None and args.sdp_tol is None:
-        return None
-    kwargs = {"tol_objective": 1e-7}
-    if args.sdp_max_iters is not None:
-        kwargs["max_iters"] = int(args.sdp_max_iters)
-    if args.sdp_tol is not None:
-        kwargs["tol_objective"] = float(args.sdp_tol)
-    return SdpOptions(**kwargs)
+def _sdp_options(args: argparse.Namespace) -> SdpOptions:
+    given = {"max_iters": args.sdp_max_iters, "tol_objective": args.sdp_tol}
+    return replace(DEFAULT_OPTIONS, **{k: v for k, v in given.items() if v is not None})
 
 
-def _family_spec(args: argparse.Namespace, q: float | None = None) -> FamilySpec:
+def _family_spec(args: argparse.Namespace) -> FamilySpec:
     d = args.d if args.family in ("werner", "isotropic") else 2
-    return FamilySpec(family=args.family, d=d, q=args.q if q is None else q)
+    return FamilySpec(family=args.family, d=d, q=args.q)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -79,7 +74,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise SystemExit2("--steps must be at least 2")
     spec = _family_spec(args)
     grid = np.linspace(args.pmin, args.pmax, args.steps)
-    curve = sample_curve(spec, args.property, grid, _sdp_options(args), workers=args.workers)
+    curve = sample_curve(spec, args.property, grid, _sdp_options(args))
 
     if args.format == "json":
         rows = []
@@ -117,9 +112,7 @@ def _sweep_grid2d(args: argparse.Namespace) -> int:
     buf.write("p,q,value\n")
     for q in np.linspace(0.0, 1.0, nq_pts):
         spec = FamilySpec(family="hirsch2", d=2, q=float(q))
-        curve = sample_curve(
-            spec, args.property, np.linspace(0.0, 1.0, np_pts), sdp_options, workers=args.workers
-        )
+        curve = sample_curve(spec, args.property, np.linspace(0.0, 1.0, np_pts), sdp_options)
         for i, p in enumerate(curve.grid):
             value = curve.values[i]
             buf.write(f"{_fmt(p)},{_fmt(q)},{'' if value is None else _fmt(value)}\n")
@@ -202,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="output file (stdout when omitted)")
-        p.add_argument("--sdp-max-iters", type=int, default=None)
+        budget = "SDP iteration budget; each activation point runs with 4x this budget"
+        p.add_argument("--sdp-max-iters", type=int, default=None, help=budget)
         p.add_argument("--sdp-tol", type=float, default=None)
 
     p_sweep = sub.add_parser("sweep", help="sample one property over a parameter grid")
@@ -215,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--steps", type=int, default=101)
     p_sweep.add_argument("--p-grid", type=int, default=None, help="2D sweep: points along p")
     p_sweep.add_argument("--q-grid", type=int, default=None, help="2D sweep: points along q")
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)

@@ -29,7 +29,6 @@ __all__ = [
     "DensityMatrix",
     "EigenDecomposition",
     "kron",
-    "dagger",
     "is_hermitian",
     "herm_eig",
     "min_eig",
@@ -47,10 +46,6 @@ def kron(*ops: np.ndarray) -> np.ndarray:
     for op in ops[1:]:
         out = np.kron(out, np.asarray(op))
     return out
-
-
-def dagger(mat: np.ndarray) -> np.ndarray:
-    return np.asarray(mat).conj().T
 
 
 def is_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:

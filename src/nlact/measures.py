@@ -158,6 +158,14 @@ def hidden_nonlocality(rho: DensityMatrix) -> HiddenNonlocality:
     if np.max(np.abs(w.imag)) > max(LORENTZ_IMAG_TOL * scale, jordan_split):
         raise ValueError("non-Lorentzian spectrum")
     lam = np.sort(w.real)[::-1]
+    # the split may instead fall on the real axis, as an adjacent pair l +- delta
+    # within the same bound; read such a pair as the double eigenvalue l
+    i = 0
+    while i < len(lam) - 1:
+        if lam[i] - lam[i + 1] <= jordan_split:
+            lam[i : i + 2] = 0.5 * (lam[i] + lam[i + 1])
+            i += 1
+        i += 1
     if lam[0] <= DEGENERATE_TOL:
         raise ValueError("degenerate correlation matrix")
     m_prime = (lam[1] + lam[2]) / lam[0]

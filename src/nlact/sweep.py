@@ -3,20 +3,22 @@
 Thresholds are found on boolean property indicators (entangled, CHSH
 violated, filter-violated, teleportation-useful, activation certified,
 CGLMP violated) rather than by root-finding on the values, which are
-non-smooth at onset.  SDP-backed points get a coarse pre-scan to bracket
-and a 4x iteration budget; points that still do not converge are recorded
-as missing instead of aborting a sweep.
+non-smooth at onset.  One routing rule, ``evaluator``, maps a (family, d,
+property) triple to its evaluator or rejects it; every entry point applies
+it before evaluating any point.  SDP-backed points get a coarse pre-scan to
+bracket and a 4x iteration budget; points that still do not converge are
+recorded as missing instead of aborting a sweep.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from . import measures
-from .activation import bisection_options, sigma_min
+from .activation import ACTIVATION_TOL, DEFAULT_OPTIONS, sigma_min
 from .sdp import SdpOptions
 from .states import FamilySpec
 
@@ -33,7 +35,7 @@ __all__ = [
     "PointResult",
     "PropertyCurve",
     "ThresholdReport",
-    "check_supported",
+    "evaluator",
     "evaluate_point",
     "sample_curve",
     "find_threshold",
@@ -72,7 +74,11 @@ class ThresholdReport:
     bracket: tuple[float, float]
     tolerance: float
     evaluations: int
-    reference: measures.ReferenceBound | None = None
+
+
+# an evaluator maps (spec, p, sdp_options, bisect) to the point's result;
+# the closed-form ones ignore the solver arguments
+Evaluator = Callable[[FamilySpec, float, SdpOptions | None, bool], PointResult]
 
 
 def default_tolerance(prop: str) -> float:
@@ -82,19 +88,84 @@ def default_tolerance(prop: str) -> float:
 def _tlf_point(
     spec: FamilySpec, p: float, sdp_options: SdpOptions | None, bisect: bool = False
 ) -> PointResult:
-    base = sdp_options
-    if base is None:
+    options = sdp_options or DEFAULT_OPTIONS
+    if bisect and options.objective_cut is None:
         # bisection only consumes the indicator, so the sign-decision stop
         # applies; curve sampling needs accurate sigma values instead
-        base = bisection_options() if bisect else SdpOptions(tol_objective=1e-7)
-    elif bisect and base.objective_cut is None:
-        base = replace(base, objective_cut=bisection_options().objective_cut)
+        options = replace(options, objective_cut=-ACTIVATION_TOL)
     # one solve with a 4x iteration budget; a point that still runs out is
     # recorded missing
-    result = sigma_min(spec.state(p), replace(base, max_iters=4 * base.max_iters))
+    result = sigma_min(spec.state(p), replace(options, max_iters=4 * options.max_iters))
     if result.witness.status == "max_iters":
         return PointResult(result.sigma, False, "sdp did not converge")
     return PointResult(result.sigma, result.activated)
+
+
+def _cglmp_point(spec: FamilySpec, p: float, *_) -> PointResult:
+    value = measures.cglmp_value(spec.state(p))
+    return PointResult(value, value > 2.0)
+
+
+def _isotropic_sa_point(spec: FamilySpec, p: float, *_) -> PointResult:
+    fef = measures.fef_isotropic(spec.d, p)
+    fot = (spec.d * fef + 1.0) / (spec.d + 1.0)
+    return PointResult(max(0.0, fot - 2.0 / (spec.d + 1.0)), fef > 1.0 / spec.d)
+
+
+def _filtered_hn_point(spec: FamilySpec, p: float, *_) -> PointResult:
+    # the fixed two-dim filter is the hidden-nonlocality route for qudit
+    # Werner states; the criterion is CHSH violation of the filtered state
+    filtered = measures.popescu_filter(spec.d, p).filtered
+    return PointResult(measures.chsh_value(filtered), measures.chsh_M(filtered) > 1.0)
+
+
+def _eof_point(spec: FamilySpec, p: float, *_) -> PointResult:
+    value = measures.eof(spec.state(p))
+    return PointResult(value, value > 0.0)
+
+
+def _chsh_point(spec: FamilySpec, p: float, *_) -> PointResult:
+    state = spec.state(p)
+    return PointResult(measures.chsh_value(state), measures.chsh_M(state) > 1.0)
+
+
+def _sa_point(spec: FamilySpec, p: float, *_) -> PointResult:
+    use = measures.sa_value(spec.state(p))
+    return PointResult(use.value, use.indicator)
+
+
+def _hn_point(spec: FamilySpec, p: float, *_) -> PointResult:
+    # a degenerate correlation matrix only happens at product-state corners,
+    # where no filtering can create a violation
+    try:
+        hn = measures.hidden_nonlocality(spec.state(p))
+    except ValueError as exc:
+        if "degenerate" in str(exc):
+            return PointResult(0.0, False)
+        raise
+    return PointResult(hn.value, hn.indicator)
+
+
+_TWO_QUBIT_POINTS = {"eof": _eof_point, "chsh": _chsh_point, "sa": _sa_point, "hn": _hn_point}
+
+
+def evaluator(spec: FamilySpec, prop: str) -> Evaluator:
+    """The evaluator of (family, d, property); ValueError for a pair that has none."""
+    if prop not in PROPERTIES:
+        raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+    if prop == "tlf":
+        return _tlf_point
+    if prop == "cglmp":
+        if not 2 <= spec.d <= measures.CGLMP_MAX_D:
+            raise ValueError(f"cglmp supports 2 <= d <= {measures.CGLMP_MAX_D}, got d={spec.d}")
+        return _cglmp_point
+    if prop == "sa" and spec.family == "isotropic":
+        return _isotropic_sa_point
+    if prop == "hn" and spec.family == "werner" and spec.d > 2:
+        return _filtered_hn_point
+    if spec.d > 2:
+        raise ValueError(f"property {prop!r} requires a two-qubit state (d={spec.d})")
+    return _TWO_QUBIT_POINTS[prop]
 
 
 def evaluate_point(
@@ -105,64 +176,7 @@ def evaluate_point(
     bisect: bool = False,
 ) -> PointResult:
     """Evaluate one (family, property) pair at parameter p."""
-    if prop not in PROPERTIES:
-        raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
-
-    if prop == "tlf":
-        return _tlf_point(spec, p, sdp_options, bisect)
-
-    if prop == "cglmp":
-        value = measures.cglmp_value(spec.state(p))
-        return PointResult(value, value > 2.0)
-
-    if prop == "sa" and spec.family == "isotropic":
-        fef = measures.fef_isotropic(spec.d, p)
-        fot = (spec.d * fef + 1.0) / (spec.d + 1.0)
-        return PointResult(max(0.0, fot - 2.0 / (spec.d + 1.0)), fef > 1.0 / spec.d)
-
-    if prop == "hn" and spec.family == "werner" and spec.d > 2:
-        # the fixed two-dim filter is the hidden-nonlocality route for qudit
-        # Werner states; the criterion is CHSH violation of the filtered state
-        filtered = measures.popescu_filter(spec.d, p).filtered
-        return PointResult(measures.chsh_value(filtered), measures.chsh_M(filtered) > 1.0)
-
-    if spec.family in ("werner", "isotropic") and spec.d > 2:
-        raise ValueError(f"property {prop!r} requires a two-qubit state (d={spec.d})")
-
-    state = spec.state(p)
-    if prop == "eof":
-        value = measures.eof(state)
-        return PointResult(value, value > 0.0)
-    if prop == "chsh":
-        return PointResult(measures.chsh_value(state), measures.chsh_M(state) > 1.0)
-    if prop == "sa":
-        use = measures.sa_value(state)
-        return PointResult(use.value, use.indicator)
-    # hn: a degenerate correlation matrix only happens at product-state
-    # corners, where no filtering can create a violation
-    try:
-        hn = measures.hidden_nonlocality(state)
-    except ValueError as exc:
-        if "degenerate" in str(exc):
-            return PointResult(0.0, False)
-        raise
-    return PointResult(hn.value, hn.indicator)
-
-
-def check_supported(spec: FamilySpec, prop: str) -> None:
-    """Reject structurally unsupported (family, property) pairings upfront."""
-    if prop not in PROPERTIES:
-        raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
-    if prop == "cglmp" and not 2 <= spec.d <= measures.CGLMP_MAX_D:
-        raise ValueError(f"cglmp supports 2 <= d <= {measures.CGLMP_MAX_D}, got d={spec.d}")
-    if prop in ("tlf", "cglmp"):
-        return
-    if prop == "sa" and spec.family == "isotropic":
-        return
-    if prop == "hn" and spec.family == "werner":
-        return
-    if spec.d > 2:
-        raise ValueError(f"property {prop!r} requires a two-qubit state (d={spec.d})")
+    return evaluator(spec, prop)(spec, p, sdp_options, bisect)
 
 
 def sample_curve(
@@ -170,26 +184,18 @@ def sample_curve(
     prop: str,
     grid: list[float] | np.ndarray,
     sdp_options: SdpOptions | None = None,
-    workers: int = 1,
 ) -> PropertyCurve:
     """Pointwise evaluation over an increasing grid; failures are recorded, not fatal."""
-    check_supported(spec, prop)
+    evaluator(spec, prop)
     grid = [float(p) for p in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
-
-    def run(p: float) -> PointResult:
+    results = []
+    for p in grid:
         try:
-            return evaluate_point(spec, prop, p, sdp_options)
+            results.append(evaluate_point(spec, prop, p, sdp_options))
         except ValueError as exc:
-            return PointResult(None, None, str(exc))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, grid))
-    else:
-        results = [run(p) for p in grid]
-
+            results.append(PointResult(None, None, str(exc)))
     curve = PropertyCurve(
         spec=spec,
         prop=prop,
@@ -222,7 +228,6 @@ def find_threshold(
     bracket: tuple[float, float],
     tol: float | None = None,
     sdp_options: SdpOptions | None = None,
-    reference: measures.ReferenceBound | None = None,
 ) -> ThresholdReport:
     """Bisect the indicator over a straddling bracket down to width tol."""
     tol = default_tolerance(prop) if tol is None else float(tol)
@@ -249,26 +254,22 @@ def find_threshold(
         bracket=(lo, hi),
         tolerance=tol,
         evaluations=evaluations,
-        reference=reference,
     )
 
 
 def prescan_bracket(
-    spec: FamilySpec,
-    prop: str,
-    sdp_options: SdpOptions | None = None,
-    points: int = PRESCAN_POINTS,
+    spec: FamilySpec, prop: str, sdp_options: SdpOptions | None = None
 ) -> tuple[float, float] | None:
     """Coarse scan over the family's default range; None when true at every p > 0."""
+    evaluator(spec, prop)
     lo, hi = spec.p_range()
     lo = max(lo, 0.0)  # sweeps default to [0, 1] even where the family allows p < 0
-    grid = np.linspace(lo, hi, points)
     last_false: float | None = None
-    for p in grid:
+    for p in np.linspace(lo, hi, PRESCAN_POINTS):
         try:
             ind = evaluate_point(spec, prop, float(p), sdp_options, bisect=True).indicator
         except ValueError:
-            continue  # indeterminate point (unsupported corner)
+            continue  # indeterminate point
         if ind:
             if last_false is None:
                 return None  # on at the first determinate point: onset at the origin
@@ -277,20 +278,16 @@ def prescan_bracket(
     raise ValueError(f"indicator for {spec.family}/{prop} never turns on in [{lo}, {hi}]")
 
 
-_TABLE_PROPS = {
-    "wi": ("p_E", "p_SA", "p_TLF", "p_HN", "p_NL"),
-    "werner": ("p_E", "p_SA", "p_TLF", "p_HN"),
-    "isotropic": ("p_E", "p_SA", "p_TLF", "p_NL"),
-    "hirsch1": ("p_E", "p_HN", "p_TLF", "p_SA", "p_NL"),
+# column -> property of each table's computed columns, in output order
+_TABLE_COLUMNS = {
+    "wi": {"p_E": "eof", "p_SA": "sa", "p_TLF": "tlf", "p_HN": "hn", "p_NL": "chsh"},
+    "werner": {"p_E": "eof", "p_SA": "sa", "p_TLF": "tlf", "p_HN": "hn"},
+    "isotropic": {"p_E": "eof", "p_SA": "sa", "p_TLF": "tlf", "p_NL": "cglmp"},
+    "hirsch1": {"p_E": "eof", "p_HN": "hn", "p_TLF": "tlf", "p_SA": "sa", "p_NL": "chsh"},
 }
 
-_PROP_OF_COLUMN = {"p_E": "eof", "p_SA": "sa", "p_TLF": "tlf", "p_HN": "hn", "p_NL": "chsh"}
 
-
-def _computed_entry(spec: FamilySpec, column: str, sdp_options: SdpOptions | None) -> dict:
-    prop = _PROP_OF_COLUMN[column]
-    if column == "p_NL" and spec.family == "isotropic":
-        prop = "cglmp"
+def _computed_entry(spec: FamilySpec, prop: str, sdp_options: SdpOptions | None) -> dict:
     bracket = prescan_bracket(spec, prop, sdp_options)
     if bracket is None:
         # the indicator is on at every sampled p > 0: the threshold is the origin
@@ -303,39 +300,32 @@ def _computed_entry(spec: FamilySpec, column: str, sdp_options: SdpOptions | Non
     }
 
 
+def _stored_entry(bound: measures.ReferenceBound) -> dict:
+    return {"value": bound.value, "provenance": bound.provenance, "note": bound.note}
+
+
 def build_table(
     family: str, d_max: int = 6, sdp_options: SdpOptions | None = None
 ) -> dict:
     """Assemble one family's threshold table: computed columns plus stored references."""
-    if family not in _TABLE_PROPS:
+    if family not in _TABLE_COLUMNS:
         raise ValueError(f"no table for family {family!r}")
     d_values = [2] if family in ("wi", "hirsch1") else list(range(2, d_max + 1))
     rows = []
     for d in d_values:
         spec = FamilySpec(family=family, d=d)
+        references = measures.reference_bounds(family, d)
         thresholds: dict[str, dict] = {}
-        for column in _TABLE_PROPS[family]:
-            if family == "werner" and d > 2 and column == "p_SA":
+        for column, prop in _TABLE_COLUMNS[family].items():
+            if d > 2 and column == "p_SA" and family == "werner":
                 # qudit Werner states are never teleportation-useful, so the
                 # superactivation route gives no threshold: marked X
                 thresholds[column] = {"value": None, "marker": "X", "provenance": "paper-constant"}
-                continue
-            if family in ("werner", "isotropic") and d > 2 and column == "p_E":
-                bound = measures.reference_bounds(family, d)["p_E"]
-                thresholds[column] = {
-                    "value": bound.value,
-                    "provenance": bound.provenance,
-                    "note": bound.note,
-                }
-                continue
-            thresholds[column] = _computed_entry(spec, column, sdp_options)
-        for name, bound in measures.reference_bounds(family, d).items():
-            if name in thresholds:
-                continue
-            thresholds[name] = {
-                "value": bound.value,
-                "provenance": bound.provenance,
-                "note": bound.note,
-            }
+            elif d > 2 and column == "p_E":
+                thresholds[column] = _stored_entry(references["p_E"])
+            else:
+                thresholds[column] = _computed_entry(spec, prop, sdp_options)
+        for name, bound in references.items():
+            thresholds.setdefault(name, _stored_entry(bound))
         rows.append({"d": d, "thresholds": thresholds})
     return {"family": family, "rows": rows}

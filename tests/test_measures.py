@@ -146,10 +146,11 @@ def test_hidden_nonlocality_hirsch_value():
     assert abs(hn.value - 0.468995593589281221253589330383) < 1e-10
 
 
-@pytest.mark.parametrize("p", [0.2514, 0.3, 0.41])
+@pytest.mark.parametrize("p", [5e-4, 0.05, 0.2514, 0.3, 0.41])
 def test_hidden_nonlocality_hirsch_jordan_block(p):
     # C has a defective double eigenvalue p here, which rounding splits into
-    # a conjugate pair; it must be read as real, with M' = 1 + p
+    # a conjugate pair (or, at 5e-4 and 0.05, a real pair p +- delta); it must
+    # be read as the real double eigenvalue, with M' = 1 + p
     hn = hidden_nonlocality(hirsch_state(p))
     assert abs(hn.m_prime - (1.0 + p)) < 1e-9
     assert hn.indicator

@@ -65,13 +65,6 @@ def test_sample_curve_grid_must_increase():
         sample_curve(WI, "eof", [0.5, 0.5])
 
 
-def test_sample_curve_workers_match_serial():
-    serial = sample_curve(WI, "sa", np.linspace(0, 1, 9))
-    threaded = sample_curve(WI, "sa", np.linspace(0, 1, 9), workers=4)
-    assert serial.values == threaded.values
-    assert serial.indicators == threaded.indicators
-
-
 def test_find_threshold_chsh():
     report = find_threshold(WI, "chsh", (0.6, 0.8))
     assert abs(report.threshold - 1 / np.sqrt(2)) < 5e-4
@@ -90,6 +83,32 @@ def test_find_threshold_requires_straddle():
         find_threshold(WI, "chsh", (0.8, 0.9))
     with pytest.raises(ValueError, match="does not straddle"):
         find_threshold(WI, "chsh", (0.1, 0.3))
+
+
+@pytest.mark.parametrize(
+    "spec, prop, message",
+    [
+        (FamilySpec("werner", d=3), "eof", "requires a two-qubit state"),
+        (FamilySpec("isotropic", d=3), "hn", "requires a two-qubit state"),
+        (FamilySpec("isotropic", d=7), "cglmp", "cglmp supports"),
+    ],
+    ids=["werner3-eof", "isotropic3-hn", "isotropic7-cglmp"],
+)
+def test_unsupported_pair_raises_routing_error(spec, prop, message):
+    # every entry point rejects the pair up front with the same message,
+    # instead of recording it at each point or prescanning past it
+    calls = [
+        lambda: evaluate_point(spec, prop, 0.5),
+        lambda: sample_curve(spec, prop, [0.25, 0.5]),
+        lambda: prescan_bracket(spec, prop),
+        lambda: find_threshold(spec, prop, (0.25, 0.75)),
+    ]
+    messages = []
+    for call in calls:
+        with pytest.raises(ValueError, match=message) as info:
+            call()
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1
 
 
 def test_prescan_bracket_closed_form():
