@@ -1,10 +1,24 @@
 """Self-contained solver for min <C, X> over {X >= 0, X^T1 >= 0, Tr X = 1}.
 
-The algorithm is consensus operator splitting (ADMM): one block carries the
-spectral-simplex constraint {X >= 0, Tr X = 1} with the linear cost handled
-proximally, the other carries the partial-transpose cone {Y : Y^T1 >= 0},
-and a scaled dual couples X = Y.  Each iteration costs two or three
-Hermitian eigendecompositions.
+Two loops share one problem representation and one certificate:
+
+- a primal-dual interior-point method (the HKM direction of Helmberg,
+  Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 6 (1996), with Mehrotra's
+  predictor-corrector) on min <C, X> over X >= 0 and W = X^T1 >= 0 with
+  Tr X = 1, scaled by the eigendecompositions of its iterates.  Its Newton
+  system has about side^2 / 2 unknowns per block, so `solve` takes it when
+  the cost is real and every block has side <= `IPM_MAX_SIDE` (16): every
+  two-qubit family input and every twirled Werner or isotropic form, at
+  any d.  It certifies within a few dozen Newton steps where the splitting
+  loop needs up to tens of thousands of iterations near a sign change.
+  Complex costs would double its unknowns, and the splitting loop decides
+  complex two-qubit costs faster;
+- consensus operator splitting (ADMM) for complex costs and larger blocks:
+  one block carries the spectral-simplex constraint {X >= 0, Tr X = 1}
+  with the linear cost handled proximally, the other carries the
+  partial-transpose cone {Y : Y^T1 >= 0}, and a scaled dual couples X = Y.
+  Each iteration costs two or three Hermitian eigendecompositions.  The
+  tests also use it as the reference for the interior-point loop.
 
 The iterates are stacks of blocks with multiplicities.  A plain problem is
 one dense block of side n with multiplicity 1.  A problem that carries a
@@ -12,43 +26,70 @@ one dense block of side n with multiplicity 1.  A problem that carries a
 as the activation cost of a Werner or isotropic input -- is solved as
 X = sum_b P_b (x) X_b over the invariant projectors P_b, with small blocks
 X_b.  That is the dense iteration exactly, not an approximation: every
-step (spectral projections, partial transpose, the I/n start) commutes with
-the twirl, so the dense iterates stay of that form, and on it the spectrum
-of X is the blocks' spectra with multiplicities Tr P_b, the Frobenius norm
-is the multiplicity-weighted one, and the partial transpose maps the P_b
-algebra linearly onto a second projector algebra Q_c.
+step (spectral projections, Newton steps, partial transpose, the I/n start)
+commutes with the twirl, so the dense iterates stay of that form, and on it
+the spectrum of X is the blocks' spectra with multiplicities Tr P_b, traces
+and Frobenius inner products are the multiplicity-weighted ones, and the
+partial transpose maps the P_b algebra linearly onto a second projector
+algebra Q_c (multiplicities Tr Q_c).
 
-On top of the residual test, the solver tracks certified objective bounds:
+Both loops feed one certificate of objective bounds:
 
-- lower bound: the Y-projection's clamped negative part gives an exactly
-  PSD dual multiplier S2, and lambda_min(C - PT(S2)) <= p* for any S2 >= 0;
+- lower bound: lambda_min(C - PT(S2)) <= p* for any S2 >= 0 on the
+  partial-transpose side; ADMM takes the clamped negative part of its
+  Y-projection, the interior-point loop its dual slack on W;
 - upper bound: mixing the current X toward I/n absorbs its PPT slack and
   yields an exactly feasible point whose value is reported as `objective`.
 
-The solve stops when the bound gap closes to `tol_objective`, when both
-consensus residuals fall below `tol_feasibility`, or (if `objective_cut`
-is set) as soon as the bounds certify on which side of the cut the optimum
-lies -- a sign decision can be certified long before the gap closes on
-degenerate instances.  The minimizer is rebuilt densely once per solve and
-the reported residuals are measured on it.
+The solve stops when the bound gap closes to `tol_objective` or (if
+`objective_cut` is set) as soon as the bounds certify on which side of the
+cut the optimum lies -- a sign decision can be certified long before the
+gap closes on degenerate instances.  ADMM also stops when both consensus
+residuals fall below `tol_feasibility`.  `max_iters` caps ADMM iterations
+and Newton steps alike.  An interior-point solve that stalls (an iterate
+whose smallest eigenvalue is not positive, or `STALL_STEPS` steps without
+a tighter gap) ends with its best bounds and status
+``infeasible_numerics``.  The
+minimizer is rebuilt densely once per solve and the reported residuals are
+measured on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from .linalg import HERM_INPUT_TOL, DensityMatrix, is_hermitian, partial_transpose_mat, permute_mat
 
 MAX_SIDE = 256
+# largest block side solved by the interior-point loop: its Newton system has
+# about side^2 unknowns per block
+IPM_MAX_SIDE = 16
+# share of the distance to the cone boundary that an interior-point step covers.
+# Longer steps leave the iterates so close to the boundary that the Schur solves
+# lose accuracy.  On the activation costs of 40 seeded random real two-qubit
+# states, 0.9 closes every certified gap to 4e-10 (70% of them to 1e-10), 0.98
+# to only 2.9e-9, and 0.8 all to 1e-10 at a quarter more steps on the family
+# inputs, which the activation curves pay for.
+STEP_FRACTION = 0.9
+# interior-point steps without a tighter certified gap after which the loop has stalled
+STALL_STEPS = 5
 
 __all__ = ["BlockForm", "SdpOptions", "SdpProblem", "SdpSolution", "project_psd", "project_density", "solve"]
 
 
 @dataclass(frozen=True)
 class SdpOptions:
+    """Stop rules of both loops; ``max_iters`` caps ADMM iterations or Newton steps.
+
+    ``tol_feasibility``, ``penalty``, ``check_every`` and ``adapt_every``
+    tune the splitting loop only.
+    """
+
     max_iters: int = 50_000
     tol_objective: float = 1e-6
     tol_feasibility: float = 1e-8
@@ -195,91 +236,155 @@ def _dense_form(problem: SdpProblem) -> BlockForm:
     )
 
 
-def solve(problem: SdpProblem) -> SdpSolution:
-    """Run the splitting iteration; deterministic for fixed problem and options."""
-    opts = problem.options
-    form = problem.blocks if problem.blocks is not None else _dense_form(problem)
-    costs = form.costs
-    if np.max(np.abs(costs.imag)) == 0.0:
-        costs = costs.real.copy()  # real symmetric fast path
-    nb, s, _ = costs.shape
-    # T1 inside a block: the inner factors that fall in the cut come first
-    inner = [i for i in range(len(problem.dims)) if i not in form.outer]
-    m = int(np.prod([problem.dims[i] for i in inner if i < problem.t1_split]))
-    k = s // m
-    block_mult = form.mult
-    n = float(block_mult.sum() * s)  # side of the dense problem
-    mult = np.repeat(block_mult, s)  # eigenvalue multiplicities, block by block
-    root_mult = np.sqrt(block_mult)[:, None, None]
-    eye = np.broadcast_to(np.eye(s, dtype=costs.dtype), costs.shape)
+class _Stack:
+    """The problem as stacks of blocks with multiplicities, shared by both loops.
 
-    def pt(mats: np.ndarray, mix: np.ndarray) -> np.ndarray:
-        out = mats.reshape(nb, m, k, m, k).swapaxes(1, 3).reshape(nb, s, s)
+    X-side stacks hold the blocks X_b (multiplicities Tr P_b); W-side stacks
+    hold the blocks of X^T1 in the Q_c algebra.  ``pt(x, pt_map)`` maps the
+    first onto the second and ``pt(s, pt_inverse)`` is its adjoint.
+    """
+
+    def __init__(self, problem: SdpProblem) -> None:
+        form = problem.blocks if problem.blocks is not None else _dense_form(problem)
+        costs = form.costs
+        if np.max(np.abs(costs.imag)) == 0.0:
+            costs = costs.real.copy()  # real symmetric fast path
+        self.costs = costs
+        self.nb, self.s, _ = costs.shape
+        # T1 inside a block: the inner factors that fall in the cut come first
+        inner = [i for i in range(len(problem.dims)) if i not in form.outer]
+        self.m = int(np.prod([problem.dims[i] for i in inner if i < problem.t1_split]))
+        self.k = self.s // self.m
+        self.block_mult = form.mult
+        self.n = float(self.block_mult.sum() * self.s)  # side of the dense problem
+        self.form = form
+        self.eye = np.broadcast_to(np.eye(self.s, dtype=costs.dtype), costs.shape)
+
+    def pt(self, mats: np.ndarray, mix: np.ndarray) -> np.ndarray:
+        s, m, k = self.s, self.m, self.k
+        out = mats.reshape(-1, m, k, m, k).swapaxes(1, 3).reshape(-1, s, s)
         # a lone block spans the whole space, which the transpose maps onto itself
-        return out if nb == 1 else np.einsum("cb,bij->cij", mix, out)
+        return out if len(mix) == 1 else np.einsum("cb,bij->cij", mix, out)
+
+    def objective(self, mats: np.ndarray) -> float:
+        return float(self.block_mult @ np.sum(self.costs * mats.conj(), axis=(1, 2)).real)
+
+
+def _min_eig(mats: np.ndarray) -> float:
+    return float(np.min(np.linalg.eigvalsh(mats)[:, 0]))
+
+
+class _Bounds:
+    """Best certified objective bounds of a solve, and the feasible point attaining the upper one."""
+
+    def __init__(self, stack: _Stack, opts: SdpOptions) -> None:
+        self.stack = stack
+        self.opts = opts
+        self.ub = math.inf
+        self.lb = -math.inf
+        self.x = stack.eye / stack.n
+
+    def update(self, x: np.ndarray, s2: np.ndarray) -> str | None:
+        """Tighten the bounds from a trace-one PSD X-side stack x and a PSD W-side stack s2.
+
+        - lower bound: lambda_min(C - PT(S2)) <= p* for every S2 >= 0;
+        - upper bound: mixing x toward I/n absorbs its PPT slack and yields
+          an exactly feasible point.
+
+        Returns the stop status the bounds allow, if any.
+        """
+        st = self.stack
+        mats = np.concatenate([st.costs - st.pt(s2, st.form.pt_inverse), st.pt(x, st.form.pt_map)])
+        low = np.linalg.eigvalsh(mats)[:, 0]
+        lb = float(low[: st.nb].min())
+        slack = max(0.0, -float(low[st.nb :].min()))
+        gamma = slack * st.n / (1.0 + slack * st.n)
+        x_feas = (1.0 - gamma) * x + gamma * st.eye / st.n
+        ub = st.objective(x_feas)
+        if ub < self.ub:
+            self.ub = ub
+            self.x = x_feas
+        self.lb = max(self.lb, lb)
+        cut = self.opts.objective_cut
+        if self.ub - self.lb <= self.opts.tol_objective:
+            return "converged"
+        if cut is not None and (self.lb >= cut or self.ub < cut):
+            return "decided"
+        return None
+
+
+def solve(problem: SdpProblem) -> SdpSolution:
+    """Solve the problem; deterministic for fixed problem and options.
+
+    Real costs in blocks of side at most ``IPM_MAX_SIDE`` go to the
+    interior-point loop, all others to the splitting loop.
+    """
+    costs = problem.cost if problem.blocks is None else problem.blocks.costs
+    small_real = costs.shape[-1] <= IPM_MAX_SIDE and not np.any(np.imag(costs))
+    return _solve(problem, _interior_point if small_real else _splitting)
+
+
+def _solve(problem: SdpProblem, loop: Callable[[_Stack, _Bounds, SdpOptions], tuple[int, str, float]]) -> SdpSolution:
+    stack = _Stack(problem)
+    bounds = _Bounds(stack, problem.options)
+    iterations, status, consensus_gap = loop(stack, bounds, problem.options)
+
+    minimizer = DensityMatrix(stack.form.dense(bounds.x, problem.dims), problem.dims)
+    pt_min = partial_transpose_mat(minimizer.mat, problem.dims, tuple(range(problem.t1_split)))
+    residuals = {
+        "psd_slack": max(0.0, -float(np.linalg.eigvalsh(minimizer.mat)[0])),
+        "ppt_slack": max(0.0, -float(np.linalg.eigvalsh(pt_min)[0])),
+        "trace_err": abs(float(minimizer.mat.trace().real) - 1.0),
+        "consensus_gap": consensus_gap if math.isfinite(consensus_gap) else float("inf"),
+        "certified_gap": bounds.ub - bounds.lb,
+    }
+    return SdpSolution(
+        minimizer=minimizer,
+        objective=bounds.ub,
+        objective_lb=bounds.lb,
+        iterations=iterations,
+        status=status,
+        residuals=residuals,
+    )
+
+
+def _splitting(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str, float]:
+    """Consensus ADMM; returns (iterations, status, final consensus residual)."""
+    nb, s = st.nb, st.s
+    mult = np.repeat(st.block_mult, s)  # eigenvalue multiplicities, block by block
+    root_mult = np.sqrt(st.block_mult)[:, None, None]
 
     def norm(mats: np.ndarray) -> float:
         return float(np.linalg.norm(mats * root_mult))
 
-    def objective_of(mats: np.ndarray) -> float:
-        return float(block_mult @ np.sum(costs * mats.conj(), axis=(1, 2)).real)
-
-    def min_eig(mats: np.ndarray) -> float:
-        return float(np.min(np.linalg.eigvalsh(mats)[:, 0]))
-
     rho = float(opts.penalty)
-    x = eye / n
+    x = st.eye / st.n
     y = x.copy()
     u = np.zeros_like(x)
     r_prim = r_dual = math.inf
 
-    best_ub = math.inf
-    best_lb = -math.inf
-    best_x = x.copy()
-    status = "max_iters"
-    iterations = opts.max_iters
-
     for it in range(1, opts.max_iters + 1):
-        w, v = _eigh(y - u - costs / rho)
+        w, v = _eigh(y - u - st.costs / rho)
         x = _compose(v, _simplex_projection(w.ravel(), mult).reshape(nb, s))
-        z = pt(x + u, form.pt_map)
+        z = st.pt(x + u, st.form.pt_map)
         w, v = _eigh(z)
-        y_new = pt(_compose(v, np.maximum(w, 0.0)), form.pt_inverse)
+        y_new = st.pt(_compose(v, np.maximum(w, 0.0)), st.form.pt_inverse)
         r_dual = rho * norm(y_new - y)
         y = y_new
         u = u + x - y
         r_prim = norm(x - y)
 
         if not math.isfinite(r_prim) or not math.isfinite(r_dual):
-            status = "infeasible_numerics"
-            iterations = it
-            break
+            return it, "infeasible_numerics", r_prim
 
         residual_ok = r_prim <= opts.tol_feasibility and r_dual <= opts.tol_feasibility
         if residual_ok or it % opts.check_every == 0:
             # dual certificate: S2 = rho * (negative part of PT(x+u)) is PSD exactly
-            s2 = _compose(v, np.maximum(-w, 0.0)) * rho
-            lb = min_eig(costs - pt(s2, form.pt_inverse))
-            # feasible primal: mix toward I/n to absorb the PPT slack of x
-            slack = max(0.0, -min_eig(pt(x, form.pt_map)))
-            gamma = slack * n / (1.0 + slack * n)
-            x_feas = (1.0 - gamma) * x + gamma * eye / n
-            ub = objective_of(x_feas)
-            if ub < best_ub:
-                best_ub = ub
-                best_x = x_feas
-            best_lb = max(best_lb, lb)
-
-            if best_ub - best_lb <= opts.tol_objective or residual_ok:
-                status = "converged"
-                iterations = it
-                break
-            if opts.objective_cut is not None and (
-                best_lb >= opts.objective_cut or best_ub < opts.objective_cut
-            ):
-                status = "decided"
-                iterations = it
-                break
+            stop = bounds.update(x, _compose(v, np.maximum(-w, 0.0)) * rho)
+            if residual_ok:
+                stop = "converged"
+            if stop is not None:
+                return it, stop, r_prim
 
         if it % opts.adapt_every == 0:
             if r_prim > 10.0 * r_dual:
@@ -288,21 +393,169 @@ def solve(problem: SdpProblem) -> SdpSolution:
             elif r_dual > 10.0 * r_prim:
                 rho /= 2.0
                 u *= 2.0
+    return opts.max_iters, "max_iters", r_prim
 
-    minimizer = DensityMatrix(form.dense(best_x, problem.dims), problem.dims)
-    pt_min = partial_transpose_mat(minimizer.mat, problem.dims, tuple(range(problem.t1_split)))
-    residuals = {
-        "psd_slack": max(0.0, -float(np.linalg.eigvalsh(minimizer.mat)[0])),
-        "ppt_slack": max(0.0, -float(np.linalg.eigvalsh(pt_min)[0])),
-        "trace_err": abs(float(minimizer.mat.trace().real) - 1.0),
-        "consensus_gap": r_prim if math.isfinite(r_prim) else float("inf"),
-        "certified_gap": best_ub - best_lb,
-    }
-    return SdpSolution(
-        minimizer=minimizer,
-        objective=best_ub,
-        objective_lb=best_lb,
-        iterations=iterations,
-        status=status,
-        residuals=residuals,
-    )
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+@lru_cache(maxsize=None)
+def _schur_indices(nb: int, s: int, m: int, k: int) -> tuple:
+    """Index arrays of the reduced Schur system for nb real symmetric blocks of side s = m k.
+
+    A symmetric block is fixed by its entries (i, j) with i <= j (the units:
+    those with i < j first, then the diagonal).  These are a Newton step's
+    unknowns per block of dS2, and the same entries of the W-side equation
+    are its equations.  Returned:
+
+    - ``units``, ``mirror``: flat positions of the entries (i, j) and (j, i)
+      in an nb-block stack, shape (nb, units);
+    - ``once``: 1/2 on the diagonal units, which a unit and its mirror count
+      twice, else 1;
+    - ``x_reads``, ``w_reads``: the entries at which `_hkm_ops` reads the
+      operators of the X and the W blocks: the units as rows, and the units
+      and their mirrors as columns; X sits behind T, the partial transpose
+      of the first (m) factor.
+    """
+    i, j = (np.concatenate([upper, np.arange(s)]) for upper in np.triu_indices(s, 1))
+    once = np.where(i == j, 0.5, 1.0)
+    offsets = s * s * np.arange(nb)[:, None]
+    units, mirror = offsets + i * s + j, offsets + j * s + i
+
+    def pt_units(i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # T(E_ij) = E_i'j'
+        (im, ik), (jm, jk) = divmod(i, k), divmod(j, k)
+        return jm * k + ik, im * k + jk
+
+    x_reads = (pt_units(i, j), pt_units(i, j), pt_units(j, i))
+    w_reads = ((i, j), (i, j), (j, i))
+    return units, mirror, once, x_reads, w_reads
+
+
+def _hkm_ops(a: np.ndarray, b: np.ndarray, reads: tuple, once: np.ndarray) -> np.ndarray:
+    """Matrices of the HKM operators D -> (a D b + b D a) / 2 of a stack's blocks.
+
+    In the coordinates of `_schur_indices`: the columns are the images of
+    E_kl + E_lk (halved on the diagonal), the rows the unit entries.
+    """
+    (i, j), *columns = reads
+    images = []
+    for k, l in columns:
+        # [block, r, c]: twice unit r's entry of the image of E_kl, (k, l) unit c
+        # or its mirror; (a E_kl b)[i, j] = a[i, k] b[l, j]
+        image = a[:, i][:, :, k] * b[:, l][:, :, j].swapaxes(1, 2)
+        image += b[:, i][:, :, k] * a[:, l][:, :, j].swapaxes(1, 2)
+        images.append(image)
+    plus, mirrored = images
+    plus += mirrored
+    plus *= 0.5 * once
+    return plus
+
+
+def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str, float]:
+    """Primal-dual path following: HKM direction with Mehrotra's predictor-corrector.
+
+    Primal: min <C, X> over X >= 0 and W = PT(X) >= 0 with tr X = 1.  Dual:
+    max y over S1, S2 >= 0 with S1 = C - y I - PT*(S2).  The cost must be
+    real.  The start is feasible and every step keeps the linear
+    constraints; the rounding left in tr X is fed back into the next step.
+    Traces and inner products carry the multiplicities Tr P_b on the X side
+    and Tr Q_c on the W side, so the block iterates are the dense ones.
+    Returns (Newton steps, status, 0.0): W = PT(X) leaves no consensus gap.
+    """
+    nb, s = st.nb, st.s  # PT maps the nb blocks of X onto as many blocks of W
+    # PT(P_b) = sum_c pt_map[c, b] Q_c gives the multiplicities Tr Q_c
+    mult = np.concatenate([st.block_mult, np.rint(np.linalg.solve(st.form.pt_map.T, st.block_mult))])
+    # coefficient of PT X1_b PT* in block (c, d) of the Schur operator
+    mix = np.einsum("cb,bd->cdb", st.form.pt_map, st.form.pt_inverse)
+    units, mirror, once, x_reads, w_reads = _schur_indices(nb, s, st.m, st.k)
+    per_block = units.shape[1]
+    size = nb * per_block
+    eye = np.broadcast_to(np.eye(s), (2 * nb, s, s))
+
+    def pt(a: np.ndarray) -> np.ndarray:
+        return st.pt(a, st.form.pt_map)
+
+    def pt_adj(a: np.ndarray) -> np.ndarray:
+        return st.pt(a, st.form.pt_inverse)
+
+    def trace(a: np.ndarray) -> float:
+        return float(st.block_mult @ np.trace(a, axis1=1, axis2=2))
+
+    def mean_gap(a: np.ndarray, b: np.ndarray) -> float:
+        """<A, B> over both sides per unit of dense side: mu for A = (X, W), B = (S1, S2)."""
+        return float(mult @ np.sum(a * b, axis=(1, 2))) / (2.0 * st.n)
+
+    # (X, W, S1, S2): X = I/n, W = PT(X), S2 = I and S1 = C - y I - PT*(I) with lambda_min(S1) = 1
+    y = _min_eig(st.costs - pt_adj(eye[:nb])) - 1.0
+    state = np.concatenate([eye / st.n, st.costs - (y + 1.0) * eye[:nb], eye[:nb]])
+    best_gap, since_best = math.inf, 0
+
+    for it in range(1, opts.max_iters + 1):
+        z, dual, x = state[: 2 * nb], state[2 * nb :], state[:nb]
+        mu = mean_gap(z, dual)
+        r_trace = 1.0 - trace(x)
+        if not math.isfinite(mu):
+            return it, "infeasible_numerics", 0.0
+        try:
+            # scale by the spectra: F = diag(w)^-1/2 V^T gives F Z F^T = I and F^T F = Z^-1
+            w, v = np.linalg.eigh(state)
+            if not w[:, 0].min() > 0.0:  # rounding has left an iterate on or outside its cone
+                return it, "infeasible_numerics", 0.0
+            factors = (v / np.sqrt(w)[:, None, :]).swapaxes(-1, -2)
+            dual_inv = factors[2 * nb :].swapaxes(-1, -2) @ factors[2 * nb :]
+            # Schur operator on dS2: K = X2 + PT X1 PT* with Xi(D) = sym(Zi D Si^-1),
+            # bordered by the trace row
+            schur = np.empty((size + 1, size + 1))
+            kmat = schur[:size, :size].reshape(nb, per_block, nb, per_block)
+            np.einsum("cdb,bij->cidj", mix, _hkm_ops(x, dual_inv[:nb], x_reads, once), out=kmat)
+            kmat[np.arange(nb), :, np.arange(nb), :] += _hkm_ops(z[nb:], dual_inv[nb:], w_reads, once)
+            u = _sym(x @ dual_inv[:nb])
+            flat = pt(u).ravel()
+            # border: dy in each equation, and the trace row <PT(u), dS2> over the W side
+            schur[:size, size] = flat[units].ravel()
+            schur[size, :size] = (mult[nb:, None] * (flat[units] + flat[mirror]) * once).ravel()
+            schur[size, size] = trace(u)
+            rhs = np.empty(size + 1)
+
+            def direction(target: np.ndarray) -> tuple[np.ndarray, float]:
+                """Newton step (dX, dW, dS1, dS2) that moves Z S by target, and dy."""
+                h = _sym(target @ dual_inv)
+                rhs[:size] = (h[nb:] - pt(h[:nb])).ravel()[units].ravel()
+                rhs[size] = r_trace - trace(h[:nb])
+                sol = np.linalg.solve(schur, rhs)
+                ds2 = np.empty_like(x)
+                ds2.ravel()[units] = ds2.ravel()[mirror] = sol[:size].reshape(nb, per_block)
+                dy = float(sol[size])
+                ds1 = -dy * eye[:nb] - pt_adj(ds2)
+                dx = h[:nb] - _sym(x @ ds1 @ dual_inv[:nb])
+                return np.concatenate([dx, pt(dx), ds1, ds2]), dy
+
+            def steps(d: np.ndarray) -> np.ndarray:
+                """Largest primal and dual steps <= 1 that stay in the cones, per block."""
+                lam = np.linalg.eigvalsh(factors @ d @ factors.swapaxes(-1, -2))[:, 0]
+                reach = np.where(lam >= -1.0, 1.0, -1.0 / np.minimum(lam, -1.0))
+                return np.repeat([reach[: 2 * nb].min(), reach[2 * nb :].min()], 2 * nb)
+
+            d, dy = direction(-z @ dual)
+            a = steps(d)[:, None, None]
+            moved = state + a * d
+            sigma_mu = min(1.0, (mean_gap(moved[: 2 * nb], moved[2 * nb :]) / mu) ** 3) * mu
+            d, dy = direction(sigma_mu * eye - z @ dual - d[: 2 * nb] @ d[2 * nb :])
+            a = STEP_FRACTION * steps(d)
+        except np.linalg.LinAlgError:
+            return it, "infeasible_numerics", 0.0
+        state = _sym(state + a[:, None, None] * d)
+        y += a[-1] * dy  # the dual step
+
+        stop = bounds.update(state[:nb] / trace(state[:nb]), state[3 * nb :])
+        if stop is not None:
+            return it, stop, 0.0
+        if bounds.ub - bounds.lb < best_gap:
+            best_gap, since_best = bounds.ub - bounds.lb, 0
+        else:
+            since_best += 1
+            if since_best >= STALL_STEPS:
+                return it, "infeasible_numerics", 0.0
+    return opts.max_iters, "max_iters", 0.0

@@ -149,15 +149,20 @@ def test_block_form_matches_dense(family, d, p_tlf, options):
         assert problem.blocks.costs.shape == (2, 4, 4)
         block = solve(problem)
         dense = solve(SdpProblem(cost=problem.cost, dims=problem.dims, t1_split=2, options=options))
-        assert block.status == dense.status
-        assert block.iterations == dense.iterations
         activated = [
             s.status in ("converged", "decided") and s.objective < -ACTIVATION_TOL for s in (block, dense)
         ]
         assert activated[0] == activated[1]
         indicators.append(activated[0])
-        assert abs(block.objective - dense.objective) <= 1e-9
-        assert abs(block.objective_lb - dense.objective_lb) <= 1e-9
+        if d == 2:
+            # both sides run the interior-point loop, whose block iterates are the dense ones
+            assert block.status == dense.status
+            assert block.iterations == dense.iterations
+            assert abs(block.objective - dense.objective) <= 1e-9
+            assert abs(block.objective_lb - dense.objective_lb) <= 1e-9
+        else:
+            # the dense side (n = 36, 64) runs the splitting loop: the certified intervals overlap
+            assert max(block.objective_lb, dense.objective_lb) <= min(block.objective, dense.objective)
         assert block.minimizer.dims == dense.minimizer.dims
         assert block.residuals["ppt_slack"] <= 1e-12
     assert not indicators[0] and indicators[-1]

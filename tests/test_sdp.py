@@ -1,11 +1,28 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from nlact.linalg import min_eig
-from nlact.sdp import SdpOptions, SdpProblem, project_density, project_psd, solve
-from nlact.states import projector, psi_minus
+from nlact import sdp
+from nlact.activation import ACTIVATION_TOL, bisection_options, build_cost
+from nlact.linalg import DensityMatrix, min_eig
+from nlact.rand import random_density
+from nlact.sdp import SdpOptions, SdpProblem, _solve, _splitting, project_density, project_psd, solve
+from nlact.states import hirsch_state, projector, psi_minus
 
 TIGHT = SdpOptions(tol_objective=1e-10, tol_feasibility=1e-10)
+CERTIFIED = ("converged", "decided")
+# the points the hirsch1 p_TLF bisection over (0.12, 0.22) visits
+HIRSCH_TRAIL = (0.12, 0.22, 0.17, 0.195, 0.1825, 0.17625, 0.173125, 0.1746875, 0.17546875)
+
+
+def _admm(problem):
+    return _solve(problem, _splitting)
+
+
+# `solve` runs the interior-point loop on real side-4 costs; the solver tests
+# run the splitting loop on them too, directly
+LOOPS = (solve, _admm)
 
 
 def _random_hermitian(n, rng):
@@ -49,65 +66,91 @@ def test_project_density_output_valid(rng):
 
 def test_solve_constant_objective():
     problem = SdpProblem(cost=np.eye(4), dims=(2, 2), t1_split=1, options=TIGHT)
-    sol = solve(problem)
-    assert abs(sol.objective - 1.0) < 1e-8
-    assert sol.status == "converged"
+    for run in LOOPS:
+        sol = run(problem)
+        assert abs(sol.objective - 1.0) < 1e-8
+        assert sol.status == "converged"
 
 
 def test_solve_diagonal_cost():
     problem = SdpProblem(cost=np.diag([1.0, 2.0, 3.0, 4.0]), dims=(2, 2), t1_split=1, options=TIGHT)
-    sol = solve(problem)
-    assert abs(sol.objective - 1.0) < 1e-7
-    assert abs(sol.minimizer.mat[0, 0].real - 1.0) < 1e-5
+    for run in LOOPS:
+        sol = run(problem)
+        assert abs(sol.objective - 1.0) < 1e-7
+        assert abs(sol.minimizer.mat[0, 0].real - 1.0) < 1e-5
 
 
 def test_solve_singlet_overlap_bound():
     # max overlap with the singlet over PPT states is 1/2
     cost = -projector(psi_minus())
     problem = SdpProblem(cost=cost, dims=(2, 2), t1_split=1, options=TIGHT)
-    sol = solve(problem)
-    assert abs(sol.objective + 0.5) < 1e-6
-    assert sol.objective >= sol.objective_lb - 1e-15
+    for run in LOOPS:
+        sol = run(problem)
+        assert abs(sol.objective + 0.5) < 1e-6
+        assert sol.objective >= sol.objective_lb - 1e-15
 
 
 def test_solution_feasibility_residuals():
     cost = -projector(psi_minus())
-    sol = solve(SdpProblem(cost=cost, dims=(2, 2), t1_split=1))
-    assert sol.residuals["psd_slack"] <= 1e-8
-    assert sol.residuals["ppt_slack"] <= 1e-8
-    assert sol.residuals["trace_err"] <= 1e-8
+    for run in LOOPS:
+        sol = run(SdpProblem(cost=cost, dims=(2, 2), t1_split=1))
+        assert sol.residuals["psd_slack"] <= 1e-8
+        assert sol.residuals["ppt_slack"] <= 1e-8
+        assert sol.residuals["trace_err"] <= 1e-8
 
 
 def test_solve_objective_above_unconstrained_min(rng):
-    # dropping the PPT constraint relaxes the problem down to min_eig(cost)
+    # dropping the PPT constraint relaxes the problem down to min_eig(cost);
+    # the real part of a Hermitian cost is a real symmetric one
     for _ in range(10):
-        cost = _random_hermitian(4, rng)
-        sol = solve(SdpProblem(cost=cost, dims=(2, 2), t1_split=1))
-        assert sol.objective >= min_eig(cost) - 1e-8
+        hermitian = _random_hermitian(4, rng)
+        for cost in (hermitian, hermitian.real):
+            for run in LOOPS:
+                sol = run(SdpProblem(cost=cost, dims=(2, 2), t1_split=1))
+                assert sol.objective >= min_eig(cost) - 1e-8
 
 
 def test_solve_deterministic():
     cost = -projector(psi_minus())
-    a = solve(SdpProblem(cost=cost, dims=(2, 2), t1_split=1))
-    b = solve(SdpProblem(cost=cost, dims=(2, 2), t1_split=1))
-    assert a.objective == b.objective
-    assert a.iterations == b.iterations
+    for run in LOOPS:
+        a = run(SdpProblem(cost=cost, dims=(2, 2), t1_split=1))
+        b = run(SdpProblem(cost=cost, dims=(2, 2), t1_split=1))
+        assert a.objective == b.objective
+        assert a.iterations == b.iterations
 
 
 def test_solve_scale_covariance():
     cost = -projector(psi_minus())
-    base = solve(SdpProblem(cost=cost, dims=(2, 2), t1_split=1, options=TIGHT)).objective
-    for alpha in (0.5, 2.0):
-        scaled = solve(SdpProblem(cost=alpha * cost, dims=(2, 2), t1_split=1, options=TIGHT)).objective
-        assert abs(scaled - alpha * base) < 1e-8
+    for run in LOOPS:
+        base = run(SdpProblem(cost=cost, dims=(2, 2), t1_split=1, options=TIGHT)).objective
+        for alpha in (0.5, 2.0):
+            scaled = run(SdpProblem(cost=alpha * cost, dims=(2, 2), t1_split=1, options=TIGHT)).objective
+            assert abs(scaled - alpha * base) < 1e-8
 
 
 def test_solve_complex_hermitian_cost(rng):
+    # complex costs go to the splitting loop whatever the side
     cost = _random_hermitian(4, rng)
     assert np.max(np.abs(cost.imag)) > 0
     sol = solve(SdpProblem(cost=cost, dims=(2, 2), t1_split=1))
     assert sol.status == "converged"
     assert sol.objective >= min_eig(cost) - 1e-8
+
+
+def test_solve_routes_by_side_and_field(monkeypatch, rng):
+    # the interior-point loop takes real costs of side <= 16, the splitting loop the rest
+    taken = []
+
+    def recorder(name):
+        loop = getattr(sdp, name)
+        return lambda *args: taken.append(name) or loop(*args)
+
+    for name in ("_interior_point", "_splitting"):
+        monkeypatch.setattr(sdp, name, recorder(name))
+    cost = _random_hermitian(4, rng)
+    for c, dims in ((cost.real, (2, 2)), (cost, (2, 2)), (np.diag(np.arange(36.0)), (6, 6))):
+        solve(SdpProblem(cost=c, dims=dims, t1_split=1))
+    assert taken == ["_interior_point", "_splitting", "_splitting"]
 
 
 def test_problem_validation(rng):
@@ -124,14 +167,70 @@ def test_problem_validation(rng):
 def test_max_iters_status():
     cost = -projector(psi_minus())
     options = SdpOptions(max_iters=3, tol_objective=1e-14, tol_feasibility=1e-14)
-    sol = solve(SdpProblem(cost=cost, dims=(2, 2), t1_split=1, options=options))
-    assert sol.status == "max_iters"
+    for run in LOOPS:
+        sol = run(SdpProblem(cost=cost, dims=(2, 2), t1_split=1, options=options))
+        assert sol.status == "max_iters"
 
 
 def test_decision_cut_stop():
     cost = -projector(psi_minus())
     options = SdpOptions(objective_cut=-0.4)
-    sol = solve(SdpProblem(cost=cost, dims=(2, 2), t1_split=1, options=options))
-    assert sol.status in ("decided", "converged")
-    if sol.status == "decided":
-        assert sol.objective < -0.4 or sol.objective_lb >= -0.4
+    for run in LOOPS:
+        sol = run(SdpProblem(cost=cost, dims=(2, 2), t1_split=1, options=options))
+        assert sol.status in ("decided", "converged")
+        if sol.status == "decided":
+            assert sol.objective < -0.4 or sol.objective_lb >= -0.4
+
+
+def _cross_check_problem(case, options):
+    """The cost of a named case: a hirsch1 trail point, a seeded random real state, or the singlet."""
+    kind, arg = case
+    if kind == "hirsch1":
+        problem = build_cost(hirsch_state(arg))
+    elif kind == "random":
+        # the real part of a random state is a state, and its activation cost is real
+        rho = random_density((2, 2), np.random.default_rng(arg)).mat
+        problem = build_cost(DensityMatrix(rho.real.astype(complex), (2, 2)))
+    else:
+        problem = SdpProblem(cost=-projector(psi_minus()), dims=(2, 2), t1_split=1)
+    assert not np.any(problem.cost.imag)
+    return dataclasses.replace(problem, options=options)
+
+
+_CROSS_CHECK = [("hirsch1", p) for p in HIRSCH_TRAIL] + [("random", seed) for seed in (1, 2, 3)] + [("singlet", None)]
+
+
+def _activated(sol):
+    return sol.status in CERTIFIED and sol.objective < -ACTIVATION_TOL
+
+
+@pytest.mark.parametrize("case", _CROSS_CHECK, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_interior_point_matches_splitting_sign(case):
+    # the reference is the splitting loop with the 4x budget of a bisection point
+    options = bisection_options()
+    ipm = solve(_cross_check_problem(case, options))
+    admm = _admm(_cross_check_problem(case, dataclasses.replace(options, max_iters=4 * options.max_iters)))
+    assert ipm.status in CERTIFIED and admm.status in CERTIFIED
+    assert max(ipm.objective_lb, admm.objective_lb) <= min(ipm.objective, admm.objective)
+    assert _activated(ipm) == _activated(admm)
+
+
+# the other five hirsch1 trail points take the splitting loop 12k to over 50k
+# iterations under TIGHT
+@pytest.mark.parametrize(
+    "case", [("hirsch1", p) for p in (0.12, 0.17, 0.195, 0.22)] + _CROSS_CHECK[-4:], ids=lambda c: f"{c[0]}-{c[1]}"
+)
+def test_interior_point_matches_splitting_tight(case):
+    ipm = solve(_cross_check_problem(case, TIGHT))
+    admm = _admm(_cross_check_problem(case, TIGHT))
+    assert ipm.status == admm.status == "converged"
+    assert max(ipm.objective_lb, admm.objective_lb) <= min(ipm.objective, admm.objective)
+    assert abs(ipm.objective - admm.objective) <= 1e-7
+
+
+@pytest.mark.parametrize("p", [0.17546875, 0.17625])
+def test_interior_point_certifies_near_cut(p):
+    # sigma(p) lies within 1e-7 of the activation cut at both points
+    sol = solve(build_cost(hirsch_state(p), bisection_options()))
+    assert sol.status in CERTIFIED
+    assert sol.iterations <= 50

@@ -1,6 +1,11 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from nlact import sweep
+from nlact.activation import ActivationResult
 from nlact.states import FamilySpec
 from nlact.sweep import (
     build_table,
@@ -109,6 +114,15 @@ def test_unsupported_pair_raises_routing_error(spec, prop, message):
             call()
         messages.append(str(info.value))
     assert len(set(messages)) == 1
+
+
+@pytest.mark.parametrize("status", ["infeasible_numerics", "max_iters"])
+def test_uncertified_activation_point_is_missing(monkeypatch, status):
+    # a solve that certifies nothing is a missing point, not a certified "not activated"
+    stalled = ActivationResult(sigma=math.inf, witness=SimpleNamespace(status=status), activated=False)
+    monkeypatch.setattr(sweep, "sigma_min", lambda tau, options=None: stalled)
+    assert evaluate_point(WI, "tlf", 0.7).error is not None
+    assert sorted(sample_curve(WI, "tlf", [0.6, 0.7]).failures) == [0, 1]
 
 
 def test_prescan_bracket_closed_form():
