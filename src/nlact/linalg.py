@@ -94,9 +94,6 @@ class EigenDecomposition:
     values: np.ndarray
     vectors: np.ndarray = field(repr=False)
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
-
 
 def herm_eig(h: np.ndarray) -> EigenDecomposition:
     """Full eigendecomposition of a Hermitian matrix, eigenvalues descending."""

@@ -41,17 +41,18 @@ Both loops feed one certificate of objective bounds:
 - upper bound: mixing the current X toward I/n absorbs its PPT slack and
   yields an exactly feasible point whose value is reported as `objective`.
 
-The solve stops when the bound gap closes to `tol_objective` or (if
-`objective_cut` is set) as soon as the bounds certify on which side of the
-cut the optimum lies -- a sign decision can be certified long before the
-gap closes on degenerate instances.  ADMM also stops when both consensus
-residuals fall below `tol_feasibility`.  `max_iters` caps ADMM iterations
-and Newton steps alike.  An interior-point solve that stalls (an iterate
-whose smallest eigenvalue is not positive, or `STALL_STEPS` steps without
-a tighter gap) ends with its best bounds and status
-``infeasible_numerics``.  The
-minimizer is rebuilt densely once per solve and the reported residuals are
-measured on it.
+The certificate is the only way a solve ends certified: it stops with
+``converged`` when the bound gap closes to `tol_objective`, or with
+``decided`` (if `objective_cut` is set) as soon as the bounds certify on
+which side of the cut the optimum lies -- a sign decision can be certified
+long before the gap closes on degenerate instances.  Small consensus
+residuals alone stop nothing.  `max_iters` caps ADMM iterations and Newton
+steps alike.  A solve whose numbers break down (a non-finite ADMM residual,
+an interior-point iterate whose smallest eigenvalue is not positive, or
+`STALL_STEPS` Newton steps without a tighter gap) ends with its best bounds
+and status ``infeasible_numerics``.  The minimizer is rebuilt densely once
+per solve; its PSD slack is read off the blocks' spectra, its PPT slack and
+trace error off the dense matrix.
 """
 
 from __future__ import annotations
@@ -78,25 +79,28 @@ IPM_MAX_SIDE = 16
 STEP_FRACTION = 0.9
 # interior-point steps without a tighter certified gap after which the loop has stalled
 STALL_STEPS = 5
+# the splitting loop's initial penalty rho, the iterations between two certificate
+# calls, and the iterations between two penalty adaptations
+PENALTY = 10.0
+CHECK_EVERY = 25
+ADAPT_EVERY = 100
 
-__all__ = ["BlockForm", "SdpOptions", "SdpProblem", "SdpSolution", "project_psd", "project_density", "solve"]
+__all__ = ["BlockForm", "SdpOptions", "SdpProblem", "SdpSolution", "solve"]
 
 
 @dataclass(frozen=True)
 class SdpOptions:
-    """Stop rules of both loops; ``max_iters`` caps ADMM iterations or Newton steps.
+    """Stop rules of both loops.
 
-    ``tol_feasibility``, ``penalty``, ``check_every`` and ``adapt_every``
-    tune the splitting loop only.
+    ``max_iters`` caps ADMM iterations or Newton steps; a solve is
+    ``converged`` once its certified gap ub - lb is at most
+    ``tol_objective``, and ``decided`` once its bounds lie on one side of
+    ``objective_cut``, when that is set.
     """
 
     max_iters: int = 50_000
     tol_objective: float = 1e-6
-    tol_feasibility: float = 1e-8
-    penalty: float = 10.0
     objective_cut: float | None = None
-    check_every: int = 25
-    adapt_every: int = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,13 +195,6 @@ def _simplex_projection(v: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _check_hermitian(h: np.ndarray) -> np.ndarray:
-    h = np.asarray(h)
-    if not is_hermitian(h, HERM_INPUT_TOL):
-        raise ValueError(f"input is not Hermitian within {HERM_INPUT_TOL}")
-    return h
-
-
 def _compose(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """V diag(w) V^dagger over a stack of eigenbases."""
     return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
@@ -210,18 +207,6 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(h[0])
         return w[None], v[None]
     return np.linalg.eigh(h)
-
-
-def project_psd(h: np.ndarray) -> np.ndarray:
-    """Nearest (Frobenius) PSD matrix: clamp negative eigenvalues at zero."""
-    w, v = np.linalg.eigh(_check_hermitian(h))
-    return _compose(v, np.maximum(w, 0.0))
-
-
-def project_density(h: np.ndarray) -> np.ndarray:
-    """Nearest (Frobenius) trace-one PSD matrix: project eigenvalues onto the simplex."""
-    w, v = np.linalg.eigh(_check_hermitian(h))
-    return _compose(v, _simplex_projection(w, np.ones_like(w)))
 
 
 def _dense_form(problem: SdpProblem) -> BlockForm:
@@ -324,18 +309,19 @@ def solve(problem: SdpProblem) -> SdpSolution:
     return _solve(problem, _interior_point if small_real else _splitting)
 
 
-def _solve(problem: SdpProblem, loop: Callable[[_Stack, _Bounds, SdpOptions], tuple[int, str, float]]) -> SdpSolution:
+def _solve(problem: SdpProblem, loop: Callable[[_Stack, _Bounds, SdpOptions], tuple[int, str]]) -> SdpSolution:
     stack = _Stack(problem)
     bounds = _Bounds(stack, problem.options)
-    iterations, status, consensus_gap = loop(stack, bounds, problem.options)
+    iterations, status = loop(stack, bounds, problem.options)
 
+    # the dense rebuild validates the block reduction at run time; the blocks'
+    # spectra are its spectrum, so the PSD slack needs no second dense eigvalsh
     minimizer = DensityMatrix(stack.form.dense(bounds.x, problem.dims), problem.dims)
     pt_min = partial_transpose_mat(minimizer.mat, problem.dims, tuple(range(problem.t1_split)))
     residuals = {
-        "psd_slack": max(0.0, -float(np.linalg.eigvalsh(minimizer.mat)[0])),
+        "psd_slack": max(0.0, -_min_eig(bounds.x)),
         "ppt_slack": max(0.0, -float(np.linalg.eigvalsh(pt_min)[0])),
         "trace_err": abs(float(minimizer.mat.trace().real) - 1.0),
-        "consensus_gap": consensus_gap if math.isfinite(consensus_gap) else float("inf"),
         "certified_gap": bounds.ub - bounds.lb,
     }
     return SdpSolution(
@@ -348,8 +334,8 @@ def _solve(problem: SdpProblem, loop: Callable[[_Stack, _Bounds, SdpOptions], tu
     )
 
 
-def _splitting(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str, float]:
-    """Consensus ADMM; returns (iterations, status, final consensus residual)."""
+def _splitting(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str]:
+    """Consensus ADMM; returns (iterations, status)."""
     nb, s = st.nb, st.s
     mult = np.repeat(st.block_mult, s)  # eigenvalue multiplicities, block by block
     root_mult = np.sqrt(st.block_mult)[:, None, None]
@@ -357,11 +343,10 @@ def _splitting(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str,
     def norm(mats: np.ndarray) -> float:
         return float(np.linalg.norm(mats * root_mult))
 
-    rho = float(opts.penalty)
+    rho = PENALTY
     x = st.eye / st.n
     y = x.copy()
     u = np.zeros_like(x)
-    r_prim = r_dual = math.inf
 
     for it in range(1, opts.max_iters + 1):
         w, v = _eigh(y - u - st.costs / rho)
@@ -375,25 +360,22 @@ def _splitting(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str,
         r_prim = norm(x - y)
 
         if not math.isfinite(r_prim) or not math.isfinite(r_dual):
-            return it, "infeasible_numerics", r_prim
+            return it, "infeasible_numerics"
 
-        residual_ok = r_prim <= opts.tol_feasibility and r_dual <= opts.tol_feasibility
-        if residual_ok or it % opts.check_every == 0:
+        if it % CHECK_EVERY == 0:
             # dual certificate: S2 = rho * (negative part of PT(x+u)) is PSD exactly
             stop = bounds.update(x, _compose(v, np.maximum(-w, 0.0)) * rho)
-            if residual_ok:
-                stop = "converged"
             if stop is not None:
-                return it, stop, r_prim
+                return it, stop
 
-        if it % opts.adapt_every == 0:
+        if it % ADAPT_EVERY == 0:
             if r_prim > 10.0 * r_dual:
                 rho *= 2.0
                 u /= 2.0
             elif r_dual > 10.0 * r_prim:
                 rho /= 2.0
                 u *= 2.0
-    return opts.max_iters, "max_iters", r_prim
+    return opts.max_iters, "max_iters"
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -453,7 +435,7 @@ def _hkm_ops(a: np.ndarray, b: np.ndarray, reads: tuple, once: np.ndarray) -> np
     return plus
 
 
-def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str, float]:
+def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str]:
     """Primal-dual path following: HKM direction with Mehrotra's predictor-corrector.
 
     Primal: min <C, X> over X >= 0 and W = PT(X) >= 0 with tr X = 1.  Dual:
@@ -462,7 +444,7 @@ def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
     constraints; the rounding left in tr X is fed back into the next step.
     Traces and inner products carry the multiplicities Tr P_b on the X side
     and Tr Q_c on the W side, so the block iterates are the dense ones.
-    Returns (Newton steps, status, 0.0): W = PT(X) leaves no consensus gap.
+    Returns (Newton steps, status).
     """
     nb, s = st.nb, st.s  # PT maps the nb blocks of X onto as many blocks of W
     # PT(P_b) = sum_c pt_map[c, b] Q_c gives the multiplicities Tr Q_c
@@ -497,12 +479,12 @@ def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
         mu = mean_gap(z, dual)
         r_trace = 1.0 - trace(x)
         if not math.isfinite(mu):
-            return it, "infeasible_numerics", 0.0
+            return it, "infeasible_numerics"
         try:
             # scale by the spectra: F = diag(w)^-1/2 V^T gives F Z F^T = I and F^T F = Z^-1
             w, v = np.linalg.eigh(state)
             if not w[:, 0].min() > 0.0:  # rounding has left an iterate on or outside its cone
-                return it, "infeasible_numerics", 0.0
+                return it, "infeasible_numerics"
             factors = (v / np.sqrt(w)[:, None, :]).swapaxes(-1, -2)
             dual_inv = factors[2 * nb :].swapaxes(-1, -2) @ factors[2 * nb :]
             # Schur operator on dS2: K = X2 + PT X1 PT* with Xi(D) = sym(Zi D Si^-1),
@@ -545,17 +527,17 @@ def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
             d, dy = direction(sigma_mu * eye - z @ dual - d[: 2 * nb] @ d[2 * nb :])
             a = STEP_FRACTION * steps(d)
         except np.linalg.LinAlgError:
-            return it, "infeasible_numerics", 0.0
+            return it, "infeasible_numerics"
         state = _sym(state + a[:, None, None] * d)
         y += a[-1] * dy  # the dual step
 
         stop = bounds.update(state[:nb] / trace(state[:nb]), state[3 * nb :])
         if stop is not None:
-            return it, stop, 0.0
+            return it, stop
         if bounds.ub - bounds.lb < best_gap:
             best_gap, since_best = bounds.ub - bounds.lb, 0
         else:
             since_best += 1
             if since_best >= STALL_STEPS:
-                return it, "infeasible_numerics", 0.0
-    return opts.max_iters, "max_iters", 0.0
+                return it, "infeasible_numerics"
+    return opts.max_iters, "max_iters"

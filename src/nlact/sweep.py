@@ -6,8 +6,8 @@ CGLMP violated) rather than by root-finding on the values, which are
 non-smooth at onset.  One routing rule, ``evaluator``, maps a (family, d,
 property) triple to its evaluator or rejects it; every entry point applies
 it before evaluating any point.  SDP-backed points get a coarse pre-scan to
-bracket and a 4x iteration budget; points whose solve still certifies
-nothing are recorded as missing instead of aborting a sweep.
+bracket and one solve each under the caller's options; points whose solve
+certifies nothing are recorded as missing instead of aborting a sweep.
 """
 
 from __future__ import annotations
@@ -89,9 +89,9 @@ def _tlf_point(
         # bisection only consumes the indicator, so the sign-decision stop
         # applies; curve sampling needs accurate sigma values instead
         options = replace(options, objective_cut=-ACTIVATION_TOL)
-    # one solve with a 4x iteration budget; a point whose solve still certifies
+    # one solve under the caller's budget; a point whose solve certifies
     # nothing (out of budget or stalled) is recorded missing
-    result = sigma_min(spec.state(p), replace(options, max_iters=4 * options.max_iters))
+    result = sigma_min(spec.state(p), options)
     if result.witness.status not in ("converged", "decided"):
         return PointResult(result.sigma, False, "sdp did not converge")
     return PointResult(result.sigma, result.activated)

@@ -7,10 +7,10 @@ from nlact import sdp
 from nlact.activation import ACTIVATION_TOL, bisection_options, build_cost
 from nlact.linalg import DensityMatrix, min_eig
 from nlact.rand import random_density
-from nlact.sdp import SdpOptions, SdpProblem, _solve, _splitting, project_density, project_psd, solve
+from nlact.sdp import SdpOptions, SdpProblem, _solve, _splitting, solve
 from nlact.states import hirsch_state, projector, psi_minus
 
-TIGHT = SdpOptions(tol_objective=1e-10, tol_feasibility=1e-10)
+TIGHT = SdpOptions(tol_objective=1e-10)
 CERTIFIED = ("converged", "decided")
 # the points the hirsch1 p_TLF bisection over (0.12, 0.22) visits
 HIRSCH_TRAIL = (0.12, 0.22, 0.17, 0.195, 0.1825, 0.17625, 0.173125, 0.1746875, 0.17546875)
@@ -28,40 +28,6 @@ LOOPS = (solve, _admm)
 def _random_hermitian(n, rng):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return a + a.conj().T
-
-
-def test_project_psd_fixed_point(rng):
-    h = _random_hermitian(8, rng)
-    psd = project_psd(h)
-    assert np.max(np.abs(project_psd(psd) - psd)) <= 1e-12
-
-
-def test_project_psd_clamp():
-    assert np.allclose(project_psd(np.diag([1.0, -1.0])), np.diag([1.0, 0.0]))
-
-
-def test_project_psd_output_psd(rng):
-    for _ in range(5):
-        out = project_psd(_random_hermitian(16, rng))
-        assert min_eig(out) >= -1e-12
-
-
-def test_project_density_fixed_point(rng):
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    rho = g @ g.conj().T
-    rho /= rho.trace()
-    assert np.max(np.abs(project_density(rho) - rho)) <= 1e-12
-
-
-def test_project_density_zero_input():
-    assert np.allclose(project_density(np.zeros((4, 4))), np.eye(4) / 4)
-
-
-def test_project_density_output_valid(rng):
-    for _ in range(5):
-        out = project_density(_random_hermitian(8, rng))
-        assert abs(np.trace(out) - 1.0) < 1e-12
-        assert min_eig(out) >= -1e-12
 
 
 def test_solve_constant_objective():
@@ -128,13 +94,17 @@ def test_solve_scale_covariance():
             assert abs(scaled - alpha * base) < 1e-8
 
 
-def test_solve_complex_hermitian_cost(rng):
-    # complex costs go to the splitting loop whatever the side
-    cost = _random_hermitian(4, rng)
-    assert np.max(np.abs(cost.imag)) > 0
-    sol = solve(SdpProblem(cost=cost, dims=(2, 2), t1_split=1))
-    assert sol.status == "converged"
-    assert sol.objective >= min_eig(cost) - 1e-8
+def test_solve_complex_hermitian_cost():
+    # complex costs go to the splitting loop whatever the side, and there too
+    # "converged" means a certified gap closed to tol_objective
+    rng = np.random.default_rng(0)
+    for draw in range(20):
+        cost = _random_hermitian(4, rng)
+        assert np.max(np.abs(cost.imag)) > 0
+        sol = solve(SdpProblem(cost=cost, dims=(2, 2), t1_split=1, options=TIGHT))
+        assert sol.status == "converged", draw
+        assert sol.residuals["certified_gap"] <= TIGHT.tol_objective, draw
+        assert sol.objective >= min_eig(cost) - 1e-8
 
 
 def test_solve_routes_by_side_and_field(monkeypatch, rng):
@@ -166,7 +136,7 @@ def test_problem_validation(rng):
 
 def test_max_iters_status():
     cost = -projector(psi_minus())
-    options = SdpOptions(max_iters=3, tol_objective=1e-14, tol_feasibility=1e-14)
+    options = SdpOptions(max_iters=3, tol_objective=1e-14)
     for run in LOOPS:
         sol = run(SdpProblem(cost=cost, dims=(2, 2), t1_split=1, options=options))
         assert sol.status == "max_iters"
@@ -206,7 +176,8 @@ def _activated(sol):
 
 @pytest.mark.parametrize("case", _CROSS_CHECK, ids=lambda c: f"{c[0]}-{c[1]}")
 def test_interior_point_matches_splitting_sign(case):
-    # the reference is the splitting loop with the 4x budget of a bisection point
+    # the reference is the splitting loop with a budget of its own: it needs
+    # 63,850 iterations at p = 0.17546875, more than the default 50,000
     options = bisection_options()
     ipm = solve(_cross_check_problem(case, options))
     admm = _admm(_cross_check_problem(case, dataclasses.replace(options, max_iters=4 * options.max_iters)))

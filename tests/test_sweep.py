@@ -6,6 +6,7 @@ import pytest
 
 from nlact import sweep
 from nlact.activation import ActivationResult
+from nlact.sdp import SdpOptions
 from nlact.states import FamilySpec
 from nlact.sweep import (
     build_table,
@@ -123,6 +124,16 @@ def test_uncertified_activation_point_is_missing(monkeypatch, status):
     monkeypatch.setattr(sweep, "sigma_min", lambda tau, options=None: stalled)
     assert evaluate_point(WI, "tlf", 0.7).error is not None
     assert sorted(sample_curve(WI, "tlf", [0.6, 0.7]).failures) == [0, 1]
+
+
+@pytest.mark.parametrize("bisect", [False, True])
+def test_tlf_point_passes_budget_through(monkeypatch, bisect):
+    # --sdp-max-iters N means N for every solve, bisection points included
+    seen = []
+    done = ActivationResult(sigma=0.0, witness=SimpleNamespace(status="converged"), activated=False)
+    monkeypatch.setattr(sweep, "sigma_min", lambda tau, options=None: seen.append(options) or done)
+    evaluate_point(WI, "tlf", 0.7, SdpOptions(max_iters=123), bisect=bisect)
+    assert [options.max_iters for options in seen] == [123]
 
 
 def test_prescan_bracket_closed_form():
