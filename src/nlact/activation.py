@@ -38,6 +38,14 @@ _COST_PERM = (0, 2, 1, 3)
 # within 2e-10, far below ACTIVATION_TOL and the gap tolerance of DEFAULT_OPTIONS.
 TWIRL_FIT_TOL = 1e-12
 
+# The Bell projectors on [A_q, B_q], in the order (Phi+, Phi-, Psi+, Psi-).  The
+# partial transpose over A_q maps Bell-diagonal operators onto Bell-diagonal
+# ones, PT(P_b) = sum_c _BELL_PT[c, b] P_c, and is an involution.
+_BELL = np.array(
+    [projector(np.array(v) / math.sqrt(2)) for v in ((1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, 1, -1, 0))]
+)
+_BELL_PT = 0.5 * np.array([[1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [-1, 1, 1, 1]])
+
 __all__ = [
     "ACTIVATION_TOL",
     "DEFAULT_OPTIONS",
@@ -101,25 +109,49 @@ def _block_form(tau_t: np.ndarray, d: int, h: np.ndarray) -> BlockForm | None:
     return None
 
 
+def _bell_form(tau_t: np.ndarray) -> BlockForm:
+    """The cost tau_t x H_{pi/4} in the ancilla's Bell basis: blocks h_k tau_t on [A_d, B_d].
+
+    Conjugation by 1 x s_g x 1 x s_g on [A_d, A_q, B_d, B_q], for each Pauli
+    s_g, fixes the cost, the PSD cone, the trace and the partial transpose
+    over (A_d, A_q), since conj(s_y) = -s_y.  So some optimum is Bell-diagonal
+    on the ancilla, with blocks of side d_A d_B and multiplicity 1.
+    """
+    # H_theta = 1 - cos(theta) XX - sin(theta) ZZ, and XX and ZZ are +-1 on the
+    # Bell states: h = (1 - sqrt 2, 1, 1, 1 + sqrt 2) at theta = pi/4
+    xx, zz = np.array([1, -1, 1, -1]), np.array([1, 1, -1, -1])
+    weights = 1.0 - math.cos(H_ANGLE) * xx - math.sin(H_ANGLE) * zz
+    return BlockForm(
+        costs=weights[:, None, None] * tau_t,
+        projectors=_BELL,
+        pt_map=_BELL_PT,
+        pt_inverse=_BELL_PT,
+        outer=(1, 3),
+    )
+
+
 def build_cost(tau: DensityMatrix, options: SdpOptions | None = None) -> SdpProblem:
     """Assemble the SDP for tau: cost tau^T x H_{pi/4} in canonical subsystem order.
 
-    When tau^T is Werner- or isotropic-invariant (it lies in span{P_sym,
-    P_anti} or span{Phi, 1 - Phi}), the problem also carries its twirled
-    block form: two 4x4 blocks on [A_q, B_q] whatever d is.
+    The problem always carries a block form.  When tau^T is Werner- or
+    isotropic-invariant (it lies in span{P_sym, P_anti} or span{Phi, 1 - Phi}),
+    it is the twirled one: two 4x4 blocks on [A_q, B_q] whatever d is.  Every
+    other input (Hirsch, random states) gets the ancilla's Bell form: four
+    blocks of side d_A d_B on [A_d, B_d].
     """
     if len(tau.dims) != 2:
         raise ValueError(f"tau must be bipartite, got dims {tau.dims}")
     da, db = tau.dims
     h = h_theta(H_ANGLE)
-    cost = kron(tau.mat.T, h)
-    cost = permute_mat(cost, (da, db, 2, 2), _COST_PERM)
+    tau_t = tau.mat.T
+    cost = permute_mat(kron(tau_t, h), (da, db, 2, 2), _COST_PERM)
+    blocks = _block_form(tau_t, da, h) if da == db else None
     return SdpProblem(
         cost=cost,
         dims=(da, 2, db, 2),
         t1_split=2,
         options=options or DEFAULT_OPTIONS,
-        blocks=_block_form(tau.mat.T, da, h) if da == db else None,
+        blocks=_bell_form(tau_t) if blocks is None else blocks,
     )
 
 

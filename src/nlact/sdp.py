@@ -8,9 +8,11 @@ Two loops share one problem representation and one certificate:
   Tr X = 1, scaled by the eigendecompositions of its iterates.  Its Newton
   system has about side^2 / 2 unknowns per block, so `solve` takes it when
   the cost is real and every block has side <= `IPM_MAX_SIDE` (16): every
-  two-qubit family input and every twirled Werner or isotropic form, at
-  any d.  It certifies within a few dozen Newton steps where the splitting
-  loop needs up to tens of thousands of iterations near a sign change.
+  twirled Werner or isotropic form at any d, and through the ancilla's Bell
+  form (blocks of side d_A d_B) every other real activation cost with
+  d_A d_B <= 16, every two-qubit family input among them.  It certifies
+  within a few dozen Newton steps where the splitting loop needs up to tens
+  of thousands of iterations near a sign change.
   Complex costs would double its unknowns, and the splitting loop decides
   complex two-qubit costs faster;
 - consensus operator splitting (ADMM) for complex costs and larger blocks:
@@ -23,7 +25,8 @@ Two loops share one problem representation and one certificate:
 The iterates are stacks of blocks with multiplicities.  A plain problem is
 one dense block of side n with multiplicity 1.  A problem that carries a
 `BlockForm` -- a cost invariant under a twirl of some of its factors, such
-as the activation cost of a Werner or isotropic input -- is solved as
+as the activation cost of a Werner or isotropic input under U x U or
+U x conj(U), or of any input under the Pauli twirl of its ancilla -- is solved as
 X = sum_b P_b (x) X_b over the invariant projectors P_b, with small blocks
 X_b.  That is the dense iteration exactly, not an approximation: every
 step (spectral projections, Newton steps, partial transpose, the I/n start)
@@ -73,9 +76,10 @@ IPM_MAX_SIDE = 16
 # share of the distance to the cone boundary that an interior-point step covers.
 # Longer steps leave the iterates so close to the boundary that the Schur solves
 # lose accuracy.  On the activation costs of 40 seeded random real two-qubit
-# states, 0.9 closes every certified gap to 4e-10 (70% of them to 1e-10), 0.98
-# to only 2.9e-9, and 0.8 all to 1e-10 at a quarter more steps on the family
-# inputs, which the activation curves pay for.
+# states in their Bell form, at tol_objective = 1e-10, 0.9 closes 38 certified
+# gaps to 1e-10 and the other two to 1.2e-10, 0.98 only 16 (the rest to 2e-9),
+# and 0.8 all 40 at a third more Newton steps on the family inputs, which the
+# activation curves pay for.
 STEP_FRACTION = 0.9
 # interior-point steps without a tighter certified gap after which the loop has stalled
 STALL_STEPS = 5

@@ -90,10 +90,10 @@ def _tlf_point(
         # applies; curve sampling needs accurate sigma values instead
         options = replace(options, objective_cut=-ACTIVATION_TOL)
     # one solve under the caller's budget; a point whose solve certifies
-    # nothing (out of budget or stalled) is recorded missing
+    # nothing (out of budget or stalled) is recorded missing, with no indicator
     result = sigma_min(spec.state(p), options)
     if result.witness.status not in ("converged", "decided"):
-        return PointResult(result.sigma, False, "sdp did not converge")
+        return PointResult(result.sigma, None, "sdp did not converge")
     return PointResult(result.sigma, result.activated)
 
 

@@ -3,11 +3,20 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nlact.activation import ACTIVATION_TOL, ancilla_R, bisection_options, build_cost, sigma_min, verify_ancilla
+from nlact.activation import (
+    ACTIVATION_TOL,
+    DEFAULT_OPTIONS,
+    ancilla_R,
+    bisection_options,
+    build_cost,
+    sigma_min,
+    verify_ancilla,
+)
 from nlact.linalg import DensityMatrix, min_eig, partial_transpose_mat, permute_systems
 from nlact.rand import random_density, random_separable
-from nlact.sdp import SdpOptions, SdpProblem, solve
+from nlact.sdp import IPM_MAX_SIDE, SdpOptions, SdpProblem, solve
 from nlact.states import hirsch_state, isotropic_state, werner_state, wi_state
+from test_sdp import HIRSCH_TRAIL
 
 
 def _r_curve(p):
@@ -139,32 +148,34 @@ def _twirled_state(family, d, p):
     return werner_state(d, p) if family == "werner" else isotropic_state(d, p)
 
 
+def _assert_block_matches_dense(problem):
+    """Solve a problem in its block form and densely, check that they agree, return `activated`."""
+    block = solve(problem)
+    dense = solve(dataclasses.replace(problem, blocks=None))
+    activated = [s.status in ("converged", "decided") and s.objective < -ACTIVATION_TOL for s in (block, dense)]
+    assert activated[0] == activated[1]
+    if problem.cost.shape[0] <= IPM_MAX_SIDE and not np.any(problem.cost.imag):
+        # both sides run the interior-point loop, whose block iterates are the dense ones
+        assert block.status == dense.status
+        assert block.iterations == dense.iterations
+        assert abs(block.objective - dense.objective) <= 1e-9
+        assert abs(block.objective_lb - dense.objective_lb) <= 1e-9
+    else:
+        # the dense side (complex, or n > 16) runs the splitting loop: the certified intervals overlap
+        assert max(block.objective_lb, dense.objective_lb) <= min(block.objective, dense.objective)
+    assert block.minimizer.dims == dense.minimizer.dims
+    assert block.residuals["ppt_slack"] <= 1e-12
+    return activated[0]
+
+
 @pytest.mark.parametrize("family,d,p_tlf", _TWIRLED)
 @pytest.mark.parametrize("options", [bisection_options(), SdpOptions(tol_objective=1e-7)], ids=["sign", "gap"])
 def test_block_form_matches_dense(family, d, p_tlf, options):
     indicators = []
     for offset in (-0.02, -0.002, 0.002, 0.02):
         problem = build_cost(_twirled_state(family, d, p_tlf + offset), options)
-        assert problem.blocks is not None
         assert problem.blocks.costs.shape == (2, 4, 4)
-        block = solve(problem)
-        dense = solve(SdpProblem(cost=problem.cost, dims=problem.dims, t1_split=2, options=options))
-        activated = [
-            s.status in ("converged", "decided") and s.objective < -ACTIVATION_TOL for s in (block, dense)
-        ]
-        assert activated[0] == activated[1]
-        indicators.append(activated[0])
-        if d == 2:
-            # both sides run the interior-point loop, whose block iterates are the dense ones
-            assert block.status == dense.status
-            assert block.iterations == dense.iterations
-            assert abs(block.objective - dense.objective) <= 1e-9
-            assert abs(block.objective_lb - dense.objective_lb) <= 1e-9
-        else:
-            # the dense side (n = 36, 64) runs the splitting loop: the certified intervals overlap
-            assert max(block.objective_lb, dense.objective_lb) <= min(block.objective, dense.objective)
-        assert block.minimizer.dims == dense.minimizer.dims
-        assert block.residuals["ppt_slack"] <= 1e-12
+        indicators.append(_assert_block_matches_dense(problem))
     assert not indicators[0] and indicators[-1]
 
 
@@ -194,9 +205,47 @@ def test_problem_rejects_mismatched_blocks():
         SdpProblem(cost=problem.cost, dims=problem.dims, t1_split=2, blocks=partial)
 
 
-def test_non_invariant_inputs_stay_dense(rng):
+def test_non_invariant_inputs_get_bell_form(rng):
     perturbed = werner_state(3, 0.5).mat.copy()
     perturbed[0, 1] += 1e-9
     perturbed[1, 0] += 1e-9
     for tau in (hirsch_state(0.3), random_density((2, 2), rng), DensityMatrix(perturbed, (3, 3))):
-        assert build_cost(tau).blocks is None
+        problem = build_cost(tau)
+        side = tau.dims[0] * tau.dims[1]
+        assert problem.blocks.costs.shape == (4, side, side)
+        assert problem.blocks.mult.tolist() == [1, 1, 1, 1]
+        assert np.max(np.abs(problem.blocks.dense(problem.blocks.costs, problem.dims) - problem.cost)) < 1e-14
+
+
+def test_bell_pt_map():
+    # PT over A_q of each Bell projector, in the Bell basis
+    bell = build_cost(hirsch_state(0.3)).blocks
+    for b, projector in enumerate(bell.projectors):
+        pt = partial_transpose_mat(projector, (2, 2), (0,))
+        assert np.max(np.abs(pt - np.einsum("c,cij->ij", bell.pt_map[:, b], bell.projectors))) < 1e-15
+    assert np.allclose(bell.pt_map @ bell.pt_inverse, np.eye(4))
+
+
+def _real_state(dims, seed):
+    # the real part of a random state is a state, and its activation cost is real
+    rho = random_density(dims, np.random.default_rng(seed)).mat
+    return DensityMatrix(rho.real.astype(complex), dims)
+
+
+_BELL_INPUTS = (
+    [(f"hirsch1-{p}", lambda p=p: hirsch_state(p)) for p in HIRSCH_TRAIL]
+    + [(f"real2x2-{seed}", lambda seed=seed: _real_state((2, 2), seed)) for seed in (1, 2, 3)]
+    + [
+        ("complex2x2", lambda: random_density((2, 2), np.random.default_rng(4))),
+        ("real2x3", lambda: _real_state((2, 3), 5)),
+        ("real3x3", lambda: _real_state((3, 3), 6)),
+    ]
+)
+
+
+@pytest.mark.parametrize("name,make", _BELL_INPUTS, ids=[name for name, _ in _BELL_INPUTS])
+@pytest.mark.parametrize("options", [bisection_options(), DEFAULT_OPTIONS], ids=["sign", "gap"])
+def test_bell_form_matches_dense(name, make, options):
+    problem = build_cost(make(), options)
+    assert problem.blocks.costs.shape[0] == 4
+    _assert_block_matches_dense(problem)

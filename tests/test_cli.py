@@ -1,7 +1,10 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from nlact import sweep
+from nlact.activation import ActivationResult
 from nlact.cli import main
 
 
@@ -53,6 +56,20 @@ def test_sweep_json_format(capsys):
     assert doc["family"] == "wi"
     assert len(doc["rows"]) == 5
     assert doc["rows"][-1]["indicator"] is True
+
+
+def test_uncertified_activation_point_has_no_indicator(monkeypatch, capsys):
+    # a solve that certifies nothing prints an empty indicator in CSV and null in JSON,
+    # not "not activated"
+    stalled = ActivationResult(sigma=0.07, witness=SimpleNamespace(status="max_iters"), activated=False)
+    monkeypatch.setattr(sweep, "sigma_min", lambda tau, options=None: stalled)
+    args = ("sweep", "--family", "hirsch1", "--property", "tlf", "--pmin", "0.1", "--pmax", "0.3", "--steps", "3")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["", "", ""]
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    assert [row["indicator"] for row in json.loads(out)["rows"]] == [None, None, None]
 
 
 def test_sweep_2d_grid(tmp_path, capsys):

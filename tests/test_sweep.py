@@ -122,7 +122,8 @@ def test_uncertified_activation_point_is_missing(monkeypatch, status):
     # a solve that certifies nothing is a missing point, not a certified "not activated"
     stalled = ActivationResult(sigma=math.inf, witness=SimpleNamespace(status=status), activated=False)
     monkeypatch.setattr(sweep, "sigma_min", lambda tau, options=None: stalled)
-    assert evaluate_point(WI, "tlf", 0.7).error is not None
+    result = evaluate_point(WI, "tlf", 0.7)
+    assert result.error is not None and result.indicator is None
     assert sorted(sample_curve(WI, "tlf", [0.6, 0.7]).failures) == [0, 1]
 
 
