@@ -45,6 +45,9 @@ _BELL = np.array(
     [projector(np.array(v) / math.sqrt(2)) for v in ((1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, 1, -1, 0))]
 )
 _BELL_PT = 0.5 * np.array([[1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [-1, 1, 1, 1]])
+# H_theta = 1 - cos(theta) XX - sin(theta) ZZ, and XX and ZZ are +-1 on the Bell
+# states, so H_{pi/4} = sum_k _BELL_H[k] _BELL[k] with h = (1 - sqrt 2, 1, 1, 1 + sqrt 2)
+_BELL_H = 1.0 - math.cos(H_ANGLE) * np.array([1, -1, 1, -1]) - math.sin(H_ANGLE) * np.array([1, 1, -1, -1])
 
 __all__ = [
     "ACTIVATION_TOL",
@@ -76,6 +79,7 @@ def bisection_options() -> SdpOptions:
     return replace(DEFAULT_OPTIONS, objective_cut=-ACTIVATION_TOL)
 
 
+@lru_cache(maxsize=None)
 def _twirl_algebras(d: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """(projectors, pt_map, pt_inverse) of the U x U and the U x conj(U) invariant algebras.
 
@@ -93,18 +97,22 @@ def _twirl_algebras(d: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], 
     return (werner, to_isotropic, to_werner), (isotropic, to_werner, to_isotropic)
 
 
-def _block_form(tau_t: np.ndarray, d: int, h: np.ndarray) -> BlockForm | None:
-    """The twirled block form of the cost tau_t x h, or None if tau_t is not twirl-invariant."""
+def _block_form(tau_t: np.ndarray, d: int) -> BlockForm | None:
+    """The twirled block form of the cost tau_t x H_{pi/4}, or None if tau_t is not twirl-invariant.
+
+    The U x U (or U x conj(U)) twirl on [A_d, B_d] composes with the ancilla's
+    Bell basis on [A_q, B_q] (see `_bell_form`): tau_t = sum_b c_b P_b gives
+    eight scalar blocks c_b h_k on P_b x B_k, whatever d is.
+    """
     for projectors, pt_map, pt_inverse in _twirl_algebras(d):
         coeffs = np.einsum("bij,ji->b", projectors, tau_t) / np.trace(projectors, axis1=1, axis2=2)
         fit = np.einsum("b,bij->ij", coeffs, projectors)
         if np.max(np.abs(tau_t - fit)) <= TWIRL_FIT_TOL:
             return BlockForm(
-                costs=coeffs.real[:, None, None] * h,
-                projectors=projectors,
-                pt_map=pt_map,
-                pt_inverse=pt_inverse,
-                outer=(0, 2),
+                costs=np.multiply.outer(coeffs.real, _BELL_H).reshape(-1, 1, 1),
+                factors=((projectors, (0, 2)), (_BELL, (1, 3))),
+                pt_map=np.kron(pt_map, _BELL_PT),
+                pt_inverse=np.kron(pt_inverse, _BELL_PT),
             )
     return None
 
@@ -117,37 +125,37 @@ def _bell_form(tau_t: np.ndarray) -> BlockForm:
     over (A_d, A_q), since conj(s_y) = -s_y.  So some optimum is Bell-diagonal
     on the ancilla, with blocks of side d_A d_B and multiplicity 1.
     """
-    # H_theta = 1 - cos(theta) XX - sin(theta) ZZ, and XX and ZZ are +-1 on the
-    # Bell states: h = (1 - sqrt 2, 1, 1, 1 + sqrt 2) at theta = pi/4
-    xx, zz = np.array([1, -1, 1, -1]), np.array([1, 1, -1, -1])
-    weights = 1.0 - math.cos(H_ANGLE) * xx - math.sin(H_ANGLE) * zz
     return BlockForm(
-        costs=weights[:, None, None] * tau_t,
-        projectors=_BELL,
+        costs=_BELL_H[:, None, None] * tau_t,
+        factors=((_BELL, (1, 3)),),
         pt_map=_BELL_PT,
         pt_inverse=_BELL_PT,
-        outer=(1, 3),
     )
+
+
+def _dense_cost(tau: DensityMatrix) -> np.ndarray:
+    """The activation cost tau^T x H_{pi/4} as a dense matrix in canonical subsystem order."""
+    da, db = tau.dims
+    return permute_mat(kron(tau.mat.T, h_theta(H_ANGLE)), (da, db, 2, 2), _COST_PERM)
 
 
 def build_cost(tau: DensityMatrix, options: SdpOptions | None = None) -> SdpProblem:
     """Assemble the SDP for tau: cost tau^T x H_{pi/4} in canonical subsystem order.
 
-    The problem always carries a block form.  When tau^T is Werner- or
-    isotropic-invariant (it lies in span{P_sym, P_anti} or span{Phi, 1 - Phi}),
-    it is the twirled one: two 4x4 blocks on [A_q, B_q] whatever d is.  Every
-    other input (Hirsch, random states) gets the ancilla's Bell form: four
-    blocks of side d_A d_B on [A_d, B_d].
+    The problem always carries a block form, and its dense cost is built
+    only when ``cost`` is read.  When tau^T is Werner- or isotropic-invariant
+    (it lies in span{P_sym, P_anti} or span{Phi, 1 - Phi}), the form is the
+    twirled one: eight scalar blocks whatever d is.  Every other input
+    (Hirsch, random states) gets the ancilla's Bell form: four blocks of side
+    d_A d_B on [A_d, B_d].
     """
     if len(tau.dims) != 2:
         raise ValueError(f"tau must be bipartite, got dims {tau.dims}")
     da, db = tau.dims
-    h = h_theta(H_ANGLE)
     tau_t = tau.mat.T
-    cost = permute_mat(kron(tau_t, h), (da, db, 2, 2), _COST_PERM)
-    blocks = _block_form(tau_t, da, h) if da == db else None
+    blocks = _block_form(tau_t, da) if da == db else None
     return SdpProblem(
-        cost=cost,
+        cost=lambda: _dense_cost(tau),
         dims=(da, 2, db, 2),
         t1_split=2,
         options=options or DEFAULT_OPTIONS,

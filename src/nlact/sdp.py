@@ -53,21 +53,33 @@ residuals alone stop nothing.  `max_iters` caps ADMM iterations and Newton
 steps alike.  A solve whose numbers break down (a non-finite ADMM residual,
 an interior-point iterate whose smallest eigenvalue is not positive, or
 `STALL_STEPS` Newton steps without a tighter gap) ends with its best bounds
-and status ``infeasible_numerics``.  The minimizer is rebuilt densely once
-per solve; its PSD slack is read off the blocks' spectra, its PPT slack and
-trace error off the dense matrix.
+and status ``infeasible_numerics``.  A solve checks its minimizer's
+blocks against the invariants of a `DensityMatrix` (Hermitian, unit trace,
+PSD) and reads its PSD slack, PPT slack and trace error off the blocks;
+the dense minimizer is built only on request (`SdpSolution.minimizer`).
+Likewise a problem with blocks may defer its dense cost, which no solve
+reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .linalg import HERM_INPUT_TOL, DensityMatrix, is_hermitian, partial_transpose_mat, permute_mat
+from .linalg import (
+    HERM_INPUT_TOL,
+    HERMITICITY_TOL,
+    PSD_TOL,
+    TRACE_TOL,
+    DensityMatrix,
+    is_hermitian,
+    kron,
+    permute_mat,
+)
 
 MAX_SIDE = 256
 # largest block side solved by the interior-point loop: its Newton system has
@@ -89,7 +101,13 @@ PENALTY = 10.0
 CHECK_EVERY = 25
 ADAPT_EVERY = 100
 
-__all__ = ["BlockForm", "SdpOptions", "SdpProblem", "SdpSolution", "solve"]
+__all__ = ["BlockForm", "SdpOptions", "SdpProblem", "SdpSolution", "check_side", "solve"]
+
+
+def check_side(n: int) -> None:
+    """Reject a problem of side n above `MAX_SIDE`."""
+    if n > MAX_SIDE:
+        raise ValueError(f"problem side {n} exceeds the desk-scale limit {MAX_SIDE}")
 
 
 @dataclass(frozen=True)
@@ -106,36 +124,78 @@ class SdpOptions:
     tol_objective: float = 1e-6
     objective_cut: float | None = None
 
+    def __post_init__(self) -> None:
+        # a solve under any other value could never certify a bound
+        if not self.max_iters >= 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not (math.isfinite(self.tol_objective) and self.tol_objective > 0.0):
+            raise ValueError(f"tol_objective must be finite and positive, got {self.tol_objective}")
+        if self.objective_cut is not None and not math.isfinite(self.objective_cut):
+            raise ValueError(f"objective_cut must be finite, got {self.objective_cut}")
+
 
 @dataclass(frozen=True, eq=False)
 class BlockForm:
     """A twirl-invariant problem as stacked blocks: C = sum_b P_b (x) costs[b].
 
-    The orthogonal projectors P_b sum to the identity on the problem's
-    ``outer`` factors; the blocks act on the remaining (inner) factors, in
-    their order.  The
-    partial transpose maps the P_b onto a second set of orthogonal projectors
-    Q_c: (P_b (x) X_b)^T1 = sum_c pt_map[c, b] Q_c (x) X_b^T1, and back with
+    Each P_b is a tensor product with one factor per entry of ``factors``, a
+    pair (projectors, subsystems): a stack of orthogonal projectors that sum
+    to the identity on those subsystems of the problem.  Block b is the
+    multi-index (b_1, ..., b_F) over the factors' stacks in C order, and
+    P_b = P^1_{b_1} (x) ... (x) P^F_{b_F}; the blocks act on the remaining
+    (inner) subsystems, in their order.  No P_b is ever formed: the
+    multiplicities and `dense` come from the factors.  The partial transpose
+    maps the P_b onto a second set of orthogonal projectors Q_c:
+    (P_b (x) X_b)^T1 = sum_c pt_map[c, b] Q_c (x) X_b^T1, and back with
     ``pt_inverse``.
     """
 
     costs: np.ndarray
-    projectors: np.ndarray
+    factors: tuple[tuple[np.ndarray, tuple[int, ...]], ...]
     pt_map: np.ndarray
     pt_inverse: np.ndarray
-    outer: tuple[int, ...]
+
+    @property
+    def outer(self) -> tuple[int, ...]:
+        """The subsystems the projectors act on, factor by factor."""
+        return tuple(i for _, subsystems in self.factors for i in subsystems)
 
     @property
     def mult(self) -> np.ndarray:
         """Multiplicities Tr P_b: how often each block's spectrum repeats in X."""
-        return np.rint(np.trace(self.projectors, axis1=1, axis2=2).real)
+        mult = np.ones(1)
+        for projectors, _ in self.factors:
+            mult = np.multiply.outer(mult, np.rint(np.trace(projectors, axis1=1, axis2=2).real)).ravel()
+        return mult
 
     def dense(self, blocks: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
         """The dense operator sum_b P_b (x) blocks[b] in the subsystem order ``dims``."""
         inner = tuple(i for i in range(len(dims)) if i not in self.outer)
         order = self.outer + inner
-        mat = sum(np.kron(p, b) for p, b in zip(self.projectors, blocks))
+        stacks = [projectors for projectors, _ in self.factors]
+        indices = np.ndindex(*(len(projectors) for projectors in stacks))
+        mat = sum(kron(*(p[i] for p, i in zip(stacks, index)), block) for index, block in zip(indices, blocks))
         return permute_mat(mat, tuple(dims[i] for i in order), tuple(np.argsort(order)))
+
+
+class _DeferredCost:
+    """`SdpProblem.cost`: a matrix, or a zero-argument builder of one that runs on first access.
+
+    Only a problem with blocks may defer its dense cost, which no solve
+    reads; the built matrix is checked as a given one is at construction.
+    Any read builds it, `dataclasses.replace` on the problem included.
+    """
+
+    def __get__(self, problem: SdpProblem | None, owner: type | None = None) -> np.ndarray:
+        if problem is None:
+            raise AttributeError("cost")  # a required field: no class-level default
+        cost = problem.__dict__["cost"]
+        if callable(cost):
+            cost = problem.__dict__["cost"] = problem._checked_cost(cost())
+        return cost
+
+    def __set__(self, problem: SdpProblem, cost: np.ndarray | Callable[[], np.ndarray]) -> None:
+        problem.__dict__["cost"] = cost
 
 
 @dataclass
@@ -143,44 +203,79 @@ class SdpProblem:
     """Cost matrix, subsystem layout, and the prefix length defining the T1 cut.
 
     ``blocks``, when set, is the same cost in twirl-reduced form; the solver
-    then iterates on it instead of the dense matrix.
+    then iterates on it instead of the dense matrix, and ``cost`` may be
+    given as a zero-argument builder, run on first access of ``cost``.
     """
 
-    cost: np.ndarray
+    cost: np.ndarray | Callable[[], np.ndarray] = _DeferredCost()
     dims: tuple[int, ...]
     t1_split: int = 1
     options: SdpOptions = field(default_factory=SdpOptions)
     blocks: BlockForm | None = None
 
     def __post_init__(self) -> None:
-        self.cost = np.asarray(self.cost, dtype=complex)
         self.dims = tuple(int(d) for d in self.dims)
-        n = int(np.prod(self.dims))
-        if self.cost.shape != (n, n):
-            raise ValueError(f"cost shape {self.cost.shape} does not match dims {self.dims}")
-        if n > MAX_SIDE:
-            raise ValueError(f"problem side {n} exceeds the desk-scale limit {MAX_SIDE}")
-        if not is_hermitian(self.cost, HERM_INPUT_TOL):
-            raise ValueError(f"cost matrix is not Hermitian within {HERM_INPUT_TOL}")
+        check_side(int(np.prod(self.dims)))
+        if self.blocks is not None:
+            self._check_blocks()
+        cost = self.__dict__["cost"]
+        if not callable(cost):
+            self.cost = self._checked_cost(cost)
+        elif self.blocks is None:
+            raise ValueError("only a problem with blocks may defer its dense cost")
         if not 1 <= self.t1_split < len(self.dims):
             raise ValueError("t1_split must name a proper prefix of dims")
-        if self.blocks is not None:
-            projectors = self.blocks.projectors
-            if np.max(np.abs(projectors.sum(axis=0) - np.eye(projectors.shape[1]))) > HERM_INPUT_TOL:
+
+    def _check_blocks(self) -> None:
+        form = self.blocks
+        costs = form.costs
+        inner = int(np.prod([d for i, d in enumerate(self.dims) if i not in form.outer]))
+        if costs.shape != (len(form.mult), inner, inner):
+            raise ValueError(f"block costs of shape {costs.shape} do not match the factors and dims {self.dims}")
+        if np.max(np.abs(costs - costs.conj().swapaxes(-1, -2))) > HERM_INPUT_TOL:
+            raise ValueError(f"block costs are not Hermitian within {HERM_INPUT_TOL}")
+        for projectors, subsystems in form.factors:
+            side = int(np.prod([self.dims[i] for i in subsystems]))
+            if projectors.shape[1:] != (side, side):
+                raise ValueError(f"block projectors of shape {projectors.shape} do not match dims {self.dims}")
+            if np.max(np.abs(projectors.sum(axis=0) - np.eye(side))) > HERM_INPUT_TOL:
                 raise ValueError("block projectors do not sum to the identity")
-            gap = np.max(np.abs(self.blocks.dense(self.blocks.costs, self.dims) - self.cost))
+
+    def _checked_cost(self, cost: np.ndarray) -> np.ndarray:
+        """The dense cost as a complex matrix, once it fits the dims, is Hermitian and matches the blocks."""
+        cost = np.asarray(cost, dtype=complex)
+        n = int(np.prod(self.dims))
+        if cost.shape != (n, n):
+            raise ValueError(f"cost shape {cost.shape} does not match dims {self.dims}")
+        if not is_hermitian(cost, HERM_INPUT_TOL):
+            raise ValueError(f"cost matrix is not Hermitian within {HERM_INPUT_TOL}")
+        if self.blocks is not None:
+            gap = np.max(np.abs(self.blocks.dense(self.blocks.costs, self.dims) - cost))
             if gap > HERM_INPUT_TOL:
                 raise ValueError(f"block costs differ from the dense cost by {gap}")
+        return cost
 
 
 @dataclass
 class SdpSolution:
-    minimizer: DensityMatrix
+    """A solve's bounds and status, and its minimizer as blocks of ``form``.
+
+    ``minimizer`` rebuilds the dense matrix, validated as a `DensityMatrix`,
+    on first access.
+    """
+
     objective: float
     objective_lb: float
     iterations: int
     status: str  # converged | decided | max_iters | infeasible_numerics
     residuals: dict[str, float]
+    blocks: np.ndarray
+    form: BlockForm
+    dims: tuple[int, ...]
+
+    @cached_property
+    def minimizer(self) -> DensityMatrix:
+        return DensityMatrix(self.form.dense(self.blocks, self.dims), self.dims)
 
 
 def _simplex_projection(v: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -216,13 +311,7 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _dense_form(problem: SdpProblem) -> BlockForm:
     """The plain problem as one block of side n with multiplicity 1."""
     one = np.ones((1, 1))
-    return BlockForm(
-        costs=problem.cost[None],
-        projectors=one[None],
-        pt_map=one,
-        pt_inverse=one,
-        outer=(),
-    )
+    return BlockForm(costs=problem.cost[None], factors=((one[None], ()),), pt_map=one, pt_inverse=one)
 
 
 class _Stack:
@@ -257,6 +346,10 @@ class _Stack:
 
     def objective(self, mats: np.ndarray) -> float:
         return float(self.block_mult @ np.sum(self.costs * mats.conj(), axis=(1, 2)).real)
+
+    def trace(self, mats: np.ndarray) -> complex:
+        """Trace of the dense operator of an X-side stack."""
+        return self.block_mult @ np.trace(mats, axis1=1, axis2=2)
 
 
 def _min_eig(mats: np.ndarray) -> float:
@@ -318,23 +411,33 @@ def _solve(problem: SdpProblem, loop: Callable[[_Stack, _Bounds, SdpOptions], tu
     bounds = _Bounds(stack, problem.options)
     iterations, status = loop(stack, bounds, problem.options)
 
-    # the dense rebuild validates the block reduction at run time; the blocks'
-    # spectra are its spectrum, so the PSD slack needs no second dense eigvalsh
-    minimizer = DensityMatrix(stack.form.dense(bounds.x, problem.dims), problem.dims)
-    pt_min = partial_transpose_mat(minimizer.mat, problem.dims, tuple(range(problem.t1_split)))
+    # the invariants of a DensityMatrix, on the blocks: the dense minimizer's
+    # spectrum and trace are the blocks' ones with multiplicities, and the
+    # spectrum of its partial transpose is that of the W-side stack
+    x = bounds.x
+    if np.max(np.abs(x - x.conj().swapaxes(-1, -2))) > HERMITICITY_TOL:
+        raise ValueError(f"density matrix is not Hermitian within {HERMITICITY_TOL}")
+    trace = stack.trace(x)
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace {trace} is not 1 within {TRACE_TOL}")
+    low = _min_eig(x)
+    if low < -PSD_TOL:
+        raise ValueError(f"smallest eigenvalue {low} below {-PSD_TOL}")
     residuals = {
-        "psd_slack": max(0.0, -_min_eig(bounds.x)),
-        "ppt_slack": max(0.0, -float(np.linalg.eigvalsh(pt_min)[0])),
-        "trace_err": abs(float(minimizer.mat.trace().real) - 1.0),
+        "psd_slack": max(0.0, -low),
+        "ppt_slack": max(0.0, -_min_eig(stack.pt(x, stack.form.pt_map))),
+        "trace_err": abs(float(trace.real) - 1.0),
         "certified_gap": bounds.ub - bounds.lb,
     }
     return SdpSolution(
-        minimizer=minimizer,
         objective=bounds.ub,
         objective_lb=bounds.lb,
         iterations=iterations,
         status=status,
         residuals=residuals,
+        blocks=x,
+        form=stack.form,
+        dims=problem.dims,
     )
 
 
@@ -467,7 +570,7 @@ def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
         return st.pt(a, st.form.pt_inverse)
 
     def trace(a: np.ndarray) -> float:
-        return float(st.block_mult @ np.trace(a, axis1=1, axis2=2))
+        return float(st.trace(a))
 
     def mean_gap(a: np.ndarray, b: np.ndarray) -> float:
         """<A, B> over both sides per unit of dense side: mu for A = (X, W), B = (S1, S2)."""

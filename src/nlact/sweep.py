@@ -19,7 +19,7 @@ import numpy as np
 
 from . import measures
 from .activation import ACTIVATION_TOL, DEFAULT_OPTIONS, sigma_min
-from .sdp import SdpOptions
+from .sdp import SdpOptions, check_side
 from .states import FamilySpec
 
 PROPERTIES = ("eof", "chsh", "hn", "sa", "tlf", "cglmp")
@@ -150,6 +150,7 @@ def evaluator(spec: FamilySpec, prop: str) -> Evaluator:
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
     if prop == "tlf":
+        check_side(4 * spec.d * spec.d)  # the activation problem's side, d_A d_B times the two ancilla qubits
         return _tlf_point
     if prop == "cglmp":
         if not 2 <= spec.d <= measures.CGLMP_MAX_D:
@@ -307,6 +308,10 @@ def build_table(
     if family not in _TABLE_COLUMNS:
         raise ValueError(f"no table for family {family!r}")
     d_values = [2] if family in ("wi", "hirsch1") else list(range(2, d_max + 1))
+    if not d_values:
+        raise ValueError(f"d_max must be at least 2, got {d_max}")
+    # every row has a p_TLF column: reject a last row too large to solve before computing any
+    evaluator(FamilySpec(family=family, d=d_values[-1]), "tlf")
     rows = []
     for d in d_values:
         spec = FamilySpec(family=family, d=d)

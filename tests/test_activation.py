@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from nlact import activation
 from nlact.activation import (
     ACTIVATION_TOL,
     DEFAULT_OPTIONS,
@@ -14,8 +15,8 @@ from nlact.activation import (
 )
 from nlact.linalg import DensityMatrix, min_eig, partial_transpose_mat, permute_systems
 from nlact.rand import random_density, random_separable
-from nlact.sdp import IPM_MAX_SIDE, SdpOptions, SdpProblem, solve
-from nlact.states import hirsch_state, isotropic_state, werner_state, wi_state
+from nlact.sdp import IPM_MAX_SIDE, BlockForm, SdpOptions, SdpProblem, solve
+from nlact.states import h_theta, hirsch_state, isotropic_state, werner_state, wi_state
 from test_sdp import HIRSCH_TRAIL
 
 
@@ -174,19 +175,25 @@ def test_block_form_matches_dense(family, d, p_tlf, options):
     indicators = []
     for offset in (-0.02, -0.002, 0.002, 0.02):
         problem = build_cost(_twirled_state(family, d, p_tlf + offset), options)
-        assert problem.blocks.costs.shape == (2, 4, 4)
+        assert problem.blocks.costs.shape == (8, 1, 1)
         indicators.append(_assert_block_matches_dense(problem))
     assert not indicators[0] and indicators[-1]
 
 
 def test_block_form_multiplicities():
+    # eight scalar blocks on P_b x B_k: Tr P_b for each of the four Bell projectors B_k
     d = 5
     werner = build_cost(werner_state(d, 0.6)).blocks
-    assert werner.mult.tolist() == [d * (d + 1) / 2, d * (d - 1) / 2]
-    assert np.allclose(werner.pt_map @ werner.pt_inverse, np.eye(2))
+    assert werner.mult.tolist() == [d * (d + 1) / 2] * 4 + [d * (d - 1) / 2] * 4
+    assert np.allclose(werner.pt_map @ werner.pt_inverse, np.eye(8))
     isotropic = build_cost(isotropic_state(d, 0.6)).blocks
-    assert isotropic.mult.tolist() == [d * d - 1, 1]
+    assert isotropic.mult.tolist() == [d * d - 1] * 4 + [1] * 4
     assert np.allclose(isotropic.pt_map, werner.pt_inverse)
+    # the multiplicities are the traces of the dense projectors P_b x B_k
+    form = build_cost(werner_state(3, 0.6)).blocks
+    dims = (3, 2, 3, 2)
+    traces = [np.trace(form.dense(np.eye(8)[b][:, None, None], dims)).real for b in range(8)]
+    assert np.allclose(traces, form.mult)
 
 
 def test_block_form_reproduces_dense_cost():
@@ -198,11 +205,22 @@ def test_block_form_reproduces_dense_cost():
 def test_problem_rejects_mismatched_blocks():
     problem = build_cost(werner_state(3, 0.5))
     wrong = dataclasses.replace(problem.blocks, costs=problem.blocks.costs[::-1].copy())
+    # an explicitly passed dense cost is checked against the blocks at construction
     with pytest.raises(ValueError, match="block costs"):
         SdpProblem(cost=problem.cost, dims=problem.dims, t1_split=2, blocks=wrong)
-    partial = dataclasses.replace(problem.blocks, projectors=problem.blocks.projectors[:1])
-    with pytest.raises(ValueError, match="identity"):
-        SdpProblem(cost=problem.cost, dims=problem.dims, t1_split=2, blocks=partial)
+    # a deferred one when it is built
+    deferred = SdpProblem(cost=lambda: problem.cost, dims=problem.dims, t1_split=2, blocks=wrong)
+    with pytest.raises(ValueError, match="block costs"):
+        deferred.cost
+    # a projector factor that does not sum to the identity, with or without a dense cost
+    (twirl, subsystems), bell = problem.blocks.factors
+    partial = dataclasses.replace(problem.blocks, factors=((np.array([twirl[0], twirl[0]]), subsystems), bell))
+    for cost in (problem.cost, lambda: problem.cost):
+        with pytest.raises(ValueError, match="identity"):
+            SdpProblem(cost=cost, dims=problem.dims, t1_split=2, blocks=partial)
+    hermitian = dataclasses.replace(problem.blocks, costs=problem.blocks.costs + 1j)
+    with pytest.raises(ValueError, match="Hermitian"):
+        SdpProblem(cost=lambda: problem.cost, dims=problem.dims, t1_split=2, blocks=hermitian)
 
 
 def test_non_invariant_inputs_get_bell_form(rng):
@@ -220,9 +238,11 @@ def test_non_invariant_inputs_get_bell_form(rng):
 def test_bell_pt_map():
     # PT over A_q of each Bell projector, in the Bell basis
     bell = build_cost(hirsch_state(0.3)).blocks
-    for b, projector in enumerate(bell.projectors):
+    (projectors, subsystems), = bell.factors
+    assert subsystems == (1, 3)
+    for b, projector in enumerate(projectors):
         pt = partial_transpose_mat(projector, (2, 2), (0,))
-        assert np.max(np.abs(pt - np.einsum("c,cij->ij", bell.pt_map[:, b], bell.projectors))) < 1e-15
+        assert np.max(np.abs(pt - np.einsum("c,cij->ij", bell.pt_map[:, b], projectors))) < 1e-15
     assert np.allclose(bell.pt_map @ bell.pt_inverse, np.eye(4))
 
 
@@ -249,3 +269,49 @@ def test_bell_form_matches_dense(name, make, options):
     problem = build_cost(make(), options)
     assert problem.blocks.costs.shape[0] == 4
     _assert_block_matches_dense(problem)
+
+
+def test_bell_weights_give_h():
+    # sum_k h_k B_k = H_{pi/4} on [A_q, B_q]
+    h = np.einsum("k,kij->ij", activation._BELL_H, activation._BELL)
+    assert np.max(np.abs(h - h_theta(np.pi / 4))) <= 1e-15
+
+
+def test_sigma_min_builds_no_dense_cost_or_minimizer(monkeypatch):
+    # the solve path of a block problem never forms a matrix of side 4 d_A d_B
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix built")
+
+    monkeypatch.setattr(BlockForm, "dense", refuse)
+    monkeypatch.setattr(activation, "_dense_cost", refuse)
+    for tau in (werner_state(6, 0.7), isotropic_state(6, 0.5), wi_state(0.8), hirsch_state(0.2)):
+        result = sigma_min(tau)
+        assert result.witness.status in ("converged", "decided")
+        assert result.activated
+
+
+def _dense_residuals(solution, t1_split=2):
+    mat = solution.minimizer.mat
+    pt = partial_transpose_mat(mat, solution.dims, tuple(range(t1_split)))
+    return {
+        "psd_slack": max(0.0, -float(np.linalg.eigvalsh(mat)[0])),
+        "ppt_slack": max(0.0, -float(np.linalg.eigvalsh(pt)[0])),
+        "trace_err": abs(float(mat.trace().real) - 1.0),
+    }
+
+
+_RESIDUAL_INPUTS = (
+    [(f"{family}-{d}", lambda family=family, d=d: _twirled_state(family, d, 0.6)) for family, d, _ in _TWIRLED]
+    + [(f"hirsch1-{p}", lambda p=p: hirsch_state(p)) for p in HIRSCH_TRAIL]
+    + [(f"real2x2-{seed}", lambda seed=seed: _real_state((2, 2), seed)) for seed in (1, 2)]
+    + [(f"complex2x2-{seed}", lambda seed=seed: random_density((2, 2), np.random.default_rng(seed))) for seed in (3, 4)]
+    + [("real2x3", lambda: _real_state((2, 3), 5))]
+)
+
+
+@pytest.mark.parametrize("name,make", _RESIDUAL_INPUTS, ids=[name for name, _ in _RESIDUAL_INPUTS])
+def test_block_residuals_match_dense_rebuild(name, make):
+    solution = sigma_min(make()).witness
+    dense = _dense_residuals(solution)
+    for key, value in dense.items():
+        assert abs(solution.residuals[key] - value) <= 1e-12, key

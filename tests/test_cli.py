@@ -1,3 +1,4 @@
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -146,6 +147,44 @@ def test_table_werner_csv_has_x_marker(capsys):
     assert lines[0] == "d,name,value,tolerance,provenance"
     sa_rows = [ln for ln in lines if ln.startswith("3,p_SA")]
     assert sa_rows and sa_rows[0].split(",")[2] == "X"
+
+
+# sha256 of the JSON tables as printed before the activation costs became scalar
+# blocks; a change of representation that moves a threshold shows up here
+_TABLE_SHA256 = {
+    ("--family", "wi"): "a987284a6e490cdcfb06a9c94410fe7d29fb8526df2652036844b3fddef20047",
+    ("--family", "werner", "--dmax", "3"): "42e15ef4a0d486053d4a5cfb0dd15b1c409d5e2a56dfb845ef300d25547ed679",
+}
+
+
+@pytest.mark.parametrize("args", list(_TABLE_SHA256), ids=" ".join)
+def test_table_bytes_pinned(capsys, args):
+    code, out, _ = run_cli(capsys, "table", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_SHA256[args]
+
+
+@pytest.mark.parametrize("dmax", ["1", "9"])
+def test_table_rejects_dmax_out_of_range(monkeypatch, capsys, dmax):
+    # rejected before any row is computed
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(sweep, "sigma_min", no_solve)
+    code, out, err = run_cli(capsys, "table", "--family", "werner", "--dmax", dmax)
+    assert code == 2
+    assert out == ""
+    assert ("desk-scale" if dmax == "9" else "at least 2") in err
+
+
+@pytest.mark.parametrize("flag", [("--sdp-max-iters", "0"), ("--sdp-max-iters", "-5"), ("--sdp-tol", "nan"), ("--sdp-tol", "-1")])
+def test_sdp_options_that_certify_nothing_are_usage_errors(capsys, flag):
+    code, out, err = run_cli(
+        capsys, "sweep", "--family", "wi", "--property", "tlf", "--pmin", "0.6", "--pmax", "0.7", "--steps", "2", *flag
+    )
+    assert code == 2
+    assert out == ""
+    assert ("max_iters" if flag[0] == "--sdp-max-iters" else "tol_objective") in err
 
 
 def test_check_ancilla_default_passes(capsys):

@@ -134,6 +134,31 @@ def test_problem_validation(rng):
         SdpProblem(cost=np.eye(4), dims=(2, 3), t1_split=1)
 
 
+def test_only_block_problems_defer_their_cost():
+    with pytest.raises(ValueError, match="defer"):
+        SdpProblem(cost=lambda: np.eye(4), dims=(2, 2), t1_split=1)
+
+
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [
+        ({"max_iters": 0}, "max_iters"),
+        ({"max_iters": -5}, "max_iters"),
+        ({"tol_objective": float("nan")}, "tol_objective"),
+        ({"tol_objective": 0.0}, "tol_objective"),
+        ({"tol_objective": -1.0}, "tol_objective"),
+        ({"tol_objective": float("inf")}, "tol_objective"),
+        ({"objective_cut": float("nan")}, "objective_cut"),
+        ({"objective_cut": -float("inf")}, "objective_cut"),
+    ],
+)
+def test_options_reject_values_that_certify_nothing(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        SdpOptions(**kwargs)
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(SdpOptions(), **kwargs)
+
+
 def test_max_iters_status():
     cost = -projector(psi_minus())
     options = SdpOptions(max_iters=3, tol_objective=1e-14)

@@ -176,3 +176,22 @@ def test_build_table_werner_marks_sa():
 def test_build_table_unknown_family():
     with pytest.raises(ValueError, match="no table"):
         build_table("ghz")
+
+
+def test_too_large_activation_problem_rejected_up_front(monkeypatch):
+    # werner d = 9 needs side 4 * 81 = 324 > MAX_SIDE: every entry point says so before solving
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a point was solved")
+
+    monkeypatch.setattr(sweep, "sigma_min", no_solve)
+    spec = FamilySpec("werner", d=9)
+    for call in (
+        lambda: prescan_bracket(spec, "tlf"),
+        lambda: find_threshold(spec, "tlf", (0.6, 0.7)),
+        lambda: sample_curve(spec, "tlf", [0.6, 0.7]),
+        lambda: build_table("werner", d_max=9),
+    ):
+        with pytest.raises(ValueError, match="problem side 324 exceeds the desk-scale limit 256"):
+            call()
+    with pytest.raises(ValueError, match="at least 2"):
+        build_table("isotropic", d_max=1)
