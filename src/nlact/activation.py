@@ -133,6 +133,14 @@ def _bell_form(tau_t: np.ndarray) -> BlockForm:
     )
 
 
+def _cost_dims(tau: DensityMatrix) -> tuple[int, int, int, int]:
+    """The activation problem's dims [A_d, A_q, B_d, B_q] for a bipartite tau."""
+    if len(tau.dims) != 2:
+        raise ValueError(f"tau must be bipartite, got dims {tau.dims}")
+    da, db = tau.dims
+    return da, 2, db, 2
+
+
 def _dense_cost(tau: DensityMatrix) -> np.ndarray:
     """The activation cost tau^T x H_{pi/4} as a dense matrix in canonical subsystem order."""
     da, db = tau.dims
@@ -142,24 +150,22 @@ def _dense_cost(tau: DensityMatrix) -> np.ndarray:
 def build_cost(tau: DensityMatrix, options: SdpOptions | None = None) -> SdpProblem:
     """Assemble the SDP for tau: cost tau^T x H_{pi/4} in canonical subsystem order.
 
-    The problem always carries a block form, and its dense cost is built
+    The problem is a block form; its dense cost is derived from the blocks
     only when ``cost`` is read.  When tau^T is Werner- or isotropic-invariant
     (it lies in span{P_sym, P_anti} or span{Phi, 1 - Phi}), the form is the
     twirled one: eight scalar blocks whatever d is.  Every other input
     (Hirsch, random states) gets the ancilla's Bell form: four blocks of side
     d_A d_B on [A_d, B_d].
     """
-    if len(tau.dims) != 2:
-        raise ValueError(f"tau must be bipartite, got dims {tau.dims}")
+    dims = _cost_dims(tau)
     da, db = tau.dims
     tau_t = tau.mat.T
-    blocks = _block_form(tau_t, da) if da == db else None
+    twirled = _block_form(tau_t, da) if da == db else None
     return SdpProblem(
-        cost=lambda: _dense_cost(tau),
-        dims=(da, 2, db, 2),
+        blocks=twirled or _bell_form(tau_t),
+        dims=dims,
         t1_split=2,
         options=options or DEFAULT_OPTIONS,
-        blocks=_bell_form(tau_t) if blocks is None else blocks,
     )
 
 
@@ -214,8 +220,8 @@ def verify_ancilla(tau: DensityMatrix, rho: DensityMatrix) -> tuple[float, bool]
     ``rho`` must use the canonical subsystem order; returns the trace value
     and whether it is negative (activation witnessed at this single point).
     """
-    problem = build_cost(tau)
-    if rho.dims != problem.dims:
-        raise ValueError(f"ancilla dims {rho.dims} do not match cost dims {problem.dims}")
-    value = float(np.trace(rho.mat @ problem.cost).real)
+    dims = _cost_dims(tau)
+    if rho.dims != dims:
+        raise ValueError(f"ancilla dims {rho.dims} do not match cost dims {dims}")
+    value = float(np.trace(rho.mat @ _dense_cost(tau)).real)
     return value, value < 0.0

@@ -69,9 +69,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.p_grid is not None or args.q_grid is not None:
         return _sweep_grid2d(args)
     if not args.pmin < args.pmax:
-        raise SystemExit2("--pmin must be below --pmax")
+        raise ValueError("--pmin must be below --pmax")
     if args.steps < 2:
-        raise SystemExit2("--steps must be at least 2")
+        raise ValueError("--steps must be at least 2")
     spec = _family_spec(args)
     grid = np.linspace(args.pmin, args.pmax, args.steps)
     curve = sample_curve(spec, args.property, grid, _sdp_options(args))
@@ -102,11 +102,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def _sweep_grid2d(args: argparse.Namespace) -> int:
     if args.family != "hirsch2":
-        raise SystemExit2("--p-grid/--q-grid sweeps are for the two-parameter hirsch2 family")
+        raise ValueError("--p-grid/--q-grid sweeps are for the two-parameter hirsch2 family")
     np_pts = args.p_grid or 41
     nq_pts = args.q_grid or 41
     if np_pts < 2 or nq_pts < 2:
-        raise SystemExit2("grid sizes must be at least 2")
+        raise ValueError("grid sizes must be at least 2")
     sdp_options = _sdp_options(args)
     buf = io.StringIO()
     buf.write("p,q,value\n")
@@ -142,6 +142,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_check_ancilla(args: argparse.Namespace) -> int:
+    if args.points < 1:
+        raise ValueError("--points must be at least 1")
     rho = ancilla_R()
     failures = []
     trace_err = abs(rho.mat.trace().real - 1.0)
@@ -169,9 +171,9 @@ def cmd_check_ancilla(args: argparse.Namespace) -> int:
 
 def cmd_kfactor(args: argparse.Namespace) -> int:
     if args.dmin < 2 or args.dmax < args.dmin:
-        raise SystemExit2("need 2 <= dmin <= dmax")
+        raise ValueError("need 2 <= dmin <= dmax")
     if args.fsteps < 2 or not 0.0 <= args.fmin < args.fmax <= 1.0:
-        raise SystemExit2("need 0 <= fmin < fmax <= 1 and fsteps >= 2")
+        raise ValueError("need 0 <= fmin < fmax <= 1 and fsteps >= 2")
     buf = io.StringIO()
     buf.write("d,f,k\n")
     for d in range(args.dmin, args.dmax + 1):
@@ -180,10 +182,6 @@ def cmd_kfactor(args: argparse.Namespace) -> int:
             buf.write(f"{d},{_fmt(f)},{'' if k is None else k}\n")
     _write_output(buf.getvalue(), args.out)
     return EXIT_OK
-
-
-class SystemExit2(Exception):
-    """Usage error raised past argparse (maps to exit code 2)."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,9 +240,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,19 +22,20 @@ Two loops share one problem representation and one certificate:
   Each iteration costs two or three Hermitian eigendecompositions.  The
   tests also use it as the reference for the interior-point loop.
 
-The iterates are stacks of blocks with multiplicities.  A plain problem is
-one dense block of side n with multiplicity 1.  A problem that carries a
-`BlockForm` -- a cost invariant under a twirl of some of its factors, such
-as the activation cost of a Werner or isotropic input under U x U or
-U x conj(U), or of any input under the Pauli twirl of its ancilla -- is solved as
-X = sum_b P_b (x) X_b over the invariant projectors P_b, with small blocks
-X_b.  That is the dense iteration exactly, not an approximation: every
-step (spectral projections, Newton steps, partial transpose, the I/n start)
-commutes with the twirl, so the dense iterates stay of that form, and on it
-the spectrum of X is the blocks' spectra with multiplicities Tr P_b, traces
-and Frobenius inner products are the multiplicity-weighted ones, and the
-partial transpose maps the P_b algebra linearly onto a second projector
-algebra Q_c (multiplicities Tr Q_c).
+Every problem is its `BlockForm`, and the iterates are stacks of blocks
+with multiplicities.  A plain problem is one dense block of side n with
+multiplicity 1 (`SdpProblem.from_cost`).  A cost invariant under a twirl of
+some of its factors -- such as the activation cost of a Werner or isotropic
+input under U x U or U x conj(U), or of any input under the Pauli twirl of
+its ancilla -- is solved as X = sum_b P_b (x) X_b over the invariant
+projectors P_b, with small blocks X_b.  That is the dense iteration
+exactly, not an approximation: every step (spectral projections, Newton
+steps, partial transpose, the I/n start) commutes with the twirl, so the
+dense iterates stay of that form, and on it the spectrum of X is the
+blocks' spectra with multiplicities Tr P_b, traces and Frobenius inner
+products are the multiplicity-weighted ones, and the partial transpose maps
+the P_b algebra linearly onto a second projector algebra Q_c
+(multiplicities Tr Q_c).
 
 Both loops feed one certificate of objective bounds:
 
@@ -57,8 +58,6 @@ and status ``infeasible_numerics``.  A solve checks its minimizer's
 blocks against the invariants of a `DensityMatrix` (Hermitian, unit trace,
 PSD) and reads its PSD slack, PPT slack and trace error off the blocks;
 the dense minimizer is built only on request (`SdpSolution.minimizer`).
-Likewise a problem with blocks may defer its dense cost, which no solve
-reads.
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ from .linalg import (
     PSD_TOL,
     TRACE_TOL,
     DensityMatrix,
-    is_hermitian,
     kron,
     permute_mat,
 )
@@ -136,7 +134,10 @@ class SdpOptions:
 
 @dataclass(frozen=True, eq=False)
 class BlockForm:
-    """A twirl-invariant problem as stacked blocks: C = sum_b P_b (x) costs[b].
+    """Any problem as stacked blocks: C = sum_b P_b (x) costs[b].
+
+    A plain cost is one block with a single factor, the 1 x 1 identity on no
+    subsystems; a twirl-invariant one is many small blocks.
 
     Each P_b is a tensor product with one factor per entry of ``factors``, a
     pair (projectors, subsystems): a stack of orthogonal projectors that sum
@@ -178,55 +179,22 @@ class BlockForm:
         return permute_mat(mat, tuple(dims[i] for i in order), tuple(np.argsort(order)))
 
 
-class _DeferredCost:
-    """`SdpProblem.cost`: a matrix, or a zero-argument builder of one that runs on first access.
-
-    Only a problem with blocks may defer its dense cost, which no solve
-    reads; the built matrix is checked as a given one is at construction.
-    Any read builds it, `dataclasses.replace` on the problem included.
-    """
-
-    def __get__(self, problem: SdpProblem | None, owner: type | None = None) -> np.ndarray:
-        if problem is None:
-            raise AttributeError("cost")  # a required field: no class-level default
-        cost = problem.__dict__["cost"]
-        if callable(cost):
-            cost = problem.__dict__["cost"] = problem._checked_cost(cost())
-        return cost
-
-    def __set__(self, problem: SdpProblem, cost: np.ndarray | Callable[[], np.ndarray]) -> None:
-        problem.__dict__["cost"] = cost
-
-
 @dataclass
 class SdpProblem:
-    """Cost matrix, subsystem layout, and the prefix length defining the T1 cut.
+    """A problem as its block form, subsystem layout, and the prefix length defining the T1 cut.
 
-    ``blocks``, when set, is the same cost in twirl-reduced form; the solver
-    then iterates on it instead of the dense matrix, and ``cost`` may be
-    given as a zero-argument builder, run on first access of ``cost``.
+    `from_cost` wraps a plain cost matrix as one block; ``cost`` is the dense
+    matrix derived from the blocks, built on first access.
     """
 
-    cost: np.ndarray | Callable[[], np.ndarray] = _DeferredCost()
+    blocks: BlockForm
     dims: tuple[int, ...]
     t1_split: int = 1
     options: SdpOptions = field(default_factory=SdpOptions)
-    blocks: BlockForm | None = None
 
     def __post_init__(self) -> None:
         self.dims = tuple(int(d) for d in self.dims)
         check_side(int(np.prod(self.dims)))
-        if self.blocks is not None:
-            self._check_blocks()
-        cost = self.__dict__["cost"]
-        if not callable(cost):
-            self.cost = self._checked_cost(cost)
-        elif self.blocks is None:
-            raise ValueError("only a problem with blocks may defer its dense cost")
-        if not 1 <= self.t1_split < len(self.dims):
-            raise ValueError("t1_split must name a proper prefix of dims")
-
-    def _check_blocks(self) -> None:
         form = self.blocks
         costs = form.costs
         inner = int(np.prod([d for i, d in enumerate(self.dims) if i not in form.outer]))
@@ -240,20 +208,26 @@ class SdpProblem:
                 raise ValueError(f"block projectors of shape {projectors.shape} do not match dims {self.dims}")
             if np.max(np.abs(projectors.sum(axis=0) - np.eye(side))) > HERM_INPUT_TOL:
                 raise ValueError("block projectors do not sum to the identity")
+        if not 1 <= self.t1_split < len(self.dims):
+            raise ValueError("t1_split must name a proper prefix of dims")
 
-    def _checked_cost(self, cost: np.ndarray) -> np.ndarray:
-        """The dense cost as a complex matrix, once it fits the dims, is Hermitian and matches the blocks."""
+    @classmethod
+    def from_cost(
+        cls, cost: np.ndarray, dims: tuple[int, ...], t1_split: int = 1, options: SdpOptions | None = None
+    ) -> SdpProblem:
+        """The plain problem of a dense cost: one block of side n with multiplicity 1."""
         cost = np.asarray(cost, dtype=complex)
-        n = int(np.prod(self.dims))
+        n = int(np.prod(dims))
         if cost.shape != (n, n):
-            raise ValueError(f"cost shape {cost.shape} does not match dims {self.dims}")
-        if not is_hermitian(cost, HERM_INPUT_TOL):
-            raise ValueError(f"cost matrix is not Hermitian within {HERM_INPUT_TOL}")
-        if self.blocks is not None:
-            gap = np.max(np.abs(self.blocks.dense(self.blocks.costs, self.dims) - cost))
-            if gap > HERM_INPUT_TOL:
-                raise ValueError(f"block costs differ from the dense cost by {gap}")
-        return cost
+            raise ValueError(f"cost shape {cost.shape} does not match dims {tuple(dims)}")
+        one = np.ones((1, 1))
+        form = BlockForm(costs=cost[None], factors=((one[None], ()),), pt_map=one, pt_inverse=one)
+        return cls(form, dims, t1_split, options or SdpOptions())
+
+    @cached_property
+    def cost(self) -> np.ndarray:
+        """The dense cost sum_b P_b (x) costs[b]."""
+        return self.blocks.dense(self.blocks.costs, self.dims)
 
 
 @dataclass
@@ -299,21 +273,6 @@ def _compose(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # a lone dense block goes to LAPACK as a plain matrix, so that profiles
-    # of dense solves see the matrix side
-    if len(h) == 1:
-        w, v = np.linalg.eigh(h[0])
-        return w[None], v[None]
-    return np.linalg.eigh(h)
-
-
-def _dense_form(problem: SdpProblem) -> BlockForm:
-    """The plain problem as one block of side n with multiplicity 1."""
-    one = np.ones((1, 1))
-    return BlockForm(costs=problem.cost[None], factors=((one[None], ()),), pt_map=one, pt_inverse=one)
-
-
 class _Stack:
     """The problem as stacks of blocks with multiplicities, shared by both loops.
 
@@ -323,7 +282,7 @@ class _Stack:
     """
 
     def __init__(self, problem: SdpProblem) -> None:
-        form = problem.blocks if problem.blocks is not None else _dense_form(problem)
+        self.form = form = problem.blocks
         costs = form.costs
         if np.max(np.abs(costs.imag)) == 0.0:
             costs = costs.real.copy()  # real symmetric fast path
@@ -335,7 +294,6 @@ class _Stack:
         self.k = self.s // self.m
         self.block_mult = form.mult
         self.n = float(self.block_mult.sum() * self.s)  # side of the dense problem
-        self.form = form
         self.eye = np.broadcast_to(np.eye(self.s, dtype=costs.dtype), costs.shape)
 
     def pt(self, mats: np.ndarray, mix: np.ndarray) -> np.ndarray:
@@ -401,7 +359,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     Real costs in blocks of side at most ``IPM_MAX_SIDE`` go to the
     interior-point loop, all others to the splitting loop.
     """
-    costs = problem.cost if problem.blocks is None else problem.blocks.costs
+    costs = problem.blocks.costs
     small_real = costs.shape[-1] <= IPM_MAX_SIDE and not np.any(np.imag(costs))
     return _solve(problem, _interior_point if small_real else _splitting)
 
@@ -456,10 +414,10 @@ def _splitting(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str]
     u = np.zeros_like(x)
 
     for it in range(1, opts.max_iters + 1):
-        w, v = _eigh(y - u - st.costs / rho)
+        w, v = np.linalg.eigh(y - u - st.costs / rho)
         x = _compose(v, _simplex_projection(w.ravel(), mult).reshape(nb, s))
         z = st.pt(x + u, st.form.pt_map)
-        w, v = _eigh(z)
+        w, v = np.linalg.eigh(z)
         y_new = st.pt(_compose(v, np.maximum(w, 0.0)), st.form.pt_inverse)
         r_dual = rho * norm(y_new - y)
         y = y_new

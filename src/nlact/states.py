@@ -7,7 +7,7 @@ Computational basis order is |00>, |01>, |10>, |11> for two qubits, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,7 @@ def projector(psi: np.ndarray) -> np.ndarray:
 
 
 def ket0_projector() -> np.ndarray:
-    """|0><0| on one qubit, the default Hirsch bias state."""
+    """|0><0| on one qubit, the Hirsch bias state."""
     return projector(basis_ket(2, 0))
 
 
@@ -133,18 +133,16 @@ def isotropic_state(d: int, p: float) -> DensityMatrix:
     return DensityMatrix(mat, (d, d))
 
 
-def hirsch_state(p: float, q: float = 1.0, sigma: np.ndarray | None = None) -> DensityMatrix:
-    """Two-qubit Hirsch state p |psi-><psi-| + (1-p) [q sigma + (1-q) I/2] x I/2.
+def hirsch_state(p: float, q: float = 1.0) -> DensityMatrix:
+    """Two-qubit Hirsch state p |psi-><psi-| + (1-p) [q |0><0| + (1-q) I/2] x I/2.
 
-    ``sigma`` is an arbitrary one-qubit state, |0><0| by default; the
-    one-parameter family of interest is ``q = 1`` with that default.
+    The one-parameter family of interest is ``q = 1``.  Any other bias
+    state sigma, with Bloch vector r, gives the state at weight q |r| up to
+    a local unitary U x U, which leaves every property here unchanged.
     """
     if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:
         raise ValueError(f"hirsch state requires 0 <= p, q <= 1, got p={p} q={q}")
-    if sigma is None:
-        sigma = ket0_projector()
-    sigma = DensityMatrix(sigma, (2,)).mat  # validates the one-qubit state
-    alice = q * sigma + (1.0 - q) * np.eye(2) / 2.0
+    alice = q * ket0_projector() + (1.0 - q) * np.eye(2) / 2.0
     mat = p * projector(psi_minus()) + (1.0 - p) * kron(alice, np.eye(2) / 2.0)
     return DensityMatrix(mat, (2, 2))
 
@@ -162,14 +160,13 @@ def h_theta(theta: float) -> np.ndarray:
 class FamilySpec:
     """A one-parameter slice of a state family; ``state(p)`` builds the member at p.
 
-    ``d`` applies to werner/isotropic; ``q`` and ``sigma`` to hirsch2
-    (hirsch1 is hirsch2 pinned at q=1, sigma=|0><0|).
+    ``d`` applies to werner/isotropic, and the weight ``q`` in [0, 1] to
+    hirsch2 (hirsch1 is hirsch2 pinned at q=1).
     """
 
     family: str
     d: int = 2
     q: float = 1.0
-    sigma: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -178,6 +175,8 @@ class FamilySpec:
             raise ValueError(f"family {self.family} is two-qubit only")
         if self.d < 2:
             raise ValueError("d must be >= 2")
+        if not 0.0 <= self.q <= 1.0:
+            raise ValueError(f"q must lie in [0, 1], got {self.q}")
 
     def state(self, p: float) -> DensityMatrix:
         if self.family == "wi":
@@ -187,8 +186,8 @@ class FamilySpec:
         if self.family == "isotropic":
             return isotropic_state(self.d, p)
         if self.family == "hirsch1":
-            return hirsch_state(p, 1.0, None)
-        return hirsch_state(p, self.q, self.sigma)
+            return hirsch_state(p, 1.0)
+        return hirsch_state(p, self.q)
 
     def p_range(self) -> tuple[float, float]:
         if self.family == "werner":

@@ -182,11 +182,15 @@ def sample_curve(
     grid: list[float] | np.ndarray,
     sdp_options: SdpOptions | None = None,
 ) -> PropertyCurve:
-    """Pointwise evaluation over an increasing grid; failures are recorded, not fatal."""
+    """Pointwise evaluation over an increasing grid in the family's p range; failures are recorded, not fatal."""
     evaluator(spec, prop)
     grid = [float(p) for p in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
+    lo, hi = spec.p_range()
+    # with the rounding slack that `werner_state` allows at the range ends
+    if grid and not lo - 1e-12 <= grid[0] <= grid[-1] <= hi + 1e-12:
+        raise ValueError(f"grid [{grid[0]}, {grid[-1]}] leaves the {spec.family} range [{lo}, {hi}]")
     results = []
     for p in grid:
         try:

@@ -182,9 +182,9 @@ def test_criterion_8_property_suites():
         solves = []
         for _ in range(20):
             g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-            solves.append(SdpProblem(cost=g + g.conj().T, dims=(2, 2, 2, 2), t1_split=2))
+            solves.append(SdpProblem.from_cost(g + g.conj().T, dims=(2, 2, 2, 2), t1_split=2))
         for p in np.linspace(0.1, 0.9, 5):
-            solves.append(SdpProblem(cost=-wi_state(float(p)).mat, dims=(2, 2), t1_split=1))
+            solves.append(SdpProblem.from_cost(-wi_state(float(p)).mat, dims=(2, 2), t1_split=1))
         for problem in solves:
             sol = solve(problem)
             assert sol.objective >= min_eig(problem.cost) - 1e-8, "objective below spectral bound"

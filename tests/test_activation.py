@@ -152,7 +152,7 @@ def _twirled_state(family, d, p):
 def _assert_block_matches_dense(problem):
     """Solve a problem in its block form and densely, check that they agree, return `activated`."""
     block = solve(problem)
-    dense = solve(dataclasses.replace(problem, blocks=None))
+    dense = solve(SdpProblem.from_cost(problem.cost, problem.dims, problem.t1_split, problem.options))
     activated = [s.status in ("converged", "decided") and s.objective < -ACTIVATION_TOL for s in (block, dense)]
     assert activated[0] == activated[1]
     if problem.cost.shape[0] <= IPM_MAX_SIDE and not np.any(problem.cost.imag):
@@ -199,28 +199,19 @@ def test_block_form_multiplicities():
 def test_block_form_reproduces_dense_cost():
     for tau in (werner_state(3, 0.4), isotropic_state(4, 0.7), wi_state(0.2)):
         problem = build_cost(tau)
-        assert np.max(np.abs(problem.blocks.dense(problem.blocks.costs, problem.dims) - problem.cost)) < 1e-14
+        assert np.max(np.abs(problem.cost - activation._dense_cost(tau))) < 1e-14
 
 
 def test_problem_rejects_mismatched_blocks():
     problem = build_cost(werner_state(3, 0.5))
-    wrong = dataclasses.replace(problem.blocks, costs=problem.blocks.costs[::-1].copy())
-    # an explicitly passed dense cost is checked against the blocks at construction
-    with pytest.raises(ValueError, match="block costs"):
-        SdpProblem(cost=problem.cost, dims=problem.dims, t1_split=2, blocks=wrong)
-    # a deferred one when it is built
-    deferred = SdpProblem(cost=lambda: problem.cost, dims=problem.dims, t1_split=2, blocks=wrong)
-    with pytest.raises(ValueError, match="block costs"):
-        deferred.cost
-    # a projector factor that does not sum to the identity, with or without a dense cost
+    # a projector factor that does not sum to the identity
     (twirl, subsystems), bell = problem.blocks.factors
     partial = dataclasses.replace(problem.blocks, factors=((np.array([twirl[0], twirl[0]]), subsystems), bell))
-    for cost in (problem.cost, lambda: problem.cost):
-        with pytest.raises(ValueError, match="identity"):
-            SdpProblem(cost=cost, dims=problem.dims, t1_split=2, blocks=partial)
+    with pytest.raises(ValueError, match="identity"):
+        SdpProblem(blocks=partial, dims=problem.dims, t1_split=2)
     hermitian = dataclasses.replace(problem.blocks, costs=problem.blocks.costs + 1j)
     with pytest.raises(ValueError, match="Hermitian"):
-        SdpProblem(cost=lambda: problem.cost, dims=problem.dims, t1_split=2, blocks=hermitian)
+        SdpProblem(blocks=hermitian, dims=problem.dims, t1_split=2)
 
 
 def test_non_invariant_inputs_get_bell_form(rng):
@@ -232,7 +223,7 @@ def test_non_invariant_inputs_get_bell_form(rng):
         side = tau.dims[0] * tau.dims[1]
         assert problem.blocks.costs.shape == (4, side, side)
         assert problem.blocks.mult.tolist() == [1, 1, 1, 1]
-        assert np.max(np.abs(problem.blocks.dense(problem.blocks.costs, problem.dims) - problem.cost)) < 1e-14
+        assert np.max(np.abs(problem.cost - activation._dense_cost(tau))) < 1e-14
 
 
 def test_bell_pt_map():

@@ -113,6 +113,32 @@ def test_sweep_unsupported_combination(capsys):
     assert "two-qubit" in err
 
 
+def test_sweep_rejects_q_outside_unit_interval(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "sweep", "--family", "hirsch2", "--q", "1.5", "--property", "eof", "--steps", "3",
+    )
+    assert code == 2
+    assert out == ""
+    assert "q must lie in [0, 1]" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--family", "wi", "--property", "eof", "--pmin", "0", "--pmax", "2"),
+        ("--family", "werner", "--d", "3", "--property", "hn", "--pmin", "-0.9"),
+    ],
+    ids=["wi-above", "werner-below"],
+)
+def test_sweep_rejects_grid_outside_family_range(capsys, args):
+    # rejected before any point is evaluated, not printed as empty rows
+    code, out, err = run_cli(capsys, "sweep", *args, "--steps", "3")
+    assert code == 2
+    assert out == ""
+    assert "range" in err
+
+
 def test_io_error_exit_code(tmp_path, capsys):
     missing_dir = tmp_path / "nope" / "deeper" / "out.csv"
     code, _, err = run_cli(
@@ -191,6 +217,13 @@ def test_check_ancilla_default_passes(capsys):
     code, out, _ = run_cli(capsys, "check-ancilla")
     assert code == 0
     assert out.count("activated") >= 20
+
+
+def test_check_ancilla_rejects_no_points(capsys):
+    code, out, err = run_cli(capsys, "check-ancilla", "--points", "0")
+    assert code == 2
+    assert out == ""
+    assert "--points" in err
 
 
 def test_check_ancilla_separable_point_fails(capsys):

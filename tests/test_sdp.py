@@ -31,7 +31,7 @@ def _random_hermitian(n, rng):
 
 
 def test_solve_constant_objective():
-    problem = SdpProblem(cost=np.eye(4), dims=(2, 2), t1_split=1, options=TIGHT)
+    problem = SdpProblem.from_cost(np.eye(4), dims=(2, 2), t1_split=1, options=TIGHT)
     for run in LOOPS:
         sol = run(problem)
         assert abs(sol.objective - 1.0) < 1e-8
@@ -39,7 +39,7 @@ def test_solve_constant_objective():
 
 
 def test_solve_diagonal_cost():
-    problem = SdpProblem(cost=np.diag([1.0, 2.0, 3.0, 4.0]), dims=(2, 2), t1_split=1, options=TIGHT)
+    problem = SdpProblem.from_cost(np.diag([1.0, 2.0, 3.0, 4.0]), dims=(2, 2), t1_split=1, options=TIGHT)
     for run in LOOPS:
         sol = run(problem)
         assert abs(sol.objective - 1.0) < 1e-7
@@ -49,7 +49,7 @@ def test_solve_diagonal_cost():
 def test_solve_singlet_overlap_bound():
     # max overlap with the singlet over PPT states is 1/2
     cost = -projector(psi_minus())
-    problem = SdpProblem(cost=cost, dims=(2, 2), t1_split=1, options=TIGHT)
+    problem = SdpProblem.from_cost(cost, dims=(2, 2), t1_split=1, options=TIGHT)
     for run in LOOPS:
         sol = run(problem)
         assert abs(sol.objective + 0.5) < 1e-6
@@ -59,7 +59,7 @@ def test_solve_singlet_overlap_bound():
 def test_solution_feasibility_residuals():
     cost = -projector(psi_minus())
     for run in LOOPS:
-        sol = run(SdpProblem(cost=cost, dims=(2, 2), t1_split=1))
+        sol = run(SdpProblem.from_cost(cost, dims=(2, 2), t1_split=1))
         assert sol.residuals["psd_slack"] <= 1e-8
         assert sol.residuals["ppt_slack"] <= 1e-8
         assert sol.residuals["trace_err"] <= 1e-8
@@ -72,15 +72,15 @@ def test_solve_objective_above_unconstrained_min(rng):
         hermitian = _random_hermitian(4, rng)
         for cost in (hermitian, hermitian.real):
             for run in LOOPS:
-                sol = run(SdpProblem(cost=cost, dims=(2, 2), t1_split=1))
+                sol = run(SdpProblem.from_cost(cost, dims=(2, 2), t1_split=1))
                 assert sol.objective >= min_eig(cost) - 1e-8
 
 
 def test_solve_deterministic():
     cost = -projector(psi_minus())
     for run in LOOPS:
-        a = run(SdpProblem(cost=cost, dims=(2, 2), t1_split=1))
-        b = run(SdpProblem(cost=cost, dims=(2, 2), t1_split=1))
+        a = run(SdpProblem.from_cost(cost, dims=(2, 2), t1_split=1))
+        b = run(SdpProblem.from_cost(cost, dims=(2, 2), t1_split=1))
         assert a.objective == b.objective
         assert a.iterations == b.iterations
 
@@ -88,9 +88,9 @@ def test_solve_deterministic():
 def test_solve_scale_covariance():
     cost = -projector(psi_minus())
     for run in LOOPS:
-        base = run(SdpProblem(cost=cost, dims=(2, 2), t1_split=1, options=TIGHT)).objective
+        base = run(SdpProblem.from_cost(cost, dims=(2, 2), t1_split=1, options=TIGHT)).objective
         for alpha in (0.5, 2.0):
-            scaled = run(SdpProblem(cost=alpha * cost, dims=(2, 2), t1_split=1, options=TIGHT)).objective
+            scaled = run(SdpProblem.from_cost(alpha * cost, dims=(2, 2), t1_split=1, options=TIGHT)).objective
             assert abs(scaled - alpha * base) < 1e-8
 
 
@@ -101,7 +101,7 @@ def test_solve_complex_hermitian_cost():
     for draw in range(20):
         cost = _random_hermitian(4, rng)
         assert np.max(np.abs(cost.imag)) > 0
-        sol = solve(SdpProblem(cost=cost, dims=(2, 2), t1_split=1, options=TIGHT))
+        sol = solve(SdpProblem.from_cost(cost, dims=(2, 2), t1_split=1, options=TIGHT))
         assert sol.status == "converged", draw
         assert sol.residuals["certified_gap"] <= TIGHT.tol_objective, draw
         assert sol.objective >= min_eig(cost) - 1e-8
@@ -119,24 +119,27 @@ def test_solve_routes_by_side_and_field(monkeypatch, rng):
         monkeypatch.setattr(sdp, name, recorder(name))
     cost = _random_hermitian(4, rng)
     for c, dims in ((cost.real, (2, 2)), (cost, (2, 2)), (np.diag(np.arange(36.0)), (6, 6))):
-        solve(SdpProblem(cost=c, dims=dims, t1_split=1))
+        solve(SdpProblem.from_cost(c, dims=dims, t1_split=1))
     assert taken == ["_interior_point", "_splitting", "_splitting"]
 
 
 def test_problem_validation(rng):
     with pytest.raises(ValueError, match="Hermitian"):
-        SdpProblem(cost=np.array([[0.0, 1.0], [0.0, 0.0]]), dims=(2,), t1_split=1)
+        SdpProblem.from_cost(np.array([[0.0, 1.0], [0.0, 0.0]]), dims=(2,), t1_split=1)
     with pytest.raises(ValueError, match="prefix"):
-        SdpProblem(cost=np.eye(4), dims=(2, 2), t1_split=2)
+        SdpProblem.from_cost(np.eye(4), dims=(2, 2), t1_split=2)
     with pytest.raises(ValueError, match="desk-scale"):
-        SdpProblem(cost=np.eye(512), dims=(256, 2), t1_split=1)
+        SdpProblem.from_cost(np.eye(512), dims=(256, 2), t1_split=1)
     with pytest.raises(ValueError, match="shape"):
-        SdpProblem(cost=np.eye(4), dims=(2, 3), t1_split=1)
+        SdpProblem.from_cost(np.eye(4), dims=(2, 3), t1_split=1)
 
 
-def test_only_block_problems_defer_their_cost():
-    with pytest.raises(ValueError, match="defer"):
-        SdpProblem(cost=lambda: np.eye(4), dims=(2, 2), t1_split=1)
+def test_plain_problem_cost_round_trips(rng):
+    # a plain problem is one block, and the dense cost derived from it is the given one
+    for cost in (_random_hermitian(4, rng), -projector(psi_minus()), np.diag([1.0, 2.0, 3.0, 4.0])):
+        problem = SdpProblem.from_cost(cost, dims=(2, 2))
+        assert problem.blocks.costs.shape == (1, 4, 4)
+        assert np.array_equal(problem.cost, cost)
 
 
 @pytest.mark.parametrize(
@@ -163,7 +166,7 @@ def test_max_iters_status():
     cost = -projector(psi_minus())
     options = SdpOptions(max_iters=3, tol_objective=1e-14)
     for run in LOOPS:
-        sol = run(SdpProblem(cost=cost, dims=(2, 2), t1_split=1, options=options))
+        sol = run(SdpProblem.from_cost(cost, dims=(2, 2), t1_split=1, options=options))
         assert sol.status == "max_iters"
 
 
@@ -171,7 +174,7 @@ def test_decision_cut_stop():
     cost = -projector(psi_minus())
     options = SdpOptions(objective_cut=-0.4)
     for run in LOOPS:
-        sol = run(SdpProblem(cost=cost, dims=(2, 2), t1_split=1, options=options))
+        sol = run(SdpProblem.from_cost(cost, dims=(2, 2), t1_split=1, options=options))
         assert sol.status in ("decided", "converged")
         if sol.status == "decided":
             assert sol.objective < -0.4 or sol.objective_lb >= -0.4
@@ -187,7 +190,7 @@ def _cross_check_problem(case, options):
         rho = random_density((2, 2), np.random.default_rng(arg)).mat
         problem = build_cost(DensityMatrix(rho.real.astype(complex), (2, 2)))
     else:
-        problem = SdpProblem(cost=-projector(psi_minus()), dims=(2, 2), t1_split=1)
+        problem = SdpProblem.from_cost(-projector(psi_minus()), dims=(2, 2), t1_split=1)
     assert not np.any(problem.cost.imag)
     return dataclasses.replace(problem, options=options)
 

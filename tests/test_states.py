@@ -100,7 +100,7 @@ def test_isotropic_twirling_invariance(rng):
 
 def test_hirsch_recovers_wi():
     for p in P_GRID:
-        state = hirsch_state(p, q=1.0, sigma=np.eye(2) / 2)
+        state = hirsch_state(p, q=0.0)
         assert np.max(np.abs(state.mat - wi_state(p).mat)) <= 1e-14
 
 
