@@ -60,20 +60,25 @@ def _sdp_options(args: argparse.Namespace) -> SdpOptions:
     return replace(DEFAULT_OPTIONS, **{k: v for k, v in given.items() if v is not None})
 
 
-def _family_spec(args: argparse.Namespace) -> FamilySpec:
-    d = args.d if args.family in ("werner", "isotropic") else 2
-    return FamilySpec(family=args.family, d=d, q=args.q)
+# the flags of a 1-D sweep, with their defaults; a 2-D sweep spans [0, 1] x [0, 1] and takes none of them
+_LINE_FLAGS = {"pmin": 0.0, "pmax": 1.0, "steps": 101, "q": 1.0}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.p_grid is not None or args.q_grid is not None:
+        given = [f"--{name}" for name in _LINE_FLAGS if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)} cannot be combined with --p-grid/--q-grid")
         return _sweep_grid2d(args)
-    if not args.pmin < args.pmax:
+    pmin, pmax, steps, q = (
+        default if getattr(args, name) is None else getattr(args, name) for name, default in _LINE_FLAGS.items()
+    )
+    if not pmin < pmax:
         raise ValueError("--pmin must be below --pmax")
-    if args.steps < 2:
+    if steps < 2:
         raise ValueError("--steps must be at least 2")
-    spec = _family_spec(args)
-    grid = np.linspace(args.pmin, args.pmax, args.steps)
+    spec = FamilySpec(family=args.family, d=args.d if args.family in ("werner", "isotropic") else 2, q=q)
+    grid = np.linspace(pmin, pmax, steps)
     curve = sample_curve(spec, args.property, grid, _sdp_options(args))
 
     if args.format == "json":
@@ -201,10 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--family", required=True, choices=FAMILIES)
     p_sweep.add_argument("--property", required=True, choices=PROPERTIES)
     p_sweep.add_argument("--d", type=int, default=2, help="local dimension (werner/isotropic)")
-    p_sweep.add_argument("--q", type=float, default=1.0, help="hirsch2 mixing weight")
-    p_sweep.add_argument("--pmin", type=float, default=0.0)
-    p_sweep.add_argument("--pmax", type=float, default=1.0)
-    p_sweep.add_argument("--steps", type=int, default=101)
+    p_sweep.add_argument("--q", type=float, default=None, help="hirsch2 mixing weight (default 1)")
+    p_sweep.add_argument("--pmin", type=float, default=None, help="first grid point (default 0)")
+    p_sweep.add_argument("--pmax", type=float, default=None, help="last grid point (default 1)")
+    p_sweep.add_argument("--steps", type=int, default=None, help="grid points (default 101)")
     p_sweep.add_argument("--p-grid", type=int, default=None, help="2D sweep: points along p")
     p_sweep.add_argument("--q-grid", type=int, default=None, help="2D sweep: points along q")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -1,26 +1,34 @@
 """Self-contained solver for min <C, X> over {X >= 0, X^T1 >= 0, Tr X = 1}.
 
-Two loops share one problem representation and one certificate:
+Three loops share one problem representation and one certificate:
 
 - a primal-dual interior-point method (the HKM direction of Helmberg,
   Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 6 (1996), with Mehrotra's
   predictor-corrector) on min <C, X> over X >= 0 and W = X^T1 >= 0 with
   Tr X = 1, scaled by the eigendecompositions of its iterates.  Its Newton
   system has about side^2 / 2 unknowns per block, so `solve` takes it when
-  the cost is real and every block has side <= `IPM_MAX_SIDE` (16): every
-  twirled Werner or isotropic form at any d, and through the ancilla's Bell
-  form (blocks of side d_A d_B) every other real activation cost with
-  d_A d_B <= 16, every two-qubit family input among them.  It certifies
-  within a few dozen Newton steps where the splitting loop needs up to tens
-  of thousands of iterations near a sign change.
-  Complex costs would double its unknowns, and the splitting loop decides
-  complex two-qubit costs faster;
+  the cost is real and its blocks have side 2 to `IPM_MAX_SIDE` (16): a
+  plain real cost of side <= 16 and, through the ancilla's Bell form
+  (blocks of side d_A d_B), every real activation cost with no twirl form
+  and d_A d_B <= 16, the two-qubit Hirsch inputs among them.  It certifies within a few dozen Newton steps where
+  the splitting loop needs up to tens of thousands of iterations near a
+  sign change.  Complex costs would double its unknowns, and the splitting
+  loop decides complex two-qubit costs faster;
+- the same interior-point method on blocks of side 1, written on vectors:
+  a linear program in nb unknowns, whose HKM scaling is an entrywise
+  division, whose Schur matrix is (nb + 1)-square and whose step lengths
+  are ratio tests.  `solve` takes it for a real cost whose blocks all have
+  side 1: every twirled Werner, isotropic or wi form at any d (eight
+  scalar blocks).  It shares the start point, `STEP_FRACTION`,
+  `STALL_STEPS`, the positivity test of every iterate and the certificate
+  with the matrix form, whose Newton steps it takes up to rounding; the
+  tests use the matrix form as its reference;
 - consensus operator splitting (ADMM) for complex costs and larger blocks:
   one block carries the spectral-simplex constraint {X >= 0, Tr X = 1}
   with the linear cost handled proximally, the other carries the
   partial-transpose cone {Y : Y^T1 >= 0}, and a scaled dual couples X = Y.
   Each iteration costs two or three Hermitian eigendecompositions.  The
-  tests also use it as the reference for the interior-point loop.
+  tests also use it as the reference for the matrix interior-point loop.
 
 Every problem is its `BlockForm`, and the iterates are stacks of blocks
 with multiplicities.  A plain problem is one dense block of side n with
@@ -37,11 +45,11 @@ products are the multiplicity-weighted ones, and the partial transpose maps
 the P_b algebra linearly onto a second projector algebra Q_c
 (multiplicities Tr Q_c).
 
-Both loops feed one certificate of objective bounds:
+All loops feed one certificate of objective bounds:
 
 - lower bound: lambda_min(C - PT(S2)) <= p* for any S2 >= 0 on the
   partial-transpose side; ADMM takes the clamped negative part of its
-  Y-projection, the interior-point loop its dual slack on W;
+  Y-projection, the interior-point loops their dual slack on W;
 - upper bound: mixing the current X toward I/n absorbs its PPT slack and
   yields an exactly feasible point whose value is reported as `objective`.
 
@@ -83,7 +91,8 @@ MAX_SIDE = 256
 # largest block side solved by the interior-point loop: its Newton system has
 # about side^2 unknowns per block
 IPM_MAX_SIDE = 16
-# share of the distance to the cone boundary that an interior-point step covers.
+# share of the distance to the cone boundary that an interior-point step covers,
+# in both forms of the interior-point loop (matrix blocks and scalar blocks).
 # Longer steps leave the iterates so close to the boundary that the Schur solves
 # lose accuracy.  On the activation costs of 40 seeded random real two-qubit
 # states in their Bell form, at tol_objective = 1e-10, 0.9 closes 38 certified
@@ -293,6 +302,8 @@ class _Stack:
         self.m = int(np.prod([problem.dims[i] for i in inner if i < problem.t1_split]))
         self.k = self.s // self.m
         self.block_mult = form.mult
+        # X-side multiplicities Tr P_b, then W-side ones Tr Q_c: PT(P_b) = sum_c pt_map[c, b] Q_c
+        self.mult = np.concatenate([self.block_mult, np.rint(np.linalg.solve(form.pt_map.T, self.block_mult))])
         self.n = float(self.block_mult.sum() * self.s)  # side of the dense problem
         self.eye = np.broadcast_to(np.eye(self.s, dtype=costs.dtype), costs.shape)
 
@@ -356,12 +367,16 @@ class _Bounds:
 def solve(problem: SdpProblem) -> SdpSolution:
     """Solve the problem; deterministic for fixed problem and options.
 
-    Real costs in blocks of side at most ``IPM_MAX_SIDE`` go to the
-    interior-point loop, all others to the splitting loop.
+    The loop is chosen from the blocks: a real cost whose blocks all have
+    side 1 goes to the scalar interior-point loop, other real costs in
+    blocks of side at most ``IPM_MAX_SIDE`` to the matrix interior-point
+    loop, and all others to the splitting loop.
     """
     costs = problem.blocks.costs
-    small_real = costs.shape[-1] <= IPM_MAX_SIDE and not np.any(np.imag(costs))
-    return _solve(problem, _interior_point if small_real else _splitting)
+    side = costs.shape[-1]
+    if side > IPM_MAX_SIDE or np.any(np.imag(costs)):
+        return _solve(problem, _splitting)
+    return _solve(problem, _scalar_interior_point if side == 1 else _interior_point)
 
 
 def _solve(problem: SdpProblem, loop: Callable[[_Stack, _Bounds, SdpOptions], tuple[int, str]]) -> SdpSolution:
@@ -500,6 +515,40 @@ def _hkm_ops(a: np.ndarray, b: np.ndarray, reads: tuple, once: np.ndarray) -> np
     return plus
 
 
+def _start(st: _Stack) -> np.ndarray:
+    """The stacks (X, W, S1, S2) = (I/n, I/n, C - y I - PT*(I), I), with y chosen so that lambda_min(S1) = 1."""
+    nb = st.nb
+    eye = np.broadcast_to(np.eye(st.s), (2 * nb, st.s, st.s))
+    y = _min_eig(st.costs - st.pt(eye[:nb], st.form.pt_inverse)) - 1.0
+    return np.concatenate([eye / st.n, st.costs - (y + 1.0) * eye[:nb], eye[:nb]])
+
+
+def _follow_path(bounds: _Bounds, opts: SdpOptions, newton: Callable[[], tuple | None]) -> tuple[int, str]:
+    """The outer loop of both interior-point forms; returns (Newton steps, status).
+
+    ``newton`` takes one step and returns the trace-one X-side stack and the
+    S2 stack for the certificate, or None once the numbers have broken down.
+    """
+    best_gap, since_best = math.inf, 0
+    for it in range(1, opts.max_iters + 1):
+        try:
+            point = newton()
+        except np.linalg.LinAlgError:
+            point = None
+        if point is None:
+            return it, "infeasible_numerics"
+        stop = bounds.update(*point)
+        if stop is not None:
+            return it, stop
+        if bounds.ub - bounds.lb < best_gap:
+            best_gap, since_best = bounds.ub - bounds.lb, 0
+        else:
+            since_best += 1
+            if since_best >= STALL_STEPS:
+                return it, "infeasible_numerics"
+    return opts.max_iters, "max_iters"
+
+
 def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str]:
     """Primal-dual path following: HKM direction with Mehrotra's predictor-corrector.
 
@@ -512,8 +561,6 @@ def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
     Returns (Newton steps, status).
     """
     nb, s = st.nb, st.s  # PT maps the nb blocks of X onto as many blocks of W
-    # PT(P_b) = sum_c pt_map[c, b] Q_c gives the multiplicities Tr Q_c
-    mult = np.concatenate([st.block_mult, np.rint(np.linalg.solve(st.form.pt_map.T, st.block_mult))])
     # coefficient of PT X1_b PT* in block (c, d) of the Schur operator
     mix = np.einsum("cb,bd->cdb", st.form.pt_map, st.form.pt_inverse)
     units, mirror, once, x_reads, w_reads = _schur_indices(nb, s, st.m, st.k)
@@ -532,77 +579,123 @@ def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
 
     def mean_gap(a: np.ndarray, b: np.ndarray) -> float:
         """<A, B> over both sides per unit of dense side: mu for A = (X, W), B = (S1, S2)."""
-        return float(mult @ np.sum(a * b, axis=(1, 2))) / (2.0 * st.n)
+        return float(st.mult @ np.sum(a * b, axis=(1, 2))) / (2.0 * st.n)
 
-    # (X, W, S1, S2): X = I/n, W = PT(X), S2 = I and S1 = C - y I - PT*(I) with lambda_min(S1) = 1
-    y = _min_eig(st.costs - pt_adj(eye[:nb])) - 1.0
-    state = np.concatenate([eye / st.n, st.costs - (y + 1.0) * eye[:nb], eye[:nb]])
-    best_gap, since_best = math.inf, 0
+    state = _start(st)
 
-    for it in range(1, opts.max_iters + 1):
+    def newton() -> tuple[np.ndarray, np.ndarray] | None:
+        nonlocal state
         z, dual, x = state[: 2 * nb], state[2 * nb :], state[:nb]
         mu = mean_gap(z, dual)
         r_trace = 1.0 - trace(x)
         if not math.isfinite(mu):
-            return it, "infeasible_numerics"
-        try:
-            # scale by the spectra: F = diag(w)^-1/2 V^T gives F Z F^T = I and F^T F = Z^-1
-            w, v = np.linalg.eigh(state)
-            if not w[:, 0].min() > 0.0:  # rounding has left an iterate on or outside its cone
-                return it, "infeasible_numerics"
-            factors = (v / np.sqrt(w)[:, None, :]).swapaxes(-1, -2)
-            dual_inv = factors[2 * nb :].swapaxes(-1, -2) @ factors[2 * nb :]
-            # Schur operator on dS2: K = X2 + PT X1 PT* with Xi(D) = sym(Zi D Si^-1),
-            # bordered by the trace row
-            schur = np.empty((size + 1, size + 1))
-            kmat = schur[:size, :size].reshape(nb, per_block, nb, per_block)
-            np.einsum("cdb,bij->cidj", mix, _hkm_ops(x, dual_inv[:nb], x_reads, once), out=kmat)
-            kmat[np.arange(nb), :, np.arange(nb), :] += _hkm_ops(z[nb:], dual_inv[nb:], w_reads, once)
-            u = _sym(x @ dual_inv[:nb])
-            flat = pt(u).ravel()
-            # border: dy in each equation, and the trace row <PT(u), dS2> over the W side
-            schur[:size, size] = flat[units].ravel()
-            schur[size, :size] = (mult[nb:, None] * (flat[units] + flat[mirror]) * once).ravel()
-            schur[size, size] = trace(u)
-            rhs = np.empty(size + 1)
+            return None
+        # scale by the spectra: F = diag(w)^-1/2 V^T gives F Z F^T = I and F^T F = Z^-1
+        w, v = np.linalg.eigh(state)
+        if not w[:, 0].min() > 0.0:  # rounding has left an iterate on or outside its cone
+            return None
+        factors = (v / np.sqrt(w)[:, None, :]).swapaxes(-1, -2)
+        dual_inv = factors[2 * nb :].swapaxes(-1, -2) @ factors[2 * nb :]
+        # Schur operator on dS2: K = X2 + PT X1 PT* with Xi(D) = sym(Zi D Si^-1),
+        # bordered by the trace row
+        schur = np.empty((size + 1, size + 1))
+        kmat = schur[:size, :size].reshape(nb, per_block, nb, per_block)
+        np.einsum("cdb,bij->cidj", mix, _hkm_ops(x, dual_inv[:nb], x_reads, once), out=kmat)
+        kmat[np.arange(nb), :, np.arange(nb), :] += _hkm_ops(z[nb:], dual_inv[nb:], w_reads, once)
+        u = _sym(x @ dual_inv[:nb])
+        flat = pt(u).ravel()
+        # border: dy in each equation, and the trace row <PT(u), dS2> over the W side
+        schur[:size, size] = flat[units].ravel()
+        schur[size, :size] = (st.mult[nb:, None] * (flat[units] + flat[mirror]) * once).ravel()
+        schur[size, size] = trace(u)
+        rhs = np.empty(size + 1)
 
-            def direction(target: np.ndarray) -> tuple[np.ndarray, float]:
-                """Newton step (dX, dW, dS1, dS2) that moves Z S by target, and dy."""
-                h = _sym(target @ dual_inv)
-                rhs[:size] = (h[nb:] - pt(h[:nb])).ravel()[units].ravel()
-                rhs[size] = r_trace - trace(h[:nb])
-                sol = np.linalg.solve(schur, rhs)
-                ds2 = np.empty_like(x)
-                ds2.ravel()[units] = ds2.ravel()[mirror] = sol[:size].reshape(nb, per_block)
-                dy = float(sol[size])
-                ds1 = -dy * eye[:nb] - pt_adj(ds2)
-                dx = h[:nb] - _sym(x @ ds1 @ dual_inv[:nb])
-                return np.concatenate([dx, pt(dx), ds1, ds2]), dy
+        def direction(target: np.ndarray) -> np.ndarray:
+            """Newton step (dX, dW, dS1, dS2) that moves Z S by target."""
+            h = _sym(target @ dual_inv)
+            rhs[:size] = (h[nb:] - pt(h[:nb])).ravel()[units].ravel()
+            rhs[size] = r_trace - trace(h[:nb])
+            sol = np.linalg.solve(schur, rhs)
+            ds2 = np.empty_like(x)
+            ds2.ravel()[units] = ds2.ravel()[mirror] = sol[:size].reshape(nb, per_block)
+            ds1 = -sol[size] * eye[:nb] - pt_adj(ds2)  # sol[size] is dy
+            dx = h[:nb] - _sym(x @ ds1 @ dual_inv[:nb])
+            return np.concatenate([dx, pt(dx), ds1, ds2])
 
-            def steps(d: np.ndarray) -> np.ndarray:
-                """Largest primal and dual steps <= 1 that stay in the cones, per block."""
-                lam = np.linalg.eigvalsh(factors @ d @ factors.swapaxes(-1, -2))[:, 0]
-                reach = np.where(lam >= -1.0, 1.0, -1.0 / np.minimum(lam, -1.0))
-                return np.repeat([reach[: 2 * nb].min(), reach[2 * nb :].min()], 2 * nb)
+        def steps(d: np.ndarray) -> np.ndarray:
+            """Largest primal and dual steps <= 1 that stay in the cones, per block."""
+            lam = np.linalg.eigvalsh(factors @ d @ factors.swapaxes(-1, -2))[:, 0]
+            reach = np.where(lam >= -1.0, 1.0, -1.0 / np.minimum(lam, -1.0))
+            return np.repeat([reach[: 2 * nb].min(), reach[2 * nb :].min()], 2 * nb)
 
-            d, dy = direction(-z @ dual)
-            a = steps(d)[:, None, None]
-            moved = state + a * d
-            sigma_mu = min(1.0, (mean_gap(moved[: 2 * nb], moved[2 * nb :]) / mu) ** 3) * mu
-            d, dy = direction(sigma_mu * eye - z @ dual - d[: 2 * nb] @ d[2 * nb :])
-            a = STEP_FRACTION * steps(d)
-        except np.linalg.LinAlgError:
-            return it, "infeasible_numerics"
-        state = _sym(state + a[:, None, None] * d)
-        y += a[-1] * dy  # the dual step
+        d = direction(-z @ dual)
+        moved = state + steps(d)[:, None, None] * d
+        sigma_mu = min(1.0, (mean_gap(moved[: 2 * nb], moved[2 * nb :]) / mu) ** 3) * mu
+        d = direction(sigma_mu * eye - z @ dual - d[: 2 * nb] @ d[2 * nb :])
+        state = _sym(state + STEP_FRACTION * steps(d)[:, None, None] * d)
+        return state[:nb] / trace(state[:nb]), state[3 * nb :]
 
-        stop = bounds.update(state[:nb] / trace(state[:nb]), state[3 * nb :])
-        if stop is not None:
-            return it, stop
-        if bounds.ub - bounds.lb < best_gap:
-            best_gap, since_best = bounds.ub - bounds.lb, 0
-        else:
-            since_best += 1
-            if since_best >= STALL_STEPS:
-                return it, "infeasible_numerics"
-    return opts.max_iters, "max_iters"
+    return _follow_path(bounds, opts, newton)
+
+
+def _scalar_interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str]:
+    """`_interior_point` on blocks of side 1, written on vectors.
+
+    With every block a number the problem is a linear program in nb
+    unknowns: X, W = pt_map x, S1 and S2 are vectors, the HKM scaling is an
+    entrywise division, the Schur operator on dS2 is the (nb + 1)-square
+    matrix pt_map diag(x / s1) pt_inverse + diag(w / s2) bordered by the
+    trace row, and a step length is the ratio test d / state.  The start, the
+    step fraction, the stall rule and the certificate are those of
+    `_interior_point`, whose iterates these are up to rounding.  Returns
+    (Newton steps, status).
+    """
+    nb = st.nb
+    pt_map, pt_inverse = st.form.pt_map, st.form.pt_inverse
+    x_mult, w_mult = st.mult[:nb], st.mult[nb:]
+    diagonal = np.arange(nb)
+    schur = np.empty((nb + 1, nb + 1))
+    rhs = np.empty(nb + 1)
+
+    def mean_gap(a: np.ndarray, b: np.ndarray) -> float:
+        return float(st.mult @ (a * b)) / (2.0 * st.n)
+
+    state = _start(st).ravel()  # (x, w, s1, s2)
+
+    def newton() -> tuple[np.ndarray, np.ndarray] | None:
+        nonlocal state
+        z, dual, x = state[: 2 * nb], state[2 * nb :], state[:nb]
+        mu = mean_gap(z, dual)
+        r_trace = 1.0 - float(x_mult @ x)
+        if not (math.isfinite(mu) and state.min() > 0.0):
+            return None
+        inv = 1.0 / dual
+        u = x * inv[:nb]
+        schur[:nb, :nb] = (pt_map * u) @ pt_inverse
+        schur[diagonal, diagonal] += z[nb:] * inv[nb:]
+        schur[:nb, nb] = pt_map @ u
+        schur[nb, :nb] = w_mult * schur[:nb, nb]
+        schur[nb, nb] = x_mult @ u
+
+        def direction(target: np.ndarray) -> np.ndarray:
+            h = target * inv
+            rhs[:nb] = h[nb:] - pt_map @ h[:nb]
+            rhs[nb] = r_trace - x_mult @ h[:nb]
+            sol = np.linalg.solve(schur, rhs)  # (dS2, dy)
+            ds1 = -sol[nb] - pt_inverse @ sol[:nb]
+            dx = h[:nb] - u * ds1
+            return np.concatenate([dx, pt_map @ dx, ds1, sol[:nb]])
+
+        def steps(d: np.ndarray) -> np.ndarray:
+            reach = -1.0 / np.minimum(d / state, -1.0)
+            return np.repeat([reach[: 2 * nb].min(), reach[2 * nb :].min()], 2 * nb)
+
+        d = direction(-z * dual)
+        moved = state + steps(d) * d
+        sigma_mu = min(1.0, (mean_gap(moved[: 2 * nb], moved[2 * nb :]) / mu) ** 3) * mu
+        d = direction(sigma_mu - z * dual - d[: 2 * nb] * d[2 * nb :])
+        state = state + STEP_FRACTION * steps(d) * d
+        x = state[:nb]
+        return (x / (x_mult @ x))[:, None, None], state[3 * nb :, None, None]
+
+    return _follow_path(bounds, opts, newton)

@@ -86,6 +86,28 @@ def test_sweep_2d_grid(tmp_path, capsys):
     assert len(lines) - 1 == 11 * 5
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--pmin", "0.5", "--pmax", "0.6", "--q", "0.3"),
+        ("--pmin", "0.5"),
+        ("--pmax", "0.6"),
+        ("--steps", "3"),
+        ("--q", "0.3"),
+    ],
+    ids=" ".join,
+)
+def test_sweep_2d_grid_rejects_line_flags(capsys, flags):
+    # a 2-D sweep spans [0, 1] x [0, 1]; a 1-D grid or weight given with it would be ignored
+    code, out, err = run_cli(
+        capsys,
+        "sweep", "--family", "hirsch2", "--property", "hn", "--p-grid", "3", "--q-grid", "2", *flags,
+    )
+    assert code == 2
+    assert out == ""
+    assert all(flag in err for flag in flags[::2])
+
+
 def test_sweep_usage_errors(capsys):
     code, _, err = run_cli(
         capsys,
@@ -176,10 +198,12 @@ def test_table_werner_csv_has_x_marker(capsys):
 
 
 # sha256 of the JSON tables as printed before the activation costs became scalar
-# blocks; a change of representation that moves a threshold shows up here
+# blocks (the same bytes since); a change of representation or of solver loop
+# that moves a threshold shows up here
 _TABLE_SHA256 = {
     ("--family", "wi"): "a987284a6e490cdcfb06a9c94410fe7d29fb8526df2652036844b3fddef20047",
     ("--family", "werner", "--dmax", "3"): "42e15ef4a0d486053d4a5cfb0dd15b1c409d5e2a56dfb845ef300d25547ed679",
+    ("--family", "isotropic", "--dmax", "3"): "83e81a011eeb24dfe309ef75dff9c9170688632bf17e01c36a27332b7786c3b4",
 }
 
 

@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 
 from nlact import sdp
-from nlact.activation import ACTIVATION_TOL, bisection_options, build_cost
+from nlact.activation import ACTIVATION_TOL, DEFAULT_OPTIONS, bisection_options, build_cost
 from nlact.linalg import DensityMatrix, min_eig
 from nlact.rand import random_density
-from nlact.sdp import SdpOptions, SdpProblem, _solve, _splitting, solve
-from nlact.states import hirsch_state, projector, psi_minus
+from nlact.sdp import SdpOptions, SdpProblem, _interior_point, _solve, _splitting, solve
+from nlact.states import (
+    hirsch_state,
+    isotropic_state,
+    projector,
+    psi_minus,
+    werner_p_range,
+    werner_state,
+    wi_state,
+)
 
 TIGHT = SdpOptions(tol_objective=1e-10)
 CERTIFIED = ("converged", "decided")
@@ -108,19 +116,46 @@ def test_solve_complex_hermitian_cost():
 
 
 def test_solve_routes_by_side_and_field(monkeypatch, rng):
-    # the interior-point loop takes real costs of side <= 16, the splitting loop the rest
+    # real costs take the scalar loop when every block has side 1 and the
+    # interior-point loop up to side 16; the splitting loop takes the rest
     taken = []
 
     def recorder(name):
         loop = getattr(sdp, name)
         return lambda *args: taken.append(name) or loop(*args)
 
-    for name in ("_interior_point", "_splitting"):
+    for name in ("_scalar_interior_point", "_interior_point", "_splitting"):
         monkeypatch.setattr(sdp, name, recorder(name))
     cost = _random_hermitian(4, rng)
     for c, dims in ((cost.real, (2, 2)), (cost, (2, 2)), (np.diag(np.arange(36.0)), (6, 6))):
         solve(SdpProblem.from_cost(c, dims=dims, t1_split=1))
-    assert taken == ["_interior_point", "_splitting", "_splitting"]
+    solve(build_cost(werner_state(3, 0.6)))  # eight scalar blocks
+    assert taken == ["_interior_point", "_splitting", "_splitting", "_scalar_interior_point"]
+
+
+# p_TLF of each twirled row as `nlact table` prints it; the grid below straddles each by 0.002
+_TABLE_TLF = {
+    ("wi", 2): 0.656661,
+    **{("werner", d): p for d, p in zip(range(2, 7), (0.656661, 0.636102, 0.624589, 0.617188, 0.612253))},
+    **{("isotropic", d): p for d, p in zip(range(2, 7), (0.656661, 0.560444, 0.488898, 0.433799, 0.389391))},
+}
+
+
+@pytest.mark.parametrize("family,d", list(_TABLE_TLF), ids=str)
+def test_scalar_loop_matches_interior_point(family, d):
+    # the scalar loop takes the general loop's Newton steps on eight scalar blocks, up to rounding
+    lo, hi = werner_p_range(d) if family == "werner" else (0.0, 1.0)
+    p_tlf = _TABLE_TLF[family, d]
+    grid = [*np.linspace(lo, hi, 9), p_tlf - 0.002, p_tlf + 0.002]
+    for p in grid:
+        tau = wi_state(p) if family == "wi" else (werner_state if family == "werner" else isotropic_state)(d, p)
+        for options in (DEFAULT_OPTIONS, bisection_options()):
+            problem = build_cost(tau, options)
+            assert problem.blocks.costs.shape == (8, 1, 1)
+            scalar, general = solve(problem), _solve(problem, _interior_point)
+            assert (scalar.status, scalar.iterations) == (general.status, general.iterations), p
+            assert abs(scalar.objective - general.objective) <= 1e-12, p
+            assert abs(scalar.objective_lb - general.objective_lb) <= 1e-12, p
 
 
 def test_problem_validation(rng):
