@@ -1,7 +1,9 @@
 """Command-line interface: parameter sweeps, threshold tables, the fixed-ancilla
 check, and the superactivation copy-count map.
 
-All numeric output uses 12 significant digits with LF line endings, and
+CSV and text output print numbers with 12 significant digits; JSON output
+prints each float as its shortest round-trip repr (``json.dumps``), so a
+last-bit change in a value shows there.  Output uses LF line endings, and
 files are written atomically (temp file plus rename), so identical
 configurations produce byte-identical artifacts.  Exit codes: 0 success,
 1 check failed, 2 usage error, 3 I/O error.

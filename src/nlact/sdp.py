@@ -321,8 +321,15 @@ class _Stack:
         return self.block_mult @ np.trace(mats, axis1=1, axis2=2)
 
 
+def _lowest(mats: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue of each block of a stack; a block of side 1 is its own."""
+    if mats.shape[-1] == 1:
+        return mats[:, 0, 0].real
+    return np.linalg.eigvalsh(mats)[:, 0]
+
+
 def _min_eig(mats: np.ndarray) -> float:
-    return float(np.min(np.linalg.eigvalsh(mats)[:, 0]))
+    return float(np.min(_lowest(mats)))
 
 
 class _Bounds:
@@ -346,7 +353,7 @@ class _Bounds:
         """
         st = self.stack
         mats = np.concatenate([st.costs - st.pt(s2, st.form.pt_inverse), st.pt(x, st.form.pt_map)])
-        low = np.linalg.eigvalsh(mats)[:, 0]
+        low = _lowest(mats)
         lb = float(low[: st.nb].min())
         slack = max(0.0, -float(low[st.nb :].min()))
         gamma = slack * st.n / (1.0 + slack * st.n)

@@ -5,9 +5,13 @@ violated, filter-violated, teleportation-useful, activation certified,
 CGLMP violated) rather than by root-finding on the values, which are
 non-smooth at onset.  One routing rule, ``evaluator``, maps a (family, d,
 property) triple to its evaluator or rejects it; every entry point applies
-it before evaluating any point.  SDP-backed points get a coarse pre-scan to
-bracket and one solve each under the caller's options; points whose solve
-certifies nothing are recorded as missing instead of aborting a sweep.
+it before evaluating any point.  A table entry brackets its onset by
+bisecting the indices of a coarse grid (the prescan), then bisects the
+bracket; both assume a monotone indicator, and a point whose solve
+certifies nothing (indicator None) counts as off there.  SDP-backed points
+get one solve each under the caller's options; in a sampled curve a point
+whose solve certifies nothing is recorded as missing instead of aborting
+the sweep.
 """
 
 from __future__ import annotations
@@ -261,22 +265,38 @@ def find_threshold(
 def prescan_bracket(
     spec: FamilySpec, prop: str, sdp_options: SdpOptions | None = None
 ) -> tuple[float, float] | None:
-    """Coarse scan over the family's default range; None when true at every p > 0."""
+    """The last off and first on point of a coarse grid over the family's default range.
+
+    Bisects the indices of a ``PRESCAN_POINTS`` grid, which assumes a
+    monotone indicator, as `find_threshold` does: about log2 of the grid's
+    size evaluations instead of one per point up to the onset.  A point
+    whose evaluation raises ``ValueError`` is indeterminate and leaves the
+    grid; an uncertified point (indicator None) counts as off.  Returns
+    None when the indicator is on at the first determinate point, i.e. at
+    every p > 0; ValueError when it is on at none.
+    """
     evaluator(spec, prop)
     lo, hi = spec.p_range()
     lo = max(lo, 0.0)  # sweeps default to [0, 1] even where the family allows p < 0
-    last_false: float | None = None
-    for p in np.linspace(lo, hi, PRESCAN_POINTS):
+    grid = [float(p) for p in np.linspace(lo, hi, PRESCAN_POINTS)]
+    off, on = -1, len(grid)  # last index known off, first known on; past the ends if none
+    while on - off > 1:
+        mid = (off + on) // 2
         try:
-            ind = evaluate_point(spec, prop, float(p), sdp_options, bisect=True).indicator
+            ind = evaluate_point(spec, prop, grid[mid], sdp_options, bisect=True).indicator
         except ValueError:
-            continue  # indeterminate point
+            del grid[mid]  # indeterminate point: the indices above it shift down
+            on -= 1
+            continue
         if ind:
-            if last_false is None:
-                return None  # on at the first determinate point: onset at the origin
-            return (last_false, float(p))
-        last_false = float(p)
-    raise ValueError(f"indicator for {spec.family}/{prop} never turns on in [{lo}, {hi}]")
+            on = mid
+        else:
+            off = mid
+    if on == len(grid):
+        raise ValueError(f"indicator for {spec.family}/{prop} never turns on in [{lo}, {hi}]")
+    if off < 0:
+        return None  # on at the first determinate point: onset at the origin
+    return (grid[off], grid[on])
 
 
 # column -> property of each table's computed columns, in output order

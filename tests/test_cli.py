@@ -204,6 +204,7 @@ _TABLE_SHA256 = {
     ("--family", "wi"): "a987284a6e490cdcfb06a9c94410fe7d29fb8526df2652036844b3fddef20047",
     ("--family", "werner", "--dmax", "3"): "42e15ef4a0d486053d4a5cfb0dd15b1c409d5e2a56dfb845ef300d25547ed679",
     ("--family", "isotropic", "--dmax", "3"): "83e81a011eeb24dfe309ef75dff9c9170688632bf17e01c36a27332b7786c3b4",
+    ("--family", "hirsch1"): "a700d0f05e6e07c43f200fd9e02c1dea196e1d4c6680a80100de8aed60c57cbd",
 }
 
 

@@ -158,6 +158,22 @@ def test_scalar_loop_matches_interior_point(family, d):
             assert abs(scalar.objective_lb - general.objective_lb) <= 1e-12, p
 
 
+def test_side_one_lowest_eigenvalues_are_the_entries(monkeypatch, rng):
+    # a block of side 1 is its own eigenvalue: reading it gives eigvalsh's bits
+    values = np.exp(rng.uniform(-30.0, 30.0, 16)) * rng.choice([-1.0, 1.0], 16)
+    for mats in (values[:, None, None], (values + 0j)[:, None, None]):
+        assert np.array_equal(sdp._lowest(mats), np.linalg.eigvalsh(mats)[:, 0])
+    # so a scalar solve certifies the same bounds as one whose certificate runs eigvalsh
+    problems = [build_cost(werner_state(3, p), DEFAULT_OPTIONS) for p in (0.3, 0.636102, 0.9)]
+    fast = [solve(problem) for problem in problems]
+    monkeypatch.setattr(sdp, "_lowest", lambda mats: np.linalg.eigvalsh(mats)[:, 0])
+    for problem, ref in zip(problems, fast):
+        sol = solve(problem)
+        assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
+        assert (sol.objective, sol.objective_lb) == (ref.objective, ref.objective_lb)
+        assert sol.residuals == ref.residuals
+
+
 def test_problem_validation(rng):
     with pytest.raises(ValueError, match="Hermitian"):
         SdpProblem.from_cost(np.array([[0.0, 1.0], [0.0, 0.0]]), dims=(2,), t1_split=1)

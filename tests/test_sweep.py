@@ -149,6 +149,79 @@ def test_prescan_never_on_raises():
         prescan_bracket(FamilySpec("werner", d=2), "cglmp")
 
 
+def _linear_scan(grid, indicator):
+    """The reference prescan: walk the grid up to the first point that is on."""
+    last_off = None
+    for p in grid:
+        try:
+            on = indicator(p)
+        except ValueError:
+            continue
+        if on:
+            return None if last_off is None else (last_off, p)
+        last_off = p
+    return "never turns on"
+
+
+@pytest.mark.parametrize("raising", ["none", "first", "onset", "below", "all three"])
+@pytest.mark.parametrize("uncertified_below", [False, True])
+def test_prescan_bisection_equals_linear_scan(monkeypatch, raising, uncertified_below):
+    # a step indicator with its onset at every grid index, or never on; some
+    # points raise (indeterminate), and the point below the onset may be
+    # uncertified (indicator None), which counts as off
+    grid = [float(p) for p in np.linspace(0.0, 1.0, sweep.PRESCAN_POINTS)]
+    for first_on in range(len(grid) + 1):
+        raises = {
+            "none": set(),
+            "first": {0},
+            "onset": {first_on},
+            "below": {first_on - 1},
+            "all three": {0, first_on - 1, first_on},
+        }[raising]
+
+        def indicator(p):
+            i = grid.index(p)
+            if i in raises:
+                raise ValueError("indeterminate point")
+            if uncertified_below and i == first_on - 1:
+                return None
+            return i >= first_on
+
+        calls = []
+
+        def fake_point(spec, prop, p, sdp_options=None, bisect=False):
+            assert bisect
+            calls.append(p)
+            return sweep.PointResult(None, indicator(p))
+
+        monkeypatch.setattr(sweep, "evaluate_point", fake_point)
+        expected = _linear_scan(grid, indicator)
+        if expected == "never turns on":
+            with pytest.raises(ValueError, match="never turns on"):
+                prescan_bracket(WI, "chsh")
+        else:
+            assert prescan_bracket(WI, "chsh") == expected, first_on
+        if raising == "none":
+            assert len(calls) <= 5, first_on  # ceil(log2(PRESCAN_POINTS + 1))
+
+
+# evaluate_point calls of each table; the prescan bisects its 20-point grid
+_TABLE_EVALUATIONS = {("wi", 6): 67, ("werner", 6): 156, ("isotropic", 6): 214}
+
+
+@pytest.mark.parametrize("family,d_max", list(_TABLE_EVALUATIONS), ids=str)
+def test_build_table_evaluation_budget(monkeypatch, family, d_max):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evaluate_point(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "evaluate_point", counted)
+    build_table(family, d_max=d_max)
+    assert len(calls) <= _TABLE_EVALUATIONS[family, d_max]
+
+
 def test_build_table_isotropic_small():
     table = build_table("isotropic", d_max=3)
     assert table["family"] == "isotropic"
