@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import DensityMatrix, kron, permute_mat
 from .sdp import BlockForm, SdpOptions, SdpProblem, SdpSolution, solve
-from .states import PAULI, h_theta, max_entangled, projector
+from .states import PAULI, TwirledState, h_theta, projector, twirl_projectors
 
 ACTIVATION_TOL = 1e-6
 # solver options of every activation solve that is given none
@@ -28,15 +28,6 @@ H_ANGLE = math.pi / 4.0
 # canonical variable order [A_d, A_q, B_d, B_q] from the natural cost order
 # [A_d, B_d, A_q, B_q]; the permutation is its own inverse
 _COST_PERM = (0, 2, 1, 3)
-
-# Largest entrywise distance of tau^T from its projection onto a twirl
-# algebra at which the block form is still used.  The blocks solve the
-# projected cost C', and for every state X
-# |<C - C', X>| <= ||C - C'||_op <= d^2 * 1e-12 * ||H||_op < 2e-10
-# (d^2 <= 64 under MAX_SIDE, ||H||_op = 1 + sqrt 2); lambda_min(C - PT(S2))
-# moves by no more.  So ub and lb stay certified for the true cost to
-# within 2e-10, far below ACTIVATION_TOL and the gap tolerance of DEFAULT_OPTIONS.
-TWIRL_FIT_TOL = 1e-12
 
 # The Bell projectors on [A_q, B_q], in the order (Phi+, Phi-, Psi+, Psi-).  The
 # partial transpose over A_q maps Bell-diagonal operators onto Bell-diagonal
@@ -79,42 +70,24 @@ def bisection_options() -> SdpOptions:
     return replace(DEFAULT_OPTIONS, objective_cut=-ACTIVATION_TOL)
 
 
-@lru_cache(maxsize=None)
-def _twirl_algebras(d: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """(projectors, pt_map, pt_inverse) of the U x U and the U x conj(U) invariant algebras.
-
-    Werner: {P_sym, P_anti} with multiplicities d(d+1)/2, d(d-1)/2, whose
-    partial transposes over A_d lie in {1 - Phi, Phi}.  Isotropic: {1 - Phi,
-    Phi} with multiplicities d^2 - 1, 1, mapped back the other way.
-    """
-    swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
-    p_sym = 0.5 * (np.eye(d * d) + swap)
-    phi = projector(max_entangled(d)).real
-    werner = np.array([p_sym, np.eye(d * d) - p_sym])
-    isotropic = np.array([np.eye(d * d) - phi, phi])
-    to_isotropic = np.array([[0.5, 0.5], [(d + 1) / 2, -(d - 1) / 2]])
-    to_werner = np.array([[1 - 1 / d, 1 / d], [1 + 1 / d, -1 / d]])
-    return (werner, to_isotropic, to_werner), (isotropic, to_werner, to_isotropic)
-
-
-def _block_form(tau_t: np.ndarray, d: int) -> BlockForm | None:
-    """The twirled block form of the cost tau_t x H_{pi/4}, or None if tau_t is not twirl-invariant.
+def _twirled_form(tau: TwirledState) -> BlockForm:
+    """The cost tau^T x H_{pi/4} of tau = sum_b c_b P_b: eight scalar blocks c_b h_k on P_b x B_k.
 
     The U x U (or U x conj(U)) twirl on [A_d, B_d] composes with the ancilla's
-    Bell basis on [A_q, B_q] (see `_bell_form`): tau_t = sum_b c_b P_b gives
-    eight scalar blocks c_b h_k on P_b x B_k, whatever d is.
+    Bell basis on [A_q, B_q] (see `_bell_form`), whatever d is.  Every P_b is
+    real symmetric, so tau^T has tau's coefficients.  The partial transpose
+    over A_d maps span{P_sym, P_anti} onto span{1 - Phi, Phi} and back.
     """
-    for projectors, pt_map, pt_inverse in _twirl_algebras(d):
-        coeffs = np.einsum("bij,ji->b", projectors, tau_t) / np.trace(projectors, axis1=1, axis2=2)
-        fit = np.einsum("b,bij->ij", coeffs, projectors)
-        if np.max(np.abs(tau_t - fit)) <= TWIRL_FIT_TOL:
-            return BlockForm(
-                costs=np.multiply.outer(coeffs.real, _BELL_H).reshape(-1, 1, 1),
-                factors=((projectors, (0, 2)), (_BELL, (1, 3))),
-                pt_map=np.kron(pt_map, _BELL_PT),
-                pt_inverse=np.kron(pt_inverse, _BELL_PT),
-            )
-    return None
+    d = tau.dims[0]
+    to_isotropic = np.array([[0.5, 0.5], [(d + 1) / 2, -(d - 1) / 2]])
+    to_werner = np.array([[1 - 1 / d, 1 / d], [1 + 1 / d, -1 / d]])
+    pt_map, pt_inverse = (to_isotropic, to_werner) if tau.algebra == "werner" else (to_werner, to_isotropic)
+    return BlockForm(
+        costs=np.multiply.outer(tau.coeffs, _BELL_H).reshape(-1, 1, 1),
+        factors=((twirl_projectors(tau.algebra, d), (0, 2)), (_BELL, (1, 3))),
+        pt_map=np.kron(pt_map, _BELL_PT),
+        pt_inverse=np.kron(pt_inverse, _BELL_PT),
+    )
 
 
 def _bell_form(tau_t: np.ndarray) -> BlockForm:
@@ -151,19 +124,15 @@ def build_cost(tau: DensityMatrix, options: SdpOptions | None = None) -> SdpProb
     """Assemble the SDP for tau: cost tau^T x H_{pi/4} in canonical subsystem order.
 
     The problem is a block form; its dense cost is derived from the blocks
-    only when ``cost`` is read.  When tau^T is Werner- or isotropic-invariant
-    (it lies in span{P_sym, P_anti} or span{Phi, 1 - Phi}), the form is the
-    twirled one: eight scalar blocks whatever d is.  Every other input
-    (Hirsch, random states) gets the ancilla's Bell form: four blocks of side
-    d_A d_B on [A_d, B_d].
+    only when ``cost`` is read.  A `TwirledState` (Werner, isotropic, wi)
+    gets the twirled form from its declared coefficients: eight scalar
+    blocks whatever d is.  Every other input (Hirsch, random states, a plain
+    copy of a twirled matrix) gets the ancilla's Bell form: four blocks of
+    side d_A d_B on [A_d, B_d].
     """
-    dims = _cost_dims(tau)
-    da, db = tau.dims
-    tau_t = tau.mat.T
-    twirled = _block_form(tau_t, da) if da == db else None
     return SdpProblem(
-        blocks=twirled or _bell_form(tau_t),
-        dims=dims,
+        blocks=_twirled_form(tau) if isinstance(tau, TwirledState) else _bell_form(tau.mat.T),
+        dims=_cost_dims(tau),
         t1_split=2,
         options=options or DEFAULT_OPTIONS,
     )

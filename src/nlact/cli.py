@@ -26,7 +26,7 @@ from .linalg import PSD_TOL, min_eig, partial_transpose_mat
 from .measures import k_factor
 from .sdp import SdpOptions
 from .states import FAMILIES, FamilySpec, wi_state
-from .sweep import PROPERTIES, build_table, sample_curve
+from .sweep import PROPERTIES, TABLE_FAMILIES, build_table, sample_curve
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -79,7 +79,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("--pmin must be below --pmax")
     if steps < 2:
         raise ValueError("--steps must be at least 2")
-    spec = FamilySpec(family=args.family, d=args.d if args.family in ("werner", "isotropic") else 2, q=q)
+    spec = FamilySpec(family=args.family, d=args.d, q=q)
     grid = np.linspace(pmin, pmax, steps)
     curve = sample_curve(spec, args.property, grid, _sdp_options(args))
 
@@ -110,15 +110,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _sweep_grid2d(args: argparse.Namespace) -> int:
     if args.family != "hirsch2":
         raise ValueError("--p-grid/--q-grid sweeps are for the two-parameter hirsch2 family")
-    np_pts = args.p_grid or 41
-    nq_pts = args.q_grid or 41
+    np_pts = 41 if args.p_grid is None else args.p_grid
+    nq_pts = 41 if args.q_grid is None else args.q_grid
     if np_pts < 2 or nq_pts < 2:
         raise ValueError("grid sizes must be at least 2")
     sdp_options = _sdp_options(args)
     buf = io.StringIO()
     buf.write("p,q,value\n")
     for q in np.linspace(0.0, 1.0, nq_pts):
-        spec = FamilySpec(family="hirsch2", d=2, q=float(q))
+        spec = FamilySpec(family="hirsch2", d=args.d, q=float(q))
         curve = sample_curve(spec, args.property, np.linspace(0.0, 1.0, np_pts), sdp_options)
         for i, p in enumerate(curve.grid):
             value = curve.values[i]
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_table = sub.add_parser("table", help="reproduce one family's threshold table")
-    p_table.add_argument("--family", required=True, choices=("wi", "werner", "isotropic", "hirsch1"))
+    p_table.add_argument("--family", required=True, choices=TABLE_FAMILIES)
     p_table.add_argument("--dmax", type=int, default=6)
     p_table.add_argument("--format", choices=("csv", "json"), default="json")
     add_common(p_table)

@@ -2,12 +2,15 @@
 
 Computational basis order is |00>, |01>, |10>, |11> for two qubits, and
 ``psi_minus`` is (|01> - |10>)/sqrt(2).  All constructors return validated
-``DensityMatrix`` values (or plain vectors for pure states).
+``DensityMatrix`` values (or plain vectors for pure states); the Werner,
+isotropic and wi states are `TwirledState` values that carry their exact
+twirl decomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,11 +32,13 @@ __all__ = [
     "SIGMA_Z",
     "FAMILIES",
     "FamilySpec",
+    "TwirledState",
     "basis_ket",
     "psi_minus",
     "max_entangled",
     "magic_basis",
     "projector",
+    "twirl_projectors",
     "wi_state",
     "werner_state",
     "werner_p_range",
@@ -62,20 +67,15 @@ def ket0_projector() -> np.ndarray:
 
 def psi_minus() -> np.ndarray:
     """The singlet vector (|01> - |10>)/sqrt(2)."""
-    v = np.zeros(4, dtype=complex)
-    v[1] = 1.0 / np.sqrt(2.0)
-    v[2] = -1.0 / np.sqrt(2.0)
-    return v
+    s = 1.0 / np.sqrt(2.0)
+    return np.array([0.0, s, -s, 0.0], dtype=complex)
 
 
 def max_entangled(d: int) -> np.ndarray:
     """Canonical maximally entangled vector (1/sqrt(d)) sum_i |ii>."""
     if d < 2:
         raise ValueError("d must be >= 2")
-    v = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        v[i * d + i] = 1.0 / np.sqrt(d)
-    return v
+    return np.eye(d, dtype=complex).ravel() / np.sqrt(d)
 
 
 def magic_basis() -> list[np.ndarray]:
@@ -94,12 +94,42 @@ def magic_basis() -> list[np.ndarray]:
     return out
 
 
-def wi_state(p: float) -> DensityMatrix:
-    """Two-qubit Werner state p |psi-><psi-| + (1-p)/4 * I."""
+@lru_cache(maxsize=None)
+def twirl_projectors(algebra: str, d: int) -> np.ndarray:
+    """Read-only, real symmetric (P_sym, P_anti) of "werner" (U x U) or (1 - Phi, Phi) of "isotropic" (U x conj(U))."""
+    eye = np.eye(d * d)
+    if algebra == "werner":
+        last = 0.5 * (eye - eye.reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d))
+    elif algebra == "isotropic":
+        last = projector(max_entangled(d)).real
+    else:
+        raise ValueError(f"unknown twirl algebra {algebra!r}")
+    projectors = np.array([eye - last, last])
+    projectors.flags.writeable = False
+    return projectors
+
+
+@dataclass(eq=False, init=False)
+class TwirledState(DensityMatrix):
+    """The twirl-invariant state whose ``mat`` is sum_b coeffs[b] twirl_projectors(algebra, d)[b].
+
+    Werner, isotropic and wi states carry this exact decomposition (Vollbrecht
+    & Werner, PRA 64, 062307, 2001); it holds no matrix but ``mat``.
+    """
+
+    algebra: str
+    coeffs: tuple[float, float]
+
+    def __init__(self, algebra: str, d: int, coeffs: tuple[float, float]) -> None:
+        self.algebra, self.coeffs = algebra, coeffs
+        super().__init__(np.einsum("b,bij->ij", coeffs, twirl_projectors(algebra, d)), (d, d))
+
+
+def wi_state(p: float) -> TwirledState:
+    """Two-qubit Werner state p |psi-><psi-| + (1-p)/4 * I: the Werner state at d = 2."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"wi state requires 0 <= p <= 1, got {p}")
-    mat = p * projector(psi_minus()) + (1.0 - p) / 4.0 * np.eye(4)
-    return DensityMatrix(mat, (2, 2))
+    return werner_state(2, p)
 
 
 def werner_p_range(d: int) -> tuple[float, float]:
@@ -107,30 +137,23 @@ def werner_p_range(d: int) -> tuple[float, float]:
     return 1.0 - 2.0 * d / (d + 1.0), 1.0
 
 
-def werner_state(d: int, p: float) -> DensityMatrix:
+def werner_state(d: int, p: float) -> TwirledState:
     """Two-qudit Werner state (2p/(d(d-1))) P_anti + (1-p)/d^2 * I."""
     if d < 2:
         raise ValueError("d must be >= 2")
     lo, hi = werner_p_range(d)
     if not lo - 1e-12 <= p <= hi + 1e-12:
         raise ValueError(f"werner d={d} requires {lo} <= p <= {hi}, got {p}")
-    swap = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            swap[i * d + j, j * d + i] = 1.0
-    p_anti = 0.5 * (np.eye(d * d) - swap)
-    mat = (2.0 * p / (d * (d - 1))) * p_anti + (1.0 - p) / d**2 * np.eye(d * d)
-    return DensityMatrix(mat, (d, d))
+    w = (1.0 - p) / d**2
+    return TwirledState("werner", d, (w, w + 2.0 * p / (d * (d - 1))))
 
 
-def isotropic_state(d: int, p: float) -> DensityMatrix:
-    """Isotropic state p |psi_d><psi_d| + (1-p)/d^2 * I."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
+def isotropic_state(d: int, p: float) -> TwirledState:
+    """Isotropic state p |psi_d><psi_d| + (1-p)/d^2 * I (d >= 2, checked by `max_entangled`)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"isotropic state requires 0 <= p <= 1, got {p}")
-    mat = p * projector(max_entangled(d)) + (1.0 - p) / d**2 * np.eye(d * d)
-    return DensityMatrix(mat, (d, d))
+    w = (1.0 - p) / d**2
+    return TwirledState("isotropic", d, (w, w + p))
 
 
 def hirsch_state(p: float, q: float = 1.0) -> DensityMatrix:
@@ -161,7 +184,8 @@ class FamilySpec:
     """A one-parameter slice of a state family; ``state(p)`` builds the member at p.
 
     ``d`` applies to werner/isotropic, and the weight ``q`` in [0, 1] to
-    hirsch2 (hirsch1 is hirsch2 pinned at q=1).
+    hirsch2 (hirsch1 is hirsch2 pinned at q=1); the other families reject
+    d != 2 and q != 1 respectively.
     """
 
     family: str
@@ -177,6 +201,8 @@ class FamilySpec:
             raise ValueError("d must be >= 2")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must lie in [0, 1], got {self.q}")
+        if self.family != "hirsch2" and self.q != 1.0:
+            raise ValueError(f"q applies to hirsch2 only, got q={self.q} for {self.family}")
 
     def state(self, p: float) -> DensityMatrix:
         if self.family == "wi":
@@ -185,9 +211,7 @@ class FamilySpec:
             return werner_state(self.d, p)
         if self.family == "isotropic":
             return isotropic_state(self.d, p)
-        if self.family == "hirsch1":
-            return hirsch_state(p, 1.0)
-        return hirsch_state(p, self.q)
+        return hirsch_state(p, self.q)  # q = 1 for hirsch1
 
     def p_range(self) -> tuple[float, float]:
         if self.family == "werner":

@@ -16,6 +16,7 @@ the sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -44,6 +45,7 @@ __all__ = [
     "sample_curve",
     "find_threshold",
     "prescan_bracket",
+    "TABLE_FAMILIES",
     "build_table",
 ]
 
@@ -236,6 +238,8 @@ def find_threshold(
 ) -> ThresholdReport:
     """Bisect the indicator over a straddling bracket down to width tol."""
     tol = default_tolerance(prop) if tol is None else float(tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
@@ -306,6 +310,7 @@ _TABLE_COLUMNS = {
     "isotropic": {"p_E": "eof", "p_SA": "sa", "p_TLF": "tlf", "p_NL": "cglmp"},
     "hirsch1": {"p_E": "eof", "p_HN": "hn", "p_TLF": "tlf", "p_SA": "sa", "p_NL": "chsh"},
 }
+TABLE_FAMILIES = tuple(_TABLE_COLUMNS)
 
 
 def _computed_entry(spec: FamilySpec, prop: str, sdp_options: SdpOptions | None) -> dict:

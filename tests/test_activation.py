@@ -189,6 +189,9 @@ def test_block_form_multiplicities():
     isotropic = build_cost(isotropic_state(d, 0.6)).blocks
     assert isotropic.mult.tolist() == [d * d - 1] * 4 + [1] * 4
     assert np.allclose(isotropic.pt_map, werner.pt_inverse)
+    # the ends of the range stay in their family's algebra: 1/d^2 is also Werner-invariant
+    for d in (2, 3, 4):
+        assert build_cost(isotropic_state(d, 0.0)).blocks.mult.tolist() == [d * d - 1] * 4 + [1] * 4
     # the multiplicities are the traces of the dense projectors P_b x B_k
     form = build_cost(werner_state(3, 0.6)).blocks
     dims = (3, 2, 3, 2)
@@ -218,12 +221,39 @@ def test_non_invariant_inputs_get_bell_form(rng):
     perturbed = werner_state(3, 0.5).mat.copy()
     perturbed[0, 1] += 1e-9
     perturbed[1, 0] += 1e-9
-    for tau in (hirsch_state(0.3), random_density((2, 2), rng), DensityMatrix(perturbed, (3, 3))):
+    # a twirl-invariant matrix that does not declare its twirl is not searched for one
+    plain = DensityMatrix(werner_state(3, 0.5).mat, (3, 3))
+    for tau in (hirsch_state(0.3), random_density((2, 2), rng), DensityMatrix(perturbed, (3, 3)), plain):
         problem = build_cost(tau)
         side = tau.dims[0] * tau.dims[1]
         assert problem.blocks.costs.shape == (4, side, side)
         assert problem.blocks.mult.tolist() == [1, 1, 1, 1]
         assert np.max(np.abs(problem.cost - activation._dense_cost(tau))) < 1e-14
+
+
+def _assert_same_certificate(first, second):
+    """Two activation results certify the same indicator, with overlapping certified intervals."""
+    assert first.activated == second.activated
+    for result in (first, second):
+        assert result.witness.status in ("converged", "decided")
+    assert max(first.witness.objective_lb, second.witness.objective_lb) <= min(first.sigma, second.sigma)
+
+
+@pytest.mark.parametrize("family,d,p_tlf", [row for row in _TWIRLED if row[1] <= 3])
+@pytest.mark.parametrize("options", [bisection_options(), DEFAULT_OPTIONS], ids=["sign", "gap"])
+def test_declared_twirl_matches_bell_form(family, d, p_tlf, options):
+    # the Bell form of the same matrix is an oracle for the declared coefficients
+    for offset in (-0.02, -0.002, 0.002, 0.02):
+        tau = _twirled_state(family, d, p_tlf + offset)
+        _assert_same_certificate(sigma_min(tau, options), sigma_min(DensityMatrix(tau.mat, tau.dims), options))
+
+
+@pytest.mark.parametrize("options", [bisection_options(), DEFAULT_OPTIONS], ids=["sign", "gap"])
+def test_hirsch_at_q0_matches_wi(options):
+    # hirsch_state(p, 0) is the wi matrix; it takes the Bell form, wi the twirled one
+    for offset in (-0.02, -0.002, 0.002, 0.02):
+        p = 0.6569 + offset
+        _assert_same_certificate(sigma_min(hirsch_state(p, q=0.0), options), sigma_min(wi_state(p), options))
 
 
 def test_bell_pt_map():

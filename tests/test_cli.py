@@ -135,6 +135,25 @@ def test_sweep_unsupported_combination(capsys):
     assert "two-qubit" in err
 
 
+@pytest.mark.parametrize(
+    "args,match",
+    [
+        (("--family", "wi", "--d", "3", "--pmin", "0.2", "--pmax", "0.4", "--steps", "3"), "two-qubit"),
+        (("--family", "hirsch1", "--q", "0.2", "--pmin", "0.2", "--pmax", "0.4", "--steps", "2"), "hirsch2 only"),
+        (("--family", "hirsch2", "--p-grid", "3", "--q-grid", "2", "--d", "7"), "two-qubit"),
+        (("--family", "hirsch2", "--p-grid", "0", "--q-grid", "2"), "grid sizes must be at least 2"),
+        (("--family", "hirsch2", "--p-grid", "2", "--q-grid", "0"), "grid sizes must be at least 2"),
+    ],
+    ids=["wi-d3", "hirsch1-q", "hirsch2-d7", "p-grid-0", "q-grid-0"],
+)
+def test_sweep_rejects_ignored_family_arguments(capsys, args, match):
+    # --d and --q reach FamilySpec unchanged, and a grid size of 0 is not "unset"
+    code, out, err = run_cli(capsys, "sweep", *args, "--property", "eof")
+    assert code == 2
+    assert out == ""
+    assert match in err
+
+
 def test_sweep_rejects_q_outside_unit_interval(capsys):
     code, out, err = run_cli(
         capsys,

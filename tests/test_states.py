@@ -6,6 +6,7 @@ from nlact.rand import haar_unitary
 from nlact.states import (
     FamilySpec,
     SIGMA_Y,
+    TwirledState,
     h_theta,
     hirsch_state,
     isotropic_state,
@@ -13,6 +14,7 @@ from nlact.states import (
     max_entangled,
     projector,
     psi_minus,
+    twirl_projectors,
     werner_p_range,
     werner_state,
     wi_state,
@@ -196,3 +198,43 @@ def test_family_spec_validation():
         FamilySpec("bell")
     with pytest.raises(ValueError, match="two-qubit"):
         FamilySpec("wi", d=3)
+    for family in ("wi", "werner", "isotropic", "hirsch1"):
+        with pytest.raises(ValueError, match="hirsch2 only"):
+            FamilySpec(family, q=0.5)
+    FamilySpec("hirsch2", q=0.5)
+
+
+def test_twirl_projectors_match_their_definitions():
+    for d in (2, 3, 5):
+        eye = np.eye(d * d)
+        swap = np.array([[float(i % d == j // d and i // d == j % d) for j in range(d * d)] for i in range(d * d)])
+        phi = projector(max_entangled(d))
+        expected = {"werner": [(eye + swap) / 2, (eye - swap) / 2], "isotropic": [eye - phi, phi]}
+        for algebra, pair in expected.items():
+            projectors = twirl_projectors(algebra, d)
+            assert np.max(np.abs(projectors - np.array(pair))) <= 1e-15
+            assert not projectors.flags.writeable
+            assert twirl_projectors(algebra, d) is projectors  # cached
+    with pytest.raises(ValueError, match="algebra"):
+        twirl_projectors("pauli", 2)
+
+
+def test_twirled_states_declare_their_decomposition():
+    # the declared coefficients reproduce the defining formulas of each family
+    for d in (2, 3, 4):
+        swap_minus = twirl_projectors("werner", d)[1]
+        phi = projector(max_entangled(d))
+        lo, _ = werner_p_range(d)
+        for p in np.linspace(lo, 1.0, 7):
+            state = werner_state(d, float(p))
+            assert isinstance(state, TwirledState) and state.algebra == "werner"
+            direct = 2 * p / (d * (d - 1)) * swap_minus + (1 - p) / d**2 * np.eye(d * d)
+            assert np.max(np.abs(state.mat - direct)) <= 1e-15
+            assert np.array_equal(state.mat, np.einsum("b,bij->ij", state.coeffs, twirl_projectors("werner", d)))
+        for p in np.linspace(0.0, 1.0, 7):
+            state = isotropic_state(d, float(p))
+            assert state.algebra == "isotropic" and state.dims == (d, d)
+            assert np.max(np.abs(state.mat - (p * phi + (1 - p) / d**2 * np.eye(d * d)))) <= 1e-15
+    assert wi_state(0.3).coeffs == werner_state(2, 0.3).coeffs
+    with pytest.raises(ValueError, match="d must be"):
+        isotropic_state(1, 0.5)

@@ -84,6 +84,14 @@ def test_find_threshold_consistency_under_refinement():
     assert abs(coarse.threshold - fine.threshold) <= 5e-4
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
+def test_find_threshold_rejects_bad_tol(monkeypatch, tol):
+    # rejected before any point is evaluated; tol=0 would bisect forever
+    monkeypatch.setattr(sweep, "evaluate_point", lambda *args, **kwargs: pytest.fail("point evaluated"))
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        find_threshold(WI, "chsh", (0.6, 0.8), tol=tol)
+
+
 def test_find_threshold_requires_straddle():
     with pytest.raises(ValueError, match="does not straddle"):
         find_threshold(WI, "chsh", (0.8, 0.9))
