@@ -24,6 +24,12 @@ ACTIVATION_TOL = 1e-6
 # solver options of every activation solve that is given none
 DEFAULT_OPTIONS = SdpOptions(tol_objective=1e-7)
 H_ANGLE = math.pi / 4.0
+# rounding allowance of `lp_vertex`'s checks: the vertex's feasibility and its
+# value against the solve's certified bounds
+VERTEX_TOL = 1e-12
+# vertices of the twirled problems' polytope (40 at d = 2, 44 at every d >= 3):
+# a walk over vertices of strictly decreasing roots visits at most this many
+LP_VERTICES = 44
 
 # canonical variable order [A_d, A_q, B_d, B_q] from the natural cost order
 # [A_d, B_d, A_q, B_q]; the permutation is its own inverse
@@ -43,9 +49,13 @@ _BELL_H = 1.0 - math.cos(H_ANGLE) * np.array([1, -1, 1, -1]) - math.sin(H_ANGLE)
 __all__ = [
     "ACTIVATION_TOL",
     "DEFAULT_OPTIONS",
+    "LP_VERTICES",
+    "VERTEX_TOL",
     "ActivationResult",
+    "LpVertex",
     "bisection_options",
     "build_cost",
+    "lp_vertex",
     "sigma_min",
     "ancilla_R",
     "verify_ancilla",
@@ -56,7 +66,7 @@ __all__ = [
 class ActivationResult:
     sigma: float
     witness: SdpSolution
-    activated: bool
+    activated: bool | None
 
 
 def bisection_options() -> SdpOptions:
@@ -70,23 +80,41 @@ def bisection_options() -> SdpOptions:
     return replace(DEFAULT_OPTIONS, objective_cut=-ACTIVATION_TOL)
 
 
+@lru_cache(maxsize=None)
+def _twirled_pt(algebra: str, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (pt_map, pt_inverse) of the twirled form: they depend on the algebra and d only.
+
+    The partial transpose over A_d maps span{P_sym, P_anti} onto
+    span{1 - Phi, Phi} and back; over A_q it acts on the Bell factor.
+    """
+    to_isotropic = np.array([[0.5, 0.5], [(d + 1) / 2, -(d - 1) / 2]])
+    to_werner = np.array([[1 - 1 / d, 1 / d], [1 + 1 / d, -1 / d]])
+    maps = (to_isotropic, to_werner) if algebra == "werner" else (to_werner, to_isotropic)
+    out = tuple(np.kron(m, _BELL_PT) for m in maps)
+    for m in out:
+        m.flags.writeable = False
+    return out
+
+
+def _twirled_costs(tau: TwirledState) -> np.ndarray:
+    """The eight scalar costs c_b h_k of the twirled form, affine in the state's coefficients."""
+    return np.multiply.outer(tau.coeffs, _BELL_H).ravel()
+
+
 def _twirled_form(tau: TwirledState) -> BlockForm:
     """The cost tau^T x H_{pi/4} of tau = sum_b c_b P_b: eight scalar blocks c_b h_k on P_b x B_k.
 
     The U x U (or U x conj(U)) twirl on [A_d, B_d] composes with the ancilla's
     Bell basis on [A_q, B_q] (see `_bell_form`), whatever d is.  Every P_b is
-    real symmetric, so tau^T has tau's coefficients.  The partial transpose
-    over A_d maps span{P_sym, P_anti} onto span{1 - Phi, Phi} and back.
+    real symmetric, so tau^T has tau's coefficients.
     """
     d = tau.dims[0]
-    to_isotropic = np.array([[0.5, 0.5], [(d + 1) / 2, -(d - 1) / 2]])
-    to_werner = np.array([[1 - 1 / d, 1 / d], [1 + 1 / d, -1 / d]])
-    pt_map, pt_inverse = (to_isotropic, to_werner) if tau.algebra == "werner" else (to_werner, to_isotropic)
+    pt_map, pt_inverse = _twirled_pt(tau.algebra, d)
     return BlockForm(
-        costs=np.multiply.outer(tau.coeffs, _BELL_H).reshape(-1, 1, 1),
+        costs=_twirled_costs(tau).reshape(-1, 1, 1),
         factors=((twirl_projectors(tau.algebra, d), (0, 2)), (_BELL, (1, 3))),
-        pt_map=np.kron(pt_map, _BELL_PT),
-        pt_inverse=np.kron(pt_inverse, _BELL_PT),
+        pt_map=pt_map,
+        pt_inverse=pt_inverse,
     )
 
 
@@ -141,16 +169,85 @@ def build_cost(tau: DensityMatrix, options: SdpOptions | None = None) -> SdpProb
 def sigma_min(tau: DensityMatrix, options: SdpOptions | None = None) -> ActivationResult:
     """Minimize Tr[rho (tau^T x H_{pi/4})] over PPT ancillas; negative means activation.
 
-    ``activated`` requires a certified solve (converged or sign-decided);
-    a non-converged run reports its best value but never certifies.
+    ``activated`` is True when a certified solve (converged or
+    sign-decided) puts its upper bound below -ACTIVATION_TOL, False when it
+    puts its lower bound at or above it, and None when the solve certifies
+    neither: a run out of budget or stalled, or a gap looser than the
+    distance to the cut.
     """
     witness = solve(build_cost(tau, options))
-    usable = witness.status in ("converged", "decided")
-    return ActivationResult(
-        sigma=witness.objective,
-        witness=witness,
-        activated=bool(usable and witness.objective < -ACTIVATION_TOL),
-    )
+    activated = None
+    if witness.status in ("converged", "decided"):
+        if witness.objective < -ACTIVATION_TOL:
+            activated = True
+        elif witness.objective_lb >= -ACTIVATION_TOL:
+            activated = False
+    return ActivationResult(sigma=witness.objective, witness=witness, activated=activated)
+
+
+@dataclass(frozen=True)
+class LpVertex:
+    """A vertex v of a twirled activation problem's polytope, with its basis.
+
+    A twirled problem is a linear program in its eight scalar blocks: min
+    sum_b m_b c_b(p) x_b over {x >= 0, pt_map x >= 0, sum_b m_b x_b = 1},
+    whose polytope depends on the algebra and d only, while the costs are
+    affine in p through the state's coefficients.  ``system`` holds the rows
+    of the vertex's nb - 1 active constraints and then the trace row, so
+    ``system @ v`` is (0, ..., 0, 1).
+    """
+
+    blocks: np.ndarray
+    system: np.ndarray
+    mult: np.ndarray
+
+    def value(self, tau: TwirledState) -> float:
+        """Tr[rho_v (tau^T x H_{pi/4})], an upper bound on sigma(tau): affine in tau's coefficients."""
+        return float(_twirled_costs(tau) @ (self.mult * self.blocks))
+
+    def dual_bound(self, tau: TwirledState) -> float:
+        """A lower bound on sigma(tau) from the basis dual: the `_Bounds` certificate on the LP.
+
+        Complementary slackness gives the multipliers z of the basis from
+        system^T z = m * c; for any z >= 0 on the active rows,
+        min_b (m c - A^T z)_b / m_b bounds sigma below.  The negative part of
+        z is dropped, so the bound is certified whatever the rounding, and
+        equals v's value exactly when the basis is dual feasible at tau.
+        """
+        weighted = self.mult * _twirled_costs(tau)
+        z = np.linalg.solve(self.system.T, weighted)
+        return float(np.min((weighted - self.system[:-1].T @ np.maximum(z[:-1], 0.0)) / self.mult))
+
+
+def lp_vertex(solution: SdpSolution) -> LpVertex:
+    """Round a converged solve of a twirled problem to the vertex its minimizer approaches.
+
+    The nb - 1 smallest of the 2 nb slacks (x, pt_map x) of the minimizer are
+    taken as active; with the trace row they fix the vertex.  ValueError
+    unless the vertex is feasible and its value lies in the solve's
+    certified [objective_lb, objective], both within `VERTEX_TOL`.
+    """
+    form, mult = solution.form, solution.form.mult
+    x = solution.blocks.ravel()
+    nb = len(x)
+    if solution.blocks.shape != (nb, 1, 1):
+        raise ValueError("an LP vertex needs a problem of scalar blocks")
+    rows = np.concatenate([np.eye(nb), form.pt_map])
+    basis = np.argsort(rows @ x, kind="stable")[: nb - 1]
+    system = np.vstack([rows[basis], mult])
+    try:
+        v = np.linalg.solve(system, np.eye(nb)[-1])
+    except np.linalg.LinAlgError:
+        raise ValueError("the smallest slacks of the minimizer fix no vertex") from None
+    if np.min(rows @ v) < -VERTEX_TOL:
+        raise ValueError(f"the rounded vertex is infeasible by {-np.min(rows @ v):.3g}")
+    value = float(form.costs.ravel() @ (mult * v))
+    if not solution.objective_lb - VERTEX_TOL <= value <= solution.objective + VERTEX_TOL:
+        raise ValueError(
+            f"the rounded vertex's value {value} leaves the certified "
+            f"[{solution.objective_lb}, {solution.objective}]"
+        )
+    return LpVertex(blocks=v, system=system, mult=mult)
 
 
 @lru_cache(maxsize=1)

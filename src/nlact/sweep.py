@@ -8,10 +8,13 @@ property) triple to its evaluator or rejects it; every entry point applies
 it before evaluating any point.  A table entry brackets its onset by
 bisecting the indices of a coarse grid (the prescan), then bisects the
 bracket; both assume a monotone indicator, and a point whose solve
-certifies nothing (indicator None) counts as off there.  SDP-backed points
-get one solve each under the caller's options; in a sampled curve a point
-whose solve certifies nothing is recorded as missing instead of aborting
-the sweep.
+certifies nothing (indicator None) stops them with ``ValueError``.  The
+p_TLF entry of a twirled family (wi, Werner, isotropic) is instead exact:
+the root of one vertex line of its activation LP, found by Newton's method
+in about three solves and certified to `EXACT_TOL` (see
+`_exact_tlf_entry`).  SDP-backed points get one solve each under the
+caller's options; in a sampled curve a point whose solve certifies nothing
+is recorded as missing instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -23,20 +26,23 @@ from typing import Callable
 import numpy as np
 
 from . import measures
-from .activation import ACTIVATION_TOL, DEFAULT_OPTIONS, sigma_min
+from .activation import ACTIVATION_TOL, DEFAULT_OPTIONS, LP_VERTICES, lp_vertex, sigma_min
 from .sdp import SdpOptions, check_side
-from .states import FamilySpec
+from .states import FamilySpec, TwirledState
 
 PROPERTIES = ("eof", "chsh", "hn", "sa", "tlf", "cglmp")
 
 CLOSED_FORM_TOL = 5e-4
 SDP_TOL = 1e-3
 PRESCAN_POINTS = 20
+# the stated tolerance of an exact p_TLF entry, which its certificate must meet
+EXACT_TOL = 1e-12
 
 __all__ = [
     "PROPERTIES",
     "CLOSED_FORM_TOL",
     "SDP_TOL",
+    "EXACT_TOL",
     "PointResult",
     "PropertyCurve",
     "ThresholdReport",
@@ -96,10 +102,13 @@ def _tlf_point(
         # applies; curve sampling needs accurate sigma values instead
         options = replace(options, objective_cut=-ACTIVATION_TOL)
     # one solve under the caller's budget; a point whose solve certifies
-    # nothing (out of budget or stalled) is recorded missing, with no indicator
+    # nothing (out of budget, stalled, or bounds on both sides of the cut)
+    # is recorded missing, with no indicator
     result = sigma_min(spec.state(p), options)
     if result.witness.status not in ("converged", "decided"):
         return PointResult(result.sigma, None, "sdp did not converge")
+    if result.activated is None:
+        return PointResult(result.sigma, None, "sdp bounds straddle the activation cut")
     return PointResult(result.sigma, result.activated)
 
 
@@ -229,6 +238,13 @@ def _check_monotone(curve: PropertyCurve) -> None:
             )
 
 
+def _certified(result: PointResult, p: float) -> bool:
+    """A bisection's indicator at p; a point whose solve certifies nothing (None) stops it."""
+    if result.indicator is None:
+        raise ValueError(f"no certified indicator at p={p} ({result.error})")
+    return result.indicator
+
+
 def find_threshold(
     spec: FamilySpec,
     prop: str,
@@ -243,15 +259,15 @@ def find_threshold(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    ind_lo = evaluate_point(spec, prop, lo, sdp_options, bisect=True).indicator
-    ind_hi = evaluate_point(spec, prop, hi, sdp_options, bisect=True).indicator
+    ind_lo = _certified(evaluate_point(spec, prop, lo, sdp_options, bisect=True), lo)
+    ind_hi = _certified(evaluate_point(spec, prop, hi, sdp_options, bisect=True), hi)
     if ind_lo or not ind_hi:
         raise ValueError("bracket does not straddle")
     evaluations = 2
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         evaluations += 1
-        if evaluate_point(spec, prop, mid, sdp_options, bisect=True).indicator:
+        if _certified(evaluate_point(spec, prop, mid, sdp_options, bisect=True), mid):
             hi = mid
         else:
             lo = mid
@@ -275,9 +291,10 @@ def prescan_bracket(
     monotone indicator, as `find_threshold` does: about log2 of the grid's
     size evaluations instead of one per point up to the onset.  A point
     whose evaluation raises ``ValueError`` is indeterminate and leaves the
-    grid; an uncertified point (indicator None) counts as off.  Returns
-    None when the indicator is on at the first determinate point, i.e. at
-    every p > 0; ValueError when it is on at none.
+    grid; a point whose solve certifies nothing (indicator None) raises
+    ``ValueError``, since a bracket that rests on it would be uncertified.
+    Returns None when the indicator is on at the first determinate point,
+    i.e. at every p > 0; ValueError when it is on at none.
     """
     evaluator(spec, prop)
     lo, hi = spec.p_range()
@@ -287,12 +304,12 @@ def prescan_bracket(
     while on - off > 1:
         mid = (off + on) // 2
         try:
-            ind = evaluate_point(spec, prop, grid[mid], sdp_options, bisect=True).indicator
+            result = evaluate_point(spec, prop, grid[mid], sdp_options, bisect=True)
         except ValueError:
             del grid[mid]  # indeterminate point: the indices above it shift down
             on -= 1
             continue
-        if ind:
+        if _certified(result, grid[mid]):
             on = mid
         else:
             off = mid
@@ -313,7 +330,56 @@ _TABLE_COLUMNS = {
 TABLE_FAMILIES = tuple(_TABLE_COLUMNS)
 
 
+def _exact_tlf_entry(spec: FamilySpec, sdp_options: SdpOptions | None) -> dict:
+    """The exact p_TLF of a twirled family: Newton's method on the concave, piecewise-linear sigma(p).
+
+    sigma(p) is the minimum over a fixed polytope of costs affine in p (see
+    `LpVertex`), so it is concave and piecewise linear, and p_TLF is the
+    root of one vertex line.  From p = hi, each step solves at p, rounds the
+    minimizer to a vertex v and takes the root r of its line sigma_v; r is
+    exact once the basis of v is dual feasible at r.  The certificate:
+
+    - v is feasible, so sigma <= sigma_v < 0 on (r, hi];
+    - the basis dual bounds sigma(r) below, and one solve at lo bounds
+      sigma(lo) below by a positive number, so by concavity sigma >= 0 on
+      [lo, r] up to the dual bound's rounding.
+
+    The stated tolerance `EXACT_TOL` covers the rounding of both ends.
+    """
+    options = replace(sdp_options or DEFAULT_OPTIONS, objective_cut=None)
+    lo, hi = spec.p_range()
+    lo = max(lo, 0.0)  # as in the prescan
+    low = sigma_min(spec.state(lo), replace(options, objective_cut=0.0)).witness
+    if low.status not in ("converged", "decided") or not low.objective_lb > 0.0:
+        raise ValueError(f"no certified sigma > 0 at p={lo} ({low.status}, lower bound {low.objective_lb:.3g})")
+    p = hi
+    for _ in range(LP_VERTICES):
+        solution = sigma_min(spec.state(p), options).witness
+        if solution.status != "converged":
+            raise ValueError(f"the solve at p={p} did not converge ({solution.status})")
+        try:
+            vertex = lp_vertex(solution)
+        except ValueError as exc:
+            raise ValueError(f"the solve at p={p} gives no vertex: {exc}") from None
+        at_lo, at_hi = vertex.value(spec.state(lo)), vertex.value(spec.state(hi))
+        # a Newton step on a concave function from the right moves strictly left
+        root = lo + (hi - lo) * at_lo / (at_lo - at_hi) if at_lo > 0.0 > at_hi else hi
+        if not root < p:
+            raise ValueError(f"the vertex found at p={p} has no decreasing root in [{lo}, {p})")
+        tau = spec.state(root)
+        # how far the onset can lie above the root (sigma_v < 0 beyond) and below it (concavity)
+        above = max(0.0, vertex.value(tau)) * (hi - lo) / (at_lo - at_hi)
+        deficit = max(0.0, -vertex.dual_bound(tau))
+        below = deficit * (root - lo) / (low.objective_lb + deficit)
+        if max(above, below) <= EXACT_TOL:
+            return {"value": root, "tolerance": EXACT_TOL, "provenance": "exact (LP vertex)"}
+        p = root
+    raise ValueError(f"no dual-feasible vertex within {LP_VERTICES} Newton steps from p={hi}")
+
+
 def _computed_entry(spec: FamilySpec, prop: str, sdp_options: SdpOptions | None) -> dict:
+    if prop == "tlf" and isinstance(spec.state(spec.p_range()[1]), TwirledState):
+        return _exact_tlf_entry(spec, sdp_options)
     bracket = prescan_bracket(spec, prop, sdp_options)
     if bracket is None:
         # the indicator is on at every sampled p > 0: the threshold is the origin
@@ -354,7 +420,10 @@ def build_table(
             elif d > 2 and column == "p_E":
                 thresholds[column] = _stored_entry(references["p_E"])
             else:
-                thresholds[column] = _computed_entry(spec, prop, sdp_options)
+                try:
+                    thresholds[column] = _computed_entry(spec, prop, sdp_options)
+                except ValueError as exc:
+                    raise ValueError(f"{family} d={d} {column}: {exc}") from None
         for name, bound in references.items():
             thresholds.setdefault(name, _stored_entry(bound))
         rows.append({"d": d, "thresholds": thresholds})

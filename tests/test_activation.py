@@ -7,9 +7,11 @@ from nlact import activation
 from nlact.activation import (
     ACTIVATION_TOL,
     DEFAULT_OPTIONS,
+    VERTEX_TOL,
     ancilla_R,
     bisection_options,
     build_cost,
+    lp_vertex,
     sigma_min,
     verify_ancilla,
 )
@@ -197,6 +199,53 @@ def test_block_form_multiplicities():
     dims = (3, 2, 3, 2)
     traces = [np.trace(form.dense(np.eye(8)[b][:, None, None], dims)).real for b in range(8)]
     assert np.allclose(traces, form.mult)
+
+
+def test_twirled_pt_maps_are_shared_and_read_only():
+    # the maps depend on (algebra, d) only: one read-only pair for every p
+    first, second = (build_cost(werner_state(4, p)).blocks for p in (0.3, 0.9))
+    assert first.pt_map is second.pt_map and first.pt_inverse is second.pt_inverse
+    isotropic = build_cost(isotropic_state(4, 0.3)).blocks
+    for maps in (first, isotropic):
+        assert not maps.pt_map.flags.writeable and not maps.pt_inverse.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            maps.pt_map[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("family,d", [("wi", 2), ("werner", 3), ("werner", 6), ("isotropic", 3), ("isotropic", 6)])
+def test_lp_vertex_bounds_sigma_on_both_sides(family, d):
+    # the vertex of the solve at p = 1 is feasible, so its value bounds sigma
+    # above at every p, and its basis dual bounds sigma below at every p
+    top = sigma_min(_twirled_state(family, d, 1.0)).witness
+    vertex = lp_vertex(top)
+    rows = np.concatenate([np.eye(8), top.form.pt_map])
+    assert np.min(rows @ vertex.blocks) >= -VERTEX_TOL
+    assert abs(vertex.mult @ vertex.blocks - 1.0) <= 1e-12
+    assert np.allclose(vertex.system @ vertex.blocks, np.eye(8)[-1], atol=1e-15)
+    for p in np.linspace(0.0, 1.0, 11):
+        tau = _twirled_state(family, d, float(p))
+        tight = sigma_min(tau, SdpOptions(tol_objective=1e-10)).witness
+        assert vertex.value(tau) >= tight.objective_lb - 1e-12, p
+        assert vertex.dual_bound(tau) <= tight.objective + 1e-12, p
+    # at p = 1 the vertex is optimal: its basis is dual feasible and both bounds meet
+    tau = _twirled_state(family, d, 1.0)
+    assert abs(vertex.dual_bound(tau) - vertex.value(tau)) <= 1e-15
+    assert top.objective_lb <= vertex.value(tau) <= top.objective
+
+
+def test_lp_vertex_rejects_what_it_cannot_certify():
+    with pytest.raises(ValueError, match="scalar blocks"):
+        lp_vertex(sigma_min(hirsch_state(0.3)).witness)
+    solution = sigma_min(werner_state(3, 0.9)).witness
+    lp_vertex(solution)
+    # bounds the vertex's value leaves
+    stale = dataclasses.replace(solution, objective=solution.objective_lb - 1e-3, objective_lb=solution.objective_lb - 2e-3)
+    with pytest.raises(ValueError, match="leaves the certified"):
+        lp_vertex(stale)
+    # a point far from every vertex: the centre I/n, whose smallest slacks fix an infeasible one
+    centre = np.full_like(solution.blocks, 1.0 / solution.form.mult.sum())
+    with pytest.raises(ValueError, match="infeasible"):
+        lp_vertex(dataclasses.replace(solution, blocks=centre))
 
 
 def test_block_form_reproduces_dense_cost():

@@ -199,7 +199,8 @@ def test_table_wi_json(capsys):
     thresholds = doc["rows"][0]["thresholds"]
     assert abs(thresholds["p_E"]["value"] - 0.3333) < 5e-4
     assert abs(thresholds["p_NL"]["value"] - 0.7071) < 5e-4
-    assert abs(thresholds["p_TLF"]["value"] - 0.6569) < 2e-3
+    assert abs(thresholds["p_TLF"]["value"] - (4 * 2**0.5 - 5)) <= thresholds["p_TLF"]["tolerance"] <= 1e-12
+    assert thresholds["p_TLF"]["provenance"] == "exact (LP vertex)"
     assert thresholds["p_L"]["value"] == 0.6595
     assert thresholds["p_L"]["provenance"] == "paper-constant"
     assert thresholds["p_NL_refined"]["value"] == 0.7054
@@ -216,13 +217,14 @@ def test_table_werner_csv_has_x_marker(capsys):
     assert sa_rows and sa_rows[0].split(",")[2] == "X"
 
 
-# sha256 of the JSON tables as printed before the activation costs became scalar
-# blocks (the same bytes since); a change of representation or of solver loop
-# that moves a threshold shows up here
+# sha256 of the JSON tables: hirsch1 as printed before the activation costs
+# became scalar blocks (the same bytes since), the twirled families as printed
+# since their p_TLF entries became exact LP-vertex roots; a change of
+# representation or of solver loop that moves a threshold shows up here
 _TABLE_SHA256 = {
-    ("--family", "wi"): "a987284a6e490cdcfb06a9c94410fe7d29fb8526df2652036844b3fddef20047",
-    ("--family", "werner", "--dmax", "3"): "42e15ef4a0d486053d4a5cfb0dd15b1c409d5e2a56dfb845ef300d25547ed679",
-    ("--family", "isotropic", "--dmax", "3"): "83e81a011eeb24dfe309ef75dff9c9170688632bf17e01c36a27332b7786c3b4",
+    ("--family", "wi"): "f32db333c09768f612d5e9e4db5ec1c02dd262d807f2ef527d2ec432cd278bd5",
+    ("--family", "werner", "--dmax", "3"): "d248317796ba94fe616c2a044dbd55aa7f7d67f031bac5df02da52a20ff69814",
+    ("--family", "isotropic", "--dmax", "3"): "acf989627df1e73ede42447412b34d605c9949f64531ee305431c724d3f75a7d",
     ("--family", "hirsch1"): "a700d0f05e6e07c43f200fd9e02c1dea196e1d4c6680a80100de8aed60c57cbd",
 }
 
@@ -232,6 +234,25 @@ def test_table_bytes_pinned(capsys, args):
     code, out, _ = run_cli(capsys, "table", *args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_SHA256[args]
+
+
+@pytest.mark.parametrize(
+    "args,where",
+    [
+        (("--family", "hirsch1", "--sdp-max-iters", "3"), "hirsch1 d=2 p_TLF"),
+        (("--family", "werner", "--dmax", "3", "--sdp-max-iters", "2"), "werner d=2 p_TLF"),
+        (("--family", "isotropic", "--dmax", "2", "--sdp-tol", "0.5"), "isotropic d=2 p_TLF"),
+        (("--family", "hirsch1", "--sdp-tol", "0.5"), "hirsch1 d=2 p_TLF"),
+    ],
+    ids=" ".join,
+)
+def test_table_refuses_uncertified_entries(capsys, args, where):
+    # solves that certify too little fail the table, naming the entry and the point,
+    # instead of printing a threshold that rests on them
+    code, out, err = run_cli(capsys, "table", *args)
+    assert code == 2
+    assert out == ""
+    assert where in err and "p=" in err
 
 
 @pytest.mark.parametrize("dmax", ["1", "9"])

@@ -133,7 +133,8 @@ def test_solve_routes_by_side_and_field(monkeypatch, rng):
     assert taken == ["_interior_point", "_splitting", "_splitting", "_scalar_interior_point"]
 
 
-# p_TLF of each twirled row as `nlact table` prints it; the grid below straddles each by 0.002
+# p_TLF of each twirled row as bisected to a 1e-3 bracket, within 3e-4 of the
+# exact values; the grid below puts a point 0.002 on either side of each
 _TABLE_TLF = {
     ("wi", 2): 0.656661,
     **{("werner", d): p for d, p in zip(range(2, 7), (0.656661, 0.636102, 0.624589, 0.617188, 0.612253))},

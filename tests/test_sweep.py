@@ -4,9 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nlact import sweep
-from nlact.activation import ActivationResult
-from nlact.sdp import SdpOptions
+from nlact import activation, sweep
+from nlact.activation import ActivationResult, sigma_min
+from nlact.sdp import SdpOptions, solve
 from nlact.states import FamilySpec
 from nlact.sweep import (
     build_table,
@@ -176,8 +176,9 @@ def _linear_scan(grid, indicator):
 def test_prescan_bisection_equals_linear_scan(monkeypatch, raising, uncertified_below):
     # a step indicator with its onset at every grid index, or never on; some
     # points raise (indeterminate), and the point below the onset may be
-    # uncertified (indicator None), which counts as off
+    # uncertified (indicator None), which stops the prescan wherever it meets it
     grid = [float(p) for p in np.linspace(0.0, 1.0, sweep.PRESCAN_POINTS)]
+    met_uncertified = 0
     for first_on in range(len(grid) + 1):
         raises = {
             "none": set(),
@@ -195,39 +196,115 @@ def test_prescan_bisection_equals_linear_scan(monkeypatch, raising, uncertified_
                 return None
             return i >= first_on
 
-        calls = []
+        seen = []
 
         def fake_point(spec, prop, p, sdp_options=None, bisect=False):
             assert bisect
-            calls.append(p)
-            return sweep.PointResult(None, indicator(p))
+            seen.append(indicator(p))
+            return sweep.PointResult(None, seen[-1])
 
         monkeypatch.setattr(sweep, "evaluate_point", fake_point)
-        expected = _linear_scan(grid, indicator)
+        try:
+            got = prescan_bracket(WI, "chsh")
+        except ValueError as exc:
+            got = str(exc)
+        if None in seen:
+            # the prescan stops at the first uncertified point it evaluates
+            met_uncertified += 1
+            assert seen[-1] is None and f"no certified indicator at p={grid[first_on - 1]}" in got, first_on
+            continue
+        # uncertified points the prescan never met leave it as the linear scan over the others
+        expected = _linear_scan(grid, lambda p: bool(indicator(p)))
         if expected == "never turns on":
-            with pytest.raises(ValueError, match="never turns on"):
-                prescan_bracket(WI, "chsh")
+            assert "never turns on" in got, first_on
         else:
-            assert prescan_bracket(WI, "chsh") == expected, first_on
+            assert got == expected, first_on
         if raising == "none":
-            assert len(calls) <= 5, first_on  # ceil(log2(PRESCAN_POINTS + 1))
+            assert len(seen) <= 5, first_on  # ceil(log2(PRESCAN_POINTS + 1))
+    # the uncertified point is met wherever it lies on the bisection's path
+    assert (met_uncertified > 0) == (uncertified_below and raising in ("none", "first", "onset"))
 
 
-# evaluate_point calls of each table; the prescan bisects its 20-point grid
-_TABLE_EVALUATIONS = {("wi", 6): 67, ("werner", 6): 156, ("isotropic", 6): 214}
+# per table: evaluate_point calls (the closed-form columns, each a prescan of
+# its 20-point grid and a bisection) and sdp.solve calls (three per exact p_TLF
+# entry: the low end and two Newton steps)
+_TABLE_EVALUATIONS = {("wi", 6): (54, 3), ("werner", 6): (94, 15), ("isotropic", 6): (151, 15)}
 
 
 @pytest.mark.parametrize("family,d_max", list(_TABLE_EVALUATIONS), ids=str)
 def test_build_table_evaluation_budget(monkeypatch, family, d_max):
-    calls = []
+    evaluations, solves = [], []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        evaluations.append(args)
         return evaluate_point(*args, **kwargs)
 
+    def counted_solve(problem):
+        solves.append(problem)
+        return solve(problem)
+
     monkeypatch.setattr(sweep, "evaluate_point", counted)
+    monkeypatch.setattr(activation, "solve", counted_solve)
     build_table(family, d_max=d_max)
-    assert len(calls) <= _TABLE_EVALUATIONS[family, d_max]
+    max_evaluations, max_solves = _TABLE_EVALUATIONS[family, d_max]
+    assert len(evaluations) <= max_evaluations
+    assert len(solves) <= max_solves
+    assert not [args for args in evaluations if args[1] == "tlf"]  # every p_TLF entry is exact
+
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def _closed_form_tlf(family, d):
+    """p_TLF of the Werner (wi is Werner at d = 2) and isotropic families in closed form."""
+    if family == "isotropic":
+        return (3 - _SQRT2) / ((_SQRT2 - 1) * d + 3 - _SQRT2)
+    return ((2 - _SQRT2) * d + _SQRT2 - 1) / (d - 1 + _SQRT2)
+
+
+_TWIRLED_ROWS = [("wi", 2)] + [(family, d) for family in ("werner", "isotropic") for d in range(2, 9)]
+
+
+@pytest.mark.parametrize("family,d", _TWIRLED_ROWS, ids=str)
+def test_exact_tlf_entry_matches_closed_form(monkeypatch, family, d):
+    solves = []
+    monkeypatch.setattr(activation, "solve", lambda problem: solves.append(problem) or solve(problem))
+    entry = sweep._computed_entry(FamilySpec(family, d), "tlf", None)
+    assert entry["provenance"] == "exact (LP vertex)"
+    assert entry["tolerance"] <= 1e-12
+    closed = _closed_form_tlf(family, d)
+    assert abs(entry["value"] - closed) <= min(1e-10, entry["tolerance"])
+    assert len(solves) <= 3
+    if d == 2:
+        assert abs(closed - (4 * _SQRT2 - 5)) <= 1e-15
+
+
+@pytest.mark.parametrize("family,d", [("wi", 2)] + [(f, d) for f in ("werner", "isotropic") for d in range(2, 7)], ids=str)
+def test_exact_tlf_entry_inside_bisected_bracket(family, d):
+    # the prescan-plus-bisection route, which the table took before, as the reference
+    spec = FamilySpec(family, d)
+    report = find_threshold(spec, "tlf", prescan_bracket(spec, "tlf"))
+    exact = sweep._computed_entry(spec, "tlf", None)["value"]
+    assert report.bracket[0] - report.tolerance <= exact <= report.bracket[1] + report.tolerance
+
+
+@pytest.mark.parametrize("family,d", _TWIRLED_ROWS, ids=str)
+def test_exact_tlf_entry_is_the_sign_change(family, d):
+    # tight solves on both sides of the exact value certify the sign of sigma there
+    spec = FamilySpec(family, d)
+    exact = sweep._computed_entry(spec, "tlf", None)["value"]
+    options = SdpOptions(tol_objective=1e-10)
+    above = sigma_min(spec.state(exact + 1e-5), options).witness
+    below = sigma_min(spec.state(exact - 1e-5), options).witness
+    assert above.status == below.status == "converged"
+    assert above.objective < 0.0 < below.objective_lb
+
+
+@pytest.mark.parametrize("options", [SdpOptions(max_iters=2), SdpOptions(tol_objective=0.5)], ids=["max_iters", "tol"])
+def test_exact_tlf_entry_without_certificate_raises(options):
+    # an entry whose solves certify too little is refused, never printed
+    with pytest.raises(ValueError, match="p="):
+        sweep._computed_entry(FamilySpec("werner", 3), "tlf", options)
 
 
 def test_build_table_isotropic_small():
