@@ -17,16 +17,13 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import DensityMatrix, kron, permute_mat
-from .sdp import BlockForm, SdpOptions, SdpProblem, SdpSolution, solve
+from .sdp import VERTEX_TOL, BlockForm, SdpOptions, SdpProblem, SdpSolution, round_to_vertex, solve
 from .states import PAULI, TwirledState, h_theta, projector, twirl_projectors
 
 ACTIVATION_TOL = 1e-6
 # solver options of every activation solve that is given none
 DEFAULT_OPTIONS = SdpOptions(tol_objective=1e-7)
 H_ANGLE = math.pi / 4.0
-# rounding allowance of `lp_vertex`'s checks: the vertex's feasibility and its
-# value against the solve's certified bounds
-VERTEX_TOL = 1e-12
 # vertices of the twirled problems' polytope (40 at d = 2, 44 at every d >= 3):
 # a walk over vertices of strictly decreasing roots visits at most this many
 LP_VERTICES = 44
@@ -222,25 +219,15 @@ class LpVertex:
 def lp_vertex(solution: SdpSolution) -> LpVertex:
     """Round a converged solve of a twirled problem to the vertex its minimizer approaches.
 
-    The nb - 1 smallest of the 2 nb slacks (x, pt_map x) of the minimizer are
-    taken as active; with the trace row they fix the vertex.  ValueError
+    The rounding is the scalar loop's (`sdp.round_to_vertex`).  ValueError
     unless the vertex is feasible and its value lies in the solve's
     certified [objective_lb, objective], both within `VERTEX_TOL`.
     """
     form, mult = solution.form, solution.form.mult
     x = solution.blocks.ravel()
-    nb = len(x)
-    if solution.blocks.shape != (nb, 1, 1):
+    if solution.blocks.shape != (len(x), 1, 1):
         raise ValueError("an LP vertex needs a problem of scalar blocks")
-    rows = np.concatenate([np.eye(nb), form.pt_map])
-    basis = np.argsort(rows @ x, kind="stable")[: nb - 1]
-    system = np.vstack([rows[basis], mult])
-    try:
-        v = np.linalg.solve(system, np.eye(nb)[-1])
-    except np.linalg.LinAlgError:
-        raise ValueError("the smallest slacks of the minimizer fix no vertex") from None
-    if np.min(rows @ v) < -VERTEX_TOL:
-        raise ValueError(f"the rounded vertex is infeasible by {-np.min(rows @ v):.3g}")
+    _, system, v = round_to_vertex(x, form.pt_map, mult)
     value = float(form.costs.ravel() @ (mult * v))
     if not solution.objective_lb - VERTEX_TOL <= value <= solution.objective + VERTEX_TOL:
         raise ValueError(

@@ -21,8 +21,12 @@ Three loops share one problem representation and one certificate:
   side 1: every twirled Werner, isotropic or wi form at any d (eight
   scalar blocks).  It shares the start point, `STEP_FRACTION`,
   `STALL_STEPS`, the positivity test of every iterate and the certificate
-  with the matrix form, whose Newton steps it takes up to rounding; the
-  tests use the matrix form as its reference;
+  with the matrix form, whose iterates are its own up to rounding.  After
+  every step it also rounds the iterate to a vertex of the LP's polytope
+  (`round_to_vertex`) and offers that vertex, with its basis dual, to the
+  same certificate, so a solve ends at its optimal vertex with a gap at
+  rounding level, in a few steps.  The tests use the matrix form as its
+  reference;
 - consensus operator splitting (ADMM) for complex costs and larger blocks:
   one block carries the spectral-simplex constraint {X >= 0, Tr X = 1}
   with the linear cost handled proximally, the other carries the
@@ -57,12 +61,13 @@ The certificate is the only way a solve ends certified: it stops with
 ``converged`` when the bound gap closes to `tol_objective`, or with
 ``decided`` (if `objective_cut` is set) as soon as the bounds certify on
 which side of the cut the optimum lies -- a sign decision can be certified
-long before the gap closes on degenerate instances.  Small consensus
-residuals alone stop nothing.  `max_iters` caps ADMM iterations and Newton
-steps alike.  A solve whose numbers break down (a non-finite ADMM residual,
-an interior-point iterate whose smallest eigenvalue is not positive, or
-`STALL_STEPS` Newton steps without a tighter gap) ends with its best bounds
-and status ``infeasible_numerics``.  A solve checks its minimizer's
+long before the gap closes on degenerate instances.  With a cut set, a
+solve stops only once the bounds settle it, however small the gap.  Small
+consensus residuals alone stop nothing.  `max_iters` caps ADMM iterations
+and Newton steps alike.  A solve whose numbers break down (a non-finite
+ADMM residual, an interior-point iterate whose smallest eigenvalue is not
+positive, or `STALL_STEPS` Newton steps without a tighter gap) ends with
+its best bounds and status ``infeasible_numerics``.  A solve checks its minimizer's
 blocks against the invariants of a `DensityMatrix` (Hermitian, unit trace,
 PSD) and reads its PSD slack, PPT slack and trace error off the blocks;
 the dense minimizer is built only on request (`SdpSolution.minimizer`).
@@ -94,21 +99,34 @@ IPM_MAX_SIDE = 16
 # share of the distance to the cone boundary that an interior-point step covers,
 # in both forms of the interior-point loop (matrix blocks and scalar blocks).
 # Longer steps leave the iterates so close to the boundary that the Schur solves
-# lose accuracy.  On the activation costs of 40 seeded random real two-qubit
-# states in their Bell form, at tol_objective = 1e-10, 0.9 closes 38 certified
-# gaps to 1e-10 and the other two to 1.2e-10, 0.98 only 16 (the rest to 2e-9),
-# and 0.8 all 40 at a third more Newton steps on the family inputs, which the
-# activation curves pay for.
+# lose accuracy, an accuracy floor near 1e-10 that only the matrix form still
+# has: the scalar form ends at a rounded vertex instead.  On the activation
+# costs of 40 seeded random real two-qubit states in their Bell form, at
+# tol_objective = 1e-10, 0.9 closes 38 certified gaps to 1e-10 and the other
+# two to 1.2e-10, 0.98 only 16 (the rest to 2e-9), and 0.8 all 40 at a third
+# more Newton steps.
 STEP_FRACTION = 0.9
 # interior-point steps without a tighter certified gap after which the loop has stalled
 STALL_STEPS = 5
+# rounding allowance of a vertex of the scalar problem's polytope: how far it may
+# leave the polytope and still be taken as a vertex
+VERTEX_TOL = 1e-12
 # the splitting loop's initial penalty rho, the iterations between two certificate
 # calls, and the iterations between two penalty adaptations
 PENALTY = 10.0
 CHECK_EVERY = 25
 ADAPT_EVERY = 100
 
-__all__ = ["BlockForm", "SdpOptions", "SdpProblem", "SdpSolution", "check_side", "solve"]
+__all__ = [
+    "VERTEX_TOL",
+    "BlockForm",
+    "SdpOptions",
+    "SdpProblem",
+    "SdpSolution",
+    "check_side",
+    "round_to_vertex",
+    "solve",
+]
 
 
 def check_side(n: int) -> None:
@@ -124,7 +142,8 @@ class SdpOptions:
     ``max_iters`` caps ADMM iterations or Newton steps; a solve is
     ``converged`` once its certified gap ub - lb is at most
     ``tol_objective``, and ``decided`` once its bounds lie on one side of
-    ``objective_cut``, when that is set.
+    ``objective_cut``, when that is set.  With a cut set, a solve stops only
+    once its bounds lie on one side of it.
     """
 
     max_iters: int = 50_000
@@ -349,7 +368,9 @@ class _Bounds:
         - upper bound: mixing x toward I/n absorbs its PPT slack and yields
           an exactly feasible point.
 
-        Returns the stop status the bounds allow, if any.
+        Returns the stop status the bounds allow, if any: with an
+        ``objective_cut`` set, none until the bounds lie on one side of it,
+        however small the gap.
         """
         st = self.stack
         mats = np.concatenate([st.costs - st.pt(s2, st.form.pt_inverse), st.pt(x, st.form.pt_map)])
@@ -364,11 +385,11 @@ class _Bounds:
             self.x = x_feas
         self.lb = max(self.lb, lb)
         cut = self.opts.objective_cut
+        if cut is not None and not (self.lb >= cut or self.ub < cut):
+            return None
         if self.ub - self.lb <= self.opts.tol_objective:
             return "converged"
-        if cut is not None and (self.lb >= cut or self.ub < cut):
-            return "decided"
-        return None
+        return None if cut is None else "decided"
 
 
 def solve(problem: SdpProblem) -> SdpSolution:
@@ -533,20 +554,22 @@ def _start(st: _Stack) -> np.ndarray:
 def _follow_path(bounds: _Bounds, opts: SdpOptions, newton: Callable[[], tuple | None]) -> tuple[int, str]:
     """The outer loop of both interior-point forms; returns (Newton steps, status).
 
-    ``newton`` takes one step and returns the trace-one X-side stack and the
-    S2 stack for the certificate, or None once the numbers have broken down.
+    ``newton`` takes one step and returns the pairs (trace-one X-side stack,
+    S2 stack) it offers the certificate, in order, or None once the numbers
+    have broken down.
     """
     best_gap, since_best = math.inf, 0
     for it in range(1, opts.max_iters + 1):
         try:
-            point = newton()
+            points = newton()
         except np.linalg.LinAlgError:
-            point = None
-        if point is None:
+            points = None
+        if points is None:
             return it, "infeasible_numerics"
-        stop = bounds.update(*point)
-        if stop is not None:
-            return it, stop
+        for point in points:
+            stop = bounds.update(*point)
+            if stop is not None:
+                return it, stop
         if bounds.ub - bounds.lb < best_gap:
             best_gap, since_best = bounds.ub - bounds.lb, 0
         else:
@@ -640,13 +663,38 @@ def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
         sigma_mu = min(1.0, (mean_gap(moved[: 2 * nb], moved[2 * nb :]) / mu) ** 3) * mu
         d = direction(sigma_mu * eye - z @ dual - d[: 2 * nb] @ d[2 * nb :])
         state = _sym(state + STEP_FRACTION * steps(d)[:, None, None] * d)
-        return state[:nb] / trace(state[:nb]), state[3 * nb :]
+        return ((state[:nb] / trace(state[:nb]), state[3 * nb :]),)
 
     return _follow_path(bounds, opts, newton)
 
 
+def round_to_vertex(x: np.ndarray, pt_map: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertex of the scalar problem's polytope that a point x approaches, with its basis.
+
+    The polytope is {x >= 0, pt_map x >= 0, mult . x = 1} in nb unknowns.
+    The nb - 1 smallest of the 2 nb slacks (x, pt_map x) are taken as
+    active; with the trace row they fix the vertex v.  Returns (basis,
+    system, v): the indices of the active rows among the slacks' rows
+    (I; pt_map), those rows followed by the trace row, and v, with
+    system @ v = (0, ..., 0, 1).  ValueError unless the rows fix a vertex
+    that is feasible within `VERTEX_TOL`.
+    """
+    nb = len(x)
+    rows = np.concatenate([np.eye(nb), pt_map])
+    basis = np.argsort(rows @ x, kind="stable")[: nb - 1]
+    system = np.vstack([rows[basis], mult])
+    try:
+        v = np.linalg.solve(system, np.eye(nb)[-1])
+    except np.linalg.LinAlgError:
+        raise ValueError("the smallest slacks fix no vertex") from None
+    infeasible = -float(np.min(rows @ v))
+    if not infeasible <= VERTEX_TOL:  # also when v is not finite
+        raise ValueError(f"the rounded vertex is infeasible by {infeasible:.3g}")
+    return basis, system, v
+
+
 def _scalar_interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str]:
-    """`_interior_point` on blocks of side 1, written on vectors.
+    """`_interior_point` on blocks of side 1, written on vectors, ended at a vertex.
 
     With every block a number the problem is a linear program in nb
     unknowns: X, W = pt_map x, S1 and S2 are vectors, the HKM scaling is an
@@ -654,12 +702,22 @@ def _scalar_interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tup
     matrix pt_map diag(x / s1) pt_inverse + diag(w / s2) bordered by the
     trace row, and a step length is the ratio test d / state.  The start, the
     step fraction, the stall rule and the certificate are those of
-    `_interior_point`, whose iterates these are up to rounding.  Returns
-    (Newton steps, status).
+    `_interior_point`.
+
+    An optimum of a linear program is a vertex, which the iterates approach
+    long before their own gap closes.  After every step the iterate is
+    rounded to a vertex (`round_to_vertex`), and the vertex is offered to
+    the certificate ahead of the iterate, with S2 the basis dual: the
+    multipliers z of system^T z = m c, their W-side part clamped at 0 and
+    divided by the W-side multiplicities.  lambda_min(C - PT*(S2)) is then
+    the basis dual's bound, so an optimal vertex whose basis is dual
+    feasible certifies a gap at rounding level.  A rounding that fixes no
+    feasible vertex is skipped for that step.  Returns (Newton steps, status).
     """
     nb = st.nb
     pt_map, pt_inverse = st.form.pt_map, st.form.pt_inverse
     x_mult, w_mult = st.mult[:nb], st.mult[nb:]
+    weighted = x_mult * st.costs.ravel()
     diagonal = np.arange(nb)
     schur = np.empty((nb + 1, nb + 1))
     rhs = np.empty(nb + 1)
@@ -667,9 +725,22 @@ def _scalar_interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tup
     def mean_gap(a: np.ndarray, b: np.ndarray) -> float:
         return float(st.mult @ (a * b)) / (2.0 * st.n)
 
+    def vertex(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """The certificate pair of the vertex that x approaches, or None if x fixes none."""
+        try:
+            basis, system, v = round_to_vertex(x, pt_map, x_mult)
+            z = np.linalg.solve(system.T, weighted)[:-1]
+        except (ValueError, np.linalg.LinAlgError):
+            return None
+        w_side = basis >= nb
+        s2 = np.zeros(nb)
+        s2[basis[w_side] - nb] = np.maximum(z[w_side], 0.0) / w_mult[basis[w_side] - nb]
+        v = np.maximum(v, 0.0)  # PSD exactly; the mix toward I/n absorbs the W side's rounding
+        return (v / (x_mult @ v))[:, None, None], s2[:, None, None]
+
     state = _start(st).ravel()  # (x, w, s1, s2)
 
-    def newton() -> tuple[np.ndarray, np.ndarray] | None:
+    def newton() -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
         nonlocal state
         z, dual, x = state[: 2 * nb], state[2 * nb :], state[:nb]
         mu = mean_gap(z, dual)
@@ -703,6 +774,8 @@ def _scalar_interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tup
         d = direction(sigma_mu - z * dual - d[: 2 * nb] * d[2 * nb :])
         state = state + STEP_FRACTION * steps(d) * d
         x = state[:nb]
-        return (x / (x_mult @ x))[:, None, None], state[3 * nb :, None, None]
+        iterate = (x / (x_mult @ x))[:, None, None], state[3 * nb :, None, None]
+        rounded = vertex(x)
+        return (iterate,) if rounded is None else (rounded, iterate)
 
     return _follow_path(bounds, opts, newton)

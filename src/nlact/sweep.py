@@ -330,6 +330,20 @@ _TABLE_COLUMNS = {
 TABLE_FAMILIES = tuple(_TABLE_COLUMNS)
 
 
+def _computed_columns(family: str, d: int) -> dict[str, str]:
+    """The columns of a table row that are computed, with their properties.
+
+    Past d = 2, p_E is the stored reference, and the Werner p_SA is marked X:
+    qudit Werner states are never teleportation-useful, so the
+    superactivation route gives no threshold.
+    """
+    return {
+        column: prop
+        for column, prop in _TABLE_COLUMNS[family].items()
+        if d == 2 or not (column == "p_E" or (column == "p_SA" and family == "werner"))
+    }
+
+
 def _exact_tlf_entry(spec: FamilySpec, sdp_options: SdpOptions | None) -> dict:
     """The exact p_TLF of a twirled family: Newton's method on the concave, piecewise-linear sigma(p).
 
@@ -405,25 +419,30 @@ def build_table(
     d_values = [2] if family in ("wi", "hirsch1") else list(range(2, d_max + 1))
     if not d_values:
         raise ValueError(f"d_max must be at least 2, got {d_max}")
-    # every row has a p_TLF column: reject a last row too large to solve before computing any
-    evaluator(FamilySpec(family=family, d=d_values[-1]), "tlf")
+    # an evaluator rejects a d above its limit (the problem side, CGLMP's
+    # d <= 6): check the last row's computed columns before computing any row
+    last = FamilySpec(family=family, d=d_values[-1])
+    for column, prop in _computed_columns(family, last.d).items():
+        try:
+            evaluator(last, prop)
+        except ValueError as exc:
+            raise ValueError(f"{family} d={last.d} {column}: {exc}") from None
     rows = []
     for d in d_values:
         spec = FamilySpec(family=family, d=d)
         references = measures.reference_bounds(family, d)
+        computed = _computed_columns(family, d)
         thresholds: dict[str, dict] = {}
-        for column, prop in _TABLE_COLUMNS[family].items():
-            if d > 2 and column == "p_SA" and family == "werner":
-                # qudit Werner states are never teleportation-useful, so the
-                # superactivation route gives no threshold: marked X
-                thresholds[column] = {"value": None, "marker": "X", "provenance": "paper-constant"}
-            elif d > 2 and column == "p_E":
-                thresholds[column] = _stored_entry(references["p_E"])
-            else:
+        for column in _TABLE_COLUMNS[family]:
+            if column in computed:
                 try:
-                    thresholds[column] = _computed_entry(spec, prop, sdp_options)
+                    thresholds[column] = _computed_entry(spec, computed[column], sdp_options)
                 except ValueError as exc:
                     raise ValueError(f"{family} d={d} {column}: {exc}") from None
+            elif column == "p_E":
+                thresholds[column] = _stored_entry(references["p_E"])
+            else:
+                thresholds[column] = {"value": None, "marker": "X", "provenance": "paper-constant"}
         for name, bound in references.items():
             thresholds.setdefault(name, _stored_entry(bound))
         rows.append({"d": d, "thresholds": thresholds})

@@ -157,7 +157,14 @@ def _assert_block_matches_dense(problem):
     dense = solve(SdpProblem.from_cost(problem.cost, problem.dims, problem.t1_split, problem.options))
     activated = [s.status in ("converged", "decided") and s.objective < -ACTIVATION_TOL for s in (block, dense)]
     assert activated[0] == activated[1]
-    if problem.cost.shape[0] <= IPM_MAX_SIDE and not np.any(problem.cost.imag):
+    both_interior_point = problem.cost.shape[0] <= IPM_MAX_SIDE and not np.any(problem.cost.imag)
+    if both_interior_point and problem.blocks.costs.shape[-1] == 1:
+        # the scalar loop ends at its optimal vertex: within the dense
+        # interior-point loop's certified interval, in no more Newton steps
+        assert block.iterations <= dense.iterations
+        for bound in (block.objective_lb, block.objective):
+            assert dense.objective_lb - 1e-12 <= bound <= dense.objective + 1e-12
+    elif both_interior_point:
         # both sides run the interior-point loop, whose block iterates are the dense ones
         assert block.status == dense.status
         assert block.iterations == dense.iterations

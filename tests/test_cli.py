@@ -240,9 +240,9 @@ def test_table_bytes_pinned(capsys, args):
     "args,where",
     [
         (("--family", "hirsch1", "--sdp-max-iters", "3"), "hirsch1 d=2 p_TLF"),
-        (("--family", "werner", "--dmax", "3", "--sdp-max-iters", "2"), "werner d=2 p_TLF"),
+        # two Newton steps certify every d = 2 solve, ended at its optimal vertex, but not those at d = 3
+        (("--family", "werner", "--dmax", "3", "--sdp-max-iters", "2"), "werner d=3 p_TLF"),
         (("--family", "isotropic", "--dmax", "2", "--sdp-tol", "0.5"), "isotropic d=2 p_TLF"),
-        (("--family", "hirsch1", "--sdp-tol", "0.5"), "hirsch1 d=2 p_TLF"),
     ],
     ids=" ".join,
 )
@@ -253,6 +253,28 @@ def test_table_refuses_uncertified_entries(capsys, args, where):
     assert code == 2
     assert out == ""
     assert where in err and "p=" in err
+
+
+def test_table_sign_queries_run_until_the_cut_is_settled(capsys):
+    # a gap under a loose tol_objective that straddles the activation cut stops
+    # no sign query: each runs on until its bounds settle the cut, so the
+    # bisection visits the default's points and decides them alike
+    code, out, _ = run_cli(capsys, "table", "--family", "hirsch1", "--sdp-tol", "0.5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_SHA256[("--family", "hirsch1")]
+
+
+@pytest.mark.parametrize("dmax", ["7", "8"])
+def test_table_rejects_a_column_the_last_row_cannot_compute(monkeypatch, capsys, dmax):
+    # CGLMP supports d <= 6: the isotropic p_NL column fails before any row is computed
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(sweep, "sigma_min", no_solve)
+    code, out, err = run_cli(capsys, "table", "--family", "isotropic", "--dmax", dmax)
+    assert code == 2
+    assert out == ""
+    assert f"isotropic d={dmax} p_NL: cglmp supports 2 <= d <= 6" in err
 
 
 @pytest.mark.parametrize("dmax", ["1", "9"])

@@ -142,21 +142,63 @@ _TABLE_TLF = {
 }
 
 
-@pytest.mark.parametrize("family,d", list(_TABLE_TLF), ids=str)
-def test_scalar_loop_matches_interior_point(family, d):
-    # the scalar loop takes the general loop's Newton steps on eight scalar blocks, up to rounding
+def _tlf_grid(family, d):
+    """Nine points over the family's range and one 0.002 on either side of its table p_TLF."""
     lo, hi = werner_p_range(d) if family == "werner" else (0.0, 1.0)
     p_tlf = _TABLE_TLF[family, d]
-    grid = [*np.linspace(lo, hi, 9), p_tlf - 0.002, p_tlf + 0.002]
-    for p in grid:
-        tau = wi_state(p) if family == "wi" else (werner_state if family == "werner" else isotropic_state)(d, p)
+    for p in [*np.linspace(lo, hi, 9), p_tlf - 0.002, p_tlf + 0.002]:
+        yield p, wi_state(p) if family == "wi" else (werner_state if family == "werner" else isotropic_state)(d, p)
+
+
+def _indicator(sol):
+    """`sigma_min`'s three-valued ``activated`` of a solution."""
+    if sol.status in CERTIFIED:
+        if sol.objective < -ACTIVATION_TOL:
+            return True
+        if sol.objective_lb >= -ACTIVATION_TOL:
+            return False
+    return None
+
+
+@pytest.mark.parametrize("family,d", list(_TABLE_TLF), ids=str)
+def test_scalar_loop_matches_interior_point(family, d):
+    # the scalar loop ends at its optimal vertex: it decides as the general loop
+    # does, in no more Newton steps
+    for p, tau in _tlf_grid(family, d):
         for options in (DEFAULT_OPTIONS, bisection_options()):
             problem = build_cost(tau, options)
             assert problem.blocks.costs.shape == (8, 1, 1)
             scalar, general = solve(problem), _solve(problem, _interior_point)
-            assert (scalar.status, scalar.iterations) == (general.status, general.iterations), p
-            assert abs(scalar.objective - general.objective) <= 1e-12, p
-            assert abs(scalar.objective_lb - general.objective_lb) <= 1e-12, p
+            assert _indicator(scalar) == _indicator(general), p
+            assert scalar.iterations <= general.iterations, p
+            # both certified intervals hold the optimum
+            assert max(scalar.objective_lb, general.objective_lb) <= min(scalar.objective, general.objective) + 1e-12, p
+            # the vertex only adds to the certificate of the general loop's
+            # iterates: the scalar interval lies in the general loop's after as
+            # many Newton steps and, once it has closed, in the general loop's final one
+            same_steps = dataclasses.replace(options, max_iters=scalar.iterations)
+            references = [_solve(dataclasses.replace(problem, options=same_steps), _interior_point)]
+            if scalar.status == "converged":
+                references.append(general)
+            for ref in references:
+                for bound in (scalar.objective_lb, scalar.objective):
+                    assert ref.objective_lb - 1e-12 <= bound <= ref.objective + 1e-12, p
+
+
+@pytest.mark.parametrize("family,d", list(_TABLE_TLF), ids=str)
+def test_scalar_loop_certifies_below_the_matrix_floor(family, d):
+    # a gap of 1e-12 lies below the interior-point iterates' own accuracy
+    # floor (~1e-10); the optimal vertex and its basis dual certify it
+    options = SdpOptions(tol_objective=1e-12)
+    for p, tau in _tlf_grid(family, d):
+        problem = build_cost(tau, options)
+        sol = solve(problem)
+        assert sol.status == "converged", p
+        assert sol.objective - sol.objective_lb <= 1e-12, p
+        # inside the general loop's certified interval at its floor, whatever its status
+        general = _solve(dataclasses.replace(problem, options=TIGHT), _interior_point)
+        for bound in (sol.objective_lb, sol.objective):
+            assert general.objective_lb - 1e-12 <= bound <= general.objective + 1e-12, p
 
 
 def test_side_one_lowest_eigenvalues_are_the_entries(monkeypatch, rng):

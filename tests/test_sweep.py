@@ -226,9 +226,10 @@ def test_prescan_bisection_equals_linear_scan(monkeypatch, raising, uncertified_
 
 
 # per table: evaluate_point calls (the closed-form columns, each a prescan of
-# its 20-point grid and a bisection) and sdp.solve calls (three per exact p_TLF
-# entry: the low end and two Newton steps)
-_TABLE_EVALUATIONS = {("wi", 6): (54, 3), ("werner", 6): (94, 15), ("isotropic", 6): (151, 15)}
+# its 20-point grid and a bisection), sdp.solve calls (three per exact p_TLF
+# entry: the low end and two Newton steps on sigma(p)) and the interior-point
+# Newton steps of those solves, each ended at its optimal LP vertex
+_TABLE_EVALUATIONS = {("wi", 6): (54, 3, 5), ("werner", 6): (94, 15, 39), ("isotropic", 6): (151, 15, 32)}
 
 
 @pytest.mark.parametrize("family,d_max", list(_TABLE_EVALUATIONS), ids=str)
@@ -240,15 +241,16 @@ def test_build_table_evaluation_budget(monkeypatch, family, d_max):
         return evaluate_point(*args, **kwargs)
 
     def counted_solve(problem):
-        solves.append(problem)
-        return solve(problem)
+        solves.append(solve(problem))
+        return solves[-1]
 
     monkeypatch.setattr(sweep, "evaluate_point", counted)
     monkeypatch.setattr(activation, "solve", counted_solve)
     build_table(family, d_max=d_max)
-    max_evaluations, max_solves = _TABLE_EVALUATIONS[family, d_max]
+    max_evaluations, max_solves, max_steps = _TABLE_EVALUATIONS[family, d_max]
     assert len(evaluations) <= max_evaluations
     assert len(solves) <= max_solves
+    assert sum(solution.iterations for solution in solves) <= max_steps
     assert not [args for args in evaluations if args[1] == "tlf"]  # every p_TLF entry is exact
 
 
