@@ -10,10 +10,12 @@ Three loops share one problem representation and one certificate:
   the cost is real and its blocks have side 2 to `IPM_MAX_SIDE` (16): a
   plain real cost of side <= 16 and, through the ancilla's Bell form
   (blocks of side d_A d_B), every real activation cost with no twirl form
-  and d_A d_B <= 16, the two-qubit Hirsch inputs among them.  It certifies within a few dozen Newton steps where
-  the splitting loop needs up to tens of thousands of iterations near a
-  sign change.  Complex costs would double its unknowns, and the splitting
-  loop decides complex two-qubit costs faster;
+  and d_A d_B <= 16, the two-qubit Hirsch inputs among them.  It certifies
+  within a few dozen Newton steps where the splitting loop needs up to tens
+  of thousands of iterations near a sign change.  Its Schur matrix is its
+  Newton operator applied to a basis of the symmetric blocks.  Complex
+  costs would double its unknowns, and the splitting loop decides complex
+  two-qubit costs faster;
 - the same interior-point method on blocks of side 1, written on vectors:
   a linear program in nb unknowns, whose HKM scaling is an entrywise
   division, whose Schur matrix is (nb + 1)-square and whose step lengths
@@ -47,7 +49,8 @@ dense iterates stay of that form, and on it the spectrum of X is the
 blocks' spectra with multiplicities Tr P_b, traces and Frobenius inner
 products are the multiplicity-weighted ones, and the partial transpose maps
 the P_b algebra linearly onto a second projector algebra Q_c
-(multiplicities Tr Q_c).
+(multiplicities Tr Q_c): `_Stack.pt`, whose adjoint `_Stack.pt_adj` is
+also its inverse, as the dense partial transpose is a self-adjoint involution.
 
 All loops feed one certificate of objective bounds:
 
@@ -101,10 +104,10 @@ IPM_MAX_SIDE = 16
 # Longer steps leave the iterates so close to the boundary that the Schur solves
 # lose accuracy, an accuracy floor near 1e-10 that only the matrix form still
 # has: the scalar form ends at a rounded vertex instead.  On the activation
-# costs of 40 seeded random real two-qubit states in their Bell form, at
-# tol_objective = 1e-10, 0.9 closes 38 certified gaps to 1e-10 and the other
-# two to 1.2e-10, 0.98 only 16 (the rest to 2e-9), and 0.8 all 40 at a third
-# more Newton steps.
+# costs of the real parts of 40 states from random_density((2, 2),
+# default_rng(7)) in their Bell form, at tol_objective = 1e-10, 0.9 closes 38
+# certified gaps to 1e-10 (604 Newton steps) and the other two to 2.1e-10 and
+# 3.9e-10, 0.98 only 16 (the rest to 1.2e-9), and 0.8 all 40 in 657 steps.
 STEP_FRACTION = 0.9
 # interior-point steps without a tighter certified gap after which the loop has stalled
 STALL_STEPS = 5
@@ -152,8 +155,8 @@ class SdpOptions:
 
     def __post_init__(self) -> None:
         # a solve under any other value could never certify a bound
-        if not self.max_iters >= 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
         if not (math.isfinite(self.tol_objective) and self.tol_objective > 0.0):
             raise ValueError(f"tol_objective must be finite and positive, got {self.tol_objective}")
         if self.objective_cut is not None and not math.isfinite(self.objective_cut):
@@ -302,11 +305,14 @@ def _compose(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 class _Stack:
-    """The problem as stacks of blocks with multiplicities, shared by both loops.
+    """The problem as stacks of blocks with multiplicities, shared by all loops.
 
     X-side stacks hold the blocks X_b (multiplicities Tr P_b); W-side stacks
-    hold the blocks of X^T1 in the Q_c algebra.  ``pt(x, pt_map)`` maps the
-    first onto the second and ``pt(s, pt_inverse)`` is its adjoint.
+    hold the blocks of X^T1 in the Q_c algebra (multiplicities Tr Q_c).
+    `transpose` is T, the transpose of the first (m) factor in a block; `pt`
+    maps X-side stacks onto W-side ones, PT(X)_c = sum_b pt_map[c, b] T(X_b),
+    and `pt_adj` is its adjoint under the multiplicity-weighted inner
+    products, PT*(S)_b = sum_c pt_inverse[b, c] T(S_c).
     """
 
     def __init__(self, problem: SdpProblem) -> None:
@@ -326,11 +332,21 @@ class _Stack:
         self.n = float(self.block_mult.sum() * self.s)  # side of the dense problem
         self.eye = np.broadcast_to(np.eye(self.s, dtype=costs.dtype), costs.shape)
 
-    def pt(self, mats: np.ndarray, mix: np.ndarray) -> np.ndarray:
-        s, m, k = self.s, self.m, self.k
-        out = mats.reshape(-1, m, k, m, k).swapaxes(1, 3).reshape(-1, s, s)
+    def transpose(self, mats: np.ndarray) -> np.ndarray:
+        """T of every block of a stack, over any leading axes."""
+        m, k = self.m, self.k
+        return mats.reshape(*mats.shape[:-2], m, k, m, k).swapaxes(-4, -2).reshape(mats.shape)
+
+    def _mixed(self, mix: np.ndarray, mats: np.ndarray) -> np.ndarray:
+        out = self.transpose(mats)
         # a lone block spans the whole space, which the transpose maps onto itself
         return out if len(mix) == 1 else np.einsum("cb,bij->cij", mix, out)
+
+    def pt(self, mats: np.ndarray) -> np.ndarray:
+        return self._mixed(self.form.pt_map, mats)
+
+    def pt_adj(self, mats: np.ndarray) -> np.ndarray:
+        return self._mixed(self.form.pt_inverse, mats)
 
     def objective(self, mats: np.ndarray) -> float:
         return float(self.block_mult @ np.sum(self.costs * mats.conj(), axis=(1, 2)).real)
@@ -373,7 +389,7 @@ class _Bounds:
         however small the gap.
         """
         st = self.stack
-        mats = np.concatenate([st.costs - st.pt(s2, st.form.pt_inverse), st.pt(x, st.form.pt_map)])
+        mats = np.concatenate([st.costs - st.pt_adj(s2), st.pt(x)])
         low = _lowest(mats)
         lb = float(low[: st.nb].min())
         slack = max(0.0, -float(low[st.nb :].min()))
@@ -426,7 +442,7 @@ def _solve(problem: SdpProblem, loop: Callable[[_Stack, _Bounds, SdpOptions], tu
         raise ValueError(f"smallest eigenvalue {low} below {-PSD_TOL}")
     residuals = {
         "psd_slack": max(0.0, -low),
-        "ppt_slack": max(0.0, -_min_eig(stack.pt(x, stack.form.pt_map))),
+        "ppt_slack": max(0.0, -_min_eig(stack.pt(x))),
         "trace_err": abs(float(trace.real) - 1.0),
         "certified_gap": bounds.ub - bounds.lb,
     }
@@ -459,9 +475,9 @@ def _splitting(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str]
     for it in range(1, opts.max_iters + 1):
         w, v = np.linalg.eigh(y - u - st.costs / rho)
         x = _compose(v, _simplex_projection(w.ravel(), mult).reshape(nb, s))
-        z = st.pt(x + u, st.form.pt_map)
+        z = st.pt(x + u)
         w, v = np.linalg.eigh(z)
-        y_new = st.pt(_compose(v, np.maximum(w, 0.0)), st.form.pt_inverse)
+        y_new = st.pt_adj(_compose(v, np.maximum(w, 0.0)))
         r_dual = rho * norm(y_new - y)
         y = y_new
         u = u + x - y
@@ -491,63 +507,23 @@ def _sym(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _schur_indices(nb: int, s: int, m: int, k: int) -> tuple:
-    """Index arrays of the reduced Schur system for nb real symmetric blocks of side s = m k.
+def _symmetric_basis(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, basis) of real symmetric s x s blocks: basis[u] is E_ij + E_ji at (i, j) = (i[u], j[u]).
 
-    A symmetric block is fixed by its entries (i, j) with i <= j (the units:
-    those with i < j first, then the diagonal).  These are a Newton step's
-    unknowns per block of dS2, and the same entries of the W-side equation
-    are its equations.  Returned:
-
-    - ``units``, ``mirror``: flat positions of the entries (i, j) and (j, i)
-      in an nb-block stack, shape (nb, units);
-    - ``once``: 1/2 on the diagonal units, which a unit and its mirror count
-      twice, else 1;
-    - ``x_reads``, ``w_reads``: the entries at which `_hkm_ops` reads the
-      operators of the X and the W blocks: the units as rows, and the units
-      and their mirrors as columns; X sits behind T, the partial transpose
-      of the first (m) factor.
+    The pairs i < j come first, then the diagonal, where basis[u] is E_ii.
     """
     i, j = (np.concatenate([upper, np.arange(s)]) for upper in np.triu_indices(s, 1))
-    once = np.where(i == j, 0.5, 1.0)
-    offsets = s * s * np.arange(nb)[:, None]
-    units, mirror = offsets + i * s + j, offsets + j * s + i
-
-    def pt_units(i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # T(E_ij) = E_i'j'
-        (im, ik), (jm, jk) = divmod(i, k), divmod(j, k)
-        return jm * k + ik, im * k + jk
-
-    x_reads = (pt_units(i, j), pt_units(i, j), pt_units(j, i))
-    w_reads = ((i, j), (i, j), (j, i))
-    return units, mirror, once, x_reads, w_reads
-
-
-def _hkm_ops(a: np.ndarray, b: np.ndarray, reads: tuple, once: np.ndarray) -> np.ndarray:
-    """Matrices of the HKM operators D -> (a D b + b D a) / 2 of a stack's blocks.
-
-    In the coordinates of `_schur_indices`: the columns are the images of
-    E_kl + E_lk (halved on the diagonal), the rows the unit entries.
-    """
-    (i, j), *columns = reads
-    images = []
-    for k, l in columns:
-        # [block, r, c]: twice unit r's entry of the image of E_kl, (k, l) unit c
-        # or its mirror; (a E_kl b)[i, j] = a[i, k] b[l, j]
-        image = a[:, i][:, :, k] * b[:, l][:, :, j].swapaxes(1, 2)
-        image += b[:, i][:, :, k] * a[:, l][:, :, j].swapaxes(1, 2)
-        images.append(image)
-    plus, mirrored = images
-    plus += mirrored
-    plus *= 0.5 * once
-    return plus
+    basis = np.zeros((len(i), s, s))
+    basis[np.arange(len(i)), i, j] = basis[np.arange(len(i)), j, i] = 1.0
+    basis.flags.writeable = False
+    return i, j, basis
 
 
 def _start(st: _Stack) -> np.ndarray:
     """The stacks (X, W, S1, S2) = (I/n, I/n, C - y I - PT*(I), I), with y chosen so that lambda_min(S1) = 1."""
     nb = st.nb
     eye = np.broadcast_to(np.eye(st.s), (2 * nb, st.s, st.s))
-    y = _min_eig(st.costs - st.pt(eye[:nb], st.form.pt_inverse)) - 1.0
+    y = _min_eig(st.costs - st.pt_adj(eye[:nb])) - 1.0
     return np.concatenate([eye / st.n, st.costs - (y + 1.0) * eye[:nb], eye[:nb]])
 
 
@@ -588,21 +564,24 @@ def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
     constraints; the rounding left in tr X is fed back into the next step.
     Traces and inner products carry the multiplicities Tr P_b on the X side
     and Tr Q_c on the W side, so the block iterates are the dense ones.
-    Returns (Newton steps, status).
+
+    With Xi(D) = sym(Zi D Si^-1), (Z1, Z2) = (X, W), and H = sym(target S^-1),
+    a step has dS1 = -dy I - PT*(dS2) and dX = H1 - X1(dS1), so dW = PT(dX) reads
+    (X2 + PT X1 PT*)(dS2) + dy PT(X1(I)) = H2 - PT(H1), bordered by the trace
+    row.  Its Schur matrix holds, for each element E of `_symmetric_basis`
+    put in block d, the image's W-side entries (i, j), i <= j: on the X side
+    T(E) under each block's X1, transposed back and mixed by
+    pt_map[c, b] pt_inverse[b, d]; on the W side E under X2.  dS2 and the
+    trace row are read from the same basis.  Returns (Newton steps, status).
     """
     nb, s = st.nb, st.s  # PT maps the nb blocks of X onto as many blocks of W
     # coefficient of PT X1_b PT* in block (c, d) of the Schur operator
     mix = np.einsum("cb,bd->cdb", st.form.pt_map, st.form.pt_inverse)
-    units, mirror, once, x_reads, w_reads = _schur_indices(nb, s, st.m, st.k)
-    per_block = units.shape[1]
+    i, j, basis = _symmetric_basis(s)
+    transposed = st.transpose(basis)
+    per_block = len(i)
     size = nb * per_block
     eye = np.broadcast_to(np.eye(s), (2 * nb, s, s))
-
-    def pt(a: np.ndarray) -> np.ndarray:
-        return st.pt(a, st.form.pt_map)
-
-    def pt_adj(a: np.ndarray) -> np.ndarray:
-        return st.pt(a, st.form.pt_inverse)
 
     def trace(a: np.ndarray) -> float:
         return float(st.trace(a))
@@ -626,31 +605,32 @@ def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
             return None
         factors = (v / np.sqrt(w)[:, None, :]).swapaxes(-1, -2)
         dual_inv = factors[2 * nb :].swapaxes(-1, -2) @ factors[2 * nb :]
-        # Schur operator on dS2: K = X2 + PT X1 PT* with Xi(D) = sym(Zi D Si^-1),
-        # bordered by the trace row
+        # Schur operator on dS2: K = X2 + PT X1 PT*, bordered by dy and the trace row
         schur = np.empty((size + 1, size + 1))
         kmat = schur[:size, :size].reshape(nb, per_block, nb, per_block)
-        np.einsum("cdb,bij->cidj", mix, _hkm_ops(x, dual_inv[:nb], x_reads, once), out=kmat)
-        kmat[np.arange(nb), :, np.arange(nb), :] += _hkm_ops(z[nb:], dual_inv[nb:], w_reads, once)
+        # [block, basis element, row]: the images of the basis under each block's Xi
+        x_side = st.transpose(_sym(x[:, None] @ transposed @ dual_inv[:nb, None]))[..., i, j]
+        w_side = _sym(z[nb:, None] @ basis @ dual_inv[nb:, None])[..., i, j]
+        np.einsum("cdb,bur->crdu", mix, x_side, out=kmat)
+        kmat[np.arange(nb), :, np.arange(nb), :] += w_side.swapaxes(1, 2)
         u = _sym(x @ dual_inv[:nb])
-        flat = pt(u).ravel()
+        pt_u = st.pt(u)
         # border: dy in each equation, and the trace row <PT(u), dS2> over the W side
-        schur[:size, size] = flat[units].ravel()
-        schur[size, :size] = (st.mult[nb:, None] * (flat[units] + flat[mirror]) * once).ravel()
+        schur[:size, size] = pt_u[:, i, j].ravel()
+        schur[size, :size] = (st.mult[nb:, None] * np.einsum("cij,uij->cu", pt_u, basis)).ravel()
         schur[size, size] = trace(u)
         rhs = np.empty(size + 1)
 
         def direction(target: np.ndarray) -> np.ndarray:
             """Newton step (dX, dW, dS1, dS2) that moves Z S by target."""
             h = _sym(target @ dual_inv)
-            rhs[:size] = (h[nb:] - pt(h[:nb])).ravel()[units].ravel()
+            rhs[:size] = (h[nb:] - st.pt(h[:nb]))[:, i, j].ravel()
             rhs[size] = r_trace - trace(h[:nb])
             sol = np.linalg.solve(schur, rhs)
-            ds2 = np.empty_like(x)
-            ds2.ravel()[units] = ds2.ravel()[mirror] = sol[:size].reshape(nb, per_block)
-            ds1 = -sol[size] * eye[:nb] - pt_adj(ds2)  # sol[size] is dy
+            ds2 = np.einsum("cu,uij->cij", sol[:size].reshape(nb, per_block), basis)
+            ds1 = -sol[size] * eye[:nb] - st.pt_adj(ds2)  # sol[size] is dy
             dx = h[:nb] - _sym(x @ ds1 @ dual_inv[:nb])
-            return np.concatenate([dx, pt(dx), ds1, ds2])
+            return np.concatenate([dx, st.pt(dx), ds1, ds2])
 
         def steps(d: np.ndarray) -> np.ndarray:
             """Largest primal and dual steps <= 1 that stay in the cones, per block."""

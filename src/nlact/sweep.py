@@ -12,9 +12,10 @@ certifies nothing (indicator None) stops them with ``ValueError``.  The
 p_TLF entry of a twirled family (wi, Werner, isotropic) is instead exact:
 the root of one vertex line of its activation LP, found by Newton's method
 in about three solves and certified to `EXACT_TOL` (see
-`_exact_tlf_entry`).  SDP-backed points get one solve each under the
-caller's options; in a sampled curve a point whose solve certifies nothing
-is recorded as missing instead of aborting the sweep.
+`_exact_tlf_entry`), under the caller's iteration budget only.  Other
+SDP-backed points get one solve each under the caller's options; in a
+sampled curve a point whose solve certifies nothing is recorded as missing
+instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -358,9 +359,12 @@ def _exact_tlf_entry(spec: FamilySpec, sdp_options: SdpOptions | None) -> dict:
       sigma(lo) below by a positive number, so by concavity sigma >= 0 on
       [lo, r] up to the dual bound's rounding.
 
-    The stated tolerance `EXACT_TOL` covers the rounding of both ends.
+    The stated tolerance `EXACT_TOL` covers the rounding of both ends.  The
+    solves run at `EXACT_TOL` with no cut, whatever the caller's tolerance:
+    a looser gap would stop them at an interior iterate, short of their
+    vertex.  The caller's ``max_iters`` is kept.
     """
-    options = replace(sdp_options or DEFAULT_OPTIONS, objective_cut=None)
+    options = replace(sdp_options or DEFAULT_OPTIONS, tol_objective=EXACT_TOL, objective_cut=None)
     lo, hi = spec.p_range()
     lo = max(lo, 0.0)  # as in the prescan
     low = sigma_min(spec.state(lo), replace(options, objective_cut=0.0)).witness

@@ -242,7 +242,6 @@ def test_table_bytes_pinned(capsys, args):
         (("--family", "hirsch1", "--sdp-max-iters", "3"), "hirsch1 d=2 p_TLF"),
         # two Newton steps certify every d = 2 solve, ended at its optimal vertex, but not those at d = 3
         (("--family", "werner", "--dmax", "3", "--sdp-max-iters", "2"), "werner d=3 p_TLF"),
-        (("--family", "isotropic", "--dmax", "2", "--sdp-tol", "0.5"), "isotropic d=2 p_TLF"),
     ],
     ids=" ".join,
 )
@@ -262,6 +261,22 @@ def test_table_sign_queries_run_until_the_cut_is_settled(capsys):
     code, out, _ = run_cli(capsys, "table", "--family", "hirsch1", "--sdp-tol", "0.5")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_SHA256[("--family", "hirsch1")]
+
+
+# the default tables of the twirled families, whose p_TLF entries are exact
+_EXACT_TABLE_SHA256 = {
+    ("--family", "wi"): _TABLE_SHA256[("--family", "wi")],
+    ("--family", "isotropic", "--dmax", "2"): "2cc9bf6e41e352a42816c7ee9ff516896faa620625eaef810828a0234a699bdc",
+}
+
+
+@pytest.mark.parametrize("args", list(_EXACT_TABLE_SHA256), ids=" ".join)
+def test_table_exact_entries_ignore_a_loose_sdp_tol(capsys, args):
+    # an exact p_TLF entry solves at its own tolerance, so a loose --sdp-tol
+    # cannot stop its solves short of their vertex
+    code, out, _ = run_cli(capsys, "table", *args, "--sdp-tol", "0.5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _EXACT_TABLE_SHA256[args]
 
 
 @pytest.mark.parametrize("dmax", ["7", "8"])

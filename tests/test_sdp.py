@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from nlact import sdp
-from nlact.activation import ACTIVATION_TOL, DEFAULT_OPTIONS, bisection_options, build_cost
-from nlact.linalg import DensityMatrix, min_eig
+from nlact.activation import ACTIVATION_TOL, DEFAULT_OPTIONS, H_ANGLE, bisection_options, build_cost
+from nlact.linalg import DensityMatrix, min_eig, partial_transpose_mat
 from nlact.rand import random_density
 from nlact.sdp import SdpOptions, SdpProblem, _interior_point, _solve, _splitting, solve
 from nlact.states import (
+    h_theta,
     hirsch_state,
     isotropic_state,
     projector,
     psi_minus,
+    twirl_projectors,
     werner_p_range,
     werner_state,
     wi_state,
@@ -201,6 +203,44 @@ def test_scalar_loop_certifies_below_the_matrix_floor(family, d):
             assert general.objective_lb - 1e-12 <= bound <= general.objective + 1e-12, p
 
 
+def _twirl_only_problem(tau, options):
+    """A twirled state's activation problem with the ancilla left whole: blocks c_b H of side 4 on [A_q, B_q].
+
+    The partial transpose over A_d maps the projectors P_b onto the other
+    algebra's Q_c, with multiplicities Tr P_b and Tr Q_c that are not 1, and
+    pt_map and pt_inverse are read off the projectors' partial transposes.
+    """
+    d = tau.dims[0]
+    ps = twirl_projectors(tau.algebra, d)
+    qs = twirl_projectors("isotropic" if tau.algebra == "werner" else "werner", d)
+
+    def expand(images, onto):
+        # coefficients of each image in the orthogonal projectors onto: [onto, image]
+        return np.array([[np.trace(o @ image) / np.trace(o) for image in images] for o in onto])
+
+    pt_map = expand([partial_transpose_mat(p, (d, d), 0) for p in ps], qs)
+    pt_inverse = expand([partial_transpose_mat(q, (d, d), 0) for q in qs], ps)
+    costs = np.multiply.outer(tau.coeffs, h_theta(H_ANGLE).real)
+    form = sdp.BlockForm(costs=costs, factors=((ps, (0, 2)),), pt_map=pt_map, pt_inverse=pt_inverse)
+    return SdpProblem(form, (d, 2, d, 2), t1_split=2, options=options)
+
+
+@pytest.mark.parametrize("family,d", [("werner", 3), ("werner", 4), ("isotropic", 3)], ids=str)
+def test_matrix_loop_on_blocks_with_multiplicities(family, d):
+    # the matrix loop on blocks of side 4 whose multiplicities are not 1 and
+    # whose pt_map is not pt_inverse: it agrees with the exact LP value of
+    # the eight-scalar form within its certified gap
+    options = SdpOptions(tol_objective=1e-9)
+    for p, tau in list(_tlf_grid(family, d))[-4:]:
+        problem = _twirl_only_problem(tau, options)
+        assert problem.blocks.costs.shape == (2, 4, 4)
+        assert not np.allclose(problem.blocks.pt_map, problem.blocks.pt_inverse)
+        block = solve(problem)
+        scalar = solve(build_cost(tau, options))
+        assert block.status == scalar.status == "converged", p
+        assert block.objective_lb - 1e-12 <= scalar.objective <= block.objective + 1e-12, p
+
+
 def test_side_one_lowest_eigenvalues_are_the_entries(monkeypatch, rng):
     # a block of side 1 is its own eigenvalue: reading it gives eigvalsh's bits
     values = np.exp(rng.uniform(-30.0, 30.0, 16)) * rng.choice([-1.0, 1.0], 16)
@@ -247,6 +287,9 @@ def test_plain_problem_cost_round_trips(rng):
         ({"tol_objective": float("inf")}, "tol_objective"),
         ({"objective_cut": float("nan")}, "objective_cut"),
         ({"objective_cut": -float("inf")}, "objective_cut"),
+        # a float budget would pass the range check and then fail every solve in range()
+        ({"max_iters": 1e3}, "max_iters"),
+        ({"max_iters": 2.5}, "max_iters"),
     ],
 )
 def test_options_reject_values_that_certify_nothing(kwargs, match):
@@ -254,6 +297,11 @@ def test_options_reject_values_that_certify_nothing(kwargs, match):
         SdpOptions(**kwargs)
     with pytest.raises(ValueError, match=match):
         dataclasses.replace(SdpOptions(), **kwargs)
+
+
+def test_options_take_numpy_integer_budgets():
+    options = SdpOptions(max_iters=np.int64(40))
+    assert solve(build_cost(wi_state(0.7), options)).status == "converged"
 
 
 def test_max_iters_status():
@@ -327,3 +375,13 @@ def test_interior_point_certifies_near_cut(p):
     sol = solve(build_cost(hirsch_state(p), bisection_options()))
     assert sol.status in CERTIFIED
     assert sol.iterations <= 50
+
+
+def test_hirsch_trail_newton_step_budget(monkeypatch):
+    # the sign queries of the hirsch1 p_TLF bisection, all on the matrix loop,
+    # take 95 Newton steps in all; tighten this budget, never loosen it
+    loops = []
+    monkeypatch.setattr(sdp, "_interior_point", lambda *args: loops.append(args) or _interior_point(*args))
+    steps = sum(solve(build_cost(hirsch_state(p), bisection_options())).iterations for p in HIRSCH_TRAIL)
+    assert len(loops) == len(HIRSCH_TRAIL)
+    assert steps <= 95

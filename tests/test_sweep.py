@@ -302,11 +302,18 @@ def test_exact_tlf_entry_is_the_sign_change(family, d):
     assert above.objective < 0.0 < below.objective_lb
 
 
-@pytest.mark.parametrize("options", [SdpOptions(max_iters=2), SdpOptions(tol_objective=0.5)], ids=["max_iters", "tol"])
+@pytest.mark.parametrize("options", [SdpOptions(max_iters=2)], ids=["max_iters"])
 def test_exact_tlf_entry_without_certificate_raises(options):
     # an entry whose solves certify too little is refused, never printed
     with pytest.raises(ValueError, match="p="):
         sweep._computed_entry(FamilySpec("werner", 3), "tlf", options)
+
+
+def test_exact_tlf_entry_ignores_a_loose_tolerance():
+    # the entry's solves run at EXACT_TOL, so they reach their vertex whatever the caller's gap
+    spec = FamilySpec("werner", 3)
+    loose = sweep._computed_entry(spec, "tlf", SdpOptions(tol_objective=0.5))
+    assert loose == sweep._computed_entry(spec, "tlf", None)
 
 
 def test_build_table_isotropic_small():
