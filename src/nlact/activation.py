@@ -17,16 +17,13 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import DensityMatrix, kron, permute_mat
-from .sdp import VERTEX_TOL, BlockForm, SdpOptions, SdpProblem, SdpSolution, round_to_vertex, solve
+from .sdp import BlockForm, SdpOptions, SdpProblem, SdpSolution, solve
 from .states import PAULI, TwirledState, h_theta, projector, twirl_projectors
 
 ACTIVATION_TOL = 1e-6
 # solver options of every activation solve that is given none
 DEFAULT_OPTIONS = SdpOptions(tol_objective=1e-7)
 H_ANGLE = math.pi / 4.0
-# vertices of the twirled problems' polytope (40 at d = 2, 44 at every d >= 3):
-# a walk over vertices of strictly decreasing roots visits at most this many
-LP_VERTICES = 44
 
 # canonical variable order [A_d, A_q, B_d, B_q] from the natural cost order
 # [A_d, B_d, A_q, B_q]; the permutation is its own inverse
@@ -46,14 +43,11 @@ _BELL_H = 1.0 - math.cos(H_ANGLE) * np.array([1, -1, 1, -1]) - math.sin(H_ANGLE)
 __all__ = [
     "ACTIVATION_TOL",
     "DEFAULT_OPTIONS",
-    "LP_VERTICES",
-    "VERTEX_TOL",
     "ActivationResult",
-    "LpVertex",
     "bisection_options",
     "build_cost",
-    "lp_vertex",
     "sigma_min",
+    "twirled_costs",
     "ancilla_R",
     "verify_ancilla",
 ]
@@ -66,15 +60,16 @@ class ActivationResult:
     activated: bool | None
 
 
-def bisection_options() -> SdpOptions:
-    """Solver options for sign-only queries: stop once the bounds settle the cut.
+def bisection_options(options: SdpOptions | None = None) -> SdpOptions:
+    """The sign-only form of ``options`` (default `DEFAULT_OPTIONS`): stop once the bounds settle the cut.
 
     A sign decision against the activation cut certifies orders of
     magnitude earlier than the full gap on near-threshold instances, at
     the price of a loose reported value; use only where the indicator is
-    all that matters.
+    all that matters.  A cut that is already set is kept.
     """
-    return replace(DEFAULT_OPTIONS, objective_cut=-ACTIVATION_TOL)
+    options = options or DEFAULT_OPTIONS
+    return options if options.objective_cut is not None else replace(options, objective_cut=-ACTIVATION_TOL)
 
 
 @lru_cache(maxsize=None)
@@ -93,8 +88,8 @@ def _twirled_pt(algebra: str, d: int) -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
-def _twirled_costs(tau: TwirledState) -> np.ndarray:
-    """The eight scalar costs c_b h_k of the twirled form, affine in the state's coefficients."""
+def twirled_costs(tau: TwirledState) -> np.ndarray:
+    """The eight scalar costs c_b h_k of the twirled form (an `sdp.LpVertex`'s), affine in the coefficients."""
     return np.multiply.outer(tau.coeffs, _BELL_H).ravel()
 
 
@@ -108,7 +103,7 @@ def _twirled_form(tau: TwirledState) -> BlockForm:
     d = tau.dims[0]
     pt_map, pt_inverse = _twirled_pt(tau.algebra, d)
     return BlockForm(
-        costs=_twirled_costs(tau).reshape(-1, 1, 1),
+        costs=twirled_costs(tau).reshape(-1, 1, 1),
         factors=((twirl_projectors(tau.algebra, d), (0, 2)), (_BELL, (1, 3))),
         pt_map=pt_map,
         pt_inverse=pt_inverse,
@@ -180,61 +175,6 @@ def sigma_min(tau: DensityMatrix, options: SdpOptions | None = None) -> Activati
         elif witness.objective_lb >= -ACTIVATION_TOL:
             activated = False
     return ActivationResult(sigma=witness.objective, witness=witness, activated=activated)
-
-
-@dataclass(frozen=True)
-class LpVertex:
-    """A vertex v of a twirled activation problem's polytope, with its basis.
-
-    A twirled problem is a linear program in its eight scalar blocks: min
-    sum_b m_b c_b(p) x_b over {x >= 0, pt_map x >= 0, sum_b m_b x_b = 1},
-    whose polytope depends on the algebra and d only, while the costs are
-    affine in p through the state's coefficients.  ``system`` holds the rows
-    of the vertex's nb - 1 active constraints and then the trace row, so
-    ``system @ v`` is (0, ..., 0, 1).
-    """
-
-    blocks: np.ndarray
-    system: np.ndarray
-    mult: np.ndarray
-
-    def value(self, tau: TwirledState) -> float:
-        """Tr[rho_v (tau^T x H_{pi/4})], an upper bound on sigma(tau): affine in tau's coefficients."""
-        return float(_twirled_costs(tau) @ (self.mult * self.blocks))
-
-    def dual_bound(self, tau: TwirledState) -> float:
-        """A lower bound on sigma(tau) from the basis dual: the `_Bounds` certificate on the LP.
-
-        Complementary slackness gives the multipliers z of the basis from
-        system^T z = m * c; for any z >= 0 on the active rows,
-        min_b (m c - A^T z)_b / m_b bounds sigma below.  The negative part of
-        z is dropped, so the bound is certified whatever the rounding, and
-        equals v's value exactly when the basis is dual feasible at tau.
-        """
-        weighted = self.mult * _twirled_costs(tau)
-        z = np.linalg.solve(self.system.T, weighted)
-        return float(np.min((weighted - self.system[:-1].T @ np.maximum(z[:-1], 0.0)) / self.mult))
-
-
-def lp_vertex(solution: SdpSolution) -> LpVertex:
-    """Round a converged solve of a twirled problem to the vertex its minimizer approaches.
-
-    The rounding is the scalar loop's (`sdp.round_to_vertex`).  ValueError
-    unless the vertex is feasible and its value lies in the solve's
-    certified [objective_lb, objective], both within `VERTEX_TOL`.
-    """
-    form, mult = solution.form, solution.form.mult
-    x = solution.blocks.ravel()
-    if solution.blocks.shape != (len(x), 1, 1):
-        raise ValueError("an LP vertex needs a problem of scalar blocks")
-    _, system, v = round_to_vertex(x, form.pt_map, mult)
-    value = float(form.costs.ravel() @ (mult * v))
-    if not solution.objective_lb - VERTEX_TOL <= value <= solution.objective + VERTEX_TOL:
-        raise ValueError(
-            f"the rounded vertex's value {value} leaves the certified "
-            f"[{solution.objective_lb}, {solution.objective}]"
-        )
-    return LpVertex(blocks=v, system=system, mult=mult)
 
 
 @lru_cache(maxsize=1)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import DensityMatrix, herm_eig, kron
-from .states import PAULI, SIGMA_Y, isotropic_state, magic_basis, werner_state
+from .states import PAULI, SIGMA_Y, magic_basis, werner_state
 
 DEGENERATE_TOL = 1e-12
 LORENTZ_IMAG_TOL = 1e-8
@@ -333,11 +333,6 @@ def cglmp_value(
             - p_b_eq_a_plus(0, 1, -k - 1)
         )
     return total
-
-
-def cglmp_isotropic_threshold(d: int) -> float:
-    """Critical p where the isotropic family reaches the CGLMP local bound 2."""
-    return 2.0 / cglmp_value(isotropic_state(d, 1.0))
 
 
 # Locality thresholds are not computable by this package (they require

@@ -25,10 +25,10 @@ Three loops share one problem representation and one certificate:
   `STALL_STEPS`, the positivity test of every iterate and the certificate
   with the matrix form, whose iterates are its own up to rounding.  After
   every step it also rounds the iterate to a vertex of the LP's polytope
-  (`round_to_vertex`) and offers that vertex, with its basis dual, to the
-  same certificate, so a solve ends at its optimal vertex with a gap at
-  rounding level, in a few steps.  The tests use the matrix form as its
-  reference;
+  (`round_to_vertex`, an `LpVertex` with its basis) and offers that
+  vertex, with its basis dual, to the same certificate, so a solve ends at
+  its optimal vertex with a gap at rounding level, in a few steps.  The
+  tests use the matrix form as its reference;
 - consensus operator splitting (ADMM) for complex costs and larger blocks:
   one block carries the spectral-simplex constraint {X >= 0, Tr X = 1}
   with the linear cost handled proximally, the other carries the
@@ -123,6 +123,7 @@ ADAPT_EVERY = 100
 __all__ = [
     "VERTEX_TOL",
     "BlockForm",
+    "LpVertex",
     "SdpOptions",
     "SdpProblem",
     "SdpSolution",
@@ -648,29 +649,72 @@ def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
     return _follow_path(bounds, opts, newton)
 
 
-def round_to_vertex(x: np.ndarray, pt_map: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The vertex of the scalar problem's polytope that a point x approaches, with its basis.
+@dataclass(frozen=True)
+class LpVertex:
+    """A vertex of the scalar problem's polytope {x >= 0, pt_map x >= 0, mult . x = 1}, with its basis.
 
-    The polytope is {x >= 0, pt_map x >= 0, mult . x = 1} in nb unknowns.
+    ``basis`` indexes its nb - 1 active rows among the slacks' rows
+    (I; pt_map); ``system`` holds those rows and then the trace row, so
+    ``system @ blocks`` is (0, ..., 0, 1).  The methods take scalar costs c.
+    """
+
+    blocks: np.ndarray
+    basis: np.ndarray
+    system: np.ndarray
+    mult: np.ndarray
+
+    def value(self, costs: np.ndarray) -> float:
+        """The vertex's objective sum_b m_b c_b v_b, an upper bound on the LP's optimum."""
+        return float(costs @ (self.mult * self.blocks))
+
+    def multipliers(self, costs: np.ndarray) -> np.ndarray:
+        """The basis multipliers z of system^T z = m * c (complementary slackness), the trace row's last."""
+        return np.linalg.solve(self.system.T, self.mult * costs)
+
+    def dual_bound(self, costs: np.ndarray) -> float:
+        """A lower bound on the LP's optimum from the basis dual: the `_Bounds` certificate on the LP.
+
+        min_b (m c - A^T z)_b / m_b over the multipliers' positive part z on
+        the active rows A: certified whatever the rounding, and the vertex's
+        value exactly when the basis is dual feasible at c.
+        """
+        weighted = self.mult * costs
+        z = self.multipliers(costs)
+        return float(np.min((weighted - self.system[:-1].T @ np.maximum(z[:-1], 0.0)) / self.mult))
+
+
+def round_to_vertex(x: np.ndarray, pt_map: np.ndarray, mult: np.ndarray) -> LpVertex:
+    """The vertex of the scalar problem's polytope that a point x approaches.
+
     The nb - 1 smallest of the 2 nb slacks (x, pt_map x) are taken as
-    active; with the trace row they fix the vertex v.  Returns (basis,
-    system, v): the indices of the active rows among the slacks' rows
-    (I; pt_map), those rows followed by the trace row, and v, with
-    system @ v = (0, ..., 0, 1).  ValueError unless the rows fix a vertex
-    that is feasible within `VERTEX_TOL`.
+    active; with the trace row they fix the vertex.  Near an optimal edge
+    those rows can be dependent; only then are the smallest slacks taken
+    whose rows are independent together with the trace row, chosen
+    greedily.  ValueError unless the rows fix a vertex that is feasible
+    within `VERTEX_TOL`.
     """
     nb = len(x)
     rows = np.concatenate([np.eye(nb), pt_map])
-    basis = np.argsort(rows @ x, kind="stable")[: nb - 1]
+    order = np.argsort(rows @ x, kind="stable")
+    basis = order[: nb - 1]
     system = np.vstack([rows[basis], mult])
     try:
         v = np.linalg.solve(system, np.eye(nb)[-1])
     except np.linalg.LinAlgError:
-        raise ValueError("the smallest slacks fix no vertex") from None
+        # the rows of I alone span, so the greedy choice always completes a basis
+        picked: list[int] = []
+        for row in order:
+            if np.linalg.matrix_rank(np.vstack([rows[picked + [row]], mult])) == len(picked) + 2:
+                picked.append(row)
+                if len(picked) == nb - 1:
+                    break
+        basis = np.array(picked)
+        system = np.vstack([rows[basis], mult])
+        v = np.linalg.solve(system, np.eye(nb)[-1])
     infeasible = -float(np.min(rows @ v))
     if not infeasible <= VERTEX_TOL:  # also when v is not finite
         raise ValueError(f"the rounded vertex is infeasible by {infeasible:.3g}")
-    return basis, system, v
+    return LpVertex(blocks=v, basis=basis, system=system, mult=mult)
 
 
 def _scalar_interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str]:
@@ -688,8 +732,8 @@ def _scalar_interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tup
     long before their own gap closes.  After every step the iterate is
     rounded to a vertex (`round_to_vertex`), and the vertex is offered to
     the certificate ahead of the iterate, with S2 the basis dual: the
-    multipliers z of system^T z = m c, their W-side part clamped at 0 and
-    divided by the W-side multiplicities.  lambda_min(C - PT*(S2)) is then
+    vertex's `LpVertex.multipliers` at the costs, their W-side part clamped
+    at 0 and divided by the W-side multiplicities.  lambda_min(C - PT*(S2)) is then
     the basis dual's bound, so an optimal vertex whose basis is dual
     feasible certifies a gap at rounding level.  A rounding that fixes no
     feasible vertex is skipped for that step.  Returns (Newton steps, status).
@@ -697,7 +741,7 @@ def _scalar_interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tup
     nb = st.nb
     pt_map, pt_inverse = st.form.pt_map, st.form.pt_inverse
     x_mult, w_mult = st.mult[:nb], st.mult[nb:]
-    weighted = x_mult * st.costs.ravel()
+    costs = st.costs.ravel()
     diagonal = np.arange(nb)
     schur = np.empty((nb + 1, nb + 1))
     rhs = np.empty(nb + 1)
@@ -708,14 +752,15 @@ def _scalar_interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tup
     def vertex(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """The certificate pair of the vertex that x approaches, or None if x fixes none."""
         try:
-            basis, system, v = round_to_vertex(x, pt_map, x_mult)
-            z = np.linalg.solve(system.T, weighted)[:-1]
+            vertex = round_to_vertex(x, pt_map, x_mult)
+            z = vertex.multipliers(costs)[:-1]
         except (ValueError, np.linalg.LinAlgError):
             return None
+        basis = vertex.basis
         w_side = basis >= nb
         s2 = np.zeros(nb)
         s2[basis[w_side] - nb] = np.maximum(z[w_side], 0.0) / w_mult[basis[w_side] - nb]
-        v = np.maximum(v, 0.0)  # PSD exactly; the mix toward I/n absorbs the W side's rounding
+        v = np.maximum(vertex.blocks, 0.0)  # PSD exactly; the mix toward I/n absorbs the W side's rounding
         return (v / (x_mult @ v))[:, None, None], s2[:, None, None]
 
     state = _start(st).ravel()  # (x, w, s1, s2)

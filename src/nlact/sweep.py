@@ -27,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from . import measures
-from .activation import ACTIVATION_TOL, DEFAULT_OPTIONS, LP_VERTICES, lp_vertex, sigma_min
-from .sdp import SdpOptions, check_side
+from .activation import DEFAULT_OPTIONS, bisection_options, sigma_min, twirled_costs
+from .sdp import VERTEX_TOL, SdpOptions, check_side, round_to_vertex
 from .states import FamilySpec, TwirledState
 
 PROPERTIES = ("eof", "chsh", "hn", "sa", "tlf", "cglmp")
@@ -38,6 +38,9 @@ SDP_TOL = 1e-3
 PRESCAN_POINTS = 20
 # the stated tolerance of an exact p_TLF entry, which its certificate must meet
 EXACT_TOL = 1e-12
+# vertices of the twirled problems' polytope (40 at d = 2, 44 at every d >= 3):
+# a walk over vertices of strictly decreasing roots visits at most this many
+LP_VERTICES = 44
 
 __all__ = [
     "PROPERTIES",
@@ -85,27 +88,20 @@ class ThresholdReport:
     evaluations: int
 
 
-# an evaluator maps (spec, p, sdp_options, bisect) to the point's result;
-# the closed-form ones ignore the solver arguments
-Evaluator = Callable[[FamilySpec, float, SdpOptions | None, bool], PointResult]
+# an evaluator maps (spec, p, sdp_options) to the point's result; the
+# closed-form ones ignore the solver options
+Evaluator = Callable[[FamilySpec, float, SdpOptions | None], PointResult]
 
 
 def default_tolerance(prop: str) -> float:
     return SDP_TOL if prop == "tlf" else CLOSED_FORM_TOL
 
 
-def _tlf_point(
-    spec: FamilySpec, p: float, sdp_options: SdpOptions | None, bisect: bool = False
-) -> PointResult:
-    options = sdp_options or DEFAULT_OPTIONS
-    if bisect and options.objective_cut is None:
-        # bisection only consumes the indicator, so the sign-decision stop
-        # applies; curve sampling needs accurate sigma values instead
-        options = replace(options, objective_cut=-ACTIVATION_TOL)
-    # one solve under the caller's budget; a point whose solve certifies
+def _tlf_point(spec: FamilySpec, p: float, sdp_options: SdpOptions | None) -> PointResult:
+    # one solve under the caller's options; a point whose solve certifies
     # nothing (out of budget, stalled, or bounds on both sides of the cut)
     # is recorded missing, with no indicator
-    result = sigma_min(spec.state(p), options)
+    result = sigma_min(spec.state(p), sdp_options)
     if result.witness.status not in ("converged", "decided"):
         return PointResult(result.sigma, None, "sdp did not converge")
     if result.activated is None:
@@ -186,10 +182,9 @@ def evaluate_point(
     prop: str,
     p: float,
     sdp_options: SdpOptions | None = None,
-    bisect: bool = False,
 ) -> PointResult:
     """Evaluate one (family, property) pair at parameter p."""
-    return evaluator(spec, prop)(spec, p, sdp_options, bisect)
+    return evaluator(spec, prop)(spec, p, sdp_options)
 
 
 def sample_curve(
@@ -260,15 +255,17 @@ def find_threshold(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    ind_lo = _certified(evaluate_point(spec, prop, lo, sdp_options, bisect=True), lo)
-    ind_hi = _certified(evaluate_point(spec, prop, hi, sdp_options, bisect=True), hi)
+    # a bisection only consumes the indicator, so the sign-decision stop applies
+    sdp_options = bisection_options(sdp_options)
+    ind_lo = _certified(evaluate_point(spec, prop, lo, sdp_options), lo)
+    ind_hi = _certified(evaluate_point(spec, prop, hi, sdp_options), hi)
     if ind_lo or not ind_hi:
         raise ValueError("bracket does not straddle")
     evaluations = 2
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         evaluations += 1
-        if _certified(evaluate_point(spec, prop, mid, sdp_options, bisect=True), mid):
+        if _certified(evaluate_point(spec, prop, mid, sdp_options), mid):
             hi = mid
         else:
             lo = mid
@@ -301,11 +298,12 @@ def prescan_bracket(
     lo, hi = spec.p_range()
     lo = max(lo, 0.0)  # sweeps default to [0, 1] even where the family allows p < 0
     grid = [float(p) for p in np.linspace(lo, hi, PRESCAN_POINTS)]
+    sdp_options = bisection_options(sdp_options)
     off, on = -1, len(grid)  # last index known off, first known on; past the ends if none
     while on - off > 1:
         mid = (off + on) // 2
         try:
-            result = evaluate_point(spec, prop, grid[mid], sdp_options, bisect=True)
+            result = evaluate_point(spec, prop, grid[mid], sdp_options)
         except ValueError:
             del grid[mid]  # indeterminate point: the indices above it shift down
             on -= 1
@@ -349,10 +347,13 @@ def _exact_tlf_entry(spec: FamilySpec, sdp_options: SdpOptions | None) -> dict:
     """The exact p_TLF of a twirled family: Newton's method on the concave, piecewise-linear sigma(p).
 
     sigma(p) is the minimum over a fixed polytope of costs affine in p (see
-    `LpVertex`), so it is concave and piecewise linear, and p_TLF is the
+    `sdp.LpVertex`), so it is concave and piecewise linear, and p_TLF is the
     root of one vertex line.  From p = hi, each step solves at p, rounds the
-    minimizer to a vertex v and takes the root r of its line sigma_v; r is
-    exact once the basis of v is dual feasible at r.  The certificate:
+    minimizer to a vertex v (`sdp.round_to_vertex`), checks that v's value
+    lies in the solve's certified [objective_lb, objective] within
+    `VERTEX_TOL`, and takes the root r of its line sigma_v, evaluated on
+    `twirled_costs`; r is exact once the basis of v is dual feasible at r.
+    The certificate:
 
     - v is feasible, so sigma <= sigma_v < 0 on (r, hi];
     - the basis dual bounds sigma(r) below, and one solve at lo bounds
@@ -376,18 +377,22 @@ def _exact_tlf_entry(spec: FamilySpec, sdp_options: SdpOptions | None) -> dict:
         if solution.status != "converged":
             raise ValueError(f"the solve at p={p} did not converge ({solution.status})")
         try:
-            vertex = lp_vertex(solution)
+            vertex = round_to_vertex(solution.blocks.ravel(), solution.form.pt_map, solution.form.mult)
         except ValueError as exc:
             raise ValueError(f"the solve at p={p} gives no vertex: {exc}") from None
-        at_lo, at_hi = vertex.value(spec.state(lo)), vertex.value(spec.state(hi))
+        value = vertex.value(solution.form.costs.ravel())
+        if not solution.objective_lb - VERTEX_TOL <= value <= solution.objective + VERTEX_TOL:
+            bounds = f"[{solution.objective_lb}, {solution.objective}]"
+            raise ValueError(f"the solve at p={p} gives no vertex: its value {value} leaves the certified {bounds}")
+        at_lo, at_hi = (vertex.value(twirled_costs(spec.state(q))) for q in (lo, hi))
         # a Newton step on a concave function from the right moves strictly left
         root = lo + (hi - lo) * at_lo / (at_lo - at_hi) if at_lo > 0.0 > at_hi else hi
         if not root < p:
             raise ValueError(f"the vertex found at p={p} has no decreasing root in [{lo}, {p})")
-        tau = spec.state(root)
+        costs = twirled_costs(spec.state(root))
         # how far the onset can lie above the root (sigma_v < 0 beyond) and below it (concavity)
-        above = max(0.0, vertex.value(tau)) * (hi - lo) / (at_lo - at_hi)
-        deficit = max(0.0, -vertex.dual_bound(tau))
+        above = max(0.0, vertex.value(costs)) * (hi - lo) / (at_lo - at_hi)
+        deficit = max(0.0, -vertex.dual_bound(costs))
         below = deficit * (root - lo) / (low.objective_lb + deficit)
         if max(above, below) <= EXACT_TOL:
             return {"value": root, "tolerance": EXACT_TOL, "provenance": "exact (LP vertex)"}

@@ -7,17 +7,16 @@ from nlact import activation
 from nlact.activation import (
     ACTIVATION_TOL,
     DEFAULT_OPTIONS,
-    VERTEX_TOL,
     ancilla_R,
     bisection_options,
     build_cost,
-    lp_vertex,
     sigma_min,
+    twirled_costs,
     verify_ancilla,
 )
 from nlact.linalg import DensityMatrix, min_eig, partial_transpose_mat, permute_systems
 from nlact.rand import random_density, random_separable
-from nlact.sdp import IPM_MAX_SIDE, BlockForm, SdpOptions, SdpProblem, solve
+from nlact.sdp import IPM_MAX_SIDE, VERTEX_TOL, BlockForm, SdpOptions, SdpProblem, round_to_vertex, solve
 from nlact.states import h_theta, hirsch_state, isotropic_state, werner_state, wi_state
 from test_sdp import HIRSCH_TRAIL
 
@@ -224,7 +223,7 @@ def test_lp_vertex_bounds_sigma_on_both_sides(family, d):
     # the vertex of the solve at p = 1 is feasible, so its value bounds sigma
     # above at every p, and its basis dual bounds sigma below at every p
     top = sigma_min(_twirled_state(family, d, 1.0)).witness
-    vertex = lp_vertex(top)
+    vertex = round_to_vertex(top.blocks.ravel(), top.form.pt_map, top.form.mult)
     rows = np.concatenate([np.eye(8), top.form.pt_map])
     assert np.min(rows @ vertex.blocks) >= -VERTEX_TOL
     assert abs(vertex.mult @ vertex.blocks - 1.0) <= 1e-12
@@ -232,27 +231,30 @@ def test_lp_vertex_bounds_sigma_on_both_sides(family, d):
     for p in np.linspace(0.0, 1.0, 11):
         tau = _twirled_state(family, d, float(p))
         tight = sigma_min(tau, SdpOptions(tol_objective=1e-10)).witness
-        assert vertex.value(tau) >= tight.objective_lb - 1e-12, p
-        assert vertex.dual_bound(tau) <= tight.objective + 1e-12, p
+        costs = twirled_costs(tau)
+        assert vertex.value(costs) >= tight.objective_lb - 1e-12, p
+        assert vertex.dual_bound(costs) <= tight.objective + 1e-12, p
     # at p = 1 the vertex is optimal: its basis is dual feasible and both bounds meet
-    tau = _twirled_state(family, d, 1.0)
-    assert abs(vertex.dual_bound(tau) - vertex.value(tau)) <= 1e-15
-    assert top.objective_lb <= vertex.value(tau) <= top.objective
+    costs = twirled_costs(_twirled_state(family, d, 1.0))
+    assert abs(vertex.dual_bound(costs) - vertex.value(costs)) <= 1e-15
+    assert top.objective_lb <= vertex.value(costs) <= top.objective
 
 
-def test_lp_vertex_rejects_what_it_cannot_certify():
-    with pytest.raises(ValueError, match="scalar blocks"):
-        lp_vertex(sigma_min(hirsch_state(0.3)).witness)
-    solution = sigma_min(werner_state(3, 0.9)).witness
-    lp_vertex(solution)
-    # bounds the vertex's value leaves
-    stale = dataclasses.replace(solution, objective=solution.objective_lb - 1e-3, objective_lb=solution.objective_lb - 2e-3)
-    with pytest.raises(ValueError, match="leaves the certified"):
-        lp_vertex(stale)
-    # a point far from every vertex: the centre I/n, whose smallest slacks fix an infeasible one
-    centre = np.full_like(solution.blocks, 1.0 / solution.form.mult.sum())
+def test_round_to_vertex_rejects_a_point_far_from_every_vertex():
+    # the centre I/n, whose smallest slacks fix an infeasible vertex
+    form = build_cost(werner_state(3, 0.9)).blocks
+    centre = np.full(len(form.mult), 1.0 / form.mult.sum())
     with pytest.raises(ValueError, match="infeasible"):
-        lp_vertex(dataclasses.replace(solution, blocks=centre))
+        round_to_vertex(centre, form.pt_map, form.mult)
+
+
+def test_bisection_options_is_the_sign_only_form():
+    assert bisection_options() == dataclasses.replace(DEFAULT_OPTIONS, objective_cut=-ACTIVATION_TOL)
+    budget = SdpOptions(max_iters=123, tol_objective=1e-3)
+    assert bisection_options(budget) == dataclasses.replace(budget, objective_cut=-ACTIVATION_TOL)
+    # a cut that is already set is kept
+    cut = SdpOptions(objective_cut=0.5)
+    assert bisection_options(cut) is cut
 
 
 def test_block_form_reproduces_dense_cost():

@@ -203,6 +203,22 @@ def test_scalar_loop_certifies_below_the_matrix_floor(family, d):
             assert general.objective_lb - 1e-12 <= bound <= general.objective + 1e-12, p
 
 
+# twirled points whose optimal set is an edge: the nb - 1 smallest slacks of the
+# iterates are dependent there, and every rounding to them was singular
+_EDGE_POINTS = [("werner", 3, 0.3), ("werner", 3, 0.2875), ("werner", 3, 0.325), ("isotropic", 2, 0.425)]
+
+
+@pytest.mark.parametrize("family,d,p", _EDGE_POINTS, ids=str)
+def test_scalar_loop_rounds_an_optimal_edge_to_a_vertex(family, d, p):
+    # the rounding takes the smallest slacks whose rows are independent, so the
+    # solve ends at a vertex instead of stalling at the iterates' floor
+    tau = (werner_state if family == "werner" else isotropic_state)(d, p)
+    sol = solve(build_cost(tau, SdpOptions(tol_objective=1e-12)))
+    assert sol.status == "converged"
+    assert sol.objective - sol.objective_lb <= 1e-12
+    assert sol.iterations <= 5
+
+
 def _twirl_only_problem(tau, options):
     """A twirled state's activation problem with the ancilla left whole: blocks c_b H of side 4 on [A_q, B_q].
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from nlact import activation, sweep
-from nlact.activation import ActivationResult, sigma_min
+from nlact.activation import ACTIVATION_TOL, ActivationResult, bisection_options, sigma_min
 from nlact.sdp import SdpOptions, solve
 from nlact.states import FamilySpec
 from nlact.sweep import (
@@ -141,8 +142,10 @@ def test_tlf_point_passes_budget_through(monkeypatch, bisect):
     seen = []
     done = ActivationResult(sigma=0.0, witness=SimpleNamespace(status="converged"), activated=False)
     monkeypatch.setattr(sweep, "sigma_min", lambda tau, options=None: seen.append(options) or done)
-    evaluate_point(WI, "tlf", 0.7, SdpOptions(max_iters=123), bisect=bisect)
+    budget = SdpOptions(max_iters=123)
+    evaluate_point(WI, "tlf", 0.7, bisection_options(budget) if bisect else budget)
     assert [options.max_iters for options in seen] == [123]
+    assert seen[0].objective_cut == (-ACTIVATION_TOL if bisect else None)
 
 
 def test_prescan_bracket_closed_form():
@@ -198,8 +201,8 @@ def test_prescan_bisection_equals_linear_scan(monkeypatch, raising, uncertified_
 
         seen = []
 
-        def fake_point(spec, prop, p, sdp_options=None, bisect=False):
-            assert bisect
+        def fake_point(spec, prop, p, sdp_options=None):
+            assert sdp_options == bisection_options()
             seen.append(indicator(p))
             return sweep.PointResult(None, seen[-1])
 
@@ -307,6 +310,21 @@ def test_exact_tlf_entry_without_certificate_raises(options):
     # an entry whose solves certify too little is refused, never printed
     with pytest.raises(ValueError, match="p="):
         sweep._computed_entry(FamilySpec("werner", 3), "tlf", options)
+
+
+def test_exact_tlf_entry_rejects_a_vertex_outside_the_certified_bounds(monkeypatch):
+    # bounds that the rounded vertex's value leaves: the entry refuses the solve
+    def stale(tau, options=None):
+        result = sigma_min(tau, options)
+        if options.objective_cut is not None:  # the solve at the low end
+            return result
+        lb = result.witness.objective_lb
+        witness = dataclasses.replace(result.witness, objective=lb - 1e-3, objective_lb=lb - 2e-3)
+        return dataclasses.replace(result, witness=witness)
+
+    monkeypatch.setattr(sweep, "sigma_min", stale)
+    with pytest.raises(ValueError, match="leaves the certified"):
+        sweep._computed_entry(FamilySpec("werner", 3), "tlf", None)
 
 
 def test_exact_tlf_entry_ignores_a_loose_tolerance():
