@@ -38,18 +38,21 @@ class HiddenNonlocality(NamedTuple):
     m_prime: float
     value: float
     indicator: bool
+    margin: float  # chsh_margin of M' - 1; the indicator is margin > 0
 
 
 class TeleportationUse(NamedTuple):
     fidelity: float
     value: float
     indicator: bool
+    margin: float  # f2 - 1/2; the indicator is margin > 0
 
 
 class PopescuFilter(NamedTuple):
     filtered: DensityMatrix
     max_bell: float
     p_nl: float
+    weight: float  # the filter's success probability, the trace of the kept block
 
 
 class ReferenceBound(NamedTuple):
@@ -76,10 +79,11 @@ def _entropy_form(b: float) -> float:
     return binary_entropy((1.0 + math.sqrt(1.0 - b * b)) / 2.0)
 
 
-def concurrence(rho: DensityMatrix) -> float:
-    """Wootters concurrence max{0, l1 - l2 - l3 - l4} of a two-qubit state.
+def concurrence_margin(rho: DensityMatrix) -> float:
+    """Wootters' l1 - l2 - l3 - l4 of a two-qubit state: the concurrence before its max{0, .}.
 
-    The l_i are square roots of the eigenvalues of rho @ rho_tilde with
+    Positive exactly when the state is entangled.  The l_i are square roots
+    of the eigenvalues of rho @ rho_tilde with
     rho_tilde = (YxY) rho* (YxY).  They are computed as the singular
     values of K = sqrt(rho) (YxY) sqrt(rho)*, whose Gram matrix K K^dag
     is the Hermitian product sqrt(rho) rho_tilde sqrt(rho) similar to
@@ -91,12 +95,26 @@ def concurrence(rho: DensityMatrix) -> float:
     eig = herm_eig(rho.mat)
     sqrt_rho = (eig.vectors * np.sqrt(np.clip(eig.values, 0.0, None))) @ eig.vectors.conj().T
     lam = np.linalg.svd(sqrt_rho @ yy @ sqrt_rho.conj(), compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return float(lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def concurrence(rho: DensityMatrix) -> float:
+    """Wootters concurrence max{0, l1 - l2 - l3 - l4} of a two-qubit state."""
+    return max(0.0, concurrence_margin(rho))
+
+
+def eof_from_concurrence(c: float) -> float:
+    """Entanglement of formation h((1 + sqrt(1 - C^2))/2) at concurrence C (0 for C <= 0).
+
+    It underflows to 0 for 0 < C below about 2e-8, so entanglement is read
+    from the concurrence, not from this value.
+    """
+    return _entropy_form(c)
 
 
 def eof(rho: DensityMatrix) -> float:
-    """Entanglement of formation h((1 + sqrt(1 - C^2))/2) of a two-qubit state."""
-    return _entropy_form(concurrence(rho))
+    """Entanglement of formation of a two-qubit state."""
+    return eof_from_concurrence(concurrence(rho))
 
 
 def pure_eof(psi: np.ndarray, dims: tuple[int, int]) -> float:
@@ -129,6 +147,16 @@ def chsh_M(rho: DensityMatrix) -> float:
     t3 = correlation_matrix(rho)[1:, 1:]
     u = np.linalg.eigvalsh(t3.T @ t3)
     return float(u[-1] + u[-2])
+
+
+def chsh_margin(excess: float) -> float:
+    """2 sqrt(M) - 2, the CHSH excess over the local bound 2, from excess = M - 1.
+
+    Written as 2(M - 1)/(sqrt(M) + 1), which has the exact sign of M - 1;
+    it is nearly affine in the state's mixing parameter where M is
+    quadratic in it, which is what a root search on it wants.
+    """
+    return 2.0 * excess / (math.sqrt(max(0.0, 1.0 + excess)) + 1.0)
 
 
 def chsh_value(rho: DensityMatrix) -> float:
@@ -170,7 +198,9 @@ def hidden_nonlocality(rho: DensityMatrix) -> HiddenNonlocality:
         raise ValueError("degenerate correlation matrix")
     m_prime = (lam[1] + lam[2]) / lam[0]
     value = _entropy_form(math.sqrt(max(0.0, m_prime - 1.0)))
-    return HiddenNonlocality(float(m_prime), value, bool(lam[1] + lam[2] > lam[0]))
+    # M' - 1 as a difference of eigenvalues, which has the exact sign of l1 + l2 - l0
+    margin = chsh_margin(float((lam[1] + lam[2] - lam[0]) / lam[0]))
+    return HiddenNonlocality(float(m_prime), value, margin > 0.0, margin)
 
 
 def fef2(rho: DensityMatrix) -> float:
@@ -191,12 +221,14 @@ def fef2(rho: DensityMatrix) -> float:
 def sa_value(rho: DensityMatrix) -> TeleportationUse:
     """Teleportation usefulness of a two-qubit state: F2 = (2 f2 + 1)/3.
 
-    ``value`` is the positive part of F2 - 2/3 and ``indicator`` is
-    f2 > 1/2; a true indicator implies the state is k-copy nonlocal.
+    ``value`` is the positive part of F2 - 2/3, ``margin`` is f2 - 1/2 and
+    ``indicator`` is margin > 0; a true indicator implies the state is k-copy
+    nonlocal.
     """
     f2 = fef2(rho)
     fot = (2.0 * f2 + 1.0) / 3.0
-    return TeleportationUse(fot, max(0.0, fot - 2.0 / 3.0), bool(f2 > 0.5))
+    margin = f2 - 0.5
+    return TeleportationUse(fot, max(0.0, fot - 2.0 / 3.0), margin > 0.0, margin)
 
 
 def fef_isotropic(d: int, p: float) -> float:
@@ -262,8 +294,9 @@ def popescu_filter(d: int, p: float) -> PopescuFilter:
     """Project a two-qudit Werner state onto the {|0>,|1>} x {|0>,|1>} block.
 
     Returns the normalized filtered two-qubit state, its maximal CHSH
-    value 2 sqrt(M), and the closed-form critical p beyond which the
-    filtered state violates CHSH.  For d = 2 the filter is the identity.
+    value 2 sqrt(M), the closed-form critical p beyond which the filtered
+    state violates CHSH, and the filter's success weight (the block's
+    trace).  For d = 2 the filter is the identity.
     """
     state = werner_state(d, p)
     idx = [i * d + j for i in range(2) for j in range(2)]
@@ -273,7 +306,7 @@ def popescu_filter(d: int, p: float) -> PopescuFilter:
         raise ValueError("filtered state has zero trace")
     filtered = DensityMatrix(block / tr, (2, 2))
     max_bell = 2.0 * math.sqrt(chsh_M(filtered))
-    return PopescuFilter(filtered, max_bell, popescu_threshold(d))
+    return PopescuFilter(filtered, max_bell, popescu_threshold(d), float(tr))
 
 
 def _fourier_modes(d: int, phase: float, conjugate_outcome: bool) -> np.ndarray:

@@ -1,18 +1,22 @@
-"""Property curves over parameter grids and threshold location by bisection.
+"""Property curves over parameter grids and threshold location.
 
-Thresholds are found on boolean property indicators (entangled, CHSH
+A threshold is certified by a boolean property indicator (entangled, CHSH
 violated, filter-violated, teleportation-useful, activation certified,
-CGLMP violated) rather than by root-finding on the values, which are
-non-smooth at onset.  One routing rule, ``evaluator``, maps a (family, d,
-property) triple to its evaluator or rejects it; every entry point applies
-it before evaluating any point.  A table entry brackets its onset by
-bisecting the indices of a coarse grid (the prescan), then bisects the
-bracket; both assume a monotone indicator, and a point whose solve
-certifies nothing (indicator None) stops them with ``ValueError``.  The
-p_TLF entry of a twirled family (wi, Werner, isotropic) is instead exact:
-the root of one vertex line of its activation LP, found by Newton's method
-in about three solves and certified to `EXACT_TOL` (see
-`_exact_tlf_entry`), under the caller's iteration budget only.  Other
+CGLMP violated): the final bracket is off at its low end and on at its high
+end.  Every closed-form evaluator also returns a signed margin, the
+unclipped quantity its indicator compares with zero (the values are clipped
+at the onset, so they cannot serve), and `find_threshold` places its points
+by root-finding on that margin; a tlf point has none, so a tlf search
+bisects.  One routing rule, ``evaluator``, maps a (family, d, property)
+triple to its evaluator or rejects it; every entry point applies it before
+evaluating any point.  A table's closed-form entry searches the family's whole range to
+`EXACT_TOL`.  The p_TLF entry of a twirled family (wi, Werner, isotropic) is
+exact: the root of one vertex line of its activation LP, found by Newton's
+method in about three solves and certified to `EXACT_TOL` (see
+`_exact_tlf_entry`), under the caller's iteration budget only.  hirsch1's
+p_TLF brackets its onset on a coarse grid (the prescan) and bisects the
+bracket.  Every search assumes a monotone indicator, and a point whose solve
+certifies nothing (indicator None) stops it with ``ValueError``.  Other
 SDP-backed points get one solve each under the caller's options; in a
 sampled curve a point whose solve certifies nothing is recorded as missing
 instead of aborting the sweep.
@@ -33,10 +37,10 @@ from .states import FamilySpec, TwirledState
 
 PROPERTIES = ("eof", "chsh", "hn", "sa", "tlf", "cglmp")
 
-CLOSED_FORM_TOL = 5e-4
 SDP_TOL = 1e-3
 PRESCAN_POINTS = 20
-# the stated tolerance of an exact p_TLF entry, which its certificate must meet
+# the stated tolerance of a closed-form threshold and of an exact p_TLF entry,
+# which their certificates must meet
 EXACT_TOL = 1e-12
 # vertices of the twirled problems' polytope (40 at d = 2, 44 at every d >= 3):
 # a walk over vertices of strictly decreasing roots visits at most this many
@@ -44,7 +48,6 @@ LP_VERTICES = 44
 
 __all__ = [
     "PROPERTIES",
-    "CLOSED_FORM_TOL",
     "SDP_TOL",
     "EXACT_TOL",
     "PointResult",
@@ -65,6 +68,8 @@ class PointResult:
     value: float | None
     indicator: bool | None
     error: str | None = None
+    # a closed-form point's signed margin: the indicator is margin > 0
+    margin: float | None = None
 
 
 @dataclass
@@ -94,7 +99,7 @@ Evaluator = Callable[[FamilySpec, float, SdpOptions | None], PointResult]
 
 
 def default_tolerance(prop: str) -> float:
-    return SDP_TOL if prop == "tlf" else CLOSED_FORM_TOL
+    return SDP_TOL if prop == "tlf" else EXACT_TOL
 
 
 def _tlf_point(spec: FamilySpec, p: float, sdp_options: SdpOptions | None) -> PointResult:
@@ -109,49 +114,57 @@ def _tlf_point(spec: FamilySpec, p: float, sdp_options: SdpOptions | None) -> Po
     return PointResult(result.sigma, result.activated)
 
 
+def _closed_form(value: float, margin: float) -> PointResult:
+    return PointResult(value, margin > 0.0, margin=margin)
+
+
 def _cglmp_point(spec: FamilySpec, p: float, *_) -> PointResult:
     value = measures.cglmp_value(spec.state(p))
-    return PointResult(value, value > 2.0)
+    return _closed_form(value, value - 2.0)
 
 
 def _isotropic_sa_point(spec: FamilySpec, p: float, *_) -> PointResult:
     fef = measures.fef_isotropic(spec.d, p)
     fot = (spec.d * fef + 1.0) / (spec.d + 1.0)
-    return PointResult(max(0.0, fot - 2.0 / (spec.d + 1.0)), fef > 1.0 / spec.d)
+    return _closed_form(max(0.0, fot - 2.0 / (spec.d + 1.0)), fef - 1.0 / spec.d)
 
 
 def _filtered_hn_point(spec: FamilySpec, p: float, *_) -> PointResult:
     # the fixed two-dim filter is the hidden-nonlocality route for qudit
-    # Werner states; the criterion is CHSH violation of the filtered state
-    filtered = measures.popescu_filter(spec.d, p).filtered
-    return PointResult(measures.chsh_value(filtered), measures.chsh_M(filtered) > 1.0)
+    # Werner states; the criterion is CHSH violation of the filtered state.
+    # Weighted by the filter's success probability, the margin is affine in p
+    popescu = measures.popescu_filter(spec.d, p)
+    excess = measures.chsh_M(popescu.filtered) - 1.0
+    return _closed_form(measures.chsh_value(popescu.filtered), popescu.weight * measures.chsh_margin(excess))
 
 
 def _eof_point(spec: FamilySpec, p: float, *_) -> PointResult:
-    value = measures.eof(spec.state(p))
-    return PointResult(value, value > 0.0)
+    # the entropy underflows to 0 for concurrences below ~2e-8: the sign is the concurrence's
+    margin = measures.concurrence_margin(spec.state(p))
+    return _closed_form(measures.eof_from_concurrence(margin), margin)
 
 
 def _chsh_point(spec: FamilySpec, p: float, *_) -> PointResult:
     state = spec.state(p)
-    return PointResult(measures.chsh_value(state), measures.chsh_M(state) > 1.0)
+    excess = measures.chsh_M(state) - 1.0
+    return _closed_form(measures.chsh_value(state), measures.chsh_margin(excess))
 
 
 def _sa_point(spec: FamilySpec, p: float, *_) -> PointResult:
     use = measures.sa_value(spec.state(p))
-    return PointResult(use.value, use.indicator)
+    return _closed_form(use.value, use.margin)
 
 
 def _hn_point(spec: FamilySpec, p: float, *_) -> PointResult:
     # a degenerate correlation matrix only happens at product-state corners,
-    # where no filtering can create a violation
+    # where no filtering can create a violation; such a point has no margin
     try:
         hn = measures.hidden_nonlocality(spec.state(p))
     except ValueError as exc:
         if "degenerate" in str(exc):
             return PointResult(0.0, False)
         raise
-    return PointResult(hn.value, hn.indicator)
+    return _closed_form(hn.value, hn.margin)
 
 
 _TWO_QUBIT_POINTS = {"eof": _eof_point, "chsh": _chsh_point, "sa": _sa_point, "hn": _hn_point}
@@ -241,6 +254,18 @@ def _certified(result: PointResult, p: float) -> bool:
     return result.indicator
 
 
+def _next_point(lo: float, hi: float, f_lo: float | None, f_hi: float | None, tol: float) -> float:
+    """The secant root of the ends' margins, at least tol/2 inside the bracket; else the midpoint.
+
+    The midpoint is taken where a margin is missing or its sign disagrees
+    with its end's indicator (off at lo, on at hi).
+    """
+    if f_lo is None or f_hi is None or not f_lo <= 0.0 < f_hi:
+        return 0.5 * (lo + hi)
+    root = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+    return min(max(root, lo + 0.5 * tol), hi - 0.5 * tol)
+
+
 def find_threshold(
     spec: FamilySpec,
     prop: str,
@@ -248,27 +273,59 @@ def find_threshold(
     tol: float | None = None,
     sdp_options: SdpOptions | None = None,
 ) -> ThresholdReport:
-    """Bisect the indicator over a straddling bracket down to width tol."""
+    """Locate the indicator's onset in a straddling bracket, down to a bracket of width tol.
+
+    Each step evaluates one point, and its indicator decides which end of
+    the bracket moves there, so the final bracket (off at its low end, on at
+    its high end) certifies the threshold, and its width is the stated
+    tolerance.  The margins only place the points: each step is the Illinois
+    variant of regula falsi (Dowell & Jarratt, BIT 11, 168, 1971) on the
+    ends' margins, clamped at least tol/2 inside the bracket, so an affine
+    margin closes in four evaluations.  The midpoint is taken instead where a
+    margin is missing (every tlf point, hn's degenerate corner) or has the
+    wrong sign, and wherever the last two steps did not halve the bracket.
+    So a poor margin costs evaluations, never the certificate.
+
+    A low end that is off with no margin while the high end has one is a
+    guard, not a reading (hn's degenerate product corner, next to which the
+    filtered CHSH quantity is a ratio of vanishing eigenvalues): the report
+    keeps that end, and states the wider bracket's width as its tolerance.
+    """
     tol = default_tolerance(prop) if tol is None else float(tol)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    # a bisection only consumes the indicator, so the sign-decision stop applies
+    # the search only consumes the indicator, so the sign-decision stop applies
     sdp_options = bisection_options(sdp_options)
-    ind_lo = _certified(evaluate_point(spec, prop, lo, sdp_options), lo)
-    ind_hi = _certified(evaluate_point(spec, prop, hi, sdp_options), hi)
-    if ind_lo or not ind_hi:
+    low, high = (evaluate_point(spec, prop, p, sdp_options) for p in (lo, hi))
+    if _certified(low, lo) or not _certified(high, hi):
         raise ValueError("bracket does not straddle")
+    f_lo, f_hi = low.margin, high.margin
+    guard = lo if f_lo is None and f_hi is not None else None
     evaluations = 2
+    moved = None  # the end that the last step moved
+    widths = (math.inf, math.inf)  # the bracket's width before each of the last two steps
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+        halved = hi - lo <= 0.5 * widths[0]
+        p = _next_point(lo, hi, f_lo, f_hi, tol) if halved else 0.5 * (lo + hi)
+        widths = (widths[1], hi - lo)
+        result = evaluate_point(spec, prop, p, sdp_options)
         evaluations += 1
-        if _certified(evaluate_point(spec, prop, mid, sdp_options), mid):
-            hi = mid
+        # Illinois: an end that stays put twice running has its margin halved
+        if _certified(result, p):
+            hi, f_hi = p, result.margin
+            if moved == "hi" and f_lo is not None:
+                f_lo *= 0.5
+            moved = "hi"
         else:
-            lo = mid
+            lo, f_lo = p, result.margin
+            if moved == "lo" and f_hi is not None:
+                f_hi *= 0.5
+            moved = "lo"
+    if guard is not None:
+        lo, tol = guard, max(tol, hi - guard)
     return ThresholdReport(
         family=spec.family,
         d=spec.d,
@@ -401,12 +458,16 @@ def _exact_tlf_entry(spec: FamilySpec, sdp_options: SdpOptions | None) -> dict:
 
 
 def _computed_entry(spec: FamilySpec, prop: str, sdp_options: SdpOptions | None) -> dict:
-    if prop == "tlf" and isinstance(spec.state(spec.p_range()[1]), TwirledState):
+    if prop != "tlf":
+        lo, hi = spec.p_range()
+        bracket = (max(lo, 0.0), hi)  # as in the prescan
+    elif isinstance(spec.state(spec.p_range()[1]), TwirledState):
         return _exact_tlf_entry(spec, sdp_options)
-    bracket = prescan_bracket(spec, prop, sdp_options)
-    if bracket is None:
-        # the indicator is on at every sampled p > 0: the threshold is the origin
-        return {"value": 0.0, "tolerance": default_tolerance(prop), "provenance": "computed"}
+    else:
+        bracket = prescan_bracket(spec, prop, sdp_options)
+        if bracket is None:
+            # the indicator is on at every sampled p > 0: the threshold is the origin
+            return {"value": 0.0, "tolerance": default_tolerance(prop), "provenance": "computed"}
     report = find_threshold(spec, prop, bracket, sdp_options=sdp_options)
     return {
         "value": report.threshold,

@@ -1,23 +1,37 @@
-"""The benchmark's tracer (bench/spans.py) patches nlact's functions where their callers look them up."""
+"""The benchmark's modules against nlact: the tracer (bench/spans.py) patches nlact's
+functions where their callers look them up, and the tables workload
+(bench/workloads.py) passes every check it makes on nlact's tables."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 from nlact.sdp import SdpProblem
 
 
-def _spans():
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
+def _bench(name, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-def test_tracer_targets_exist_where_it_patches_them():
+def test_tracer_targets_exist_where_it_patches_them(monkeypatch):
     # the tracer replaces vars(owner)[attr]: a function that moves or is renamed
     # would break only the traced benchmark run
-    missing = [(owner, attr) for owner, attr, _ in _spans().targets() if attr not in vars(owner)]
+    missing = [(owner, attr) for owner, attr, _ in _bench("spans", monkeypatch).targets() if attr not in vars(owner)]
     assert missing == []
     # its solve hook reads the dense cost of the problem it is given
     assert "cost" in vars(SdpProblem)
+
+
+def test_tables_workload_pass_has_no_failed_item(monkeypatch, tmp_path):
+    # a table change that the benchmark would count as a failed item fails here first
+    workload = _bench("workloads", monkeypatch).build("tables", 1)
+    outputs = workload.run(tmp_path)
+    assert sorted(outputs) == ["table-isotropic.json", "table-werner.json", "table-wi.json"]
+    items = workload.check(outputs)
+    assert items
+    assert [(item.name, item.detail) for item in items if not item.ok] == []

@@ -217,15 +217,15 @@ def test_table_werner_csv_has_x_marker(capsys):
     assert sa_rows and sa_rows[0].split(",")[2] == "X"
 
 
-# sha256 of the JSON tables: hirsch1 as printed before the activation costs
-# became scalar blocks (the same bytes since), the twirled families as printed
-# since their p_TLF entries became exact LP-vertex roots; a change of
-# representation or of solver loop that moves a threshold shows up here
+# sha256 of the JSON tables as printed since their closed-form columns became
+# roots of their signed margins to 1e-12 (every p_TLF entry kept its bytes: the
+# twirled families' exact LP-vertex roots, hirsch1's bisection); a change of
+# representation, solver loop or search that moves a threshold shows up here
 _TABLE_SHA256 = {
-    ("--family", "wi"): "f32db333c09768f612d5e9e4db5ec1c02dd262d807f2ef527d2ec432cd278bd5",
-    ("--family", "werner", "--dmax", "3"): "d248317796ba94fe616c2a044dbd55aa7f7d67f031bac5df02da52a20ff69814",
-    ("--family", "isotropic", "--dmax", "3"): "acf989627df1e73ede42447412b34d605c9949f64531ee305431c724d3f75a7d",
-    ("--family", "hirsch1"): "a700d0f05e6e07c43f200fd9e02c1dea196e1d4c6680a80100de8aed60c57cbd",
+    ("--family", "wi"): "1a1b68d05bd6bc4b2532f8c54b89c2be586e6c91fa785ea32cd8250e0c0b6de8",
+    ("--family", "werner", "--dmax", "3"): "80e8b46bc5050ad93f29b76fb5d9674f9ce945ea96237150151f76f228c5e6ee",
+    ("--family", "isotropic", "--dmax", "3"): "c10bb28b6e33263d0da2bc65fac5595d8a7c91cda16deb295293d86f6d381a88",
+    ("--family", "hirsch1"): "abf220f74e0ad25a7995271aea9061d3d48bd4ccc6d79cef82fa70a5a3ccb042",
 }
 
 
@@ -266,7 +266,7 @@ def test_table_sign_queries_run_until_the_cut_is_settled(capsys):
 # the default tables of the twirled families, whose p_TLF entries are exact
 _EXACT_TABLE_SHA256 = {
     ("--family", "wi"): _TABLE_SHA256[("--family", "wi")],
-    ("--family", "isotropic", "--dmax", "2"): "2cc9bf6e41e352a42816c7ee9ff516896faa620625eaef810828a0234a699bdc",
+    ("--family", "isotropic", "--dmax", "2"): "6b058cdfef220a68405f9016c336fff63be50eec01c477042f0a25361ee2668a",
 }
 
 

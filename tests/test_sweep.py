@@ -7,8 +7,9 @@ import pytest
 
 from nlact import activation, sweep
 from nlact.activation import ACTIVATION_TOL, ActivationResult, bisection_options, sigma_min
+from nlact.measures import cglmp_value, popescu_threshold
 from nlact.sdp import SdpOptions, solve
-from nlact.states import FamilySpec
+from nlact.states import FamilySpec, isotropic_state
 from nlact.sweep import (
     build_table,
     evaluate_point,
@@ -34,7 +35,15 @@ def test_evaluate_point_routing():
 
 def test_evaluate_point_hn_degenerate_corner():
     result = evaluate_point(HIRSCH1, "hn", 0.0)
-    assert result.indicator is False
+    assert result.indicator is False and result.margin is None
+
+
+def test_eof_indicator_sees_weak_entanglement():
+    # the entropy underflows to 0 at this concurrence; the indicator reads the concurrence
+    result = evaluate_point(WI, "eof", 1 / 3 + 1e-8)
+    assert result.indicator is True
+    assert result.value == 0.0
+    assert abs(result.margin - 1.5e-8) <= 1e-15
 
 
 def test_sample_curve_wi_eof():
@@ -228,8 +237,8 @@ def test_prescan_bisection_equals_linear_scan(monkeypatch, raising, uncertified_
     assert (met_uncertified > 0) == (uncertified_below and raising in ("none", "first", "onset"))
 
 
-# per table: evaluate_point calls (the closed-form columns, each a prescan of
-# its 20-point grid and a bisection), sdp.solve calls (three per exact p_TLF
+# per table: evaluate_point calls (the closed-form columns, each a root search
+# on its margin over the family's range), sdp.solve calls (three per exact p_TLF
 # entry: the low end and two Newton steps on sigma(p)) and the interior-point
 # Newton steps of those solves, each ended at its optimal LP vertex
 _TABLE_EVALUATIONS = {("wi", 6): (54, 3, 5), ("werner", 6): (94, 15, 39), ("isotropic", 6): (151, 15, 32)}
@@ -380,3 +389,102 @@ def test_too_large_activation_problem_rejected_up_front(monkeypatch):
             call()
     with pytest.raises(ValueError, match="at least 2"):
         build_table("isotropic", d_max=1)
+
+
+def _closed_form_column(family, d, column):
+    """The closed form of a table's closed-form column; hirsch1's p_E and p_HN are 0."""
+    if family == "hirsch1" and column in ("p_E", "p_HN"):
+        return 0.0
+    if column in ("p_E", "p_SA"):
+        return 1 / (d + 1)
+    if column == "p_HN":
+        return popescu_threshold(d)  # 1/sqrt(2) at d = 2
+    if family == "isotropic":
+        return 2.0 / cglmp_value(isotropic_state(d, 1.0))
+    return 1 / _SQRT2
+
+
+# the closed-form columns of the four tables at --dmax 6, which cover every
+# closed-form (family, d, property) that the sweeps of the benchmark run
+_CLOSED_FORM_COLUMNS = [
+    (family, d, column, prop)
+    for family in sweep.TABLE_FAMILIES
+    for d in ([2] if family in ("wi", "hirsch1") else range(2, 7))
+    for column, prop in sweep._computed_columns(family, d).items()
+    if prop != "tlf"
+]
+_ZERO_ONSETS = [("hirsch1", 2, "p_E", "eof"), ("hirsch1", 2, "p_HN", "hn")]
+
+
+def _ulps(p, k):
+    """p moved by k ulps (k < 0: down)."""
+    for _ in range(abs(k)):
+        p = float(np.nextafter(p, math.copysign(math.inf, k)))
+    return p
+
+
+@pytest.mark.parametrize("family,d,column,prop", _CLOSED_FORM_COLUMNS, ids=str)
+def test_margin_sign_is_the_indicator(family, d, column, prop):
+    spec = FamilySpec(family, d)
+    root = _closed_form_column(family, d, column)
+    near = [_ulps(root, k) for k in (-4, -2, -1, 1, 2, 4)]
+    for p in [float(p) for p in np.linspace(0.0, 1.0, 51)] + [p for p in near if p >= 0.0]:
+        result = evaluate_point(spec, prop, p)
+        if result.margin is None:  # only hn's degenerate product corner has none
+            assert prop == "hn" and result.indicator is False, p
+        else:
+            assert result.indicator is (result.margin > 0.0), p
+
+
+@pytest.mark.parametrize(
+    "family,d,column,prop", [c for c in _CLOSED_FORM_COLUMNS if c not in _ZERO_ONSETS], ids=str
+)
+def test_closed_form_column_is_its_closed_form(monkeypatch, family, d, column, prop):
+    # the root search on the margin lands within 1e-10 of the closed form, in at most five points
+    evaluations = []
+
+    def counted(*args, **kwargs):
+        evaluations.append(args)
+        return evaluate_point(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "evaluate_point", counted)
+    entry = sweep._computed_entry(FamilySpec(family, d), prop, None)
+    assert abs(entry["value"] - _closed_form_column(family, d, column)) <= 1e-10
+    assert entry["tolerance"] == sweep.EXACT_TOL
+    assert len(evaluations) <= 5
+
+
+@pytest.mark.parametrize("family,d,column,prop", _ZERO_ONSETS, ids=str)
+def test_zero_onset_entry_states_a_tolerance_that_covers_zero(family, d, column, prop):
+    # hn reads some points just above its degenerate corner as off: the entry
+    # must not claim that its onset lies above them
+    entry = sweep._computed_entry(FamilySpec(family, d), prop, None)
+    assert entry["value"] - entry["tolerance"] <= 0.0 <= entry["value"] + entry["tolerance"]
+    assert entry["tolerance"] <= 1e-8
+
+
+@pytest.mark.parametrize("scramble", ["random", "flipped", "constant", "missing"])
+def test_find_threshold_certifies_whatever_the_margins(monkeypatch, scramble):
+    # margins only place the points: with scrambled ones the bracket is still
+    # off at its low end and on at its high end, at the stated width
+    rng = np.random.default_rng(7)
+    margins = {
+        "random": lambda m: float(rng.normal()),
+        "flipped": lambda m: -m,
+        "constant": lambda m: 1.0,
+        "missing": lambda m: None,
+    }[scramble]
+
+    def scrambled(spec, prop, p, sdp_options=None):
+        result = evaluate_point(spec, prop, p, sdp_options)
+        return dataclasses.replace(result, margin=margins(result.margin))
+
+    monkeypatch.setattr(sweep, "evaluate_point", scrambled)
+    report = find_threshold(WI, "chsh", (0.0, 1.0))
+    monkeypatch.undo()
+    lo, hi = report.bracket
+    assert evaluate_point(WI, "chsh", lo).indicator is False
+    assert evaluate_point(WI, "chsh", hi).indicator is True
+    assert hi - lo <= report.tolerance == sweep.EXACT_TOL
+    # a midpoint at least every third step
+    assert report.evaluations <= 2 + 3 * math.ceil(math.log2(1.0 / sweep.EXACT_TOL))
