@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import DensityMatrix, kron, permute_mat
-from .sdp import BlockForm, SdpOptions, SdpProblem, SdpSolution, solve
+from .sdp import SdpOptions, SdpProblem, SdpSolution, solve
 from .states import PAULI, TwirledState, h_theta, projector, twirl_projectors
 
 ACTIVATION_TOL = 1e-6
@@ -73,57 +73,23 @@ def bisection_options(options: SdpOptions | None = None) -> SdpOptions:
 
 
 @lru_cache(maxsize=None)
-def _twirled_pt(algebra: str, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (pt_map, pt_inverse) of the twirled form: they depend on the algebra and d only.
+def _twirled_pt(algebra: str, d: int) -> np.ndarray:
+    """Read-only pt_map of the twirled form: it depends on the algebra and d only.
 
-    The partial transpose over A_d maps span{P_sym, P_anti} onto
-    span{1 - Phi, Phi} and back; over A_q it acts on the Bell factor.
+    The partial transpose over A_d maps span{P_sym, P_anti} (Werner) onto
+    span{1 - Phi, Phi} (isotropic) and back; over A_q it acts on the Bell
+    factor.
     """
-    to_isotropic = np.array([[0.5, 0.5], [(d + 1) / 2, -(d - 1) / 2]])
-    to_werner = np.array([[1 - 1 / d, 1 / d], [1 + 1 / d, -1 / d]])
-    maps = (to_isotropic, to_werner) if algebra == "werner" else (to_werner, to_isotropic)
-    out = tuple(np.kron(m, _BELL_PT) for m in maps)
-    for m in out:
-        m.flags.writeable = False
-    return out
+    to_isotropic = [[0.5, 0.5], [(d + 1) / 2, -(d - 1) / 2]]
+    to_werner = [[1 - 1 / d, 1 / d], [1 + 1 / d, -1 / d]]
+    pt_map = np.kron(to_isotropic if algebra == "werner" else to_werner, _BELL_PT)
+    pt_map.flags.writeable = False
+    return pt_map
 
 
 def twirled_costs(tau: TwirledState) -> np.ndarray:
     """The eight scalar costs c_b h_k of the twirled form (an `sdp.LpVertex`'s), affine in the coefficients."""
     return np.multiply.outer(tau.coeffs, _BELL_H).ravel()
-
-
-def _twirled_form(tau: TwirledState) -> BlockForm:
-    """The cost tau^T x H_{pi/4} of tau = sum_b c_b P_b: eight scalar blocks c_b h_k on P_b x B_k.
-
-    The U x U (or U x conj(U)) twirl on [A_d, B_d] composes with the ancilla's
-    Bell basis on [A_q, B_q] (see `_bell_form`), whatever d is.  Every P_b is
-    real symmetric, so tau^T has tau's coefficients.
-    """
-    d = tau.dims[0]
-    pt_map, pt_inverse = _twirled_pt(tau.algebra, d)
-    return BlockForm(
-        costs=twirled_costs(tau).reshape(-1, 1, 1),
-        factors=((twirl_projectors(tau.algebra, d), (0, 2)), (_BELL, (1, 3))),
-        pt_map=pt_map,
-        pt_inverse=pt_inverse,
-    )
-
-
-def _bell_form(tau_t: np.ndarray) -> BlockForm:
-    """The cost tau_t x H_{pi/4} in the ancilla's Bell basis: blocks h_k tau_t on [A_d, B_d].
-
-    Conjugation by 1 x s_g x 1 x s_g on [A_d, A_q, B_d, B_q], for each Pauli
-    s_g, fixes the cost, the PSD cone, the trace and the partial transpose
-    over (A_d, A_q), since conj(s_y) = -s_y.  So some optimum is Bell-diagonal
-    on the ancilla, with blocks of side d_A d_B and multiplicity 1.
-    """
-    return BlockForm(
-        costs=_BELL_H[:, None, None] * tau_t,
-        factors=((_BELL, (1, 3)),),
-        pt_map=_BELL_PT,
-        pt_inverse=_BELL_PT,
-    )
 
 
 def _cost_dims(tau: DensityMatrix) -> tuple[int, int, int, int]:
@@ -144,14 +110,28 @@ def build_cost(tau: DensityMatrix, options: SdpOptions | None = None) -> SdpProb
     """Assemble the SDP for tau: cost tau^T x H_{pi/4} in canonical subsystem order.
 
     The problem is a block form; its dense cost is derived from the blocks
-    only when ``cost`` is read.  A `TwirledState` (Werner, isotropic, wi)
-    gets the twirled form from its declared coefficients: eight scalar
-    blocks whatever d is.  Every other input (Hirsch, random states, a plain
-    copy of a twirled matrix) gets the ancilla's Bell form: four blocks of
-    side d_A d_B on [A_d, B_d].
+    only when ``cost`` is read.  tau^T's blocks compose with the ancilla's
+    Bell basis B_k on [A_q, B_q], where H_{pi/4} = sum_k h_k B_k: conjugation
+    by 1 x s_g x 1 x s_g on [A_d, A_q, B_d, B_q], for each Pauli s_g, fixes
+    the cost, the PSD cone, the trace and the partial transpose over
+    (A_d, A_q), since conj(s_y) = -s_y, so some optimum is Bell-diagonal on
+    the ancilla.  A `TwirledState` (Werner, isotropic, wi) sum_b c_b P_b
+    gives its declared coefficients, which tau^T shares as every P_b is real
+    symmetric: eight scalar blocks c_b h_k on P_b x B_k whatever d is.
+    Every other input (Hirsch, random states, a plain copy of a twirled
+    matrix) is one block tau^T: four blocks h_k tau^T of side d_A d_B.
     """
+    if isinstance(tau, TwirledState):
+        d = tau.dims[0]
+        blocks = np.asarray(tau.coeffs)[:, None, None]
+        twirl = ((twirl_projectors(tau.algebra, d), (0, 2)),)
+        pt_map = _twirled_pt(tau.algebra, d)
+    else:
+        blocks, twirl, pt_map = tau.mat.T[None], (), _BELL_PT
     return SdpProblem(
-        blocks=_twirled_form(tau) if isinstance(tau, TwirledState) else _bell_form(tau.mat.T),
+        costs=(_BELL_H[:, None, None] * blocks[:, None]).reshape(-1, *blocks.shape[1:]),
+        factors=(*twirl, (_BELL, (1, 3))),
+        pt_map=pt_map,
         dims=_cost_dims(tau),
         t1_split=2,
         options=options or DEFAULT_OPTIONS,

@@ -34,6 +34,10 @@ CGLMP_DEFAULT_SETTINGS = (0.0, 0.5, 0.25, -0.25)
 CGLMP_MAX_D = 6
 
 
+class DegenerateCorrelation(ValueError):
+    """`hidden_nonlocality` at a product-state corner, where the correlation matrix has l0 ~ 0."""
+
+
 class HiddenNonlocality(NamedTuple):
     m_prime: float
     value: float
@@ -172,10 +176,10 @@ def hidden_nonlocality(rho: DensityMatrix) -> HiddenNonlocality:
 
     Eigenvalues of C are sorted in decreasing order; the optimally filtered
     CHSH quantity is M' = (l1 + l2)/l0 and the reported value is the same
-    entropy scaling used for CHSH.  Raises for a degenerate correlation
-    matrix (l0 ~ 0, product-state corner) and for a spectrum whose
-    imaginary part exceeds both the rounding level and the rounding split
-    of a defective double eigenvalue.
+    entropy scaling used for CHSH.  Raises `DegenerateCorrelation` for a
+    degenerate correlation matrix (l0 ~ 0, product-state corner), and
+    ValueError for a spectrum whose imaginary part exceeds both the rounding
+    level and the rounding split of a defective double eigenvalue.
     """
     t = correlation_matrix(rho)
     eta = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -195,7 +199,7 @@ def hidden_nonlocality(rho: DensityMatrix) -> HiddenNonlocality:
             i += 1
         i += 1
     if lam[0] <= DEGENERATE_TOL:
-        raise ValueError("degenerate correlation matrix")
+        raise DegenerateCorrelation("degenerate correlation matrix")
     m_prime = (lam[1] + lam[2]) / lam[0]
     value = _entropy_form(math.sqrt(max(0.0, m_prime - 1.0)))
     # M' - 1 as a difference of eigenvalues, which has the exact sign of l1 + l2 - l0

@@ -36,21 +36,24 @@ Three loops share one problem representation and one certificate:
   Each iteration costs two or three Hermitian eigendecompositions.  The
   tests also use it as the reference for the matrix interior-point loop.
 
-Every problem is its `BlockForm`, and the iterates are stacks of blocks
-with multiplicities.  A plain problem is one dense block of side n with
-multiplicity 1 (`SdpProblem.from_cost`).  A cost invariant under a twirl of
-some of its factors -- such as the activation cost of a Werner or isotropic
-input under U x U or U x conj(U), or of any input under the Pauli twirl of
-its ancilla -- is solved as X = sum_b P_b (x) X_b over the invariant
-projectors P_b, with small blocks X_b.  That is the dense iteration
-exactly, not an approximation: every step (spectral projections, Newton
-steps, partial transpose, the I/n start) commutes with the twirl, so the
-dense iterates stay of that form, and on it the spectrum of X is the
-blocks' spectra with multiplicities Tr P_b, traces and Frobenius inner
-products are the multiplicity-weighted ones, and the partial transpose maps
-the P_b algebra linearly onto a second projector algebra Q_c
-(multiplicities Tr Q_c): `_Stack.pt`, whose adjoint `_Stack.pt_adj` is
-also its inverse, as the dense partial transpose is a self-adjoint involution.
+Every `SdpProblem` is stacked blocks with multiplicities, and so are the
+iterates.  A plain problem is one dense block of side n with multiplicity 1
+(`SdpProblem.from_cost`).  A cost invariant under a twirl of some of its
+factors -- such as the activation cost of a Werner or isotropic input under
+U x U or U x conj(U), or of any input under the Pauli twirl of its ancilla
+-- is solved as X = sum_b P_b (x) X_b over the invariant projectors P_b,
+with small blocks X_b (the symmetry reduction of Gatermann & Parrilo,
+J. Pure Appl. Algebra 192 (2004)).  That is the dense iteration exactly,
+not an approximation: every step (spectral projections, Newton steps,
+partial transpose, the I/n start) commutes with the twirl, so the dense
+iterates stay of that form, and on it the spectrum of X is the blocks'
+spectra with multiplicities Tr P_b, traces and Frobenius inner products are
+the multiplicity-weighted ones, and the partial transpose maps the P_b
+algebra linearly onto a second projector algebra Q_c (multiplicities
+Tr Q_c) by the problem's one map ``pt_map``: `_Stack.pt`.  Its adjoint
+`_Stack.pt_adj` is derived from ``pt_map`` and the multiplicities, and must
+also be its inverse, as the dense partial transpose is a self-adjoint
+involution.
 
 All loops feed one certificate of objective bounds:
 
@@ -122,7 +125,6 @@ ADAPT_EVERY = 100
 
 __all__ = [
     "VERTEX_TOL",
-    "BlockForm",
     "LpVertex",
     "SdpOptions",
     "SdpProblem",
@@ -141,7 +143,7 @@ def check_side(n: int) -> None:
 
 @dataclass(frozen=True)
 class SdpOptions:
-    """Stop rules of both loops.
+    """Stop rules of all three loops.
 
     ``max_iters`` caps ADMM iterations or Newton steps; a solve is
     ``converged`` once its certified gap ub - lb is at most
@@ -164,62 +166,29 @@ class SdpOptions:
             raise ValueError(f"objective_cut must be finite, got {self.objective_cut}")
 
 
-@dataclass(frozen=True, eq=False)
-class BlockForm:
-    """Any problem as stacked blocks: C = sum_b P_b (x) costs[b].
-
-    A plain cost is one block with a single factor, the 1 x 1 identity on no
-    subsystems; a twirl-invariant one is many small blocks.
+@dataclass(eq=False)
+class SdpProblem:
+    """A problem as stacked blocks, C = sum_b P_b (x) costs[b], with its layout and options.
 
     Each P_b is a tensor product with one factor per entry of ``factors``, a
     pair (projectors, subsystems): a stack of orthogonal projectors that sum
-    to the identity on those subsystems of the problem.  Block b is the
+    to the identity on those subsystems of ``dims``.  Block b is the
     multi-index (b_1, ..., b_F) over the factors' stacks in C order, and
     P_b = P^1_{b_1} (x) ... (x) P^F_{b_F}; the blocks act on the remaining
     (inner) subsystems, in their order.  No P_b is ever formed: the
     multiplicities and `dense` come from the factors.  The partial transpose
-    maps the P_b onto a second set of orthogonal projectors Q_c:
-    (P_b (x) X_b)^T1 = sum_c pt_map[c, b] Q_c (x) X_b^T1, and back with
-    ``pt_inverse``.
+    over the first ``t1_split`` subsystems maps the P_b onto a second set of
+    orthogonal projectors Q_c: (P_b (x) X_b)^T1 = sum_c pt_map[c, b] Q_c (x)
+    X_b^T1.
+
+    `from_cost` wraps a plain cost matrix as one block with no factor;
+    ``cost`` is the dense matrix derived from the blocks, built on first
+    access.
     """
 
     costs: np.ndarray
     factors: tuple[tuple[np.ndarray, tuple[int, ...]], ...]
     pt_map: np.ndarray
-    pt_inverse: np.ndarray
-
-    @property
-    def outer(self) -> tuple[int, ...]:
-        """The subsystems the projectors act on, factor by factor."""
-        return tuple(i for _, subsystems in self.factors for i in subsystems)
-
-    @property
-    def mult(self) -> np.ndarray:
-        """Multiplicities Tr P_b: how often each block's spectrum repeats in X."""
-        mult = np.ones(1)
-        for projectors, _ in self.factors:
-            mult = np.multiply.outer(mult, np.rint(np.trace(projectors, axis1=1, axis2=2).real)).ravel()
-        return mult
-
-    def dense(self, blocks: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-        """The dense operator sum_b P_b (x) blocks[b] in the subsystem order ``dims``."""
-        inner = tuple(i for i in range(len(dims)) if i not in self.outer)
-        order = self.outer + inner
-        stacks = [projectors for projectors, _ in self.factors]
-        indices = np.ndindex(*(len(projectors) for projectors in stacks))
-        mat = sum(kron(*(p[i] for p, i in zip(stacks, index)), block) for index, block in zip(indices, blocks))
-        return permute_mat(mat, tuple(dims[i] for i in order), tuple(np.argsort(order)))
-
-
-@dataclass
-class SdpProblem:
-    """A problem as its block form, subsystem layout, and the prefix length defining the T1 cut.
-
-    `from_cost` wraps a plain cost matrix as one block; ``cost`` is the dense
-    matrix derived from the blocks, built on first access.
-    """
-
-    blocks: BlockForm
     dims: tuple[int, ...]
     t1_split: int = 1
     options: SdpOptions = field(default_factory=SdpOptions)
@@ -227,14 +196,13 @@ class SdpProblem:
     def __post_init__(self) -> None:
         self.dims = tuple(int(d) for d in self.dims)
         check_side(int(np.prod(self.dims)))
-        form = self.blocks
-        costs = form.costs
-        inner = int(np.prod([d for i, d in enumerate(self.dims) if i not in form.outer]))
-        if costs.shape != (len(form.mult), inner, inner):
+        costs = self.costs
+        inner = int(np.prod([d for i, d in enumerate(self.dims) if i not in self.outer]))
+        if costs.shape != (len(self.mult), inner, inner):
             raise ValueError(f"block costs of shape {costs.shape} do not match the factors and dims {self.dims}")
         if np.max(np.abs(costs - costs.conj().swapaxes(-1, -2))) > HERM_INPUT_TOL:
             raise ValueError(f"block costs are not Hermitian within {HERM_INPUT_TOL}")
-        for projectors, subsystems in form.factors:
+        for projectors, subsystems in self.factors:
             side = int(np.prod([self.dims[i] for i in subsystems]))
             if projectors.shape[1:] != (side, side):
                 raise ValueError(f"block projectors of shape {projectors.shape} do not match dims {self.dims}")
@@ -252,19 +220,39 @@ class SdpProblem:
         n = int(np.prod(dims))
         if cost.shape != (n, n):
             raise ValueError(f"cost shape {cost.shape} does not match dims {tuple(dims)}")
-        one = np.ones((1, 1))
-        form = BlockForm(costs=cost[None], factors=((one[None], ()),), pt_map=one, pt_inverse=one)
-        return cls(form, dims, t1_split, options or SdpOptions())
+        return cls(cost[None], (), np.ones((1, 1)), dims, t1_split, options or SdpOptions())
+
+    @property
+    def outer(self) -> tuple[int, ...]:
+        """The subsystems the projectors act on, factor by factor."""
+        return tuple(i for _, subsystems in self.factors for i in subsystems)
+
+    @cached_property
+    def mult(self) -> np.ndarray:
+        """Multiplicities Tr P_b: how often each block's spectrum repeats in X."""
+        mult = np.ones(1)
+        for projectors, _ in self.factors:
+            mult = np.multiply.outer(mult, np.rint(np.trace(projectors, axis1=1, axis2=2).real)).ravel()
+        return mult
+
+    def dense(self, blocks: np.ndarray) -> np.ndarray:
+        """The dense operator sum_b P_b (x) blocks[b] in the subsystem order ``dims``."""
+        inner = tuple(i for i in range(len(self.dims)) if i not in self.outer)
+        order = self.outer + inner
+        stacks = [projectors for projectors, _ in self.factors]
+        indices = np.ndindex(*(len(projectors) for projectors in stacks))
+        mat = sum(kron(*(p[i] for p, i in zip(stacks, index)), block) for index, block in zip(indices, blocks))
+        return permute_mat(mat, tuple(self.dims[i] for i in order), tuple(np.argsort(order)))
 
     @cached_property
     def cost(self) -> np.ndarray:
         """The dense cost sum_b P_b (x) costs[b]."""
-        return self.blocks.dense(self.blocks.costs, self.dims)
+        return self.dense(self.costs)
 
 
 @dataclass
 class SdpSolution:
-    """A solve's bounds and status, and its minimizer as blocks of ``form``.
+    """A solve's bounds and status, and its minimizer as blocks of ``problem``.
 
     ``minimizer`` rebuilds the dense matrix, validated as a `DensityMatrix`,
     on first access.
@@ -276,12 +264,11 @@ class SdpSolution:
     status: str  # converged | decided | max_iters | infeasible_numerics
     residuals: dict[str, float]
     blocks: np.ndarray
-    form: BlockForm
-    dims: tuple[int, ...]
+    problem: SdpProblem
 
     @cached_property
     def minimizer(self) -> DensityMatrix:
-        return DensityMatrix(self.form.dense(self.blocks, self.dims), self.dims)
+        return DensityMatrix(self.problem.dense(self.blocks), self.problem.dims)
 
 
 def _simplex_projection(v: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -313,23 +300,30 @@ class _Stack:
     `transpose` is T, the transpose of the first (m) factor in a block; `pt`
     maps X-side stacks onto W-side ones, PT(X)_c = sum_b pt_map[c, b] T(X_b),
     and `pt_adj` is its adjoint under the multiplicity-weighted inner
-    products, PT*(S)_b = sum_c pt_inverse[b, c] T(S_c).
+    products, PT*(S)_b = sum_c adjoint[b, c] T(S_c) with adjoint[b, c] =
+    pt_map[c, b] Tr Q_c / Tr P_b.  The dense partial transpose is a
+    self-adjoint involution, so PT* must also invert PT: a ``pt_map`` whose
+    adjoint does not is rejected.
     """
 
     def __init__(self, problem: SdpProblem) -> None:
-        self.form = form = problem.blocks
-        costs = form.costs
+        self.problem = problem
+        costs = problem.costs
         if np.max(np.abs(costs.imag)) == 0.0:
             costs = costs.real.copy()  # real symmetric fast path
         self.costs = costs
         self.nb, self.s, _ = costs.shape
         # T1 inside a block: the inner factors that fall in the cut come first
-        inner = [i for i in range(len(problem.dims)) if i not in form.outer]
+        inner = [i for i in range(len(problem.dims)) if i not in problem.outer]
         self.m = int(np.prod([problem.dims[i] for i in inner if i < problem.t1_split]))
         self.k = self.s // self.m
-        self.block_mult = form.mult
+        self.block_mult = problem.mult
         # X-side multiplicities Tr P_b, then W-side ones Tr Q_c: PT(P_b) = sum_c pt_map[c, b] Q_c
-        self.mult = np.concatenate([self.block_mult, np.rint(np.linalg.solve(form.pt_map.T, self.block_mult))])
+        pt_map = problem.pt_map
+        self.mult = np.concatenate([self.block_mult, np.rint(np.linalg.solve(pt_map.T, self.block_mult))])
+        self.adjoint = np.ascontiguousarray(pt_map.T * self.mult[self.nb :] / self.block_mult[:, None])
+        if np.max(np.abs(self.adjoint @ pt_map - np.eye(self.nb))) > HERM_INPUT_TOL:
+            raise ValueError(f"the adjoint of pt_map does not invert it within {HERM_INPUT_TOL}")
         self.n = float(self.block_mult.sum() * self.s)  # side of the dense problem
         self.eye = np.broadcast_to(np.eye(self.s, dtype=costs.dtype), costs.shape)
 
@@ -344,10 +338,10 @@ class _Stack:
         return out if len(mix) == 1 else np.einsum("cb,bij->cij", mix, out)
 
     def pt(self, mats: np.ndarray) -> np.ndarray:
-        return self._mixed(self.form.pt_map, mats)
+        return self._mixed(self.problem.pt_map, mats)
 
     def pt_adj(self, mats: np.ndarray) -> np.ndarray:
-        return self._mixed(self.form.pt_inverse, mats)
+        return self._mixed(self.adjoint, mats)
 
     def objective(self, mats: np.ndarray) -> float:
         return float(self.block_mult @ np.sum(self.costs * mats.conj(), axis=(1, 2)).real)
@@ -417,7 +411,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     blocks of side at most ``IPM_MAX_SIDE`` to the matrix interior-point
     loop, and all others to the splitting loop.
     """
-    costs = problem.blocks.costs
+    costs = problem.costs
     side = costs.shape[-1]
     if side > IPM_MAX_SIDE or np.any(np.imag(costs)):
         return _solve(problem, _splitting)
@@ -454,8 +448,7 @@ def _solve(problem: SdpProblem, loop: Callable[[_Stack, _Bounds, SdpOptions], tu
         status=status,
         residuals=residuals,
         blocks=x,
-        form=stack.form,
-        dims=problem.dims,
+        problem=problem,
     )
 
 
@@ -572,12 +565,12 @@ def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
     row.  Its Schur matrix holds, for each element E of `_symmetric_basis`
     put in block d, the image's W-side entries (i, j), i <= j: on the X side
     T(E) under each block's X1, transposed back and mixed by
-    pt_map[c, b] pt_inverse[b, d]; on the W side E under X2.  dS2 and the
+    pt_map[c, b] adjoint[b, d]; on the W side E under X2.  dS2 and the
     trace row are read from the same basis.  Returns (Newton steps, status).
     """
     nb, s = st.nb, st.s  # PT maps the nb blocks of X onto as many blocks of W
     # coefficient of PT X1_b PT* in block (c, d) of the Schur operator
-    mix = np.einsum("cb,bd->cdb", st.form.pt_map, st.form.pt_inverse)
+    mix = np.einsum("cb,bd->cdb", st.problem.pt_map, st.adjoint)
     i, j, basis = _symmetric_basis(s)
     transposed = st.transpose(basis)
     per_block = len(i)
@@ -690,16 +683,27 @@ def round_to_vertex(x: np.ndarray, pt_map: np.ndarray, mult: np.ndarray) -> LpVe
     active; with the trace row they fix the vertex.  Near an optimal edge
     those rows can be dependent; only then are the smallest slacks taken
     whose rows are independent together with the trace row, chosen
-    greedily.  ValueError unless the rows fix a vertex that is feasible
+    greedily.  The rows count as dependent when either the system or its
+    transpose, which `LpVertex.multipliers` solves, is singular to the
+    solver.  ValueError unless the rows fix a vertex that is feasible
     within `VERTEX_TOL`.
     """
     nb = len(x)
     rows = np.concatenate([np.eye(nb), pt_map])
     order = np.argsort(rows @ x, kind="stable")
+    unit = np.zeros((2, nb, 1))
+    unit[:, -1] = 1.0
+
+    def solve_basis(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The basis rows over the trace row, and the vertex they fix; the transpose is solved too."""
+        pair = np.empty((2, nb, nb))
+        pair[0, :-1], pair[0, -1] = rows[basis], mult
+        pair[1] = pair[0].T
+        return pair[0], np.linalg.solve(pair, unit)[0, :, 0]
+
     basis = order[: nb - 1]
-    system = np.vstack([rows[basis], mult])
     try:
-        v = np.linalg.solve(system, np.eye(nb)[-1])
+        system, v = solve_basis(basis)
     except np.linalg.LinAlgError:
         # the rows of I alone span, so the greedy choice always completes a basis
         picked: list[int] = []
@@ -709,8 +713,7 @@ def round_to_vertex(x: np.ndarray, pt_map: np.ndarray, mult: np.ndarray) -> LpVe
                 if len(picked) == nb - 1:
                     break
         basis = np.array(picked)
-        system = np.vstack([rows[basis], mult])
-        v = np.linalg.solve(system, np.eye(nb)[-1])
+        system, v = solve_basis(basis)
     infeasible = -float(np.min(rows @ v))
     if not infeasible <= VERTEX_TOL:  # also when v is not finite
         raise ValueError(f"the rounded vertex is infeasible by {infeasible:.3g}")
@@ -723,7 +726,7 @@ def _scalar_interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tup
     With every block a number the problem is a linear program in nb
     unknowns: X, W = pt_map x, S1 and S2 are vectors, the HKM scaling is an
     entrywise division, the Schur operator on dS2 is the (nb + 1)-square
-    matrix pt_map diag(x / s1) pt_inverse + diag(w / s2) bordered by the
+    matrix pt_map diag(x / s1) PT* + diag(w / s2) bordered by the
     trace row, and a step length is the ratio test d / state.  The start, the
     step fraction, the stall rule and the certificate are those of
     `_interior_point`.
@@ -739,7 +742,7 @@ def _scalar_interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tup
     feasible vertex is skipped for that step.  Returns (Newton steps, status).
     """
     nb = st.nb
-    pt_map, pt_inverse = st.form.pt_map, st.form.pt_inverse
+    pt_map, adjoint = st.problem.pt_map, st.adjoint
     x_mult, w_mult = st.mult[:nb], st.mult[nb:]
     costs = st.costs.ravel()
     diagonal = np.arange(nb)
@@ -774,7 +777,7 @@ def _scalar_interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tup
             return None
         inv = 1.0 / dual
         u = x * inv[:nb]
-        schur[:nb, :nb] = (pt_map * u) @ pt_inverse
+        schur[:nb, :nb] = (pt_map * u) @ adjoint
         schur[diagonal, diagonal] += z[nb:] * inv[nb:]
         schur[:nb, nb] = pt_map @ u
         schur[nb, :nb] = w_mult * schur[:nb, nb]
@@ -785,7 +788,7 @@ def _scalar_interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tup
             rhs[:nb] = h[nb:] - pt_map @ h[:nb]
             rhs[nb] = r_trace - x_mult @ h[:nb]
             sol = np.linalg.solve(schur, rhs)  # (dS2, dy)
-            ds1 = -sol[nb] - pt_inverse @ sol[:nb]
+            ds1 = -sol[nb] - adjoint @ sol[:nb]
             dx = h[:nb] - u * ds1
             return np.concatenate([dx, pt_map @ dx, ds1, sol[:nb]])
 

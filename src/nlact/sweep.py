@@ -160,10 +160,8 @@ def _hn_point(spec: FamilySpec, p: float, *_) -> PointResult:
     # where no filtering can create a violation; such a point has no margin
     try:
         hn = measures.hidden_nonlocality(spec.state(p))
-    except ValueError as exc:
-        if "degenerate" in str(exc):
-            return PointResult(0.0, False)
-        raise
+    except measures.DegenerateCorrelation:
+        return PointResult(0.0, False)
     return _closed_form(hn.value, hn.margin)
 
 
@@ -434,10 +432,10 @@ def _exact_tlf_entry(spec: FamilySpec, sdp_options: SdpOptions | None) -> dict:
         if solution.status != "converged":
             raise ValueError(f"the solve at p={p} did not converge ({solution.status})")
         try:
-            vertex = round_to_vertex(solution.blocks.ravel(), solution.form.pt_map, solution.form.mult)
+            vertex = round_to_vertex(solution.blocks.ravel(), solution.problem.pt_map, solution.problem.mult)
         except ValueError as exc:
             raise ValueError(f"the solve at p={p} gives no vertex: {exc}") from None
-        value = vertex.value(solution.form.costs.ravel())
+        value = vertex.value(solution.problem.costs.ravel())
         if not solution.objective_lb - VERTEX_TOL <= value <= solution.objective + VERTEX_TOL:
             bounds = f"[{solution.objective_lb}, {solution.objective}]"
             raise ValueError(f"the solve at p={p} gives no vertex: its value {value} leaves the certified {bounds}")

@@ -16,7 +16,7 @@ from nlact.activation import (
 )
 from nlact.linalg import DensityMatrix, min_eig, partial_transpose_mat, permute_systems
 from nlact.rand import random_density, random_separable
-from nlact.sdp import IPM_MAX_SIDE, VERTEX_TOL, BlockForm, SdpOptions, SdpProblem, round_to_vertex, solve
+from nlact.sdp import IPM_MAX_SIDE, VERTEX_TOL, SdpOptions, SdpProblem, _Stack, round_to_vertex, solve
 from nlact.states import h_theta, hirsch_state, isotropic_state, werner_state, wi_state
 from test_sdp import HIRSCH_TRAIL
 
@@ -157,7 +157,7 @@ def _assert_block_matches_dense(problem):
     activated = [s.status in ("converged", "decided") and s.objective < -ACTIVATION_TOL for s in (block, dense)]
     assert activated[0] == activated[1]
     both_interior_point = problem.cost.shape[0] <= IPM_MAX_SIDE and not np.any(problem.cost.imag)
-    if both_interior_point and problem.blocks.costs.shape[-1] == 1:
+    if both_interior_point and problem.costs.shape[-1] == 1:
         # the scalar loop ends at its optimal vertex: within the dense
         # interior-point loop's certified interval, in no more Newton steps
         assert block.iterations <= dense.iterations
@@ -183,7 +183,7 @@ def test_block_form_matches_dense(family, d, p_tlf, options):
     indicators = []
     for offset in (-0.02, -0.002, 0.002, 0.02):
         problem = build_cost(_twirled_state(family, d, p_tlf + offset), options)
-        assert problem.blocks.costs.shape == (8, 1, 1)
+        assert problem.costs.shape == (8, 1, 1)
         indicators.append(_assert_block_matches_dense(problem))
     assert not indicators[0] and indicators[-1]
 
@@ -191,31 +191,31 @@ def test_block_form_matches_dense(family, d, p_tlf, options):
 def test_block_form_multiplicities():
     # eight scalar blocks on P_b x B_k: Tr P_b for each of the four Bell projectors B_k
     d = 5
-    werner = build_cost(werner_state(d, 0.6)).blocks
+    werner = build_cost(werner_state(d, 0.6))
     assert werner.mult.tolist() == [d * (d + 1) / 2] * 4 + [d * (d - 1) / 2] * 4
-    assert np.allclose(werner.pt_map @ werner.pt_inverse, np.eye(8))
-    isotropic = build_cost(isotropic_state(d, 0.6)).blocks
+    assert np.allclose(werner.pt_map @ _Stack(werner).adjoint, np.eye(8))
+    isotropic = build_cost(isotropic_state(d, 0.6))
     assert isotropic.mult.tolist() == [d * d - 1] * 4 + [1] * 4
-    assert np.allclose(isotropic.pt_map, werner.pt_inverse)
+    assert np.allclose(isotropic.pt_map, _Stack(werner).adjoint)
     # the ends of the range stay in their family's algebra: 1/d^2 is also Werner-invariant
     for d in (2, 3, 4):
-        assert build_cost(isotropic_state(d, 0.0)).blocks.mult.tolist() == [d * d - 1] * 4 + [1] * 4
+        assert build_cost(isotropic_state(d, 0.0)).mult.tolist() == [d * d - 1] * 4 + [1] * 4
     # the multiplicities are the traces of the dense projectors P_b x B_k
-    form = build_cost(werner_state(3, 0.6)).blocks
-    dims = (3, 2, 3, 2)
-    traces = [np.trace(form.dense(np.eye(8)[b][:, None, None], dims)).real for b in range(8)]
-    assert np.allclose(traces, form.mult)
+    problem = build_cost(werner_state(3, 0.6))
+    assert problem.dims == (3, 2, 3, 2)
+    traces = [np.trace(problem.dense(np.eye(8)[b][:, None, None])).real for b in range(8)]
+    assert np.allclose(traces, problem.mult)
 
 
 def test_twirled_pt_maps_are_shared_and_read_only():
-    # the maps depend on (algebra, d) only: one read-only pair for every p
-    first, second = (build_cost(werner_state(4, p)).blocks for p in (0.3, 0.9))
-    assert first.pt_map is second.pt_map and first.pt_inverse is second.pt_inverse
-    isotropic = build_cost(isotropic_state(4, 0.3)).blocks
-    for maps in (first, isotropic):
-        assert not maps.pt_map.flags.writeable and not maps.pt_inverse.flags.writeable
+    # the map depends on (algebra, d) only: one read-only map for every p
+    first, second = (build_cost(werner_state(4, p)) for p in (0.3, 0.9))
+    assert first.pt_map is second.pt_map
+    isotropic = build_cost(isotropic_state(4, 0.3))
+    for problem in (first, isotropic):
+        assert not problem.pt_map.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            maps.pt_map[0, 0] = 0.0
+            problem.pt_map[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("family,d", [("wi", 2), ("werner", 3), ("werner", 6), ("isotropic", 3), ("isotropic", 6)])
@@ -223,8 +223,8 @@ def test_lp_vertex_bounds_sigma_on_both_sides(family, d):
     # the vertex of the solve at p = 1 is feasible, so its value bounds sigma
     # above at every p, and its basis dual bounds sigma below at every p
     top = sigma_min(_twirled_state(family, d, 1.0)).witness
-    vertex = round_to_vertex(top.blocks.ravel(), top.form.pt_map, top.form.mult)
-    rows = np.concatenate([np.eye(8), top.form.pt_map])
+    vertex = round_to_vertex(top.blocks.ravel(), top.problem.pt_map, top.problem.mult)
+    rows = np.concatenate([np.eye(8), top.problem.pt_map])
     assert np.min(rows @ vertex.blocks) >= -VERTEX_TOL
     assert abs(vertex.mult @ vertex.blocks - 1.0) <= 1e-12
     assert np.allclose(vertex.system @ vertex.blocks, np.eye(8)[-1], atol=1e-15)
@@ -242,10 +242,10 @@ def test_lp_vertex_bounds_sigma_on_both_sides(family, d):
 
 def test_round_to_vertex_rejects_a_point_far_from_every_vertex():
     # the centre I/n, whose smallest slacks fix an infeasible vertex
-    form = build_cost(werner_state(3, 0.9)).blocks
-    centre = np.full(len(form.mult), 1.0 / form.mult.sum())
+    problem = build_cost(werner_state(3, 0.9))
+    centre = np.full(len(problem.mult), 1.0 / problem.mult.sum())
     with pytest.raises(ValueError, match="infeasible"):
-        round_to_vertex(centre, form.pt_map, form.mult)
+        round_to_vertex(centre, problem.pt_map, problem.mult)
 
 
 def test_bisection_options_is_the_sign_only_form():
@@ -266,13 +266,11 @@ def test_block_form_reproduces_dense_cost():
 def test_problem_rejects_mismatched_blocks():
     problem = build_cost(werner_state(3, 0.5))
     # a projector factor that does not sum to the identity
-    (twirl, subsystems), bell = problem.blocks.factors
-    partial = dataclasses.replace(problem.blocks, factors=((np.array([twirl[0], twirl[0]]), subsystems), bell))
+    (twirl, subsystems), bell = problem.factors
     with pytest.raises(ValueError, match="identity"):
-        SdpProblem(blocks=partial, dims=problem.dims, t1_split=2)
-    hermitian = dataclasses.replace(problem.blocks, costs=problem.blocks.costs + 1j)
+        dataclasses.replace(problem, factors=((np.array([twirl[0], twirl[0]]), subsystems), bell))
     with pytest.raises(ValueError, match="Hermitian"):
-        SdpProblem(blocks=hermitian, dims=problem.dims, t1_split=2)
+        dataclasses.replace(problem, costs=problem.costs + 1j)
 
 
 def test_non_invariant_inputs_get_bell_form(rng):
@@ -284,8 +282,8 @@ def test_non_invariant_inputs_get_bell_form(rng):
     for tau in (hirsch_state(0.3), random_density((2, 2), rng), DensityMatrix(perturbed, (3, 3)), plain):
         problem = build_cost(tau)
         side = tau.dims[0] * tau.dims[1]
-        assert problem.blocks.costs.shape == (4, side, side)
-        assert problem.blocks.mult.tolist() == [1, 1, 1, 1]
+        assert problem.costs.shape == (4, side, side)
+        assert problem.mult.tolist() == [1, 1, 1, 1]
         assert np.max(np.abs(problem.cost - activation._dense_cost(tau))) < 1e-14
 
 
@@ -316,13 +314,13 @@ def test_hirsch_at_q0_matches_wi(options):
 
 def test_bell_pt_map():
     # PT over A_q of each Bell projector, in the Bell basis
-    bell = build_cost(hirsch_state(0.3)).blocks
+    bell = build_cost(hirsch_state(0.3))
     (projectors, subsystems), = bell.factors
     assert subsystems == (1, 3)
     for b, projector in enumerate(projectors):
         pt = partial_transpose_mat(projector, (2, 2), (0,))
         assert np.max(np.abs(pt - np.einsum("c,cij->ij", bell.pt_map[:, b], projectors))) < 1e-15
-    assert np.allclose(bell.pt_map @ bell.pt_inverse, np.eye(4))
+    assert np.allclose(bell.pt_map @ _Stack(bell).adjoint, np.eye(4))
 
 
 def _real_state(dims, seed):
@@ -346,7 +344,7 @@ _BELL_INPUTS = (
 @pytest.mark.parametrize("options", [bisection_options(), DEFAULT_OPTIONS], ids=["sign", "gap"])
 def test_bell_form_matches_dense(name, make, options):
     problem = build_cost(make(), options)
-    assert problem.blocks.costs.shape[0] == 4
+    assert problem.costs.shape[0] == 4
     _assert_block_matches_dense(problem)
 
 
@@ -361,7 +359,7 @@ def test_sigma_min_builds_no_dense_cost_or_minimizer(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense matrix built")
 
-    monkeypatch.setattr(BlockForm, "dense", refuse)
+    monkeypatch.setattr(SdpProblem, "dense", refuse)
     monkeypatch.setattr(activation, "_dense_cost", refuse)
     for tau in (werner_state(6, 0.7), isotropic_state(6, 0.5), wi_state(0.8), hirsch_state(0.2)):
         result = sigma_min(tau)
@@ -371,7 +369,7 @@ def test_sigma_min_builds_no_dense_cost_or_minimizer(monkeypatch):
 
 def _dense_residuals(solution, t1_split=2):
     mat = solution.minimizer.mat
-    pt = partial_transpose_mat(mat, solution.dims, tuple(range(t1_split)))
+    pt = partial_transpose_mat(mat, solution.problem.dims, tuple(range(t1_split)))
     return {
         "psd_slack": max(0.0, -float(np.linalg.eigvalsh(mat)[0])),
         "ppt_slack": max(0.0, -float(np.linalg.eigvalsh(pt)[0])),

@@ -1,6 +1,7 @@
 """The benchmark's modules against nlact: the tracer (bench/spans.py) patches nlact's
-functions where their callers look them up, and the tables workload
-(bench/workloads.py) passes every check it makes on nlact's tables."""
+functions where their callers look them up, and one pass of the tables,
+tlf_curves and hirsch_flat workloads (bench/workloads.py) passes every check
+it makes on nlact's outputs."""
 
 import importlib.util
 import sys
@@ -32,6 +33,30 @@ def test_tables_workload_pass_has_no_failed_item(monkeypatch, tmp_path):
     workload = _bench("workloads", monkeypatch).build("tables", 1)
     outputs = workload.run(tmp_path)
     assert sorted(outputs) == ["table-isotropic.json", "table-werner.json", "table-wi.json"]
+    items = workload.check(outputs)
+    assert items
+    assert [(item.name, item.detail) for item in items if not item.ok] == []
+
+
+def test_tlf_curves_workload_passes_agree_and_have_no_failed_item(monkeypatch, tmp_path):
+    # the benchmark compares the outputs of two passes: a solve that varies
+    # between runs would fail there first
+    workload = _bench("workloads", monkeypatch).build("tlf_curves", 1)
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    outputs = workload.run(first)
+    assert len(outputs) == 12
+    assert workload.run(second) == outputs
+    items = workload.check(outputs)
+    assert items
+    assert [(item.name, item.detail) for item in items if not item.ok] == []
+
+
+def test_hirsch_flat_workload_pass_has_no_failed_item(monkeypatch, tmp_path):
+    workload = _bench("workloads", monkeypatch).build("hirsch_flat", 1)
+    outputs = workload.run(tmp_path)
+    assert sorted(outputs) == ["hirsch1-tlf.json"]
     items = workload.check(outputs)
     assert items
     assert [(item.name, item.detail) for item in items if not item.ok] == []

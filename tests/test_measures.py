@@ -5,6 +5,7 @@ import pytest
 
 from nlact.linalg import DensityMatrix, kron
 from nlact.measures import (
+    DegenerateCorrelation,
     binary_entropy,
     cglmp_value,
     chsh_M,
@@ -158,6 +159,8 @@ def test_hidden_nonlocality_hirsch_jordan_block(p):
 
 def test_hidden_nonlocality_degenerate():
     with pytest.raises(ValueError, match="degenerate correlation matrix"):
+        hidden_nonlocality(hirsch_state(0.0))
+    with pytest.raises(DegenerateCorrelation):
         hidden_nonlocality(hirsch_state(0.0))
 
 

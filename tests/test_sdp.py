@@ -7,7 +7,7 @@ from nlact import sdp
 from nlact.activation import ACTIVATION_TOL, DEFAULT_OPTIONS, H_ANGLE, bisection_options, build_cost
 from nlact.linalg import DensityMatrix, min_eig, partial_transpose_mat
 from nlact.rand import random_density
-from nlact.sdp import SdpOptions, SdpProblem, _interior_point, _solve, _splitting, solve
+from nlact.sdp import SdpOptions, SdpProblem, _interior_point, _solve, _splitting, round_to_vertex, solve
 from nlact.states import (
     h_theta,
     hirsch_state,
@@ -169,7 +169,7 @@ def test_scalar_loop_matches_interior_point(family, d):
     for p, tau in _tlf_grid(family, d):
         for options in (DEFAULT_OPTIONS, bisection_options()):
             problem = build_cost(tau, options)
-            assert problem.blocks.costs.shape == (8, 1, 1)
+            assert problem.costs.shape == (8, 1, 1)
             scalar, general = solve(problem), _solve(problem, _interior_point)
             assert _indicator(scalar) == _indicator(general), p
             assert scalar.iterations <= general.iterations, p
@@ -219,38 +219,100 @@ def test_scalar_loop_rounds_an_optimal_edge_to_a_vertex(family, d, p):
     assert sol.iterations <= 5
 
 
+@pytest.mark.parametrize("tol", [1e-7, 1e-12])
+def test_scalar_loop_rounds_past_a_singular_transposed_basis(tol):
+    # here the smallest slacks' system solves but its transpose is singular to
+    # the solver; the rounding then takes the greedy basis, so the solve ends
+    # at its vertex instead of losing the vertex on its multipliers
+    problem = build_cost(werner_state(8, 0.15), SdpOptions(tol_objective=tol))
+    sol = solve(problem)
+    assert sol.status == "converged"
+    assert sol.objective - sol.objective_lb <= 1e-15
+    assert sol.iterations <= 6
+    vertex = round_to_vertex(sol.blocks.ravel(), problem.pt_map, problem.mult)
+    assert np.all(np.isfinite(vertex.multipliers(problem.costs.ravel())))
+
+
+def _expand(images, onto):
+    """Coefficients of each image in the orthogonal projectors onto: [onto, image]."""
+    return np.array([[np.trace(o @ image) / np.trace(o) for image in images] for o in onto])
+
+
+def _twirl_pt_maps(tau):
+    """(P_b, PT(P_b) in the Q_c, PT(Q_c) in the P_b), read off the projectors.
+
+    The P_b are tau's twirl projectors, the Q_c the other algebra's, and PT
+    is the partial transpose over A_d.
+    """
+    d = tau.dims[0]
+    ps = twirl_projectors(tau.algebra, d)
+    qs = twirl_projectors("isotropic" if tau.algebra == "werner" else "werner", d)
+    return (
+        ps,
+        _expand([partial_transpose_mat(p, (d, d), 0) for p in ps], qs),
+        _expand([partial_transpose_mat(q, (d, d), 0) for q in qs], ps),
+    )
+
+
 def _twirl_only_problem(tau, options):
     """A twirled state's activation problem with the ancilla left whole: blocks c_b H of side 4 on [A_q, B_q].
 
     The partial transpose over A_d maps the projectors P_b onto the other
     algebra's Q_c, with multiplicities Tr P_b and Tr Q_c that are not 1, and
-    pt_map and pt_inverse are read off the projectors' partial transposes.
+    pt_map is read off the projectors' partial transposes.
     """
     d = tau.dims[0]
-    ps = twirl_projectors(tau.algebra, d)
-    qs = twirl_projectors("isotropic" if tau.algebra == "werner" else "werner", d)
-
-    def expand(images, onto):
-        # coefficients of each image in the orthogonal projectors onto: [onto, image]
-        return np.array([[np.trace(o @ image) / np.trace(o) for image in images] for o in onto])
-
-    pt_map = expand([partial_transpose_mat(p, (d, d), 0) for p in ps], qs)
-    pt_inverse = expand([partial_transpose_mat(q, (d, d), 0) for q in qs], ps)
+    ps, pt_map, _ = _twirl_pt_maps(tau)
     costs = np.multiply.outer(tau.coeffs, h_theta(H_ANGLE).real)
-    form = sdp.BlockForm(costs=costs, factors=((ps, (0, 2)),), pt_map=pt_map, pt_inverse=pt_inverse)
-    return SdpProblem(form, (d, 2, d, 2), t1_split=2, options=options)
+    return SdpProblem(costs, ((ps, (0, 2)),), pt_map, (d, 2, d, 2), t1_split=2, options=options)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("family", ["werner", "isotropic"])
+def test_derived_adjoint_inverts_pt_map(family, d):
+    tau = (werner_state if family == "werner" else isotropic_state)(d, 0.6)
+    # the twirl alone: the adjoint is the partial transpose of the Q_c read off in the P_b
+    problem = _twirl_only_problem(tau, SdpOptions())
+    _, _, back = _twirl_pt_maps(tau)
+    adjoint = sdp._Stack(problem).adjoint
+    assert adjoint.flags.c_contiguous
+    assert np.allclose(adjoint, back, rtol=0.0, atol=1e-14)
+    assert np.allclose(adjoint @ problem.pt_map, np.eye(2), rtol=0.0, atol=1e-14)
+    # the eight scalar blocks of the twirl with the ancilla's Bell basis
+    problem = build_cost(tau)
+    adjoint = sdp._Stack(problem).adjoint
+    assert adjoint.flags.c_contiguous
+    assert np.allclose(adjoint @ problem.pt_map, np.eye(8), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("family,d", [("werner", 3), ("isotropic", 4), ("werner", 6)], ids=str)
+def test_inconsistent_pt_map_is_rejected_before_any_step(family, d, monkeypatch):
+    # the other algebra's map, as a swapped pair of maps would give, and the
+    # map with its X-side blocks relabelled: their adjoints do not invert
+    # them, and no loop runs
+    def refuse(*args):
+        raise AssertionError("a loop ran")
+
+    for loop in ("_scalar_interior_point", "_interior_point", "_splitting"):
+        monkeypatch.setattr(sdp, loop, refuse)
+    family_state = {"werner": werner_state, "isotropic": isotropic_state}
+    problem = build_cost(family_state[family](d, 0.7))
+    other = build_cost(family_state["isotropic" if family == "werner" else "werner"](d, 0.7))
+    for pt_map in (other.pt_map, problem.pt_map[:, ::-1]):
+        with pytest.raises(ValueError, match="adjoint"):
+            solve(dataclasses.replace(problem, pt_map=pt_map))
 
 
 @pytest.mark.parametrize("family,d", [("werner", 3), ("werner", 4), ("isotropic", 3)], ids=str)
 def test_matrix_loop_on_blocks_with_multiplicities(family, d):
     # the matrix loop on blocks of side 4 whose multiplicities are not 1 and
-    # whose pt_map is not pt_inverse: it agrees with the exact LP value of
+    # whose pt_map is not its own adjoint: it agrees with the exact LP value of
     # the eight-scalar form within its certified gap
     options = SdpOptions(tol_objective=1e-9)
     for p, tau in list(_tlf_grid(family, d))[-4:]:
         problem = _twirl_only_problem(tau, options)
-        assert problem.blocks.costs.shape == (2, 4, 4)
-        assert not np.allclose(problem.blocks.pt_map, problem.blocks.pt_inverse)
+        assert problem.costs.shape == (2, 4, 4)
+        assert not np.allclose(problem.pt_map, sdp._Stack(problem).adjoint)
         block = solve(problem)
         scalar = solve(build_cost(tau, options))
         assert block.status == scalar.status == "converged", p
@@ -288,7 +350,7 @@ def test_plain_problem_cost_round_trips(rng):
     # a plain problem is one block, and the dense cost derived from it is the given one
     for cost in (_random_hermitian(4, rng), -projector(psi_minus()), np.diag([1.0, 2.0, 3.0, 4.0])):
         problem = SdpProblem.from_cost(cost, dims=(2, 2))
-        assert problem.blocks.costs.shape == (1, 4, 4)
+        assert problem.costs.shape == (1, 4, 4)
         assert np.array_equal(problem.cost, cost)
 
 

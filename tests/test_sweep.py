@@ -38,6 +38,18 @@ def test_evaluate_point_hn_degenerate_corner():
     assert result.indicator is False and result.margin is None
 
 
+def test_evaluate_point_hn_passes_other_errors_on(monkeypatch):
+    # only the typed degenerate corner reads as off, whatever another error says
+    for message in ("non-Lorentzian spectrum", "degenerate in another way"):
+
+        def fail(rho, message=message):
+            raise ValueError(message)
+
+        monkeypatch.setattr(sweep.measures, "hidden_nonlocality", fail)
+        with pytest.raises(ValueError, match=message):
+            evaluate_point(HIRSCH1, "hn", 0.3)
+
+
 def test_eof_indicator_sees_weak_entanglement():
     # the entropy underflows to 0 at this concurrence; the indicator reads the concurrence
     result = evaluate_point(WI, "eof", 1 / 3 + 1e-8)
