@@ -40,6 +40,30 @@ _BELL_PT = 0.5 * np.array([[1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [-1, 1, 
 # states, so H_{pi/4} = sum_k _BELL_H[k] _BELL[k] with h = (1 - sqrt 2, 1, 1, 1 + sqrt 2)
 _BELL_H = 1.0 - math.cos(H_ANGLE) * np.array([1, -1, 1, -1]) - math.sin(H_ANGLE) * np.array([1, 1, -1, -1])
 
+# The bases of the twirled form's linear program (eight scalar blocks; see
+# `sdp.LpVertex`) that are optimal somewhere on a Werner, wi or isotropic path
+# [max(lo, 0), hi] at d = 2..8: their vertex is feasible and their multipliers
+# are dual feasible, both within `sdp.VERTEX_TOL`, at some p there.  Each word
+# lists a basis's seven active rows of (I; pt_map) in hex.  Enumerating all
+# C(16, 7) bases takes tens of milliseconds per (algebra, d), so the table is
+# pinned; tests/test_sweep.py rebuilds it.
+TWIRLED_BASES = np.array(
+    [
+        [int(row, 16) for row in word]
+        for word in """
+        0567bcd 0567bce 0567bde 134567b 13457bd 13457bf 134679b 13467bd 13467bf 13479bd 13479bf
+        1347bdf 13567bd 13567bf 1357bcf 1357bef 13679bf 1367bdf 1379bcf 1379bef 137bcdf 137bcef
+        137bdef 234567b 23457ab 23457be 23457bf 23467be 23467bf 2347abe 2347abf 2347bef 23567be
+        23567bf 2357abf 2357bef 2367bcf 2367bdf 237abcf 237abdf 237bcdf 237bcef 237bdef 345679b
+        34567ab 34567bd 34567be 34579bd 34579bf 3457abe 3457abf 3457bdf 3457bef 34679bd 34679bf
+        3467abe 3467abf 3467bdf 3467bef 3479bdf 347abef 35679bd 35679bf 3567abe 3567abf 3567bde
+        3567bdf 3567bef 3579bcf 3579bef 357abef 357bcdf 357bcef 357bdef 3679bdf 367abcf 367abdf
+        367bcdf 367bcef 367bdef 379bcdf 379bcef 379bdef 37abcdf 37abcef 37abdef 567bcde
+        """.split()
+    ]
+)
+TWIRLED_BASES.flags.writeable = False
+
 __all__ = [
     "ACTIVATION_TOL",
     "DEFAULT_OPTIONS",
@@ -47,7 +71,7 @@ __all__ = [
     "bisection_options",
     "build_cost",
     "sigma_min",
-    "twirled_costs",
+    "TWIRLED_BASES",
     "ancilla_R",
     "verify_ancilla",
 ]
@@ -85,11 +109,6 @@ def _twirled_pt(algebra: str, d: int) -> np.ndarray:
     pt_map = np.kron(to_isotropic if algebra == "werner" else to_werner, _BELL_PT)
     pt_map.flags.writeable = False
     return pt_map
-
-
-def twirled_costs(tau: TwirledState) -> np.ndarray:
-    """The eight scalar costs c_b h_k of the twirled form (an `sdp.LpVertex`'s), affine in the coefficients."""
-    return np.multiply.outer(tau.coeffs, _BELL_H).ravel()
 
 
 def _cost_dims(tau: DensityMatrix) -> tuple[int, int, int, int]:

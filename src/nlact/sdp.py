@@ -129,6 +129,7 @@ __all__ = [
     "SdpOptions",
     "SdpProblem",
     "SdpSolution",
+    "basis_vertices",
     "check_side",
     "round_to_vertex",
     "solve",
@@ -649,6 +650,9 @@ class LpVertex:
     ``basis`` indexes its nb - 1 active rows among the slacks' rows
     (I; pt_map); ``system`` holds those rows and then the trace row, so
     ``system @ blocks`` is (0, ..., 0, 1).  The methods take scalar costs c.
+    Every field but ``mult`` may carry leading stack axes, one entry per
+    vertex (`basis_vertices`); the methods then broadcast costs of shape
+    (..., nb) over them and return one number per vertex.
     """
 
     blocks: np.ndarray
@@ -656,24 +660,52 @@ class LpVertex:
     system: np.ndarray
     mult: np.ndarray
 
-    def value(self, costs: np.ndarray) -> float:
+    def value(self, costs: np.ndarray) -> float | np.ndarray:
         """The vertex's objective sum_b m_b c_b v_b, an upper bound on the LP's optimum."""
-        return float(costs @ (self.mult * self.blocks))
+        return np.sum(costs * (self.mult * self.blocks), axis=-1)
 
     def multipliers(self, costs: np.ndarray) -> np.ndarray:
         """The basis multipliers z of system^T z = m * c (complementary slackness), the trace row's last."""
-        return np.linalg.solve(self.system.T, self.mult * costs)
+        return np.linalg.solve(self.system.swapaxes(-1, -2), (self.mult * costs)[..., None])[..., 0]
 
-    def dual_bound(self, costs: np.ndarray) -> float:
+    def dual_bound(self, costs: np.ndarray, multipliers: np.ndarray | None = None) -> float | np.ndarray:
         """A lower bound on the LP's optimum from the basis dual: the `_Bounds` certificate on the LP.
 
         min_b (m c - A^T z)_b / m_b over the multipliers' positive part z on
         the active rows A: certified whatever the rounding, and the vertex's
-        value exactly when the basis is dual feasible at c.
+        value exactly when the basis is dual feasible at c.  Any
+        ``multipliers`` certify a bound, not only the basis's own at c,
+        which are solved for when none are given.
         """
-        weighted = self.mult * costs
-        z = self.multipliers(costs)
-        return float(np.min((weighted - self.system[:-1].T @ np.maximum(z[:-1], 0.0)) / self.mult))
+        z = self.multipliers(costs) if multipliers is None else multipliers
+        active = np.maximum(z[..., None, :-1], 0.0) @ self.system[..., :-1, :]
+        return np.min((self.mult * costs - active[..., 0, :]) / self.mult, axis=-1)
+
+
+def basis_vertices(
+    bases: np.ndarray, pt_map: np.ndarray, mult: np.ndarray, costs: np.ndarray
+) -> tuple[LpVertex, np.ndarray]:
+    """The feasible vertices that a stack of bases fixes, and their multipliers at each row of ``costs``.
+
+    One batched `np.linalg.solve` takes every basis's system (its nb - 1
+    rows of (I; pt_map) over the trace row, as in `LpVertex`) and the
+    transposed system, whose right-hand sides are m * c for each cost
+    vector c.  A basis whose vertex leaves the polytope by more than
+    `VERTEX_TOL` is dropped.  Returns the vertex stack and the multipliers
+    [cost, vertex, row]; LinAlgError if any system is singular.
+    """
+    nb = len(mult)
+    rows = np.concatenate([np.eye(nb), pt_map])
+    systems = np.empty((len(bases), nb, nb))
+    systems[:, :-1], systems[:, -1] = rows[bases], mult
+    rhs = np.zeros((2, len(bases), nb, len(costs)))
+    rhs[0, :, -1] = 1.0
+    rhs[1] = (mult * costs).T
+    solution = np.linalg.solve(np.stack([systems, systems.swapaxes(-1, -2)]), rhs)
+    blocks = solution[0, :, :, 0]
+    feasible = np.min(blocks @ rows.T, axis=-1) >= -VERTEX_TOL
+    vertices = LpVertex(blocks=blocks[feasible], basis=bases[feasible], system=systems[feasible], mult=mult)
+    return vertices, np.moveaxis(solution[1, feasible], -1, 0)
 
 
 def round_to_vertex(x: np.ndarray, pt_map: np.ndarray, mult: np.ndarray) -> LpVertex:

@@ -11,12 +11,13 @@ bisects.  One routing rule, ``evaluator``, maps a (family, d, property)
 triple to its evaluator or rejects it; every entry point applies it before
 evaluating any point.  A table's closed-form entry searches the family's whole range to
 `EXACT_TOL`.  The p_TLF entry of a twirled family (wi, Werner, isotropic) is
-exact: the root of one vertex line of its activation LP, found by Newton's
-method in about three solves and certified to `EXACT_TOL` (see
-`_exact_tlf_entry`), under the caller's iteration budget only.  hirsch1's
-p_TLF brackets its onset on a coarse grid (the prescan) and bisects the
-bracket.  Every search assumes a monotone indicator, and a point whose solve
-certifies nothing (indicator None) stops it with ``ValueError``.  Other
+exact: the first root of a vertex line of its activation LP, read from the
+pinned table of LP bases `activation.TWIRLED_BASES` with no solve, so the
+caller's solver options do not apply to it, and certified to `EXACT_TOL` by
+the bases' duals (see `_exact_tlf_entry`).  hirsch1's p_TLF brackets its
+onset on a coarse grid (the prescan) and bisects the bracket.  Every search
+assumes a monotone indicator, and a point whose solve certifies nothing
+(indicator None) stops it with ``ValueError``.  Other
 SDP-backed points get one solve each under the caller's options; in a
 sampled curve a point whose solve certifies nothing is recorded as missing
 instead of aborting the sweep.
@@ -25,14 +26,14 @@ instead of aborting the sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import measures
-from .activation import DEFAULT_OPTIONS, bisection_options, sigma_min, twirled_costs
-from .sdp import VERTEX_TOL, SdpOptions, check_side, round_to_vertex
+from .activation import TWIRLED_BASES, bisection_options, build_cost, sigma_min
+from .sdp import SdpOptions, basis_vertices, check_side
 from .states import FamilySpec, TwirledState
 
 PROPERTIES = ("eof", "chsh", "hn", "sa", "tlf", "cglmp")
@@ -42,9 +43,6 @@ PRESCAN_POINTS = 20
 # the stated tolerance of a closed-form threshold and of an exact p_TLF entry,
 # which their certificates must meet
 EXACT_TOL = 1e-12
-# vertices of the twirled problems' polytope (40 at d = 2, 44 at every d >= 3):
-# a walk over vertices of strictly decreasing roots visits at most this many
-LP_VERTICES = 44
 
 __all__ = [
     "PROPERTIES",
@@ -398,61 +396,55 @@ def _computed_columns(family: str, d: int) -> dict[str, str]:
     }
 
 
-def _exact_tlf_entry(spec: FamilySpec, sdp_options: SdpOptions | None) -> dict:
-    """The exact p_TLF of a twirled family: Newton's method on the concave, piecewise-linear sigma(p).
+def _exact_tlf_entry(spec: FamilySpec, bases: np.ndarray = TWIRLED_BASES) -> dict:
+    """The exact p_TLF of a twirled family: the first root of sigma(p), from a table of LP bases.
 
-    sigma(p) is the minimum over a fixed polytope of costs affine in p (see
-    `sdp.LpVertex`), so it is concave and piecewise linear, and p_TLF is the
-    root of one vertex line.  From p = hi, each step solves at p, rounds the
-    minimizer to a vertex v (`sdp.round_to_vertex`), checks that v's value
-    lies in the solve's certified [objective_lb, objective] within
-    `VERTEX_TOL`, and takes the root r of its line sigma_v, evaluated on
-    `twirled_costs`; r is exact once the basis of v is dual feasible at r.
-    The certificate:
+    sigma(p) is the minimum over a polytope fixed by d of costs affine in p
+    (see `sdp.LpVertex`), so it is concave and piecewise linear, and every
+    vertex v gives a line sigma_v(p) >= sigma(p).  One batched solve gives
+    every basis of ``bases`` its vertex, dropped unless feasible, and its
+    multipliers at the costs of both ends lo and hi (`sdp.basis_vertices`);
+    costs and multipliers are affine in p, so the ends give them at every
+    p.  The entry is the smallest root r of the lines that fall from
+    positive at lo to negative at hi.  No solve is made.  The certificate:
 
     - v is feasible, so sigma <= sigma_v < 0 on (r, hi];
-    - the basis dual bounds sigma(r) below, and one solve at lo bounds
-      sigma(lo) below by a positive number, so by concavity sigma >= 0 on
-      [lo, r] up to the dual bound's rounding.
+    - the best dual bound over the bases (`LpVertex.dual_bound`) bounds
+      sigma(r) below, and at lo it must be positive, so by concavity
+      sigma >= 0 on [lo, r] up to the bound's rounding.
 
-    The stated tolerance `EXACT_TOL` covers the rounding of both ends.  The
-    solves run at `EXACT_TOL` with no cut, whatever the caller's tolerance:
-    a looser gap would stop them at an interior iterate, short of their
-    vertex.  The caller's ``max_iters`` is kept.
+    The stated tolerance `EXACT_TOL` covers the rounding of both ends.  A
+    table that lacks the basis that is optimal at lo or at r certifies no
+    such bound, and the entry raises ValueError instead of stating a root.
     """
-    options = replace(sdp_options or DEFAULT_OPTIONS, tol_objective=EXACT_TOL, objective_cut=None)
     lo, hi = spec.p_range()
     lo = max(lo, 0.0)  # as in the prescan
-    low = sigma_min(spec.state(lo), replace(options, objective_cut=0.0)).witness
-    if low.status not in ("converged", "decided") or not low.objective_lb > 0.0:
-        raise ValueError(f"no certified sigma > 0 at p={lo} ({low.status}, lower bound {low.objective_lb:.3g})")
-    p = hi
-    for _ in range(LP_VERTICES):
-        solution = sigma_min(spec.state(p), options).witness
-        if solution.status != "converged":
-            raise ValueError(f"the solve at p={p} did not converge ({solution.status})")
-        try:
-            vertex = round_to_vertex(solution.blocks.ravel(), solution.problem.pt_map, solution.problem.mult)
-        except ValueError as exc:
-            raise ValueError(f"the solve at p={p} gives no vertex: {exc}") from None
-        value = vertex.value(solution.problem.costs.ravel())
-        if not solution.objective_lb - VERTEX_TOL <= value <= solution.objective + VERTEX_TOL:
-            bounds = f"[{solution.objective_lb}, {solution.objective}]"
-            raise ValueError(f"the solve at p={p} gives no vertex: its value {value} leaves the certified {bounds}")
-        at_lo, at_hi = (vertex.value(twirled_costs(spec.state(q))) for q in (lo, hi))
-        # a Newton step on a concave function from the right moves strictly left
-        root = lo + (hi - lo) * at_lo / (at_lo - at_hi) if at_lo > 0.0 > at_hi else hi
-        if not root < p:
-            raise ValueError(f"the vertex found at p={p} has no decreasing root in [{lo}, {p})")
-        costs = twirled_costs(spec.state(root))
-        # how far the onset can lie above the root (sigma_v < 0 beyond) and below it (concavity)
-        above = max(0.0, vertex.value(costs)) * (hi - lo) / (at_lo - at_hi)
-        deficit = max(0.0, -vertex.dual_bound(costs))
-        below = deficit * (root - lo) / (low.objective_lb + deficit)
-        if max(above, below) <= EXACT_TOL:
-            return {"value": root, "tolerance": EXACT_TOL, "provenance": "exact (LP vertex)"}
-        p = root
-    raise ValueError(f"no dual-feasible vertex within {LP_VERTICES} Newton steps from p={hi}")
+    problems = [build_cost(spec.state(q)) for q in (lo, hi)]
+    ends = np.array([problem.costs.ravel() for problem in problems])
+    vertices, multipliers = basis_vertices(bases, problems[1].pt_map, problems[1].mult, ends)
+    at_lo, at_hi = vertices.value(ends[:, None])
+
+    def lower_bound(t: float) -> float:
+        """The best dual bound over the bases on sigma at p = lo + t (hi - lo)."""
+        costs, z = (end[0] + t * (end[1] - end[0]) for end in (ends, multipliers))
+        return float(np.max(vertices.dual_bound(costs, z), initial=-np.inf))
+
+    low = lower_bound(0.0)
+    if not low > 0.0:
+        raise ValueError(f"the table certifies no sigma > 0 at p={lo} (lower bound {low:.3g})")
+    falling = np.flatnonzero((at_lo > 0.0) & (at_hi < 0.0))
+    if not len(falling):
+        raise ValueError(f"no vertex line of the table falls below 0 in [{lo}, {hi}]")
+    v = falling[np.argmin(at_lo[falling] / (at_lo[falling] - at_hi[falling]))]
+    t = at_lo[v] / (at_lo[v] - at_hi[v])
+    root = float(lo + (hi - lo) * t)
+    # how far the onset can lie above the root (sigma_v < 0 beyond) and below it (concavity)
+    above = max(0.0, at_lo[v] + t * (at_hi[v] - at_lo[v])) * (hi - lo) / (at_lo[v] - at_hi[v])
+    deficit = max(0.0, -lower_bound(t))
+    below = deficit * (root - lo) / (low + deficit)
+    if max(above, below) > EXACT_TOL:
+        raise ValueError(f"the table certifies no root at p={root}: the onset may lie {max(above, below):.3g} away")
+    return {"value": root, "tolerance": EXACT_TOL, "provenance": "exact (LP vertex)"}
 
 
 def _computed_entry(spec: FamilySpec, prop: str, sdp_options: SdpOptions | None) -> dict:
@@ -460,7 +452,7 @@ def _computed_entry(spec: FamilySpec, prop: str, sdp_options: SdpOptions | None)
         lo, hi = spec.p_range()
         bracket = (max(lo, 0.0), hi)  # as in the prescan
     elif isinstance(spec.state(spec.p_range()[1]), TwirledState):
-        return _exact_tlf_entry(spec, sdp_options)
+        return _exact_tlf_entry(spec)
     else:
         bracket = prescan_bracket(spec, prop, sdp_options)
         if bracket is None:

@@ -7,16 +7,26 @@ from nlact import activation
 from nlact.activation import (
     ACTIVATION_TOL,
     DEFAULT_OPTIONS,
+    TWIRLED_BASES,
     ancilla_R,
     bisection_options,
     build_cost,
     sigma_min,
-    twirled_costs,
     verify_ancilla,
 )
 from nlact.linalg import DensityMatrix, min_eig, partial_transpose_mat, permute_systems
 from nlact.rand import random_density, random_separable
-from nlact.sdp import IPM_MAX_SIDE, VERTEX_TOL, SdpOptions, SdpProblem, _Stack, round_to_vertex, solve
+from nlact.sdp import (
+    IPM_MAX_SIDE,
+    VERTEX_TOL,
+    LpVertex,
+    SdpOptions,
+    SdpProblem,
+    _Stack,
+    basis_vertices,
+    round_to_vertex,
+    solve,
+)
 from nlact.states import h_theta, hirsch_state, isotropic_state, werner_state, wi_state
 from test_sdp import HIRSCH_TRAIL
 
@@ -231,13 +241,38 @@ def test_lp_vertex_bounds_sigma_on_both_sides(family, d):
     for p in np.linspace(0.0, 1.0, 11):
         tau = _twirled_state(family, d, float(p))
         tight = sigma_min(tau, SdpOptions(tol_objective=1e-10)).witness
-        costs = twirled_costs(tau)
+        costs = build_cost(tau).costs.ravel()
         assert vertex.value(costs) >= tight.objective_lb - 1e-12, p
         assert vertex.dual_bound(costs) <= tight.objective + 1e-12, p
     # at p = 1 the vertex is optimal: its basis is dual feasible and both bounds meet
-    costs = twirled_costs(_twirled_state(family, d, 1.0))
+    costs = top.problem.costs.ravel()
     assert abs(vertex.dual_bound(costs) - vertex.value(costs)) <= 1e-15
     assert top.objective_lb <= vertex.value(costs) <= top.objective
+
+
+@pytest.mark.parametrize("family,d", [("wi", 2), ("werner", 6), ("isotropic", 3)])
+def test_stacked_vertices_match_single_ones(family, d):
+    # a stack from basis_vertices answers as each of its vertices alone, and
+    # holds the vertex that a solve at p rounds to, with the same value
+    solution = sigma_min(_twirled_state(family, d, 0.8), SdpOptions(tol_objective=1e-10)).witness
+    pt_map, mult, costs = solution.problem.pt_map, solution.problem.mult, solution.problem.costs.ravel()
+    vertices, multipliers = basis_vertices(TWIRLED_BASES, pt_map, mult, np.array([costs, 2.0 * costs]))
+    rows = np.concatenate([np.eye(8), pt_map])
+    assert np.min(vertices.blocks @ rows.T) >= -VERTEX_TOL
+    assert np.allclose(vertices.system @ vertices.blocks[..., None], np.eye(8)[-1][:, None], atol=1e-14)
+    values, bounds = vertices.value(costs), vertices.dual_bound(costs)
+    assert np.allclose(vertices.dual_bound(costs, multipliers[0]), bounds, rtol=0.0, atol=1e-15)
+    for k in range(len(vertices.blocks)):
+        single = LpVertex(vertices.blocks[k], vertices.basis[k], vertices.system[k], mult)
+        assert abs(single.value(costs) - values[k]) <= 1e-15
+        assert np.allclose(single.multipliers(2.0 * costs), multipliers[1, k], rtol=0.0, atol=1e-14)
+        assert abs(single.dual_bound(costs) - bounds[k]) <= 1e-15
+    rounded = round_to_vertex(solution.blocks.ravel(), pt_map, mult)
+    same = np.max(np.abs(vertices.blocks - rounded.blocks), axis=1) <= 1e-12
+    assert np.any(same)
+    assert abs(values[same].min() - rounded.value(costs)) <= 1e-15
+    # the optimum at p: the best dual bound meets the best vertex
+    assert abs(bounds.max() - values.min()) <= 1e-15 and values.min() == pytest.approx(solution.objective, abs=1e-10)
 
 
 def test_round_to_vertex_rejects_a_point_far_from_every_vertex():

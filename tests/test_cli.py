@@ -217,14 +217,15 @@ def test_table_werner_csv_has_x_marker(capsys):
     assert sa_rows and sa_rows[0].split(",")[2] == "X"
 
 
-# sha256 of the JSON tables as printed since their closed-form columns became
-# roots of their signed margins to 1e-12 (every p_TLF entry kept its bytes: the
-# twirled families' exact LP-vertex roots, hirsch1's bisection); a change of
-# representation, solver loop or search that moves a threshold shows up here
+# sha256 of the JSON tables as printed since the twirled families' exact p_TLF
+# entries became the smallest root of a pinned table of LP bases (isotropic d=3
+# moved by 1 ulp; the closed-form columns are roots of their signed margins to
+# 1e-12, and hirsch1's p_TLF is bisected); a change of representation, solver
+# loop or search that moves a threshold shows up here
 _TABLE_SHA256 = {
     ("--family", "wi"): "1a1b68d05bd6bc4b2532f8c54b89c2be586e6c91fa785ea32cd8250e0c0b6de8",
     ("--family", "werner", "--dmax", "3"): "80e8b46bc5050ad93f29b76fb5d9674f9ce945ea96237150151f76f228c5e6ee",
-    ("--family", "isotropic", "--dmax", "3"): "c10bb28b6e33263d0da2bc65fac5595d8a7c91cda16deb295293d86f6d381a88",
+    ("--family", "isotropic", "--dmax", "3"): "db55c31a547ca18d295ffe90691abc9b3155c8c62048acdbc4bf10fb6fce4304",
     ("--family", "hirsch1"): "abf220f74e0ad25a7995271aea9061d3d48bd4ccc6d79cef82fa70a5a3ccb042",
 }
 
@@ -236,15 +237,11 @@ def test_table_bytes_pinned(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_SHA256[args]
 
 
-@pytest.mark.parametrize(
-    "args,where",
-    [
-        (("--family", "hirsch1", "--sdp-max-iters", "3"), "hirsch1 d=2 p_TLF"),
-        # two Newton steps certify every d = 2 solve, ended at its optimal vertex, but not those at d = 3
-        (("--family", "werner", "--dmax", "3", "--sdp-max-iters", "2"), "werner d=3 p_TLF"),
-    ],
-    ids=" ".join,
-)
+# (table arguments, the entry the error names); the test ids are the arguments
+_UNCERTIFIED_TABLES = [(("--family", "hirsch1", "--sdp-max-iters", "3"), "hirsch1 d=2 p_TLF")]
+
+
+@pytest.mark.parametrize("args,where", _UNCERTIFIED_TABLES, ids=[" ".join(args) for args, _ in _UNCERTIFIED_TABLES])
 def test_table_refuses_uncertified_entries(capsys, args, where):
     # solves that certify too little fail the table, naming the entry and the point,
     # instead of printing a threshold that rests on them
@@ -267,14 +264,15 @@ def test_table_sign_queries_run_until_the_cut_is_settled(capsys):
 _EXACT_TABLE_SHA256 = {
     ("--family", "wi"): _TABLE_SHA256[("--family", "wi")],
     ("--family", "isotropic", "--dmax", "2"): "6b058cdfef220a68405f9016c336fff63be50eec01c477042f0a25361ee2668a",
+    ("--family", "werner", "--dmax", "3"): _TABLE_SHA256[("--family", "werner", "--dmax", "3")],
 }
 
 
 @pytest.mark.parametrize("args", list(_EXACT_TABLE_SHA256), ids=" ".join)
 def test_table_exact_entries_ignore_a_loose_sdp_tol(capsys, args):
-    # an exact p_TLF entry solves at its own tolerance, so a loose --sdp-tol
-    # cannot stop its solves short of their vertex
-    code, out, _ = run_cli(capsys, "table", *args, "--sdp-tol", "0.5")
+    # these tables make no solve (an exact p_TLF entry reads its table of LP
+    # bases), so neither a loose --sdp-tol nor a one-step --sdp-max-iters moves them
+    code, out, _ = run_cli(capsys, "table", *args, "--sdp-max-iters", "1", "--sdp-tol", "0.5")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _EXACT_TABLE_SHA256[args]
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -6,9 +7,9 @@ import numpy as np
 import pytest
 
 from nlact import activation, sweep
-from nlact.activation import ACTIVATION_TOL, ActivationResult, bisection_options, sigma_min
+from nlact.activation import ACTIVATION_TOL, TWIRLED_BASES, ActivationResult, bisection_options, build_cost, sigma_min
 from nlact.measures import cglmp_value, popescu_threshold
-from nlact.sdp import SdpOptions, solve
+from nlact.sdp import VERTEX_TOL, SdpOptions, basis_vertices, solve
 from nlact.states import FamilySpec, isotropic_state
 from nlact.sweep import (
     build_table,
@@ -250,10 +251,10 @@ def test_prescan_bisection_equals_linear_scan(monkeypatch, raising, uncertified_
 
 
 # per table: evaluate_point calls (the closed-form columns, each a root search
-# on its margin over the family's range), sdp.solve calls (three per exact p_TLF
-# entry: the low end and two Newton steps on sigma(p)) and the interior-point
-# Newton steps of those solves, each ended at its optimal LP vertex
-_TABLE_EVALUATIONS = {("wi", 6): (54, 3, 5), ("werner", 6): (94, 15, 39), ("isotropic", 6): (151, 15, 32)}
+# on its margin over the family's range), sdp.solve calls and their
+# interior-point Newton steps: every p_TLF entry is exact, from the table of LP
+# bases, and solves nothing
+_TABLE_EVALUATIONS = {("wi", 6): (54, 0, 0), ("werner", 6): (94, 0, 0), ("isotropic", 6): (151, 0, 0)}
 
 
 @pytest.mark.parametrize("family,d_max", list(_TABLE_EVALUATIONS), ids=str)
@@ -299,8 +300,8 @@ def test_exact_tlf_entry_matches_closed_form(monkeypatch, family, d):
     assert entry["provenance"] == "exact (LP vertex)"
     assert entry["tolerance"] <= 1e-12
     closed = _closed_form_tlf(family, d)
-    assert abs(entry["value"] - closed) <= min(1e-10, entry["tolerance"])
-    assert len(solves) <= 3
+    assert abs(entry["value"] - closed) <= 4.4e-16
+    assert not solves
     if d == 2:
         assert abs(closed - (4 * _SQRT2 - 5)) <= 1e-15
 
@@ -326,32 +327,82 @@ def test_exact_tlf_entry_is_the_sign_change(family, d):
     assert above.objective < 0.0 < below.objective_lb
 
 
-@pytest.mark.parametrize("options", [SdpOptions(max_iters=2)], ids=["max_iters"])
-def test_exact_tlf_entry_without_certificate_raises(options):
-    # an entry whose solves certify too little is refused, never printed
-    with pytest.raises(ValueError, match="p="):
-        sweep._computed_entry(FamilySpec("werner", 3), "tlf", options)
+def _optimal_bases(spec, p):
+    """The bases of TWIRLED_BASES that are optimal at p: feasible vertex, dual bound at its value."""
+    problem = build_cost(spec.state(p))
+    costs = problem.costs.ravel()
+    vertices, multipliers = basis_vertices(TWIRLED_BASES, problem.pt_map, problem.mult, costs[None])
+    return vertices.basis[vertices.dual_bound(costs, multipliers[0]) >= vertices.value(costs) - 1e-12]
 
 
-def test_exact_tlf_entry_rejects_a_vertex_outside_the_certified_bounds(monkeypatch):
-    # bounds that the rounded vertex's value leaves: the entry refuses the solve
-    def stale(tau, options=None):
-        result = sigma_min(tau, options)
-        if options.objective_cut is not None:  # the solve at the low end
-            return result
-        lb = result.witness.objective_lb
-        witness = dataclasses.replace(result.witness, objective=lb - 1e-3, objective_lb=lb - 2e-3)
-        return dataclasses.replace(result, witness=witness)
+def _without(bases, removed):
+    return np.array([basis for basis in bases.tolist() if basis not in removed.tolist()])
 
-    monkeypatch.setattr(sweep, "sigma_min", stale)
-    with pytest.raises(ValueError, match="leaves the certified"):
-        sweep._computed_entry(FamilySpec("werner", 3), "tlf", None)
+
+@pytest.mark.parametrize(
+    "family,d,end,message",
+    [
+        ("werner", 3, "root", "certifies no root"),
+        ("isotropic", 6, "root", "certifies no root"),
+        ("isotropic", 6, "low", "no sigma > 0"),
+    ],
+    ids=["werner-3-root", "isotropic-6-root", "isotropic-6-low"],
+)
+def test_exact_tlf_entry_missing_an_optimal_basis_raises(family, d, end, message):
+    # without the onset's basis, the next root of the table's lines lies above the
+    # onset, where no basis's dual bound reaches 0; without the bases optimal at
+    # p = 0, none certifies sigma > 0 there.  The entry is refused, never printed
+    spec = FamilySpec(family, d)
+    p = _closed_form_tlf(family, d) if end == "root" else 0.0
+    with pytest.raises(ValueError, match=message):
+        sweep._exact_tlf_entry(spec, _without(TWIRLED_BASES, _optimal_bases(spec, p)))
+
+
+def test_exact_tlf_entry_drops_infeasible_vertices():
+    # at d = 4 the vertices of the bases optimal at d = 2 leave the polytope, and
+    # their lines cross 0 at 0.6095, below the onset 0.6247: taken as vertices,
+    # they would give that root.  With the bases optimal at p = 0 alone, no line
+    # is left that falls below 0, and with the onset's basis the entry is exact
+    spec = FamilySpec("werner", 4)
+    stale = np.array([[int(row, 16) for row in word] for word in ("0567bcd", "0567bce", "0567bde")])
+    table = np.concatenate([stale, _optimal_bases(spec, 0.0)])
+    with pytest.raises(ValueError, match="no vertex line"):
+        sweep._exact_tlf_entry(spec, table)
+    closed = _closed_form_tlf("werner", 4)
+    table = np.concatenate([table, _optimal_bases(spec, closed)])
+    assert abs(sweep._exact_tlf_entry(spec, table)["value"] - closed) <= 4.4e-16
+
+
+def test_twirled_bases_are_the_path_optimal_bases():
+    # the pinned table is every one of the C(16, 7) bases whose vertex is
+    # feasible and whose multipliers are dual feasible, both within VERTEX_TOL,
+    # somewhere on a family path [max(lo, 0), hi], for d = 2..8 and both algebras
+    everything = np.array(list(itertools.combinations(range(16), 7)))
+    found = set()
+    for family, d in itertools.product(("werner", "isotropic"), range(2, 9)):
+        spec = FamilySpec(family, d)
+        lo, hi = spec.p_range()
+        problems = [build_cost(spec.state(p)) for p in (max(lo, 0.0), hi)]
+        pt_map, mult = problems[1].pt_map, problems[1].mult
+        systems = np.concatenate([np.eye(8), pt_map])[everything]
+        systems = np.concatenate([systems, np.broadcast_to(mult, (len(everything), 1, 8))], axis=1)
+        bases = everything[np.abs(np.linalg.det(systems)) > 1e-9]
+        vertices, ends = basis_vertices(bases, pt_map, mult, np.array([problem.costs.ravel() for problem in problems]))
+        # each multiplier of an active row is z0 + t (z1 - z0) on the path's t in [0, 1]
+        start, slope = ends[0, :, :-1], ends[1, :, :-1] - ends[0, :, :-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = (-VERTEX_TOL - start) / slope
+        first = np.max(np.where(slope > 0.0, cross, 0.0), axis=1, initial=0.0)
+        last = np.min(np.where(slope < 0.0, cross, 1.0), axis=1, initial=1.0)
+        never = np.any((slope == 0.0) & (start < -VERTEX_TOL), axis=1)
+        found |= set(map(tuple, vertices.basis[(first <= last) & ~never].tolist()))
+    assert sorted(found) == list(map(tuple, TWIRLED_BASES.tolist()))
 
 
 def test_exact_tlf_entry_ignores_a_loose_tolerance():
-    # the entry's solves run at EXACT_TOL, so they reach their vertex whatever the caller's gap
+    # the entry makes no solve, so neither a loose gap nor a one-step budget moves it
     spec = FamilySpec("werner", 3)
-    loose = sweep._computed_entry(spec, "tlf", SdpOptions(tol_objective=0.5))
+    loose = sweep._computed_entry(spec, "tlf", SdpOptions(max_iters=1, tol_objective=0.5))
     assert loose == sweep._computed_entry(spec, "tlf", None)
 
 
