@@ -17,8 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import DensityMatrix, kron, permute_mat
-from .sdp import SdpOptions, SdpProblem, SdpSolution, solve
-from .states import PAULI, TwirledState, h_theta, projector, twirl_projectors
+from .sdp import PARITY_PROJECTORS, SdpOptions, SdpProblem, SdpSolution, solve
+from .states import PAULI, ParityState, TwirledState, h_theta, projector, twirl_projectors
 
 ACTIVATION_TOL = 1e-6
 # solver options of every activation solve that is given none
@@ -36,6 +36,8 @@ _BELL = np.array(
     [projector(np.array(v) / math.sqrt(2)) for v in ((1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, 1, -1, 0))]
 )
 _BELL_PT = 0.5 * np.array([[1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [-1, 1, 1, 1]])
+# the parity form's pt_map: T over A_d moves the parity label (see `sdp.SdpProblem`)
+_PARITY_PT = np.kron(np.eye(2), _BELL_PT)
 # H_theta = 1 - cos(theta) XX - sin(theta) ZZ, and XX and ZZ are +-1 on the Bell
 # states, so H_{pi/4} = sum_k _BELL_H[k] _BELL[k] with h = (1 - sqrt 2, 1, 1, 1 + sqrt 2)
 _BELL_H = 1.0 - math.cos(H_ANGLE) * np.array([1, -1, 1, -1]) - math.sin(H_ANGLE) * np.array([1, 1, -1, -1])
@@ -136,24 +138,33 @@ def build_cost(tau: DensityMatrix, options: SdpOptions | None = None) -> SdpProb
     (A_d, A_q), since conj(s_y) = -s_y, so some optimum is Bell-diagonal on
     the ancilla.  A `TwirledState` (Werner, isotropic, wi) sum_b c_b P_b
     gives its declared coefficients, which tau^T shares as every P_b is real
-    symmetric: eight scalar blocks c_b h_k on P_b x B_k whatever d is.
-    Every other input (Hirsch, random states, a plain copy of a twirled
-    matrix) is one block tau^T: four blocks h_k tau^T of side d_A d_B.
+    symmetric: eight scalar blocks c_b h_k on P_b x B_k whatever d is.  A
+    `ParityState` (Hirsch) commutes with Z x Z on [A_d, B_d], whose
+    conjugation fixes the cones and the trace, so some optimum is
+    parity-block-diagonal: in the basis |a, a xor b> of [A_d, B_d] the
+    parity is Z on B_d, and the cost is eight blocks h_k tau^T_pi of side 2
+    over the sectors pi.  Every other
+    input (random states, a plain copy of either) is one block tau^T: four
+    blocks h_k tau^T of side d_A d_B.
     """
     if isinstance(tau, TwirledState):
         d = tau.dims[0]
         blocks = np.asarray(tau.coeffs)[:, None, None]
-        twirl = ((twirl_projectors(tau.algebra, d), (0, 2)),)
+        symmetry = ((twirl_projectors(tau.algebra, d), (0, 2)),)
         pt_map = _twirled_pt(tau.algebra, d)
+    elif isinstance(tau, ParityState):
+        blocks = np.array([tau.mat.T[np.ix_(sector, sector)] for sector in tau.sectors])
+        symmetry, pt_map = ((PARITY_PROJECTORS, (2,)),), _PARITY_PT
     else:
-        blocks, twirl, pt_map = tau.mat.T[None], (), _BELL_PT
+        blocks, symmetry, pt_map = tau.mat.T[None], (), _BELL_PT
     return SdpProblem(
         costs=(_BELL_H[:, None, None] * blocks[:, None]).reshape(-1, *blocks.shape[1:]),
-        factors=(*twirl, (_BELL, (1, 3))),
+        factors=(*symmetry, (_BELL, (1, 3))),
         pt_map=pt_map,
         dims=_cost_dims(tau),
         t1_split=2,
         options=options or DEFAULT_OPTIONS,
+        relabel=(0, 2) if isinstance(tau, ParityState) else None,
     )
 
 

@@ -8,12 +8,14 @@ Three loops share one problem representation and one certificate:
   Tr X = 1, scaled by the eigendecompositions of its iterates.  Its Newton
   system has about side^2 / 2 unknowns per block, so `solve` takes it when
   the cost is real and its blocks have side 2 to `IPM_MAX_SIDE` (16): a
-  plain real cost of side <= 16 and, through the ancilla's Bell form
-  (blocks of side d_A d_B), every real activation cost with no twirl form
-  and d_A d_B <= 16, the two-qubit Hirsch inputs among them.  It certifies
-  within a few dozen Newton steps where the splitting loop needs up to tens
-  of thousands of iterations near a sign change.  Its Schur matrix is its
-  Newton operator applied to a basis of the symmetric blocks.  Complex
+  plain real cost of side <= 16, the Hirsch inputs in their parity form
+  (eight blocks of side 2), and, through the ancilla's Bell form (blocks
+  of side d_A d_B), every other real activation cost with no twirl form
+  and d_A d_B <= 16.  It certifies within a few dozen Newton steps where
+  the splitting loop needs up to tens of thousands of iterations near a
+  sign change.  Its Schur matrix is its Newton operator applied to a basis
+  of the symmetric blocks, through the coordinate matrices of the partial
+  transpose and its adjoint.  Complex
   costs would double its unknowns, and the splitting loop decides complex
   two-qubit costs faster;
 - the same interior-point method on blocks of side 1, written on vectors:
@@ -53,7 +55,9 @@ algebra linearly onto a second projector algebra Q_c (multiplicities
 Tr Q_c) by the problem's one map ``pt_map``: `_Stack.pt`.  Its adjoint
 `_Stack.pt_adj` is derived from ``pt_map`` and the multiplicities, and must
 also be its inverse, as the dense partial transpose is a self-adjoint
-involution.
+involution.  A cost that also commutes with Z x Z on two qubits (the
+Hirsch activation costs) takes its parity as one more factor, in a
+relabelled basis (``SdpProblem.relabel``).
 
 All loops feed one certificate of objective bounds:
 
@@ -111,6 +115,10 @@ IPM_MAX_SIDE = 16
 # default_rng(7)) in their Bell form, at tol_objective = 1e-10, 0.9 closes 38
 # certified gaps to 1e-10 (604 Newton steps) and the other two to 2.1e-10 and
 # 3.9e-10, 0.98 only 16 (the rest to 1.2e-9), and 0.8 all 40 in 657 steps.
+# Smaller blocks keep the floor: on 16 Hirsch costs (p in {0.172, 0.175, 0.18,
+# 0.2, 0.3, 0.5, 0.8, 1} x q in {1, 0.6}, max_iters 200), the parity form
+# (side 2) converges on 16 at tol_objective = 1e-11 and 12 at 1e-12, the Bell
+# form (side 4) on 15 and 11.
 STEP_FRACTION = 0.9
 # interior-point steps without a tighter certified gap after which the loop has stalled
 STALL_STEPS = 5
@@ -122,8 +130,12 @@ VERTEX_TOL = 1e-12
 PENALTY = 10.0
 CHECK_EVERY = 25
 ADAPT_EVERY = 100
+# (|0><0|, |1><1|): the factor that carries a relabelled qubit pair's Z x Z parity
+PARITY_PROJECTORS = np.eye(2)[:, :, None] * np.eye(2)
+PARITY_PROJECTORS.flags.writeable = False
 
 __all__ = [
+    "PARITY_PROJECTORS",
     "VERTEX_TOL",
     "LpVertex",
     "SdpOptions",
@@ -182,6 +194,14 @@ class SdpProblem:
     orthogonal projectors Q_c: (P_b (x) X_b)^T1 = sum_c pt_map[c, b] Q_c (x)
     X_b^T1.
 
+    With ``relabel`` = (i, j), the blocks are written in the basis of the
+    qubits i and j relabelled by |a, b> -> |a, a xor b>: i is the blocks'
+    one inner subsystem in the cut, and the first factor is
+    `PARITY_PROJECTORS` on j alone, outside the cut, so its label is the
+    Z x Z parity of the pair.  T over i then moves each block's entry between a and
+    a xor 1 to the block of the other parity (`_Stack.transpose`), and
+    `dense` undoes the relabelling.
+
     `from_cost` wraps a plain cost matrix as one block with no factor;
     ``cost`` is the dense matrix derived from the blocks, built on first
     access.
@@ -193,6 +213,7 @@ class SdpProblem:
     dims: tuple[int, ...]
     t1_split: int = 1
     options: SdpOptions = field(default_factory=SdpOptions)
+    relabel: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         self.dims = tuple(int(d) for d in self.dims)
@@ -211,6 +232,12 @@ class SdpProblem:
                 raise ValueError("block projectors do not sum to the identity")
         if not 1 <= self.t1_split < len(self.dims):
             raise ValueError("t1_split must name a proper prefix of dims")
+        if self.relabel is not None:
+            (i, j), (projectors, subsystems) = self.relabel, (self.factors or ((None, ()),))[0]
+            cut = [k for k in range(self.t1_split) if k not in self.outer]
+            parity = subsystems == (j,) and j >= self.t1_split and np.array_equal(projectors, PARITY_PROJECTORS)
+            if cut != [i] or self.dims[i] != 2 or not parity:
+                raise ValueError(f"relabel {self.relabel} needs one cut qubit in the blocks and a parity factor")
 
     @classmethod
     def from_cost(
@@ -237,13 +264,19 @@ class SdpProblem:
         return mult
 
     def dense(self, blocks: np.ndarray) -> np.ndarray:
-        """The dense operator sum_b P_b (x) blocks[b] in the subsystem order ``dims``."""
+        """The dense operator sum_b P_b (x) blocks[b] in the subsystem order ``dims``, in the canonical basis."""
         inner = tuple(i for i in range(len(self.dims)) if i not in self.outer)
         order = self.outer + inner
         stacks = [projectors for projectors, _ in self.factors]
         indices = np.ndindex(*(len(projectors) for projectors in stacks))
         mat = sum(kron(*(p[i] for p, i in zip(stacks, index)), block) for index, block in zip(indices, blocks))
-        return permute_mat(mat, tuple(self.dims[i] for i in order), tuple(np.argsort(order)))
+        mat = permute_mat(mat, tuple(self.dims[i] for i in order), tuple(np.argsort(order)))
+        if self.relabel is None:
+            return mat
+        labels = np.indices(self.dims).reshape(len(self.dims), -1)
+        labels[self.relabel[1]] ^= labels[self.relabel[0]]
+        relabelled = np.ravel_multi_index(tuple(labels), self.dims)
+        return mat[np.ix_(relabelled, relabelled)]
 
     @cached_property
     def cost(self) -> np.ndarray:
@@ -298,10 +331,12 @@ class _Stack:
 
     X-side stacks hold the blocks X_b (multiplicities Tr P_b); W-side stacks
     hold the blocks of X^T1 in the Q_c algebra (multiplicities Tr Q_c).
-    `transpose` is T, the transpose of the first (m) factor in a block; `pt`
-    maps X-side stacks onto W-side ones, PT(X)_c = sum_b pt_map[c, b] T(X_b),
-    and `pt_adj` is its adjoint under the multiplicity-weighted inner
-    products, PT*(S)_b = sum_c adjoint[b, c] T(S_c) with adjoint[b, c] =
+    `transpose` is T, the transpose of the inner subsystems in the cut, as
+    one gather of a stack's entries: within each block, and with
+    ``relabel`` also onto the block of the other parity.  `pt` maps X-side
+    stacks onto W-side ones, PT(X)_c = sum_b pt_map[c, b] T(X)_b, and
+    `pt_adj` is its adjoint under the multiplicity-weighted inner
+    products, PT*(S)_b = sum_c adjoint[b, c] T(S)_c with adjoint[b, c] =
     pt_map[c, b] Tr Q_c / Tr P_b.  The dense partial transpose is a
     self-adjoint involution, so PT* must also invert PT: a ``pt_map`` whose
     adjoint does not is rejected.
@@ -314,10 +349,15 @@ class _Stack:
             costs = costs.real.copy()  # real symmetric fast path
         self.costs = costs
         self.nb, self.s, _ = costs.shape
-        # T1 inside a block: the inner factors that fall in the cut come first
+        # T1 inside a block: the inner factors that fall in the cut (m) come first
         inner = [i for i in range(len(problem.dims)) if i not in problem.outer]
-        self.m = int(np.prod([problem.dims[i] for i in inner if i < problem.t1_split]))
-        self.k = self.s // self.m
+        m = int(np.prod([problem.dims[i] for i in inner if i < problem.t1_split]))
+        k = self.s // m
+        # entry (b, (a, x), (a', x')) of T(X) is entry (b', (a', x), (a, x')) of X, where b' is b, or with
+        # ``relabel`` its parity partner when a != a' (the first factor's label shifts by half the blocks)
+        half = self.nb // 2 if problem.relabel else 0
+        b, a, x, a2, x2 = np.indices((self.nb, m, k, m, k))
+        self.gather = np.ravel_multi_index(((b + half * (a != a2)) % self.nb, a2, x, a, x2), b.shape).ravel()
         self.block_mult = problem.mult
         # X-side multiplicities Tr P_b, then W-side ones Tr Q_c: PT(P_b) = sum_c pt_map[c, b] Q_c
         pt_map = problem.pt_map
@@ -329,14 +369,13 @@ class _Stack:
         self.eye = np.broadcast_to(np.eye(self.s, dtype=costs.dtype), costs.shape)
 
     def transpose(self, mats: np.ndarray) -> np.ndarray:
-        """T of every block of a stack, over any leading axes."""
-        m, k = self.m, self.k
-        return mats.reshape(*mats.shape[:-2], m, k, m, k).swapaxes(-4, -2).reshape(mats.shape)
+        """T of a stack of nb blocks, over any leading axes."""
+        return mats.reshape(*mats.shape[:-3], -1)[..., self.gather].reshape(mats.shape)
 
     def _mixed(self, mix: np.ndarray, mats: np.ndarray) -> np.ndarray:
         out = self.transpose(mats)
         # a lone block spans the whole space, which the transpose maps onto itself
-        return out if len(mix) == 1 else np.einsum("cb,bij->cij", mix, out)
+        return out if len(mix) == 1 else np.einsum("cb,...bij->...cij", mix, out)
 
     def pt(self, mats: np.ndarray) -> np.ndarray:
         return self._mixed(self.problem.pt_map, mats)
@@ -564,19 +603,26 @@ def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
     a step has dS1 = -dy I - PT*(dS2) and dX = H1 - X1(dS1), so dW = PT(dX) reads
     (X2 + PT X1 PT*)(dS2) + dy PT(X1(I)) = H2 - PT(H1), bordered by the trace
     row.  Its Schur matrix holds, for each element E of `_symmetric_basis`
-    put in block d, the image's W-side entries (i, j), i <= j: on the X side
-    T(E) under each block's X1, transposed back and mixed by
-    pt_map[c, b] adjoint[b, d]; on the W side E under X2.  dS2 and the
-    trace row are read from the same basis.  Returns (Newton steps, status).
+    put in block d, the image's W-side entries (i, j), i <= j: P X1 A plus
+    X2 block by block, with P and A the coordinate matrices of PT and PT*
+    (T may move an entry between blocks), read off the basis once per
+    solve.  dS2 and the trace row are read from the same basis.  Returns
+    (Newton steps, status).
     """
     nb, s = st.nb, st.s  # PT maps the nb blocks of X onto as many blocks of W
-    # coefficient of PT X1_b PT* in block (c, d) of the Schur operator
-    mix = np.einsum("cb,bd->cdb", st.problem.pt_map, st.adjoint)
     i, j, basis = _symmetric_basis(s)
-    transposed = st.transpose(basis)
     per_block = len(i)
     size = nb * per_block
     eye = np.broadcast_to(np.eye(s), (2 * nb, s, s))
+    # column (d, u) of the coordinate matrices: basis[u] put in block d, under PT and PT*
+    units = np.einsum("de,uij->dueij", np.eye(nb), basis).reshape(size, nb, s, s)
+    pt_coords = st.pt(units)[..., i, j].reshape(nb, per_block, size)
+    adj_coords = st.pt_adj(units)[..., i, j].reshape(size, size).T
+    # Schur operator on dS2: K = X2 + PT X1 PT*, bordered by dy and the trace row;
+    # its diagonal blocks K[c, :, c, :] as a view
+    schur = np.empty((size + 1, size + 1))
+    diagonal = np.einsum("cicj->cij", schur[:size, :size].reshape(nb, per_block, nb, per_block))
+    rhs = np.empty(size + 1)
 
     def trace(a: np.ndarray) -> float:
         return float(st.trace(a))
@@ -600,21 +646,17 @@ def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
             return None
         factors = (v / np.sqrt(w)[:, None, :]).swapaxes(-1, -2)
         dual_inv = factors[2 * nb :].swapaxes(-1, -2) @ factors[2 * nb :]
-        # Schur operator on dS2: K = X2 + PT X1 PT*, bordered by dy and the trace row
-        schur = np.empty((size + 1, size + 1))
-        kmat = schur[:size, :size].reshape(nb, per_block, nb, per_block)
         # [block, basis element, row]: the images of the basis under each block's Xi
-        x_side = st.transpose(_sym(x[:, None] @ transposed @ dual_inv[:nb, None]))[..., i, j]
+        x_side = _sym(x[:, None] @ basis @ dual_inv[:nb, None])[..., i, j]
         w_side = _sym(z[nb:, None] @ basis @ dual_inv[nb:, None])[..., i, j]
-        np.einsum("cdb,bur->crdu", mix, x_side, out=kmat)
-        kmat[np.arange(nb), :, np.arange(nb), :] += w_side.swapaxes(1, 2)
+        schur[:size, :size] = (x_side @ pt_coords).reshape(size, size).T @ adj_coords
+        diagonal[:] += w_side.swapaxes(1, 2)
         u = _sym(x @ dual_inv[:nb])
         pt_u = st.pt(u)
         # border: dy in each equation, and the trace row <PT(u), dS2> over the W side
         schur[:size, size] = pt_u[:, i, j].ravel()
         schur[size, :size] = (st.mult[nb:, None] * np.einsum("cij,uij->cu", pt_u, basis)).ravel()
         schur[size, size] = trace(u)
-        rhs = np.empty(size + 1)
 
         def direction(target: np.ndarray) -> np.ndarray:
             """Newton step (dX, dW, dS1, dS2) that moves Z S by target."""
@@ -630,7 +672,7 @@ def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
         def steps(d: np.ndarray) -> np.ndarray:
             """Largest primal and dual steps <= 1 that stay in the cones, per block."""
             lam = np.linalg.eigvalsh(factors @ d @ factors.swapaxes(-1, -2))[:, 0]
-            reach = np.where(lam >= -1.0, 1.0, -1.0 / np.minimum(lam, -1.0))
+            reach = -1.0 / np.minimum(lam, -1.0)
             return np.repeat([reach[: 2 * nb].min(), reach[2 * nb :].min()], 2 * nb)
 
         d = direction(-z @ dual)

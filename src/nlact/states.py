@@ -4,7 +4,8 @@ Computational basis order is |00>, |01>, |10>, |11> for two qubits, and
 ``psi_minus`` is (|01> - |10>)/sqrt(2).  All constructors return validated
 ``DensityMatrix`` values (or plain vectors for pure states); the Werner,
 isotropic and wi states are `TwirledState` values that carry their exact
-twirl decomposition.
+twirl decomposition, and the Hirsch states are `ParityState` values that
+declare their Z x Z symmetry.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "FAMILIES",
     "FamilySpec",
     "TwirledState",
+    "ParityState",
     "basis_ket",
     "psi_minus",
     "max_entangled",
@@ -125,6 +127,17 @@ class TwirledState(DensityMatrix):
         super().__init__(np.einsum("b,bij->ij", coeffs, twirl_projectors(algebra, d)), (d, d))
 
 
+class ParityState(DensityMatrix):
+    """A two-qubit state that commutes with Z x Z: no entry couples its even and odd ``sectors``."""
+
+    sectors = ([0, 3], [1, 2])
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.dims != (2, 2) or np.any(self.mat[np.ix_(*self.sectors)]):
+            raise ValueError("a parity state is a two-qubit state that commutes with Z x Z")
+
+
 def wi_state(p: float) -> TwirledState:
     """Two-qubit Werner state p |psi-><psi-| + (1-p)/4 * I: the Werner state at d = 2."""
     if not 0.0 <= p <= 1.0:
@@ -156,8 +169,8 @@ def isotropic_state(d: int, p: float) -> TwirledState:
     return TwirledState("isotropic", d, (w, w + p))
 
 
-def hirsch_state(p: float, q: float = 1.0) -> DensityMatrix:
-    """Two-qubit Hirsch state p |psi-><psi-| + (1-p) [q |0><0| + (1-q) I/2] x I/2.
+def hirsch_state(p: float, q: float = 1.0) -> ParityState:
+    """Two-qubit Hirsch state p |psi-><psi-| + (1-p) [q |0><0| + (1-q) I/2] x I/2, a `ParityState`.
 
     The one-parameter family of interest is ``q = 1``.  Any other bias
     state sigma, with Bloch vector r, gives the state at weight q |r| up to
@@ -167,7 +180,7 @@ def hirsch_state(p: float, q: float = 1.0) -> DensityMatrix:
         raise ValueError(f"hirsch state requires 0 <= p, q <= 1, got p={p} q={q}")
     alice = q * ket0_projector() + (1.0 - q) * np.eye(2) / 2.0
     mat = p * projector(psi_minus()) + (1.0 - p) * kron(alice, np.eye(2) / 2.0)
-    return DensityMatrix(mat, (2, 2))
+    return ParityState(mat, (2, 2))
 
 
 def h_theta(theta: float) -> np.ndarray:

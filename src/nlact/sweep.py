@@ -387,12 +387,14 @@ def _computed_columns(family: str, d: int) -> dict[str, str]:
 
     Past d = 2, p_E is the stored reference, and the Werner p_SA is marked X:
     qudit Werner states are never teleportation-useful, so the
-    superactivation route gives no threshold.
+    superactivation route gives no threshold.  Past `measures.CGLMP_MAX_D`
+    the isotropic p_NL is marked unavailable.
     """
     return {
         column: prop
         for column, prop in _TABLE_COLUMNS[family].items()
-        if d == 2 or not (column == "p_E" or (column == "p_SA" and family == "werner"))
+        if (d == 2 or not (column == "p_E" or (column == "p_SA" and family == "werner")))
+        and not (prop == "cglmp" and d > measures.CGLMP_MAX_D)
     }
 
 
@@ -479,8 +481,8 @@ def build_table(
     d_values = [2] if family in ("wi", "hirsch1") else list(range(2, d_max + 1))
     if not d_values:
         raise ValueError(f"d_max must be at least 2, got {d_max}")
-    # an evaluator rejects a d above its limit (the problem side, CGLMP's
-    # d <= 6): check the last row's computed columns before computing any row
+    # an evaluator rejects a d above its limit (the problem side): check the
+    # last row's computed columns before computing any row
     last = FamilySpec(family=family, d=d_values[-1])
     for column, prop in _computed_columns(family, last.d).items():
         try:
@@ -501,6 +503,9 @@ def build_table(
                     raise ValueError(f"{family} d={d} {column}: {exc}") from None
             elif column == "p_E":
                 thresholds[column] = _stored_entry(references["p_E"])
+            elif _TABLE_COLUMNS[family][column] == "cglmp":
+                note = f"cglmp supports 2 <= d <= {measures.CGLMP_MAX_D}"
+                thresholds[column] = {"value": None, "marker": "n/a", "provenance": "unavailable", "note": note}
             else:
                 thresholds[column] = {"value": None, "marker": "X", "provenance": "paper-constant"}
         for name, bound in references.items():

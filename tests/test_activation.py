@@ -27,7 +27,7 @@ from nlact.sdp import (
     round_to_vertex,
     solve,
 )
-from nlact.states import h_theta, hirsch_state, isotropic_state, werner_state, wi_state
+from nlact.states import ParityState, h_theta, hirsch_state, isotropic_state, werner_state, wi_state
 from test_sdp import HIRSCH_TRAIL
 
 
@@ -312,9 +312,9 @@ def test_non_invariant_inputs_get_bell_form(rng):
     perturbed = werner_state(3, 0.5).mat.copy()
     perturbed[0, 1] += 1e-9
     perturbed[1, 0] += 1e-9
-    # a twirl-invariant matrix that does not declare its twirl is not searched for one
+    # a twirl- or parity-invariant matrix that does not declare its symmetry is not searched for one
     plain = DensityMatrix(werner_state(3, 0.5).mat, (3, 3))
-    for tau in (hirsch_state(0.3), random_density((2, 2), rng), DensityMatrix(perturbed, (3, 3)), plain):
+    for tau in (_plain_hirsch(0.3), random_density((2, 2), rng), DensityMatrix(perturbed, (3, 3)), plain):
         problem = build_cost(tau)
         side = tau.dims[0] * tau.dims[1]
         assert problem.costs.shape == (4, side, side)
@@ -341,7 +341,7 @@ def test_declared_twirl_matches_bell_form(family, d, p_tlf, options):
 
 @pytest.mark.parametrize("options", [bisection_options(), DEFAULT_OPTIONS], ids=["sign", "gap"])
 def test_hirsch_at_q0_matches_wi(options):
-    # hirsch_state(p, 0) is the wi matrix; it takes the Bell form, wi the twirled one
+    # hirsch_state(p, 0) is the wi matrix; it takes the parity form, wi the twirled one
     for offset in (-0.02, -0.002, 0.002, 0.02):
         p = 0.6569 + offset
         _assert_same_certificate(sigma_min(hirsch_state(p, q=0.0), options), sigma_min(wi_state(p), options))
@@ -349,13 +349,18 @@ def test_hirsch_at_q0_matches_wi(options):
 
 def test_bell_pt_map():
     # PT over A_q of each Bell projector, in the Bell basis
-    bell = build_cost(hirsch_state(0.3))
+    bell = build_cost(_plain_hirsch(0.3))
     (projectors, subsystems), = bell.factors
     assert subsystems == (1, 3)
     for b, projector in enumerate(projectors):
         pt = partial_transpose_mat(projector, (2, 2), (0,))
         assert np.max(np.abs(pt - np.einsum("c,cij->ij", bell.pt_map[:, b], projectors))) < 1e-15
     assert np.allclose(bell.pt_map @ _Stack(bell).adjoint, np.eye(4))
+
+
+def _plain_hirsch(p, q=1.0):
+    # the Hirsch matrix with no declared parity: the Bell form, the parity form's oracle
+    return DensityMatrix(hirsch_state(p, q).mat, (2, 2))
 
 
 def _real_state(dims, seed):
@@ -365,7 +370,7 @@ def _real_state(dims, seed):
 
 
 _BELL_INPUTS = (
-    [(f"hirsch1-{p}", lambda p=p: hirsch_state(p)) for p in HIRSCH_TRAIL]
+    [(f"hirsch1-{p}", lambda p=p: _plain_hirsch(p)) for p in HIRSCH_TRAIL]
     + [(f"real2x2-{seed}", lambda seed=seed: _real_state((2, 2), seed)) for seed in (1, 2, 3)]
     + [
         ("complex2x2", lambda: random_density((2, 2), np.random.default_rng(4))),
@@ -381,6 +386,55 @@ def test_bell_form_matches_dense(name, make, options):
     problem = build_cost(make(), options)
     assert problem.costs.shape[0] == 4
     _assert_block_matches_dense(problem)
+
+
+_PARITY_INPUTS = [(1.0, p) for p in HIRSCH_TRAIL] + [
+    (q, p) for q in (0.0, 0.3, 0.6, 0.9) for p in (0.1, 0.4, 0.5, 0.6, 0.65, 0.7, 1.0)
+]
+
+
+@pytest.mark.parametrize("options", [bisection_options(), DEFAULT_OPTIONS], ids=["sign", "gap"])
+def test_parity_form_matches_bell_form(options):
+    # the Bell form of the same matrix is the oracle: both follow the same
+    # central path, so they take the same Newton steps to the same bounds
+    for q, p in _PARITY_INPUTS:
+        parity, bell = (sigma_min(tau, options).witness for tau in (hirsch_state(p, q), _plain_hirsch(p, q)))
+        assert parity.problem.costs.shape == (8, 2, 2) and bell.problem.costs.shape == (4, 4, 4)
+        assert (parity.status, parity.iterations) == (bell.status, bell.iterations), (q, p)
+        assert abs(parity.objective - bell.objective) <= 1e-12, (q, p)
+        assert abs(parity.objective_lb - bell.objective_lb) <= 1e-12, (q, p)
+
+
+def test_parity_form_reproduces_dense_cost():
+    # the eight blocks h_k tau^T_pi, rebuilt in the canonical basis
+    for q, p in [(1.0, 0.3), (0.6, 0.7), (0.0, 0.5), (0.3, 1.0)]:
+        tau = hirsch_state(p, q)
+        problem = build_cost(tau)
+        assert problem.relabel == (0, 2)
+        assert np.max(np.abs(problem.cost - activation._dense_cost(tau))) <= 1e-14
+
+
+def test_parity_problem_rejects_a_relabel_that_does_not_fit():
+    problem = build_cost(hirsch_state(0.3))
+    # the control must be the blocks' cut qubit, and the target the parity factor's
+    for relabel in ((2, 0), (1, 2), (0, 3)):
+        with pytest.raises(ValueError, match="relabel"):
+            dataclasses.replace(problem, relabel=relabel)
+    (parity, subsystems), bell = problem.factors
+    with pytest.raises(ValueError, match="parity factor"):
+        dataclasses.replace(problem, factors=((parity[::-1], subsystems), bell))
+    # the Bell form has no parity factor
+    with pytest.raises(ValueError, match="relabel"):
+        dataclasses.replace(build_cost(_plain_hirsch(0.3)), relabel=(0, 2))
+
+
+def test_parity_state_rejects_a_coupling_of_its_sectors():
+    # a Hirsch matrix with an entry between |00> and |01>
+    mat = hirsch_state(0.3).mat.copy()
+    mat[0, 1] = mat[1, 0] = 1e-3
+    DensityMatrix(mat, (2, 2))
+    with pytest.raises(ValueError, match="Z x Z"):
+        ParityState(mat, (2, 2))
 
 
 def test_bell_weights_give_h():
@@ -400,6 +454,8 @@ def test_sigma_min_builds_no_dense_cost_or_minimizer(monkeypatch):
         result = sigma_min(tau)
         assert result.witness.status in ("converged", "decided")
         assert result.activated
+    # a Hirsch input is solved in its eight parity blocks of side 2
+    assert result.witness.problem.costs.shape == (8, 2, 2)
 
 
 def _dense_residuals(solution, t1_split=2):

@@ -277,17 +277,43 @@ def test_table_exact_entries_ignore_a_loose_sdp_tol(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == _EXACT_TABLE_SHA256[args]
 
 
-@pytest.mark.parametrize("dmax", ["7", "8"])
-def test_table_rejects_a_column_the_last_row_cannot_compute(monkeypatch, capsys, dmax):
-    # CGLMP supports d <= 6: the isotropic p_NL column fails before any row is computed
+@pytest.mark.parametrize("dmax,p_tlf", [("7", 0.3535533905932738), ("8", 0.3236632465475277)], ids=["7", "8"])
+def test_table_marks_a_column_the_last_row_cannot_compute_unavailable(monkeypatch, capsys, dmax, p_tlf):
+    # CGLMP supports d <= 6: past it the isotropic p_NL entry is marked
+    # unavailable, and the rest of each row is computed, p_TLF exactly with no solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve was made")
+
+    monkeypatch.setattr(sweep, "sigma_min", no_solve)
+    code, out, err = run_cli(capsys, "table", "--family", "isotropic", "--dmax", dmax)
+    assert code == 0 and err == ""
+    rows = json.loads(out)["rows"]
+    assert [row["d"] for row in rows] == list(range(2, int(dmax) + 1))
+    for row in rows[5:]:
+        assert row["thresholds"]["p_NL"] == {
+            "value": None,
+            "marker": "n/a",
+            "provenance": "unavailable",
+            "note": "cglmp supports 2 <= d <= 6",
+        }
+    assert rows[-1]["thresholds"]["p_TLF"] == {"value": p_tlf, "tolerance": 1e-12, "provenance": "exact (LP vertex)"}
+    # the rows up to d = 6 are those of the default table
+    code, six, _ = run_cli(capsys, "table", "--family", "isotropic")
+    assert code == 0 and json.loads(six)["rows"] == rows[:5]
+    code, out, _ = run_cli(capsys, "table", "--family", "isotropic", "--dmax", dmax, "--format", "csv")
+    assert f"{dmax},p_NL,n/a,,unavailable\n" in out
+
+
+def test_isotropic_table_past_the_problem_side_limit_is_rejected(monkeypatch, capsys):
+    # d = 9 needs an activation problem of side 324: rejected before any row is computed
     def no_solve(*args, **kwargs):
         raise AssertionError("a row was computed")
 
     monkeypatch.setattr(sweep, "sigma_min", no_solve)
-    code, out, err = run_cli(capsys, "table", "--family", "isotropic", "--dmax", dmax)
+    code, out, err = run_cli(capsys, "table", "--family", "isotropic", "--dmax", "9")
     assert code == 2
     assert out == ""
-    assert f"isotropic d={dmax} p_NL: cglmp supports 2 <= d <= 6" in err
+    assert "isotropic d=9 p_TLF: problem side 324 exceeds the desk-scale limit 256" in err
 
 
 @pytest.mark.parametrize("dmax", ["1", "9"])
