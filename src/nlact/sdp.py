@@ -1,13 +1,14 @@
 """Self-contained solver for min <C, X> over {X >= 0, X^T1 >= 0, Tr X = 1}.
 
-Three loops share one problem representation and one certificate:
+Two loops and a table of linear-program vertices share one problem
+representation and one certificate:
 
 - a primal-dual interior-point method (the HKM direction of Helmberg,
   Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 6 (1996), with Mehrotra's
   predictor-corrector) on min <C, X> over X >= 0 and W = X^T1 >= 0 with
   Tr X = 1, scaled by the eigendecompositions of its iterates.  Its Newton
   system has about side^2 / 2 unknowns per block, so `solve` takes it when
-  the cost is real and its blocks have side 2 to `IPM_MAX_SIDE` (16): a
+  the cost is real and its blocks have side at most `IPM_MAX_SIDE` (16): a
   plain real cost of side <= 16, the Hirsch inputs in their parity form
   (eight blocks of side 2), and, through the ancilla's Bell form (blocks
   of side d_A d_B), every other real activation cost with no twirl form
@@ -18,25 +19,22 @@ Three loops share one problem representation and one certificate:
   transpose and its adjoint.  Complex
   costs would double its unknowns, and the splitting loop decides complex
   two-qubit costs faster;
-- the same interior-point method on blocks of side 1, written on vectors:
-  a linear program in nb unknowns, whose HKM scaling is an entrywise
-  division, whose Schur matrix is (nb + 1)-square and whose step lengths
-  are ratio tests.  `solve` takes it for a real cost whose blocks all have
-  side 1: every twirled Werner, isotropic or wi form at any d (eight
-  scalar blocks).  It shares the start point, `STEP_FRACTION`,
-  `STALL_STEPS`, the positivity test of every iterate and the certificate
-  with the matrix form, whose iterates are its own up to rounding.  After
-  every step it also rounds the iterate to a vertex of the LP's polytope
-  (`round_to_vertex`, an `LpVertex` with its basis) and offers that
-  vertex, with its basis dual, to the same certificate, so a solve ends at
-  its optimal vertex with a gap at rounding level, in a few steps.  The
-  tests use the matrix form as its reference;
 - consensus operator splitting (ADMM) for complex costs and larger blocks:
   one block carries the spectral-simplex constraint {X >= 0, Tr X = 1}
   with the linear cost handled proximally, the other carries the
   partial-transpose cone {Y : Y^T1 >= 0}, and a scaled dual couples X = Y.
   Each iteration costs two or three Hermitian eigendecompositions.  The
-  tests also use it as the reference for the matrix interior-point loop.
+  tests also use it as the reference for the matrix interior-point loop;
+- `vertex_solve`, for a real cost whose blocks all have side 1 (every
+  twirled Werner, isotropic or wi form at any d: eight scalar blocks),
+  where the problem is a linear program in nb unknowns and an optimum is a
+  vertex of its polytope.  One batched solve gives every basis of a
+  caller's table its vertex (`basis_vertices`, an `LpVertex` stack), and
+  the least-value vertex with the best basis dual is offered once to the
+  certificate, with no Newton step.  A table that lacks the optimal basis
+  closes no gap: the solve ends with the status its bounds allow, else
+  ``infeasible_numerics``.  The tests use the matrix interior-point loop on
+  the same blocks as its reference.
 
 Every `SdpProblem` is stacked blocks with multiplicities, and so are the
 iterates.  A plain problem is one dense block of side n with multiplicity 1
@@ -59,11 +57,12 @@ involution.  A cost that also commutes with Z x Z on two qubits (the
 Hirsch activation costs) takes its parity as one more factor, in a
 relabelled basis (``SdpProblem.relabel``).
 
-All loops feed one certificate of objective bounds:
+Both loops and the vertex table feed one certificate of objective bounds:
 
 - lower bound: lambda_min(C - PT(S2)) <= p* for any S2 >= 0 on the
   partial-transpose side; ADMM takes the clamped negative part of its
-  Y-projection, the interior-point loops their dual slack on W;
+  Y-projection, the interior-point loop its dual slack on W, the vertex
+  table a basis dual;
 - upper bound: mixing the current X toward I/n absorbs its PPT slack and
   yields an exactly feasible point whose value is reported as `objective`.
 
@@ -106,11 +105,10 @@ MAX_SIDE = 256
 # largest block side solved by the interior-point loop: its Newton system has
 # about side^2 unknowns per block
 IPM_MAX_SIDE = 16
-# share of the distance to the cone boundary that an interior-point step covers,
-# in both forms of the interior-point loop (matrix blocks and scalar blocks).
+# share of the distance to the cone boundary that an interior-point step covers.
 # Longer steps leave the iterates so close to the boundary that the Schur solves
-# lose accuracy, an accuracy floor near 1e-10 that only the matrix form still
-# has: the scalar form ends at a rounded vertex instead.  On the activation
+# lose accuracy, an accuracy floor near 1e-10 (the twirled linear programs
+# escape it: `vertex_solve` reads their optimum off a vertex).  On the activation
 # costs of the real parts of 40 states from random_density((2, 2),
 # default_rng(7)) in their Bell form, at tol_objective = 1e-10, 0.9 closes 38
 # certified gaps to 1e-10 (604 Newton steps) and the other two to 2.1e-10 and
@@ -122,7 +120,7 @@ IPM_MAX_SIDE = 16
 STEP_FRACTION = 0.9
 # interior-point steps without a tighter certified gap after which the loop has stalled
 STALL_STEPS = 5
-# rounding allowance of a vertex of the scalar problem's polytope: how far it may
+# rounding allowance of a vertex of a scalar problem's polytope: how far it may
 # leave the polytope and still be taken as a vertex
 VERTEX_TOL = 1e-12
 # the splitting loop's initial penalty rho, the iterations between two certificate
@@ -143,8 +141,8 @@ __all__ = [
     "SdpSolution",
     "basis_vertices",
     "check_side",
-    "round_to_vertex",
     "solve",
+    "vertex_solve",
 ]
 
 
@@ -156,7 +154,7 @@ def check_side(n: int) -> None:
 
 @dataclass(frozen=True)
 class SdpOptions:
-    """Stop rules of all three loops.
+    """Stop rules of both loops and the vertex table.
 
     ``max_iters`` caps ADMM iterations or Newton steps; a solve is
     ``converged`` once its certified gap ub - lb is at most
@@ -446,16 +444,14 @@ class _Bounds:
 def solve(problem: SdpProblem) -> SdpSolution:
     """Solve the problem; deterministic for fixed problem and options.
 
-    The loop is chosen from the blocks: a real cost whose blocks all have
-    side 1 goes to the scalar interior-point loop, other real costs in
-    blocks of side at most ``IPM_MAX_SIDE`` to the matrix interior-point
-    loop, and all others to the splitting loop.
+    The loop is chosen from the blocks: a real cost in blocks of side at
+    most ``IPM_MAX_SIDE`` goes to the interior-point loop, all others to
+    the splitting loop.
     """
     costs = problem.costs
-    side = costs.shape[-1]
-    if side > IPM_MAX_SIDE or np.any(np.imag(costs)):
+    if costs.shape[-1] > IPM_MAX_SIDE or np.any(np.imag(costs)):
         return _solve(problem, _splitting)
-    return _solve(problem, _scalar_interior_point if side == 1 else _interior_point)
+    return _solve(problem, _interior_point)
 
 
 def _solve(problem: SdpProblem, loop: Callable[[_Stack, _Bounds, SdpOptions], tuple[int, str]]) -> SdpSolution:
@@ -561,34 +557,6 @@ def _start(st: _Stack) -> np.ndarray:
     return np.concatenate([eye / st.n, st.costs - (y + 1.0) * eye[:nb], eye[:nb]])
 
 
-def _follow_path(bounds: _Bounds, opts: SdpOptions, newton: Callable[[], tuple | None]) -> tuple[int, str]:
-    """The outer loop of both interior-point forms; returns (Newton steps, status).
-
-    ``newton`` takes one step and returns the pairs (trace-one X-side stack,
-    S2 stack) it offers the certificate, in order, or None once the numbers
-    have broken down.
-    """
-    best_gap, since_best = math.inf, 0
-    for it in range(1, opts.max_iters + 1):
-        try:
-            points = newton()
-        except np.linalg.LinAlgError:
-            points = None
-        if points is None:
-            return it, "infeasible_numerics"
-        for point in points:
-            stop = bounds.update(*point)
-            if stop is not None:
-                return it, stop
-        if bounds.ub - bounds.lb < best_gap:
-            best_gap, since_best = bounds.ub - bounds.lb, 0
-        else:
-            since_best += 1
-            if since_best >= STALL_STEPS:
-                return it, "infeasible_numerics"
-    return opts.max_iters, "max_iters"
-
-
 def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str]:
     """Primal-dual path following: HKM direction with Mehrotra's predictor-corrector.
 
@@ -607,7 +575,9 @@ def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
     X2 block by block, with P and A the coordinate matrices of PT and PT*
     (T may move an entry between blocks), read off the basis once per
     solve.  dS2 and the trace row are read from the same basis.  Returns
-    (Newton steps, status).
+    (Newton steps, status): the certificate's stop, ``max_iters``, or
+    ``infeasible_numerics`` once an iterate leaves its cone or
+    `STALL_STEPS` steps bring no tighter gap.
     """
     nb, s = st.nb, st.s  # PT maps the nb blocks of X onto as many blocks of W
     i, j, basis = _symmetric_basis(s)
@@ -634,6 +604,7 @@ def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
     state = _start(st)
 
     def newton() -> tuple[np.ndarray, np.ndarray] | None:
+        """One Newton step: the (trace-one X, S2) pair for the certificate, or None once the numbers break down."""
         nonlocal state
         z, dual, x = state[: 2 * nb], state[2 * nb :], state[:nb]
         mu = mean_gap(z, dual)
@@ -680,9 +651,26 @@ def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
         sigma_mu = min(1.0, (mean_gap(moved[: 2 * nb], moved[2 * nb :]) / mu) ** 3) * mu
         d = direction(sigma_mu * eye - z @ dual - d[: 2 * nb] @ d[2 * nb :])
         state = _sym(state + STEP_FRACTION * steps(d)[:, None, None] * d)
-        return ((state[:nb] / trace(state[:nb]), state[3 * nb :]),)
+        return state[:nb] / trace(state[:nb]), state[3 * nb :]
 
-    return _follow_path(bounds, opts, newton)
+    best_gap, since_best = math.inf, 0
+    for it in range(1, opts.max_iters + 1):
+        try:
+            point = newton()
+        except np.linalg.LinAlgError:
+            point = None
+        if point is None:
+            return it, "infeasible_numerics"
+        stop = bounds.update(*point)
+        if stop is not None:
+            return it, stop
+        if bounds.ub - bounds.lb < best_gap:
+            best_gap, since_best = bounds.ub - bounds.lb, 0
+        else:
+            since_best += 1
+            if since_best >= STALL_STEPS:
+                return it, "infeasible_numerics"
+    return opts.max_iters, "max_iters"
 
 
 @dataclass(frozen=True)
@@ -750,134 +738,38 @@ def basis_vertices(
     return vertices, np.moveaxis(solution[1, feasible], -1, 0)
 
 
-def round_to_vertex(x: np.ndarray, pt_map: np.ndarray, mult: np.ndarray) -> LpVertex:
-    """The vertex of the scalar problem's polytope that a point x approaches.
+def vertex_solve(problem: SdpProblem, bases: np.ndarray) -> SdpSolution:
+    """Solve a real problem of scalar blocks at a vertex of its polytope, from a table of LP bases.
 
-    The nb - 1 smallest of the 2 nb slacks (x, pt_map x) are taken as
-    active; with the trace row they fix the vertex.  Near an optimal edge
-    those rows can be dependent; only then are the smallest slacks taken
-    whose rows are independent together with the trace row, chosen
-    greedily.  The rows count as dependent when either the system or its
-    transpose, which `LpVertex.multipliers` solves, is singular to the
-    solver.  ValueError unless the rows fix a vertex that is feasible
-    within `VERTEX_TOL`.
+    One `basis_vertices` call gives every basis of ``bases`` its vertex,
+    dropped unless feasible, and its multipliers at the costs.  The
+    certificate is offered one pair, with no Newton step: the feasible
+    vertex of least value as X, and as S2 the basis dual with the best
+    `LpVertex.dual_bound`, its W-side multipliers clamped at 0 and divided
+    by the W-side multiplicities, so that lambda_min(C - PT*(S2)) is at
+    least that bound.  A table that holds an optimal basis whose
+    multipliers are dual feasible closes the gap at rounding level and
+    ends ``converged`` (or ``decided`` against a cut); one that lacks it
+    certifies less and ends with the status the bounds allow, else
+    ``infeasible_numerics``.  ValueError unless every block has side 1 and
+    the cost is real.
     """
-    nb = len(x)
-    rows = np.concatenate([np.eye(nb), pt_map])
-    order = np.argsort(rows @ x, kind="stable")
-    unit = np.zeros((2, nb, 1))
-    unit[:, -1] = 1.0
-
-    def solve_basis(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The basis rows over the trace row, and the vertex they fix; the transpose is solved too."""
-        pair = np.empty((2, nb, nb))
-        pair[0, :-1], pair[0, -1] = rows[basis], mult
-        pair[1] = pair[0].T
-        return pair[0], np.linalg.solve(pair, unit)[0, :, 0]
-
-    basis = order[: nb - 1]
-    try:
-        system, v = solve_basis(basis)
-    except np.linalg.LinAlgError:
-        # the rows of I alone span, so the greedy choice always completes a basis
-        picked: list[int] = []
-        for row in order:
-            if np.linalg.matrix_rank(np.vstack([rows[picked + [row]], mult])) == len(picked) + 2:
-                picked.append(row)
-                if len(picked) == nb - 1:
-                    break
-        basis = np.array(picked)
-        system, v = solve_basis(basis)
-    infeasible = -float(np.min(rows @ v))
-    if not infeasible <= VERTEX_TOL:  # also when v is not finite
-        raise ValueError(f"the rounded vertex is infeasible by {infeasible:.3g}")
-    return LpVertex(blocks=v, basis=basis, system=system, mult=mult)
+    if problem.costs.shape[-1] != 1 or np.any(np.imag(problem.costs)):
+        raise ValueError("vertex_solve needs a real cost in blocks of side 1")
+    return _solve(problem, lambda st, bounds, opts: _vertex_table(st, bounds, bases))
 
 
-def _scalar_interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str]:
-    """`_interior_point` on blocks of side 1, written on vectors, ended at a vertex.
-
-    With every block a number the problem is a linear program in nb
-    unknowns: X, W = pt_map x, S1 and S2 are vectors, the HKM scaling is an
-    entrywise division, the Schur operator on dS2 is the (nb + 1)-square
-    matrix pt_map diag(x / s1) PT* + diag(w / s2) bordered by the
-    trace row, and a step length is the ratio test d / state.  The start, the
-    step fraction, the stall rule and the certificate are those of
-    `_interior_point`.
-
-    An optimum of a linear program is a vertex, which the iterates approach
-    long before their own gap closes.  After every step the iterate is
-    rounded to a vertex (`round_to_vertex`), and the vertex is offered to
-    the certificate ahead of the iterate, with S2 the basis dual: the
-    vertex's `LpVertex.multipliers` at the costs, their W-side part clamped
-    at 0 and divided by the W-side multiplicities.  lambda_min(C - PT*(S2)) is then
-    the basis dual's bound, so an optimal vertex whose basis is dual
-    feasible certifies a gap at rounding level.  A rounding that fixes no
-    feasible vertex is skipped for that step.  Returns (Newton steps, status).
-    """
+def _vertex_table(st: _Stack, bounds: _Bounds, bases: np.ndarray) -> tuple[int, str]:
+    """Offer the table's best vertex and best basis dual to the certificate; returns (0, status)."""
     nb = st.nb
-    pt_map, adjoint = st.problem.pt_map, st.adjoint
-    x_mult, w_mult = st.mult[:nb], st.mult[nb:]
     costs = st.costs.ravel()
-    diagonal = np.arange(nb)
-    schur = np.empty((nb + 1, nb + 1))
-    rhs = np.empty(nb + 1)
-
-    def mean_gap(a: np.ndarray, b: np.ndarray) -> float:
-        return float(st.mult @ (a * b)) / (2.0 * st.n)
-
-    def vertex(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """The certificate pair of the vertex that x approaches, or None if x fixes none."""
-        try:
-            vertex = round_to_vertex(x, pt_map, x_mult)
-            z = vertex.multipliers(costs)[:-1]
-        except (ValueError, np.linalg.LinAlgError):
-            return None
-        basis = vertex.basis
-        w_side = basis >= nb
-        s2 = np.zeros(nb)
-        s2[basis[w_side] - nb] = np.maximum(z[w_side], 0.0) / w_mult[basis[w_side] - nb]
-        v = np.maximum(vertex.blocks, 0.0)  # PSD exactly; the mix toward I/n absorbs the W side's rounding
-        return (v / (x_mult @ v))[:, None, None], s2[:, None, None]
-
-    state = _start(st).ravel()  # (x, w, s1, s2)
-
-    def newton() -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
-        nonlocal state
-        z, dual, x = state[: 2 * nb], state[2 * nb :], state[:nb]
-        mu = mean_gap(z, dual)
-        r_trace = 1.0 - float(x_mult @ x)
-        if not (math.isfinite(mu) and state.min() > 0.0):
-            return None
-        inv = 1.0 / dual
-        u = x * inv[:nb]
-        schur[:nb, :nb] = (pt_map * u) @ adjoint
-        schur[diagonal, diagonal] += z[nb:] * inv[nb:]
-        schur[:nb, nb] = pt_map @ u
-        schur[nb, :nb] = w_mult * schur[:nb, nb]
-        schur[nb, nb] = x_mult @ u
-
-        def direction(target: np.ndarray) -> np.ndarray:
-            h = target * inv
-            rhs[:nb] = h[nb:] - pt_map @ h[:nb]
-            rhs[nb] = r_trace - x_mult @ h[:nb]
-            sol = np.linalg.solve(schur, rhs)  # (dS2, dy)
-            ds1 = -sol[nb] - adjoint @ sol[:nb]
-            dx = h[:nb] - u * ds1
-            return np.concatenate([dx, pt_map @ dx, ds1, sol[:nb]])
-
-        def steps(d: np.ndarray) -> np.ndarray:
-            reach = -1.0 / np.minimum(d / state, -1.0)
-            return np.repeat([reach[: 2 * nb].min(), reach[2 * nb :].min()], 2 * nb)
-
-        d = direction(-z * dual)
-        moved = state + steps(d) * d
-        sigma_mu = min(1.0, (mean_gap(moved[: 2 * nb], moved[2 * nb :]) / mu) ** 3) * mu
-        d = direction(sigma_mu - z * dual - d[: 2 * nb] * d[2 * nb :])
-        state = state + STEP_FRACTION * steps(d) * d
-        x = state[:nb]
-        iterate = (x / (x_mult @ x))[:, None, None], state[3 * nb :, None, None]
-        rounded = vertex(x)
-        return (iterate,) if rounded is None else (rounded, iterate)
-
-    return _follow_path(bounds, opts, newton)
+    vertices, multipliers = basis_vertices(bases, st.problem.pt_map, st.block_mult, costs[None])
+    # PSD exactly; the mix toward I/n absorbs the W side's rounding
+    x = np.maximum(vertices.blocks[np.argmin(vertices.value(costs))], 0.0)
+    best = np.argmax(vertices.dual_bound(costs, multipliers[0]))
+    basis, z = vertices.basis[best], multipliers[0, best, :-1]
+    w_rows = basis[basis >= nb] - nb
+    s2 = np.zeros(nb)
+    s2[w_rows] = np.maximum(z[basis >= nb], 0.0) / st.mult[nb:][w_rows]
+    stop = bounds.update((x / (st.block_mult @ x))[:, None, None], s2[:, None, None])
+    return 0, stop or "infeasible_numerics"

@@ -18,9 +18,10 @@ the bases' duals (see `_exact_tlf_entry`).  hirsch1's p_TLF brackets its
 onset on a coarse grid (the prescan) and bisects the bracket.  Every search
 assumes a monotone indicator, and a point whose solve certifies nothing
 (indicator None) stops it with ``ValueError``.  Other
-SDP-backed points get one solve each under the caller's options; in a
-sampled curve a point whose solve certifies nothing is recorded as missing
-instead of aborting the sweep.
+SDP-backed points get one solve each under the caller's options (for a
+twirled family, `sigma_min` reads the optimal vertex off the same table,
+with no Newton step); in a sampled curve a point whose solve certifies
+nothing is recorded as missing instead of aborting the sweep.
 """
 
 from __future__ import annotations

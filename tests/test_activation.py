@@ -24,8 +24,8 @@ from nlact.sdp import (
     SdpProblem,
     _Stack,
     basis_vertices,
-    round_to_vertex,
     solve,
+    vertex_solve,
 )
 from nlact.states import ParityState, h_theta, hirsch_state, isotropic_state, werner_state, wi_state
 from test_sdp import HIRSCH_TRAIL
@@ -161,16 +161,20 @@ def _twirled_state(family, d, p):
 
 
 def _assert_block_matches_dense(problem):
-    """Solve a problem in its block form and densely, check that they agree, return `activated`."""
-    block = solve(problem)
+    """Solve a problem in its block form and densely, check that they agree, return `activated`.
+
+    Eight scalar blocks take the table of LP bases, as `sigma_min` does.
+    """
+    scalar = problem.costs.shape[-1] == 1
+    block = vertex_solve(problem, TWIRLED_BASES) if scalar else solve(problem)
     dense = solve(SdpProblem.from_cost(problem.cost, problem.dims, problem.t1_split, problem.options))
     activated = [s.status in ("converged", "decided") and s.objective < -ACTIVATION_TOL for s in (block, dense)]
     assert activated[0] == activated[1]
     both_interior_point = problem.cost.shape[0] <= IPM_MAX_SIDE and not np.any(problem.cost.imag)
-    if both_interior_point and problem.costs.shape[-1] == 1:
-        # the scalar loop ends at its optimal vertex: within the dense
-        # interior-point loop's certified interval, in no more Newton steps
-        assert block.iterations <= dense.iterations
+    if both_interior_point and scalar:
+        # the table's optimal vertex: within the dense interior-point loop's
+        # certified interval, with no Newton step
+        assert block.iterations == 0
         for bound in (block.objective_lb, block.objective):
             assert dense.objective_lb - 1e-12 <= bound <= dense.objective + 1e-12
     elif both_interior_point:
@@ -228,20 +232,29 @@ def test_twirled_pt_maps_are_shared_and_read_only():
             problem.pt_map[0, 0] = 0.0
 
 
+def _best_vertex(problem):
+    """The feasible vertex of least value among the pinned table's, as `sdp.vertex_solve` takes it."""
+    costs = problem.costs.ravel()
+    vertices, _ = basis_vertices(TWIRLED_BASES, problem.pt_map, problem.mult, costs[None])
+    k = np.argmin(vertices.value(costs))
+    return LpVertex(vertices.blocks[k], vertices.basis[k], vertices.system[k], problem.mult)
+
+
 @pytest.mark.parametrize("family,d", [("wi", 2), ("werner", 3), ("werner", 6), ("isotropic", 3), ("isotropic", 6)])
 def test_lp_vertex_bounds_sigma_on_both_sides(family, d):
-    # the vertex of the solve at p = 1 is feasible, so its value bounds sigma
-    # above at every p, and its basis dual bounds sigma below at every p
+    # the optimal vertex at p = 1 is feasible, so its value bounds sigma above
+    # at every p, and its basis dual bounds sigma below at every p; the
+    # reference is the matrix interior-point loop
     top = sigma_min(_twirled_state(family, d, 1.0)).witness
-    vertex = round_to_vertex(top.blocks.ravel(), top.problem.pt_map, top.problem.mult)
+    vertex = _best_vertex(top.problem)
     rows = np.concatenate([np.eye(8), top.problem.pt_map])
     assert np.min(rows @ vertex.blocks) >= -VERTEX_TOL
     assert abs(vertex.mult @ vertex.blocks - 1.0) <= 1e-12
     assert np.allclose(vertex.system @ vertex.blocks, np.eye(8)[-1], atol=1e-15)
     for p in np.linspace(0.0, 1.0, 11):
-        tau = _twirled_state(family, d, float(p))
-        tight = sigma_min(tau, SdpOptions(tol_objective=1e-10)).witness
-        costs = build_cost(tau).costs.ravel()
+        problem = build_cost(_twirled_state(family, d, float(p)), SdpOptions(tol_objective=1e-10))
+        tight = solve(problem)
+        costs = problem.costs.ravel()
         assert vertex.value(costs) >= tight.objective_lb - 1e-12, p
         assert vertex.dual_bound(costs) <= tight.objective + 1e-12, p
     # at p = 1 the vertex is optimal: its basis is dual feasible and both bounds meet
@@ -253,7 +266,7 @@ def test_lp_vertex_bounds_sigma_on_both_sides(family, d):
 @pytest.mark.parametrize("family,d", [("wi", 2), ("werner", 6), ("isotropic", 3)])
 def test_stacked_vertices_match_single_ones(family, d):
     # a stack from basis_vertices answers as each of its vertices alone, and
-    # holds the vertex that a solve at p rounds to, with the same value
+    # holds the vertex that sigma_min's witness is, up to the mix toward I/n
     solution = sigma_min(_twirled_state(family, d, 0.8), SdpOptions(tol_objective=1e-10)).witness
     pt_map, mult, costs = solution.problem.pt_map, solution.problem.mult, solution.problem.costs.ravel()
     vertices, multipliers = basis_vertices(TWIRLED_BASES, pt_map, mult, np.array([costs, 2.0 * costs]))
@@ -267,20 +280,11 @@ def test_stacked_vertices_match_single_ones(family, d):
         assert abs(single.value(costs) - values[k]) <= 1e-15
         assert np.allclose(single.multipliers(2.0 * costs), multipliers[1, k], rtol=0.0, atol=1e-14)
         assert abs(single.dual_bound(costs) - bounds[k]) <= 1e-15
-    rounded = round_to_vertex(solution.blocks.ravel(), pt_map, mult)
-    same = np.max(np.abs(vertices.blocks - rounded.blocks), axis=1) <= 1e-12
+    same = np.max(np.abs(vertices.blocks - solution.blocks.ravel()), axis=1) <= 1e-12
     assert np.any(same)
-    assert abs(values[same].min() - rounded.value(costs)) <= 1e-15
+    assert abs(values[same].min() - solution.objective) <= 1e-15
     # the optimum at p: the best dual bound meets the best vertex
     assert abs(bounds.max() - values.min()) <= 1e-15 and values.min() == pytest.approx(solution.objective, abs=1e-10)
-
-
-def test_round_to_vertex_rejects_a_point_far_from_every_vertex():
-    # the centre I/n, whose smallest slacks fix an infeasible vertex
-    problem = build_cost(werner_state(3, 0.9))
-    centre = np.full(len(problem.mult), 1.0 / problem.mult.sum())
-    with pytest.raises(ValueError, match="infeasible"):
-        round_to_vertex(centre, problem.pt_map, problem.mult)
 
 
 def test_bisection_options_is_the_sign_only_form():

@@ -126,6 +126,20 @@ def test_sweep_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+def test_werner_tlf_sweep_below_zero_has_no_missing_point(capsys):
+    # the Werner range reaches p < 0, and the table of LP bases covers it: every
+    # point is certified, and the indicator turns on once
+    code, out, _ = run_cli(
+        capsys,
+        "sweep", "--family", "werner", "--d", "3", "--property", "tlf",
+        "--pmin", "-0.5", "--pmax", "1", "--steps", "31",
+    )
+    assert code == 0
+    indicators = [line.split(",")[2] for line in out.splitlines()[1:]]
+    assert len(indicators) == 31 and "" not in indicators
+    assert indicators == sorted(indicators) and indicators[0] == "0" and indicators[-1] == "1"
+
+
 def test_sweep_unsupported_combination(capsys):
     code, _, err = run_cli(
         capsys,

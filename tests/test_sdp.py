@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from nlact import sdp
-from nlact.activation import ACTIVATION_TOL, DEFAULT_OPTIONS, H_ANGLE, bisection_options, build_cost
+from nlact.activation import ACTIVATION_TOL, DEFAULT_OPTIONS, H_ANGLE, TWIRLED_BASES, bisection_options, build_cost
 from nlact.linalg import DensityMatrix, min_eig, partial_transpose_mat
 from nlact.rand import random_density
-from nlact.sdp import SdpOptions, SdpProblem, _interior_point, _solve, _splitting, round_to_vertex, solve
+from nlact.sdp import SdpOptions, SdpProblem, _interior_point, _solve, _splitting, solve, vertex_solve
 from nlact.states import (
     h_theta,
     hirsch_state,
     isotropic_state,
+    TwirledState,
     projector,
     psi_minus,
     twirl_projectors,
@@ -118,21 +119,56 @@ def test_solve_complex_hermitian_cost():
 
 
 def test_solve_routes_by_side_and_field(monkeypatch, rng):
-    # real costs take the scalar loop when every block has side 1 and the
-    # interior-point loop up to side 16; the splitting loop takes the rest
+    # real costs take the interior-point loop up to side 16, blocks of side 1
+    # included; the splitting loop takes the rest
     taken = []
 
     def recorder(name):
         loop = getattr(sdp, name)
         return lambda *args: taken.append(name) or loop(*args)
 
-    for name in ("_scalar_interior_point", "_interior_point", "_splitting"):
+    for name in ("_interior_point", "_splitting"):
         monkeypatch.setattr(sdp, name, recorder(name))
     cost = _random_hermitian(4, rng)
     for c, dims in ((cost.real, (2, 2)), (cost, (2, 2)), (np.diag(np.arange(36.0)), (6, 6))):
         solve(SdpProblem.from_cost(c, dims=dims, t1_split=1))
     solve(build_cost(werner_state(3, 0.6)))  # eight scalar blocks
-    assert taken == ["_interior_point", "_splitting", "_splitting", "_scalar_interior_point"]
+    assert taken == ["_interior_point", "_splitting", "_splitting", "_interior_point"]
+
+
+def test_vertex_solve_takes_only_real_scalar_blocks(rng):
+    cost = _random_hermitian(4, rng)
+    for c in (cost.real, np.diag(np.diag(cost))):
+        with pytest.raises(ValueError, match="side 1"):
+            vertex_solve(SdpProblem.from_cost(c, dims=(2, 2)), TWIRLED_BASES)
+
+
+def _oracle(problem):
+    """The matrix interior-point loop on a problem's blocks: the reference of `vertex_solve`."""
+    return _solve(problem, _interior_point)
+
+
+def _segment(algebra, d, points=11):
+    """Twirled states sum_b c_b P_b along the segment of coefficients c >= 0, ends included.
+
+    The segment holds every state of the algebra's family, Werner p < 0 included.
+    """
+    mult = np.trace(twirl_projectors(algebra, d), axis1=1, axis2=2)
+    for t in np.linspace(0.0, 1.0, points):
+        yield float(t), TwirledState(algebra, d, ((1.0 - t) / mult[0], t / mult[1]))
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("algebra", ["werner", "isotropic"])
+def test_vertex_solve_matches_interior_point(algebra, d):
+    # the pinned table's vertex at every point of the segment: certified with no
+    # Newton step, inside the matrix loop's certified interval, and deciding alike
+    for t, tau in _segment(algebra, d):
+        problem = build_cost(tau, SdpOptions(tol_objective=1e-9))
+        table, oracle = vertex_solve(problem, TWIRLED_BASES), _oracle(problem)
+        assert (table.status, table.iterations) == ("converged", 0), t
+        assert oracle.objective_lb - 1e-12 <= table.objective <= oracle.objective + 1e-12, t
+        assert _indicator(table) == _indicator(oracle) is not None, t
 
 
 # p_TLF of each twirled row as bisected to a 1e-3 bracket, within 3e-4 of the
@@ -162,29 +198,25 @@ def _indicator(sol):
     return None
 
 
+# The "scalar loop" of the four tests below is the solver of the eight scalar
+# blocks, `vertex_solve` over the pinned table of LP bases.  Each checks it where
+# an interior-point iterate is hard to end at a vertex: next to a threshold, below
+# the matrix loop's accuracy floor, on an optimal edge, and at a singular basis.
+
+
 @pytest.mark.parametrize("family,d", list(_TABLE_TLF), ids=str)
 def test_scalar_loop_matches_interior_point(family, d):
-    # the scalar loop ends at its optimal vertex: it decides as the general loop
-    # does, in no more Newton steps
+    # next to each p_TLF, under the gap options and the sign-only ones, the
+    # table's vertex decides as the matrix loop does, with no Newton step, and
+    # both certified intervals hold the optimum
     for p, tau in _tlf_grid(family, d):
         for options in (DEFAULT_OPTIONS, bisection_options()):
             problem = build_cost(tau, options)
             assert problem.costs.shape == (8, 1, 1)
-            scalar, general = solve(problem), _solve(problem, _interior_point)
-            assert _indicator(scalar) == _indicator(general), p
-            assert scalar.iterations <= general.iterations, p
-            # both certified intervals hold the optimum
-            assert max(scalar.objective_lb, general.objective_lb) <= min(scalar.objective, general.objective) + 1e-12, p
-            # the vertex only adds to the certificate of the general loop's
-            # iterates: the scalar interval lies in the general loop's after as
-            # many Newton steps and, once it has closed, in the general loop's final one
-            same_steps = dataclasses.replace(options, max_iters=scalar.iterations)
-            references = [_solve(dataclasses.replace(problem, options=same_steps), _interior_point)]
-            if scalar.status == "converged":
-                references.append(general)
-            for ref in references:
-                for bound in (scalar.objective_lb, scalar.objective):
-                    assert ref.objective_lb - 1e-12 <= bound <= ref.objective + 1e-12, p
+            table, oracle = vertex_solve(problem, TWIRLED_BASES), _oracle(problem)
+            assert table.iterations == 0 and table.status in CERTIFIED, p
+            assert _indicator(table) == _indicator(oracle), p
+            assert max(table.objective_lb, oracle.objective_lb) <= min(table.objective, oracle.objective) + 1e-12, p
 
 
 @pytest.mark.parametrize("family,d", list(_TABLE_TLF), ids=str)
@@ -194,43 +226,40 @@ def test_scalar_loop_certifies_below_the_matrix_floor(family, d):
     options = SdpOptions(tol_objective=1e-12)
     for p, tau in _tlf_grid(family, d):
         problem = build_cost(tau, options)
-        sol = solve(problem)
+        sol = vertex_solve(problem, TWIRLED_BASES)
         assert sol.status == "converged", p
         assert sol.objective - sol.objective_lb <= 1e-12, p
-        # inside the general loop's certified interval at its floor, whatever its status
-        general = _solve(dataclasses.replace(problem, options=TIGHT), _interior_point)
+        # inside the matrix loop's certified interval at its floor, whatever its status
+        general = _oracle(dataclasses.replace(problem, options=TIGHT))
         for bound in (sol.objective_lb, sol.objective):
             assert general.objective_lb - 1e-12 <= bound <= general.objective + 1e-12, p
 
 
-# twirled points whose optimal set is an edge: the nb - 1 smallest slacks of the
-# iterates are dependent there, and every rounding to them was singular
+# twirled points whose optimal set is an edge: several vertices are optimal, and
+# the iterates of an interior-point loop approach the edge, not a vertex
 _EDGE_POINTS = [("werner", 3, 0.3), ("werner", 3, 0.2875), ("werner", 3, 0.325), ("isotropic", 2, 0.425)]
 
 
 @pytest.mark.parametrize("family,d,p", _EDGE_POINTS, ids=str)
 def test_scalar_loop_rounds_an_optimal_edge_to_a_vertex(family, d, p):
-    # the rounding takes the smallest slacks whose rows are independent, so the
-    # solve ends at a vertex instead of stalling at the iterates' floor
+    # the table holds the edge's vertices, so the solve ends at one of them
     tau = (werner_state if family == "werner" else isotropic_state)(d, p)
-    sol = solve(build_cost(tau, SdpOptions(tol_objective=1e-12)))
-    assert sol.status == "converged"
+    sol = vertex_solve(build_cost(tau, SdpOptions(tol_objective=1e-12)), TWIRLED_BASES)
+    assert (sol.status, sol.iterations) == ("converged", 0)
     assert sol.objective - sol.objective_lb <= 1e-12
-    assert sol.iterations <= 5
 
 
 @pytest.mark.parametrize("tol", [1e-7, 1e-12])
 def test_scalar_loop_rounds_past_a_singular_transposed_basis(tol):
-    # here the smallest slacks' system solves but its transpose is singular to
-    # the solver; the rounding then takes the greedy basis, so the solve ends
-    # at its vertex instead of losing the vertex on its multipliers
+    # here the nb - 1 smallest slacks of an interior-point iterate fix a basis
+    # whose transposed system is singular to the solver; no basis of the table
+    # is, so every vertex comes with finite multipliers
     problem = build_cost(werner_state(8, 0.15), SdpOptions(tol_objective=tol))
-    sol = solve(problem)
-    assert sol.status == "converged"
+    sol = vertex_solve(problem, TWIRLED_BASES)
+    assert (sol.status, sol.iterations) == ("converged", 0)
     assert sol.objective - sol.objective_lb <= 1e-15
-    assert sol.iterations <= 6
-    vertex = round_to_vertex(sol.blocks.ravel(), problem.pt_map, problem.mult)
-    assert np.all(np.isfinite(vertex.multipliers(problem.costs.ravel())))
+    vertices, multipliers = sdp.basis_vertices(TWIRLED_BASES, problem.pt_map, problem.mult, problem.costs.ravel()[None])
+    assert np.all(np.isfinite(multipliers))
 
 
 def _expand(images, onto):
@@ -293,28 +322,29 @@ def test_inconsistent_pt_map_is_rejected_before_any_step(family, d, monkeypatch)
     def refuse(*args):
         raise AssertionError("a loop ran")
 
-    for loop in ("_scalar_interior_point", "_interior_point", "_splitting"):
+    for loop in ("_interior_point", "_splitting", "_vertex_table"):
         monkeypatch.setattr(sdp, loop, refuse)
     family_state = {"werner": werner_state, "isotropic": isotropic_state}
     problem = build_cost(family_state[family](d, 0.7))
     other = build_cost(family_state["isotropic" if family == "werner" else "werner"](d, 0.7))
     for pt_map in (other.pt_map, problem.pt_map[:, ::-1]):
-        with pytest.raises(ValueError, match="adjoint"):
-            solve(dataclasses.replace(problem, pt_map=pt_map))
+        for run in (solve, lambda problem: vertex_solve(problem, TWIRLED_BASES)):
+            with pytest.raises(ValueError, match="adjoint"):
+                run(dataclasses.replace(problem, pt_map=pt_map))
 
 
 @pytest.mark.parametrize("family,d", [("werner", 3), ("werner", 4), ("isotropic", 3)], ids=str)
 def test_matrix_loop_on_blocks_with_multiplicities(family, d):
     # the matrix loop on blocks of side 4 whose multiplicities are not 1 and
     # whose pt_map is not its own adjoint: it agrees with the exact LP value of
-    # the eight-scalar form within its certified gap
+    # the eight-scalar form, the table's vertex, within its certified gap
     options = SdpOptions(tol_objective=1e-9)
     for p, tau in list(_tlf_grid(family, d))[-4:]:
         problem = _twirl_only_problem(tau, options)
         assert problem.costs.shape == (2, 4, 4)
         assert not np.allclose(problem.pt_map, sdp._Stack(problem).adjoint)
         block = solve(problem)
-        scalar = solve(build_cost(tau, options))
+        scalar = vertex_solve(build_cost(tau, options), TWIRLED_BASES)
         assert block.status == scalar.status == "converged", p
         assert block.objective_lb - 1e-12 <= scalar.objective <= block.objective + 1e-12, p
 
@@ -324,15 +354,18 @@ def test_side_one_lowest_eigenvalues_are_the_entries(monkeypatch, rng):
     values = np.exp(rng.uniform(-30.0, 30.0, 16)) * rng.choice([-1.0, 1.0], 16)
     for mats in (values[:, None, None], (values + 0j)[:, None, None]):
         assert np.array_equal(sdp._lowest(mats), np.linalg.eigvalsh(mats)[:, 0])
-    # so a scalar solve certifies the same bounds as one whose certificate runs eigvalsh
+    # so a scalar solve, by either route, certifies the same bounds as one whose
+    # certificate runs eigvalsh
     problems = [build_cost(werner_state(3, p), DEFAULT_OPTIONS) for p in (0.3, 0.636102, 0.9)]
-    fast = [solve(problem) for problem in problems]
+    runs = (solve, lambda problem: vertex_solve(problem, TWIRLED_BASES))
+    fast = [[run(problem) for run in runs] for problem in problems]
     monkeypatch.setattr(sdp, "_lowest", lambda mats: np.linalg.eigvalsh(mats)[:, 0])
-    for problem, ref in zip(problems, fast):
-        sol = solve(problem)
-        assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
-        assert (sol.objective, sol.objective_lb) == (ref.objective, ref.objective_lb)
-        assert sol.residuals == ref.residuals
+    for problem, refs in zip(problems, fast):
+        for run, ref in zip(runs, refs):
+            sol = run(problem)
+            assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
+            assert (sol.objective, sol.objective_lb) == (ref.objective, ref.objective_lb)
+            assert sol.residuals == ref.residuals
 
 
 def test_problem_validation(rng):

@@ -7,10 +7,18 @@ import numpy as np
 import pytest
 
 from nlact import activation, sweep
-from nlact.activation import ACTIVATION_TOL, TWIRLED_BASES, ActivationResult, bisection_options, build_cost, sigma_min
+from nlact.activation import (
+    ACTIVATION_TOL,
+    DEFAULT_OPTIONS,
+    TWIRLED_BASES,
+    ActivationResult,
+    bisection_options,
+    build_cost,
+    sigma_min,
+)
 from nlact.measures import cglmp_value, popescu_threshold
 from nlact.sdp import VERTEX_TOL, SdpOptions, basis_vertices, solve
-from nlact.states import FamilySpec, isotropic_state
+from nlact.states import FamilySpec, TwirledState, isotropic_state, twirl_projectors
 from nlact.sweep import (
     build_table,
     evaluate_point,
@@ -327,12 +335,18 @@ def test_exact_tlf_entry_is_the_sign_change(family, d):
     assert above.objective < 0.0 < below.objective_lb
 
 
-def _optimal_bases(spec, p):
-    """The bases of TWIRLED_BASES that are optimal at p: feasible vertex, dual bound at its value."""
+def _table_at(spec, p):
+    """The feasible vertices of TWIRLED_BASES at p, with their values and dual bounds."""
     problem = build_cost(spec.state(p))
     costs = problem.costs.ravel()
     vertices, multipliers = basis_vertices(TWIRLED_BASES, problem.pt_map, problem.mult, costs[None])
-    return vertices.basis[vertices.dual_bound(costs, multipliers[0]) >= vertices.value(costs) - 1e-12]
+    return vertices, vertices.value(costs), vertices.dual_bound(costs, multipliers[0])
+
+
+def _optimal_bases(spec, p):
+    """The bases of TWIRLED_BASES that are optimal at p: feasible vertex, dual bound at its value."""
+    vertices, values, bounds = _table_at(spec, p)
+    return vertices.basis[bounds >= values - 1e-12]
 
 
 def _without(bases, removed):
@@ -350,12 +364,31 @@ def _without(bases, removed):
 )
 def test_exact_tlf_entry_missing_an_optimal_basis_raises(family, d, end, message):
     # without the onset's basis, the next root of the table's lines lies above the
-    # onset, where no basis's dual bound reaches 0; without the bases optimal at
-    # p = 0, none certifies sigma > 0 there.  The entry is refused, never printed
+    # onset, where no basis's dual bound reaches 0; without every basis whose dual
+    # bound is positive at p = 0, none certifies sigma > 0 there.  The entry is
+    # refused, never printed
     spec = FamilySpec(family, d)
-    p = _closed_form_tlf(family, d) if end == "root" else 0.0
+    if end == "root":
+        removed = _optimal_bases(spec, _closed_form_tlf(family, d))
+    else:
+        vertices, _, bounds = _table_at(spec, 0.0)
+        removed = vertices.basis[bounds > 0.0]
     with pytest.raises(ValueError, match=message):
-        sweep._exact_tlf_entry(spec, _without(TWIRLED_BASES, _optimal_bases(spec, p)))
+        sweep._exact_tlf_entry(spec, _without(TWIRLED_BASES, removed))
+
+
+def test_sweep_point_whose_table_lacks_the_optimal_basis_is_missing(monkeypatch):
+    # a table without the basis optimal at p certifies no closed gap there: the
+    # solve ends uncertified with no Newton step, and the sweep records the
+    # point as missing, with no indicator
+    spec = FamilySpec("werner", 3)
+    monkeypatch.setattr(activation, "TWIRLED_BASES", _without(TWIRLED_BASES, _optimal_bases(spec, 0.8)))
+    witness = sigma_min(spec.state(0.8)).witness
+    assert (witness.status, witness.iterations) == ("infeasible_numerics", 0)
+    assert witness.objective - witness.objective_lb > DEFAULT_OPTIONS.tol_objective
+    curve = sample_curve(spec, "tlf", [0.3, 0.8])
+    assert list(curve.failures) == [1]
+    assert curve.indicators == [False, None]
 
 
 def test_exact_tlf_entry_drops_infeasible_vertices():
@@ -376,19 +409,19 @@ def test_exact_tlf_entry_drops_infeasible_vertices():
 def test_twirled_bases_are_the_path_optimal_bases():
     # the pinned table is every one of the C(16, 7) bases whose vertex is
     # feasible and whose multipliers are dual feasible, both within VERTEX_TOL,
-    # somewhere on a family path [max(lo, 0), hi], for d = 2..8 and both algebras
+    # somewhere on the segment of twirled states with coefficients c >= 0 (every
+    # family path, Werner p < 0 included), for d = 2..8 and both algebras
     everything = np.array(list(itertools.combinations(range(16), 7)))
     found = set()
-    for family, d in itertools.product(("werner", "isotropic"), range(2, 9)):
-        spec = FamilySpec(family, d)
-        lo, hi = spec.p_range()
-        problems = [build_cost(spec.state(p)) for p in (max(lo, 0.0), hi)]
+    for algebra, d in itertools.product(("werner", "isotropic"), range(2, 9)):
+        mult = np.trace(twirl_projectors(algebra, d), axis1=1, axis2=2)
+        problems = [build_cost(TwirledState(algebra, d, c)) for c in ((1.0 / mult[0], 0.0), (0.0, 1.0 / mult[1]))]
         pt_map, mult = problems[1].pt_map, problems[1].mult
         systems = np.concatenate([np.eye(8), pt_map])[everything]
         systems = np.concatenate([systems, np.broadcast_to(mult, (len(everything), 1, 8))], axis=1)
         bases = everything[np.abs(np.linalg.det(systems)) > 1e-9]
         vertices, ends = basis_vertices(bases, pt_map, mult, np.array([problem.costs.ravel() for problem in problems]))
-        # each multiplier of an active row is z0 + t (z1 - z0) on the path's t in [0, 1]
+        # each multiplier of an active row is z0 + t (z1 - z0) on the segment's t in [0, 1]
         start, slope = ends[0, :, :-1], ends[1, :, :-1] - ends[0, :, :-1]
         with np.errstate(divide="ignore", invalid="ignore"):
             cross = (-VERTEX_TOL - start) / slope
