@@ -4,7 +4,7 @@ Covers: concurrence / entanglement of formation, the CHSH criterion on the
 Pauli correlation matrix, the local-filtering (hidden nonlocality)
 criterion, fully entangled fraction / teleportation usefulness, the
 copy-count needed to superactivate nonlocality, the fixed two-dim filter on
-Werner states, CGLMP values for d <= 6, and the reference locality bounds.
+Werner states, CGLMP values for every d >= 2, and the reference locality bounds.
 
 The correlation matrix convention is t[n][m] = Tr[rho (sigma_n x sigma_m)]
 with sigma_0 = I, yielding a 4x4 real matrix whose 3x3 lower block feeds
@@ -31,7 +31,6 @@ LORENTZ_IMAG_TOL = 1e-8
 JORDAN_SPLIT_FACTOR = 8.0
 
 CGLMP_DEFAULT_SETTINGS = (0.0, 0.5, 0.25, -0.25)
-CGLMP_MAX_D = 6
 
 
 class DegenerateCorrelation(ValueError):
@@ -335,8 +334,8 @@ def cglmp_value(
     if rho.dims[0] != rho.dims[1] or len(rho.dims) != 2:
         raise ValueError(f"a d x d state is required, got dims {rho.dims}")
     d = rho.dims[0]
-    if not 2 <= d <= CGLMP_MAX_D:
-        raise ValueError(f"cglmp supports 2 <= d <= {CGLMP_MAX_D}, got d={d}")
+    if d < 2:
+        raise ValueError(f"cglmp requires d >= 2, got d={d}")
     a1, a2, b1, b2 = settings
     alice = [_fourier_modes(d, a, False) for a in (a1, a2)]
     bob = [_fourier_modes(d, b, True) for b in (b1, b2)]

@@ -9,19 +9,20 @@ at the onset, so they cannot serve), and `find_threshold` places its points
 by root-finding on that margin; a tlf point has none, so a tlf search
 bisects.  One routing rule, ``evaluator``, maps a (family, d, property)
 triple to its evaluator or rejects it; every entry point applies it before
-evaluating any point.  A table's closed-form entry searches the family's whole range to
-`EXACT_TOL`.  The p_TLF entry of a twirled family (wi, Werner, isotropic) is
+evaluating any point, and a table routes each of its columns by it.  A
+table's searched entry is one `find_threshold` over the family's whole
+range: to `EXACT_TOL` for a closed-form column, to `SDP_TOL` for hirsch1's
+p_TLF.  The p_TLF entry of a twirled family (wi, Werner, isotropic) is
 exact: the first root of a vertex line of its activation LP, read from the
 pinned table of LP bases `activation.TWIRLED_BASES` with no solve, so the
 caller's solver options do not apply to it, and certified to `EXACT_TOL` by
-the bases' duals (see `_exact_tlf_entry`).  hirsch1's p_TLF brackets its
-onset on a coarse grid (the prescan) and bisects the bracket.  Every search
-assumes a monotone indicator, and a point whose solve certifies nothing
-(indicator None) stops it with ``ValueError``.  Other
-SDP-backed points get one solve each under the caller's options (for a
-twirled family, `sigma_min` reads the optimal vertex off the same table,
-with no Newton step); in a sampled curve a point whose solve certifies
-nothing is recorded as missing instead of aborting the sweep.
+the bases' duals (see `_exact_tlf_entry`).  Every search assumes a
+monotone indicator, and a point whose solve certifies nothing (indicator
+None) stops it with ``ValueError``.  Other SDP-backed points get one solve
+each under the caller's options (for a twirled family, `sigma_min` reads
+the optimal vertex off the same table, with no Newton step); in a sampled
+curve a point whose solve certifies nothing is recorded as missing,
+with the solve's status and bounds, instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -103,13 +104,13 @@ def default_tolerance(prop: str) -> float:
 
 def _tlf_point(spec: FamilySpec, p: float, sdp_options: SdpOptions | None) -> PointResult:
     # one solve under the caller's options; a point whose solve certifies
-    # nothing (out of budget, stalled, or bounds on both sides of the cut)
-    # is recorded missing, with no indicator
+    # nothing (out of budget, stalled, a table without the optimal basis, or
+    # bounds on both sides of the cut) is recorded missing, with no indicator
     result = sigma_min(spec.state(p), sdp_options)
-    if result.witness.status not in ("converged", "decided"):
-        return PointResult(result.sigma, None, "sdp did not converge")
-    if result.activated is None:
-        return PointResult(result.sigma, None, "sdp bounds straddle the activation cut")
+    witness = result.witness
+    if witness.status not in ("converged", "decided") or result.activated is None:
+        bounds = f"sigma in [{witness.objective_lb:.6g}, {witness.objective:.6g}]"
+        return PointResult(result.sigma, None, f"sdp certified no sign: {witness.status}, {bounds}")
     return PointResult(result.sigma, result.activated)
 
 
@@ -175,8 +176,7 @@ def evaluator(spec: FamilySpec, prop: str) -> Evaluator:
         check_side(4 * spec.d * spec.d)  # the activation problem's side, d_A d_B times the two ancilla qubits
         return _tlf_point
     if prop == "cglmp":
-        if not 2 <= spec.d <= measures.CGLMP_MAX_D:
-            raise ValueError(f"cglmp supports 2 <= d <= {measures.CGLMP_MAX_D}, got d={spec.d}")
+        check_side(spec.d * spec.d)  # the d x d state that the point builds
         return _cglmp_point
     if prop == "sa" and spec.family == "isotropic":
         return _isotropic_sa_point
@@ -383,22 +383,6 @@ _TABLE_COLUMNS = {
 TABLE_FAMILIES = tuple(_TABLE_COLUMNS)
 
 
-def _computed_columns(family: str, d: int) -> dict[str, str]:
-    """The columns of a table row that are computed, with their properties.
-
-    Past d = 2, p_E is the stored reference, and the Werner p_SA is marked X:
-    qudit Werner states are never teleportation-useful, so the
-    superactivation route gives no threshold.  Past `measures.CGLMP_MAX_D`
-    the isotropic p_NL is marked unavailable.
-    """
-    return {
-        column: prop
-        for column, prop in _TABLE_COLUMNS[family].items()
-        if (d == 2 or not (column == "p_E" or (column == "p_SA" and family == "werner")))
-        and not (prop == "cglmp" and d > measures.CGLMP_MAX_D)
-    }
-
-
 def _exact_tlf_entry(spec: FamilySpec, bases: np.ndarray = TWIRLED_BASES) -> dict:
     """The exact p_TLF of a twirled family: the first root of sigma(p), from a table of LP bases.
 
@@ -421,7 +405,7 @@ def _exact_tlf_entry(spec: FamilySpec, bases: np.ndarray = TWIRLED_BASES) -> dic
     such bound, and the entry raises ValueError instead of stating a root.
     """
     lo, hi = spec.p_range()
-    lo = max(lo, 0.0)  # as in the prescan
+    lo = max(lo, 0.0)  # as in the searched entries
     problems = [build_cost(spec.state(q)) for q in (lo, hi)]
     ends = np.array([problem.costs.ravel() for problem in problems])
     vertices, multipliers = basis_vertices(bases, problems[1].pt_map, problems[1].mult, ends)
@@ -451,65 +435,65 @@ def _exact_tlf_entry(spec: FamilySpec, bases: np.ndarray = TWIRLED_BASES) -> dic
 
 
 def _computed_entry(spec: FamilySpec, prop: str, sdp_options: SdpOptions | None) -> dict:
-    if prop != "tlf":
-        lo, hi = spec.p_range()
-        bracket = (max(lo, 0.0), hi)  # as in the prescan
-    elif isinstance(spec.state(spec.p_range()[1]), TwirledState):
+    """A searched entry: one `find_threshold` over the family's range, or a twirled family's exact p_TLF."""
+    if prop == "tlf" and isinstance(spec.state(spec.p_range()[1]), TwirledState):
         return _exact_tlf_entry(spec)
-    else:
-        bracket = prescan_bracket(spec, prop, sdp_options)
-        if bracket is None:
-            # the indicator is on at every sampled p > 0: the threshold is the origin
-            return {"value": 0.0, "tolerance": default_tolerance(prop), "provenance": "computed"}
-    report = find_threshold(spec, prop, bracket, sdp_options=sdp_options)
-    return {
-        "value": report.threshold,
-        "tolerance": report.tolerance,
-        "provenance": "computed",
-    }
+    lo, hi = spec.p_range()
+    report = find_threshold(spec, prop, (max(lo, 0.0), hi), sdp_options=sdp_options)
+    return {"value": report.threshold, "tolerance": report.tolerance, "provenance": "computed"}
 
 
 def _stored_entry(bound: measures.ReferenceBound) -> dict:
     return {"value": bound.value, "provenance": bound.provenance, "note": bound.note}
 
 
+def _route_row(family: str, d: int) -> dict[str, str | dict]:
+    """A table row's entries: the property of each computed column, or the entry printed as it is.
+
+    A column is computed where `evaluator` accepts its property at d, else it
+    prints the row's stored reference (p_E past d = 2), or X for the Werner
+    p_SA past d = 2 (qudit Werner states are never teleportation-useful), or
+    fails the table.  The row's other stored references follow the columns.
+    """
+    spec = FamilySpec(family=family, d=d)
+    references = measures.reference_bounds(family, d)
+    route: dict[str, str | dict] = {}
+    for column, prop in _TABLE_COLUMNS[family].items():
+        try:
+            evaluator(spec, prop)
+            route[column] = prop
+        except ValueError as exc:
+            if column in references:
+                route[column] = _stored_entry(references[column])
+            elif (family, column) == ("werner", "p_SA"):
+                route[column] = {"value": None, "marker": "X", "provenance": "paper-constant"}
+            else:
+                raise ValueError(f"{family} d={d} {column}: {exc}") from None
+    for name, bound in references.items():
+        route.setdefault(name, _stored_entry(bound))
+    return route
+
+
 def build_table(
     family: str, d_max: int = 6, sdp_options: SdpOptions | None = None
 ) -> dict:
-    """Assemble one family's threshold table: computed columns plus stored references."""
+    """Assemble one family's threshold table: computed columns plus stored references.
+
+    Every row is routed before any entry is computed, one row at a time, so
+    a d_max past the desk-scale limit fails at the first row it reaches.
+    """
     if family not in _TABLE_COLUMNS:
         raise ValueError(f"no table for family {family!r}")
-    d_values = [2] if family in ("wi", "hirsch1") else list(range(2, d_max + 1))
+    d_values = range(2, 3 if family in ("wi", "hirsch1") else d_max + 1)
     if not d_values:
         raise ValueError(f"d_max must be at least 2, got {d_max}")
-    # an evaluator rejects a d above its limit (the problem side): check the
-    # last row's computed columns before computing any row
-    last = FamilySpec(family=family, d=d_values[-1])
-    for column, prop in _computed_columns(family, last.d).items():
-        try:
-            evaluator(last, prop)
-        except ValueError as exc:
-            raise ValueError(f"{family} d={last.d} {column}: {exc}") from None
-    rows = []
-    for d in d_values:
-        spec = FamilySpec(family=family, d=d)
-        references = measures.reference_bounds(family, d)
-        computed = _computed_columns(family, d)
-        thresholds: dict[str, dict] = {}
-        for column in _TABLE_COLUMNS[family]:
-            if column in computed:
+    rows = [{"d": d, "thresholds": _route_row(family, d)} for d in d_values]
+    for row in rows:
+        spec = FamilySpec(family=family, d=row["d"])
+        for column, entry in row["thresholds"].items():
+            if isinstance(entry, str):
                 try:
-                    thresholds[column] = _computed_entry(spec, computed[column], sdp_options)
+                    row["thresholds"][column] = _computed_entry(spec, entry, sdp_options)
                 except ValueError as exc:
-                    raise ValueError(f"{family} d={d} {column}: {exc}") from None
-            elif column == "p_E":
-                thresholds[column] = _stored_entry(references["p_E"])
-            elif _TABLE_COLUMNS[family][column] == "cglmp":
-                note = f"cglmp supports 2 <= d <= {measures.CGLMP_MAX_D}"
-                thresholds[column] = {"value": None, "marker": "n/a", "provenance": "unavailable", "note": note}
-            else:
-                thresholds[column] = {"value": None, "marker": "X", "provenance": "paper-constant"}
-        for name, bound in references.items():
-            thresholds.setdefault(name, _stored_entry(bound))
-        rows.append({"d": d, "thresholds": thresholds})
+                    raise ValueError(f"{family} d={spec.d} {column}: {exc}") from None
     return {"family": family, "rows": rows}

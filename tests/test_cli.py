@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from types import SimpleNamespace
@@ -7,6 +8,8 @@ import pytest
 from nlact import sweep
 from nlact.activation import ActivationResult
 from nlact.cli import main
+from nlact.measures import cglmp_value
+from nlact.states import isotropic_state
 
 
 def run_cli(capsys, *argv):
@@ -62,7 +65,7 @@ def test_sweep_json_format(capsys):
 def test_uncertified_activation_point_has_no_indicator(monkeypatch, capsys):
     # a solve that certifies nothing prints an empty indicator in CSV and null in JSON,
     # not "not activated"
-    stalled = ActivationResult(sigma=0.07, witness=SimpleNamespace(status="max_iters"), activated=False)
+    stalled = ActivationResult(sigma=0.07, witness=SimpleNamespace(status="max_iters", objective_lb=-0.5, objective=0.07), activated=False)
     monkeypatch.setattr(sweep, "sigma_min", lambda tau, options=None: stalled)
     args = ("sweep", "--family", "hirsch1", "--property", "tlf", "--pmin", "0.1", "--pmax", "0.3", "--steps", "3")
     code, out, _ = run_cli(capsys, *args)
@@ -138,6 +141,38 @@ def test_werner_tlf_sweep_below_zero_has_no_missing_point(capsys):
     indicators = [line.split(",")[2] for line in out.splitlines()[1:]]
     assert len(indicators) == 31 and "" not in indicators
     assert indicators == sorted(indicators) and indicators[0] == "0" and indicators[-1] == "1"
+
+
+def test_cglmp_sweep_runs_up_to_the_desk_scale_side(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--family", "isotropic", "--d", "16", "--property", "cglmp", "--steps", "2"
+    )
+    assert code == 0
+    assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["0", "1"]
+
+
+def test_cglmp_sweep_past_the_desk_scale_side_is_rejected(monkeypatch, capsys):
+    # d = 17 builds a state of side 289: rejected before any point is evaluated
+    monkeypatch.setattr(sweep, "_cglmp_point", lambda *args: pytest.fail("point evaluated"))
+    code, out, err = run_cli(capsys, "sweep", "--family", "isotropic", "--d", "17", "--property", "cglmp")
+    assert code == 2
+    assert out == ""
+    assert "problem side 289 exceeds the desk-scale limit 256" in err
+
+
+def test_sweep_with_a_non_monotone_indicator_fails_the_check(monkeypatch, capsys):
+    # an indicator that turns off again above its onset is a failed check, not a curve
+    evaluate = sweep.evaluate_point
+
+    def flipped(spec, prop, p, sdp_options=None):
+        result = evaluate(spec, prop, p, sdp_options)
+        return dataclasses.replace(result, indicator=not result.indicator) if p == 1.0 else result
+
+    monkeypatch.setattr(sweep, "evaluate_point", flipped)
+    code, out, err = run_cli(capsys, "sweep", "--family", "wi", "--property", "chsh", "--steps", "5")
+    assert code == 1
+    assert out == ""
+    assert "check failed" in err and "not monotone" in err
 
 
 def test_sweep_unsupported_combination(capsys):
@@ -234,13 +269,14 @@ def test_table_werner_csv_has_x_marker(capsys):
 # sha256 of the JSON tables as printed since the twirled families' exact p_TLF
 # entries became the smallest root of a pinned table of LP bases (isotropic d=3
 # moved by 1 ulp; the closed-form columns are roots of their signed margins to
-# 1e-12, and hirsch1's p_TLF is bisected); a change of representation, solver
-# loop or search that moves a threshold shows up here
+# 1e-12) and hirsch1's p_TLF became one bisection of [0, 1] to 1e-3 (0.17529296875,
+# 12 evaluations); a change of representation, solver loop or search that moves a
+# threshold shows up here
 _TABLE_SHA256 = {
     ("--family", "wi"): "1a1b68d05bd6bc4b2532f8c54b89c2be586e6c91fa785ea32cd8250e0c0b6de8",
     ("--family", "werner", "--dmax", "3"): "80e8b46bc5050ad93f29b76fb5d9674f9ce945ea96237150151f76f228c5e6ee",
     ("--family", "isotropic", "--dmax", "3"): "db55c31a547ca18d295ffe90691abc9b3155c8c62048acdbc4bf10fb6fce4304",
-    ("--family", "hirsch1"): "abf220f74e0ad25a7995271aea9061d3d48bd4ccc6d79cef82fa70a5a3ccb042",
+    ("--family", "hirsch1"): "b7e61266a98644e870f6c1d8c6ef121e754c9c200600f4fc4396330f144dc061",
 }
 
 
@@ -292,9 +328,9 @@ def test_table_exact_entries_ignore_a_loose_sdp_tol(capsys, args):
 
 
 @pytest.mark.parametrize("dmax,p_tlf", [("7", 0.3535533905932738), ("8", 0.3236632465475277)], ids=["7", "8"])
-def test_table_marks_a_column_the_last_row_cannot_compute_unavailable(monkeypatch, capsys, dmax, p_tlf):
-    # CGLMP supports d <= 6: past it the isotropic p_NL entry is marked
-    # unavailable, and the rest of each row is computed, p_TLF exactly with no solve
+def test_table_computes_every_column_of_the_last_row(monkeypatch, capsys, dmax, p_tlf):
+    # CGLMP holds for every d: the isotropic p_NL is computed on every row, the
+    # root of the CGLMP margin at 2/I_d, and p_TLF exactly, with no solve
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve was made")
 
@@ -303,19 +339,14 @@ def test_table_marks_a_column_the_last_row_cannot_compute_unavailable(monkeypatc
     assert code == 0 and err == ""
     rows = json.loads(out)["rows"]
     assert [row["d"] for row in rows] == list(range(2, int(dmax) + 1))
-    for row in rows[5:]:
-        assert row["thresholds"]["p_NL"] == {
-            "value": None,
-            "marker": "n/a",
-            "provenance": "unavailable",
-            "note": "cglmp supports 2 <= d <= 6",
-        }
+    for row in rows:
+        entry = row["thresholds"]["p_NL"]
+        assert (entry["tolerance"], entry["provenance"]) == (1e-12, "computed")
+        assert abs(entry["value"] - 2.0 / cglmp_value(isotropic_state(row["d"], 1.0))) <= 1e-12
     assert rows[-1]["thresholds"]["p_TLF"] == {"value": p_tlf, "tolerance": 1e-12, "provenance": "exact (LP vertex)"}
     # the rows up to d = 6 are those of the default table
     code, six, _ = run_cli(capsys, "table", "--family", "isotropic")
     assert code == 0 and json.loads(six)["rows"] == rows[:5]
-    code, out, _ = run_cli(capsys, "table", "--family", "isotropic", "--dmax", dmax, "--format", "csv")
-    assert f"{dmax},p_NL,n/a,,unavailable\n" in out
 
 
 def test_isotropic_table_past_the_problem_side_limit_is_rejected(monkeypatch, capsys):
@@ -328,6 +359,15 @@ def test_isotropic_table_past_the_problem_side_limit_is_rejected(monkeypatch, ca
     assert code == 2
     assert out == ""
     assert "isotropic d=9 p_TLF: problem side 324 exceeds the desk-scale limit 256" in err
+
+
+def test_table_with_a_huge_dmax_fails_at_the_first_row_past_the_limit(monkeypatch, capsys):
+    # the rows are routed one at a time, and d = 9 is the first whose p_TLF is too large
+    monkeypatch.setattr(sweep, "_computed_entry", lambda *args: pytest.fail("an entry was computed"))
+    code, out, err = run_cli(capsys, "table", "--family", "werner", "--dmax", "1000000000")
+    assert code == 2
+    assert out == ""
+    assert "werner d=9 p_TLF: problem side 324 exceeds the desk-scale limit 256" in err
 
 
 @pytest.mark.parametrize("dmax", ["1", "9"])

@@ -290,8 +290,22 @@ def test_cglmp_affine_in_p():
 
 
 def test_cglmp_unsupported_dimension(rng):
-    with pytest.raises(ValueError, match="cglmp supports"):
-        cglmp_value(random_density((7, 7), rng))
+    # the inequality holds for every d >= 2 and needs a d x d state
+    with pytest.raises(ValueError, match="d >= 2"):
+        cglmp_value(DensityMatrix(np.eye(1), (1, 1)))
+    with pytest.raises(ValueError, match="d x d"):
+        cglmp_value(random_density((2, 3), rng))
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_cglmp_max_entangled_closed_form(d):
+    # I_d = 4d sum_k (1 - 2k/(d-1)) (q_k - q_{-k-1}), q_k = 1 / (2 d^3 sin^2(pi (k + 1/4) / d))
+    # (Collins, Gisin, Linden, Massar & Popescu, PRL 88, 040404 (2002))
+    def q(k):
+        return 1.0 / (2.0 * d**3 * math.sin(math.pi * (k + 0.25) / d) ** 2)
+
+    closed = 4.0 * d * sum((1.0 - 2.0 * k / (d - 1)) * (q(k) - q(-k - 1)) for k in range(d // 2))
+    assert abs(2.0 / cglmp_value(isotropic_state(d, 1.0)) - 2.0 / closed) <= 1e-15
 
 
 def test_reference_bounds():

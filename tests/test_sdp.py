@@ -496,3 +496,19 @@ def test_hirsch_trail_newton_step_budget(monkeypatch):
     steps = sum(solve(build_cost(hirsch_state(p), bisection_options())).iterations for p in HIRSCH_TRAIL)
     assert len(loops) == len(HIRSCH_TRAIL)
     assert steps <= 95
+
+
+def test_matrix_loop_ends_infeasible_numerics_short_of_an_unreachable_gap(monkeypatch):
+    # at hirsch1 p = 1 the Newton path breaks down with a gap of ~3e-12, above
+    # tol_objective = 1e-12: the loop stops early on it, with bounds in order and
+    # a minimizer that passed `_solve`'s density-matrix invariants
+    loops = []
+    monkeypatch.setattr(sdp, "_interior_point", lambda *args: loops.append(args) or _interior_point(*args))
+    options = SdpOptions(max_iters=200, tol_objective=1e-12)
+    sol = solve(build_cost(hirsch_state(1.0), options))
+    assert len(loops) == 1
+    assert sol.status == "infeasible_numerics"
+    assert sol.objective_lb <= sol.objective
+    assert sol.objective - sol.objective_lb > options.tol_objective
+    assert sol.iterations < options.max_iters
+    assert sol.residuals["psd_slack"] <= sdp.PSD_TOL and sol.residuals["trace_err"] <= sdp.TRACE_TOL

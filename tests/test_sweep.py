@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -135,9 +136,9 @@ def test_find_threshold_requires_straddle():
     [
         (FamilySpec("werner", d=3), "eof", "requires a two-qubit state"),
         (FamilySpec("isotropic", d=3), "hn", "requires a two-qubit state"),
-        (FamilySpec("isotropic", d=7), "cglmp", "cglmp supports"),
+        (FamilySpec("isotropic", d=17), "cglmp", "problem side 289 exceeds the desk-scale limit 256"),
     ],
-    ids=["werner3-eof", "isotropic3-hn", "isotropic7-cglmp"],
+    ids=["werner3-eof", "isotropic3-hn", "isotropic17-cglmp"],
 )
 def test_unsupported_pair_raises_routing_error(spec, prop, message):
     # every entry point rejects the pair up front with the same message,
@@ -159,7 +160,7 @@ def test_unsupported_pair_raises_routing_error(spec, prop, message):
 @pytest.mark.parametrize("status", ["infeasible_numerics", "max_iters"])
 def test_uncertified_activation_point_is_missing(monkeypatch, status):
     # a solve that certifies nothing is a missing point, not a certified "not activated"
-    stalled = ActivationResult(sigma=math.inf, witness=SimpleNamespace(status=status), activated=False)
+    stalled = ActivationResult(sigma=math.inf, witness=SimpleNamespace(status=status, objective_lb=-math.inf, objective=math.inf), activated=False)
     monkeypatch.setattr(sweep, "sigma_min", lambda tau, options=None: stalled)
     result = evaluate_point(WI, "tlf", 0.7)
     assert result.error is not None and result.indicator is None
@@ -380,15 +381,44 @@ def test_exact_tlf_entry_missing_an_optimal_basis_raises(family, d, end, message
 def test_sweep_point_whose_table_lacks_the_optimal_basis_is_missing(monkeypatch):
     # a table without the basis optimal at p certifies no closed gap there: the
     # solve ends uncertified with no Newton step, and the sweep records the
-    # point as missing, with no indicator
+    # point as missing, with no indicator, under that status and not a budget's
     spec = FamilySpec("werner", 3)
     monkeypatch.setattr(activation, "TWIRLED_BASES", _without(TWIRLED_BASES, _optimal_bases(spec, 0.8)))
     witness = sigma_min(spec.state(0.8)).witness
     assert (witness.status, witness.iterations) == ("infeasible_numerics", 0)
     assert witness.objective - witness.objective_lb > DEFAULT_OPTIONS.tol_objective
     curve = sample_curve(spec, "tlf", [0.3, 0.8])
-    assert list(curve.failures) == [1]
+    bounds = f"sigma in [{witness.objective_lb:.6g}, {witness.objective:.6g}]"
+    assert curve.failures == {1: f"sdp certified no sign: infeasible_numerics, {bounds}"}
     assert curve.indicators == [False, None]
+
+
+def test_missing_point_whose_bounds_straddle_the_cut_names_them():
+    # a converged solve under a loose gap certifies no sign next to the onset:
+    # the point is missing, with the bounds that lie on both sides of the cut
+    options = SdpOptions(tol_objective=1e-3)
+    witness = sigma_min(HIRSCH1.state(0.1757), options).witness
+    assert witness.status == "converged"
+    assert witness.objective_lb < -ACTIVATION_TOL <= witness.objective
+    curve = sample_curve(HIRSCH1, "tlf", [0.1757], options)
+    assert curve.indicators == [None]
+    bounds = f"sigma in [{witness.objective_lb:.6g}, {witness.objective:.6g}]"
+    assert curve.failures == {0: f"sdp certified no sign: converged, {bounds}"}
+
+
+def test_hirsch1_tlf_entry_is_one_bisection_of_the_range(monkeypatch):
+    # no prescan: find_threshold bisects [0, 1] to SDP_TOL, 2 ends and 10 midpoints
+    points = []
+
+    def counted(spec, prop, p, sdp_options=None):
+        points.append(p)
+        return evaluate_point(spec, prop, p, sdp_options)
+
+    monkeypatch.setattr(sweep, "prescan_bracket", lambda *args, **kwargs: pytest.fail("prescan called"))
+    monkeypatch.setattr(sweep, "evaluate_point", counted)
+    entry = sweep._computed_entry(HIRSCH1, "tlf", None)
+    assert points[:2] == [0.0, 1.0] and len(points) == 12
+    assert entry == {"value": 0.17529296875, "tolerance": sweep.SDP_TOL, "provenance": "computed"}
 
 
 def test_exact_tlf_entry_drops_infeasible_vertices():
@@ -487,6 +517,19 @@ def test_too_large_activation_problem_rejected_up_front(monkeypatch):
         build_table("isotropic", d_max=1)
 
 
+def test_table_rows_are_routed_one_at_a_time():
+    # a d_max far past the limit fails at its first row past it, d = 9,
+    # without building the list of rows up to d_max
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="werner d=9 p_TLF: problem side 324"):
+            build_table("werner", 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def _closed_form_column(family, d, column):
     """The closed form of a table's closed-form column; hirsch1's p_E and p_HN are 0."""
     if family == "hirsch1" and column in ("p_E", "p_HN"):
@@ -501,13 +544,14 @@ def _closed_form_column(family, d, column):
 
 
 # the closed-form columns of the four tables at --dmax 6, which cover every
-# closed-form (family, d, property) that the sweeps of the benchmark run
+# closed-form (family, d, property) that the sweeps of the benchmark run: past
+# d = 2 the tables print p_E from their references and mark the Werner p_SA X
 _CLOSED_FORM_COLUMNS = [
     (family, d, column, prop)
     for family in sweep.TABLE_FAMILIES
     for d in ([2] if family in ("wi", "hirsch1") else range(2, 7))
-    for column, prop in sweep._computed_columns(family, d).items()
-    if prop != "tlf"
+    for column, prop in sweep._TABLE_COLUMNS[family].items()
+    if prop != "tlf" and (d == 2 or not (column == "p_E" or (family, column) == ("werner", "p_SA")))
 ]
 _ZERO_ONSETS = [("hirsch1", 2, "p_E", "eof"), ("hirsch1", 2, "p_HN", "hn")]
 
