@@ -8,8 +8,8 @@ Werner states, CGLMP values for every d >= 2, and the reference locality bounds.
 
 The correlation matrix convention is t[n][m] = Tr[rho (sigma_n x sigma_m)]
 with sigma_0 = I, yielding a 4x4 real matrix whose 3x3 lower block feeds
-the CHSH criterion and whose 4x4 form feeds the filtering criterion with
-eta = diag(1, -1, -1, -1).
+the CHSH criterion.  The concurrence and the filtering criterion both read
+one spectral kernel, the Wootters values of the state (`_wootters_values`).
 """
 
 from __future__ import annotations
@@ -23,18 +23,8 @@ from .linalg import DensityMatrix, herm_eig, kron
 from .states import PAULI, SIGMA_Y, magic_basis, werner_state
 
 DEGENERATE_TOL = 1e-12
-LORENTZ_IMAG_TOL = 1e-8
-# rounding splits a defective double eigenvalue (a size-2 Jordan block, as in
-# the non-diagonal Lorentz normal form of Hirsch states) into a conjugate
-# pair l +- i delta with delta = O(sqrt(eps ||C||)); a pair within this many
-# multiples of that bound is the real double eigenvalue l
-JORDAN_SPLIT_FACTOR = 8.0
 
 CGLMP_DEFAULT_SETTINGS = (0.0, 0.5, 0.25, -0.25)
-
-
-class DegenerateCorrelation(ValueError):
-    """`hidden_nonlocality` at a product-state corner, where the correlation matrix has l0 ~ 0."""
 
 
 class HiddenNonlocality(NamedTuple):
@@ -82,11 +72,10 @@ def _entropy_form(b: float) -> float:
     return binary_entropy((1.0 + math.sqrt(1.0 - b * b)) / 2.0)
 
 
-def concurrence_margin(rho: DensityMatrix) -> float:
-    """Wootters' l1 - l2 - l3 - l4 of a two-qubit state: the concurrence before its max{0, .}.
+def _wootters_values(rho: DensityMatrix) -> np.ndarray:
+    """The Wootters values w1 >= w2 >= w3 >= w4 of a two-qubit state (PRL 80, 2245 (1998)).
 
-    Positive exactly when the state is entangled.  The l_i are square roots
-    of the eigenvalues of rho @ rho_tilde with
+    The w_i are square roots of the eigenvalues of rho @ rho_tilde with
     rho_tilde = (YxY) rho* (YxY).  They are computed as the singular
     values of K = sqrt(rho) (YxY) sqrt(rho)*, whose Gram matrix K K^dag
     is the Hermitian product sqrt(rho) rho_tilde sqrt(rho) similar to
@@ -97,8 +86,13 @@ def concurrence_margin(rho: DensityMatrix) -> float:
     yy = kron(SIGMA_Y, SIGMA_Y)
     eig = herm_eig(rho.mat)
     sqrt_rho = (eig.vectors * np.sqrt(np.clip(eig.values, 0.0, None))) @ eig.vectors.conj().T
-    lam = np.linalg.svd(sqrt_rho @ yy @ sqrt_rho.conj(), compute_uv=False)
-    return float(lam[0] - lam[1] - lam[2] - lam[3])
+    return np.linalg.svd(sqrt_rho @ yy @ sqrt_rho.conj(), compute_uv=False)
+
+
+def concurrence_margin(rho: DensityMatrix) -> float:
+    """Wootters' w1 - w2 - w3 - w4: the concurrence before its max{0, .}, > 0 iff entangled."""
+    w = _wootters_values(rho)
+    return float(w[0] - w[1] - w[2] - w[3])
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -171,39 +165,32 @@ def chsh_value(rho: DensityMatrix) -> float:
 
 
 def hidden_nonlocality(rho: DensityMatrix) -> HiddenNonlocality:
-    """Local-filtering criterion on C = eta T eta T^T: violation iff l1 + l2 > l0.
+    """Local-filtering criterion of a two-qubit state, from its Wootters values.
 
-    Eigenvalues of C are sorted in decreasing order; the optimally filtered
-    CHSH quantity is M' = (l1 + l2)/l0 and the reported value is the same
-    entropy scaling used for CHSH.  Raises `DegenerateCorrelation` for a
-    degenerate correlation matrix (l0 ~ 0, product-state corner), and
-    ValueError for a spectrum whose imaginary part exceeds both the rounding
-    level and the rounding split of a defective double eigenvalue.
+    The optimally filtered CHSH quantity is M' = (l1 + l2)/l0 over the
+    eigenvalues l0 >= ... >= l3 of C = eta T eta T^T (T the Pauli correlation
+    matrix, eta = diag(1, -1, -1, -1)); a filter makes the state violate
+    CHSH iff M' > 1.  The l_i and the Wootters values w1 >= ... >= w4
+    (`_wootters_values`) are both covariant under SL(2,C) x SL(2,C) filters,
+    and in the Bell-diagonal normal form (Verstraete, Dehaene & De Moor,
+    PRA 64, 010101(R) (2001)) the l_i are, up to a common factor,
+    (s^2, a^2, b^2, c^2) with s = w1 + w2 + w3 + w4, a = w1 + w2 - w3 - w4,
+    b = w1 - w2 + w3 - w4 and c = w1 - w2 - w3 + w4: so M' = (a^2 + b^2)/s^2.
+    Both sides are continuous in rho, so this also holds for states with no
+    diagonal normal form, such as the Hirsch states.  The value is the
+    entropy scaling used for CHSH.  A product corner (s = 0: rho rho_tilde
+    = 0) reads M' = 1, its supremum over filters, with value 0 and margin 0.
     """
-    t = correlation_matrix(rho)
-    eta = np.diag([1.0, -1.0, -1.0, -1.0])
-    c = eta @ t @ eta @ t.T
-    w = np.linalg.eigvals(c)
-    scale = max(1.0, float(np.linalg.norm(c)))
-    jordan_split = JORDAN_SPLIT_FACTOR * math.sqrt(np.finfo(float).eps * scale)
-    if np.max(np.abs(w.imag)) > max(LORENTZ_IMAG_TOL * scale, jordan_split):
-        raise ValueError("non-Lorentzian spectrum")
-    lam = np.sort(w.real)[::-1]
-    # the split may instead fall on the real axis, as an adjacent pair l +- delta
-    # within the same bound; read such a pair as the double eigenvalue l
-    i = 0
-    while i < len(lam) - 1:
-        if lam[i] - lam[i + 1] <= jordan_split:
-            lam[i : i + 2] = 0.5 * (lam[i] + lam[i + 1])
-            i += 1
-        i += 1
-    if lam[0] <= DEGENERATE_TOL:
-        raise DegenerateCorrelation("degenerate correlation matrix")
-    m_prime = (lam[1] + lam[2]) / lam[0]
+    w1, w2, w3, w4 = _wootters_values(rho)
+    s = w1 + w2 + w3 + w4
+    if s <= DEGENERATE_TOL:
+        return HiddenNonlocality(1.0, 0.0, False, 0.0)
+    a = w1 + w2 - w3 - w4
+    b = w1 - w2 + w3 - w4
+    m_prime = float((a * a + b * b) / (s * s))
     value = _entropy_form(math.sqrt(max(0.0, m_prime - 1.0)))
-    # M' - 1 as a difference of eigenvalues, which has the exact sign of l1 + l2 - l0
-    margin = chsh_margin(float((lam[1] + lam[2] - lam[0]) / lam[0]))
-    return HiddenNonlocality(float(m_prime), value, margin > 0.0, margin)
+    margin = chsh_margin(float((a * a + b * b - s * s) / (s * s)))
+    return HiddenNonlocality(m_prime, value, margin > 0.0, margin)
 
 
 def fef2(rho: DensityMatrix) -> float:
@@ -345,7 +332,7 @@ def cglmp_value(
     for a in (0, 1):
         for b in (0, 1):
             m = kron(alice[a], bob[b])  # columns are product outcome vectors
-            joint[a, b] = np.einsum("ix,ij,jx->x", m.conj(), rho.mat, m).real.reshape(d, d)
+            joint[a, b] = (m.conj() * (rho.mat @ m)).sum(axis=0).real.reshape(d, d)
 
     def p_a_eq_b_plus(a: int, b: int, k: int) -> float:
         pm = joint[a, b]

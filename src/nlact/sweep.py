@@ -156,12 +156,7 @@ def _sa_point(spec: FamilySpec, p: float, *_) -> PointResult:
 
 
 def _hn_point(spec: FamilySpec, p: float, *_) -> PointResult:
-    # a degenerate correlation matrix only happens at product-state corners,
-    # where no filtering can create a violation; such a point has no margin
-    try:
-        hn = measures.hidden_nonlocality(spec.state(p))
-    except measures.DegenerateCorrelation:
-        return PointResult(0.0, False)
+    hn = measures.hidden_nonlocality(spec.state(p))
     return _closed_form(hn.value, hn.margin)
 
 
@@ -279,14 +274,9 @@ def find_threshold(
     variant of regula falsi (Dowell & Jarratt, BIT 11, 168, 1971) on the
     ends' margins, clamped at least tol/2 inside the bracket, so an affine
     margin closes in four evaluations.  The midpoint is taken instead where a
-    margin is missing (every tlf point, hn's degenerate corner) or has the
-    wrong sign, and wherever the last two steps did not halve the bracket.
-    So a poor margin costs evaluations, never the certificate.
-
-    A low end that is off with no margin while the high end has one is a
-    guard, not a reading (hn's degenerate product corner, next to which the
-    filtered CHSH quantity is a ratio of vanishing eigenvalues): the report
-    keeps that end, and states the wider bracket's width as its tolerance.
+    margin is missing (every tlf point) or has the wrong sign, and wherever
+    the last two steps did not halve the bracket.  So a poor margin costs
+    evaluations, never the certificate.
     """
     tol = default_tolerance(prop) if tol is None else float(tol)
     if not (math.isfinite(tol) and tol > 0.0):
@@ -300,7 +290,6 @@ def find_threshold(
     if _certified(low, lo) or not _certified(high, hi):
         raise ValueError("bracket does not straddle")
     f_lo, f_hi = low.margin, high.margin
-    guard = lo if f_lo is None and f_hi is not None else None
     evaluations = 2
     moved = None  # the end that the last step moved
     widths = (math.inf, math.inf)  # the bracket's width before each of the last two steps
@@ -321,8 +310,6 @@ def find_threshold(
             if moved == "lo" and f_hi is not None:
                 f_hi *= 0.5
             moved = "lo"
-    if guard is not None:
-        lo, tol = guard, max(tol, hi - guard)
     return ThresholdReport(
         family=spec.family,
         d=spec.d,

@@ -5,7 +5,6 @@ import pytest
 
 from nlact.linalg import DensityMatrix, kron
 from nlact.measures import (
-    DegenerateCorrelation,
     binary_entropy,
     cglmp_value,
     chsh_M,
@@ -147,21 +146,35 @@ def test_hidden_nonlocality_hirsch_value():
     assert abs(hn.value - 0.468995593589281221253589330383) < 1e-10
 
 
-@pytest.mark.parametrize("p", [5e-4, 0.05, 0.2514, 0.3, 0.41])
-def test_hidden_nonlocality_hirsch_jordan_block(p):
-    # C has a defective double eigenvalue p here, which rounding splits into
-    # a conjugate pair (or, at 5e-4 and 0.05, a real pair p +- delta); it must
-    # be read as the real double eigenvalue, with M' = 1 + p
+@pytest.mark.parametrize("p", [1e-13, 1e-12, 1e-11, 3e-11, 5e-4, 0.05, 0.2514, 0.3, 0.41])
+def test_hidden_nonlocality_hirsch_is_one_plus_p(p):
+    # C has a defective double eigenvalue here, which rounding splits; the
+    # Wootters values read M' = 1 + p to the last bit, down to the product corner
     hn = hidden_nonlocality(hirsch_state(p))
-    assert abs(hn.m_prime - (1.0 + p)) < 1e-9
+    assert abs(hn.m_prime - (1.0 + p)) <= 1e-15
     assert hn.indicator
 
 
+# (l1 + l2)/l0 of C in 60-digit arithmetic on the same float matrices
+@pytest.mark.parametrize("p,m_prime", [(1e-4, 0.7539237183189972), (1e-3, 0.9154855624920667)])
+def test_hidden_nonlocality_biased_hirsch(p, m_prime):
+    assert abs(hidden_nonlocality(hirsch_state(p, 0.999999)).m_prime - m_prime) <= 1e-12
+
+
+def test_hidden_nonlocality_matches_correlation_spectrum(rng):
+    # M' = (a^2 + b^2)/s^2 from the Wootters values is (l1 + l2)/l0 of C = eta T eta T^T
+    eta = np.diag([1.0, -1.0, -1.0, -1.0])
+    for _ in range(50):
+        rho = random_density((2, 2), rng)
+        t = correlation_matrix(rho)
+        lam = np.sort(np.linalg.eigvals(eta @ t @ eta @ t.T).real)[::-1]
+        assert abs(hidden_nonlocality(rho).m_prime - (lam[1] + lam[2]) / lam[0]) <= 1e-10
+
+
 def test_hidden_nonlocality_degenerate():
-    with pytest.raises(ValueError, match="degenerate correlation matrix"):
-        hidden_nonlocality(hirsch_state(0.0))
-    with pytest.raises(DegenerateCorrelation):
-        hidden_nonlocality(hirsch_state(0.0))
+    # at the product corner rho rho_tilde = 0: M' reads its supremum over filters, 1
+    for rho in (hirsch_state(0.0), DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))):
+        assert hidden_nonlocality(rho) == (1.0, 0.0, False, 0.0)
 
 
 def test_fef2_known_values():

@@ -21,6 +21,7 @@ from nlact.measures import cglmp_value, popescu_threshold
 from nlact.sdp import VERTEX_TOL, SdpOptions, basis_vertices, solve
 from nlact.states import FamilySpec, TwirledState, isotropic_state, twirl_projectors
 from nlact.sweep import (
+    PointResult,
     build_table,
     evaluate_point,
     find_threshold,
@@ -44,12 +45,13 @@ def test_evaluate_point_routing():
 
 
 def test_evaluate_point_hn_degenerate_corner():
+    # the product corner is an ordinary reading, off with a zero margin
     result = evaluate_point(HIRSCH1, "hn", 0.0)
-    assert result.indicator is False and result.margin is None
+    assert result == PointResult(0.0, False, margin=0.0)
 
 
 def test_evaluate_point_hn_passes_other_errors_on(monkeypatch):
-    # only the typed degenerate corner reads as off, whatever another error says
+    # hn catches nothing: an error from the measure reaches the caller, whatever it says
     for message in ("non-Lorentzian spectrum", "degenerate in another way"):
 
         def fail(rho, message=message):
@@ -570,10 +572,7 @@ def test_margin_sign_is_the_indicator(family, d, column, prop):
     near = [_ulps(root, k) for k in (-4, -2, -1, 1, 2, 4)]
     for p in [float(p) for p in np.linspace(0.0, 1.0, 51)] + [p for p in near if p >= 0.0]:
         result = evaluate_point(spec, prop, p)
-        if result.margin is None:  # only hn's degenerate product corner has none
-            assert prop == "hn" and result.indicator is False, p
-        else:
-            assert result.indicator is (result.margin > 0.0), p
+        assert result.indicator is (result.margin > 0.0), p
 
 
 @pytest.mark.parametrize(
@@ -595,12 +594,20 @@ def test_closed_form_column_is_its_closed_form(monkeypatch, family, d, column, p
 
 
 @pytest.mark.parametrize("family,d,column,prop", _ZERO_ONSETS, ids=str)
-def test_zero_onset_entry_states_a_tolerance_that_covers_zero(family, d, column, prop):
-    # hn reads some points just above its degenerate corner as off: the entry
-    # must not claim that its onset lies above them
+def test_zero_onset_entry_states_a_tolerance_that_covers_zero(monkeypatch, family, d, column, prop):
+    # the margin is 0 at p = 0 and on just above it: the root search steps
+    # tol/2 in from the low end and is done
+    evaluations = []
+
+    def counted(*args, **kwargs):
+        evaluations.append(args)
+        return evaluate_point(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "evaluate_point", counted)
     entry = sweep._computed_entry(FamilySpec(family, d), prop, None)
     assert entry["value"] - entry["tolerance"] <= 0.0 <= entry["value"] + entry["tolerance"]
-    assert entry["tolerance"] <= 1e-8
+    assert entry["tolerance"] == sweep.EXACT_TOL
+    assert len(evaluations) <= 3
 
 
 @pytest.mark.parametrize("scramble", ["random", "flipped", "constant", "missing"])
