@@ -172,21 +172,24 @@ def build_cost(tau: DensityMatrix, options: SdpOptions | None = None) -> SdpProb
     )
 
 
-def sigma_min(tau: DensityMatrix, options: SdpOptions | None = None) -> ActivationResult:
+def sigma_min(
+    tau: DensityMatrix, options: SdpOptions | None = None, start: SdpSolution | None = None
+) -> ActivationResult:
     """Minimize Tr[rho (tau^T x H_{pi/4})] over PPT ancillas; negative means activation.
 
     A `TwirledState` (Werner, isotropic, wi) is a linear program in eight
     scalars, solved at its optimal vertex from `TWIRLED_BASES` with no
     Newton step (`sdp.vertex_solve`); every other input is an SDP for
-    `sdp.solve`.  Both end at the same certificate.  ``activated`` is True
-    when a certified solve (converged or sign-decided) puts its upper bound
-    below -ACTIVATION_TOL, False when it puts its lower bound at or above
-    it, and None when the solve certifies neither: a run out of budget or
-    stalled, a table that lacks the optimal basis, or a gap looser than the
-    distance to the cut.
+    `sdp.solve`, which starts from ``start``, the witness of an input of
+    the same kind and dims, when one is given.  Both end at the same
+    certificate.  ``activated`` is True when a certified solve (converged
+    or sign-decided) puts its upper bound below -ACTIVATION_TOL, False
+    when it puts its lower bound at or above it, and None when the solve
+    certifies neither: a run out of budget or stalled, a table that lacks
+    the optimal basis, or a gap looser than the distance to the cut.
     """
     problem = build_cost(tau, options)
-    witness = vertex_solve(problem, TWIRLED_BASES) if isinstance(tau, TwirledState) else solve(problem)
+    witness = vertex_solve(problem, TWIRLED_BASES) if isinstance(tau, TwirledState) else solve(problem, start)
     activated = None
     if witness.status in ("converged", "decided"):
         if witness.objective < -ACTIVATION_TOL:

@@ -57,6 +57,14 @@ involution.  A cost that also commutes with Z x Z on two qubits (the
 Hirsch activation costs) takes its parity as one more factor, in a
 relabelled basis (``SdpProblem.relabel``).
 
+A sequence of problems that differ only in their cost (a threshold search
+along p) can reoptimize: the feasible set {X >= 0, X^T1 >= 0, Tr X = 1}
+does not depend on the cost, so `solve(problem, start)` starts the
+interior-point loop from the latest stored state of an earlier solve of the
+same layout (`SdpSolution.iterates`) whose dual slack stays positive
+definite at the new cost (Gondzio & Grothey, SIAM J. Optim. 13 (2002)),
+and from the cold start I/n when none does.
+
 Both loops and the vertex table feed one certificate of objective bounds:
 
 - lower bound: lambda_min(C - PT(S2)) <= p* for any S2 >= 0 on the
@@ -297,6 +305,9 @@ class SdpSolution:
     residuals: dict[str, float]
     blocks: np.ndarray
     problem: SdpProblem
+    # the interior-point states (X, W, S1, S2) from the start onward, stacked;
+    # None for the splitting loop and the vertex table
+    iterates: np.ndarray | None = None
 
     @cached_property
     def minimizer(self) -> DensityMatrix:
@@ -441,23 +452,41 @@ class _Bounds:
         return None if cut is None else "decided"
 
 
-def solve(problem: SdpProblem) -> SdpSolution:
-    """Solve the problem; deterministic for fixed problem and options.
+def _same_layout(a: SdpProblem, b: SdpProblem) -> bool:
+    """Whether two problems share their block shape, factors, pt_map, dims, t1_split and relabel."""
+    return (
+        a.costs.shape == b.costs.shape
+        and (a.dims, a.t1_split, a.relabel) == (b.dims, b.t1_split, b.relabel)
+        and np.array_equal(a.pt_map, b.pt_map)
+        and len(a.factors) == len(b.factors)
+        and all(sa == sb and np.array_equal(pa, pb) for (pa, sa), (pb, sb) in zip(a.factors, b.factors))
+    )
+
+
+def solve(problem: SdpProblem, start: SdpSolution | None = None) -> SdpSolution:
+    """Solve the problem; deterministic for a fixed problem, options and start.
 
     The loop is chosen from the blocks: a real cost in blocks of side at
     most ``IPM_MAX_SIDE`` goes to the interior-point loop, all others to
-    the splitting loop.
+    the splitting loop.  ``start``, an earlier solution of a problem with
+    the same layout (ValueError otherwise), lets the interior-point loop
+    start from that solve's iterates (`_warm_start`); the splitting loop
+    ignores it.  The stop rules are the same either way.
     """
+    if start is not None and not _same_layout(problem, start.problem):
+        raise ValueError("the start solves a problem of another layout")
     costs = problem.costs
     if costs.shape[-1] > IPM_MAX_SIDE or np.any(np.imag(costs)):
         return _solve(problem, _splitting)
-    return _solve(problem, _interior_point)
+    return _solve(problem, lambda st, bounds, opts: _interior_point(st, bounds, opts, start))
 
 
-def _solve(problem: SdpProblem, loop: Callable[[_Stack, _Bounds, SdpOptions], tuple[int, str]]) -> SdpSolution:
+def _solve(
+    problem: SdpProblem, loop: Callable[[_Stack, _Bounds, SdpOptions], tuple[int, str, np.ndarray | None]]
+) -> SdpSolution:
     stack = _Stack(problem)
     bounds = _Bounds(stack, problem.options)
-    iterations, status = loop(stack, bounds, problem.options)
+    iterations, status, iterates = loop(stack, bounds, problem.options)
 
     # the invariants of a DensityMatrix, on the blocks: the dense minimizer's
     # spectrum and trace are the blocks' ones with multiplicities, and the
@@ -485,11 +514,12 @@ def _solve(problem: SdpProblem, loop: Callable[[_Stack, _Bounds, SdpOptions], tu
         residuals=residuals,
         blocks=x,
         problem=problem,
+        iterates=iterates,
     )
 
 
-def _splitting(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str]:
-    """Consensus ADMM; returns (iterations, status)."""
+def _splitting(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str, None]:
+    """Consensus ADMM; returns (iterations, status, None)."""
     nb, s = st.nb, st.s
     mult = np.repeat(st.block_mult, s)  # eigenvalue multiplicities, block by block
     root_mult = np.sqrt(st.block_mult)[:, None, None]
@@ -514,13 +544,13 @@ def _splitting(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str]
         r_prim = norm(x - y)
 
         if not math.isfinite(r_prim) or not math.isfinite(r_dual):
-            return it, "infeasible_numerics"
+            return it, "infeasible_numerics", None
 
         if it % CHECK_EVERY == 0:
             # dual certificate: S2 = rho * (negative part of PT(x+u)) is PSD exactly
             stop = bounds.update(x, _compose(v, np.maximum(-w, 0.0)) * rho)
             if stop is not None:
-                return it, stop
+                return it, stop, None
 
         if it % ADAPT_EVERY == 0:
             if r_prim > 10.0 * r_dual:
@@ -529,7 +559,7 @@ def _splitting(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str]
             elif r_dual > 10.0 * r_prim:
                 rho /= 2.0
                 u *= 2.0
-    return opts.max_iters, "max_iters"
+    return opts.max_iters, "max_iters", None
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -557,13 +587,35 @@ def _start(st: _Stack) -> np.ndarray:
     return np.concatenate([eye / st.n, st.costs - (y + 1.0) * eye[:nb], eye[:nb]])
 
 
-def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str]:
+def _warm_start(st: _Stack, start: SdpSolution | None) -> np.ndarray:
+    """The latest iterate of ``start`` that stays interior at this cost, else the cold `_start`.
+
+    The constraints on (X, W) do not involve the cost, and S1 = C - y I -
+    PT*(S2) moves with it, so each stored iterate becomes (X, W, S1 + C -
+    C_start, S2), feasible as it stands.  One batched eigvalsh keeps those
+    whose four stacks are all positive definite, and the last of them is the
+    start: the reoptimization step of Gondzio & Grothey, SIAM J. Optim. 13
+    (2002).  A start with no iterates gives the cold start.
+    """
+    if start is None or start.iterates is None:
+        return _start(st)
+    nb = st.nb
+    warm = start.iterates.copy()
+    warm[:, 2 * nb : 3 * nb] += st.costs - start.problem.costs.real
+    inside = np.flatnonzero(np.linalg.eigvalsh(warm)[..., 0].min(axis=-1) > 0.0)
+    return warm[inside[-1]] if len(inside) else _start(st)
+
+
+def _interior_point(
+    st: _Stack, bounds: _Bounds, opts: SdpOptions, start: SdpSolution | None = None
+) -> tuple[int, str, np.ndarray]:
     """Primal-dual path following: HKM direction with Mehrotra's predictor-corrector.
 
     Primal: min <C, X> over X >= 0 and W = PT(X) >= 0 with tr X = 1.  Dual:
     max y over S1, S2 >= 0 with S1 = C - y I - PT*(S2).  The cost must be
-    real.  The start is feasible and every step keeps the linear
-    constraints; the rounding left in tr X is fed back into the next step.
+    real.  The start (`_warm_start` from ``start``'s iterates, else
+    `_start`) is feasible and every step keeps the linear constraints; the
+    rounding left in tr X is fed back into the next step.
     Traces and inner products carry the multiplicities Tr P_b on the X side
     and Tr Q_c on the W side, so the block iterates are the dense ones.
 
@@ -575,9 +627,10 @@ def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
     X2 block by block, with P and A the coordinate matrices of PT and PT*
     (T may move an entry between blocks), read off the basis once per
     solve.  dS2 and the trace row are read from the same basis.  Returns
-    (Newton steps, status): the certificate's stop, ``max_iters``, or
-    ``infeasible_numerics`` once an iterate leaves its cone or
-    `STALL_STEPS` steps bring no tighter gap.
+    (Newton steps, status, iterates): the certificate's stop, ``max_iters``,
+    or ``infeasible_numerics`` once an iterate leaves its cone or
+    `STALL_STEPS` steps bring no tighter gap, and the states from the start
+    onward.
     """
     nb, s = st.nb, st.s  # PT maps the nb blocks of X onto as many blocks of W
     i, j, basis = _symmetric_basis(s)
@@ -601,7 +654,8 @@ def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
         """<A, B> over both sides per unit of dense side: mu for A = (X, W), B = (S1, S2)."""
         return float(st.mult @ np.sum(a * b, axis=(1, 2))) / (2.0 * st.n)
 
-    state = _start(st)
+    state = _warm_start(st, start)
+    iterates = [state]
 
     def newton() -> tuple[np.ndarray, np.ndarray] | None:
         """One Newton step: the (trace-one X, S2) pair for the certificate, or None once the numbers break down."""
@@ -660,17 +714,18 @@ def _interior_point(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
         except np.linalg.LinAlgError:
             point = None
         if point is None:
-            return it, "infeasible_numerics"
+            return it, "infeasible_numerics", np.stack(iterates)
+        iterates.append(state)
         stop = bounds.update(*point)
         if stop is not None:
-            return it, stop
+            return it, stop, np.stack(iterates)
         if bounds.ub - bounds.lb < best_gap:
             best_gap, since_best = bounds.ub - bounds.lb, 0
         else:
             since_best += 1
             if since_best >= STALL_STEPS:
-                return it, "infeasible_numerics"
-    return opts.max_iters, "max_iters"
+                return it, "infeasible_numerics", np.stack(iterates)
+    return opts.max_iters, "max_iters", np.stack(iterates)
 
 
 @dataclass(frozen=True)
@@ -759,8 +814,8 @@ def vertex_solve(problem: SdpProblem, bases: np.ndarray) -> SdpSolution:
     return _solve(problem, lambda st, bounds, opts: _vertex_table(st, bounds, bases))
 
 
-def _vertex_table(st: _Stack, bounds: _Bounds, bases: np.ndarray) -> tuple[int, str]:
-    """Offer the table's best vertex and best basis dual to the certificate; returns (0, status)."""
+def _vertex_table(st: _Stack, bounds: _Bounds, bases: np.ndarray) -> tuple[int, str, None]:
+    """Offer the table's best vertex and best basis dual to the certificate; returns (0, status, None)."""
     nb = st.nb
     costs = st.costs.ravel()
     vertices, multipliers = basis_vertices(bases, st.problem.pt_map, st.block_mult, costs[None])
@@ -772,4 +827,4 @@ def _vertex_table(st: _Stack, bounds: _Bounds, bases: np.ndarray) -> tuple[int, 
     s2 = np.zeros(nb)
     s2[w_rows] = np.maximum(z[basis >= nb], 0.0) / st.mult[nb:][w_rows]
     stop = bounds.update((x / (st.block_mult @ x))[:, None, None], s2[:, None, None])
-    return 0, stop or "infeasible_numerics"
+    return 0, stop or "infeasible_numerics", None

@@ -20,9 +20,11 @@ the bases' duals (see `_exact_tlf_entry`).  Every search assumes a
 monotone indicator, and a point whose solve certifies nothing (indicator
 None) stops it with ``ValueError``.  Other SDP-backed points get one solve
 each under the caller's options (for a twirled family, `sigma_min` reads
-the optimal vertex off the same table, with no Newton step); in a sampled
-curve a point whose solve certifies nothing is recorded as missing,
-with the solve's status and bounds, instead of aborting the sweep.
+the optimal vertex off the same table, with no Newton step); within one
+search each solve starts from the previous point's, and a sampled curve
+solves every point cold.  In a sampled curve a point whose solve
+certifies nothing is recorded as missing, with the solve's status and
+bounds, instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import measures
 from .activation import TWIRLED_BASES, bisection_options, build_cost, sigma_min
-from .sdp import SdpOptions, basis_vertices, check_side
+from .sdp import SdpOptions, SdpSolution, basis_vertices, check_side
 from .states import FamilySpec, TwirledState
 
 PROPERTIES = ("eof", "chsh", "hn", "sa", "tlf", "cglmp")
@@ -70,6 +72,8 @@ class PointResult:
     error: str | None = None
     # a closed-form point's signed margin: the indicator is margin > 0
     margin: float | None = None
+    # a tlf point's solve
+    witness: SdpSolution | None = None
 
 
 @dataclass
@@ -91,27 +95,32 @@ class ThresholdReport:
     bracket: tuple[float, float]
     tolerance: float
     evaluations: int
+    # summed over the search's solves; 0 where no point solves (closed-form
+    # and twirled columns)
+    newton_steps: int
 
 
-# an evaluator maps (spec, p, sdp_options) to the point's result; the
-# closed-form ones ignore the solver options
-Evaluator = Callable[[FamilySpec, float, SdpOptions | None], PointResult]
+# an evaluator maps (spec, p, sdp_options, start) to the point's result; the
+# closed-form ones ignore the solver options and the start
+Evaluator = Callable[[FamilySpec, float, SdpOptions | None, SdpSolution | None], PointResult]
 
 
 def default_tolerance(prop: str) -> float:
     return SDP_TOL if prop == "tlf" else EXACT_TOL
 
 
-def _tlf_point(spec: FamilySpec, p: float, sdp_options: SdpOptions | None) -> PointResult:
+def _tlf_point(
+    spec: FamilySpec, p: float, sdp_options: SdpOptions | None, start: SdpSolution | None = None
+) -> PointResult:
     # one solve under the caller's options; a point whose solve certifies
     # nothing (out of budget, stalled, a table without the optimal basis, or
     # bounds on both sides of the cut) is recorded missing, with no indicator
-    result = sigma_min(spec.state(p), sdp_options)
+    result = sigma_min(spec.state(p), sdp_options, start)
     witness = result.witness
     if witness.status not in ("converged", "decided") or result.activated is None:
         bounds = f"sigma in [{witness.objective_lb:.6g}, {witness.objective:.6g}]"
-        return PointResult(result.sigma, None, f"sdp certified no sign: {witness.status}, {bounds}")
-    return PointResult(result.sigma, result.activated)
+        return PointResult(result.sigma, None, f"sdp certified no sign: {witness.status}, {bounds}", witness=witness)
+    return PointResult(result.sigma, result.activated, witness=witness)
 
 
 def _closed_form(value: float, margin: float) -> PointResult:
@@ -187,9 +196,14 @@ def evaluate_point(
     prop: str,
     p: float,
     sdp_options: SdpOptions | None = None,
+    start: SdpSolution | None = None,
 ) -> PointResult:
-    """Evaluate one (family, property) pair at parameter p."""
-    return evaluator(spec, prop)(spec, p, sdp_options)
+    """Evaluate one (family, property) pair at parameter p.
+
+    A tlf point's solve starts from ``start``, the witness of another point
+    of the same family (see `sdp.solve`); the other properties ignore it.
+    """
+    return evaluator(spec, prop)(spec, p, sdp_options, start)
 
 
 def sample_curve(
@@ -276,7 +290,10 @@ def find_threshold(
     margin closes in four evaluations.  The midpoint is taken instead where a
     margin is missing (every tlf point) or has the wrong sign, and wherever
     the last two steps did not halve the bracket.  So a poor margin costs
-    evaluations, never the certificate.
+    evaluations, never the certificate.  Each tlf solve starts from the
+    previous point's witness and stops only on its certificate, as a cold
+    solve does, so any sign it certifies is the cold solve's;
+    ``newton_steps`` sums the solves' steps.
     """
     tol = default_tolerance(prop) if tol is None else float(tol)
     if not (math.isfinite(tol) and tol > 0.0):
@@ -286,7 +303,17 @@ def find_threshold(
         raise ValueError("bracket must satisfy lo < hi")
     # the search only consumes the indicator, so the sign-decision stop applies
     sdp_options = bisection_options(sdp_options)
-    low, high = (evaluate_point(spec, prop, p, sdp_options) for p in (lo, hi))
+    previous: SdpSolution | None = None  # the last point's solve, the next one's start
+    newton_steps = 0
+
+    def point(p: float) -> PointResult:
+        nonlocal previous, newton_steps
+        result = evaluate_point(spec, prop, p, sdp_options, start=previous)
+        previous = result.witness
+        newton_steps += 0 if previous is None else previous.iterations
+        return result
+
+    low, high = point(lo), point(hi)
     if _certified(low, lo) or not _certified(high, hi):
         raise ValueError("bracket does not straddle")
     f_lo, f_hi = low.margin, high.margin
@@ -297,7 +324,7 @@ def find_threshold(
         halved = hi - lo <= 0.5 * widths[0]
         p = _next_point(lo, hi, f_lo, f_hi, tol) if halved else 0.5 * (lo + hi)
         widths = (widths[1], hi - lo)
-        result = evaluate_point(spec, prop, p, sdp_options)
+        result = point(p)
         evaluations += 1
         # Illinois: an end that stays put twice running has its margin halved
         if _certified(result, p):
@@ -318,6 +345,7 @@ def find_threshold(
         bracket=(lo, hi),
         tolerance=tol,
         evaluations=evaluations,
+        newton_steps=newton_steps,
     )
 
 

@@ -487,3 +487,17 @@ def test_block_residuals_match_dense_rebuild(name, make):
     dense = _dense_residuals(solution)
     for key, value in dense.items():
         assert abs(solution.residuals[key] - value) <= 1e-12, key
+
+
+@pytest.mark.parametrize("options", [bisection_options(), DEFAULT_OPTIONS], ids=["sign", "gap"])
+def test_warm_start_along_the_hirsch_trail_certifies_the_cold_sign(options):
+    # each trail point starts from its predecessor's warm witness, as in the
+    # bisection, and certifies what its cold solve certifies
+    previous = None
+    for p in HIRSCH_TRAIL:
+        cold = sigma_min(hirsch_state(p), options)
+        warm = sigma_min(hirsch_state(p), options, previous)
+        assert warm.witness.status in ("converged", "decided"), p
+        assert warm.activated == cold.activated, p
+        assert max(warm.witness.objective_lb, cold.witness.objective_lb) <= min(warm.sigma, cold.sigma), p
+        previous = warm.witness

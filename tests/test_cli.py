@@ -66,7 +66,7 @@ def test_uncertified_activation_point_has_no_indicator(monkeypatch, capsys):
     # a solve that certifies nothing prints an empty indicator in CSV and null in JSON,
     # not "not activated"
     stalled = ActivationResult(sigma=0.07, witness=SimpleNamespace(status="max_iters", objective_lb=-0.5, objective=0.07), activated=False)
-    monkeypatch.setattr(sweep, "sigma_min", lambda tau, options=None: stalled)
+    monkeypatch.setattr(sweep, "sigma_min", lambda tau, options=None, start=None: stalled)
     args = ("sweep", "--family", "hirsch1", "--property", "tlf", "--pmin", "0.1", "--pmax", "0.3", "--steps", "3")
     code, out, _ = run_cli(capsys, *args)
     assert code == 0

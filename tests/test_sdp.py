@@ -498,6 +498,41 @@ def test_hirsch_trail_newton_step_budget(monkeypatch):
     assert steps <= 95
 
 
+def test_interior_point_solution_stores_its_states_from_the_start():
+    problem = build_cost(hirsch_state(0.2), bisection_options())
+    sol = solve(problem)
+    nb, s = problem.costs.shape[:2]
+    assert sol.iterates.shape == (sol.iterations + 1, 4 * nb, s, s)
+    assert np.array_equal(sol.iterates[0], sdp._start(sdp._Stack(problem)))
+    assert _admm(problem).iterates is None
+    assert vertex_solve(build_cost(werner_state(3, 0.6)), TWIRLED_BASES).iterates is None
+
+
+def test_start_from_another_layout_is_rejected(rng):
+    # a Hirsch solution is in eight parity blocks of side 2, a random state's cost in four Bell blocks of side 4
+    rho = random_density((2, 2), rng).mat
+    problem = build_cost(DensityMatrix(rho.real.astype(complex), (2, 2)))
+    with pytest.raises(ValueError, match="layout"):
+        solve(problem, solve(build_cost(hirsch_state(0.2))))
+
+
+def _assert_same_solve(a, b):
+    assert (a.iterations, a.status, a.objective, a.objective_lb) == (b.iterations, b.status, b.objective, b.objective_lb)
+    assert np.array_equal(a.blocks, b.blocks)
+
+
+def test_start_without_iterates_is_the_cold_start():
+    problem = build_cost(werner_state(3, 0.6))
+    _assert_same_solve(solve(problem, vertex_solve(problem, TWIRLED_BASES)), solve(problem))
+
+
+def test_start_with_no_interior_iterate_is_the_cold_start():
+    # lowering the cost by 100 I takes every stored dual slack S1 out of its cone
+    problem = build_cost(hirsch_state(0.17), bisection_options())
+    lowered = dataclasses.replace(problem, costs=problem.costs - 100.0 * np.eye(2))
+    _assert_same_solve(solve(lowered, solve(problem)), solve(lowered))
+
+
 def test_matrix_loop_ends_infeasible_numerics_short_of_an_unreachable_gap(monkeypatch):
     # at hirsch1 p = 1 the Newton path breaks down with a gap of ~3e-12, above
     # tol_objective = 1e-12: the loop stops early on it, with bounds in order and

@@ -163,7 +163,7 @@ def test_unsupported_pair_raises_routing_error(spec, prop, message):
 def test_uncertified_activation_point_is_missing(monkeypatch, status):
     # a solve that certifies nothing is a missing point, not a certified "not activated"
     stalled = ActivationResult(sigma=math.inf, witness=SimpleNamespace(status=status, objective_lb=-math.inf, objective=math.inf), activated=False)
-    monkeypatch.setattr(sweep, "sigma_min", lambda tau, options=None: stalled)
+    monkeypatch.setattr(sweep, "sigma_min", lambda tau, options=None, start=None: stalled)
     result = evaluate_point(WI, "tlf", 0.7)
     assert result.error is not None and result.indicator is None
     assert sorted(sample_curve(WI, "tlf", [0.6, 0.7]).failures) == [0, 1]
@@ -174,7 +174,7 @@ def test_tlf_point_passes_budget_through(monkeypatch, bisect):
     # --sdp-max-iters N means N for every solve, bisection points included
     seen = []
     done = ActivationResult(sigma=0.0, witness=SimpleNamespace(status="converged"), activated=False)
-    monkeypatch.setattr(sweep, "sigma_min", lambda tau, options=None: seen.append(options) or done)
+    monkeypatch.setattr(sweep, "sigma_min", lambda tau, options=None, start=None: seen.append(options) or done)
     budget = SdpOptions(max_iters=123)
     evaluate_point(WI, "tlf", 0.7, bisection_options(budget) if bisect else budget)
     assert [options.max_iters for options in seen] == [123]
@@ -412,15 +412,54 @@ def test_hirsch1_tlf_entry_is_one_bisection_of_the_range(monkeypatch):
     # no prescan: find_threshold bisects [0, 1] to SDP_TOL, 2 ends and 10 midpoints
     points = []
 
-    def counted(spec, prop, p, sdp_options=None):
+    def counted(spec, prop, p, sdp_options=None, start=None):
         points.append(p)
-        return evaluate_point(spec, prop, p, sdp_options)
+        return evaluate_point(spec, prop, p, sdp_options, start)
 
     monkeypatch.setattr(sweep, "prescan_bracket", lambda *args, **kwargs: pytest.fail("prescan called"))
     monkeypatch.setattr(sweep, "evaluate_point", counted)
     entry = sweep._computed_entry(HIRSCH1, "tlf", None)
     assert points[:2] == [0.0, 1.0] and len(points) == 12
     assert entry == {"value": 0.17529296875, "tolerance": sweep.SDP_TOL, "provenance": "computed"}
+
+
+# (family, q, bracket) -> (threshold, bracket, evaluations) of the tlf searches
+# with every solve started cold, at I/n
+_TLF_SEARCHES = {
+    ("hirsch1", 1.0, (0.12, 0.22)): (0.17585937499999998, (0.17546875, 0.17625), 9),
+    ("hirsch1", 1.0, (0.0, 1.0)): (0.17529296875, (0.1748046875, 0.17578125), 12),
+    ("hirsch2", 0.0, (0.0, 1.0)): (0.65673828125, (0.65625, 0.6572265625), 12),
+    ("hirsch2", 0.6, (0.0, 1.0)): (0.61376953125, (0.61328125, 0.6142578125), 12),
+    ("hirsch2", 0.9, (0.0, 1.0)): (0.49560546875, (0.4951171875, 0.49609375), 12),
+}
+
+
+@pytest.mark.parametrize("family,q,bracket", list(_TLF_SEARCHES), ids=str)
+def test_warm_started_tlf_search_reports_the_cold_search(family, q, bracket):
+    report = find_threshold(FamilySpec(family, q=q), "tlf", bracket)
+    assert (report.threshold, report.bracket, report.evaluations) == _TLF_SEARCHES[family, q, bracket]
+
+
+# Newton steps of the hirsch1 searches with each solve started from the previous
+# point's witness; cold, they take 95 and 107.  Tighten these budgets, never loosen them
+@pytest.mark.parametrize("bracket,budget", [((0.12, 0.22), 60), ((0.0, 1.0), 75)], ids=str)
+def test_hirsch1_tlf_search_newton_step_budget(monkeypatch, bracket, budget):
+    solves = []
+
+    def counted_solve(problem, start=None):
+        solves.append(solve(problem, start))
+        return solves[-1]
+
+    monkeypatch.setattr(activation, "solve", counted_solve)
+    report = find_threshold(HIRSCH1, "tlf", bracket)
+    assert len(solves) == report.evaluations
+    assert report.newton_steps == sum(solution.iterations for solution in solves) <= budget
+
+
+def test_search_without_a_solve_takes_no_newton_step():
+    # closed-form points and the vertex table of a twirled family make no Newton step
+    assert find_threshold(WI, "chsh", (0.0, 1.0)).newton_steps == 0
+    assert find_threshold(WI, "tlf", (0.5, 0.9)).newton_steps == 0
 
 
 def test_exact_tlf_entry_drops_infeasible_vertices():
@@ -622,8 +661,8 @@ def test_find_threshold_certifies_whatever_the_margins(monkeypatch, scramble):
         "missing": lambda m: None,
     }[scramble]
 
-    def scrambled(spec, prop, p, sdp_options=None):
-        result = evaluate_point(spec, prop, p, sdp_options)
+    def scrambled(spec, prop, p, sdp_options=None, start=None):
+        result = evaluate_point(spec, prop, p, sdp_options, start)
         return dataclasses.replace(result, margin=margins(result.margin))
 
     monkeypatch.setattr(sweep, "evaluate_point", scrambled)
