@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import DensityMatrix, herm_eig, kron
-from .states import PAULI, SIGMA_Y, magic_basis, werner_state
+from .states import PAULI, SIGMA_Y, TwirledState, magic_basis, werner_coeffs
 
 DEGENERATE_TOL = 1e-12
 
@@ -42,9 +42,7 @@ class TeleportationUse(NamedTuple):
 
 
 class PopescuFilter(NamedTuple):
-    filtered: DensityMatrix
-    max_bell: float
-    p_nl: float
+    filtered: TwirledState
     weight: float  # the filter's success probability, the trace of the kept block
 
 
@@ -283,20 +281,14 @@ def popescu_threshold(d: int) -> float:
 def popescu_filter(d: int, p: float) -> PopescuFilter:
     """Project a two-qudit Werner state onto the {|0>,|1>} x {|0>,|1>} block.
 
-    Returns the normalized filtered two-qubit state, its maximal CHSH
-    value 2 sqrt(M), the closed-form critical p beyond which the filtered
-    state violates CHSH, and the filter's success weight (the block's
-    trace).  For d = 2 the filter is the identity.
+    The block of c_sym P_sym + c_anti P_anti (`werner_coeffs`) is the same sum
+    of two-qubit projectors: the filtered state is the two-qubit Werner state
+    (c_sym, c_anti) / weight, where the weight 3 c_sym + c_anti, the block's
+    trace, is the filter's success probability.  d = 2 is the identity filter.
     """
-    state = werner_state(d, p)
-    idx = [i * d + j for i in range(2) for j in range(2)]
-    block = state.mat[np.ix_(idx, idx)]
-    tr = block.trace().real
-    if tr <= 1e-14:
-        raise ValueError("filtered state has zero trace")
-    filtered = DensityMatrix(block / tr, (2, 2))
-    max_bell = 2.0 * math.sqrt(chsh_M(filtered))
-    return PopescuFilter(filtered, max_bell, popescu_threshold(d), float(tr))
+    c_sym, c_anti = werner_coeffs(d, p)
+    weight = 3.0 * c_sym + c_anti
+    return PopescuFilter(TwirledState("werner", 2, (c_sym / weight, c_anti / weight)), weight)
 
 
 def _fourier_modes(d: int, phase: float, conjugate_outcome: bool) -> np.ndarray:

@@ -16,15 +16,15 @@ representation and one certificate:
   the splitting loop needs up to tens of thousands of iterations near a
   sign change.  Its Schur matrix is its Newton operator applied to a basis
   of the symmetric blocks, through the coordinate matrices of the partial
-  transpose and its adjoint.  Complex
-  costs would double its unknowns, and the splitting loop decides complex
-  two-qubit costs faster;
+  transpose and its adjoint;
 - consensus operator splitting (ADMM) for complex costs and larger blocks:
   one block carries the spectral-simplex constraint {X >= 0, Tr X = 1}
   with the linear cost handled proximally, the other carries the
   partial-transpose cone {Y : Y^T1 >= 0}, and a scaled dual couples X = Y.
-  Each iteration costs two or three Hermitian eigendecompositions.  The
-  tests also use it as the reference for the matrix interior-point loop;
+  Each iteration costs two or three Hermitian eigendecompositions.  No
+  command-line route reaches it.  It stays as the tests' reference for the
+  interior point, which is slower on dense blocks of side 24 to 64 and
+  converges less often on complex costs;
 - `vertex_solve`, for a real cost whose blocks all have side 1 (every
   twirled Werner, isotropic or wi form at any d: eight scalar blocks),
   where the problem is a linear program in nb unknowns and an optimum is a

@@ -43,6 +43,7 @@ __all__ = [
     "twirl_projectors",
     "wi_state",
     "werner_state",
+    "werner_coeffs",
     "werner_p_range",
     "isotropic_state",
     "hirsch_state",
@@ -150,15 +151,20 @@ def werner_p_range(d: int) -> tuple[float, float]:
     return 1.0 - 2.0 * d / (d + 1.0), 1.0
 
 
-def werner_state(d: int, p: float) -> TwirledState:
-    """Two-qudit Werner state (2p/(d(d-1))) P_anti + (1-p)/d^2 * I."""
+def werner_coeffs(d: int, p: float) -> tuple[float, float]:
+    """The (P_sym, P_anti) coefficients (w, w + 2p/(d(d-1))), w = (1-p)/d^2, of the Werner state at p."""
     if d < 2:
         raise ValueError("d must be >= 2")
     lo, hi = werner_p_range(d)
     if not lo - 1e-12 <= p <= hi + 1e-12:
         raise ValueError(f"werner d={d} requires {lo} <= p <= {hi}, got {p}")
     w = (1.0 - p) / d**2
-    return TwirledState("werner", d, (w, w + 2.0 * p / (d * (d - 1))))
+    return w, w + 2.0 * p / (d * (d - 1))
+
+
+def werner_state(d: int, p: float) -> TwirledState:
+    """Two-qudit Werner state (2p/(d(d-1))) P_anti + (1-p)/d^2 * I."""
+    return TwirledState("werner", d, werner_coeffs(d, p))
 
 
 def isotropic_state(d: int, p: float) -> TwirledState:

@@ -8,7 +8,7 @@ import pytest
 from nlact import sweep
 from nlact.activation import ActivationResult
 from nlact.cli import main
-from nlact.measures import cglmp_value
+from nlact.measures import cglmp_value, popescu_threshold
 from nlact.states import isotropic_state
 
 
@@ -173,6 +173,18 @@ def test_sweep_with_a_non_monotone_indicator_fails_the_check(monkeypatch, capsys
     assert code == 1
     assert out == ""
     assert "check failed" in err and "not monotone" in err
+
+
+def test_werner_hn_sweep_has_no_limit_on_d(capsys):
+    # the filtered route reads two Werner coefficients, so d = 10^6 costs what d = 3 does
+    code, out, _ = run_cli(
+        capsys,
+        "sweep", "--family", "werner", "--d", "1000000", "--property", "hn", "--steps", "101",
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    first_on = min(float(p) for p, _, indicator in rows if indicator == "1")
+    assert 0.0 < first_on - popescu_threshold(10**6) <= 0.01
 
 
 def test_sweep_unsupported_combination(capsys):

@@ -29,6 +29,8 @@ from nlact.states import (
     max_entangled,
     projector,
     psi_minus,
+    werner_p_range,
+    werner_state,
     wi_state,
 )
 
@@ -265,7 +267,6 @@ def test_popescu_filter_straddles_threshold():
     above = popescu_filter(6, p_star + 1e-3)
     assert chsh_M(below.filtered) <= 1.0
     assert chsh_M(above.filtered) > 1.0
-    assert abs(above.p_nl - p_star) < 1e-15
 
 
 def test_popescu_filter_d2_identity():
@@ -274,9 +275,20 @@ def test_popescu_filter_d2_identity():
         assert np.max(np.abs(out.filtered.mat - wi_state(p).mat)) < 1e-12
 
 
-def test_popescu_filter_max_bell():
-    out = popescu_filter(3, 0.9)
-    assert abs(out.max_bell - 2 * math.sqrt(chsh_M(out.filtered))) < 1e-12
+@pytest.mark.parametrize("d", range(2, 9))
+def test_popescu_filter_is_the_normalized_werner_block(d):
+    # the reference slices the {|0>,|1>} x {|0>,|1>} block out of the d^2-sided state
+    idx = [i * d + j for i in range(2) for j in range(2)]
+    lo, hi = werner_p_range(d)
+    for p in np.linspace(lo, hi, 11):  # both ends; lo < 0
+        block = werner_state(d, p).mat[np.ix_(idx, idx)]
+        weight = block.trace().real
+        out = popescu_filter(d, p)
+        assert np.max(np.abs(out.filtered.mat - block / weight)) <= 1e-15
+        assert abs(out.weight - weight) <= 1e-15
+    for p in (lo - 1e-6, hi + 1e-6):
+        with pytest.raises(ValueError, match=f"werner d={d} requires"):
+            popescu_filter(d, p)
 
 
 def test_cglmp_singlet_chsh_settings():

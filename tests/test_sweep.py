@@ -571,6 +571,29 @@ def test_table_rows_are_routed_one_at_a_time():
     assert peak < 1 << 20
 
 
+# every route at d = 32 or 10^6 either is rejected by `evaluator` (the
+# two-qubit properties; cglmp, whose state has side d^2 > 256; tlf, whose
+# problem has side 4 d^2 > 256) or builds nothing d^2-sided
+_EVALUATED_ROUTES = {("werner", "hn"), ("isotropic", "sa")}
+
+
+@pytest.mark.parametrize("d", [32, 10**6])
+@pytest.mark.parametrize("family,prop", itertools.product(("werner", "isotropic"), sweep.PROPERTIES), ids=str)
+def test_no_route_builds_an_unbounded_d2_sided_object(family, prop, d):
+    spec = FamilySpec(family, d)
+    if (family, prop) not in _EVALUATED_ROUTES:
+        with pytest.raises(ValueError):
+            sweep.evaluator(spec, prop)
+        return
+    tracemalloc.start()
+    try:
+        evaluate_point(spec, prop, 0.9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def _closed_form_column(family, d, column):
     """The closed form of a table's closed-form column; hirsch1's p_E and p_HN are 0."""
     if family == "hirsch1" and column in ("p_E", "p_HN"):
