@@ -16,7 +16,9 @@ representation and one certificate:
   the splitting loop needs up to tens of thousands of iterations near a
   sign change.  Its Schur matrix is its Newton operator applied to a basis
   of the symmetric blocks, through the coordinate matrices of the partial
-  transpose and its adjoint;
+  transpose and its adjoint, and every other linear map of a step (PT,
+  PT*, traces, mu) is one product with an operator derived from the
+  layout (`_Operators`);
 - consensus operator splitting (ADMM) for complex costs and larger blocks:
   one block carries the spectral-simplex constraint {X >= 0, Tr X = 1}
   with the linear cost handled proximally, the other carries the
@@ -63,7 +65,12 @@ does not depend on the cost, so `solve(problem, start)` starts the
 interior-point loop from the latest stored state of an earlier solve of the
 same layout (`SdpSolution.iterates`) whose dual slack stays positive
 definite at the new cost (Gondzio & Grothey, SIAM J. Optim. 13 (2002)),
-and from the cold start I/n when none does.
+and from the cold start I/n when none does.  Nor does anything derived from
+the layout alone -- the gather of T, the multiplicities, the adjoint and
+the interior-point loop's operators (`_Stack`, `SdpSolution.layout`) -- so
+a warm solve inherits them from its start, and a search derives them once.
+A warm solve that ends ``infeasible_numerics`` is run again cold, so a warm
+start never costs a certificate that the cold start would give.
 
 Both loops and the vertex table feed one certificate of objective bounds:
 
@@ -168,7 +175,11 @@ class SdpOptions:
     ``converged`` once its certified gap ub - lb is at most
     ``tol_objective``, and ``decided`` once its bounds lie on one side of
     ``objective_cut``, when that is set.  With a cut set, a solve stops only
-    once its bounds lie on one side of it.
+    once its bounds lie on one side of it.  A warm interior-point solve (one
+    started from a stored iterate of ``solve``'s ``start``) that ends
+    ``infeasible_numerics`` is run again from the cold start under the same
+    options: ``max_iters`` caps each run, and the solution's ``iterations``
+    counts the Newton steps of both.
     """
 
     max_iters: int = 50_000
@@ -305,6 +316,8 @@ class SdpSolution:
     residuals: dict[str, float]
     blocks: np.ndarray
     problem: SdpProblem
+    # the layout's derived data, which a solve started from this one inherits
+    layout: _Stack
     # the interior-point states (X, W, S1, S2) from the start onward, stacked;
     # None for the splitting loop and the vertex table
     iterates: np.ndarray | None = None
@@ -336,7 +349,7 @@ def _compose(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 class _Stack:
-    """The problem as stacks of blocks with multiplicities, shared by all loops.
+    """The layout of a problem as stacks of blocks with multiplicities, shared by all loops.
 
     X-side stacks hold the blocks X_b (multiplicities Tr P_b); W-side stacks
     hold the blocks of X^T1 in the Q_c algebra (multiplicities Tr Q_c).
@@ -349,15 +362,16 @@ class _Stack:
     pt_map[c, b] Tr Q_c / Tr P_b.  The dense partial transpose is a
     self-adjoint involution, so PT* must also invert PT: a ``pt_map`` whose
     adjoint does not is rejected.
+
+    Nothing here depends on the cost, only on the layout (`_same_layout`),
+    so a warm solve inherits its start's stack (`SdpSolution.layout`)
+    instead of deriving it again; so do the interior-point loop's
+    `_Operators`, derived from `pt` and `pt_adj` on first use.
     """
 
     def __init__(self, problem: SdpProblem) -> None:
-        self.problem = problem
-        costs = problem.costs
-        if np.max(np.abs(costs.imag)) == 0.0:
-            costs = costs.real.copy()  # real symmetric fast path
-        self.costs = costs
-        self.nb, self.s, _ = costs.shape
+        self.pt_map = problem.pt_map
+        self.nb, self.s, _ = problem.costs.shape
         # T1 inside a block: the inner factors that fall in the cut (m) come first
         inner = [i for i in range(len(problem.dims)) if i not in problem.outer]
         m = int(np.prod([problem.dims[i] for i in inner if i < problem.t1_split]))
@@ -369,13 +383,14 @@ class _Stack:
         self.gather = np.ravel_multi_index(((b + half * (a != a2)) % self.nb, a2, x, a, x2), b.shape).ravel()
         self.block_mult = problem.mult
         # X-side multiplicities Tr P_b, then W-side ones Tr Q_c: PT(P_b) = sum_c pt_map[c, b] Q_c
-        pt_map = problem.pt_map
-        self.mult = np.concatenate([self.block_mult, np.rint(np.linalg.solve(pt_map.T, self.block_mult))])
-        self.adjoint = np.ascontiguousarray(pt_map.T * self.mult[self.nb :] / self.block_mult[:, None])
-        if np.max(np.abs(self.adjoint @ pt_map - np.eye(self.nb))) > HERM_INPUT_TOL:
+        self.mult = np.concatenate([self.block_mult, np.rint(np.linalg.solve(self.pt_map.T, self.block_mult))])
+        self.adjoint = np.ascontiguousarray(self.pt_map.T * self.mult[self.nb :] / self.block_mult[:, None])
+        if np.max(np.abs(self.adjoint @ self.pt_map - np.eye(self.nb))) > HERM_INPUT_TOL:
             raise ValueError(f"the adjoint of pt_map does not invert it within {HERM_INPUT_TOL}")
         self.n = float(self.block_mult.sum() * self.s)  # side of the dense problem
-        self.eye = np.broadcast_to(np.eye(self.s, dtype=costs.dtype), costs.shape)
+        self.eye = np.broadcast_to(np.eye(self.s), (self.nb, self.s, self.s))
+        # Tr of the dense operator of an X-side stack as one dot with its flattened entries
+        self.trace_weights = np.outer(self.block_mult, np.eye(self.s)).ravel()
 
     def transpose(self, mats: np.ndarray) -> np.ndarray:
         """T of a stack of nb blocks, over any leading axes."""
@@ -387,17 +402,87 @@ class _Stack:
         return out if len(mix) == 1 else np.einsum("cb,...bij->...cij", mix, out)
 
     def pt(self, mats: np.ndarray) -> np.ndarray:
-        return self._mixed(self.problem.pt_map, mats)
+        return self._mixed(self.pt_map, mats)
 
     def pt_adj(self, mats: np.ndarray) -> np.ndarray:
         return self._mixed(self.adjoint, mats)
 
-    def objective(self, mats: np.ndarray) -> float:
-        return float(self.block_mult @ np.sum(self.costs * mats.conj(), axis=(1, 2)).real)
-
     def trace(self, mats: np.ndarray) -> complex:
         """Trace of the dense operator of an X-side stack."""
-        return self.block_mult @ np.trace(mats, axis1=1, axis2=2)
+        return self.trace_weights @ mats.reshape(-1)
+
+    @cached_property
+    def operators(self) -> _Operators:
+        return _Operators(self)
+
+
+class _Operators:
+    """The interior-point loop's linear maps on one layout, each one matrix.
+
+    All act on flattened stacks from the right, flat(f(A)) = flat(A) @ f,
+    and are read off `_Stack.pt` and `_Stack.pt_adj` applied to unit
+    stacks, so `_Stack.transpose` stays the only definition of T.  A
+    symmetric block is written in its coordinates on `_symmetric_basis`,
+    its entries (i, j) with i <= j, and a map that takes the symmetric part
+    of its argument first has that part folded in.  They hold about
+    6 (nb s^2)^2 numbers: 60 KB for the parity form, 45 MB for four blocks
+    of side 16.
+
+    - ``pt``, ``adj``: PT and PT* on X-side and W-side stacks;
+    - ``gap``: the weights of <(X, W), (S1, S2)> / (2 n), which is mu;
+    - ``sym_coords``: a block's entries to the coordinates of its symmetric part;
+    - ``pt_coords``, ``adj_coords``: the coordinate matrices of PT and PT*
+      on the symmetric blocks, from which the Schur matrix is assembled;
+    - ``border``: U to the coordinates of PT(sym U), the Schur matrix's
+      last column, and Tr U, its corner; times ``inner`` (the
+      multiplicity-weighted inner products with the basis) the coordinates
+      give its last row;
+    - ``rhs``: H = (H1, H2) to the Newton right-hand side, the coordinates
+      of sym H2 - PT(sym H1) and then -Tr H1;
+    - ``dual``: the Schur solution (dS2's coordinates, dy) to (dS1, dS2),
+      with dS1 = -dy I - PT*(dS2);
+    - ``halves``, ``half_of``: where the primal and the dual half of a
+      state start, and the half of each block.
+    """
+
+    def __init__(self, st: _Stack) -> None:
+        nb, s = st.nb, st.s
+        flat = nb * s * s
+        i, j, self.basis = _symmetric_basis(s)
+        per_block = len(i)
+        self.size = size = nb * per_block
+        units = np.eye(flat).reshape(flat, nb, s, s)
+        self.pt = st.pt(units).reshape(flat, flat)
+        self.adj = st.pt_adj(units).reshape(flat, flat)
+        self.gap = np.repeat(st.mult, s * s) / (2.0 * st.n)
+        # coordinate (c, u) of a block stack is entry (c, i[u], j[u]); of its symmetric part, the mean with (c, j, i)
+        entry, mirror = ((np.arange(nb)[:, None] * s * s + index).ravel() for index in (i * s + j, j * s + i))
+        coords = np.zeros((flat, size))
+        coords[entry, np.arange(size)] += 0.5
+        coords[mirror, np.arange(size)] += 0.5
+        self.sym_coords = coords[: s * s, :per_block].copy()
+        # row (d, u): basis[u] put in block d, and its images under PT and PT*
+        lift = np.zeros((size, flat))
+        lift[np.arange(size), entry] = lift[np.arange(size), mirror] = 1.0
+        lifted = lift.reshape(size, nb, s, s)
+        self.pt_coords = st.pt(lifted)[..., i, j].reshape(nb, per_block, size)
+        self.adj_coords = st.pt_adj(lifted)[..., i, j].reshape(size, size).T
+        # the symmetric part of a stack, as a map on its entries
+        swapped = np.arange(flat).reshape(nb, s, s).swapaxes(1, 2).ravel()
+        pt_sym = 0.5 * (self.pt + self.pt[swapped]) @ coords
+        self.border = np.column_stack([pt_sym, st.trace_weights])
+        # <PT(U), basis[u] in block c> over the W side, from PT(U)'s coordinates: Tr Q_c (2 - [i == j]) PT(U)[c, i, j]
+        self.inner = np.outer(st.mult[nb:], np.where(i == j, 1.0, 2.0)).ravel()
+        self.rhs = np.zeros((2 * flat, size + 1))
+        self.rhs[:flat, :size] = -pt_sym
+        self.rhs[:flat, size] = -st.trace_weights
+        self.rhs[flat:, :size] = coords
+        self.dual = np.zeros((size + 1, 2 * flat))
+        self.dual[:size, :flat] = -(lift @ self.adj)
+        self.dual[:size, flat:] = lift
+        self.dual[size, :flat] = -st.eye.ravel()
+        self.halves = np.array([0, 2 * nb])
+        self.half_of = np.repeat([0, 1], 2 * nb)[:, None, None]
 
 
 def _lowest(mats: np.ndarray) -> np.ndarray:
@@ -412,38 +497,39 @@ def _min_eig(mats: np.ndarray) -> float:
 
 
 class _Bounds:
-    """Best certified objective bounds of a solve, and the feasible point attaining the upper one."""
+    """Best certified objective bounds of a solve at its cost, and the feasible point attaining the upper one."""
 
-    def __init__(self, stack: _Stack, opts: SdpOptions) -> None:
+    def __init__(self, stack: _Stack, costs: np.ndarray, opts: SdpOptions) -> None:
         self.stack = stack
+        self.costs = costs
+        self.weighted_costs = stack.block_mult[:, None, None] * costs
         self.opts = opts
         self.ub = math.inf
         self.lb = -math.inf
-        self.x = stack.eye / stack.n
+        self.center = stack.eye / stack.n
+        self.x = self.center
 
-    def update(self, x: np.ndarray, s2: np.ndarray) -> str | None:
-        """Tighten the bounds from a trace-one PSD X-side stack x and a PSD W-side stack s2.
+    def update(self, x: np.ndarray, pt_x: np.ndarray, adj_s2: np.ndarray) -> str | None:
+        """Tighten the bounds from a trace-one PSD X-side stack x with PT(x), and PT*(S2) of a PSD W-side stack S2.
 
-        - lower bound: lambda_min(C - PT(S2)) <= p* for every S2 >= 0;
+        - lower bound: lambda_min(C - PT*(S2)) <= p* for every S2 >= 0;
         - upper bound: mixing x toward I/n absorbs its PPT slack and yields
           an exactly feasible point.
 
-        Returns the stop status the bounds allow, if any: with an
-        ``objective_cut`` set, none until the bounds lie on one side of it,
-        however small the gap.
+        Each loop applies PT and PT* in its own form.  Returns the stop
+        status the bounds allow, if any: with an ``objective_cut`` set, none
+        until the bounds lie on one side of it, however small the gap.
         """
         st = self.stack
-        mats = np.concatenate([st.costs - st.pt_adj(s2), st.pt(x)])
-        low = _lowest(mats)
-        lb = float(low[: st.nb].min())
-        slack = max(0.0, -float(low[st.nb :].min()))
+        low = np.minimum.reduceat(_lowest(np.concatenate([self.costs - adj_s2, pt_x])), (0, st.nb))
+        slack = max(0.0, -float(low[1]))
         gamma = slack * st.n / (1.0 + slack * st.n)
-        x_feas = (1.0 - gamma) * x + gamma * st.eye / st.n
-        ub = st.objective(x_feas)
+        x_feas = (1.0 - gamma) * x + gamma * self.center
+        ub = float(np.vdot(x_feas, self.weighted_costs).real)
         if ub < self.ub:
             self.ub = ub
             self.x = x_feas
-        self.lb = max(self.lb, lb)
+        self.lb = max(self.lb, float(low[0]))
         cut = self.opts.objective_cut
         if cut is not None and not (self.lb >= cut or self.ub < cut):
             return None
@@ -469,23 +555,39 @@ def solve(problem: SdpProblem, start: SdpSolution | None = None) -> SdpSolution:
     The loop is chosen from the blocks: a real cost in blocks of side at
     most ``IPM_MAX_SIDE`` goes to the interior-point loop, all others to
     the splitting loop.  ``start``, an earlier solution of a problem with
-    the same layout (ValueError otherwise), lets the interior-point loop
-    start from that solve's iterates (`_warm_start`); the splitting loop
-    ignores it.  The stop rules are the same either way.
+    the same layout (ValueError otherwise), lends the solve its layout
+    (`SdpSolution.layout`) and lets the interior-point loop start from that
+    solve's iterates (`_warm_start`); the splitting loop ignores them.  The
+    stop rules are the same either way, and a warm start never costs the
+    certificate: a solve that starts from a stored iterate and ends
+    ``infeasible_numerics`` is run again from the cold start, and the
+    solution is that run's, with the Newton steps of both.
     """
     if start is not None and not _same_layout(problem, start.problem):
         raise ValueError("the start solves a problem of another layout")
+    stack = _Stack(problem) if start is None else start.layout
     costs = problem.costs
     if costs.shape[-1] > IPM_MAX_SIDE or np.any(np.imag(costs)):
-        return _solve(problem, _splitting)
-    return _solve(problem, lambda st, bounds, opts: _interior_point(st, bounds, opts, start))
+        return _solve(problem, _splitting, stack)
+    warm = _warm_start(stack, costs.real, start)
+    solution = _solve(problem, lambda st, bounds, opts: _interior_point(st, bounds, opts, warm), stack)
+    if warm is None or solution.status != "infeasible_numerics":
+        return solution
+    cold = _solve(problem, _interior_point, stack)
+    cold.iterations += solution.iterations
+    return cold
 
 
 def _solve(
-    problem: SdpProblem, loop: Callable[[_Stack, _Bounds, SdpOptions], tuple[int, str, np.ndarray | None]]
+    problem: SdpProblem,
+    loop: Callable[[_Stack, _Bounds, SdpOptions], tuple[int, str, np.ndarray | None]],
+    stack: _Stack | None = None,
 ) -> SdpSolution:
-    stack = _Stack(problem)
-    bounds = _Bounds(stack, problem.options)
+    stack = _Stack(problem) if stack is None else stack
+    costs = problem.costs
+    if not np.any(costs.imag):
+        costs = costs.real.copy()  # real symmetric fast path
+    bounds = _Bounds(stack, costs, problem.options)
     iterations, status, iterates = loop(stack, bounds, problem.options)
 
     # the invariants of a DensityMatrix, on the blocks: the dense minimizer's
@@ -514,6 +616,7 @@ def _solve(
         residuals=residuals,
         blocks=x,
         problem=problem,
+        layout=stack,
         iterates=iterates,
     )
 
@@ -527,13 +630,14 @@ def _splitting(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str,
     def norm(mats: np.ndarray) -> float:
         return float(np.linalg.norm(mats * root_mult))
 
+    costs = bounds.costs
     rho = PENALTY
     x = st.eye / st.n
     y = x.copy()
     u = np.zeros_like(x)
 
     for it in range(1, opts.max_iters + 1):
-        w, v = np.linalg.eigh(y - u - st.costs / rho)
+        w, v = np.linalg.eigh(y - u - costs / rho)
         x = _compose(v, _simplex_projection(w.ravel(), mult).reshape(nb, s))
         z = st.pt(x + u)
         w, v = np.linalg.eigh(z)
@@ -548,7 +652,7 @@ def _splitting(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str,
 
         if it % CHECK_EVERY == 0:
             # dual certificate: S2 = rho * (negative part of PT(x+u)) is PSD exactly
-            stop = bounds.update(x, _compose(v, np.maximum(-w, 0.0)) * rho)
+            stop = bounds.update(x, st.pt(x), st.pt_adj(_compose(v, np.maximum(-w, 0.0)) * rho))
             if stop is not None:
                 return it, stop, None
 
@@ -579,45 +683,46 @@ def _symmetric_basis(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, basis
 
 
-def _start(st: _Stack) -> np.ndarray:
+def _start(st: _Stack, costs: np.ndarray) -> np.ndarray:
     """The stacks (X, W, S1, S2) = (I/n, I/n, C - y I - PT*(I), I), with y chosen so that lambda_min(S1) = 1."""
     nb = st.nb
     eye = np.broadcast_to(np.eye(st.s), (2 * nb, st.s, st.s))
-    y = _min_eig(st.costs - st.pt_adj(eye[:nb])) - 1.0
-    return np.concatenate([eye / st.n, st.costs - (y + 1.0) * eye[:nb], eye[:nb]])
+    y = _min_eig(costs - st.pt_adj(eye[:nb])) - 1.0
+    return np.concatenate([eye / st.n, costs - (y + 1.0) * eye[:nb], eye[:nb]])
 
 
-def _warm_start(st: _Stack, start: SdpSolution | None) -> np.ndarray:
-    """The latest iterate of ``start`` that stays interior at this cost, else the cold `_start`.
+def _warm_start(st: _Stack, costs: np.ndarray, start: SdpSolution | None) -> np.ndarray | None:
+    """The latest iterate of ``start`` that stays interior at this real cost, else None.
 
     The constraints on (X, W) do not involve the cost, and S1 = C - y I -
     PT*(S2) moves with it, so each stored iterate becomes (X, W, S1 + C -
     C_start, S2), feasible as it stands.  One batched eigvalsh keeps those
     whose four stacks are all positive definite, and the last of them is the
     start: the reoptimization step of Gondzio & Grothey, SIAM J. Optim. 13
-    (2002).  A start with no iterates gives the cold start.
+    (2002).  None (the cold start) for no start, a start with no iterates,
+    or one whose iterates all leave the cones.
     """
     if start is None or start.iterates is None:
-        return _start(st)
+        return None
     nb = st.nb
     warm = start.iterates.copy()
-    warm[:, 2 * nb : 3 * nb] += st.costs - start.problem.costs.real
+    warm[:, 2 * nb : 3 * nb] += costs - start.problem.costs.real
     inside = np.flatnonzero(np.linalg.eigvalsh(warm)[..., 0].min(axis=-1) > 0.0)
-    return warm[inside[-1]] if len(inside) else _start(st)
+    return warm[inside[-1]] if len(inside) else None
 
 
 def _interior_point(
-    st: _Stack, bounds: _Bounds, opts: SdpOptions, start: SdpSolution | None = None
+    st: _Stack, bounds: _Bounds, opts: SdpOptions, state: np.ndarray | None = None
 ) -> tuple[int, str, np.ndarray]:
     """Primal-dual path following: HKM direction with Mehrotra's predictor-corrector.
 
     Primal: min <C, X> over X >= 0 and W = PT(X) >= 0 with tr X = 1.  Dual:
     max y over S1, S2 >= 0 with S1 = C - y I - PT*(S2).  The cost must be
-    real.  The start (`_warm_start` from ``start``'s iterates, else
-    `_start`) is feasible and every step keeps the linear constraints; the
-    rounding left in tr X is fed back into the next step.
-    Traces and inner products carry the multiplicities Tr P_b on the X side
-    and Tr Q_c on the W side, so the block iterates are the dense ones.
+    real.  The start (``state``, a `_warm_start`, else `_start`) is feasible
+    and every step keeps the linear constraints; the rounding left in tr X
+    is fed back into the next step.  Traces and inner products carry the
+    multiplicities Tr P_b on the X side and Tr Q_c on the W side, so the
+    block iterates are the dense ones.
 
     With Xi(D) = sym(Zi D Si^-1), (Z1, Z2) = (X, W), and H = sym(target S^-1),
     a step has dS1 = -dy I - PT*(dS2) and dX = H1 - X1(dS1), so dW = PT(dX) reads
@@ -625,87 +730,75 @@ def _interior_point(
     row.  Its Schur matrix holds, for each element E of `_symmetric_basis`
     put in block d, the image's W-side entries (i, j), i <= j: P X1 A plus
     X2 block by block, with P and A the coordinate matrices of PT and PT*
-    (T may move an entry between blocks), read off the basis once per
-    solve.  dS2 and the trace row are read from the same basis.  Returns
-    (Newton steps, status, iterates): the certificate's stop, ``max_iters``,
-    or ``infeasible_numerics`` once an iterate leaves its cone or
+    (T may move an entry between blocks).  Every linear map of a step and
+    of its certificate -- PT, PT*, traces, mu, the Schur border, the
+    right-hand side and the dual step -- is one product with the layout's
+    `_Operators`, derived once per layout.  Returns (Newton steps, status,
+    iterates): the certificate's stop, ``max_iters``, or
+    ``infeasible_numerics`` once an iterate leaves its cone or
     `STALL_STEPS` steps bring no tighter gap, and the states from the start
     onward.
     """
     nb, s = st.nb, st.s  # PT maps the nb blocks of X onto as many blocks of W
-    i, j, basis = _symmetric_basis(s)
-    per_block = len(i)
-    size = nb * per_block
+    ops = st.operators
+    size, flat = ops.size, nb * s * s
+    per_block = size // nb
     eye = np.broadcast_to(np.eye(s), (2 * nb, s, s))
-    # column (d, u) of the coordinate matrices: basis[u] put in block d, under PT and PT*
-    units = np.einsum("de,uij->dueij", np.eye(nb), basis).reshape(size, nb, s, s)
-    pt_coords = st.pt(units)[..., i, j].reshape(nb, per_block, size)
-    adj_coords = st.pt_adj(units)[..., i, j].reshape(size, size).T
     # Schur operator on dS2: K = X2 + PT X1 PT*, bordered by dy and the trace row;
     # its diagonal blocks K[c, :, c, :] as a view
     schur = np.empty((size + 1, size + 1))
     diagonal = np.einsum("cicj->cij", schur[:size, :size].reshape(nb, per_block, nb, per_block))
-    rhs = np.empty(size + 1)
-
-    def trace(a: np.ndarray) -> float:
-        return float(st.trace(a))
-
-    def mean_gap(a: np.ndarray, b: np.ndarray) -> float:
-        """<A, B> over both sides per unit of dense side: mu for A = (X, W), B = (S1, S2)."""
-        return float(st.mult @ np.sum(a * b, axis=(1, 2))) / (2.0 * st.n)
-
-    state = _warm_start(st, start)
+    state = _start(st, bounds.costs) if state is None else state
     iterates = [state]
 
-    def newton() -> tuple[np.ndarray, np.ndarray] | None:
-        """One Newton step: the (trace-one X, S2) pair for the certificate, or None once the numbers break down."""
+    def newton() -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """One Newton step: the certificate's trace-one X, PT(X) and PT*(S2), or None once the numbers break down."""
         nonlocal state
         z, dual, x = state[: 2 * nb], state[2 * nb :], state[:nb]
-        mu = mean_gap(z, dual)
-        r_trace = 1.0 - trace(x)
+        mu = (z * dual).reshape(-1) @ ops.gap
+        r_trace = 1.0 - st.trace(x)
         if not math.isfinite(mu):
             return None
         # scale by the spectra: F = diag(w)^-1/2 V^T gives F Z F^T = I and F^T F = Z^-1
         w, v = np.linalg.eigh(state)
         if not w[:, 0].min() > 0.0:  # rounding has left an iterate on or outside its cone
             return None
-        factors = (v / np.sqrt(w)[:, None, :]).swapaxes(-1, -2)
-        dual_inv = factors[2 * nb :].swapaxes(-1, -2) @ factors[2 * nb :]
-        # [block, basis element, row]: the images of the basis under each block's Xi
-        x_side = _sym(x[:, None] @ basis @ dual_inv[:nb, None])[..., i, j]
-        w_side = _sym(z[nb:, None] @ basis @ dual_inv[nb:, None])[..., i, j]
-        schur[:size, :size] = (x_side @ pt_coords).reshape(size, size).T @ adj_coords
-        diagonal[:] += w_side.swapaxes(1, 2)
-        u = _sym(x @ dual_inv[:nb])
-        pt_u = st.pt(u)
-        # border: dy in each equation, and the trace row <PT(u), dS2> over the W side
-        schur[:size, size] = pt_u[:, i, j].ravel()
-        schur[size, :size] = (st.mult[nb:, None] * np.einsum("cij,uij->cu", pt_u, basis)).ravel()
-        schur[size, size] = trace(u)
+        scaled = v / np.sqrt(w)[:, None, :]
+        factors = scaled.swapaxes(-1, -2)
+        dual_inv = scaled[2 * nb :] @ factors[2 * nb :]
+        # [block, basis element, coordinate]: the images of the basis under each block's Xi
+        sides = (z[:, None] @ ops.basis @ dual_inv[:, None]).reshape(2 * nb, per_block, s * s) @ ops.sym_coords
+        schur[:size, :size] = (sides[:nb] @ ops.pt_coords).reshape(size, size).T @ ops.adj_coords
+        diagonal[:] += sides[nb:].swapaxes(1, 2)
+        # border: dy in each equation, and the trace row <PT(u), dS2> over the W side, u = sym(X1 S1^-1)
+        border = (x @ dual_inv[:nb]).reshape(flat) @ ops.border
+        schur[:size, size] = border[:size]
+        schur[size, :size] = border[:size] * ops.inner
+        schur[size, size] = border[size]
 
         def direction(target: np.ndarray) -> np.ndarray:
             """Newton step (dX, dW, dS1, dS2) that moves Z S by target."""
-            h = _sym(target @ dual_inv)
-            rhs[:size] = (h[nb:] - st.pt(h[:nb]))[:, i, j].ravel()
-            rhs[size] = r_trace - trace(h[:nb])
-            sol = np.linalg.solve(schur, rhs)
-            ds2 = np.einsum("cu,uij->cij", sol[:size].reshape(nb, per_block), basis)
-            ds1 = -sol[size] * eye[:nb] - st.pt_adj(ds2)  # sol[size] is dy
-            dx = h[:nb] - _sym(x @ ds1 @ dual_inv[:nb])
-            return np.concatenate([dx, st.pt(dx), ds1, ds2])
+            g = target @ dual_inv
+            rhs = g.reshape(2 * flat) @ ops.rhs
+            rhs[size] += r_trace
+            dual_step = np.linalg.solve(schur, rhs) @ ops.dual
+            dx = _sym(g[:nb] - x @ dual_step[:flat].reshape(nb, s, s) @ dual_inv[:nb]).reshape(flat)
+            return np.concatenate([dx, dx @ ops.pt, dual_step]).reshape(state.shape)
 
         def steps(d: np.ndarray) -> np.ndarray:
             """Largest primal and dual steps <= 1 that stay in the cones, per block."""
-            lam = np.linalg.eigvalsh(factors @ d @ factors.swapaxes(-1, -2))[:, 0]
-            reach = -1.0 / np.minimum(lam, -1.0)
-            return np.repeat([reach[: 2 * nb].min(), reach[2 * nb :].min()], 2 * nb)
+            lam = np.minimum.reduceat(np.linalg.eigvalsh(factors @ d @ scaled)[:, 0], ops.halves)
+            return (-1.0 / np.minimum(lam, -1.0))[ops.half_of]
 
-        d = direction(-z @ dual)
-        moved = state + steps(d)[:, None, None] * d
-        sigma_mu = min(1.0, (mean_gap(moved[: 2 * nb], moved[2 * nb :]) / mu) ** 3) * mu
-        d = direction(sigma_mu * eye - z @ dual - d[: 2 * nb] @ d[2 * nb :])
-        state = _sym(state + STEP_FRACTION * steps(d)[:, None, None] * d)
-        return state[:nb] / trace(state[:nb]), state[3 * nb :]
+        gap = z @ dual
+        d = direction(-gap)
+        moved = state + steps(d) * d
+        sigma_mu = min(1.0, ((moved[: 2 * nb] * moved[2 * nb :]).reshape(-1) @ ops.gap / mu) ** 3) * mu
+        d = direction(sigma_mu * eye - gap - d[: 2 * nb] @ d[2 * nb :])
+        state = _sym(state + STEP_FRACTION * steps(d) * d)
+        unit = state[:nb] / st.trace(state[:nb])
+        pt_unit, adj_s2 = unit.reshape(flat) @ ops.pt, state[3 * nb :].reshape(flat) @ ops.adj
+        return unit, pt_unit.reshape(x.shape), adj_s2.reshape(x.shape)
 
     best_gap, since_best = math.inf, 0
     for it in range(1, opts.max_iters + 1):
@@ -817,8 +910,8 @@ def vertex_solve(problem: SdpProblem, bases: np.ndarray) -> SdpSolution:
 def _vertex_table(st: _Stack, bounds: _Bounds, bases: np.ndarray) -> tuple[int, str, None]:
     """Offer the table's best vertex and best basis dual to the certificate; returns (0, status, None)."""
     nb = st.nb
-    costs = st.costs.ravel()
-    vertices, multipliers = basis_vertices(bases, st.problem.pt_map, st.block_mult, costs[None])
+    costs = bounds.costs.ravel()
+    vertices, multipliers = basis_vertices(bases, st.pt_map, st.block_mult, costs[None])
     # PSD exactly; the mix toward I/n absorbs the W side's rounding
     x = np.maximum(vertices.blocks[np.argmin(vertices.value(costs))], 0.0)
     best = np.argmax(vertices.dual_bound(costs, multipliers[0]))
@@ -826,5 +919,6 @@ def _vertex_table(st: _Stack, bounds: _Bounds, bases: np.ndarray) -> tuple[int, 
     w_rows = basis[basis >= nb] - nb
     s2 = np.zeros(nb)
     s2[w_rows] = np.maximum(z[basis >= nb], 0.0) / st.mult[nb:][w_rows]
-    stop = bounds.update((x / (st.block_mult @ x))[:, None, None], s2[:, None, None])
+    x = (x / (st.block_mult @ x))[:, None, None]
+    stop = bounds.update(x, st.pt(x), st.pt_adj(s2[:, None, None]))
     return 0, stop or "infeasible_numerics", None

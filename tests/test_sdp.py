@@ -20,6 +20,7 @@ from nlact.states import (
     werner_state,
     wi_state,
 )
+from nlact.sweep import FamilySpec, find_threshold
 
 TIGHT = SdpOptions(tol_objective=1e-10)
 CERTIFIED = ("converged", "decided")
@@ -503,7 +504,7 @@ def test_interior_point_solution_stores_its_states_from_the_start():
     sol = solve(problem)
     nb, s = problem.costs.shape[:2]
     assert sol.iterates.shape == (sol.iterations + 1, 4 * nb, s, s)
-    assert np.array_equal(sol.iterates[0], sdp._start(sdp._Stack(problem)))
+    assert np.array_equal(sol.iterates[0], sdp._start(sdp._Stack(problem), problem.costs.real))
     assert _admm(problem).iterates is None
     assert vertex_solve(build_cost(werner_state(3, 0.6)), TWIRLED_BASES).iterates is None
 
@@ -531,6 +532,126 @@ def test_start_with_no_interior_iterate_is_the_cold_start():
     problem = build_cost(hirsch_state(0.17), bisection_options())
     lowered = dataclasses.replace(problem, costs=problem.costs - 100.0 * np.eye(2))
     _assert_same_solve(solve(lowered, solve(problem)), solve(lowered))
+
+
+def _layout(kind):
+    """A problem of each kind of layout: the parity, Bell and twirled forms, and dense blocks of side 4 and 16."""
+    rng = np.random.default_rng(11)
+    if kind == "parity":
+        return build_cost(hirsch_state(0.2, 0.6))
+    if kind == "bell":
+        rho = random_density((2, 2), rng).mat
+        return build_cost(DensityMatrix(rho.real.astype(complex), (2, 2)))
+    if kind == "twirled":
+        return build_cost(werner_state(3, 0.6))
+    side = int(kind.removeprefix("dense"))
+    return SdpProblem.from_cost(_random_hermitian(side, rng).real, dims=(2, side // 2))
+
+
+@pytest.mark.parametrize("kind", ["parity", "bell", "twirled", "dense4", "dense16"])
+def test_loop_operators_match_the_gather_form(kind):
+    # every linear map of a Newton step, as one product with the layout's
+    # derived operators, against its definition through `_Stack.transpose`
+    problem = _layout(kind)
+    st = sdp._Stack(problem)
+    ops = st.operators
+    nb, s = st.nb, st.s
+    i, j, basis = sdp._symmetric_basis(s)
+    flat = nb * s * s
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        a = sdp._sym(rng.standard_normal((nb, s, s)))
+        assert np.max(np.abs(a.reshape(flat) @ ops.pt - st.pt(a).reshape(flat))) <= 1e-14
+        assert np.max(np.abs(a.reshape(flat) @ ops.adj - st.pt_adj(a).reshape(flat))) <= 1e-14
+        # maps that take the symmetric part of their argument first
+        g, u = rng.standard_normal((2 * nb, s, s)), rng.standard_normal((nb, s, s))
+        h, pt_u = sdp._sym(g), st.pt(sdp._sym(u))
+        rhs = g.reshape(2 * flat) @ ops.rhs
+        assert np.max(np.abs(rhs[:-1] - (h[nb:] - st.pt(h[:nb]))[:, i, j].ravel())) <= 1e-14
+        assert abs(rhs[-1] + st.trace(h[:nb])) <= 1e-14
+        border = u.reshape(flat) @ ops.border
+        assert np.max(np.abs(border[:-1] - pt_u[:, i, j].ravel())) <= 1e-14
+        inner = st.mult[nb:, None] * np.einsum("cij,uij->cu", pt_u, basis)
+        assert np.max(np.abs(border[:-1] * ops.inner - inner.ravel())) <= 1e-14
+        assert abs(border[-1] - st.trace(u)) <= 1e-14
+        sides = g.reshape(2 * nb, 1, s * s) @ ops.sym_coords
+        assert np.array_equal(sides[:, 0], h[..., i, j])
+        # the Schur solution (dS2's coordinates, dy) to (dS1, dS2)
+        sol = rng.standard_normal(ops.size + 1)
+        ds2 = np.einsum("cu,uij->cij", sol[:-1].reshape(nb, -1), basis)
+        ds1 = -sol[-1] * st.eye - st.pt_adj(ds2)
+        assert np.max(np.abs(sol @ ops.dual - np.concatenate([ds1, ds2]).ravel())) <= 1e-14
+        # mu, the multiplicity-weighted <(X, W), (S1, S2)> per unit of dense side
+        z, dual = rng.standard_normal((2, 2 * nb, s, s))
+        mu = st.mult @ np.sum(z * dual, axis=(1, 2)) / (2.0 * st.n)
+        assert abs((z * dual).reshape(-1) @ ops.gap - mu) <= 1e-14 * max(1.0, abs(mu))
+
+
+def test_a_search_derives_its_layout_once(monkeypatch):
+    # the nine solves of the hirsch1 search share one layout: the first solve
+    # derives it, and each warm solve inherits its start's
+    derived = []
+
+    class Counted(sdp._Stack):
+        def __init__(self, problem):
+            derived.append("stack")
+            super().__init__(problem)
+
+    class CountedOperators(sdp._Operators):
+        def __init__(self, st):
+            derived.append("operators")
+            super().__init__(st)
+
+    monkeypatch.setattr(sdp, "_Stack", Counted)
+    monkeypatch.setattr(sdp, "_Operators", CountedOperators)
+    report = find_threshold(FamilySpec("hirsch1"), "tlf", (0.12, 0.22))
+    assert report.evaluations == 9
+    assert derived == ["stack", "operators"]
+
+
+def test_inherited_layout_is_the_derived_one():
+    # a warm solve on its start's layout is bit for bit the warm solve on a layout derived afresh
+    options = bisection_options()
+    first = build_cost(hirsch_state(0.17), options)
+    start = solve(first)
+    problem = build_cost(hirsch_state(0.1746875), options)
+    inherited = solve(problem, start)
+    assert inherited.layout is start.layout
+    fresh = solve(problem, dataclasses.replace(start, layout=sdp._Stack(first)))
+    assert fresh.layout is not start.layout
+    _assert_same_solve(inherited, fresh)
+    assert np.array_equal(inherited.iterates, fresh.iterates)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-11])
+def test_warm_start_never_costs_the_certificate(tol):
+    # hirsch2 at q = 0: from the solve at p = 1, the warm solve at p = 1/sqrt(2)
+    # certifies as the cold one does, with bounds that overlap the cold ones
+    options = SdpOptions(tol_objective=tol)
+    start = solve(build_cost(hirsch_state(1.0, 0.0), options))
+    problem = build_cost(hirsch_state(0.7071067812, 0.0), options)
+    warm, cold = solve(problem, start), solve(problem)
+    assert warm.status == cold.status == "converged"
+    assert max(warm.objective_lb, cold.objective_lb) <= min(warm.objective, cold.objective)
+
+
+def test_failed_warm_solve_is_run_again_cold(monkeypatch):
+    # a warm run that ends infeasible_numerics gives way to the cold run, and
+    # the solution counts the Newton steps of both
+    def failing_warm(st, bounds, opts, state=None):
+        if state is not None:
+            return 3, "infeasible_numerics", state[None]
+        return _interior_point(st, bounds, opts)
+
+    options = bisection_options()
+    start = solve(build_cost(hirsch_state(0.17), options))
+    problem = build_cost(hirsch_state(0.1746875), options)
+    cold = solve(problem)
+    monkeypatch.setattr(sdp, "_interior_point", failing_warm)
+    rerun = solve(problem, start)
+    assert rerun.iterations == 3 + cold.iterations
+    assert (rerun.status, rerun.objective, rerun.objective_lb) == (cold.status, cold.objective, cold.objective_lb)
+    assert np.array_equal(rerun.blocks, cold.blocks)
 
 
 def test_matrix_loop_ends_infeasible_numerics_short_of_an_unreachable_gap(monkeypatch):
