@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import DensityMatrix, kron, permute_mat
-from .sdp import PARITY_PROJECTORS, SdpOptions, SdpProblem, SdpSolution, solve, vertex_solve
+from .sdp import PARITY_PROJECTORS, SdpLayout, SdpOptions, SdpProblem, SdpSolution, solve, vertex_solve
 from .states import PAULI, ParityState, TwirledState, h_theta, projector, twirl_projectors
 
 ACTIVATION_TOL = 1e-6
@@ -36,11 +36,12 @@ _BELL = np.array(
     [projector(np.array(v) / math.sqrt(2)) for v in ((1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, 1, -1, 0))]
 )
 _BELL_PT = 0.5 * np.array([[1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [-1, 1, 1, 1]])
-# the parity form's pt_map: T over A_d moves the parity label (see `sdp.SdpProblem`)
+# the parity form's pt_map: T over A_d moves the parity label (see `sdp.SdpLayout`)
 _PARITY_PT = np.kron(np.eye(2), _BELL_PT)
 # H_theta = 1 - cos(theta) XX - sin(theta) ZZ, and XX and ZZ are +-1 on the Bell
 # states, so H_{pi/4} = sum_k _BELL_H[k] _BELL[k] with h = (1 - sqrt 2, 1, 1, 1 + sqrt 2)
 _BELL_H = 1.0 - math.cos(H_ANGLE) * np.array([1, -1, 1, -1]) - math.sin(H_ANGLE) * np.array([1, 1, -1, -1])
+_BELL.flags.writeable = _BELL_PT.flags.writeable = _PARITY_PT.flags.writeable = _BELL_H.flags.writeable = False
 
 # The bases of the twirled form's linear program (eight scalar blocks; see
 # `sdp.LpVertex`) that are optimal somewhere on a positive semidefinite twirled
@@ -102,21 +103,6 @@ def bisection_options(options: SdpOptions | None = None) -> SdpOptions:
     return options if options.objective_cut is not None else replace(options, objective_cut=-ACTIVATION_TOL)
 
 
-@lru_cache(maxsize=None)
-def _twirled_pt(algebra: str, d: int) -> np.ndarray:
-    """Read-only pt_map of the twirled form: it depends on the algebra and d only.
-
-    The partial transpose over A_d maps span{P_sym, P_anti} (Werner) onto
-    span{1 - Phi, Phi} (isotropic) and back; over A_q it acts on the Bell
-    factor.
-    """
-    to_isotropic = [[0.5, 0.5], [(d + 1) / 2, -(d - 1) / 2]]
-    to_werner = [[1 - 1 / d, 1 / d], [1 + 1 / d, -1 / d]]
-    pt_map = np.kron(to_isotropic if algebra == "werner" else to_werner, _BELL_PT)
-    pt_map.flags.writeable = False
-    return pt_map
-
-
 def _cost_dims(tau: DensityMatrix) -> tuple[int, int, int, int]:
     """The activation problem's dims [A_d, A_q, B_d, B_q] for a bipartite tau."""
     if len(tau.dims) != 2:
@@ -129,6 +115,26 @@ def _dense_cost(tau: DensityMatrix) -> np.ndarray:
     """The activation cost tau^T x H_{pi/4} as a dense matrix in canonical subsystem order."""
     da, db = tau.dims
     return permute_mat(kron(tau.mat.T, h_theta(H_ANGLE)), (da, db, 2, 2), _COST_PERM)
+
+
+@lru_cache(maxsize=None)
+def _layout(form: str, dims: tuple[int, int, int, int]) -> SdpLayout:
+    """The layout of an activation form, "werner" or "isotropic" (twirled), "parity" or "bell", on dims.
+
+    Built and validated once per form and dims, like `twirl_projectors`.
+    In the twirled form PT over A_d maps span{P_sym, P_anti} (Werner) onto
+    span{1 - Phi, Phi} (isotropic) and back; over A_q it acts on the Bell factor.
+    """
+    bell, d = (_BELL, (1, 3)), dims[0]
+    if form == "parity":
+        return SdpLayout(((PARITY_PROJECTORS, (2,)), bell), _PARITY_PT, dims, t1_split=2, relabel=(0, 2))
+    if form == "bell":
+        return SdpLayout((bell,), _BELL_PT, dims, t1_split=2)
+    to_isotropic = [[0.5, 0.5], [(d + 1) / 2, -(d - 1) / 2]]
+    to_werner = [[1 - 1 / d, 1 / d], [1 + 1 / d, -1 / d]]
+    pt_map = np.kron(to_isotropic if form == "werner" else to_werner, _BELL_PT)
+    pt_map.flags.writeable = False
+    return SdpLayout(((twirl_projectors(form, d), (0, 2)), bell), pt_map, dims, t1_split=2)
 
 
 def build_cost(tau: DensityMatrix, options: SdpOptions | None = None) -> SdpProblem:
@@ -149,26 +155,18 @@ def build_cost(tau: DensityMatrix, options: SdpOptions | None = None) -> SdpProb
     parity is Z on B_d, and the cost is eight blocks h_k tau^T_pi of side 2
     over the sectors pi.  Every other
     input (random states, a plain copy of either) is one block tau^T: four
-    blocks h_k tau^T of side d_A d_B.
+    blocks h_k tau^T of side d_A d_B.  The layout is `_layout`'s, one per form and dims.
     """
     if isinstance(tau, TwirledState):
-        d = tau.dims[0]
-        blocks = np.asarray(tau.coeffs)[:, None, None]
-        symmetry = ((twirl_projectors(tau.algebra, d), (0, 2)),)
-        pt_map = _twirled_pt(tau.algebra, d)
+        blocks, form = np.asarray(tau.coeffs)[:, None, None], tau.algebra
     elif isinstance(tau, ParityState):
-        blocks = np.array([tau.mat.T[np.ix_(sector, sector)] for sector in tau.sectors])
-        symmetry, pt_map = ((PARITY_PROJECTORS, (2,)),), _PARITY_PT
+        blocks, form = np.array([tau.mat.T[np.ix_(sector, sector)] for sector in tau.sectors]), "parity"
     else:
-        blocks, symmetry, pt_map = tau.mat.T[None], (), _BELL_PT
+        blocks, form = tau.mat.T[None], "bell"
     return SdpProblem(
         costs=(_BELL_H[:, None, None] * blocks[:, None]).reshape(-1, *blocks.shape[1:]),
-        factors=(*symmetry, (_BELL, (1, 3))),
-        pt_map=pt_map,
-        dims=_cost_dims(tau),
-        t1_split=2,
+        layout=_layout(form, _cost_dims(tau)),
         options=options or DEFAULT_OPTIONS,
-        relabel=(0, 2) if isinstance(tau, ParityState) else None,
     )
 
 
@@ -181,7 +179,7 @@ def sigma_min(
     scalars, solved at its optimal vertex from `TWIRLED_BASES` with no
     Newton step (`sdp.vertex_solve`); every other input is an SDP for
     `sdp.solve`, which starts from ``start``, the witness of an input of
-    the same kind and dims, when one is given.  Both end at the same
+    the same layout, when one is given.  Both end at the same
     certificate.  ``activated`` is True when a certified solve (converged
     or sign-decided) puts its upper bound below -ACTIVATION_TOL, False
     when it puts its lower bound at or above it, and None when the solve

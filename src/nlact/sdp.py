@@ -38,9 +38,9 @@ representation and one certificate:
   ``infeasible_numerics``.  The tests use the matrix interior-point loop on
   the same blocks as its reference.
 
-Every `SdpProblem` is stacked blocks with multiplicities, and so are the
-iterates.  A plain problem is one dense block of side n with multiplicity 1
-(`SdpProblem.from_cost`).  A cost invariant under a twirl of some of its
+Every `SdpProblem` is stacked blocks with multiplicities on an `SdpLayout`,
+and so are the iterates.  A plain problem is one dense block of side n with
+multiplicity 1 (`SdpProblem.from_cost`).  A cost invariant under a twirl of some of its
 factors -- such as the activation cost of a Werner or isotropic input under
 U x U or U x conj(U), or of any input under the Pauli twirl of its ancilla
 -- is solved as X = sum_b P_b (x) X_b over the invariant projectors P_b,
@@ -52,23 +52,23 @@ iterates stay of that form, and on it the spectrum of X is the blocks'
 spectra with multiplicities Tr P_b, traces and Frobenius inner products are
 the multiplicity-weighted ones, and the partial transpose maps the P_b
 algebra linearly onto a second projector algebra Q_c (multiplicities
-Tr Q_c) by the problem's one map ``pt_map``: `_Stack.pt`.  Its adjoint
+Tr Q_c) by the layout's one map ``pt_map``: `_Stack.pt`.  Its adjoint
 `_Stack.pt_adj` is derived from ``pt_map`` and the multiplicities, and must
 also be its inverse, as the dense partial transpose is a self-adjoint
 involution.  A cost that also commutes with Z x Z on two qubits (the
 Hirsch activation costs) takes its parity as one more factor, in a
-relabelled basis (``SdpProblem.relabel``).
+relabelled basis (``SdpLayout.relabel``).
 
 A sequence of problems that differ only in their cost (a threshold search
 along p) can reoptimize: the feasible set {X >= 0, X^T1 >= 0, Tr X = 1}
 does not depend on the cost, so `solve(problem, start)` starts the
-interior-point loop from the latest stored state of an earlier solve of the
+interior-point loop from the latest stored state of an earlier solve on the
 same layout (`SdpSolution.iterates`) whose dual slack stays positive
 definite at the new cost (Gondzio & Grothey, SIAM J. Optim. 13 (2002)),
 and from the cold start I/n when none does.  Nor does anything derived from
 the layout alone -- the gather of T, the multiplicities, the adjoint and
-the interior-point loop's operators (`_Stack`, `SdpSolution.layout`) -- so
-a warm solve inherits them from its start, and a search derives them once.
+the interior-point loop's operators (`_Stack`) -- so the `SdpLayout` that
+the problems share derives them once, warm, cold and vertex solves alike.
 A warm solve that ends ``infeasible_numerics`` is run again cold, so a warm
 start never costs a certificate that the cold start would give.
 
@@ -151,6 +151,7 @@ __all__ = [
     "PARITY_PROJECTORS",
     "VERTEX_TOL",
     "LpVertex",
+    "SdpLayout",
     "SdpOptions",
     "SdpProblem",
     "SdpSolution",
@@ -196,9 +197,9 @@ class SdpOptions:
             raise ValueError(f"objective_cut must be finite, got {self.objective_cut}")
 
 
-@dataclass(eq=False)
-class SdpProblem:
-    """A problem as stacked blocks, C = sum_b P_b (x) costs[b], with its layout and options.
+@dataclass(frozen=True, eq=False)
+class SdpLayout:
+    """The cost-independent half of a problem C = sum_b P_b (x) costs[b]; layouts compare by identity.
 
     Each P_b is a tensor product with one factor per entry of ``factors``, a
     pair (projectors, subsystems): a stack of orthogonal projectors that sum
@@ -218,29 +219,17 @@ class SdpProblem:
     Z x Z parity of the pair.  T over i then moves each block's entry between a and
     a xor 1 to the block of the other parity (`_Stack.transpose`), and
     `dense` undoes the relabelling.
-
-    `from_cost` wraps a plain cost matrix as one block with no factor;
-    ``cost`` is the dense matrix derived from the blocks, built on first
-    access.
     """
 
-    costs: np.ndarray
     factors: tuple[tuple[np.ndarray, tuple[int, ...]], ...]
     pt_map: np.ndarray
     dims: tuple[int, ...]
     t1_split: int = 1
-    options: SdpOptions = field(default_factory=SdpOptions)
     relabel: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        self.dims = tuple(int(d) for d in self.dims)
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         check_side(int(np.prod(self.dims)))
-        costs = self.costs
-        inner = int(np.prod([d for i, d in enumerate(self.dims) if i not in self.outer]))
-        if costs.shape != (len(self.mult), inner, inner):
-            raise ValueError(f"block costs of shape {costs.shape} do not match the factors and dims {self.dims}")
-        if np.max(np.abs(costs - costs.conj().swapaxes(-1, -2))) > HERM_INPUT_TOL:
-            raise ValueError(f"block costs are not Hermitian within {HERM_INPUT_TOL}")
         for projectors, subsystems in self.factors:
             side = int(np.prod([self.dims[i] for i in subsystems]))
             if projectors.shape[1:] != (side, side):
@@ -256,17 +245,6 @@ class SdpProblem:
             if cut != [i] or self.dims[i] != 2 or not parity:
                 raise ValueError(f"relabel {self.relabel} needs one cut qubit in the blocks and a parity factor")
 
-    @classmethod
-    def from_cost(
-        cls, cost: np.ndarray, dims: tuple[int, ...], t1_split: int = 1, options: SdpOptions | None = None
-    ) -> SdpProblem:
-        """The plain problem of a dense cost: one block of side n with multiplicity 1."""
-        cost = np.asarray(cost, dtype=complex)
-        n = int(np.prod(dims))
-        if cost.shape != (n, n):
-            raise ValueError(f"cost shape {cost.shape} does not match dims {tuple(dims)}")
-        return cls(cost[None], (), np.ones((1, 1)), dims, t1_split, options or SdpOptions())
-
     @property
     def outer(self) -> tuple[int, ...]:
         """The subsystems the projectors act on, factor by factor."""
@@ -279,6 +257,12 @@ class SdpProblem:
         for projectors, _ in self.factors:
             mult = np.multiply.outer(mult, np.rint(np.trace(projectors, axis1=1, axis2=2).real)).ravel()
         return mult
+
+    @cached_property
+    def shape(self) -> tuple[int, int, int]:
+        """A block stack's shape (blocks, side, side), the side that of the inner subsystems."""
+        side = int(np.prod([d for i, d in enumerate(self.dims) if i not in self.outer]))
+        return len(self.mult), side, side
 
     def dense(self, blocks: np.ndarray) -> np.ndarray:
         """The dense operator sum_b P_b (x) blocks[b] in the subsystem order ``dims``, in the canonical basis."""
@@ -296,9 +280,45 @@ class SdpProblem:
         return mat[np.ix_(relabelled, relabelled)]
 
     @cached_property
+    def stack(self) -> _Stack:
+        """The data every loop derives from the layout alone: derived on first use, shared by its problems."""
+        return _Stack(self)
+
+
+@dataclass(eq=False)
+class SdpProblem:
+    """A problem as stacked blocks on a layout, C = sum_b P_b (x) costs[b], with its options.
+
+    `from_cost` wraps a plain cost matrix as one block with no factor; ``cost``
+    is the dense matrix of the blocks, built on first access.
+    """
+
+    costs: np.ndarray
+    layout: SdpLayout
+    options: SdpOptions = field(default_factory=SdpOptions)
+
+    def __post_init__(self) -> None:
+        costs = self.costs
+        if costs.shape != self.layout.shape:
+            raise ValueError(f"block costs of shape {costs.shape} do not match the layout's {self.layout.shape}")
+        if np.max(np.abs(costs - costs.conj().swapaxes(-1, -2))) > HERM_INPUT_TOL:
+            raise ValueError(f"block costs are not Hermitian within {HERM_INPUT_TOL}")
+
+    @classmethod
+    def from_cost(
+        cls, cost: np.ndarray, dims: tuple[int, ...], t1_split: int = 1, options: SdpOptions | None = None
+    ) -> SdpProblem:
+        """The plain problem of a dense cost: one block of side n with multiplicity 1."""
+        cost = np.asarray(cost, dtype=complex)
+        n = int(np.prod(dims))
+        if cost.shape != (n, n):
+            raise ValueError(f"cost shape {cost.shape} does not match dims {tuple(dims)}")
+        return cls(cost[None], SdpLayout((), np.ones((1, 1)), dims, t1_split), options or SdpOptions())
+
+    @cached_property
     def cost(self) -> np.ndarray:
         """The dense cost sum_b P_b (x) costs[b]."""
-        return self.dense(self.costs)
+        return self.layout.dense(self.costs)
 
 
 @dataclass
@@ -316,15 +336,13 @@ class SdpSolution:
     residuals: dict[str, float]
     blocks: np.ndarray
     problem: SdpProblem
-    # the layout's derived data, which a solve started from this one inherits
-    layout: _Stack
     # the interior-point states (X, W, S1, S2) from the start onward, stacked;
     # None for the splitting loop and the vertex table
     iterates: np.ndarray | None = None
 
     @cached_property
     def minimizer(self) -> DensityMatrix:
-        return DensityMatrix(self.problem.dense(self.blocks), self.problem.dims)
+        return DensityMatrix(self.problem.layout.dense(self.blocks), self.problem.layout.dims)
 
 
 def _simplex_projection(v: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -363,25 +381,25 @@ class _Stack:
     self-adjoint involution, so PT* must also invert PT: a ``pt_map`` whose
     adjoint does not is rejected.
 
-    Nothing here depends on the cost, only on the layout (`_same_layout`),
-    so a warm solve inherits its start's stack (`SdpSolution.layout`)
-    instead of deriving it again; so do the interior-point loop's
-    `_Operators`, derived from `pt` and `pt_adj` on first use.
+    Nothing here depends on the cost, only on the `SdpLayout`, which
+    derives it once as its ``stack``: every solve on one layout object
+    shares it, and so the interior-point loop's `_Operators`, derived from
+    `pt` and `pt_adj` on first use.
     """
 
-    def __init__(self, problem: SdpProblem) -> None:
-        self.pt_map = problem.pt_map
-        self.nb, self.s, _ = problem.costs.shape
+    def __init__(self, layout: SdpLayout) -> None:
+        self.pt_map = layout.pt_map
+        self.nb, self.s, _ = layout.shape
         # T1 inside a block: the inner factors that fall in the cut (m) come first
-        inner = [i for i in range(len(problem.dims)) if i not in problem.outer]
-        m = int(np.prod([problem.dims[i] for i in inner if i < problem.t1_split]))
+        inner = [i for i in range(len(layout.dims)) if i not in layout.outer]
+        m = int(np.prod([layout.dims[i] for i in inner if i < layout.t1_split]))
         k = self.s // m
         # entry (b, (a, x), (a', x')) of T(X) is entry (b', (a', x), (a, x')) of X, where b' is b, or with
         # ``relabel`` its parity partner when a != a' (the first factor's label shifts by half the blocks)
-        half = self.nb // 2 if problem.relabel else 0
+        half = self.nb // 2 if layout.relabel else 0
         b, a, x, a2, x2 = np.indices((self.nb, m, k, m, k))
         self.gather = np.ravel_multi_index(((b + half * (a != a2)) % self.nb, a2, x, a, x2), b.shape).ravel()
-        self.block_mult = problem.mult
+        self.block_mult = layout.mult
         # X-side multiplicities Tr P_b, then W-side ones Tr Q_c: PT(P_b) = sum_c pt_map[c, b] Q_c
         self.mult = np.concatenate([self.block_mult, np.rint(np.linalg.solve(self.pt_map.T, self.block_mult))])
         self.adjoint = np.ascontiguousarray(self.pt_map.T * self.mult[self.nb :] / self.block_mult[:, None])
@@ -538,52 +556,35 @@ class _Bounds:
         return None if cut is None else "decided"
 
 
-def _same_layout(a: SdpProblem, b: SdpProblem) -> bool:
-    """Whether two problems share their block shape, factors, pt_map, dims, t1_split and relabel."""
-    return (
-        a.costs.shape == b.costs.shape
-        and (a.dims, a.t1_split, a.relabel) == (b.dims, b.t1_split, b.relabel)
-        and np.array_equal(a.pt_map, b.pt_map)
-        and len(a.factors) == len(b.factors)
-        and all(sa == sb and np.array_equal(pa, pb) for (pa, sa), (pb, sb) in zip(a.factors, b.factors))
-    )
-
-
 def solve(problem: SdpProblem, start: SdpSolution | None = None) -> SdpSolution:
     """Solve the problem; deterministic for a fixed problem, options and start.
 
     The loop is chosen from the blocks: a real cost in blocks of side at
     most ``IPM_MAX_SIDE`` goes to the interior-point loop, all others to
-    the splitting loop.  ``start``, an earlier solution of a problem with
-    the same layout (ValueError otherwise), lends the solve its layout
-    (`SdpSolution.layout`) and lets the interior-point loop start from that
-    solve's iterates (`_warm_start`); the splitting loop ignores them.  The
-    stop rules are the same either way, and a warm start never costs the
-    certificate: a solve that starts from a stored iterate and ends
-    ``infeasible_numerics`` is run again from the cold start, and the
-    solution is that run's, with the Newton steps of both.
+    the splitting loop; both read ``problem.layout.stack``.  ``start``, an
+    earlier solution of a problem on the same layout object (ValueError
+    otherwise, even for an equal copy), lets the interior-point loop start
+    from that solve's iterates (`_warm_start`); the splitting loop ignores
+    them.  The stop rules are the same either way, and a warm start never
+    costs the certificate: a warm solve that ends ``infeasible_numerics`` is
+    run again cold, and the solution is that run's, with the steps of both.
     """
-    if start is not None and not _same_layout(problem, start.problem):
+    if start is not None and start.problem.layout is not problem.layout:
         raise ValueError("the start solves a problem of another layout")
-    stack = _Stack(problem) if start is None else start.layout
     costs = problem.costs
     if costs.shape[-1] > IPM_MAX_SIDE or np.any(np.imag(costs)):
-        return _solve(problem, _splitting, stack)
-    warm = _warm_start(stack, costs.real, start)
-    solution = _solve(problem, lambda st, bounds, opts: _interior_point(st, bounds, opts, warm), stack)
+        return _solve(problem, _splitting)
+    warm = _warm_start(problem.layout.stack, costs.real, start)
+    solution = _solve(problem, lambda st, bounds, opts: _interior_point(st, bounds, opts, warm))
     if warm is None or solution.status != "infeasible_numerics":
         return solution
-    cold = _solve(problem, _interior_point, stack)
+    cold = _solve(problem, _interior_point)
     cold.iterations += solution.iterations
     return cold
 
 
-def _solve(
-    problem: SdpProblem,
-    loop: Callable[[_Stack, _Bounds, SdpOptions], tuple[int, str, np.ndarray | None]],
-    stack: _Stack | None = None,
-) -> SdpSolution:
-    stack = _Stack(problem) if stack is None else stack
+def _solve(problem: SdpProblem, loop: Callable[[_Stack, _Bounds, SdpOptions], tuple]) -> SdpSolution:
+    stack = problem.layout.stack
     costs = problem.costs
     if not np.any(costs.imag):
         costs = costs.real.copy()  # real symmetric fast path
@@ -616,7 +617,6 @@ def _solve(
         residuals=residuals,
         blocks=x,
         problem=problem,
-        layout=stack,
         iterates=iterates,
     )
 

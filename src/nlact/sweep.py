@@ -423,7 +423,7 @@ def _exact_tlf_entry(spec: FamilySpec, bases: np.ndarray = TWIRLED_BASES) -> dic
     lo = max(lo, 0.0)  # as in the searched entries
     problems = [build_cost(spec.state(q)) for q in (lo, hi)]
     ends = np.array([problem.costs.ravel() for problem in problems])
-    vertices, multipliers = basis_vertices(bases, problems[1].pt_map, problems[1].mult, ends)
+    vertices, multipliers = basis_vertices(bases, problems[1].layout.pt_map, problems[1].layout.mult, ends)
     at_lo, at_hi = vertices.value(ends[:, None])
 
     def lower_bound(t: float) -> float:

@@ -20,9 +20,9 @@ from nlact.sdp import (
     IPM_MAX_SIDE,
     VERTEX_TOL,
     LpVertex,
+    SdpLayout,
     SdpOptions,
     SdpProblem,
-    _Stack,
     basis_vertices,
     solve,
     vertex_solve,
@@ -39,11 +39,11 @@ def _r_curve(p):
 def test_build_cost_shapes():
     problem = build_cost(wi_state(0.5))
     assert problem.cost.shape == (16, 16)
-    assert problem.dims == (2, 2, 2, 2)
-    assert problem.t1_split == 2
+    assert problem.layout.dims == (2, 2, 2, 2)
+    assert problem.layout.t1_split == 2
     problem = build_cost(isotropic_state(6, 0.5))
     assert problem.cost.shape == (144, 144)
-    assert problem.dims == (6, 2, 6, 2)
+    assert problem.layout.dims == (6, 2, 6, 2)
 
 
 def test_build_cost_real_symmetric_for_families():
@@ -167,7 +167,7 @@ def _assert_block_matches_dense(problem):
     """
     scalar = problem.costs.shape[-1] == 1
     block = vertex_solve(problem, TWIRLED_BASES) if scalar else solve(problem)
-    dense = solve(SdpProblem.from_cost(problem.cost, problem.dims, problem.t1_split, problem.options))
+    dense = solve(SdpProblem.from_cost(problem.cost, problem.layout.dims, problem.layout.t1_split, problem.options))
     activated = [s.status in ("converged", "decided") and s.objective < -ACTIVATION_TOL for s in (block, dense)]
     assert activated[0] == activated[1]
     both_interior_point = problem.cost.shape[0] <= IPM_MAX_SIDE and not np.any(problem.cost.imag)
@@ -206,38 +206,42 @@ def test_block_form_multiplicities():
     # eight scalar blocks on P_b x B_k: Tr P_b for each of the four Bell projectors B_k
     d = 5
     werner = build_cost(werner_state(d, 0.6))
-    assert werner.mult.tolist() == [d * (d + 1) / 2] * 4 + [d * (d - 1) / 2] * 4
-    assert np.allclose(werner.pt_map @ _Stack(werner).adjoint, np.eye(8))
+    assert werner.layout.mult.tolist() == [d * (d + 1) / 2] * 4 + [d * (d - 1) / 2] * 4
+    assert np.allclose(werner.layout.pt_map @ werner.layout.stack.adjoint, np.eye(8))
     isotropic = build_cost(isotropic_state(d, 0.6))
-    assert isotropic.mult.tolist() == [d * d - 1] * 4 + [1] * 4
-    assert np.allclose(isotropic.pt_map, _Stack(werner).adjoint)
+    assert isotropic.layout.mult.tolist() == [d * d - 1] * 4 + [1] * 4
+    assert np.allclose(isotropic.layout.pt_map, werner.layout.stack.adjoint)
     # the ends of the range stay in their family's algebra: 1/d^2 is also Werner-invariant
     for d in (2, 3, 4):
-        assert build_cost(isotropic_state(d, 0.0)).mult.tolist() == [d * d - 1] * 4 + [1] * 4
+        assert build_cost(isotropic_state(d, 0.0)).layout.mult.tolist() == [d * d - 1] * 4 + [1] * 4
     # the multiplicities are the traces of the dense projectors P_b x B_k
     problem = build_cost(werner_state(3, 0.6))
-    assert problem.dims == (3, 2, 3, 2)
-    traces = [np.trace(problem.dense(np.eye(8)[b][:, None, None])).real for b in range(8)]
-    assert np.allclose(traces, problem.mult)
+    assert problem.layout.dims == (3, 2, 3, 2)
+    traces = [np.trace(problem.layout.dense(np.eye(8)[b][:, None, None])).real for b in range(8)]
+    assert np.allclose(traces, problem.layout.mult)
 
 
 def test_twirled_pt_maps_are_shared_and_read_only():
-    # the map depends on (algebra, d) only: one read-only map for every p
-    first, second = (build_cost(werner_state(4, p)) for p in (0.3, 0.9))
-    assert first.pt_map is second.pt_map
-    isotropic = build_cost(isotropic_state(4, 0.3))
-    for problem in (first, isotropic):
-        assert not problem.pt_map.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            problem.pt_map[0, 0] = 0.0
+    # a layout depends on its form and dims only: one layout for every p, and
+    # every problem of the form shares its read-only pt_map and projectors
+    forms = (lambda p: werner_state(4, p), lambda p: isotropic_state(4, p), hirsch_state, _plain_hirsch)
+    for form in forms:
+        first, second = (build_cost(form(p)) for p in (0.3, 0.9))
+        assert first.layout is second.layout
+        for array in (first.layout.pt_map, *(projectors for projectors, _ in first.layout.factors)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        activation._BELL_H[0] = 0.0
 
 
 def _best_vertex(problem):
     """The feasible vertex of least value among the pinned table's, as `sdp.vertex_solve` takes it."""
     costs = problem.costs.ravel()
-    vertices, _ = basis_vertices(TWIRLED_BASES, problem.pt_map, problem.mult, costs[None])
+    vertices, _ = basis_vertices(TWIRLED_BASES, problem.layout.pt_map, problem.layout.mult, costs[None])
     k = np.argmin(vertices.value(costs))
-    return LpVertex(vertices.blocks[k], vertices.basis[k], vertices.system[k], problem.mult)
+    return LpVertex(vertices.blocks[k], vertices.basis[k], vertices.system[k], problem.layout.mult)
 
 
 @pytest.mark.parametrize("family,d", [("wi", 2), ("werner", 3), ("werner", 6), ("isotropic", 3), ("isotropic", 6)])
@@ -247,7 +251,7 @@ def test_lp_vertex_bounds_sigma_on_both_sides(family, d):
     # reference is the matrix interior-point loop
     top = sigma_min(_twirled_state(family, d, 1.0)).witness
     vertex = _best_vertex(top.problem)
-    rows = np.concatenate([np.eye(8), top.problem.pt_map])
+    rows = np.concatenate([np.eye(8), top.problem.layout.pt_map])
     assert np.min(rows @ vertex.blocks) >= -VERTEX_TOL
     assert abs(vertex.mult @ vertex.blocks - 1.0) <= 1e-12
     assert np.allclose(vertex.system @ vertex.blocks, np.eye(8)[-1], atol=1e-15)
@@ -268,7 +272,7 @@ def test_stacked_vertices_match_single_ones(family, d):
     # a stack from basis_vertices answers as each of its vertices alone, and
     # holds the vertex that sigma_min's witness is, up to the mix toward I/n
     solution = sigma_min(_twirled_state(family, d, 0.8), SdpOptions(tol_objective=1e-10)).witness
-    pt_map, mult, costs = solution.problem.pt_map, solution.problem.mult, solution.problem.costs.ravel()
+    pt_map, mult, costs = solution.problem.layout.pt_map, solution.problem.layout.mult, solution.problem.costs.ravel()
     vertices, multipliers = basis_vertices(TWIRLED_BASES, pt_map, mult, np.array([costs, 2.0 * costs]))
     rows = np.concatenate([np.eye(8), pt_map])
     assert np.min(vertices.blocks @ rows.T) >= -VERTEX_TOL
@@ -305,9 +309,9 @@ def test_block_form_reproduces_dense_cost():
 def test_problem_rejects_mismatched_blocks():
     problem = build_cost(werner_state(3, 0.5))
     # a projector factor that does not sum to the identity
-    (twirl, subsystems), bell = problem.factors
+    (twirl, subsystems), bell = problem.layout.factors
     with pytest.raises(ValueError, match="identity"):
-        dataclasses.replace(problem, factors=((np.array([twirl[0], twirl[0]]), subsystems), bell))
+        dataclasses.replace(problem.layout, factors=((np.array([twirl[0], twirl[0]]), subsystems), bell))
     with pytest.raises(ValueError, match="Hermitian"):
         dataclasses.replace(problem, costs=problem.costs + 1j)
 
@@ -322,7 +326,7 @@ def test_non_invariant_inputs_get_bell_form(rng):
         problem = build_cost(tau)
         side = tau.dims[0] * tau.dims[1]
         assert problem.costs.shape == (4, side, side)
-        assert problem.mult.tolist() == [1, 1, 1, 1]
+        assert problem.layout.mult.tolist() == [1, 1, 1, 1]
         assert np.max(np.abs(problem.cost - activation._dense_cost(tau))) < 1e-14
 
 
@@ -354,12 +358,12 @@ def test_hirsch_at_q0_matches_wi(options):
 def test_bell_pt_map():
     # PT over A_q of each Bell projector, in the Bell basis
     bell = build_cost(_plain_hirsch(0.3))
-    (projectors, subsystems), = bell.factors
+    (projectors, subsystems), = bell.layout.factors
     assert subsystems == (1, 3)
     for b, projector in enumerate(projectors):
         pt = partial_transpose_mat(projector, (2, 2), (0,))
-        assert np.max(np.abs(pt - np.einsum("c,cij->ij", bell.pt_map[:, b], projectors))) < 1e-15
-    assert np.allclose(bell.pt_map @ _Stack(bell).adjoint, np.eye(4))
+        assert np.max(np.abs(pt - np.einsum("c,cij->ij", bell.layout.pt_map[:, b], projectors))) < 1e-15
+    assert np.allclose(bell.layout.pt_map @ bell.layout.stack.adjoint, np.eye(4))
 
 
 def _plain_hirsch(p, q=1.0):
@@ -414,22 +418,22 @@ def test_parity_form_reproduces_dense_cost():
     for q, p in [(1.0, 0.3), (0.6, 0.7), (0.0, 0.5), (0.3, 1.0)]:
         tau = hirsch_state(p, q)
         problem = build_cost(tau)
-        assert problem.relabel == (0, 2)
+        assert problem.layout.relabel == (0, 2)
         assert np.max(np.abs(problem.cost - activation._dense_cost(tau))) <= 1e-14
 
 
 def test_parity_problem_rejects_a_relabel_that_does_not_fit():
-    problem = build_cost(hirsch_state(0.3))
+    layout = build_cost(hirsch_state(0.3)).layout
     # the control must be the blocks' cut qubit, and the target the parity factor's
     for relabel in ((2, 0), (1, 2), (0, 3)):
         with pytest.raises(ValueError, match="relabel"):
-            dataclasses.replace(problem, relabel=relabel)
-    (parity, subsystems), bell = problem.factors
+            dataclasses.replace(layout, relabel=relabel)
+    (parity, subsystems), bell = layout.factors
     with pytest.raises(ValueError, match="parity factor"):
-        dataclasses.replace(problem, factors=((parity[::-1], subsystems), bell))
+        dataclasses.replace(layout, factors=((parity[::-1], subsystems), bell))
     # the Bell form has no parity factor
     with pytest.raises(ValueError, match="relabel"):
-        dataclasses.replace(build_cost(_plain_hirsch(0.3)), relabel=(0, 2))
+        dataclasses.replace(build_cost(_plain_hirsch(0.3)).layout, relabel=(0, 2))
 
 
 def test_parity_state_rejects_a_coupling_of_its_sectors():
@@ -452,7 +456,7 @@ def test_sigma_min_builds_no_dense_cost_or_minimizer(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense matrix built")
 
-    monkeypatch.setattr(SdpProblem, "dense", refuse)
+    monkeypatch.setattr(SdpLayout, "dense", refuse)
     monkeypatch.setattr(activation, "_dense_cost", refuse)
     for tau in (werner_state(6, 0.7), isotropic_state(6, 0.5), wi_state(0.8), hirsch_state(0.2)):
         result = sigma_min(tau)
@@ -464,7 +468,7 @@ def test_sigma_min_builds_no_dense_cost_or_minimizer(monkeypatch):
 
 def _dense_residuals(solution, t1_split=2):
     mat = solution.minimizer.mat
-    pt = partial_transpose_mat(mat, solution.problem.dims, tuple(range(t1_split)))
+    pt = partial_transpose_mat(mat, solution.problem.layout.dims, tuple(range(t1_split)))
     return {
         "psd_slack": max(0.0, -float(np.linalg.eigvalsh(mat)[0])),
         "ppt_slack": max(0.0, -float(np.linalg.eigvalsh(pt)[0])),

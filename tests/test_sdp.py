@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nlact import sdp
+from nlact import activation, sdp
 from nlact.activation import ACTIVATION_TOL, DEFAULT_OPTIONS, H_ANGLE, TWIRLED_BASES, bisection_options, build_cost
 from nlact.linalg import DensityMatrix, min_eig, partial_transpose_mat
 from nlact.rand import random_density
-from nlact.sdp import SdpOptions, SdpProblem, _interior_point, _solve, _splitting, solve, vertex_solve
+from nlact.sdp import SdpLayout, SdpOptions, SdpProblem, _interior_point, _solve, _splitting, solve, vertex_solve
 from nlact.states import (
     h_theta,
     hirsch_state,
@@ -20,7 +20,7 @@ from nlact.states import (
     werner_state,
     wi_state,
 )
-from nlact.sweep import FamilySpec, find_threshold
+from nlact.sweep import FamilySpec, find_threshold, sample_curve
 
 TIGHT = SdpOptions(tol_objective=1e-10)
 CERTIFIED = ("converged", "decided")
@@ -259,7 +259,8 @@ def test_scalar_loop_rounds_past_a_singular_transposed_basis(tol):
     sol = vertex_solve(problem, TWIRLED_BASES)
     assert (sol.status, sol.iterations) == ("converged", 0)
     assert sol.objective - sol.objective_lb <= 1e-15
-    vertices, multipliers = sdp.basis_vertices(TWIRLED_BASES, problem.pt_map, problem.mult, problem.costs.ravel()[None])
+    layout = problem.layout
+    vertices, multipliers = sdp.basis_vertices(TWIRLED_BASES, layout.pt_map, layout.mult, problem.costs.ravel()[None])
     assert np.all(np.isfinite(multipliers))
 
 
@@ -294,7 +295,7 @@ def _twirl_only_problem(tau, options):
     d = tau.dims[0]
     ps, pt_map, _ = _twirl_pt_maps(tau)
     costs = np.multiply.outer(tau.coeffs, h_theta(H_ANGLE).real)
-    return SdpProblem(costs, ((ps, (0, 2)),), pt_map, (d, 2, d, 2), t1_split=2, options=options)
+    return SdpProblem(costs, SdpLayout(((ps, (0, 2)),), pt_map, (d, 2, d, 2), t1_split=2), options)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -304,15 +305,15 @@ def test_derived_adjoint_inverts_pt_map(family, d):
     # the twirl alone: the adjoint is the partial transpose of the Q_c read off in the P_b
     problem = _twirl_only_problem(tau, SdpOptions())
     _, _, back = _twirl_pt_maps(tau)
-    adjoint = sdp._Stack(problem).adjoint
+    adjoint = problem.layout.stack.adjoint
     assert adjoint.flags.c_contiguous
     assert np.allclose(adjoint, back, rtol=0.0, atol=1e-14)
-    assert np.allclose(adjoint @ problem.pt_map, np.eye(2), rtol=0.0, atol=1e-14)
+    assert np.allclose(adjoint @ problem.layout.pt_map, np.eye(2), rtol=0.0, atol=1e-14)
     # the eight scalar blocks of the twirl with the ancilla's Bell basis
     problem = build_cost(tau)
-    adjoint = sdp._Stack(problem).adjoint
+    adjoint = problem.layout.stack.adjoint
     assert adjoint.flags.c_contiguous
-    assert np.allclose(adjoint @ problem.pt_map, np.eye(8), rtol=0.0, atol=1e-14)
+    assert np.allclose(adjoint @ problem.layout.pt_map, np.eye(8), rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("family,d", [("werner", 3), ("isotropic", 4), ("werner", 6)], ids=str)
@@ -328,10 +329,10 @@ def test_inconsistent_pt_map_is_rejected_before_any_step(family, d, monkeypatch)
     family_state = {"werner": werner_state, "isotropic": isotropic_state}
     problem = build_cost(family_state[family](d, 0.7))
     other = build_cost(family_state["isotropic" if family == "werner" else "werner"](d, 0.7))
-    for pt_map in (other.pt_map, problem.pt_map[:, ::-1]):
+    for pt_map in (other.layout.pt_map, problem.layout.pt_map[:, ::-1]):
         for run in (solve, lambda problem: vertex_solve(problem, TWIRLED_BASES)):
             with pytest.raises(ValueError, match="adjoint"):
-                run(dataclasses.replace(problem, pt_map=pt_map))
+                run(SdpProblem(problem.costs, dataclasses.replace(problem.layout, pt_map=pt_map), problem.options))
 
 
 @pytest.mark.parametrize("family,d", [("werner", 3), ("werner", 4), ("isotropic", 3)], ids=str)
@@ -343,7 +344,7 @@ def test_matrix_loop_on_blocks_with_multiplicities(family, d):
     for p, tau in list(_tlf_grid(family, d))[-4:]:
         problem = _twirl_only_problem(tau, options)
         assert problem.costs.shape == (2, 4, 4)
-        assert not np.allclose(problem.pt_map, sdp._Stack(problem).adjoint)
+        assert not np.allclose(problem.layout.pt_map, problem.layout.stack.adjoint)
         block = solve(problem)
         scalar = vertex_solve(build_cost(tau, options), TWIRLED_BASES)
         assert block.status == scalar.status == "converged", p
@@ -371,7 +372,7 @@ def test_side_one_lowest_eigenvalues_are_the_entries(monkeypatch, rng):
 
 def test_problem_validation(rng):
     with pytest.raises(ValueError, match="Hermitian"):
-        SdpProblem.from_cost(np.array([[0.0, 1.0], [0.0, 0.0]]), dims=(2,), t1_split=1)
+        SdpProblem.from_cost(np.eye(4, k=1), dims=(2, 2), t1_split=1)
     with pytest.raises(ValueError, match="prefix"):
         SdpProblem.from_cost(np.eye(4), dims=(2, 2), t1_split=2)
     with pytest.raises(ValueError, match="desk-scale"):
@@ -504,7 +505,7 @@ def test_interior_point_solution_stores_its_states_from_the_start():
     sol = solve(problem)
     nb, s = problem.costs.shape[:2]
     assert sol.iterates.shape == (sol.iterations + 1, 4 * nb, s, s)
-    assert np.array_equal(sol.iterates[0], sdp._start(sdp._Stack(problem), problem.costs.real))
+    assert np.array_equal(sol.iterates[0], sdp._start(problem.layout.stack, problem.costs.real))
     assert _admm(problem).iterates is None
     assert vertex_solve(build_cost(werner_state(3, 0.6)), TWIRLED_BASES).iterates is None
 
@@ -553,7 +554,7 @@ def test_loop_operators_match_the_gather_form(kind):
     # every linear map of a Newton step, as one product with the layout's
     # derived operators, against its definition through `_Stack.transpose`
     problem = _layout(kind)
-    st = sdp._Stack(problem)
+    st = problem.layout.stack
     ops = st.operators
     nb, s = st.nb, st.s
     i, j, basis = sdp._symmetric_basis(s)
@@ -587,40 +588,63 @@ def test_loop_operators_match_the_gather_form(kind):
         assert abs((z * dual).reshape(-1) @ ops.gap - mu) <= 1e-14 * max(1.0, abs(mu))
 
 
-def test_a_search_derives_its_layout_once(monkeypatch):
-    # the nine solves of the hirsch1 search share one layout: the first solve
-    # derives it, and each warm solve inherits its start's
+def _count_derivations(monkeypatch):
+    """The `_Stack` and `_Operators` derived from here on, in order, with the activation layouts built afresh."""
     derived = []
 
     class Counted(sdp._Stack):
-        def __init__(self, problem):
+        def __init__(self, layout):
             derived.append("stack")
-            super().__init__(problem)
+            super().__init__(layout)
 
     class CountedOperators(sdp._Operators):
         def __init__(self, st):
             derived.append("operators")
             super().__init__(st)
 
+    activation._layout.cache_clear()
     monkeypatch.setattr(sdp, "_Stack", Counted)
     monkeypatch.setattr(sdp, "_Operators", CountedOperators)
-    report = find_threshold(FamilySpec("hirsch1"), "tlf", (0.12, 0.22))
-    assert report.evaluations == 9
+    return derived
+
+
+def test_a_search_derives_its_layout_once(monkeypatch):
+    # the nine solves of each hirsch1 search, warm or cold, share one layout
+    # object: the first solve of the first search derives its data
+    derived = _count_derivations(monkeypatch)
+    for _ in range(2):
+        assert find_threshold(FamilySpec("hirsch1"), "tlf", (0.12, 0.22)).evaluations == 9
     assert derived == ["stack", "operators"]
 
 
-def test_inherited_layout_is_the_derived_one():
-    # a warm solve on its start's layout is bit for bit the warm solve on a layout derived afresh
+def test_a_twirled_curve_derives_its_layout_once(monkeypatch):
+    # each point's vertex_solve reads the stack of the one (werner, 3) layout
+    derived = _count_derivations(monkeypatch)
+    curve = sample_curve(FamilySpec("werner", d=3), "tlf", np.linspace(0.0, 1.0, 11))
+    assert None not in curve.values
+    assert derived == ["stack"]
+
+
+def test_shared_layout_solves_as_a_fresh_equal_one():
+    # a warm solve on the shared layout is bit for bit the warm solve on an
+    # equal layout built afresh, which derives its own stack
     options = bisection_options()
-    first = build_cost(hirsch_state(0.17), options)
-    start = solve(first)
-    problem = build_cost(hirsch_state(0.1746875), options)
-    inherited = solve(problem, start)
-    assert inherited.layout is start.layout
-    fresh = solve(problem, dataclasses.replace(start, layout=sdp._Stack(first)))
-    assert fresh.layout is not start.layout
-    _assert_same_solve(inherited, fresh)
-    assert np.array_equal(inherited.iterates, fresh.iterates)
+    first, problem = (build_cost(hirsch_state(p), options) for p in (0.17, 0.1746875))
+    shared = solve(problem, solve(first))
+    fresh = dataclasses.replace(first.layout)
+    assert fresh is not first.layout and fresh.stack is not first.layout.stack
+    start = solve(SdpProblem(first.costs, fresh, options))
+    rebuilt = solve(SdpProblem(problem.costs, fresh, options), start)
+    _assert_same_solve(shared, rebuilt)
+    assert np.array_equal(shared.iterates, rebuilt.iterates)
+
+
+def test_start_on_an_equal_copy_of_the_layout_is_rejected():
+    # layouts are compared by identity, not by value
+    problem = build_cost(hirsch_state(0.2))
+    copy = SdpProblem(problem.costs, dataclasses.replace(problem.layout), problem.options)
+    with pytest.raises(ValueError, match="layout"):
+        solve(copy, solve(problem))
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-11])

@@ -342,7 +342,7 @@ def _table_at(spec, p):
     """The feasible vertices of TWIRLED_BASES at p, with their values and dual bounds."""
     problem = build_cost(spec.state(p))
     costs = problem.costs.ravel()
-    vertices, multipliers = basis_vertices(TWIRLED_BASES, problem.pt_map, problem.mult, costs[None])
+    vertices, multipliers = basis_vertices(TWIRLED_BASES, problem.layout.pt_map, problem.layout.mult, costs[None])
     return vertices, vertices.value(costs), vertices.dual_bound(costs, multipliers[0])
 
 
@@ -487,7 +487,7 @@ def test_twirled_bases_are_the_path_optimal_bases():
     for algebra, d in itertools.product(("werner", "isotropic"), range(2, 9)):
         mult = np.trace(twirl_projectors(algebra, d), axis1=1, axis2=2)
         problems = [build_cost(TwirledState(algebra, d, c)) for c in ((1.0 / mult[0], 0.0), (0.0, 1.0 / mult[1]))]
-        pt_map, mult = problems[1].pt_map, problems[1].mult
+        pt_map, mult = problems[1].layout.pt_map, problems[1].layout.mult
         systems = np.concatenate([np.eye(8), pt_map])[everything]
         systems = np.concatenate([systems, np.broadcast_to(mult, (len(everything), 1, 8))], axis=1)
         bases = everything[np.abs(np.linalg.det(systems)) > 1e-9]
