@@ -49,8 +49,10 @@ def kron(*ops: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
+    """Whether a square matrix, or each of a stack, is finite and Hermitian within tol."""
     mat = np.asarray(mat)
-    return mat.shape[0] == mat.shape[1] and np.max(np.abs(mat - mat.conj().T)) <= tol
+    square = mat.ndim >= 2 and mat.shape[-1] == mat.shape[-2]
+    return square and np.all(np.isfinite(mat)) and np.max(np.abs(mat - mat.conj().swapaxes(-1, -2))) <= tol
 
 
 @dataclass(eq=False)

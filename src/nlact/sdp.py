@@ -52,9 +52,9 @@ iterates stay of that form, and on it the spectrum of X is the blocks'
 spectra with multiplicities Tr P_b, traces and Frobenius inner products are
 the multiplicity-weighted ones, and the partial transpose maps the P_b
 algebra linearly onto a second projector algebra Q_c (multiplicities
-Tr Q_c) by the layout's one map ``pt_map``: `_Stack.pt`.  Its adjoint
-`_Stack.pt_adj` is derived from ``pt_map`` and the multiplicities, and must
-also be its inverse, as the dense partial transpose is a self-adjoint
+Tr Q_c) by the layout's one map ``pt_map``: `SdpLayout.pt`.  Its adjoint
+`SdpLayout.pt_adj` is derived from ``pt_map`` and the multiplicities, and
+must also invert it, as the dense partial transpose is a self-adjoint
 involution.  A cost that also commutes with Z x Z on two qubits (the
 Hirsch activation costs) takes its parity as one more factor, in a
 relabelled basis (``SdpLayout.relabel``).
@@ -66,11 +66,11 @@ interior-point loop from the latest stored state of an earlier solve on the
 same layout (`SdpSolution.iterates`) whose dual slack stays positive
 definite at the new cost (Gondzio & Grothey, SIAM J. Optim. 13 (2002)),
 and from the cold start I/n when none does.  Nor does anything derived from
-the layout alone -- the gather of T, the multiplicities, the adjoint and
-the interior-point loop's operators (`_Stack`) -- so the `SdpLayout` that
-the problems share derives them once, warm, cold and vertex solves alike.
-A warm solve that ends ``infeasible_numerics`` is run again cold, so a warm
-start never costs a certificate that the cold start would give.
+the layout alone (the gather of T, the multiplicities, the adjoint and
+`_Operators`), so every loop takes the `SdpLayout` that the problems share,
+which derives them once, for warm, cold and vertex solves alike.  A warm
+solve that ends ``infeasible_numerics`` is run again cold, so a warm start
+never costs a certificate that the cold start would give.
 
 Both loops and the vertex table feed one certificate of objective bounds:
 
@@ -101,7 +101,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -112,6 +112,7 @@ from .linalg import (
     PSD_TOL,
     TRACE_TOL,
     DensityMatrix,
+    is_hermitian,
     kron,
     permute_mat,
 )
@@ -217,8 +218,16 @@ class SdpLayout:
     one inner subsystem in the cut, and the first factor is
     `PARITY_PROJECTORS` on j alone, outside the cut, so its label is the
     Z x Z parity of the pair.  T over i then moves each block's entry between a and
-    a xor 1 to the block of the other parity (`_Stack.transpose`), and
+    a xor 1 to the block of the other parity (`transpose`), and
     `dense` undoes the relabelling.
+
+    X-side stacks hold blocks X_b (multiplicities ``mult``, Tr P_b), W-side
+    ones blocks of X^T1 (``pt_mult``, Tr Q_c).  `transpose` is T over the
+    inner subsystems in the cut, one gather of a stack's entries; `pt` is
+    PT(X)_c = sum_b pt_map[c, b] T(X)_b, and `pt_adj` its adjoint under the
+    multiplicity-weighted inner products.  Every loop takes the layout, which
+    derives these and its `_Operators` on first use.  It is validated whole
+    when built: the adjoint must invert ``pt_map``, and every entry be finite.
     """
 
     factors: tuple[tuple[np.ndarray, tuple[int, ...]], ...]
@@ -230,6 +239,8 @@ class SdpLayout:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         check_side(int(np.prod(self.dims)))
+        if not all(np.all(np.isfinite(a)) for a in (self.pt_map, *(p for p, _ in self.factors))):
+            raise ValueError("layout entries must be finite")
         for projectors, subsystems in self.factors:
             side = int(np.prod([self.dims[i] for i in subsystems]))
             if projectors.shape[1:] != (side, side):
@@ -244,6 +255,8 @@ class SdpLayout:
             parity = subsystems == (j,) and j >= self.t1_split and np.array_equal(projectors, PARITY_PROJECTORS)
             if cut != [i] or self.dims[i] != 2 or not parity:
                 raise ValueError(f"relabel {self.relabel} needs one cut qubit in the blocks and a parity factor")
+        if np.max(np.abs(self.adjoint @ self.pt_map - np.eye(len(self.mult)))) > HERM_INPUT_TOL:
+            raise ValueError(f"the adjoint of pt_map does not invert it within {HERM_INPUT_TOL}")
 
     @property
     def outer(self) -> tuple[int, ...]:
@@ -259,10 +272,73 @@ class SdpLayout:
         return mult
 
     @cached_property
+    def pt_mult(self) -> np.ndarray:
+        """Multiplicities Tr Q_c of the W side: PT(P_b) = sum_c pt_map[c, b] Q_c."""
+        return np.rint(np.linalg.solve(self.pt_map.T, self.mult))
+
+    @cached_property
+    def adjoint(self) -> np.ndarray:
+        """PT*(S)_b = sum_c adjoint[b, c] T(S)_c, with adjoint[b, c] = pt_map[c, b] Tr Q_c / Tr P_b."""
+        return np.ascontiguousarray(self.pt_map.T * self.pt_mult / self.mult[:, None])
+
+    @cached_property
     def shape(self) -> tuple[int, int, int]:
         """A block stack's shape (blocks, side, side), the side that of the inner subsystems."""
         side = int(np.prod([d for i, d in enumerate(self.dims) if i not in self.outer]))
         return len(self.mult), side, side
+
+    @cached_property
+    def n(self) -> float:
+        """The side of the dense problem."""
+        return float(self.mult.sum() * self.shape[1])
+
+    @cached_property
+    def center(self) -> np.ndarray:
+        """The X-side stack of I/n: the splitting loop's start and the point the certificate mixes toward."""
+        nb, s, _ = self.shape
+        return np.broadcast_to(np.eye(s) / self.n, (nb, s, s))
+
+    @cached_property
+    def trace_weights(self) -> np.ndarray:
+        """Tr of the dense operator of an X-side stack as one dot with its flattened entries."""
+        return np.outer(self.mult, np.eye(self.shape[1])).ravel()
+
+    @cached_property
+    def gather(self) -> np.ndarray:
+        """T as indices into a flattened stack: T inside each block, with ``relabel`` also across parities."""
+        nb, s, _ = self.shape
+        # T1 inside a block: the inner factors that fall in the cut (m) come first
+        inner = [i for i in range(len(self.dims)) if i not in self.outer]
+        m = int(np.prod([self.dims[i] for i in inner if i < self.t1_split]))
+        k = s // m
+        # entry (b, (a, x), (a', x')) of T(X) is entry (b', (a', x), (a, x')) of X, where b' is b, or with
+        # ``relabel`` its parity partner when a != a' (the first factor's label shifts by half the blocks)
+        half = nb // 2 if self.relabel else 0
+        b, a, x, a2, x2 = np.indices((nb, m, k, m, k))
+        return np.ravel_multi_index(((b + half * (a != a2)) % nb, a2, x, a, x2), b.shape).ravel()
+
+    def transpose(self, mats: np.ndarray) -> np.ndarray:
+        """T of a stack of nb blocks, over any leading axes."""
+        return mats.reshape(*mats.shape[:-3], -1)[..., self.gather].reshape(mats.shape)
+
+    def _mixed(self, mix: np.ndarray, mats: np.ndarray) -> np.ndarray:
+        out = self.transpose(mats)
+        # a lone block spans the whole space, which the transpose maps onto itself
+        return out if len(mix) == 1 else np.einsum("cb,...bij->...cij", mix, out)
+
+    def pt(self, mats: np.ndarray) -> np.ndarray:
+        return self._mixed(self.pt_map, mats)
+
+    def pt_adj(self, mats: np.ndarray) -> np.ndarray:
+        return self._mixed(self.adjoint, mats)
+
+    def trace(self, mats: np.ndarray) -> complex:
+        """Trace of the dense operator of an X-side stack."""
+        return self.trace_weights @ mats.reshape(-1)
+
+    @cached_property
+    def operators(self) -> _Operators:
+        return _Operators(self)
 
     def dense(self, blocks: np.ndarray) -> np.ndarray:
         """The dense operator sum_b P_b (x) blocks[b] in the subsystem order ``dims``, in the canonical basis."""
@@ -279,18 +355,14 @@ class SdpLayout:
         relabelled = np.ravel_multi_index(tuple(labels), self.dims)
         return mat[np.ix_(relabelled, relabelled)]
 
-    @cached_property
-    def stack(self) -> _Stack:
-        """The data every loop derives from the layout alone: derived on first use, shared by its problems."""
-        return _Stack(self)
-
 
 @dataclass(eq=False)
 class SdpProblem:
     """A problem as stacked blocks on a layout, C = sum_b P_b (x) costs[b], with its options.
 
     `from_cost` wraps a plain cost matrix as one block with no factor; ``cost``
-    is the dense matrix of the blocks, built on first access.
+    is the dense matrix of the blocks, built on first access.  A complex cost
+    with zero imaginary part is stored real, so its dtype settles the loop.
     """
 
     costs: np.ndarray
@@ -301,8 +373,10 @@ class SdpProblem:
         costs = self.costs
         if costs.shape != self.layout.shape:
             raise ValueError(f"block costs of shape {costs.shape} do not match the layout's {self.layout.shape}")
-        if np.max(np.abs(costs - costs.conj().swapaxes(-1, -2))) > HERM_INPUT_TOL:
-            raise ValueError(f"block costs are not Hermitian within {HERM_INPUT_TOL}")
+        if not is_hermitian(costs, HERM_INPUT_TOL):
+            raise ValueError(f"block costs are not finite and Hermitian within {HERM_INPUT_TOL}")
+        if np.iscomplexobj(costs) and not np.any(costs.imag):
+            self.costs = costs.real.copy()
 
     @classmethod
     def from_cost(
@@ -366,85 +440,17 @@ def _compose(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-class _Stack:
-    """The layout of a problem as stacks of blocks with multiplicities, shared by all loops.
-
-    X-side stacks hold the blocks X_b (multiplicities Tr P_b); W-side stacks
-    hold the blocks of X^T1 in the Q_c algebra (multiplicities Tr Q_c).
-    `transpose` is T, the transpose of the inner subsystems in the cut, as
-    one gather of a stack's entries: within each block, and with
-    ``relabel`` also onto the block of the other parity.  `pt` maps X-side
-    stacks onto W-side ones, PT(X)_c = sum_b pt_map[c, b] T(X)_b, and
-    `pt_adj` is its adjoint under the multiplicity-weighted inner
-    products, PT*(S)_b = sum_c adjoint[b, c] T(S)_c with adjoint[b, c] =
-    pt_map[c, b] Tr Q_c / Tr P_b.  The dense partial transpose is a
-    self-adjoint involution, so PT* must also invert PT: a ``pt_map`` whose
-    adjoint does not is rejected.
-
-    Nothing here depends on the cost, only on the `SdpLayout`, which
-    derives it once as its ``stack``: every solve on one layout object
-    shares it, and so the interior-point loop's `_Operators`, derived from
-    `pt` and `pt_adj` on first use.
-    """
-
-    def __init__(self, layout: SdpLayout) -> None:
-        self.pt_map = layout.pt_map
-        self.nb, self.s, _ = layout.shape
-        # T1 inside a block: the inner factors that fall in the cut (m) come first
-        inner = [i for i in range(len(layout.dims)) if i not in layout.outer]
-        m = int(np.prod([layout.dims[i] for i in inner if i < layout.t1_split]))
-        k = self.s // m
-        # entry (b, (a, x), (a', x')) of T(X) is entry (b', (a', x), (a, x')) of X, where b' is b, or with
-        # ``relabel`` its parity partner when a != a' (the first factor's label shifts by half the blocks)
-        half = self.nb // 2 if layout.relabel else 0
-        b, a, x, a2, x2 = np.indices((self.nb, m, k, m, k))
-        self.gather = np.ravel_multi_index(((b + half * (a != a2)) % self.nb, a2, x, a, x2), b.shape).ravel()
-        self.block_mult = layout.mult
-        # X-side multiplicities Tr P_b, then W-side ones Tr Q_c: PT(P_b) = sum_c pt_map[c, b] Q_c
-        self.mult = np.concatenate([self.block_mult, np.rint(np.linalg.solve(self.pt_map.T, self.block_mult))])
-        self.adjoint = np.ascontiguousarray(self.pt_map.T * self.mult[self.nb :] / self.block_mult[:, None])
-        if np.max(np.abs(self.adjoint @ self.pt_map - np.eye(self.nb))) > HERM_INPUT_TOL:
-            raise ValueError(f"the adjoint of pt_map does not invert it within {HERM_INPUT_TOL}")
-        self.n = float(self.block_mult.sum() * self.s)  # side of the dense problem
-        self.eye = np.broadcast_to(np.eye(self.s), (self.nb, self.s, self.s))
-        # Tr of the dense operator of an X-side stack as one dot with its flattened entries
-        self.trace_weights = np.outer(self.block_mult, np.eye(self.s)).ravel()
-
-    def transpose(self, mats: np.ndarray) -> np.ndarray:
-        """T of a stack of nb blocks, over any leading axes."""
-        return mats.reshape(*mats.shape[:-3], -1)[..., self.gather].reshape(mats.shape)
-
-    def _mixed(self, mix: np.ndarray, mats: np.ndarray) -> np.ndarray:
-        out = self.transpose(mats)
-        # a lone block spans the whole space, which the transpose maps onto itself
-        return out if len(mix) == 1 else np.einsum("cb,...bij->...cij", mix, out)
-
-    def pt(self, mats: np.ndarray) -> np.ndarray:
-        return self._mixed(self.pt_map, mats)
-
-    def pt_adj(self, mats: np.ndarray) -> np.ndarray:
-        return self._mixed(self.adjoint, mats)
-
-    def trace(self, mats: np.ndarray) -> complex:
-        """Trace of the dense operator of an X-side stack."""
-        return self.trace_weights @ mats.reshape(-1)
-
-    @cached_property
-    def operators(self) -> _Operators:
-        return _Operators(self)
-
-
 class _Operators:
     """The interior-point loop's linear maps on one layout, each one matrix.
 
     All act on flattened stacks from the right, flat(f(A)) = flat(A) @ f,
-    and are read off `_Stack.pt` and `_Stack.pt_adj` applied to unit
-    stacks, so `_Stack.transpose` stays the only definition of T.  A
+    and are read off `SdpLayout.pt` and `SdpLayout.pt_adj` applied to unit
+    stacks, so `SdpLayout.transpose` stays the only definition of T.  A
     symmetric block is written in its coordinates on `_symmetric_basis`,
     its entries (i, j) with i <= j, and a map that takes the symmetric part
-    of its argument first has that part folded in.  They hold about
-    6 (nb s^2)^2 numbers: 60 KB for the parity form, 45 MB for four blocks
-    of side 16.
+    of its argument first has that part folded in.  The layout derives them
+    once, as its ``operators``.  They hold about 6 (nb s^2)^2 numbers: 60 KB
+    for the parity form, 45 MB for four blocks of side 16.
 
     - ``pt``, ``adj``: PT and PT* on X-side and W-side stacks;
     - ``gap``: the weights of <(X, W), (S1, S2)> / (2 n), which is mu;
@@ -463,16 +469,16 @@ class _Operators:
       state start, and the half of each block.
     """
 
-    def __init__(self, st: _Stack) -> None:
-        nb, s = st.nb, st.s
+    def __init__(self, layout: SdpLayout) -> None:
+        nb, s, _ = layout.shape
         flat = nb * s * s
         i, j, self.basis = _symmetric_basis(s)
         per_block = len(i)
         self.size = size = nb * per_block
         units = np.eye(flat).reshape(flat, nb, s, s)
-        self.pt = st.pt(units).reshape(flat, flat)
-        self.adj = st.pt_adj(units).reshape(flat, flat)
-        self.gap = np.repeat(st.mult, s * s) / (2.0 * st.n)
+        self.pt = layout.pt(units).reshape(flat, flat)
+        self.adj = layout.pt_adj(units).reshape(flat, flat)
+        self.gap = np.repeat(np.concatenate([layout.mult, layout.pt_mult]), s * s) / (2.0 * layout.n)
         # coordinate (c, u) of a block stack is entry (c, i[u], j[u]); of its symmetric part, the mean with (c, j, i)
         entry, mirror = ((np.arange(nb)[:, None] * s * s + index).ravel() for index in (i * s + j, j * s + i))
         coords = np.zeros((flat, size))
@@ -483,22 +489,22 @@ class _Operators:
         lift = np.zeros((size, flat))
         lift[np.arange(size), entry] = lift[np.arange(size), mirror] = 1.0
         lifted = lift.reshape(size, nb, s, s)
-        self.pt_coords = st.pt(lifted)[..., i, j].reshape(nb, per_block, size)
-        self.adj_coords = st.pt_adj(lifted)[..., i, j].reshape(size, size).T
+        self.pt_coords = layout.pt(lifted)[..., i, j].reshape(nb, per_block, size)
+        self.adj_coords = layout.pt_adj(lifted)[..., i, j].reshape(size, size).T
         # the symmetric part of a stack, as a map on its entries
         swapped = np.arange(flat).reshape(nb, s, s).swapaxes(1, 2).ravel()
         pt_sym = 0.5 * (self.pt + self.pt[swapped]) @ coords
-        self.border = np.column_stack([pt_sym, st.trace_weights])
+        self.border = np.column_stack([pt_sym, layout.trace_weights])
         # <PT(U), basis[u] in block c> over the W side, from PT(U)'s coordinates: Tr Q_c (2 - [i == j]) PT(U)[c, i, j]
-        self.inner = np.outer(st.mult[nb:], np.where(i == j, 1.0, 2.0)).ravel()
+        self.inner = np.outer(layout.pt_mult, np.where(i == j, 1.0, 2.0)).ravel()
         self.rhs = np.zeros((2 * flat, size + 1))
         self.rhs[:flat, :size] = -pt_sym
-        self.rhs[:flat, size] = -st.trace_weights
+        self.rhs[:flat, size] = -layout.trace_weights
         self.rhs[flat:, :size] = coords
         self.dual = np.zeros((size + 1, 2 * flat))
         self.dual[:size, :flat] = -(lift @ self.adj)
         self.dual[:size, flat:] = lift
-        self.dual[size, :flat] = -st.eye.ravel()
+        self.dual[size, :flat] = -np.tile(np.eye(s).ravel(), nb)
         self.halves = np.array([0, 2 * nb])
         self.half_of = np.repeat([0, 1], 2 * nb)[:, None, None]
 
@@ -517,15 +523,14 @@ def _min_eig(mats: np.ndarray) -> float:
 class _Bounds:
     """Best certified objective bounds of a solve at its cost, and the feasible point attaining the upper one."""
 
-    def __init__(self, stack: _Stack, costs: np.ndarray, opts: SdpOptions) -> None:
-        self.stack = stack
+    def __init__(self, layout: SdpLayout, costs: np.ndarray, opts: SdpOptions) -> None:
+        self.layout = layout
         self.costs = costs
-        self.weighted_costs = stack.block_mult[:, None, None] * costs
+        self.weighted_costs = layout.mult[:, None, None] * costs
         self.opts = opts
         self.ub = math.inf
         self.lb = -math.inf
-        self.center = stack.eye / stack.n
-        self.x = self.center
+        self.x = layout.center
 
     def update(self, x: np.ndarray, pt_x: np.ndarray, adj_s2: np.ndarray) -> str | None:
         """Tighten the bounds from a trace-one PSD X-side stack x with PT(x), and PT*(S2) of a PSD W-side stack S2.
@@ -538,11 +543,10 @@ class _Bounds:
         status the bounds allow, if any: with an ``objective_cut`` set, none
         until the bounds lie on one side of it, however small the gap.
         """
-        st = self.stack
-        low = np.minimum.reduceat(_lowest(np.concatenate([self.costs - adj_s2, pt_x])), (0, st.nb))
+        low = np.minimum.reduceat(_lowest(np.concatenate([self.costs - adj_s2, pt_x])), (0, len(self.costs)))
         slack = max(0.0, -float(low[1]))
-        gamma = slack * st.n / (1.0 + slack * st.n)
-        x_feas = (1.0 - gamma) * x + gamma * self.center
+        gamma = slack * self.layout.n / (1.0 + slack * self.layout.n)
+        x_feas = (1.0 - gamma) * x + gamma * self.layout.center
         ub = float(np.vdot(x_feas, self.weighted_costs).real)
         if ub < self.ub:
             self.ub = ub
@@ -561,7 +565,7 @@ def solve(problem: SdpProblem, start: SdpSolution | None = None) -> SdpSolution:
 
     The loop is chosen from the blocks: a real cost in blocks of side at
     most ``IPM_MAX_SIDE`` goes to the interior-point loop, all others to
-    the splitting loop; both read ``problem.layout.stack``.  ``start``, an
+    the splitting loop; both take ``problem.layout``.  ``start``, an
     earlier solution of a problem on the same layout object (ValueError
     otherwise, even for an equal copy), lets the interior-point loop start
     from that solve's iterates (`_warm_start`); the splitting loop ignores
@@ -571,11 +575,10 @@ def solve(problem: SdpProblem, start: SdpSolution | None = None) -> SdpSolution:
     """
     if start is not None and start.problem.layout is not problem.layout:
         raise ValueError("the start solves a problem of another layout")
-    costs = problem.costs
-    if costs.shape[-1] > IPM_MAX_SIDE or np.any(np.imag(costs)):
+    if problem.costs.shape[-1] > IPM_MAX_SIDE or np.iscomplexobj(problem.costs):
         return _solve(problem, _splitting)
-    warm = _warm_start(problem.layout.stack, costs.real, start)
-    solution = _solve(problem, lambda st, bounds, opts: _interior_point(st, bounds, opts, warm))
+    warm = _warm_start(problem.layout, problem.costs, start)
+    solution = _solve(problem, lambda layout, bounds, opts: _interior_point(layout, bounds, opts, warm))
     if warm is None or solution.status != "infeasible_numerics":
         return solution
     cold = _solve(problem, _interior_point)
@@ -583,21 +586,18 @@ def solve(problem: SdpProblem, start: SdpSolution | None = None) -> SdpSolution:
     return cold
 
 
-def _solve(problem: SdpProblem, loop: Callable[[_Stack, _Bounds, SdpOptions], tuple]) -> SdpSolution:
-    stack = problem.layout.stack
-    costs = problem.costs
-    if not np.any(costs.imag):
-        costs = costs.real.copy()  # real symmetric fast path
-    bounds = _Bounds(stack, costs, problem.options)
-    iterations, status, iterates = loop(stack, bounds, problem.options)
+def _solve(problem: SdpProblem, loop: Callable[[SdpLayout, _Bounds, SdpOptions], tuple]) -> SdpSolution:
+    layout = problem.layout
+    bounds = _Bounds(layout, problem.costs, problem.options)
+    iterations, status, iterates = loop(layout, bounds, problem.options)
 
     # the invariants of a DensityMatrix, on the blocks: the dense minimizer's
     # spectrum and trace are the blocks' ones with multiplicities, and the
     # spectrum of its partial transpose is that of the W-side stack
     x = bounds.x
-    if np.max(np.abs(x - x.conj().swapaxes(-1, -2))) > HERMITICITY_TOL:
+    if not is_hermitian(x, HERMITICITY_TOL):
         raise ValueError(f"density matrix is not Hermitian within {HERMITICITY_TOL}")
-    trace = stack.trace(x)
+    trace = layout.trace(x)
     if abs(trace - 1.0) > TRACE_TOL:
         raise ValueError(f"trace {trace} is not 1 within {TRACE_TOL}")
     low = _min_eig(x)
@@ -605,7 +605,7 @@ def _solve(problem: SdpProblem, loop: Callable[[_Stack, _Bounds, SdpOptions], tu
         raise ValueError(f"smallest eigenvalue {low} below {-PSD_TOL}")
     residuals = {
         "psd_slack": max(0.0, -low),
-        "ppt_slack": max(0.0, -_min_eig(stack.pt(x))),
+        "ppt_slack": max(0.0, -_min_eig(layout.pt(x))),
         "trace_err": abs(float(trace.real) - 1.0),
         "certified_gap": bounds.ub - bounds.lb,
     }
@@ -621,27 +621,27 @@ def _solve(problem: SdpProblem, loop: Callable[[_Stack, _Bounds, SdpOptions], tu
     )
 
 
-def _splitting(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str, None]:
+def _splitting(layout: SdpLayout, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str, None]:
     """Consensus ADMM; returns (iterations, status, None)."""
-    nb, s = st.nb, st.s
-    mult = np.repeat(st.block_mult, s)  # eigenvalue multiplicities, block by block
-    root_mult = np.sqrt(st.block_mult)[:, None, None]
+    nb, s, _ = layout.shape
+    mult = np.repeat(layout.mult, s)  # eigenvalue multiplicities, block by block
+    root_mult = np.sqrt(layout.mult)[:, None, None]
 
     def norm(mats: np.ndarray) -> float:
         return float(np.linalg.norm(mats * root_mult))
 
     costs = bounds.costs
     rho = PENALTY
-    x = st.eye / st.n
+    x = layout.center
     y = x.copy()
     u = np.zeros_like(x)
 
     for it in range(1, opts.max_iters + 1):
         w, v = np.linalg.eigh(y - u - costs / rho)
         x = _compose(v, _simplex_projection(w.ravel(), mult).reshape(nb, s))
-        z = st.pt(x + u)
+        z = layout.pt(x + u)
         w, v = np.linalg.eigh(z)
-        y_new = st.pt_adj(_compose(v, np.maximum(w, 0.0)))
+        y_new = layout.pt_adj(_compose(v, np.maximum(w, 0.0)))
         r_dual = rho * norm(y_new - y)
         y = y_new
         u = u + x - y
@@ -652,7 +652,7 @@ def _splitting(st: _Stack, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str,
 
         if it % CHECK_EVERY == 0:
             # dual certificate: S2 = rho * (negative part of PT(x+u)) is PSD exactly
-            stop = bounds.update(x, st.pt(x), st.pt_adj(_compose(v, np.maximum(-w, 0.0)) * rho))
+            stop = bounds.update(x, layout.pt(x), layout.pt_adj(_compose(v, np.maximum(-w, 0.0)) * rho))
             if stop is not None:
                 return it, stop, None
 
@@ -670,7 +670,6 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-@lru_cache(maxsize=None)
 def _symmetric_basis(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(i, j, basis) of real symmetric s x s blocks: basis[u] is E_ij + E_ji at (i, j) = (i[u], j[u]).
 
@@ -683,15 +682,15 @@ def _symmetric_basis(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, basis
 
 
-def _start(st: _Stack, costs: np.ndarray) -> np.ndarray:
+def _start(layout: SdpLayout, costs: np.ndarray) -> np.ndarray:
     """The stacks (X, W, S1, S2) = (I/n, I/n, C - y I - PT*(I), I), with y chosen so that lambda_min(S1) = 1."""
-    nb = st.nb
-    eye = np.broadcast_to(np.eye(st.s), (2 * nb, st.s, st.s))
-    y = _min_eig(costs - st.pt_adj(eye[:nb])) - 1.0
-    return np.concatenate([eye / st.n, costs - (y + 1.0) * eye[:nb], eye[:nb]])
+    nb, s, _ = layout.shape
+    eye = np.broadcast_to(np.eye(s), (2 * nb, s, s))
+    y = _min_eig(costs - layout.pt_adj(eye[:nb])) - 1.0
+    return np.concatenate([eye / layout.n, costs - (y + 1.0) * eye[:nb], eye[:nb]])
 
 
-def _warm_start(st: _Stack, costs: np.ndarray, start: SdpSolution | None) -> np.ndarray | None:
+def _warm_start(layout: SdpLayout, costs: np.ndarray, start: SdpSolution | None) -> np.ndarray | None:
     """The latest iterate of ``start`` that stays interior at this real cost, else None.
 
     The constraints on (X, W) do not involve the cost, and S1 = C - y I -
@@ -704,15 +703,15 @@ def _warm_start(st: _Stack, costs: np.ndarray, start: SdpSolution | None) -> np.
     """
     if start is None or start.iterates is None:
         return None
-    nb = st.nb
+    nb = len(layout.mult)
     warm = start.iterates.copy()
-    warm[:, 2 * nb : 3 * nb] += costs - start.problem.costs.real
+    warm[:, 2 * nb : 3 * nb] += costs - start.problem.costs
     inside = np.flatnonzero(np.linalg.eigvalsh(warm)[..., 0].min(axis=-1) > 0.0)
     return warm[inside[-1]] if len(inside) else None
 
 
 def _interior_point(
-    st: _Stack, bounds: _Bounds, opts: SdpOptions, state: np.ndarray | None = None
+    layout: SdpLayout, bounds: _Bounds, opts: SdpOptions, state: np.ndarray | None = None
 ) -> tuple[int, str, np.ndarray]:
     """Primal-dual path following: HKM direction with Mehrotra's predictor-corrector.
 
@@ -739,8 +738,8 @@ def _interior_point(
     `STALL_STEPS` steps bring no tighter gap, and the states from the start
     onward.
     """
-    nb, s = st.nb, st.s  # PT maps the nb blocks of X onto as many blocks of W
-    ops = st.operators
+    nb, s, _ = layout.shape  # PT maps the nb blocks of X onto as many blocks of W
+    ops = layout.operators
     size, flat = ops.size, nb * s * s
     per_block = size // nb
     eye = np.broadcast_to(np.eye(s), (2 * nb, s, s))
@@ -748,7 +747,7 @@ def _interior_point(
     # its diagonal blocks K[c, :, c, :] as a view
     schur = np.empty((size + 1, size + 1))
     diagonal = np.einsum("cicj->cij", schur[:size, :size].reshape(nb, per_block, nb, per_block))
-    state = _start(st, bounds.costs) if state is None else state
+    state = _start(layout, bounds.costs) if state is None else state
     iterates = [state]
 
     def newton() -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -756,7 +755,7 @@ def _interior_point(
         nonlocal state
         z, dual, x = state[: 2 * nb], state[2 * nb :], state[:nb]
         mu = (z * dual).reshape(-1) @ ops.gap
-        r_trace = 1.0 - st.trace(x)
+        r_trace = 1.0 - layout.trace(x)
         if not math.isfinite(mu):
             return None
         # scale by the spectra: F = diag(w)^-1/2 V^T gives F Z F^T = I and F^T F = Z^-1
@@ -796,7 +795,7 @@ def _interior_point(
         sigma_mu = min(1.0, ((moved[: 2 * nb] * moved[2 * nb :]).reshape(-1) @ ops.gap / mu) ** 3) * mu
         d = direction(sigma_mu * eye - gap - d[: 2 * nb] @ d[2 * nb :])
         state = _sym(state + STEP_FRACTION * steps(d) * d)
-        unit = state[:nb] / st.trace(state[:nb])
+        unit = state[:nb] / layout.trace(state[:nb])
         pt_unit, adj_s2 = unit.reshape(flat) @ ops.pt, state[3 * nb :].reshape(flat) @ ops.adj
         return unit, pt_unit.reshape(x.shape), adj_s2.reshape(x.shape)
 
@@ -860,10 +859,8 @@ class LpVertex:
         return np.min((self.mult * costs - active[..., 0, :]) / self.mult, axis=-1)
 
 
-def basis_vertices(
-    bases: np.ndarray, pt_map: np.ndarray, mult: np.ndarray, costs: np.ndarray
-) -> tuple[LpVertex, np.ndarray]:
-    """The feasible vertices that a stack of bases fixes, and their multipliers at each row of ``costs``.
+def basis_vertices(bases: np.ndarray, layout: SdpLayout, costs: np.ndarray) -> tuple[LpVertex, np.ndarray]:
+    """The feasible vertices that a stack of bases fixes on a scalar layout, and their multipliers at ``costs``.
 
     One batched `np.linalg.solve` takes every basis's system (its nb - 1
     rows of (I; pt_map) over the trace row, as in `LpVertex`) and the
@@ -872,8 +869,8 @@ def basis_vertices(
     `VERTEX_TOL` is dropped.  Returns the vertex stack and the multipliers
     [cost, vertex, row]; LinAlgError if any system is singular.
     """
-    nb = len(mult)
-    rows = np.concatenate([np.eye(nb), pt_map])
+    mult, nb = layout.mult, len(layout.mult)
+    rows = np.concatenate([np.eye(nb), layout.pt_map])
     systems = np.empty((len(bases), nb, nb))
     systems[:, :-1], systems[:, -1] = rows[bases], mult
     rhs = np.zeros((2, len(bases), nb, len(costs)))
@@ -902,23 +899,23 @@ def vertex_solve(problem: SdpProblem, bases: np.ndarray) -> SdpSolution:
     ``infeasible_numerics``.  ValueError unless every block has side 1 and
     the cost is real.
     """
-    if problem.costs.shape[-1] != 1 or np.any(np.imag(problem.costs)):
+    if problem.costs.shape[-1] != 1 or np.iscomplexobj(problem.costs):
         raise ValueError("vertex_solve needs a real cost in blocks of side 1")
-    return _solve(problem, lambda st, bounds, opts: _vertex_table(st, bounds, bases))
+    return _solve(problem, lambda layout, bounds, opts: _vertex_table(layout, bounds, bases))
 
 
-def _vertex_table(st: _Stack, bounds: _Bounds, bases: np.ndarray) -> tuple[int, str, None]:
+def _vertex_table(layout: SdpLayout, bounds: _Bounds, bases: np.ndarray) -> tuple[int, str, None]:
     """Offer the table's best vertex and best basis dual to the certificate; returns (0, status, None)."""
-    nb = st.nb
+    nb = len(layout.mult)
     costs = bounds.costs.ravel()
-    vertices, multipliers = basis_vertices(bases, st.pt_map, st.block_mult, costs[None])
+    vertices, multipliers = basis_vertices(bases, layout, costs[None])
     # PSD exactly; the mix toward I/n absorbs the W side's rounding
     x = np.maximum(vertices.blocks[np.argmin(vertices.value(costs))], 0.0)
     best = np.argmax(vertices.dual_bound(costs, multipliers[0]))
     basis, z = vertices.basis[best], multipliers[0, best, :-1]
     w_rows = basis[basis >= nb] - nb
     s2 = np.zeros(nb)
-    s2[w_rows] = np.maximum(z[basis >= nb], 0.0) / st.mult[nb:][w_rows]
-    x = (x / (st.block_mult @ x))[:, None, None]
-    stop = bounds.update(x, st.pt(x), st.pt_adj(s2[:, None, None]))
+    s2[w_rows] = np.maximum(z[basis >= nb], 0.0) / layout.pt_mult[w_rows]
+    x = (x / (layout.mult @ x))[:, None, None]
+    stop = bounds.update(x, layout.pt(x), layout.pt_adj(s2[:, None, None]))
     return 0, stop or "infeasible_numerics", None

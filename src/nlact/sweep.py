@@ -423,7 +423,7 @@ def _exact_tlf_entry(spec: FamilySpec, bases: np.ndarray = TWIRLED_BASES) -> dic
     lo = max(lo, 0.0)  # as in the searched entries
     problems = [build_cost(spec.state(q)) for q in (lo, hi)]
     ends = np.array([problem.costs.ravel() for problem in problems])
-    vertices, multipliers = basis_vertices(bases, problems[1].layout.pt_map, problems[1].layout.mult, ends)
+    vertices, multipliers = basis_vertices(bases, problems[1].layout, ends)
     at_lo, at_hi = vertices.value(ends[:, None])
 
     def lower_bound(t: float) -> float:
@@ -499,9 +499,9 @@ def build_table(
     """
     if family not in _TABLE_COLUMNS:
         raise ValueError(f"no table for family {family!r}")
-    d_values = range(2, 3 if family in ("wi", "hirsch1") else d_max + 1)
-    if not d_values:
+    if d_max < 2:
         raise ValueError(f"d_max must be at least 2, got {d_max}")
+    d_values = range(2, 3 if family in ("wi", "hirsch1") else d_max + 1)
     rows = [{"d": d, "thresholds": _route_row(family, d)} for d in d_values]
     for row in rows:
         spec = FamilySpec(family=family, d=row["d"])

@@ -207,10 +207,10 @@ def test_block_form_multiplicities():
     d = 5
     werner = build_cost(werner_state(d, 0.6))
     assert werner.layout.mult.tolist() == [d * (d + 1) / 2] * 4 + [d * (d - 1) / 2] * 4
-    assert np.allclose(werner.layout.pt_map @ werner.layout.stack.adjoint, np.eye(8))
+    assert np.allclose(werner.layout.pt_map @ werner.layout.adjoint, np.eye(8))
     isotropic = build_cost(isotropic_state(d, 0.6))
     assert isotropic.layout.mult.tolist() == [d * d - 1] * 4 + [1] * 4
-    assert np.allclose(isotropic.layout.pt_map, werner.layout.stack.adjoint)
+    assert np.allclose(isotropic.layout.pt_map, werner.layout.adjoint)
     # the ends of the range stay in their family's algebra: 1/d^2 is also Werner-invariant
     for d in (2, 3, 4):
         assert build_cost(isotropic_state(d, 0.0)).layout.mult.tolist() == [d * d - 1] * 4 + [1] * 4
@@ -239,7 +239,7 @@ def test_twirled_pt_maps_are_shared_and_read_only():
 def _best_vertex(problem):
     """The feasible vertex of least value among the pinned table's, as `sdp.vertex_solve` takes it."""
     costs = problem.costs.ravel()
-    vertices, _ = basis_vertices(TWIRLED_BASES, problem.layout.pt_map, problem.layout.mult, costs[None])
+    vertices, _ = basis_vertices(TWIRLED_BASES, problem.layout, costs[None])
     k = np.argmin(vertices.value(costs))
     return LpVertex(vertices.blocks[k], vertices.basis[k], vertices.system[k], problem.layout.mult)
 
@@ -272,8 +272,9 @@ def test_stacked_vertices_match_single_ones(family, d):
     # a stack from basis_vertices answers as each of its vertices alone, and
     # holds the vertex that sigma_min's witness is, up to the mix toward I/n
     solution = sigma_min(_twirled_state(family, d, 0.8), SdpOptions(tol_objective=1e-10)).witness
-    pt_map, mult, costs = solution.problem.layout.pt_map, solution.problem.layout.mult, solution.problem.costs.ravel()
-    vertices, multipliers = basis_vertices(TWIRLED_BASES, pt_map, mult, np.array([costs, 2.0 * costs]))
+    layout, costs = solution.problem.layout, solution.problem.costs.ravel()
+    pt_map, mult = layout.pt_map, layout.mult
+    vertices, multipliers = basis_vertices(TWIRLED_BASES, layout, np.array([costs, 2.0 * costs]))
     rows = np.concatenate([np.eye(8), pt_map])
     assert np.min(vertices.blocks @ rows.T) >= -VERTEX_TOL
     assert np.allclose(vertices.system @ vertices.blocks[..., None], np.eye(8)[-1][:, None], atol=1e-14)
@@ -363,7 +364,7 @@ def test_bell_pt_map():
     for b, projector in enumerate(projectors):
         pt = partial_transpose_mat(projector, (2, 2), (0,))
         assert np.max(np.abs(pt - np.einsum("c,cij->ij", bell.layout.pt_map[:, b], projectors))) < 1e-15
-    assert np.allclose(bell.layout.pt_map @ bell.layout.stack.adjoint, np.eye(4))
+    assert np.allclose(bell.layout.pt_map @ bell.layout.adjoint, np.eye(4))
 
 
 def _plain_hirsch(p, q=1.0):

@@ -384,17 +384,19 @@ def test_table_with_a_huge_dmax_fails_at_the_first_row_past_the_limit(monkeypatc
     assert "werner d=9 p_TLF: problem side 324 exceeds the desk-scale limit 256" in err
 
 
-@pytest.mark.parametrize("dmax", ["1", "9"])
+@pytest.mark.parametrize("dmax", ["1", "9", "-3"])
 def test_table_rejects_dmax_out_of_range(monkeypatch, capsys, dmax):
-    # rejected before any row is computed
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a row was computed")
+    # rejected before any row is computed, in every family; only werner and
+    # isotropic have rows past d = 2 that can exceed the desk-scale limit
+    def no_entry(*args, **kwargs):
+        raise AssertionError("an entry was computed")
 
-    monkeypatch.setattr(sweep, "sigma_min", no_solve)
-    code, out, err = run_cli(capsys, "table", "--family", "werner", "--dmax", dmax)
-    assert code == 2
-    assert out == ""
-    assert ("desk-scale" if dmax == "9" else "at least 2") in err
+    monkeypatch.setattr(sweep, "sigma_min", no_entry)
+    monkeypatch.setattr(sweep, "_computed_entry", no_entry)
+    for family in ("werner", "isotropic") if dmax == "9" else sweep.TABLE_FAMILIES:
+        code, out, err = run_cli(capsys, "table", "--family", family, "--dmax", dmax)
+        assert (code, out) == (2, ""), family
+        assert ("desk-scale" if dmax == "9" else "at least 2") in err, family
 
 
 @pytest.mark.parametrize("flag", [("--sdp-max-iters", "0"), ("--sdp-max-iters", "-5"), ("--sdp-tol", "nan"), ("--sdp-tol", "-1")])

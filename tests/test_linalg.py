@@ -4,6 +4,7 @@ import pytest
 from nlact.linalg import (
     DensityMatrix,
     herm_eig,
+    is_hermitian,
     kron,
     min_eig,
     partial_trace,
@@ -165,3 +166,25 @@ def test_density_matrix_validation(rng):
         DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]), (2, 2))
     with pytest.raises(ValueError, match="dims"):
         DensityMatrix(good.mat, (2, 3))
+
+
+def test_density_matrix_rejects_non_finite_entries():
+    # inf - inf in the Hermiticity test would be a numpy warning, not the ValueError
+    for bad in (np.inf, np.nan):
+        mat = np.eye(4) / 4.0
+        mat[0, 0] = bad
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(mat, (2, 2))
+
+
+def test_is_hermitian_on_stacks(rng):
+    stack = np.array([random_density((2, 2), rng).mat for _ in range(3)])
+    assert is_hermitian(stack) and is_hermitian(stack[0])
+    skewed = stack.copy()
+    skewed[1, 0, 1] += 1e-6
+    assert not is_hermitian(skewed)
+    for bad in (np.inf, -np.inf, np.nan):
+        broken = stack.copy()
+        broken[2, 3, 3] = bad
+        assert not is_hermitian(broken) and not is_hermitian(broken[2])
+    assert not is_hermitian(np.ones((2, 3))) and not is_hermitian(np.ones(4))

@@ -259,8 +259,7 @@ def test_scalar_loop_rounds_past_a_singular_transposed_basis(tol):
     sol = vertex_solve(problem, TWIRLED_BASES)
     assert (sol.status, sol.iterations) == ("converged", 0)
     assert sol.objective - sol.objective_lb <= 1e-15
-    layout = problem.layout
-    vertices, multipliers = sdp.basis_vertices(TWIRLED_BASES, layout.pt_map, layout.mult, problem.costs.ravel()[None])
+    vertices, multipliers = sdp.basis_vertices(TWIRLED_BASES, problem.layout, problem.costs.ravel()[None])
     assert np.all(np.isfinite(multipliers))
 
 
@@ -305,34 +304,28 @@ def test_derived_adjoint_inverts_pt_map(family, d):
     # the twirl alone: the adjoint is the partial transpose of the Q_c read off in the P_b
     problem = _twirl_only_problem(tau, SdpOptions())
     _, _, back = _twirl_pt_maps(tau)
-    adjoint = problem.layout.stack.adjoint
+    adjoint = problem.layout.adjoint
     assert adjoint.flags.c_contiguous
     assert np.allclose(adjoint, back, rtol=0.0, atol=1e-14)
     assert np.allclose(adjoint @ problem.layout.pt_map, np.eye(2), rtol=0.0, atol=1e-14)
     # the eight scalar blocks of the twirl with the ancilla's Bell basis
     problem = build_cost(tau)
-    adjoint = problem.layout.stack.adjoint
+    adjoint = problem.layout.adjoint
     assert adjoint.flags.c_contiguous
     assert np.allclose(adjoint @ problem.layout.pt_map, np.eye(8), rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("family,d", [("werner", 3), ("isotropic", 4), ("werner", 6)], ids=str)
-def test_inconsistent_pt_map_is_rejected_before_any_step(family, d, monkeypatch):
+def test_inconsistent_pt_map_is_rejected_before_any_step(family, d):
     # the other algebra's map, as a swapped pair of maps would give, and the
     # map with its X-side blocks relabelled: their adjoints do not invert
-    # them, and no loop runs
-    def refuse(*args):
-        raise AssertionError("a loop ran")
-
-    for loop in ("_interior_point", "_splitting", "_vertex_table"):
-        monkeypatch.setattr(sdp, loop, refuse)
+    # them, and the layout itself is rejected, before any problem is built on it
     family_state = {"werner": werner_state, "isotropic": isotropic_state}
-    problem = build_cost(family_state[family](d, 0.7))
-    other = build_cost(family_state["isotropic" if family == "werner" else "werner"](d, 0.7))
-    for pt_map in (other.layout.pt_map, problem.layout.pt_map[:, ::-1]):
-        for run in (solve, lambda problem: vertex_solve(problem, TWIRLED_BASES)):
-            with pytest.raises(ValueError, match="adjoint"):
-                run(SdpProblem(problem.costs, dataclasses.replace(problem.layout, pt_map=pt_map), problem.options))
+    layout = build_cost(family_state[family](d, 0.7)).layout
+    other = build_cost(family_state["isotropic" if family == "werner" else "werner"](d, 0.7)).layout
+    for pt_map in (other.pt_map, layout.pt_map[:, ::-1]):
+        with pytest.raises(ValueError, match="adjoint"):
+            dataclasses.replace(layout, pt_map=pt_map)
 
 
 @pytest.mark.parametrize("family,d", [("werner", 3), ("werner", 4), ("isotropic", 3)], ids=str)
@@ -344,7 +337,7 @@ def test_matrix_loop_on_blocks_with_multiplicities(family, d):
     for p, tau in list(_tlf_grid(family, d))[-4:]:
         problem = _twirl_only_problem(tau, options)
         assert problem.costs.shape == (2, 4, 4)
-        assert not np.allclose(problem.layout.pt_map, problem.layout.stack.adjoint)
+        assert not np.allclose(problem.layout.pt_map, problem.layout.adjoint)
         block = solve(problem)
         scalar = vertex_solve(build_cost(tau, options), TWIRLED_BASES)
         assert block.status == scalar.status == "converged", p
@@ -379,6 +372,46 @@ def test_problem_validation(rng):
         SdpProblem.from_cost(np.eye(512), dims=(256, 2), t1_split=1)
     with pytest.raises(ValueError, match="shape"):
         SdpProblem.from_cost(np.eye(4), dims=(2, 3), t1_split=1)
+
+
+@pytest.mark.parametrize("entry", ["projectors", "pt_map"])
+def test_layout_rejects_non_finite_entries(entry):
+    # a NaN compares False with every tolerance, so the layout tests finiteness itself
+    layout = build_cost(werner_state(3, 0.5)).layout
+    (twirl, subsystems), bell = layout.factors
+    bad = (twirl if entry == "projectors" else layout.pt_map).copy()
+    bad.flat[0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        if entry == "projectors":
+            dataclasses.replace(layout, factors=((bad, subsystems), bell))
+        else:
+            dataclasses.replace(layout, pt_map=bad)
+
+
+@pytest.mark.parametrize("case", ["parity-nan", "dense-nan", "dense-inf"])
+def test_problem_rejects_non_finite_costs(case):
+    # rejected when the problem is built, before any loop sees them
+    parity = build_cost(hirsch_state(0.2)).layout
+    cost = np.eye(18)
+    cost[0, 0] = np.inf if case == "dense-inf" else np.nan
+    with pytest.raises(ValueError, match="finite"):
+        if case == "parity-nan":
+            SdpProblem(np.full((8, 2, 2), np.nan), parity)
+        else:
+            SdpProblem.from_cost(cost, dims=(2, 9))
+
+
+def test_complex_typed_real_costs_are_stored_real():
+    # costs of a complex dtype with zero imaginary part are stored real and solve,
+    # warm start and iterates included, bit for bit as the real-typed ones do
+    options = bisection_options()
+    first, problem = (build_cost(hirsch_state(p), options) for p in (0.17, 0.1746875))
+    typed = [SdpProblem(p.costs.astype(complex), p.layout, options) for p in (first, problem)]
+    for p in (first, problem, *typed):
+        assert p.costs.dtype == np.float64
+    real, complex_typed = solve(problem, solve(first)), solve(typed[1], solve(typed[0]))
+    _assert_same_solve(real, complex_typed)
+    assert np.array_equal(real.iterates, complex_typed.iterates)
 
 
 def test_plain_problem_cost_round_trips(rng):
@@ -505,7 +538,7 @@ def test_interior_point_solution_stores_its_states_from_the_start():
     sol = solve(problem)
     nb, s = problem.costs.shape[:2]
     assert sol.iterates.shape == (sol.iterations + 1, 4 * nb, s, s)
-    assert np.array_equal(sol.iterates[0], sdp._start(problem.layout.stack, problem.costs.real))
+    assert np.array_equal(sol.iterates[0], sdp._start(problem.layout, problem.costs))
     assert _admm(problem).iterates is None
     assert vertex_solve(build_cost(werner_state(3, 0.6)), TWIRLED_BASES).iterates is None
 
@@ -552,87 +585,88 @@ def _layout(kind):
 @pytest.mark.parametrize("kind", ["parity", "bell", "twirled", "dense4", "dense16"])
 def test_loop_operators_match_the_gather_form(kind):
     # every linear map of a Newton step, as one product with the layout's
-    # derived operators, against its definition through `_Stack.transpose`
-    problem = _layout(kind)
-    st = problem.layout.stack
-    ops = st.operators
-    nb, s = st.nb, st.s
+    # derived operators, against its definition through `SdpLayout.transpose`
+    layout = _layout(kind).layout
+    ops = layout.operators
+    nb, s, _ = layout.shape
     i, j, basis = sdp._symmetric_basis(s)
     flat = nb * s * s
     rng = np.random.default_rng(5)
     for _ in range(3):
         a = sdp._sym(rng.standard_normal((nb, s, s)))
-        assert np.max(np.abs(a.reshape(flat) @ ops.pt - st.pt(a).reshape(flat))) <= 1e-14
-        assert np.max(np.abs(a.reshape(flat) @ ops.adj - st.pt_adj(a).reshape(flat))) <= 1e-14
+        assert np.max(np.abs(a.reshape(flat) @ ops.pt - layout.pt(a).reshape(flat))) <= 1e-14
+        assert np.max(np.abs(a.reshape(flat) @ ops.adj - layout.pt_adj(a).reshape(flat))) <= 1e-14
         # maps that take the symmetric part of their argument first
         g, u = rng.standard_normal((2 * nb, s, s)), rng.standard_normal((nb, s, s))
-        h, pt_u = sdp._sym(g), st.pt(sdp._sym(u))
+        h, pt_u = sdp._sym(g), layout.pt(sdp._sym(u))
         rhs = g.reshape(2 * flat) @ ops.rhs
-        assert np.max(np.abs(rhs[:-1] - (h[nb:] - st.pt(h[:nb]))[:, i, j].ravel())) <= 1e-14
-        assert abs(rhs[-1] + st.trace(h[:nb])) <= 1e-14
+        assert np.max(np.abs(rhs[:-1] - (h[nb:] - layout.pt(h[:nb]))[:, i, j].ravel())) <= 1e-14
+        assert abs(rhs[-1] + layout.trace(h[:nb])) <= 1e-14
         border = u.reshape(flat) @ ops.border
         assert np.max(np.abs(border[:-1] - pt_u[:, i, j].ravel())) <= 1e-14
-        inner = st.mult[nb:, None] * np.einsum("cij,uij->cu", pt_u, basis)
+        inner = layout.pt_mult[:, None] * np.einsum("cij,uij->cu", pt_u, basis)
         assert np.max(np.abs(border[:-1] * ops.inner - inner.ravel())) <= 1e-14
-        assert abs(border[-1] - st.trace(u)) <= 1e-14
+        assert abs(border[-1] - layout.trace(u)) <= 1e-14
         sides = g.reshape(2 * nb, 1, s * s) @ ops.sym_coords
         assert np.array_equal(sides[:, 0], h[..., i, j])
         # the Schur solution (dS2's coordinates, dy) to (dS1, dS2)
         sol = rng.standard_normal(ops.size + 1)
         ds2 = np.einsum("cu,uij->cij", sol[:-1].reshape(nb, -1), basis)
-        ds1 = -sol[-1] * st.eye - st.pt_adj(ds2)
+        ds1 = -sol[-1] * np.eye(s) - layout.pt_adj(ds2)
         assert np.max(np.abs(sol @ ops.dual - np.concatenate([ds1, ds2]).ravel())) <= 1e-14
         # mu, the multiplicity-weighted <(X, W), (S1, S2)> per unit of dense side
         z, dual = rng.standard_normal((2, 2 * nb, s, s))
-        mu = st.mult @ np.sum(z * dual, axis=(1, 2)) / (2.0 * st.n)
+        mult = np.concatenate([layout.mult, layout.pt_mult])
+        mu = mult @ np.sum(z * dual, axis=(1, 2)) / (2.0 * layout.n)
         assert abs((z * dual).reshape(-1) @ ops.gap - mu) <= 1e-14 * max(1.0, abs(mu))
 
 
 def _count_derivations(monkeypatch):
-    """The `_Stack` and `_Operators` derived from here on, in order, with the activation layouts built afresh."""
+    """The layouts built and `_Operators` derived from here on, in order, with the activation layouts built afresh."""
     derived = []
+    build = SdpLayout.__post_init__
 
-    class Counted(sdp._Stack):
-        def __init__(self, layout):
-            derived.append("stack")
-            super().__init__(layout)
+    def counted(layout):
+        derived.append("layout")
+        build(layout)
 
     class CountedOperators(sdp._Operators):
-        def __init__(self, st):
+        def __init__(self, layout):
             derived.append("operators")
-            super().__init__(st)
+            super().__init__(layout)
 
     activation._layout.cache_clear()
-    monkeypatch.setattr(sdp, "_Stack", Counted)
+    monkeypatch.setattr(SdpLayout, "__post_init__", counted)
     monkeypatch.setattr(sdp, "_Operators", CountedOperators)
     return derived
 
 
 def test_a_search_derives_its_layout_once(monkeypatch):
     # the nine solves of each hirsch1 search, warm or cold, share one layout
-    # object: the first solve of the first search derives its data
+    # object: the first search builds it, and its first solve derives the operators
     derived = _count_derivations(monkeypatch)
     for _ in range(2):
         assert find_threshold(FamilySpec("hirsch1"), "tlf", (0.12, 0.22)).evaluations == 9
-    assert derived == ["stack", "operators"]
+    assert derived == ["layout", "operators"]
 
 
 def test_a_twirled_curve_derives_its_layout_once(monkeypatch):
-    # each point's vertex_solve reads the stack of the one (werner, 3) layout
+    # each point's vertex_solve takes the one (werner, 3) layout, and no point
+    # derives interior-point operators
     derived = _count_derivations(monkeypatch)
     curve = sample_curve(FamilySpec("werner", d=3), "tlf", np.linspace(0.0, 1.0, 11))
     assert None not in curve.values
-    assert derived == ["stack"]
+    assert derived == ["layout"]
 
 
 def test_shared_layout_solves_as_a_fresh_equal_one():
     # a warm solve on the shared layout is bit for bit the warm solve on an
-    # equal layout built afresh, which derives its own stack
+    # equal layout built afresh, which derives its own operators
     options = bisection_options()
     first, problem = (build_cost(hirsch_state(p), options) for p in (0.17, 0.1746875))
     shared = solve(problem, solve(first))
     fresh = dataclasses.replace(first.layout)
-    assert fresh is not first.layout and fresh.stack is not first.layout.stack
+    assert fresh is not first.layout and fresh.operators is not first.layout.operators
     start = solve(SdpProblem(first.costs, fresh, options))
     rebuilt = solve(SdpProblem(problem.costs, fresh, options), start)
     _assert_same_solve(shared, rebuilt)

@@ -342,7 +342,7 @@ def _table_at(spec, p):
     """The feasible vertices of TWIRLED_BASES at p, with their values and dual bounds."""
     problem = build_cost(spec.state(p))
     costs = problem.costs.ravel()
-    vertices, multipliers = basis_vertices(TWIRLED_BASES, problem.layout.pt_map, problem.layout.mult, costs[None])
+    vertices, multipliers = basis_vertices(TWIRLED_BASES, problem.layout, costs[None])
     return vertices, vertices.value(costs), vertices.dual_bound(costs, multipliers[0])
 
 
@@ -491,7 +491,8 @@ def test_twirled_bases_are_the_path_optimal_bases():
         systems = np.concatenate([np.eye(8), pt_map])[everything]
         systems = np.concatenate([systems, np.broadcast_to(mult, (len(everything), 1, 8))], axis=1)
         bases = everything[np.abs(np.linalg.det(systems)) > 1e-9]
-        vertices, ends = basis_vertices(bases, pt_map, mult, np.array([problem.costs.ravel() for problem in problems]))
+        costs = np.array([problem.costs.ravel() for problem in problems])
+        vertices, ends = basis_vertices(bases, problems[1].layout, costs)
         # each multiplier of an active row is z0 + t (z1 - z0) on the segment's t in [0, 1]
         start, slope = ends[0, :, :-1], ends[1, :, :-1] - ends[0, :, :-1]
         with np.errstate(divide="ignore", invalid="ignore"):
