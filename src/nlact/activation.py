@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import DensityMatrix, kron, permute_mat
-from .sdp import PARITY_PROJECTORS, SdpLayout, SdpOptions, SdpProblem, SdpSolution, solve, vertex_solve
+from .sdp import PARITY_PROJECTORS, SdpLayout, SdpOptions, SdpProblem, SdpSolution, solve
 from .states import PAULI, ParityState, TwirledState, h_theta, projector, twirl_projectors
 
 ACTIVATION_TOL = 1e-6
@@ -123,7 +123,8 @@ def _layout(form: str, dims: tuple[int, int, int, int]) -> SdpLayout:
 
     Built and validated once per form and dims, like `twirl_projectors`.
     In the twirled form PT over A_d maps span{P_sym, P_anti} (Werner) onto
-    span{1 - Phi, Phi} (isotropic) and back; over A_q it acts on the Bell factor.
+    span{1 - Phi, Phi} (isotropic) and back; over A_q it acts on the Bell
+    factor.  The twirled layouts carry `TWIRLED_BASES` as their LP bases.
     """
     bell, d = (_BELL, (1, 3)), dims[0]
     if form == "parity":
@@ -134,7 +135,7 @@ def _layout(form: str, dims: tuple[int, int, int, int]) -> SdpLayout:
     to_werner = [[1 - 1 / d, 1 / d], [1 + 1 / d, -1 / d]]
     pt_map = np.kron(to_isotropic if form == "werner" else to_werner, _BELL_PT)
     pt_map.flags.writeable = False
-    return SdpLayout(((twirl_projectors(form, d), (0, 2)), bell), pt_map, dims, t1_split=2)
+    return SdpLayout(((twirl_projectors(form, d), (0, 2)), bell), pt_map, dims, t1_split=2, bases=TWIRLED_BASES)
 
 
 def build_cost(tau: DensityMatrix, options: SdpOptions | None = None) -> SdpProblem:
@@ -175,19 +176,16 @@ def sigma_min(
 ) -> ActivationResult:
     """Minimize Tr[rho (tau^T x H_{pi/4})] over PPT ancillas; negative means activation.
 
-    A `TwirledState` (Werner, isotropic, wi) is a linear program in eight
-    scalars, solved at its optimal vertex from `TWIRLED_BASES` with no
-    Newton step (`sdp.vertex_solve`); every other input is an SDP for
-    `sdp.solve`, which starts from ``start``, the witness of an input of
-    the same layout, when one is given.  Both end at the same
-    certificate.  ``activated`` is True when a certified solve (converged
-    or sign-decided) puts its upper bound below -ACTIVATION_TOL, False
-    when it puts its lower bound at or above it, and None when the solve
-    certifies neither: a run out of budget or stalled, a table that lacks
-    the optimal basis, or a gap looser than the distance to the cut.
+    One `sdp.solve` from ``start``, the witness of an input of the same
+    layout, when one is given: a `TwirledState` at the optimal vertex of
+    its layout's LP bases, every other input by an SDP loop.  ``activated``
+    is True when a certified solve (converged or sign-decided) puts its
+    upper bound below -ACTIVATION_TOL, False when it puts its lower bound
+    at or above it, and None when the solve certifies neither: a run out of
+    budget or stalled, a table that lacks the optimal basis, or a gap
+    looser than the distance to the cut.
     """
-    problem = build_cost(tau, options)
-    witness = vertex_solve(problem, TWIRLED_BASES) if isinstance(tau, TwirledState) else solve(problem, start)
+    witness = solve(build_cost(tau, options), start)
     activated = None
     if witness.status in ("converged", "decided"):
         if witness.objective < -ACTIVATION_TOL:

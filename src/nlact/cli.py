@@ -69,6 +69,7 @@ _LINE_FLAGS = {"pmin": 0.0, "pmax": 1.0, "steps": 101, "q": 1.0}
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.p_grid is not None or args.q_grid is not None:
         given = [f"--{name}" for name in _LINE_FLAGS if getattr(args, name) is not None]
+        given += ["--format json"] if args.format == "json" else []  # a 2-D sweep writes CSV only
         if given:
             raise ValueError(f"{', '.join(given)} cannot be combined with --p-grid/--q-grid")
         return _sweep_grid2d(args)
@@ -151,6 +152,9 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_check_ancilla(args: argparse.Namespace) -> int:
     if args.points < 1:
         raise ValueError("--points must be at least 1")
+    grid = np.linspace(ANCILLA_GRID_LO, ANCILLA_GRID_HI, args.points + 2)[1:-1]
+    points = [float(p) for p in (grid if args.p is None else [args.p])]
+    states = [wi_state(p) for p in points]  # every p is checked before the first line is printed
     rho = ancilla_R()
     failures = []
     trace_err = abs(rho.mat.trace().real - 1.0)
@@ -162,12 +166,8 @@ def cmd_check_ancilla(args: argparse.Namespace) -> int:
     if trace_err > PSD_TOL or psd < -PSD_TOL or ppt < -PSD_TOL:
         failures.append("ancilla feasibility (PSD/PPT/trace) out of tolerance")
 
-    if args.p is not None:
-        points = [float(args.p)]
-    else:
-        points = list(np.linspace(ANCILLA_GRID_LO, ANCILLA_GRID_HI, args.points + 2)[1:-1])
-    for p in points:
-        value, activated = verify_ancilla(wi_state(p), rho)
+    for p, state in zip(points, states):
+        value, activated = verify_ancilla(state, rho)
         print(f"p={_fmt(p)} trace={_fmt(value)} {'activated' if activated else 'NOT activated'}")
         if not activated:
             failures.append(f"trace value not negative at p={_fmt(p)}")

@@ -115,6 +115,8 @@ def eof(rho: DensityMatrix) -> float:
 def pure_eof(psi: np.ndarray, dims: tuple[int, int]) -> float:
     """Entropy of entanglement -Tr(rho_A log2 rho_A) of a bipartite pure state."""
     psi = np.asarray(psi, dtype=complex)
+    if len(dims) != 2:
+        raise ValueError(f"a bipartite state needs two dims, got {dims}")
     da, db = int(dims[0]), int(dims[1])
     if psi.shape != (da * db,):
         raise ValueError(f"vector length {psi.shape} does not match dims {dims}")
@@ -310,7 +312,7 @@ def cglmp_value(
     defaults (0, 1/2, 1/4, -1/4) are the standard optimal settings for
     the canonical maximally entangled state.
     """
-    if rho.dims[0] != rho.dims[1] or len(rho.dims) != 2:
+    if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise ValueError(f"a d x d state is required, got dims {rho.dims}")
     d = rho.dims[0]
     if d < 2:

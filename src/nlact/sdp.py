@@ -1,24 +1,21 @@
 """Self-contained solver for min <C, X> over {X >= 0, X^T1 >= 0, Tr X = 1}.
 
 Two loops and a table of linear-program vertices share one problem
-representation and one certificate:
+representation, one certificate and one entry, `solve`, which the layout's LP
+bases route to the table and the blocks to a loop:
 
 - a primal-dual interior-point method (the HKM direction of Helmberg,
   Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 6 (1996), with Mehrotra's
   predictor-corrector) on min <C, X> over X >= 0 and W = X^T1 >= 0 with
   Tr X = 1, scaled by the eigendecompositions of its iterates.  Its Newton
-  system has about side^2 / 2 unknowns per block, so `solve` takes it when
-  the cost is real and its blocks have side at most `IPM_MAX_SIDE` (16): a
+  system has about side^2 / 2 unknowns per block, so `solve` takes it for
+  no LP bases, a real cost and blocks of side <= `IPM_MAX_SIDE` (16): a
   plain real cost of side <= 16, the Hirsch inputs in their parity form
   (eight blocks of side 2), and, through the ancilla's Bell form (blocks
   of side d_A d_B), every other real activation cost with no twirl form
   and d_A d_B <= 16.  It certifies within a few dozen Newton steps where
   the splitting loop needs up to tens of thousands of iterations near a
-  sign change.  Its Schur matrix is its Newton operator applied to a basis
-  of the symmetric blocks, through the coordinate matrices of the partial
-  transpose and its adjoint, and every other linear map of a step (PT,
-  PT*, traces, mu) is one product with an operator derived from the
-  layout (`_Operators`);
+  sign change (`_interior_point` says how a step is assembled);
 - consensus operator splitting (ADMM) for complex costs and larger blocks:
   one block carries the spectral-simplex constraint {X >= 0, Tr X = 1}
   with the linear cost handled proximally, the other carries the
@@ -27,16 +24,13 @@ representation and one certificate:
   command-line route reaches it.  It stays as the tests' reference for the
   interior point, which is slower on dense blocks of side 24 to 64 and
   converges less often on complex costs;
-- `vertex_solve`, for a real cost whose blocks all have side 1 (every
-  twirled Werner, isotropic or wi form at any d: eight scalar blocks),
-  where the problem is a linear program in nb unknowns and an optimum is a
-  vertex of its polytope.  One batched solve gives every basis of a
-  caller's table its vertex (`basis_vertices`, an `LpVertex` stack), and
-  the least-value vertex with the best basis dual is offered once to the
-  certificate, with no Newton step.  A table that lacks the optimal basis
-  closes no gap: the solve ends with the status its bounds allow, else
-  ``infeasible_numerics``.  The tests use the matrix interior-point loop on
-  the same blocks as its reference.
+- the vertex table, for a layout with LP bases (``SdpLayout.bases``: every
+  twirled Werner, isotropic or wi form at any d, eight scalar blocks), a
+  linear program whose optimum is a vertex of its polytope: the layout's
+  ``vertices`` offer the certificate their best vertex and basis dual once,
+  with no Newton step.  Without the optimal basis the solve ends with the
+  status its bounds allow, else ``infeasible_numerics``.  The tests use the
+  matrix interior-point loop on the same blocks as its reference.
 
 Every `SdpProblem` is stacked blocks with multiplicities on an `SdpLayout`,
 and so are the iterates.  A plain problem is one dense block of side n with
@@ -66,8 +60,8 @@ interior-point loop from the latest stored state of an earlier solve on the
 same layout (`SdpSolution.iterates`) whose dual slack stays positive
 definite at the new cost (Gondzio & Grothey, SIAM J. Optim. 13 (2002)),
 and from the cold start I/n when none does.  Nor does anything derived from
-the layout alone (the gather of T, the multiplicities, the adjoint and
-`_Operators`), so every loop takes the `SdpLayout` that the problems share,
+the layout alone (the gather of T, the multiplicities, the adjoint,
+`_Operators`, the LP vertices), so every loop takes the shared `SdpLayout`,
 which derives them once, for warm, cold and vertex solves alike.  A warm
 solve that ends ``infeasible_numerics`` is run again cold, so a warm start
 never costs a certificate that the cold start would give.
@@ -124,7 +118,7 @@ IPM_MAX_SIDE = 16
 # share of the distance to the cone boundary that an interior-point step covers.
 # Longer steps leave the iterates so close to the boundary that the Schur solves
 # lose accuracy, an accuracy floor near 1e-10 (the twirled linear programs
-# escape it: `vertex_solve` reads their optimum off a vertex).  On the activation
+# escape it: their layout's LP bases send them to the vertex table).  On the activation
 # costs of the real parts of 40 states from random_density((2, 2),
 # default_rng(7)) in their Bell form, at tol_objective = 1e-10, 0.9 closes 38
 # certified gaps to 1e-10 (604 Newton steps) and the other two to 2.1e-10 and
@@ -156,10 +150,8 @@ __all__ = [
     "SdpOptions",
     "SdpProblem",
     "SdpSolution",
-    "basis_vertices",
     "check_side",
     "solve",
-    "vertex_solve",
 ]
 
 
@@ -226,8 +218,10 @@ class SdpLayout:
     inner subsystems in the cut, one gather of a stack's entries; `pt` is
     PT(X)_c = sum_b pt_map[c, b] T(X)_b, and `pt_adj` its adjoint under the
     multiplicity-weighted inner products.  Every loop takes the layout, which
-    derives these and its `_Operators` on first use.  It is validated whole
-    when built: the adjoint must invert ``pt_map``, and every entry be finite.
+    derives these, its `_Operators` and the `vertices` of its LP ``bases``
+    (each nb - 1 active rows of (I; pt_map), on blocks of side 1) on first
+    use.  It is validated whole when built: the adjoint must invert
+    ``pt_map``, every entry be finite, and the bases fit the blocks.
     """
 
     factors: tuple[tuple[np.ndarray, tuple[int, ...]], ...]
@@ -235,6 +229,7 @@ class SdpLayout:
     dims: tuple[int, ...]
     t1_split: int = 1
     relabel: tuple[int, int] | None = None
+    bases: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -257,6 +252,11 @@ class SdpLayout:
                 raise ValueError(f"relabel {self.relabel} needs one cut qubit in the blocks and a parity factor")
         if np.max(np.abs(self.adjoint @ self.pt_map - np.eye(len(self.mult)))) > HERM_INPUT_TOL:
             raise ValueError(f"the adjoint of pt_map does not invert it within {HERM_INPUT_TOL}")
+        nb, bases = len(self.mult), self.bases
+        if bases is not None and not (bases.dtype.kind in "iu" and bases.shape[1:] == (nb - 1,) and self.shape[1] == 1):
+            raise ValueError(f"LP bases must be integer rows of width {nb - 1} on blocks of side 1")
+        if bases is not None and not np.all((bases >= 0) & (bases < 2 * nb)):
+            raise ValueError(f"LP bases must index the {2 * nb} rows of (I; pt_map)")
 
     @property
     def outer(self) -> tuple[int, ...]:
@@ -339,6 +339,17 @@ class SdpLayout:
     @cached_property
     def operators(self) -> _Operators:
         return _Operators(self)
+
+    @cached_property
+    def vertices(self) -> LpVertex:
+        """The vertices of ``bases`` feasible within `VERTEX_TOL`, one `LpVertex` stack from one batched solve."""
+        nb = len(self.mult)
+        rows = np.concatenate([np.eye(nb), self.pt_map])
+        systems = np.empty((len(self.bases), nb, nb))
+        systems[:, :-1], systems[:, -1] = rows[self.bases], self.mult
+        blocks = np.linalg.solve(systems, np.eye(nb)[:, -1:])[..., 0]
+        feasible = np.min(blocks @ rows.T, axis=-1) >= -VERTEX_TOL
+        return LpVertex(blocks[feasible], self.bases[feasible], systems[feasible], self.mult)
 
     def dense(self, blocks: np.ndarray) -> np.ndarray:
         """The dense operator sum_b P_b (x) blocks[b] in the subsystem order ``dims``, in the canonical basis."""
@@ -563,18 +574,23 @@ class _Bounds:
 def solve(problem: SdpProblem, start: SdpSolution | None = None) -> SdpSolution:
     """Solve the problem; deterministic for a fixed problem, options and start.
 
-    The loop is chosen from the blocks: a real cost in blocks of side at
-    most ``IPM_MAX_SIDE`` goes to the interior-point loop, all others to
-    the splitting loop; both take ``problem.layout``.  ``start``, an
-    earlier solution of a problem on the same layout object (ValueError
-    otherwise, even for an equal copy), lets the interior-point loop start
-    from that solve's iterates (`_warm_start`); the splitting loop ignores
-    them.  The stop rules are the same either way, and a warm start never
-    costs the certificate: a warm solve that ends ``infeasible_numerics`` is
-    run again cold, and the solution is that run's, with the steps of both.
+    The one solve entry: a layout with LP bases goes to the vertex table (a
+    complex cost is a ValueError), a real cost in blocks of side at most
+    ``IPM_MAX_SIDE`` to the interior-point loop, all others to the splitting
+    loop.  ``start``, an earlier solution of a problem on the same layout
+    object (ValueError otherwise, even for an equal copy), lets the
+    interior-point loop start from that solve's iterates (`_warm_start`);
+    the others ignore them.  The stop rules are the same either way, and a
+    warm start never costs the certificate: a warm solve that ends
+    ``infeasible_numerics`` is run again cold, and the solution is that
+    run's, with the steps of both.
     """
     if start is not None and start.problem.layout is not problem.layout:
         raise ValueError("the start solves a problem of another layout")
+    if problem.layout.bases is not None:
+        if np.iscomplexobj(problem.costs):
+            raise ValueError("the vertex table of LP bases needs a real cost")
+        return _solve(problem, _vertex_table)
     if problem.costs.shape[-1] > IPM_MAX_SIDE or np.iscomplexobj(problem.costs):
         return _solve(problem, _splitting)
     warm = _warm_start(problem.layout, problem.costs, start)
@@ -828,8 +844,8 @@ class LpVertex:
     (I; pt_map); ``system`` holds those rows and then the trace row, so
     ``system @ blocks`` is (0, ..., 0, 1).  The methods take scalar costs c.
     Every field but ``mult`` may carry leading stack axes, one entry per
-    vertex (`basis_vertices`); the methods then broadcast costs of shape
-    (..., nb) over them and return one number per vertex.
+    vertex (``SdpLayout.vertices``); the methods then broadcast costs of
+    shape (..., nb) over them and return one number per vertex.
     """
 
     blocks: np.ndarray
@@ -859,60 +875,22 @@ class LpVertex:
         return np.min((self.mult * costs - active[..., 0, :]) / self.mult, axis=-1)
 
 
-def basis_vertices(bases: np.ndarray, layout: SdpLayout, costs: np.ndarray) -> tuple[LpVertex, np.ndarray]:
-    """The feasible vertices that a stack of bases fixes on a scalar layout, and their multipliers at ``costs``.
+def _vertex_table(layout: SdpLayout, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str, None]:
+    """Offer the layout's best vertex and best basis dual to the certificate; returns (0, status, None).
 
-    One batched `np.linalg.solve` takes every basis's system (its nb - 1
-    rows of (I; pt_map) over the trace row, as in `LpVertex`) and the
-    transposed system, whose right-hand sides are m * c for each cost
-    vector c.  A basis whose vertex leaves the polytope by more than
-    `VERTEX_TOL` is dropped.  Returns the vertex stack and the multipliers
-    [cost, vertex, row]; LinAlgError if any system is singular.
-    """
-    mult, nb = layout.mult, len(layout.mult)
-    rows = np.concatenate([np.eye(nb), layout.pt_map])
-    systems = np.empty((len(bases), nb, nb))
-    systems[:, :-1], systems[:, -1] = rows[bases], mult
-    rhs = np.zeros((2, len(bases), nb, len(costs)))
-    rhs[0, :, -1] = 1.0
-    rhs[1] = (mult * costs).T
-    solution = np.linalg.solve(np.stack([systems, systems.swapaxes(-1, -2)]), rhs)
-    blocks = solution[0, :, :, 0]
-    feasible = np.min(blocks @ rows.T, axis=-1) >= -VERTEX_TOL
-    vertices = LpVertex(blocks=blocks[feasible], basis=bases[feasible], system=systems[feasible], mult=mult)
-    return vertices, np.moveaxis(solution[1, feasible], -1, 0)
-
-
-def vertex_solve(problem: SdpProblem, bases: np.ndarray) -> SdpSolution:
-    """Solve a real problem of scalar blocks at a vertex of its polytope, from a table of LP bases.
-
-    One `basis_vertices` call gives every basis of ``bases`` its vertex,
-    dropped unless feasible, and its multipliers at the costs.  The
-    certificate is offered one pair, with no Newton step: the feasible
-    vertex of least value as X, and as S2 the basis dual with the best
+    Per cost only the vertices' multipliers are solved.  X is the feasible
+    vertex of least value, S2 the basis dual with the best
     `LpVertex.dual_bound`, its W-side multipliers clamped at 0 and divided
     by the W-side multiplicities, so that lambda_min(C - PT*(S2)) is at
-    least that bound.  A table that holds an optimal basis whose
-    multipliers are dual feasible closes the gap at rounding level and
-    ends ``converged`` (or ``decided`` against a cut); one that lacks it
-    certifies less and ends with the status the bounds allow, else
-    ``infeasible_numerics``.  ValueError unless every block has side 1 and
-    the cost is real.
+    least that bound.  With no optimal basis in the table the gap stays open.
     """
-    if problem.costs.shape[-1] != 1 or np.iscomplexobj(problem.costs):
-        raise ValueError("vertex_solve needs a real cost in blocks of side 1")
-    return _solve(problem, lambda layout, bounds, opts: _vertex_table(layout, bounds, bases))
-
-
-def _vertex_table(layout: SdpLayout, bounds: _Bounds, bases: np.ndarray) -> tuple[int, str, None]:
-    """Offer the table's best vertex and best basis dual to the certificate; returns (0, status, None)."""
-    nb = len(layout.mult)
+    nb, vertices = len(layout.mult), layout.vertices
     costs = bounds.costs.ravel()
-    vertices, multipliers = basis_vertices(bases, layout, costs[None])
+    multipliers = vertices.multipliers(costs)
     # PSD exactly; the mix toward I/n absorbs the W side's rounding
     x = np.maximum(vertices.blocks[np.argmin(vertices.value(costs))], 0.0)
-    best = np.argmax(vertices.dual_bound(costs, multipliers[0]))
-    basis, z = vertices.basis[best], multipliers[0, best, :-1]
+    best = np.argmax(vertices.dual_bound(costs, multipliers))
+    basis, z = vertices.basis[best], multipliers[best, :-1]
     w_rows = basis[basis >= nb] - nb
     s2 = np.zeros(nb)
     s2[w_rows] = np.maximum(z[basis >= nb], 0.0) / layout.pt_mult[w_rows]

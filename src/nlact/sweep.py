@@ -13,18 +13,18 @@ evaluating any point, and a table routes each of its columns by it.  A
 table's searched entry is one `find_threshold` over the family's whole
 range: to `EXACT_TOL` for a closed-form column, to `SDP_TOL` for hirsch1's
 p_TLF.  The p_TLF entry of a twirled family (wi, Werner, isotropic) is
-exact: the first root of a vertex line of its activation LP, read from the
-pinned table of LP bases `activation.TWIRLED_BASES` with no solve, so the
-caller's solver options do not apply to it, and certified to `EXACT_TOL` by
-the bases' duals (see `_exact_tlf_entry`).  Every search assumes a
-monotone indicator, and a point whose solve certifies nothing (indicator
-None) stops it with ``ValueError``.  Other SDP-backed points get one solve
-each under the caller's options (for a twirled family, `sigma_min` reads
-the optimal vertex off the same table, with no Newton step); within one
-search each solve starts from the previous point's, and a sampled curve
-solves every point cold.  In a sampled curve a point whose solve
-certifies nothing is recorded as missing, with the solve's status and
-bounds, instead of aborting the sweep.
+exact: the first root of a vertex line of its activation LP, read from its
+layout's LP vertices with no solve, so the caller's solver options do not
+apply to it, and certified to `EXACT_TOL` by the bases' duals (see
+`_exact_tlf_entry`).  Every search assumes a monotone indicator, and a
+point whose solve certifies nothing (indicator None) stops it with
+``ValueError``.  Other SDP-backed points get one solve each under the
+caller's options (for a twirled family, `sdp.solve` reads the optimal
+vertex off the same vertices, with no Newton step); within one search each
+solve starts from the previous point's, and a sampled curve solves every
+point cold.  In a sampled curve a point whose solve certifies nothing is
+recorded as missing, with the solve's status and bounds, instead of
+aborting the sweep.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from typing import Callable
 import numpy as np
 
 from . import measures
-from .activation import TWIRLED_BASES, bisection_options, build_cost, sigma_min
-from .sdp import SdpOptions, SdpSolution, basis_vertices, check_side
-from .states import FamilySpec, TwirledState
+from .activation import bisection_options, build_cost, sigma_min
+from .sdp import SdpOptions, SdpSolution, check_side
+from .states import FamilySpec
 
 PROPERTIES = ("eof", "chsh", "hn", "sa", "tlf", "cglmp")
 
@@ -117,7 +117,7 @@ def _tlf_point(
     # bounds on both sides of the cut) is recorded missing, with no indicator
     result = sigma_min(spec.state(p), sdp_options, start)
     witness = result.witness
-    if witness.status not in ("converged", "decided") or result.activated is None:
+    if result.activated is None:
         bounds = f"sigma in [{witness.objective_lb:.6g}, {witness.objective:.6g}]"
         return PointResult(result.sigma, None, f"sdp certified no sign: {witness.status}, {bounds}", witness=witness)
     return PointResult(result.sigma, result.activated, witness=witness)
@@ -398,16 +398,15 @@ _TABLE_COLUMNS = {
 TABLE_FAMILIES = tuple(_TABLE_COLUMNS)
 
 
-def _exact_tlf_entry(spec: FamilySpec, bases: np.ndarray = TWIRLED_BASES) -> dict:
-    """The exact p_TLF of a twirled family: the first root of sigma(p), from a table of LP bases.
+def _exact_tlf_entry(spec: FamilySpec) -> dict:
+    """The exact p_TLF of a twirled family: the first root of sigma(p), from its layout's LP vertices.
 
     sigma(p) is the minimum over a polytope fixed by d of costs affine in p
     (see `sdp.LpVertex`), so it is concave and piecewise linear, and every
     vertex v gives a line sigma_v(p) >= sigma(p).  One batched solve gives
-    every basis of ``bases`` its vertex, dropped unless feasible, and its
-    multipliers at the costs of both ends lo and hi (`sdp.basis_vertices`);
-    costs and multipliers are affine in p, so the ends give them at every
-    p.  The entry is the smallest root r of the lines that fall from
+    the layout's LP ``vertices`` their multipliers at the costs of both ends
+    lo and hi; costs and multipliers are affine in p, so the ends give them
+    at every p.  The entry is the smallest root r of the lines that fall from
     positive at lo to negative at hi.  No solve is made.  The certificate:
 
     - v is feasible, so sigma <= sigma_v < 0 on (r, hi];
@@ -423,7 +422,8 @@ def _exact_tlf_entry(spec: FamilySpec, bases: np.ndarray = TWIRLED_BASES) -> dic
     lo = max(lo, 0.0)  # as in the searched entries
     problems = [build_cost(spec.state(q)) for q in (lo, hi)]
     ends = np.array([problem.costs.ravel() for problem in problems])
-    vertices, multipliers = basis_vertices(bases, problems[1].layout, ends)
+    vertices = problems[1].layout.vertices
+    multipliers = vertices.multipliers(ends[:, None])
     at_lo, at_hi = vertices.value(ends[:, None])
 
     def lower_bound(t: float) -> float:
@@ -450,10 +450,10 @@ def _exact_tlf_entry(spec: FamilySpec, bases: np.ndarray = TWIRLED_BASES) -> dic
 
 
 def _computed_entry(spec: FamilySpec, prop: str, sdp_options: SdpOptions | None) -> dict:
-    """A searched entry: one `find_threshold` over the family's range, or a twirled family's exact p_TLF."""
-    if prop == "tlf" and isinstance(spec.state(spec.p_range()[1]), TwirledState):
-        return _exact_tlf_entry(spec)
+    """A searched entry: one `find_threshold` over the family's range, or the exact p_TLF of a layout with LP bases."""
     lo, hi = spec.p_range()
+    if prop == "tlf" and build_cost(spec.state(hi)).layout.bases is not None:
+        return _exact_tlf_entry(spec)
     report = find_threshold(spec, prop, (max(lo, 0.0), hi), sdp_options=sdp_options)
     return {"value": report.threshold, "tolerance": report.tolerance, "provenance": "computed"}
 

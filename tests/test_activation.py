@@ -7,7 +7,6 @@ from nlact import activation
 from nlact.activation import (
     ACTIVATION_TOL,
     DEFAULT_OPTIONS,
-    TWIRLED_BASES,
     ancilla_R,
     bisection_options,
     build_cost,
@@ -23,9 +22,9 @@ from nlact.sdp import (
     SdpLayout,
     SdpOptions,
     SdpProblem,
-    basis_vertices,
+    _interior_point,
+    _solve,
     solve,
-    vertex_solve,
 )
 from nlact.states import ParityState, h_theta, hirsch_state, isotropic_state, werner_state, wi_state
 from test_sdp import HIRSCH_TRAIL
@@ -163,10 +162,10 @@ def _twirled_state(family, d, p):
 def _assert_block_matches_dense(problem):
     """Solve a problem in its block form and densely, check that they agree, return `activated`.
 
-    Eight scalar blocks take the table of LP bases, as `sigma_min` does.
+    Eight scalar blocks take their layout's table of LP bases, as `sigma_min` does.
     """
     scalar = problem.costs.shape[-1] == 1
-    block = vertex_solve(problem, TWIRLED_BASES) if scalar else solve(problem)
+    block = solve(problem)
     dense = solve(SdpProblem.from_cost(problem.cost, problem.layout.dims, problem.layout.t1_split, problem.options))
     activated = [s.status in ("converged", "decided") and s.objective < -ACTIVATION_TOL for s in (block, dense)]
     assert activated[0] == activated[1]
@@ -237,9 +236,9 @@ def test_twirled_pt_maps_are_shared_and_read_only():
 
 
 def _best_vertex(problem):
-    """The feasible vertex of least value among the pinned table's, as `sdp.vertex_solve` takes it."""
+    """The feasible vertex of least value among the layout's, as `sdp.solve` takes it."""
     costs = problem.costs.ravel()
-    vertices, _ = basis_vertices(TWIRLED_BASES, problem.layout, costs[None])
+    vertices = problem.layout.vertices
     k = np.argmin(vertices.value(costs))
     return LpVertex(vertices.blocks[k], vertices.basis[k], vertices.system[k], problem.layout.mult)
 
@@ -257,7 +256,7 @@ def test_lp_vertex_bounds_sigma_on_both_sides(family, d):
     assert np.allclose(vertex.system @ vertex.blocks, np.eye(8)[-1], atol=1e-15)
     for p in np.linspace(0.0, 1.0, 11):
         problem = build_cost(_twirled_state(family, d, float(p)), SdpOptions(tol_objective=1e-10))
-        tight = solve(problem)
+        tight = _solve(problem, _interior_point)
         costs = problem.costs.ravel()
         assert vertex.value(costs) >= tight.objective_lb - 1e-12, p
         assert vertex.dual_bound(costs) <= tight.objective + 1e-12, p
@@ -269,12 +268,13 @@ def test_lp_vertex_bounds_sigma_on_both_sides(family, d):
 
 @pytest.mark.parametrize("family,d", [("wi", 2), ("werner", 6), ("isotropic", 3)])
 def test_stacked_vertices_match_single_ones(family, d):
-    # a stack from basis_vertices answers as each of its vertices alone, and
+    # a layout's vertex stack answers as each of its vertices alone, and
     # holds the vertex that sigma_min's witness is, up to the mix toward I/n
     solution = sigma_min(_twirled_state(family, d, 0.8), SdpOptions(tol_objective=1e-10)).witness
     layout, costs = solution.problem.layout, solution.problem.costs.ravel()
     pt_map, mult = layout.pt_map, layout.mult
-    vertices, multipliers = basis_vertices(TWIRLED_BASES, layout, np.array([costs, 2.0 * costs]))
+    vertices = layout.vertices
+    multipliers = vertices.multipliers(np.array([costs, 2.0 * costs])[:, None])
     rows = np.concatenate([np.eye(8), pt_map])
     assert np.min(vertices.blocks @ rows.T) >= -VERTEX_TOL
     assert np.allclose(vertices.system @ vertices.blocks[..., None], np.eye(8)[-1][:, None], atol=1e-14)

@@ -65,7 +65,7 @@ def test_sweep_json_format(capsys):
 def test_uncertified_activation_point_has_no_indicator(monkeypatch, capsys):
     # a solve that certifies nothing prints an empty indicator in CSV and null in JSON,
     # not "not activated"
-    stalled = ActivationResult(sigma=0.07, witness=SimpleNamespace(status="max_iters", objective_lb=-0.5, objective=0.07), activated=False)
+    stalled = ActivationResult(sigma=0.07, witness=SimpleNamespace(status="max_iters", objective_lb=-0.5, objective=0.07), activated=None)
     monkeypatch.setattr(sweep, "sigma_min", lambda tau, options=None, start=None: stalled)
     args = ("sweep", "--family", "hirsch1", "--property", "tlf", "--pmin", "0.1", "--pmax", "0.3", "--steps", "3")
     code, out, _ = run_cli(capsys, *args)
@@ -97,11 +97,13 @@ def test_sweep_2d_grid(tmp_path, capsys):
         ("--pmax", "0.6"),
         ("--steps", "3"),
         ("--q", "0.3"),
+        ("--format", "json"),
     ],
     ids=" ".join,
 )
 def test_sweep_2d_grid_rejects_line_flags(capsys, flags):
-    # a 2-D sweep spans [0, 1] x [0, 1]; a 1-D grid or weight given with it would be ignored
+    # a 2-D sweep spans [0, 1] x [0, 1] and writes CSV; a 1-D grid, a weight or
+    # JSON asked for with it would be ignored
     code, out, err = run_cli(
         capsys,
         "sweep", "--family", "hirsch2", "--property", "hn", "--p-grid", "3", "--q-grid", "2", *flags,
@@ -284,12 +286,14 @@ def test_table_werner_csv_has_x_marker(capsys):
 # 1e-12) and hirsch1's p_TLF became one bisection of [0, 1] to 1e-3 (0.17529296875,
 # 12 evaluations); since hn reads the Wootters values and cglmp contracts in BLAS,
 # hirsch1's p_HN is 2.5e-13 +- 1e-12 and the isotropic p_NL moved by 1 ulp at
-# d = 2, 3; a change of representation, solver loop or search that moves a
-# threshold shows up here
+# d = 2, 3; since the layout solves its LP vertices once, with one right-hand
+# side, isotropic d=3's p_TLF moved by 1 ulp again (0.5606601717798214 ->
+# 0.5606601717798213); a change of representation, solver loop or search that
+# moves a threshold shows up here
 _TABLE_SHA256 = {
     ("--family", "wi"): "1a1b68d05bd6bc4b2532f8c54b89c2be586e6c91fa785ea32cd8250e0c0b6de8",
     ("--family", "werner", "--dmax", "3"): "80e8b46bc5050ad93f29b76fb5d9674f9ce945ea96237150151f76f228c5e6ee",
-    ("--family", "isotropic", "--dmax", "3"): "8f2fa912c3ae59ba88cd0f74de745cb313e066cb9ecc7edbdd2c24d9f6905807",
+    ("--family", "isotropic", "--dmax", "3"): "68af54c780fc815332feb1583855d4592c032fb02a64706e1be04504daa9b2b9",
     ("--family", "hirsch1"): "f1bc03309883a1cad7f3c781d1248e84fb11f6c4729c2dd3b2053425f5283c59",
 }
 
@@ -341,7 +345,7 @@ def test_table_exact_entries_ignore_a_loose_sdp_tol(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == _EXACT_TABLE_SHA256[args]
 
 
-@pytest.mark.parametrize("dmax,p_tlf", [("7", 0.3535533905932738), ("8", 0.3236632465475277)], ids=["7", "8"])
+@pytest.mark.parametrize("dmax,p_tlf", [("7", 0.3535533905932738), ("8", 0.32366324654752765)], ids=["7", "8"])
 def test_table_computes_every_column_of_the_last_row(monkeypatch, capsys, dmax, p_tlf):
     # CGLMP holds for every d: the isotropic p_NL is computed on every row, the
     # root of the CGLMP margin at 2/I_d, and p_TLF exactly, with no solve
@@ -427,6 +431,14 @@ def test_check_ancilla_separable_point_fails(capsys):
     assert code == 1
     assert "NOT activated" in out
     assert "FAIL" in err
+
+
+@pytest.mark.parametrize("p", ["nan", "2", "-0.1"])
+def test_check_ancilla_rejects_p_outside_the_range_before_printing(capsys, p):
+    code, out, err = run_cli(capsys, "check-ancilla", f"--p={p}")
+    assert code == 2
+    assert out == ""
+    assert "0 <= p <= 1" in err
 
 
 def test_check_ancilla_high_point_passes(capsys):

@@ -80,6 +80,11 @@ def test_pure_eof():
         pure_eof(np.array([1.0, 1.0, 0.0, 0.0]), (2, 2))
 
 
+def test_pure_eof_rejects_one_subsystem():
+    with pytest.raises(ValueError, match="two dims"):
+        pure_eof(np.ones(4) / 2, (4,))
+
+
 def test_pure_eof_cross_check(rng):
     for _ in range(50):
         psi = random_pure(4, rng)
@@ -320,6 +325,11 @@ def test_cglmp_unsupported_dimension(rng):
         cglmp_value(DensityMatrix(np.eye(1), (1, 1)))
     with pytest.raises(ValueError, match="d x d"):
         cglmp_value(random_density((2, 3), rng))
+
+
+def test_cglmp_rejects_one_subsystem():
+    with pytest.raises(ValueError, match="d x d"):
+        cglmp_value(DensityMatrix(np.eye(4) / 4, (4,)))
 
 
 @pytest.mark.parametrize("d", range(2, 13))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from nlact import activation, sdp
 from nlact.activation import ACTIVATION_TOL, DEFAULT_OPTIONS, H_ANGLE, TWIRLED_BASES, bisection_options, build_cost
 from nlact.linalg import DensityMatrix, min_eig, partial_transpose_mat
 from nlact.rand import random_density
-from nlact.sdp import SdpLayout, SdpOptions, SdpProblem, _interior_point, _solve, _splitting, solve, vertex_solve
+from nlact.sdp import SdpLayout, SdpOptions, SdpProblem, _interior_point, _solve, _splitting, solve
 from nlact.states import (
     h_theta,
     hirsch_state,
@@ -120,32 +121,51 @@ def test_solve_complex_hermitian_cost():
 
 
 def test_solve_routes_by_side_and_field(monkeypatch, rng):
-    # real costs take the interior-point loop up to side 16, blocks of side 1
-    # included; the splitting loop takes the rest
+    # a layout with LP bases takes the vertex table; otherwise real costs take
+    # the interior-point loop up to side 16, blocks of side 1 included, and
+    # the splitting loop takes the rest
     taken = []
 
     def recorder(name):
         loop = getattr(sdp, name)
         return lambda *args: taken.append(name) or loop(*args)
 
-    for name in ("_interior_point", "_splitting"):
+    for name in ("_interior_point", "_splitting", "_vertex_table"):
         monkeypatch.setattr(sdp, name, recorder(name))
     cost = _random_hermitian(4, rng)
     for c, dims in ((cost.real, (2, 2)), (cost, (2, 2)), (np.diag(np.arange(36.0)), (6, 6))):
         solve(SdpProblem.from_cost(c, dims=dims, t1_split=1))
-    solve(build_cost(werner_state(3, 0.6)))  # eight scalar blocks
-    assert taken == ["_interior_point", "_splitting", "_splitting", "_interior_point"]
+    twirled = build_cost(werner_state(3, 0.6))  # eight scalar blocks
+    solve(twirled)
+    solve(SdpProblem(twirled.costs, dataclasses.replace(twirled.layout, bases=None), twirled.options))
+    assert taken == ["_interior_point", "_splitting", "_splitting", "_vertex_table", "_interior_point"]
 
 
-def test_vertex_solve_takes_only_real_scalar_blocks(rng):
-    cost = _random_hermitian(4, rng)
-    for c in (cost.real, np.diag(np.diag(cost))):
-        with pytest.raises(ValueError, match="side 1"):
-            vertex_solve(SdpProblem.from_cost(c, dims=(2, 2)), TWIRLED_BASES)
+def test_vertex_table_takes_only_a_real_cost():
+    # a Hermitian block of side 1 is real, and SdpProblem stores it real, so
+    # only costs replaced after the problem was built reach the check
+    problem = build_cost(werner_state(3, 0.6))
+    problem.costs = problem.costs.astype(complex)
+    with pytest.raises(ValueError, match="real cost"):
+        solve(problem)
+
+
+def test_layout_rejects_bases_that_do_not_fit_its_blocks():
+    # indices past the 2 nb = 16 rows of (I; pt_map), rows of width 6 where
+    # nb - 1 = 7, and bases on the parity form, whose blocks have side 2
+    layout = build_cost(werner_state(3, 0.6)).layout
+    bad = TWIRLED_BASES.copy()
+    bad[0, -1] = 16
+    with pytest.raises(ValueError, match="index"):
+        dataclasses.replace(layout, bases=bad)
+    with pytest.raises(ValueError, match="width 7"):
+        dataclasses.replace(layout, bases=TWIRLED_BASES[:, :6])
+    with pytest.raises(ValueError, match="side 1"):
+        dataclasses.replace(build_cost(hirsch_state(0.2)).layout, bases=TWIRLED_BASES)
 
 
 def _oracle(problem):
-    """The matrix interior-point loop on a problem's blocks: the reference of `vertex_solve`."""
+    """The matrix interior-point loop on a problem's blocks: the reference of the vertex table."""
     return _solve(problem, _interior_point)
 
 
@@ -166,7 +186,7 @@ def test_vertex_solve_matches_interior_point(algebra, d):
     # Newton step, inside the matrix loop's certified interval, and deciding alike
     for t, tau in _segment(algebra, d):
         problem = build_cost(tau, SdpOptions(tol_objective=1e-9))
-        table, oracle = vertex_solve(problem, TWIRLED_BASES), _oracle(problem)
+        table, oracle = solve(problem), _oracle(problem)
         assert (table.status, table.iterations) == ("converged", 0), t
         assert oracle.objective_lb - 1e-12 <= table.objective <= oracle.objective + 1e-12, t
         assert _indicator(table) == _indicator(oracle) is not None, t
@@ -200,7 +220,7 @@ def _indicator(sol):
 
 
 # The "scalar loop" of the four tests below is the solver of the eight scalar
-# blocks, `vertex_solve` over the pinned table of LP bases.  Each checks it where
+# blocks, `solve`'s vertex table over the layout's pinned LP bases.  Each checks it where
 # an interior-point iterate is hard to end at a vertex: next to a threshold, below
 # the matrix loop's accuracy floor, on an optimal edge, and at a singular basis.
 
@@ -214,7 +234,7 @@ def test_scalar_loop_matches_interior_point(family, d):
         for options in (DEFAULT_OPTIONS, bisection_options()):
             problem = build_cost(tau, options)
             assert problem.costs.shape == (8, 1, 1)
-            table, oracle = vertex_solve(problem, TWIRLED_BASES), _oracle(problem)
+            table, oracle = solve(problem), _oracle(problem)
             assert table.iterations == 0 and table.status in CERTIFIED, p
             assert _indicator(table) == _indicator(oracle), p
             assert max(table.objective_lb, oracle.objective_lb) <= min(table.objective, oracle.objective) + 1e-12, p
@@ -227,7 +247,7 @@ def test_scalar_loop_certifies_below_the_matrix_floor(family, d):
     options = SdpOptions(tol_objective=1e-12)
     for p, tau in _tlf_grid(family, d):
         problem = build_cost(tau, options)
-        sol = vertex_solve(problem, TWIRLED_BASES)
+        sol = solve(problem)
         assert sol.status == "converged", p
         assert sol.objective - sol.objective_lb <= 1e-12, p
         # inside the matrix loop's certified interval at its floor, whatever its status
@@ -245,7 +265,7 @@ _EDGE_POINTS = [("werner", 3, 0.3), ("werner", 3, 0.2875), ("werner", 3, 0.325),
 def test_scalar_loop_rounds_an_optimal_edge_to_a_vertex(family, d, p):
     # the table holds the edge's vertices, so the solve ends at one of them
     tau = (werner_state if family == "werner" else isotropic_state)(d, p)
-    sol = vertex_solve(build_cost(tau, SdpOptions(tol_objective=1e-12)), TWIRLED_BASES)
+    sol = solve(build_cost(tau, SdpOptions(tol_objective=1e-12)))
     assert (sol.status, sol.iterations) == ("converged", 0)
     assert sol.objective - sol.objective_lb <= 1e-12
 
@@ -256,10 +276,10 @@ def test_scalar_loop_rounds_past_a_singular_transposed_basis(tol):
     # whose transposed system is singular to the solver; no basis of the table
     # is, so every vertex comes with finite multipliers
     problem = build_cost(werner_state(8, 0.15), SdpOptions(tol_objective=tol))
-    sol = vertex_solve(problem, TWIRLED_BASES)
+    sol = solve(problem)
     assert (sol.status, sol.iterations) == ("converged", 0)
     assert sol.objective - sol.objective_lb <= 1e-15
-    vertices, multipliers = sdp.basis_vertices(TWIRLED_BASES, problem.layout, problem.costs.ravel()[None])
+    multipliers = problem.layout.vertices.multipliers(problem.costs.ravel())
     assert np.all(np.isfinite(multipliers))
 
 
@@ -339,7 +359,7 @@ def test_matrix_loop_on_blocks_with_multiplicities(family, d):
         assert problem.costs.shape == (2, 4, 4)
         assert not np.allclose(problem.layout.pt_map, problem.layout.adjoint)
         block = solve(problem)
-        scalar = vertex_solve(build_cost(tau, options), TWIRLED_BASES)
+        scalar = solve(build_cost(tau, options))
         assert block.status == scalar.status == "converged", p
         assert block.objective_lb - 1e-12 <= scalar.objective <= block.objective + 1e-12, p
 
@@ -352,7 +372,7 @@ def test_side_one_lowest_eigenvalues_are_the_entries(monkeypatch, rng):
     # so a scalar solve, by either route, certifies the same bounds as one whose
     # certificate runs eigvalsh
     problems = [build_cost(werner_state(3, p), DEFAULT_OPTIONS) for p in (0.3, 0.636102, 0.9)]
-    runs = (solve, lambda problem: vertex_solve(problem, TWIRLED_BASES))
+    runs = (_oracle, solve)
     fast = [[run(problem) for run in runs] for problem in problems]
     monkeypatch.setattr(sdp, "_lowest", lambda mats: np.linalg.eigvalsh(mats)[:, 0])
     for problem, refs in zip(problems, fast):
@@ -447,7 +467,7 @@ def test_options_reject_values_that_certify_nothing(kwargs, match):
 
 def test_options_take_numpy_integer_budgets():
     options = SdpOptions(max_iters=np.int64(40))
-    assert solve(build_cost(wi_state(0.7), options)).status == "converged"
+    assert solve(build_cost(hirsch_state(0.7), options)).status == "converged"
 
 
 def test_max_iters_status():
@@ -540,7 +560,7 @@ def test_interior_point_solution_stores_its_states_from_the_start():
     assert sol.iterates.shape == (sol.iterations + 1, 4 * nb, s, s)
     assert np.array_equal(sol.iterates[0], sdp._start(problem.layout, problem.costs))
     assert _admm(problem).iterates is None
-    assert vertex_solve(build_cost(werner_state(3, 0.6)), TWIRLED_BASES).iterates is None
+    assert solve(build_cost(werner_state(3, 0.6))).iterates is None
 
 
 def test_start_from_another_layout_is_rejected(rng):
@@ -557,8 +577,11 @@ def _assert_same_solve(a, b):
 
 
 def test_start_without_iterates_is_the_cold_start():
-    problem = build_cost(werner_state(3, 0.6))
-    _assert_same_solve(solve(problem, vertex_solve(problem, TWIRLED_BASES)), solve(problem))
+    # the twirled blocks on a layout without LP bases take the interior-point loop
+    twirled = build_cost(werner_state(3, 0.6))
+    problem = SdpProblem(twirled.costs, dataclasses.replace(twirled.layout, bases=None), twirled.options)
+    start = dataclasses.replace(solve(problem), iterates=None)
+    _assert_same_solve(solve(problem, start), solve(problem))
 
 
 def test_start_with_no_interior_iterate_is_the_cold_start():
@@ -622,13 +645,20 @@ def test_loop_operators_match_the_gather_form(kind):
 
 
 def _count_derivations(monkeypatch):
-    """The layouts built and `_Operators` derived from here on, in order, with the activation layouts built afresh."""
+    """The layouts built, `_Operators` and vertex stacks derived from here on, in order.
+
+    The activation layouts are built afresh.
+    """
     derived = []
-    build = SdpLayout.__post_init__
+    build, vertices = SdpLayout.__post_init__, SdpLayout.vertices.func
 
     def counted(layout):
         derived.append("layout")
         build(layout)
+
+    def counted_vertices(layout):
+        derived.append("vertices")
+        return vertices(layout)
 
     class CountedOperators(sdp._Operators):
         def __init__(self, layout):
@@ -637,6 +667,9 @@ def _count_derivations(monkeypatch):
 
     activation._layout.cache_clear()
     monkeypatch.setattr(SdpLayout, "__post_init__", counted)
+    counted_property = functools.cached_property(counted_vertices)
+    counted_property.__set_name__(SdpLayout, "vertices")
+    monkeypatch.setattr(SdpLayout, "vertices", counted_property)
     monkeypatch.setattr(sdp, "_Operators", CountedOperators)
     return derived
 
@@ -651,12 +684,12 @@ def test_a_search_derives_its_layout_once(monkeypatch):
 
 
 def test_a_twirled_curve_derives_its_layout_once(monkeypatch):
-    # each point's vertex_solve takes the one (werner, 3) layout, and no point
-    # derives interior-point operators
+    # each point's solve takes the one (werner, 3) layout and its one vertex
+    # stack, and no point derives interior-point operators
     derived = _count_derivations(monkeypatch)
     curve = sample_curve(FamilySpec("werner", d=3), "tlf", np.linspace(0.0, 1.0, 11))
     assert None not in curve.values
-    assert derived == ["layout"]
+    assert derived == ["layout", "vertices"]
 
 
 def test_shared_layout_solves_as_a_fresh_equal_one():

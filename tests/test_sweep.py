@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -18,7 +19,7 @@ from nlact.activation import (
     sigma_min,
 )
 from nlact.measures import cglmp_value, popescu_threshold
-from nlact.sdp import VERTEX_TOL, SdpOptions, basis_vertices, solve
+from nlact.sdp import VERTEX_TOL, SdpOptions, solve
 from nlact.states import FamilySpec, TwirledState, isotropic_state, twirl_projectors
 from nlact.sweep import (
     PointResult,
@@ -161,8 +162,9 @@ def test_unsupported_pair_raises_routing_error(spec, prop, message):
 
 @pytest.mark.parametrize("status", ["infeasible_numerics", "max_iters"])
 def test_uncertified_activation_point_is_missing(monkeypatch, status):
-    # a solve that certifies nothing is a missing point, not a certified "not activated"
-    stalled = ActivationResult(sigma=math.inf, witness=SimpleNamespace(status=status, objective_lb=-math.inf, objective=math.inf), activated=False)
+    # a solve that certifies nothing (sigma_min's activated None) is a missing
+    # point, not a certified "not activated"
+    stalled = ActivationResult(sigma=math.inf, witness=SimpleNamespace(status=status, objective_lb=-math.inf, objective=math.inf), activated=None)
     monkeypatch.setattr(sweep, "sigma_min", lambda tau, options=None, start=None: stalled)
     result = evaluate_point(WI, "tlf", 0.7)
     assert result.error is not None and result.indicator is None
@@ -342,8 +344,8 @@ def _table_at(spec, p):
     """The feasible vertices of TWIRLED_BASES at p, with their values and dual bounds."""
     problem = build_cost(spec.state(p))
     costs = problem.costs.ravel()
-    vertices, multipliers = basis_vertices(TWIRLED_BASES, problem.layout, costs[None])
-    return vertices, vertices.value(costs), vertices.dual_bound(costs, multipliers[0])
+    vertices = problem.layout.vertices
+    return vertices, vertices.value(costs), vertices.dual_bound(costs, vertices.multipliers(costs))
 
 
 def _optimal_bases(spec, p):
@@ -356,6 +358,16 @@ def _without(bases, removed):
     return np.array([basis for basis in bases.tolist() if basis not in removed.tolist()])
 
 
+def _use_bases(monkeypatch, bases):
+    """Give every twirled activation layout ``bases`` in place of TWIRLED_BASES, one layout per form and dims."""
+    layout = activation._layout
+    monkeypatch.setattr(
+        activation,
+        "_layout",
+        functools.lru_cache(lambda form, dims: dataclasses.replace(layout(form, dims), bases=bases)),
+    )
+
+
 @pytest.mark.parametrize(
     "family,d,end,message",
     [
@@ -365,7 +377,7 @@ def _without(bases, removed):
     ],
     ids=["werner-3-root", "isotropic-6-root", "isotropic-6-low"],
 )
-def test_exact_tlf_entry_missing_an_optimal_basis_raises(family, d, end, message):
+def test_exact_tlf_entry_missing_an_optimal_basis_raises(monkeypatch, family, d, end, message):
     # without the onset's basis, the next root of the table's lines lies above the
     # onset, where no basis's dual bound reaches 0; without every basis whose dual
     # bound is positive at p = 0, none certifies sigma > 0 there.  The entry is
@@ -376,8 +388,9 @@ def test_exact_tlf_entry_missing_an_optimal_basis_raises(family, d, end, message
     else:
         vertices, _, bounds = _table_at(spec, 0.0)
         removed = vertices.basis[bounds > 0.0]
+    _use_bases(monkeypatch, _without(TWIRLED_BASES, removed))
     with pytest.raises(ValueError, match=message):
-        sweep._exact_tlf_entry(spec, _without(TWIRLED_BASES, removed))
+        sweep._exact_tlf_entry(spec)
 
 
 def test_sweep_point_whose_table_lacks_the_optimal_basis_is_missing(monkeypatch):
@@ -385,7 +398,7 @@ def test_sweep_point_whose_table_lacks_the_optimal_basis_is_missing(monkeypatch)
     # solve ends uncertified with no Newton step, and the sweep records the
     # point as missing, with no indicator, under that status and not a budget's
     spec = FamilySpec("werner", 3)
-    monkeypatch.setattr(activation, "TWIRLED_BASES", _without(TWIRLED_BASES, _optimal_bases(spec, 0.8)))
+    _use_bases(monkeypatch, _without(TWIRLED_BASES, _optimal_bases(spec, 0.8)))
     witness = sigma_min(spec.state(0.8)).witness
     assert (witness.status, witness.iterations) == ("infeasible_numerics", 0)
     assert witness.objective - witness.objective_lb > DEFAULT_OPTIONS.tol_objective
@@ -462,7 +475,7 @@ def test_search_without_a_solve_takes_no_newton_step():
     assert find_threshold(WI, "tlf", (0.5, 0.9)).newton_steps == 0
 
 
-def test_exact_tlf_entry_drops_infeasible_vertices():
+def test_exact_tlf_entry_drops_infeasible_vertices(monkeypatch):
     # at d = 4 the vertices of the bases optimal at d = 2 leave the polytope, and
     # their lines cross 0 at 0.6095, below the onset 0.6247: taken as vertices,
     # they would give that root.  With the bases optimal at p = 0 alone, no line
@@ -470,11 +483,13 @@ def test_exact_tlf_entry_drops_infeasible_vertices():
     spec = FamilySpec("werner", 4)
     stale = np.array([[int(row, 16) for row in word] for word in ("0567bcd", "0567bce", "0567bde")])
     table = np.concatenate([stale, _optimal_bases(spec, 0.0)])
-    with pytest.raises(ValueError, match="no vertex line"):
-        sweep._exact_tlf_entry(spec, table)
     closed = _closed_form_tlf("werner", 4)
-    table = np.concatenate([table, _optimal_bases(spec, closed)])
-    assert abs(sweep._exact_tlf_entry(spec, table)["value"] - closed) <= 4.4e-16
+    onset = _optimal_bases(spec, closed)
+    _use_bases(monkeypatch, table)
+    with pytest.raises(ValueError, match="no vertex line"):
+        sweep._exact_tlf_entry(spec)
+    _use_bases(monkeypatch, np.concatenate([table, onset]))
+    assert abs(sweep._exact_tlf_entry(spec)["value"] - closed) <= 4.4e-16
 
 
 def test_twirled_bases_are_the_path_optimal_bases():
@@ -492,7 +507,8 @@ def test_twirled_bases_are_the_path_optimal_bases():
         systems = np.concatenate([systems, np.broadcast_to(mult, (len(everything), 1, 8))], axis=1)
         bases = everything[np.abs(np.linalg.det(systems)) > 1e-9]
         costs = np.array([problem.costs.ravel() for problem in problems])
-        vertices, ends = basis_vertices(bases, problems[1].layout, costs)
+        vertices = dataclasses.replace(problems[1].layout, bases=bases).vertices
+        ends = vertices.multipliers(costs[:, None])
         # each multiplier of an active row is z0 + t (z1 - z0) on the segment's t in [0, 1]
         start, slope = ends[0, :, :-1], ends[1, :, :-1] - ends[0, :, :-1]
         with np.errstate(divide="ignore", invalid="ignore"):
