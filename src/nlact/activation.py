@@ -43,34 +43,6 @@ _PARITY_PT = np.kron(np.eye(2), _BELL_PT)
 _BELL_H = 1.0 - math.cos(H_ANGLE) * np.array([1, -1, 1, -1]) - math.sin(H_ANGLE) * np.array([1, 1, -1, -1])
 _BELL.flags.writeable = _BELL_PT.flags.writeable = _PARITY_PT.flags.writeable = _BELL_H.flags.writeable = False
 
-# The bases of the twirled form's linear program (eight scalar blocks; see
-# `sdp.LpVertex`) that are optimal somewhere on a positive semidefinite twirled
-# state at d = 2..8, the segment of coefficients c >= 0 of either algebra (which
-# holds every Werner, wi and isotropic path, Werner p < 0 included): their
-# vertex is feasible and their multipliers are dual feasible, both within
-# `sdp.VERTEX_TOL`, at some c there.  Each word lists a basis's seven active
-# rows of (I; pt_map) in hex.  Enumerating all C(16, 7) bases takes tens of
-# milliseconds per (algebra, d), so the table is pinned; tests/test_sweep.py
-# rebuilds it.
-TWIRLED_BASES = np.array(
-    [
-        [int(row, 16) for row in word]
-        for word in """
-        0567bcd 0567bce 0567bde 134567b 13457bd 13457bf 134679b 13467bd 13467bf 13479bd 13479bf
-        1347bdf 13567bd 13567bf 1357bcf 1357bef 1359bcf 135bcdf 135bcef 13679bf 1367bdf 1379bcf
-        1379bef 137bcdf 137bcef 137bdef 139bcef 13bcdef 234567b 23457ab 23457be 23457bf 23467be
-        23467bf 2347abe 2347abf 2347bef 23567be 23567bf 2357abf 2357bef 2367bcf 2367bdf 236abcf
-        236bcdf 236bcef 237abcf 237abdf 237bcdf 237bcef 237bdef 23abcdf 23bcdef 345679b 34567ab
-        34567bd 34567be 34579bd 34579bf 3457abe 3457abf 3457bdf 3457bef 34679bd 34679bf 3467abe
-        3467abf 3467bdf 3467bef 3479bdf 347abef 35679bd 35679bf 3567abe 3567abf 3567bde 3567bdf
-        3567bef 3579bcf 3579bef 357abef 357bcdf 357bcef 357bdef 359bcdf 359bcef 35bcdef 3679bdf
-        367abcf 367abdf 367bcdf 367bcef 367bdef 36abcdf 36abcef 36bcdef 379bcdf 379bcef 379bdef
-        37abcdf 37abcef 37abdef 39bcdef 3abcdef 567bcde
-        """.split()
-    ]
-)
-TWIRLED_BASES.flags.writeable = False
-
 __all__ = [
     "ACTIVATION_TOL",
     "DEFAULT_OPTIONS",
@@ -78,7 +50,6 @@ __all__ = [
     "bisection_options",
     "build_cost",
     "sigma_min",
-    "TWIRLED_BASES",
     "ancilla_R",
     "verify_ancilla",
 ]
@@ -124,7 +95,7 @@ def _layout(form: str, dims: tuple[int, int, int, int]) -> SdpLayout:
     Built and validated once per form and dims, like `twirl_projectors`.
     In the twirled form PT over A_d maps span{P_sym, P_anti} (Werner) onto
     span{1 - Phi, Phi} (isotropic) and back; over A_q it acts on the Bell
-    factor.  The twirled layouts carry `TWIRLED_BASES` as their LP bases.
+    factor.  Its blocks have side 1, so its problems go to the simplex.
     """
     bell, d = (_BELL, (1, 3)), dims[0]
     if form == "parity":
@@ -135,7 +106,7 @@ def _layout(form: str, dims: tuple[int, int, int, int]) -> SdpLayout:
     to_werner = [[1 - 1 / d, 1 / d], [1 + 1 / d, -1 / d]]
     pt_map = np.kron(to_isotropic if form == "werner" else to_werner, _BELL_PT)
     pt_map.flags.writeable = False
-    return SdpLayout(((twirl_projectors(form, d), (0, 2)), bell), pt_map, dims, t1_split=2, bases=TWIRLED_BASES)
+    return SdpLayout(((twirl_projectors(form, d), (0, 2)), bell), pt_map, dims, t1_split=2)
 
 
 def build_cost(tau: DensityMatrix, options: SdpOptions | None = None) -> SdpProblem:
@@ -177,13 +148,12 @@ def sigma_min(
     """Minimize Tr[rho (tau^T x H_{pi/4})] over PPT ancillas; negative means activation.
 
     One `sdp.solve` from ``start``, the witness of an input of the same
-    layout, when one is given: a `TwirledState` at the optimal vertex of
-    its layout's LP bases, every other input by an SDP loop.  ``activated``
-    is True when a certified solve (converged or sign-decided) puts its
-    upper bound below -ACTIVATION_TOL, False when it puts its lower bound
-    at or above it, and None when the solve certifies neither: a run out of
-    budget or stalled, a table that lacks the optimal basis, or a gap
-    looser than the distance to the cut.
+    layout, when one is given: a `TwirledState` by the simplex on its
+    scalar blocks, every other input by an SDP loop.  ``activated`` is True
+    when a certified solve (converged or sign-decided) puts its upper bound
+    below -ACTIVATION_TOL, False when it puts its lower bound at or above
+    it, and None when the solve certifies neither: a run out of budget or
+    stalled, or a gap looser than the distance to the cut.
     """
     witness = solve(build_cost(tau, options), start)
     activated = None

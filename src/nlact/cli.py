@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="output file (stdout when omitted)")
-        budget = "Newton-step budget of every SDP solve"
+        budget = "Newton-step or pivot budget of every SDP solve"
         p.add_argument("--sdp-max-iters", type=int, default=None, help=budget)
         p.add_argument("--sdp-tol", type=float, default=None)
 

@@ -70,9 +70,9 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         self.mat = np.asarray(self.mat, dtype=complex)
         self.dims = tuple(int(d) for d in self.dims)
-        n = self.mat.shape[0]
-        if self.mat.ndim != 2 or self.mat.shape != (n, n):
+        if self.mat.ndim != 2 or self.mat.shape[0] != self.mat.shape[1]:
             raise ValueError("density matrix must be square")
+        n = self.mat.shape[0]
         if any(d < 1 for d in self.dims) or int(np.prod(self.dims)) != n:
             raise ValueError(f"dims {self.dims} do not multiply to matrix side {n}")
         if not is_hermitian(self.mat, HERMITICITY_TOL):

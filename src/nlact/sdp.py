@@ -1,21 +1,20 @@
 """Self-contained solver for min <C, X> over {X >= 0, X^T1 >= 0, Tr X = 1}.
 
-Two loops and a table of linear-program vertices share one problem
-representation, one certificate and one entry, `solve`, which the layout's LP
-bases route to the table and the blocks to a loop:
+Three loops share one problem representation, one certificate and one
+entry, `solve`, which picks the loop from the cost's field and the blocks:
 
 - a primal-dual interior-point method (the HKM direction of Helmberg,
   Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 6 (1996), with Mehrotra's
   predictor-corrector) on min <C, X> over X >= 0 and W = X^T1 >= 0 with
   Tr X = 1, scaled by the eigendecompositions of its iterates.  Its Newton
   system has about side^2 / 2 unknowns per block, so `solve` takes it for
-  no LP bases, a real cost and blocks of side <= `IPM_MAX_SIDE` (16): a
-  plain real cost of side <= 16, the Hirsch inputs in their parity form
-  (eight blocks of side 2), and, through the ancilla's Bell form (blocks
-  of side d_A d_B), every other real activation cost with no twirl form
-  and d_A d_B <= 16.  It certifies within a few dozen Newton steps where
-  the splitting loop needs up to tens of thousands of iterations near a
-  sign change (`_interior_point` says how a step is assembled);
+  a real cost in blocks of side 2 to `IPM_MAX_SIDE` (16): a plain real
+  cost of side <= 16, the Hirsch inputs in their parity form (eight
+  blocks of side 2), and, through the ancilla's Bell form (blocks of side
+  d_A d_B), every other real activation cost with no twirl form and
+  d_A d_B <= 16.  It certifies within a few dozen Newton steps where the
+  splitting loop needs up to tens of thousands of iterations near a sign
+  change (`_interior_point` says how a step is assembled);
 - consensus operator splitting (ADMM) for complex costs and larger blocks:
   one block carries the spectral-simplex constraint {X >= 0, Tr X = 1}
   with the linear cost handled proximally, the other carries the
@@ -24,13 +23,14 @@ bases route to the table and the blocks to a loop:
   command-line route reaches it.  It stays as the tests' reference for the
   interior point, which is slower on dense blocks of side 24 to 64 and
   converges less often on complex costs;
-- the vertex table, for a layout with LP bases (``SdpLayout.bases``: every
-  twirled Werner, isotropic or wi form at any d, eight scalar blocks), a
-  linear program whose optimum is a vertex of its polytope: the layout's
-  ``vertices`` offer the certificate their best vertex and basis dual once,
-  with no Newton step.  Without the optimal basis the solve ends with the
-  status its bounds allow, else ``infeasible_numerics``.  The tests use the
-  matrix interior-point loop on the same blocks as its reference.
+- an active-set simplex for a real cost in blocks of side 1 (every
+  twirled Werner, isotropic or wi form at any d: eight scalar blocks), a
+  linear program whose optimum is a vertex of its polytope.  It pivots on
+  the dual from the vertex s = 0, y = min_b c_b, which is feasible for
+  every cost, so it needs no phase 1 and no stored basis, and offers the
+  certificate the optimal vertex and its dual once (`_simplex`).  The
+  tests use the matrix interior-point loop on the same blocks as its
+  reference.
 
 Every `SdpProblem` is stacked blocks with multiplicities on an `SdpLayout`,
 and so are the iterates.  A plain problem is one dense block of side n with
@@ -61,17 +61,17 @@ same layout (`SdpSolution.iterates`) whose dual slack stays positive
 definite at the new cost (Gondzio & Grothey, SIAM J. Optim. 13 (2002)),
 and from the cold start I/n when none does.  Nor does anything derived from
 the layout alone (the gather of T, the multiplicities, the adjoint,
-`_Operators`, the LP vertices), so every loop takes the shared `SdpLayout`,
-which derives them once, for warm, cold and vertex solves alike.  A warm
-solve that ends ``infeasible_numerics`` is run again cold, so a warm start
-never costs a certificate that the cold start would give.
+`_Operators`, the simplex's rows), so every loop takes the shared
+`SdpLayout`, which derives them once, for warm and cold solves alike.  A
+warm solve that ends ``infeasible_numerics`` is run again cold, so a warm
+start never costs a certificate that the cold start would give.
 
-Both loops and the vertex table feed one certificate of objective bounds:
+The three loops feed one certificate of objective bounds:
 
 - lower bound: lambda_min(C - PT(S2)) <= p* for any S2 >= 0 on the
   partial-transpose side; ADMM takes the clamped negative part of its
-  Y-projection, the interior-point loop its dual slack on W, the vertex
-  table a basis dual;
+  Y-projection, the interior-point loop its dual slack on W, the simplex
+  its dual s;
 - upper bound: mixing the current X toward I/n absorbs its PPT slack and
   yields an exactly feasible point whose value is reported as `objective`.
 
@@ -81,14 +81,15 @@ The certificate is the only way a solve ends certified: it stops with
 which side of the cut the optimum lies -- a sign decision can be certified
 long before the gap closes on degenerate instances.  With a cut set, a
 solve stops only once the bounds settle it, however small the gap.  Small
-consensus residuals alone stop nothing.  `max_iters` caps ADMM iterations
-and Newton steps alike.  A solve whose numbers break down (a non-finite
+consensus residuals alone stop nothing.  `max_iters` caps ADMM iterations,
+Newton steps and pivots alike.  A solve whose numbers break down (a non-finite
 ADMM residual, an interior-point iterate whose smallest eigenvalue is not
-positive, or `STALL_STEPS` Newton steps without a tighter gap) ends with
-its best bounds and status ``infeasible_numerics``.  A solve checks its minimizer's
-blocks against the invariants of a `DensityMatrix` (Hermitian, unit trace,
-PSD) and reads its PSD slack, PPT slack and trace error off the blocks;
-the dense minimizer is built only on request (`SdpSolution.minimizer`).
+positive, `STALL_STEPS` Newton steps without a tighter gap, or an optimal
+vertex whose bounds stay apart) ends with its best bounds and status
+``infeasible_numerics``.  A solve checks its minimizer's blocks against
+the invariants of a `DensityMatrix` (Hermitian, unit trace, PSD) and
+reads its PSD slack, PPT slack and trace error off the blocks; the dense
+minimizer is built only on request (`SdpSolution.minimizer`).
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ IPM_MAX_SIDE = 16
 # share of the distance to the cone boundary that an interior-point step covers.
 # Longer steps leave the iterates so close to the boundary that the Schur solves
 # lose accuracy, an accuracy floor near 1e-10 (the twirled linear programs
-# escape it: their layout's LP bases send them to the vertex table).  On the activation
+# escape it: their scalar blocks go to the simplex).  On the activation
 # costs of the real parts of 40 states from random_density((2, 2),
 # default_rng(7)) in their Bell form, at tol_objective = 1e-10, 0.9 closes 38
 # certified gaps to 1e-10 (604 Newton steps) and the other two to 2.1e-10 and
@@ -130,8 +131,8 @@ IPM_MAX_SIDE = 16
 STEP_FRACTION = 0.9
 # interior-point steps without a tighter certified gap after which the loop has stalled
 STALL_STEPS = 5
-# rounding allowance of a vertex of a scalar problem's polytope: how far it may
-# leave the polytope and still be taken as a vertex
+# rounding allowance of the simplex: how far below 0 a multiplier (an entry of
+# the primal vertex) may lie and the vertex still be taken as feasible
 VERTEX_TOL = 1e-12
 # the splitting loop's initial penalty rho, the iterations between two certificate
 # calls, and the iterations between two penalty adaptations
@@ -145,7 +146,6 @@ PARITY_PROJECTORS.flags.writeable = False
 __all__ = [
     "PARITY_PROJECTORS",
     "VERTEX_TOL",
-    "LpVertex",
     "SdpLayout",
     "SdpOptions",
     "SdpProblem",
@@ -163,9 +163,9 @@ def check_side(n: int) -> None:
 
 @dataclass(frozen=True)
 class SdpOptions:
-    """Stop rules of both loops and the vertex table.
+    """Stop rules of the three loops.
 
-    ``max_iters`` caps ADMM iterations or Newton steps; a solve is
+    ``max_iters`` caps ADMM iterations, Newton steps or pivots; a solve is
     ``converged`` once its certified gap ub - lb is at most
     ``tol_objective``, and ``decided`` once its bounds lie on one side of
     ``objective_cut``, when that is set.  With a cut set, a solve stops only
@@ -218,10 +218,9 @@ class SdpLayout:
     inner subsystems in the cut, one gather of a stack's entries; `pt` is
     PT(X)_c = sum_b pt_map[c, b] T(X)_b, and `pt_adj` its adjoint under the
     multiplicity-weighted inner products.  Every loop takes the layout, which
-    derives these, its `_Operators` and the `vertices` of its LP ``bases``
-    (each nb - 1 active rows of (I; pt_map), on blocks of side 1) on first
+    derives these, its `_Operators` and the simplex's ``lp_rows`` on first
     use.  It is validated whole when built: the adjoint must invert
-    ``pt_map``, every entry be finite, and the bases fit the blocks.
+    ``pt_map``, and every entry be finite.
     """
 
     factors: tuple[tuple[np.ndarray, tuple[int, ...]], ...]
@@ -229,7 +228,6 @@ class SdpLayout:
     dims: tuple[int, ...]
     t1_split: int = 1
     relabel: tuple[int, int] | None = None
-    bases: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -252,11 +250,6 @@ class SdpLayout:
                 raise ValueError(f"relabel {self.relabel} needs one cut qubit in the blocks and a parity factor")
         if np.max(np.abs(self.adjoint @ self.pt_map - np.eye(len(self.mult)))) > HERM_INPUT_TOL:
             raise ValueError(f"the adjoint of pt_map does not invert it within {HERM_INPUT_TOL}")
-        nb, bases = len(self.mult), self.bases
-        if bases is not None and not (bases.dtype.kind in "iu" and bases.shape[1:] == (nb - 1,) and self.shape[1] == 1):
-            raise ValueError(f"LP bases must be integer rows of width {nb - 1} on blocks of side 1")
-        if bases is not None and not np.all((bases >= 0) & (bases < 2 * nb)):
-            raise ValueError(f"LP bases must index the {2 * nb} rows of (I; pt_map)")
 
     @property
     def outer(self) -> tuple[int, ...]:
@@ -341,15 +334,12 @@ class SdpLayout:
         return _Operators(self)
 
     @cached_property
-    def vertices(self) -> LpVertex:
-        """The vertices of ``bases`` feasible within `VERTEX_TOL`, one `LpVertex` stack from one batched solve."""
+    def lp_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The simplex's rows on blocks of side 1: the dual's x-rows and s-rows, and the primal's (I; pt_map; mult)."""
         nb = len(self.mult)
-        rows = np.concatenate([np.eye(nb), self.pt_map])
-        systems = np.empty((len(self.bases), nb, nb))
-        systems[:, :-1], systems[:, -1] = rows[self.bases], self.mult
-        blocks = np.linalg.solve(systems, np.eye(nb)[:, -1:])[..., 0]
-        feasible = np.min(blocks @ rows.T, axis=-1) >= -VERTEX_TOL
-        return LpVertex(blocks[feasible], self.bases[feasible], systems[feasible], self.mult)
+        dual = np.zeros((2 * nb, nb + 1))
+        dual[:nb, 0], dual[:nb, 1:], dual[nb:, 1:] = self.mult, self.pt_map.T, -np.eye(nb)
+        return dual, np.concatenate([np.eye(nb), self.pt_map, self.mult[None]])
 
     def dense(self, blocks: np.ndarray) -> np.ndarray:
         """The dense operator sum_b P_b (x) blocks[b] in the subsystem order ``dims``, in the canonical basis."""
@@ -367,13 +357,14 @@ class SdpLayout:
         return mat[np.ix_(relabelled, relabelled)]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SdpProblem:
     """A problem as stacked blocks on a layout, C = sum_b P_b (x) costs[b], with its options.
 
     `from_cost` wraps a plain cost matrix as one block with no factor; ``cost``
     is the dense matrix of the blocks, built on first access.  A complex cost
     with zero imaginary part is stored real, so its dtype settles the loop.
+    The problem is frozen, so its costs are always the checked ones.
     """
 
     costs: np.ndarray
@@ -387,7 +378,7 @@ class SdpProblem:
         if not is_hermitian(costs, HERM_INPUT_TOL):
             raise ValueError(f"block costs are not finite and Hermitian within {HERM_INPUT_TOL}")
         if np.iscomplexobj(costs) and not np.any(costs.imag):
-            self.costs = costs.real.copy()
+            object.__setattr__(self, "costs", costs.real.copy())
 
     @classmethod
     def from_cost(
@@ -422,7 +413,8 @@ class SdpSolution:
     blocks: np.ndarray
     problem: SdpProblem
     # the interior-point states (X, W, S1, S2) from the start onward, stacked;
-    # None for the splitting loop and the vertex table
+    # the simplex's one state, its vertex before the certificate mixes it toward
+    # I/n; None for the splitting loop
     iterates: np.ndarray | None = None
 
     @cached_property
@@ -447,7 +439,7 @@ def _simplex_projection(v: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _compose(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """V diag(w) V^dagger over a stack of eigenbases."""
+    """V diag(w) V^dagger over a stack of eigenvector matrices."""
     return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
@@ -574,25 +566,22 @@ class _Bounds:
 def solve(problem: SdpProblem, start: SdpSolution | None = None) -> SdpSolution:
     """Solve the problem; deterministic for a fixed problem, options and start.
 
-    The one solve entry: a layout with LP bases goes to the vertex table (a
-    complex cost is a ValueError), a real cost in blocks of side at most
-    ``IPM_MAX_SIDE`` to the interior-point loop, all others to the splitting
-    loop.  ``start``, an earlier solution of a problem on the same layout
-    object (ValueError otherwise, even for an equal copy), lets the
-    interior-point loop start from that solve's iterates (`_warm_start`);
-    the others ignore them.  The stop rules are the same either way, and a
+    The one solve entry: a real cost in blocks of side 1 goes to the
+    simplex, one in blocks of side at most ``IPM_MAX_SIDE`` to the
+    interior-point loop, all others to the splitting loop.  ``start``, an
+    earlier solution of a problem on the same layout object (ValueError
+    otherwise, even for an equal copy), lets the interior-point loop start
+    from that solve's iterates (`_warm_start`); the others ignore them.  The stop rules are the same either way, and a
     warm start never costs the certificate: a warm solve that ends
     ``infeasible_numerics`` is run again cold, and the solution is that
     run's, with the steps of both.
     """
     if start is not None and start.problem.layout is not problem.layout:
         raise ValueError("the start solves a problem of another layout")
-    if problem.layout.bases is not None:
-        if np.iscomplexobj(problem.costs):
-            raise ValueError("the vertex table of LP bases needs a real cost")
-        return _solve(problem, _vertex_table)
     if problem.costs.shape[-1] > IPM_MAX_SIDE or np.iscomplexobj(problem.costs):
         return _solve(problem, _splitting)
+    if problem.costs.shape[-1] == 1:
+        return _solve(problem, _simplex)
     warm = _warm_start(problem.layout, problem.costs, start)
     solution = _solve(problem, lambda layout, bounds, opts: _interior_point(layout, bounds, opts, warm))
     if warm is None or solution.status != "infeasible_numerics":
@@ -836,64 +825,55 @@ def _interior_point(
     return opts.max_iters, "max_iters", np.stack(iterates)
 
 
-@dataclass(frozen=True)
-class LpVertex:
-    """A vertex of the scalar problem's polytope {x >= 0, pt_map x >= 0, mult . x = 1}, with its basis.
+def _simplex(layout: SdpLayout, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str, np.ndarray]:
+    """Active-set simplex on the dual of a problem in blocks of side 1.
 
-    ``basis`` indexes its nb - 1 active rows among the slacks' rows
-    (I; pt_map); ``system`` holds those rows and then the trace row, so
-    ``system @ blocks`` is (0, ..., 0, 1).  The methods take scalar costs c.
-    Every field but ``mult`` may carry leading stack axes, one entry per
-    vertex (``SdpLayout.vertices``); the methods then broadcast costs of
-    shape (..., nb) over them and return one number per vertex.
+    With scalar costs c the problem is the linear program min sum_b m_b c_b
+    x_b over x >= 0, pt_map x >= 0 and mult . x = 1, whose dual is max y
+    over u = (y, s) with the x-rows y m_b + (pt_map^T s)_b <= m_b c_b and
+    the s-rows -s_c <= 0.  The dual is feasible at s = 0, y = min_b c_b, so
+    the loop starts at that vertex (its x-row and every s-row active) with
+    no phase 1.  The multipliers of the active rows are the primal x on
+    the x-rows and pt_map x on the s-rows.  Each pivot lets the smallest
+    row whose multiplier lies below -`VERTEX_TOL` leave (Bland, Math. Oper.
+    Res. 2, 103 (1977)) and the first row that the step reaches enter, the
+    smallest on a tie, and updates the basis inverse and the slacks by rank
+    one.  Once no multiplier is negative the primal vertex is feasible and
+    optimal.  The certificate then takes that vertex, solved afresh from
+    its nb - 1 vanishing rows of (I; pt_map) and the trace row, and
+    S2 = s / pt_mult, once.  Returns (pivots, status, vertex): the
+    certificate's stop, else ``max_iters`` at the cap or
+    ``infeasible_numerics``, and the vertex before the certificate mixes it.
     """
-
-    blocks: np.ndarray
-    basis: np.ndarray
-    system: np.ndarray
-    mult: np.ndarray
-
-    def value(self, costs: np.ndarray) -> float | np.ndarray:
-        """The vertex's objective sum_b m_b c_b v_b, an upper bound on the LP's optimum."""
-        return np.sum(costs * (self.mult * self.blocks), axis=-1)
-
-    def multipliers(self, costs: np.ndarray) -> np.ndarray:
-        """The basis multipliers z of system^T z = m * c (complementary slackness), the trace row's last."""
-        return np.linalg.solve(self.system.swapaxes(-1, -2), (self.mult * costs)[..., None])[..., 0]
-
-    def dual_bound(self, costs: np.ndarray, multipliers: np.ndarray | None = None) -> float | np.ndarray:
-        """A lower bound on the LP's optimum from the basis dual: the `_Bounds` certificate on the LP.
-
-        min_b (m c - A^T z)_b / m_b over the multipliers' positive part z on
-        the active rows A: certified whatever the rounding, and the vertex's
-        value exactly when the basis is dual feasible at c.  Any
-        ``multipliers`` certify a bound, not only the basis's own at c,
-        which are solved for when none are given.
-        """
-        z = self.multipliers(costs) if multipliers is None else multipliers
-        active = np.maximum(z[..., None, :-1], 0.0) @ self.system[..., :-1, :]
-        return np.min((self.mult * costs - active[..., 0, :]) / self.mult, axis=-1)
-
-
-def _vertex_table(layout: SdpLayout, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str, None]:
-    """Offer the layout's best vertex and best basis dual to the certificate; returns (0, status, None).
-
-    Per cost only the vertices' multipliers are solved.  X is the feasible
-    vertex of least value, S2 the basis dual with the best
-    `LpVertex.dual_bound`, its W-side multipliers clamped at 0 and divided
-    by the W-side multiplicities, so that lambda_min(C - PT*(S2)) is at
-    least that bound.  With no optimal basis in the table the gap stays open.
-    """
-    nb, vertices = len(layout.mult), layout.vertices
+    nb, mult = len(layout.mult), layout.mult
+    rows, primal = layout.lp_rows
     costs = bounds.costs.ravel()
-    multipliers = vertices.multipliers(costs)
-    # PSD exactly; the mix toward I/n absorbs the W side's rounding
-    x = np.maximum(vertices.blocks[np.argmin(vertices.value(costs))], 0.0)
-    best = np.argmax(vertices.dual_bound(costs, multipliers))
-    basis, z = vertices.basis[best], multipliers[best, :-1]
-    w_rows = basis[basis >= nb] - nb
-    s2 = np.zeros(nb)
-    s2[w_rows] = np.maximum(z[basis >= nb], 0.0) / layout.pt_mult[w_rows]
-    x = (x / (layout.mult @ x))[:, None, None]
-    stop = bounds.update(x, layout.pt(x), layout.pt_adj(s2[:, None, None]))
-    return 0, stop or "infeasible_numerics", None
+    rhs = np.concatenate([mult * costs, np.zeros(nb)])
+    active = np.array([costs.argmin(), *range(nb, 2 * nb)])
+    inverse = np.linalg.inv(rows[active])
+    slack = rhs - rows @ (inverse @ rhs[active])
+    for pivots in range(opts.max_iters + 1):
+        # the smallest active row whose multiplier is negative, if any (2 nb stands for none)
+        leaving = np.where(inverse[0] < -VERTEX_TOL, active, 2 * nb).argmin()
+        if inverse[0, leaving] >= -VERTEX_TOL or pivots == opts.max_iters:
+            break
+        step = -inverse[:, leaving]
+        reach = rows @ step
+        ratios = np.where(reach > VERTEX_TOL, np.maximum(slack, 0.0), np.inf) / np.maximum(reach, VERTEX_TOL)
+        entering = ratios.argmin()
+        slack -= ratios[entering] * reach
+        # the inverse with row `entering` in place of `leaving` (Sherman-Morrison)
+        shift = rows[entering] @ inverse / reach[entering]
+        shift[leaving] -= 1.0 / reach[entering]
+        inverse -= np.outer(step, shift)
+        active[leaving] = entering
+    u, optimal = inverse @ rhs[active], inverse[0, leaving] >= -VERTEX_TOL
+    vanishing = np.ones(2 * nb + 1, dtype=bool)
+    vanishing[active] = False
+    vertex = np.linalg.solve(primal[vanishing], np.eye(nb)[-1])
+    x = np.maximum(vertex, 0.0)
+    x /= mult @ x
+    # PT and PT* of scalar blocks are pt_map and its adjoint
+    s2 = np.maximum(u[1:], 0.0) / layout.pt_mult
+    stop = bounds.update(x[:, None, None], (layout.pt_map @ x)[:, None, None], (layout.adjoint @ s2)[:, None, None])
+    return pivots, stop or ("infeasible_numerics" if optimal else "max_iters"), vertex[None, :, None, None]

@@ -13,31 +13,32 @@ evaluating any point, and a table routes each of its columns by it.  A
 table's searched entry is one `find_threshold` over the family's whole
 range: to `EXACT_TOL` for a closed-form column, to `SDP_TOL` for hirsch1's
 p_TLF.  The p_TLF entry of a twirled family (wi, Werner, isotropic) is
-exact: the first root of a vertex line of its activation LP, read from its
-layout's LP vertices with no solve, so the caller's solver options do not
-apply to it, and certified to `EXACT_TOL` by the bases' duals (see
-`_exact_tlf_entry`).  Every search assumes a monotone indicator, and a
-point whose solve certifies nothing (indicator None) stops it with
-``ValueError``.  Other SDP-backed points get one solve each under the
-caller's options (for a twirled family, `sdp.solve` reads the optimal
-vertex off the same vertices, with no Newton step); within one search each
-solve starts from the previous point's, and a sampled curve solves every
-point cold.  In a sampled curve a point whose solve certifies nothing is
-recorded as missing, with the solve's status and bounds, instead of
-aborting the sweep.
+exact: the first root of a vertex line of its activation LP, found by
+Newton's method on the lines of the optimal vertices that `sdp.solve`'s
+simplex returns, always under `DEFAULT_OPTIONS`, so the caller's solver
+options do not apply to it, and certified to `EXACT_TOL` by the solves'
+dual bounds (see `_exact_tlf_entry`).  Every search assumes a monotone
+indicator, and a point whose solve certifies nothing (indicator None)
+stops it with ``ValueError``.  Other SDP-backed points get one solve each
+under the caller's options (for a twirled family, the simplex's pivots,
+capped by ``max_iters``); within one search each solve starts from the
+previous point's, and a sampled curve solves every point cold.  In a
+sampled curve a point whose solve certifies nothing is recorded as
+missing, with the solve's status and bounds, instead of aborting the
+sweep.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from . import measures
+from . import activation, measures
 from .activation import bisection_options, build_cost, sigma_min
-from .sdp import SdpOptions, SdpSolution, check_side
+from .sdp import SdpOptions, SdpProblem, SdpSolution, check_side
 from .states import FamilySpec
 
 PROPERTIES = ("eof", "chsh", "hn", "sa", "tlf", "cglmp")
@@ -95,8 +96,8 @@ class ThresholdReport:
     bracket: tuple[float, float]
     tolerance: float
     evaluations: int
-    # summed over the search's solves; 0 where no point solves (closed-form
-    # and twirled columns)
+    # summed over the search's solves (the simplex's pivots for a twirled
+    # family); 0 where no point solves (closed-form columns)
     newton_steps: int
 
 
@@ -113,8 +114,8 @@ def _tlf_point(
     spec: FamilySpec, p: float, sdp_options: SdpOptions | None, start: SdpSolution | None = None
 ) -> PointResult:
     # one solve under the caller's options; a point whose solve certifies
-    # nothing (out of budget, stalled, a table without the optimal basis, or
-    # bounds on both sides of the cut) is recorded missing, with no indicator
+    # nothing (out of budget, stalled, or bounds on both sides of the cut) is
+    # recorded missing, with no indicator
     result = sigma_min(spec.state(p), sdp_options, start)
     witness = result.witness
     if result.activated is None:
@@ -398,62 +399,69 @@ _TABLE_COLUMNS = {
 TABLE_FAMILIES = tuple(_TABLE_COLUMNS)
 
 
-def _exact_tlf_entry(spec: FamilySpec) -> dict:
-    """The exact p_TLF of a twirled family: the first root of sigma(p), from its layout's LP vertices.
+def _exact_tlf_entry(spec: FamilySpec, top: SdpProblem) -> dict:
+    """The exact p_TLF of a twirled family, whose problem at hi is ``top``: the first root of sigma(p).
 
     sigma(p) is the minimum over a polytope fixed by d of costs affine in p
-    (see `sdp.LpVertex`), so it is concave and piecewise linear, and every
-    vertex v gives a line sigma_v(p) >= sigma(p).  One batched solve gives
-    the layout's LP ``vertices`` their multipliers at the costs of both ends
-    lo and hi; costs and multipliers are affine in p, so the ends give them
-    at every p.  The entry is the smallest root r of the lines that fall from
-    positive at lo to negative at hi.  No solve is made.  The certificate:
+    (the scalar blocks that `sdp.solve` hands to its simplex), so it is
+    concave and piecewise linear, and every vertex v gives a line
+    sigma_v(p) >= sigma(p).  Newton's method on those lines: the first
+    solve is at hi, each next one at the root of the last optimal vertex's
+    line, with the costs interpolated between those of lo and hi, until the
+    root stops falling.  The entry is the last root r.  Every solve is under
+    `DEFAULT_OPTIONS`.  The certificate:
 
     - v is feasible, so sigma <= sigma_v < 0 on (r, hi];
-    - the best dual bound over the bases (`LpVertex.dual_bound`) bounds
-      sigma(r) below, and at lo it must be positive, so by concavity
-      sigma >= 0 on [lo, r] up to the bound's rounding.
+    - the solves' lower bounds bound sigma below at lo, where it must be
+      positive, and at r, so by concavity sigma >= 0 on [lo, r] up to the
+      bound's rounding.
 
-    The stated tolerance `EXACT_TOL` covers the rounding of both ends.  A
-    table that lacks the basis that is optimal at lo or at r certifies no
-    such bound, and the entry raises ValueError instead of stating a root.
+    The stated tolerance `EXACT_TOL` covers the rounding of both ends.  An
+    entry whose rounding leaves more, or whose line solve ends uncertified,
+    raises ValueError instead of stating a root.
     """
     lo, hi = spec.p_range()
     lo = max(lo, 0.0)  # as in the searched entries
-    problems = [build_cost(spec.state(q)) for q in (lo, hi)]
-    ends = np.array([problem.costs.ravel() for problem in problems])
-    vertices = problems[1].layout.vertices
-    multipliers = vertices.multipliers(ends[:, None])
-    at_lo, at_hi = vertices.value(ends[:, None])
+    bottom = build_cost(spec.state(lo))
+    ends = np.array([problem.costs.ravel() for problem in (bottom, top)])
 
-    def lower_bound(t: float) -> float:
-        """The best dual bound over the bases on sigma at p = lo + t (hi - lo)."""
-        costs, z = (end[0] + t * (end[1] - end[0]) for end in (ends, multipliers))
-        return float(np.max(vertices.dual_bound(costs, z), initial=-np.inf))
+    def line_solve(t: float) -> tuple[SdpSolution, np.ndarray]:
+        """The solve at p = lo + t (hi - lo), t > 0, and its vertex's line values at (lo, hi)."""
+        problem = top if t == 1.0 else replace(top, costs=(ends[0] + t * (ends[1] - ends[0]))[:, None, None])
+        solution = activation.solve(problem)
+        if solution.status != "converged":
+            raise ValueError(f"the solve at p={lo + (hi - lo) * t} ended {solution.status}")
+        return solution, np.sum(ends * (top.layout.mult * solution.iterates[-1].ravel()), axis=-1)
 
-    low = lower_bound(0.0)
+    low = activation.solve(bottom).objective_lb
     if not low > 0.0:
-        raise ValueError(f"the table certifies no sigma > 0 at p={lo} (lower bound {low:.3g})")
-    falling = np.flatnonzero((at_lo > 0.0) & (at_hi < 0.0))
-    if not len(falling):
-        raise ValueError(f"no vertex line of the table falls below 0 in [{lo}, {hi}]")
-    v = falling[np.argmin(at_lo[falling] / (at_lo[falling] - at_hi[falling]))]
-    t = at_lo[v] / (at_lo[v] - at_hi[v])
+        raise ValueError(f"the solves certify no sigma > 0 at p={lo} (lower bound {low:.3g})")
+    _, (at_lo, at_hi) = line_solve(1.0)
+    if not at_hi < 0.0:
+        raise ValueError(f"no vertex line falls below 0 in [{lo}, {hi}]")
+    t = at_lo / (at_lo - at_hi)
+    while True:
+        solution, (next_lo, next_hi) = line_solve(t)
+        if not next_lo / (next_lo - next_hi) < t:
+            break
+        at_lo, at_hi = next_lo, next_hi
+        t = at_lo / (at_lo - at_hi)
     root = float(lo + (hi - lo) * t)
     # how far the onset can lie above the root (sigma_v < 0 beyond) and below it (concavity)
-    above = max(0.0, at_lo[v] + t * (at_hi[v] - at_lo[v])) * (hi - lo) / (at_lo[v] - at_hi[v])
-    deficit = max(0.0, -lower_bound(t))
+    above = max(0.0, at_lo + t * (at_hi - at_lo)) * (hi - lo) / (at_lo - at_hi)
+    deficit = max(0.0, -solution.objective_lb)
     below = deficit * (root - lo) / (low + deficit)
     if max(above, below) > EXACT_TOL:
-        raise ValueError(f"the table certifies no root at p={root}: the onset may lie {max(above, below):.3g} away")
+        raise ValueError(f"the solves certify no root at p={root}: the onset may lie {max(above, below):.3g} away")
     return {"value": root, "tolerance": EXACT_TOL, "provenance": "exact (LP vertex)"}
 
 
 def _computed_entry(spec: FamilySpec, prop: str, sdp_options: SdpOptions | None) -> dict:
-    """A searched entry: one `find_threshold` over the family's range, or the exact p_TLF of a layout with LP bases."""
+    """A searched entry: one `find_threshold` over the range, or the exact p_TLF of a problem in scalar blocks."""
     lo, hi = spec.p_range()
-    if prop == "tlf" and build_cost(spec.state(hi)).layout.bases is not None:
-        return _exact_tlf_entry(spec)
+    top = build_cost(spec.state(hi)) if prop == "tlf" else None
+    if top is not None and top.layout.shape[1] == 1:
+        return _exact_tlf_entry(spec, top)
     report = find_threshold(spec, prop, (max(lo, 0.0), hi), sdp_options=sdp_options)
     return {"value": report.threshold, "tolerance": report.tolerance, "provenance": "computed"}
 

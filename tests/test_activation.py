@@ -18,7 +18,6 @@ from nlact.rand import random_density, random_separable
 from nlact.sdp import (
     IPM_MAX_SIDE,
     VERTEX_TOL,
-    LpVertex,
     SdpLayout,
     SdpOptions,
     SdpProblem,
@@ -27,7 +26,7 @@ from nlact.sdp import (
     solve,
 )
 from nlact.states import ParityState, h_theta, hirsch_state, isotropic_state, werner_state, wi_state
-from test_sdp import HIRSCH_TRAIL
+from test_sdp import FAMILY_PIVOTS, HIRSCH_TRAIL
 
 
 def _r_curve(p):
@@ -162,7 +161,7 @@ def _twirled_state(family, d, p):
 def _assert_block_matches_dense(problem):
     """Solve a problem in its block form and densely, check that they agree, return `activated`.
 
-    Eight scalar blocks take their layout's table of LP bases, as `sigma_min` does.
+    Eight scalar blocks take the simplex, as `sigma_min` does.
     """
     scalar = problem.costs.shape[-1] == 1
     block = solve(problem)
@@ -171,9 +170,9 @@ def _assert_block_matches_dense(problem):
     assert activated[0] == activated[1]
     both_interior_point = problem.cost.shape[0] <= IPM_MAX_SIDE and not np.any(problem.cost.imag)
     if both_interior_point and scalar:
-        # the table's optimal vertex: within the dense interior-point loop's
-        # certified interval, with no Newton step
-        assert block.iterations == 0
+        # the simplex's optimal vertex: within the dense interior-point loop's
+        # certified interval, within a few pivots
+        assert block.iterations <= FAMILY_PIVOTS
         for bound in (block.objective_lb, block.objective):
             assert dense.objective_lb - 1e-12 <= bound <= dense.objective + 1e-12
     elif both_interior_point:
@@ -235,61 +234,24 @@ def test_twirled_pt_maps_are_shared_and_read_only():
         activation._BELL_H[0] = 0.0
 
 
-def _best_vertex(problem):
-    """The feasible vertex of least value among the layout's, as `sdp.solve` takes it."""
-    costs = problem.costs.ravel()
-    vertices = problem.layout.vertices
-    k = np.argmin(vertices.value(costs))
-    return LpVertex(vertices.blocks[k], vertices.basis[k], vertices.system[k], problem.layout.mult)
-
-
 @pytest.mark.parametrize("family,d", [("wi", 2), ("werner", 3), ("werner", 6), ("isotropic", 3), ("isotropic", 6)])
 def test_lp_vertex_bounds_sigma_on_both_sides(family, d):
-    # the optimal vertex at p = 1 is feasible, so its value bounds sigma above
-    # at every p, and its basis dual bounds sigma below at every p; the
-    # reference is the matrix interior-point loop
+    # the simplex's optimal vertex at p = 1, before the mix toward I/n, is
+    # feasible, so its line bounds sigma above at every p, as the exact p_TLF
+    # entry takes it; each p's own solve bounds sigma below.  The reference is
+    # the matrix interior-point loop
     top = sigma_min(_twirled_state(family, d, 1.0)).witness
-    vertex = _best_vertex(top.problem)
-    rows = np.concatenate([np.eye(8), top.problem.layout.pt_map])
-    assert np.min(rows @ vertex.blocks) >= -VERTEX_TOL
-    assert abs(vertex.mult @ vertex.blocks - 1.0) <= 1e-12
-    assert np.allclose(vertex.system @ vertex.blocks, np.eye(8)[-1], atol=1e-15)
+    layout, vertex = top.problem.layout, top.iterates[0].ravel()
+    assert np.min(np.concatenate([vertex, layout.pt_map @ vertex])) >= -VERTEX_TOL
+    assert abs(layout.mult @ vertex - 1.0) <= 1e-12
+    assert abs(top.objective - top.problem.costs.ravel() @ (layout.mult * vertex)) <= 1e-15
     for p in np.linspace(0.0, 1.0, 11):
         problem = build_cost(_twirled_state(family, d, float(p)), SdpOptions(tol_objective=1e-10))
         tight = _solve(problem, _interior_point)
-        costs = problem.costs.ravel()
-        assert vertex.value(costs) >= tight.objective_lb - 1e-12, p
-        assert vertex.dual_bound(costs) <= tight.objective + 1e-12, p
-    # at p = 1 the vertex is optimal: its basis is dual feasible and both bounds meet
-    costs = top.problem.costs.ravel()
-    assert abs(vertex.dual_bound(costs) - vertex.value(costs)) <= 1e-15
-    assert top.objective_lb <= vertex.value(costs) <= top.objective
-
-
-@pytest.mark.parametrize("family,d", [("wi", 2), ("werner", 6), ("isotropic", 3)])
-def test_stacked_vertices_match_single_ones(family, d):
-    # a layout's vertex stack answers as each of its vertices alone, and
-    # holds the vertex that sigma_min's witness is, up to the mix toward I/n
-    solution = sigma_min(_twirled_state(family, d, 0.8), SdpOptions(tol_objective=1e-10)).witness
-    layout, costs = solution.problem.layout, solution.problem.costs.ravel()
-    pt_map, mult = layout.pt_map, layout.mult
-    vertices = layout.vertices
-    multipliers = vertices.multipliers(np.array([costs, 2.0 * costs])[:, None])
-    rows = np.concatenate([np.eye(8), pt_map])
-    assert np.min(vertices.blocks @ rows.T) >= -VERTEX_TOL
-    assert np.allclose(vertices.system @ vertices.blocks[..., None], np.eye(8)[-1][:, None], atol=1e-14)
-    values, bounds = vertices.value(costs), vertices.dual_bound(costs)
-    assert np.allclose(vertices.dual_bound(costs, multipliers[0]), bounds, rtol=0.0, atol=1e-15)
-    for k in range(len(vertices.blocks)):
-        single = LpVertex(vertices.blocks[k], vertices.basis[k], vertices.system[k], mult)
-        assert abs(single.value(costs) - values[k]) <= 1e-15
-        assert np.allclose(single.multipliers(2.0 * costs), multipliers[1, k], rtol=0.0, atol=1e-14)
-        assert abs(single.dual_bound(costs) - bounds[k]) <= 1e-15
-    same = np.max(np.abs(vertices.blocks - solution.blocks.ravel()), axis=1) <= 1e-12
-    assert np.any(same)
-    assert abs(values[same].min() - solution.objective) <= 1e-15
-    # the optimum at p: the best dual bound meets the best vertex
-    assert abs(bounds.max() - values.min()) <= 1e-15 and values.min() == pytest.approx(solution.objective, abs=1e-10)
+        assert problem.costs.ravel() @ (layout.mult * vertex) >= tight.objective_lb - 1e-12, p
+        assert solve(problem).objective_lb <= tight.objective + 1e-12, p
+    # at p = 1 the vertex is optimal: both bounds meet
+    assert top.objective - top.objective_lb <= 1e-15
 
 
 def test_bisection_options_is_the_sign_only_form():

@@ -5,10 +5,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from nlact import sweep
+from nlact import activation, sweep
 from nlact.activation import ActivationResult
 from nlact.cli import main
 from nlact.measures import cglmp_value, popescu_threshold
+from nlact.sdp import solve
 from nlact.states import isotropic_state
 
 
@@ -132,8 +133,8 @@ def test_sweep_usage_errors(capsys):
 
 
 def test_werner_tlf_sweep_below_zero_has_no_missing_point(capsys):
-    # the Werner range reaches p < 0, and the table of LP bases covers it: every
-    # point is certified, and the indicator turns on once
+    # the Werner range reaches p < 0, and the simplex solves every cost on it:
+    # every point is certified, and the indicator turns on once
     code, out, _ = run_cli(
         capsys,
         "sweep", "--family", "werner", "--d", "3", "--property", "tlf",
@@ -288,8 +289,9 @@ def test_table_werner_csv_has_x_marker(capsys):
 # hirsch1's p_HN is 2.5e-13 +- 1e-12 and the isotropic p_NL moved by 1 ulp at
 # d = 2, 3; since the layout solves its LP vertices once, with one right-hand
 # side, isotropic d=3's p_TLF moved by 1 ulp again (0.5606601717798214 ->
-# 0.5606601717798213); a change of representation, solver loop or search that
-# moves a threshold shows up here
+# 0.5606601717798213); Newton's method on the simplex's vertex lines, which
+# replaced the pinned table, prints the same bytes; a change of
+# representation, solver loop or search that moves a threshold shows up here
 _TABLE_SHA256 = {
     ("--family", "wi"): "1a1b68d05bd6bc4b2532f8c54b89c2be586e6c91fa785ea32cd8250e0c0b6de8",
     ("--family", "werner", "--dmax", "3"): "80e8b46bc5050ad93f29b76fb5d9674f9ce945ea96237150151f76f228c5e6ee",
@@ -338,8 +340,8 @@ _EXACT_TABLE_SHA256 = {
 
 @pytest.mark.parametrize("args", list(_EXACT_TABLE_SHA256), ids=" ".join)
 def test_table_exact_entries_ignore_a_loose_sdp_tol(capsys, args):
-    # these tables make no solve (an exact p_TLF entry reads its table of LP
-    # bases), so neither a loose --sdp-tol nor a one-step --sdp-max-iters moves them
+    # an exact p_TLF entry solves under the default options, whatever the
+    # caller's, so neither a loose --sdp-tol nor a one-step --sdp-max-iters moves them
     code, out, _ = run_cli(capsys, "table", *args, "--sdp-max-iters", "1", "--sdp-tol", "0.5")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _EXACT_TABLE_SHA256[args]
@@ -348,13 +350,18 @@ def test_table_exact_entries_ignore_a_loose_sdp_tol(capsys, args):
 @pytest.mark.parametrize("dmax,p_tlf", [("7", 0.3535533905932738), ("8", 0.32366324654752765)], ids=["7", "8"])
 def test_table_computes_every_column_of_the_last_row(monkeypatch, capsys, dmax, p_tlf):
     # CGLMP holds for every d: the isotropic p_NL is computed on every row, the
-    # root of the CGLMP margin at 2/I_d, and p_TLF exactly, with no solve
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a solve was made")
+    # root of the CGLMP margin at 2/I_d, and p_TLF exactly, from four converged
+    # solves per row and with no tlf point evaluated
+    def no_point(*args, **kwargs):
+        raise AssertionError("a tlf point was evaluated")
 
-    monkeypatch.setattr(sweep, "sigma_min", no_solve)
+    solves = []
+    monkeypatch.setattr(sweep, "sigma_min", no_point)
+    monkeypatch.setattr(activation, "solve", lambda problem: solves.append(solve(problem)) or solves[-1])
     code, out, err = run_cli(capsys, "table", "--family", "isotropic", "--dmax", dmax)
     assert code == 0 and err == ""
+    assert len(solves) == 4 * (int(dmax) - 1)
+    assert {solution.status for solution in solves} == {"converged"}
     rows = json.loads(out)["rows"]
     assert [row["d"] for row in rows] == list(range(2, int(dmax) + 1))
     for row in rows:

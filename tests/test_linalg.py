@@ -166,6 +166,10 @@ def test_density_matrix_validation(rng):
         DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]), (2, 2))
     with pytest.raises(ValueError, match="dims"):
         DensityMatrix(good.mat, (2, 3))
+    # a 0-d input is refused by the shape check, not by indexing its missing axis
+    for bad in (np.array(1.0), np.ones(4), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="must be square"):
+            DensityMatrix(bad, ())
 
 
 def test_density_matrix_rejects_non_finite_entries():

@@ -1,11 +1,11 @@
 import dataclasses
-import functools
+import math
 
 import numpy as np
 import pytest
 
 from nlact import activation, sdp
-from nlact.activation import ACTIVATION_TOL, DEFAULT_OPTIONS, H_ANGLE, TWIRLED_BASES, bisection_options, build_cost
+from nlact.activation import ACTIVATION_TOL, DEFAULT_OPTIONS, H_ANGLE, bisection_options, build_cost
 from nlact.linalg import DensityMatrix, min_eig, partial_transpose_mat
 from nlact.rand import random_density
 from nlact.sdp import SdpLayout, SdpOptions, SdpProblem, _interior_point, _solve, _splitting, solve
@@ -24,6 +24,9 @@ from nlact.states import (
 from nlact.sweep import FamilySpec, find_threshold, sample_curve
 
 TIGHT = SdpOptions(tol_objective=1e-10)
+# the most pivots the simplex takes on the twirled families' costs, and on any real scalar cost of the tests
+FAMILY_PIVOTS = 6
+ANY_PIVOTS = 11
 CERTIFIED = ("converged", "decided")
 # the points the hirsch1 p_TLF bisection over (0.12, 0.22) visits
 HIRSCH_TRAIL = (0.12, 0.22, 0.17, 0.195, 0.1825, 0.17625, 0.173125, 0.1746875, 0.17546875)
@@ -121,51 +124,37 @@ def test_solve_complex_hermitian_cost():
 
 
 def test_solve_routes_by_side_and_field(monkeypatch, rng):
-    # a layout with LP bases takes the vertex table; otherwise real costs take
-    # the interior-point loop up to side 16, blocks of side 1 included, and
-    # the splitting loop takes the rest
+    # real costs take the simplex in blocks of side 1 and the interior-point
+    # loop up to side 16; the splitting loop takes complex costs, side-1
+    # blocks included, and larger blocks
     taken = []
 
     def recorder(name):
         loop = getattr(sdp, name)
         return lambda *args: taken.append(name) or loop(*args)
 
-    for name in ("_interior_point", "_splitting", "_vertex_table"):
+    for name in ("_interior_point", "_splitting", "_simplex"):
         monkeypatch.setattr(sdp, name, recorder(name))
     cost = _random_hermitian(4, rng)
     for c, dims in ((cost.real, (2, 2)), (cost, (2, 2)), (np.diag(np.arange(36.0)), (6, 6))):
         solve(SdpProblem.from_cost(c, dims=dims, t1_split=1))
     twirled = build_cost(werner_state(3, 0.6))  # eight scalar blocks
     solve(twirled)
-    solve(SdpProblem(twirled.costs, dataclasses.replace(twirled.layout, bases=None), twirled.options))
-    assert taken == ["_interior_point", "_splitting", "_splitting", "_vertex_table", "_interior_point"]
+    # an imaginary part within the Hermiticity allowance keeps the costs complex
+    solve(dataclasses.replace(twirled, costs=twirled.costs + 1e-15j, options=SdpOptions(max_iters=25)))
+    assert taken == ["_interior_point", "_splitting", "_splitting", "_simplex", "_splitting"]
 
 
-def test_vertex_table_takes_only_a_real_cost():
-    # a Hermitian block of side 1 is real, and SdpProblem stores it real, so
-    # only costs replaced after the problem was built reach the check
+def test_problem_is_frozen():
+    # a cost assigned after construction would skip the checks of __post_init__
     problem = build_cost(werner_state(3, 0.6))
-    problem.costs = problem.costs.astype(complex)
-    with pytest.raises(ValueError, match="real cost"):
-        solve(problem)
-
-
-def test_layout_rejects_bases_that_do_not_fit_its_blocks():
-    # indices past the 2 nb = 16 rows of (I; pt_map), rows of width 6 where
-    # nb - 1 = 7, and bases on the parity form, whose blocks have side 2
-    layout = build_cost(werner_state(3, 0.6)).layout
-    bad = TWIRLED_BASES.copy()
-    bad[0, -1] = 16
-    with pytest.raises(ValueError, match="index"):
-        dataclasses.replace(layout, bases=bad)
-    with pytest.raises(ValueError, match="width 7"):
-        dataclasses.replace(layout, bases=TWIRLED_BASES[:, :6])
-    with pytest.raises(ValueError, match="side 1"):
-        dataclasses.replace(build_cost(hirsch_state(0.2)).layout, bases=TWIRLED_BASES)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.costs = problem.costs.astype(complex)
+    assert problem.costs.dtype == np.float64
 
 
 def _oracle(problem):
-    """The matrix interior-point loop on a problem's blocks: the reference of the vertex table."""
+    """The matrix interior-point loop on a problem's blocks: the reference of the simplex."""
     return _solve(problem, _interior_point)
 
 
@@ -182,14 +171,50 @@ def _segment(algebra, d, points=11):
 @pytest.mark.parametrize("d", range(2, 9))
 @pytest.mark.parametrize("algebra", ["werner", "isotropic"])
 def test_vertex_solve_matches_interior_point(algebra, d):
-    # the pinned table's vertex at every point of the segment: certified with no
-    # Newton step, inside the matrix loop's certified interval, and deciding alike
+    # the simplex's vertex at every point of the segment: certified within a few
+    # pivots, inside the matrix loop's certified interval, and deciding alike
     for t, tau in _segment(algebra, d):
         problem = build_cost(tau, SdpOptions(tol_objective=1e-9))
-        table, oracle = solve(problem), _oracle(problem)
-        assert (table.status, table.iterations) == ("converged", 0), t
-        assert oracle.objective_lb - 1e-12 <= table.objective <= oracle.objective + 1e-12, t
-        assert _indicator(table) == _indicator(oracle) is not None, t
+        vertex, oracle = solve(problem), _oracle(problem)
+        assert vertex.status == "converged" and vertex.iterations <= FAMILY_PIVOTS, t
+        assert oracle.objective_lb - 1e-12 <= vertex.objective <= oracle.objective + 1e-12, t
+        assert _indicator(vertex) == _indicator(oracle) is not None, t
+
+
+def _witness_weights(theta):
+    """h_k of H_theta = 1 - cos(theta) XX - sin(theta) ZZ on the Bell states (Phi+, Phi-, Psi+, Psi-)."""
+    return 1.0 - math.cos(theta) * np.array([1, -1, 1, -1]) - math.sin(theta) * np.array([1, 1, -1, -1])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+@pytest.mark.parametrize("algebra", ["werner", "isotropic"])
+def test_simplex_matches_interior_point_on_any_scalar_cost(algebra, d):
+    # costs that no family path reaches, on each twirled layout: random blocks of
+    # either sign, and the blocks c_b h_k of the witness H_{pi/8} on random
+    # coefficients c >= 0.  Each is certified within the matrix loop's interval
+    rng = np.random.default_rng(d)
+    layout = activation._layout(algebra, (d, 2, d, 2))
+    draws = [rng.standard_normal(8) for _ in range(10)]
+    draws += [np.multiply.outer(rng.random(2), _witness_weights(math.pi / 8)).ravel() for _ in range(5)]
+    assert np.allclose(_witness_weights(H_ANGLE), activation._BELL_H)
+    for k, costs in enumerate(draws):
+        problem = SdpProblem(costs[:, None, None], layout, SdpOptions(tol_objective=1e-9))
+        vertex, oracle = solve(problem), _oracle(problem)
+        assert vertex.status == "converged" and vertex.iterations <= ANY_PIVOTS, k
+        for bound in (vertex.objective_lb, vertex.objective):
+            assert oracle.objective_lb - 1e-12 <= bound <= oracle.objective + 1e-12, k
+
+
+@pytest.mark.parametrize("state", [wi_state, lambda p: werner_state(5, p), lambda p: isotropic_state(3, p)])
+def test_simplex_from_a_degenerate_start(state):
+    # at p = 0, the maximally mixed state, both twirl blocks of each Bell state
+    # carry the same cost, so two rows tie for the starting vertex
+    problem = build_cost(state(0.0), SdpOptions(tol_objective=1e-12))
+    costs = problem.costs.ravel()
+    assert np.count_nonzero(costs == costs.min()) == 2
+    vertex, oracle = solve(problem), _oracle(problem)
+    assert vertex.status == "converged" and vertex.objective - vertex.objective_lb <= 1e-12
+    assert oracle.objective_lb - 1e-12 <= vertex.objective <= oracle.objective + 1e-12
 
 
 # p_TLF of each twirled row as bisected to a 1e-3 bracket, within 3e-4 of the
@@ -220,24 +245,24 @@ def _indicator(sol):
 
 
 # The "scalar loop" of the four tests below is the solver of the eight scalar
-# blocks, `solve`'s vertex table over the layout's pinned LP bases.  Each checks it where
-# an interior-point iterate is hard to end at a vertex: next to a threshold, below
-# the matrix loop's accuracy floor, on an optimal edge, and at a singular basis.
+# blocks, `solve`'s simplex.  Each checks it where an interior-point iterate is
+# hard to end at a vertex: next to a threshold, below the matrix loop's accuracy
+# floor, on an optimal edge, and at a singular basis.
 
 
 @pytest.mark.parametrize("family,d", list(_TABLE_TLF), ids=str)
 def test_scalar_loop_matches_interior_point(family, d):
     # next to each p_TLF, under the gap options and the sign-only ones, the
-    # table's vertex decides as the matrix loop does, with no Newton step, and
-    # both certified intervals hold the optimum
+    # simplex's vertex decides as the matrix loop does, within a few pivots,
+    # and both certified intervals hold the optimum
     for p, tau in _tlf_grid(family, d):
         for options in (DEFAULT_OPTIONS, bisection_options()):
             problem = build_cost(tau, options)
             assert problem.costs.shape == (8, 1, 1)
-            table, oracle = solve(problem), _oracle(problem)
-            assert table.iterations == 0 and table.status in CERTIFIED, p
-            assert _indicator(table) == _indicator(oracle), p
-            assert max(table.objective_lb, oracle.objective_lb) <= min(table.objective, oracle.objective) + 1e-12, p
+            vertex, oracle = solve(problem), _oracle(problem)
+            assert vertex.iterations <= FAMILY_PIVOTS and vertex.status in CERTIFIED, p
+            assert _indicator(vertex) == _indicator(oracle), p
+            assert max(vertex.objective_lb, oracle.objective_lb) <= min(vertex.objective, oracle.objective) + 1e-12, p
 
 
 @pytest.mark.parametrize("family,d", list(_TABLE_TLF), ids=str)
@@ -263,24 +288,23 @@ _EDGE_POINTS = [("werner", 3, 0.3), ("werner", 3, 0.2875), ("werner", 3, 0.325),
 
 @pytest.mark.parametrize("family,d,p", _EDGE_POINTS, ids=str)
 def test_scalar_loop_rounds_an_optimal_edge_to_a_vertex(family, d, p):
-    # the table holds the edge's vertices, so the solve ends at one of them
+    # the simplex moves from vertex to vertex, so the solve ends at one of the edge's
     tau = (werner_state if family == "werner" else isotropic_state)(d, p)
     sol = solve(build_cost(tau, SdpOptions(tol_objective=1e-12)))
-    assert (sol.status, sol.iterations) == ("converged", 0)
+    assert sol.status == "converged" and sol.iterations <= FAMILY_PIVOTS
     assert sol.objective - sol.objective_lb <= 1e-12
 
 
 @pytest.mark.parametrize("tol", [1e-7, 1e-12])
 def test_scalar_loop_rounds_past_a_singular_transposed_basis(tol):
     # here the nb - 1 smallest slacks of an interior-point iterate fix a basis
-    # whose transposed system is singular to the solver; no basis of the table
-    # is, so every vertex comes with finite multipliers
+    # whose transposed system is singular to the solver; the simplex's bases
+    # stay invertible, so its vertex is finite
     problem = build_cost(werner_state(8, 0.15), SdpOptions(tol_objective=tol))
     sol = solve(problem)
-    assert (sol.status, sol.iterations) == ("converged", 0)
+    assert sol.status == "converged" and sol.iterations <= FAMILY_PIVOTS
     assert sol.objective - sol.objective_lb <= 1e-15
-    multipliers = problem.layout.vertices.multipliers(problem.costs.ravel())
-    assert np.all(np.isfinite(multipliers))
+    assert np.all(np.isfinite(sol.iterates))
 
 
 def _expand(images, onto):
@@ -352,7 +376,7 @@ def test_inconsistent_pt_map_is_rejected_before_any_step(family, d):
 def test_matrix_loop_on_blocks_with_multiplicities(family, d):
     # the matrix loop on blocks of side 4 whose multiplicities are not 1 and
     # whose pt_map is not its own adjoint: it agrees with the exact LP value of
-    # the eight-scalar form, the table's vertex, within its certified gap
+    # the eight-scalar form, the simplex's vertex, within its certified gap
     options = SdpOptions(tol_objective=1e-9)
     for p, tau in list(_tlf_grid(family, d))[-4:]:
         problem = _twirl_only_problem(tau, options)
@@ -560,7 +584,10 @@ def test_interior_point_solution_stores_its_states_from_the_start():
     assert sol.iterates.shape == (sol.iterations + 1, 4 * nb, s, s)
     assert np.array_equal(sol.iterates[0], sdp._start(problem.layout, problem.costs))
     assert _admm(problem).iterates is None
-    assert solve(build_cost(werner_state(3, 0.6))).iterates is None
+    # the simplex stores one state, its vertex before the mix toward I/n
+    twirled = solve(build_cost(werner_state(3, 0.6)))
+    assert twirled.iterates.shape == (1, 8, 1, 1)
+    assert abs(twirled.problem.layout.trace(twirled.iterates[0]) - 1.0) <= 1e-15
 
 
 def test_start_from_another_layout_is_rejected(rng):
@@ -577,9 +604,7 @@ def _assert_same_solve(a, b):
 
 
 def test_start_without_iterates_is_the_cold_start():
-    # the twirled blocks on a layout without LP bases take the interior-point loop
-    twirled = build_cost(werner_state(3, 0.6))
-    problem = SdpProblem(twirled.costs, dataclasses.replace(twirled.layout, bases=None), twirled.options)
+    problem = build_cost(hirsch_state(0.2), bisection_options())
     start = dataclasses.replace(solve(problem), iterates=None)
     _assert_same_solve(solve(problem, start), solve(problem))
 
@@ -645,20 +670,16 @@ def test_loop_operators_match_the_gather_form(kind):
 
 
 def _count_derivations(monkeypatch):
-    """The layouts built, `_Operators` and vertex stacks derived from here on, in order.
+    """The layouts built and `_Operators` derived from here on, in order.
 
     The activation layouts are built afresh.
     """
     derived = []
-    build, vertices = SdpLayout.__post_init__, SdpLayout.vertices.func
+    build = SdpLayout.__post_init__
 
     def counted(layout):
         derived.append("layout")
         build(layout)
-
-    def counted_vertices(layout):
-        derived.append("vertices")
-        return vertices(layout)
 
     class CountedOperators(sdp._Operators):
         def __init__(self, layout):
@@ -667,9 +688,6 @@ def _count_derivations(monkeypatch):
 
     activation._layout.cache_clear()
     monkeypatch.setattr(SdpLayout, "__post_init__", counted)
-    counted_property = functools.cached_property(counted_vertices)
-    counted_property.__set_name__(SdpLayout, "vertices")
-    monkeypatch.setattr(SdpLayout, "vertices", counted_property)
     monkeypatch.setattr(sdp, "_Operators", CountedOperators)
     return derived
 
@@ -684,12 +702,12 @@ def test_a_search_derives_its_layout_once(monkeypatch):
 
 
 def test_a_twirled_curve_derives_its_layout_once(monkeypatch):
-    # each point's solve takes the one (werner, 3) layout and its one vertex
-    # stack, and no point derives interior-point operators
+    # each point's solve takes the one (werner, 3) layout, and no point derives
+    # interior-point operators
     derived = _count_derivations(monkeypatch)
     curve = sample_curve(FamilySpec("werner", d=3), "tlf", np.linspace(0.0, 1.0, 11))
     assert None not in curve.values
-    assert derived == ["layout", "vertices"]
+    assert derived == ["layout"]
 
 
 def test_shared_layout_solves_as_a_fresh_equal_one():

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import itertools
 import math
 import tracemalloc
@@ -11,16 +10,14 @@ import pytest
 from nlact import activation, sweep
 from nlact.activation import (
     ACTIVATION_TOL,
-    DEFAULT_OPTIONS,
-    TWIRLED_BASES,
     ActivationResult,
     bisection_options,
     build_cost,
     sigma_min,
 )
 from nlact.measures import cglmp_value, popescu_threshold
-from nlact.sdp import VERTEX_TOL, SdpOptions, solve
-from nlact.states import FamilySpec, TwirledState, isotropic_state, twirl_projectors
+from nlact.sdp import SdpOptions, solve
+from nlact.states import FamilySpec, isotropic_state
 from nlact.sweep import (
     PointResult,
     build_table,
@@ -264,10 +261,10 @@ def test_prescan_bisection_equals_linear_scan(monkeypatch, raising, uncertified_
 
 
 # per table: evaluate_point calls (the closed-form columns, each a root search
-# on its margin over the family's range), sdp.solve calls and their
-# interior-point Newton steps: every p_TLF entry is exact, from the table of LP
-# bases, and solves nothing
-_TABLE_EVALUATIONS = {("wi", 6): (54, 0, 0), ("werner", 6): (94, 0, 0), ("isotropic", 6): (151, 0, 0)}
+# on its margin over the family's range), sdp.solve calls and their pivots:
+# every p_TLF entry is exact, four simplex solves (at both ends of the range
+# and at the roots of two vertex lines), and evaluates no tlf point
+_TABLE_EVALUATIONS = {("wi", 6): (54, 4, 11), ("werner", 6): (94, 20, 59), ("isotropic", 6): (151, 20, 61)}
 
 
 @pytest.mark.parametrize("family,d_max", list(_TABLE_EVALUATIONS), ids=str)
@@ -314,7 +311,7 @@ def test_exact_tlf_entry_matches_closed_form(monkeypatch, family, d):
     assert entry["tolerance"] <= 1e-12
     closed = _closed_form_tlf(family, d)
     assert abs(entry["value"] - closed) <= 4.4e-16
-    assert not solves
+    assert len(solves) <= 4  # both ends of the range and the roots of two vertex lines
     if d == 2:
         assert abs(closed - (4 * _SQRT2 - 5)) <= 1e-15
 
@@ -340,71 +337,49 @@ def test_exact_tlf_entry_is_the_sign_change(family, d):
     assert above.objective < 0.0 < below.objective_lb
 
 
-def _table_at(spec, p):
-    """The feasible vertices of TWIRLED_BASES at p, with their values and dual bounds."""
-    problem = build_cost(spec.state(p))
-    costs = problem.costs.ravel()
-    vertices = problem.layout.vertices
-    return vertices, vertices.value(costs), vertices.dual_bound(costs, vertices.multipliers(costs))
+def _cap_solves(monkeypatch, uncapped):
+    """Let the first ``uncapped`` activation solves run, and stop every later one after a pivot."""
+    calls = []
 
+    def capped(problem, start=None):
+        calls.append(problem)
+        if len(calls) > uncapped:
+            problem = dataclasses.replace(problem, options=SdpOptions(max_iters=1))
+        return solve(problem, start)
 
-def _optimal_bases(spec, p):
-    """The bases of TWIRLED_BASES that are optimal at p: feasible vertex, dual bound at its value."""
-    vertices, values, bounds = _table_at(spec, p)
-    return vertices.basis[bounds >= values - 1e-12]
-
-
-def _without(bases, removed):
-    return np.array([basis for basis in bases.tolist() if basis not in removed.tolist()])
-
-
-def _use_bases(monkeypatch, bases):
-    """Give every twirled activation layout ``bases`` in place of TWIRLED_BASES, one layout per form and dims."""
-    layout = activation._layout
-    monkeypatch.setattr(
-        activation,
-        "_layout",
-        functools.lru_cache(lambda form, dims: dataclasses.replace(layout(form, dims), bases=bases)),
-    )
+    monkeypatch.setattr(activation, "solve", capped)
 
 
 @pytest.mark.parametrize(
     "family,d,end,message",
     [
-        ("werner", 3, "root", "certifies no root"),
-        ("isotropic", 6, "root", "certifies no root"),
+        ("werner", 3, "root", "ended max_iters"),
+        ("isotropic", 6, "root", "ended max_iters"),
         ("isotropic", 6, "low", "no sigma > 0"),
     ],
     ids=["werner-3-root", "isotropic-6-root", "isotropic-6-low"],
 )
 def test_exact_tlf_entry_missing_an_optimal_basis_raises(monkeypatch, family, d, end, message):
-    # without the onset's basis, the next root of the table's lines lies above the
-    # onset, where no basis's dual bound reaches 0; without every basis whose dual
-    # bound is positive at p = 0, none certifies sigma > 0 there.  The entry is
-    # refused, never printed
-    spec = FamilySpec(family, d)
-    if end == "root":
-        removed = _optimal_bases(spec, _closed_form_tlf(family, d))
-    else:
-        vertices, _, bounds = _table_at(spec, 0.0)
-        removed = vertices.basis[bounds > 0.0]
-    _use_bases(monkeypatch, _without(TWIRLED_BASES, removed))
+    # a solve stopped one pivot in lacks its optimal basis: at the first root
+    # (after the solves at p = 0 and p = 1) its vertex may leave the polytope,
+    # so its line certifies nothing, and at p = 0 its dual bound certifies no
+    # sigma > 0.  The entry is refused, never printed
+    _cap_solves(monkeypatch, 2 if end == "root" else 0)
     with pytest.raises(ValueError, match=message):
-        sweep._exact_tlf_entry(spec)
+        sweep._computed_entry(FamilySpec(family, d), "tlf", None)
 
 
-def test_sweep_point_whose_table_lacks_the_optimal_basis_is_missing(monkeypatch):
-    # a table without the basis optimal at p certifies no closed gap there: the
-    # solve ends uncertified with no Newton step, and the sweep records the
-    # point as missing, with no indicator, under that status and not a budget's
-    spec = FamilySpec("werner", 3)
-    _use_bases(monkeypatch, _without(TWIRLED_BASES, _optimal_bases(spec, 0.8)))
-    witness = sigma_min(spec.state(0.8)).witness
-    assert (witness.status, witness.iterations) == ("infeasible_numerics", 0)
-    assert witness.objective - witness.objective_lb > DEFAULT_OPTIONS.tol_objective
-    curve = sample_curve(spec, "tlf", [0.3, 0.8])
+def test_sweep_point_whose_solve_lacks_the_optimal_basis_is_missing():
+    # a simplex stopped before its optimal basis certifies no closed gap: the
+    # solve ends max_iters, and the sweep records the point as missing, with no
+    # indicator, under that status.  Two pivots reach the basis at p = 0.3, not at 0.8
+    spec, options = FamilySpec("werner", 3), SdpOptions(max_iters=2)
+    witness = sigma_min(spec.state(0.8), options).witness
+    assert (witness.status, witness.iterations) == ("max_iters", 2)
+    assert witness.objective - witness.objective_lb > options.tol_objective
+    curve = sample_curve(spec, "tlf", [0.3, 0.8], options)
     bounds = f"sigma in [{witness.objective_lb:.6g}, {witness.objective:.6g}]"
-    assert curve.failures == {1: f"sdp certified no sign: infeasible_numerics, {bounds}"}
+    assert curve.failures == {1: f"sdp certified no sign: max_iters, {bounds}"}
     assert curve.indicators == [False, None]
 
 
@@ -470,58 +445,25 @@ def test_hirsch1_tlf_search_newton_step_budget(monkeypatch, bracket, budget):
 
 
 def test_search_without_a_solve_takes_no_newton_step():
-    # closed-form points and the vertex table of a twirled family make no Newton step
+    # closed-form points make no solve
     assert find_threshold(WI, "chsh", (0.0, 1.0)).newton_steps == 0
-    assert find_threshold(WI, "tlf", (0.5, 0.9)).newton_steps == 0
 
 
-def test_exact_tlf_entry_drops_infeasible_vertices(monkeypatch):
-    # at d = 4 the vertices of the bases optimal at d = 2 leave the polytope, and
-    # their lines cross 0 at 0.6095, below the onset 0.6247: taken as vertices,
-    # they would give that root.  With the bases optimal at p = 0 alone, no line
-    # is left that falls below 0, and with the onset's basis the entry is exact
-    spec = FamilySpec("werner", 4)
-    stale = np.array([[int(row, 16) for row in word] for word in ("0567bcd", "0567bce", "0567bde")])
-    table = np.concatenate([stale, _optimal_bases(spec, 0.0)])
-    closed = _closed_form_tlf("werner", 4)
-    onset = _optimal_bases(spec, closed)
-    _use_bases(monkeypatch, table)
-    with pytest.raises(ValueError, match="no vertex line"):
-        sweep._exact_tlf_entry(spec)
-    _use_bases(monkeypatch, np.concatenate([table, onset]))
-    assert abs(sweep._exact_tlf_entry(spec)["value"] - closed) <= 4.4e-16
+def test_twirled_search_sums_the_simplex_pivots(monkeypatch):
+    solves = []
 
+    def counted_solve(problem, start=None):
+        solves.append(solve(problem, start))
+        return solves[-1]
 
-def test_twirled_bases_are_the_path_optimal_bases():
-    # the pinned table is every one of the C(16, 7) bases whose vertex is
-    # feasible and whose multipliers are dual feasible, both within VERTEX_TOL,
-    # somewhere on the segment of twirled states with coefficients c >= 0 (every
-    # family path, Werner p < 0 included), for d = 2..8 and both algebras
-    everything = np.array(list(itertools.combinations(range(16), 7)))
-    found = set()
-    for algebra, d in itertools.product(("werner", "isotropic"), range(2, 9)):
-        mult = np.trace(twirl_projectors(algebra, d), axis1=1, axis2=2)
-        problems = [build_cost(TwirledState(algebra, d, c)) for c in ((1.0 / mult[0], 0.0), (0.0, 1.0 / mult[1]))]
-        pt_map, mult = problems[1].layout.pt_map, problems[1].layout.mult
-        systems = np.concatenate([np.eye(8), pt_map])[everything]
-        systems = np.concatenate([systems, np.broadcast_to(mult, (len(everything), 1, 8))], axis=1)
-        bases = everything[np.abs(np.linalg.det(systems)) > 1e-9]
-        costs = np.array([problem.costs.ravel() for problem in problems])
-        vertices = dataclasses.replace(problems[1].layout, bases=bases).vertices
-        ends = vertices.multipliers(costs[:, None])
-        # each multiplier of an active row is z0 + t (z1 - z0) on the segment's t in [0, 1]
-        start, slope = ends[0, :, :-1], ends[1, :, :-1] - ends[0, :, :-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cross = (-VERTEX_TOL - start) / slope
-        first = np.max(np.where(slope > 0.0, cross, 0.0), axis=1, initial=0.0)
-        last = np.min(np.where(slope < 0.0, cross, 1.0), axis=1, initial=1.0)
-        never = np.any((slope == 0.0) & (start < -VERTEX_TOL), axis=1)
-        found |= set(map(tuple, vertices.basis[(first <= last) & ~never].tolist()))
-    assert sorted(found) == list(map(tuple, TWIRLED_BASES.tolist()))
+    monkeypatch.setattr(activation, "solve", counted_solve)
+    report = find_threshold(WI, "tlf", (0.5, 0.9))
+    assert len(solves) == report.evaluations
+    assert 0 < report.newton_steps == sum(solution.iterations for solution in solves)
 
 
 def test_exact_tlf_entry_ignores_a_loose_tolerance():
-    # the entry makes no solve, so neither a loose gap nor a one-step budget moves it
+    # the entry solves under DEFAULT_OPTIONS, so neither a loose gap nor a one-step budget moves it
     spec = FamilySpec("werner", 3)
     loose = sweep._computed_entry(spec, "tlf", SdpOptions(max_iters=1, tol_objective=0.5))
     assert loose == sweep._computed_entry(spec, "tlf", None)
