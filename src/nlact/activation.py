@@ -42,6 +42,10 @@ _PARITY_PT = np.kron(np.eye(2), _BELL_PT)
 # states, so H_{pi/4} = sum_k _BELL_H[k] _BELL[k] with h = (1 - sqrt 2, 1, 1, 1 + sqrt 2)
 _BELL_H = 1.0 - math.cos(H_ANGLE) * np.array([1, -1, 1, -1]) - math.sin(H_ANGLE) * np.array([1, 1, -1, -1])
 _BELL.flags.writeable = _BELL_PT.flags.writeable = _PARITY_PT.flags.writeable = _BELL_H.flags.writeable = False
+# the parity form's gather: block s of tau^T is tau^T[sector_s, sector_s], with ParityState's sectors
+_SECTORS = np.array(ParityState.sectors)
+_SECTORS.flags.writeable = False
+_PARITY_BLOCKS = (_SECTORS[:, :, None], _SECTORS[:, None, :])
 
 __all__ = [
     "ACTIVATION_TOL",
@@ -132,7 +136,7 @@ def build_cost(tau: DensityMatrix, options: SdpOptions | None = None) -> SdpProb
     if isinstance(tau, TwirledState):
         blocks, form = np.asarray(tau.coeffs)[:, None, None], tau.algebra
     elif isinstance(tau, ParityState):
-        blocks, form = np.array([tau.mat.T[np.ix_(sector, sector)] for sector in tau.sectors]), "parity"
+        blocks, form = tau.mat.T[_PARITY_BLOCKS], "parity"
     else:
         blocks, form = tau.mat.T[None], "bell"
     return SdpProblem(

@@ -66,6 +66,14 @@ the layout alone (the gather of T, the multiplicities, the adjoint,
 warm solve that ends ``infeasible_numerics`` is run again cold, so a warm
 start never costs a certificate that the cold start would give.
 
+Every smallest eigenvalue the loops read -- the warm start's test, the
+interior point's step lengths, the certificate's bounds and the minimizer's
+checks -- comes from `_lowest`.  It reads a block of side 1 and a real
+block of side 2 in closed form, where a step would otherwise spend more
+time in eigvalsh's wrapper than in its arithmetic: a side-1 block is its
+own eigenvalue, and [[a, b], [b, c]] has (a + c)/2 - hypot((a - c)/2, b).
+Complex blocks of side 2 and all larger ones go through eigvalsh.
+
 The three loops feed one certificate of objective bounds:
 
 - lower bound: lambda_min(C - PT(S2)) <= p* for any S2 >= 0 on the
@@ -181,13 +189,16 @@ class SdpOptions:
     objective_cut: float | None = None
 
     def __post_init__(self) -> None:
-        # a solve under any other value could never certify a bound
-        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
-            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
-        if not (math.isfinite(self.tol_objective) and self.tol_objective > 0.0):
-            raise ValueError(f"tol_objective must be finite and positive, got {self.tol_objective}")
-        if self.objective_cut is not None and not math.isfinite(self.objective_cut):
-            raise ValueError(f"objective_cut must be finite, got {self.objective_cut}")
+        # a solve under any other value could never certify a bound; a bool is an int
+        # subclass, and True would otherwise pass as a budget of 1 or a tolerance of 1.0
+        flag = (bool, np.bool_)
+        budget, tol, cut = self.max_iters, self.tol_objective, self.objective_cut
+        if isinstance(budget, flag) or not (isinstance(budget, (int, np.integer)) and budget >= 1):
+            raise ValueError(f"max_iters must be an integer of at least 1, got {budget!r}")
+        if isinstance(tol, flag) or not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"tol_objective must be finite and positive, got {tol}")
+        if isinstance(cut, flag) or not (cut is None or math.isfinite(cut)):
+            raise ValueError(f"objective_cut must be finite, got {cut}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -513,10 +524,19 @@ class _Operators:
 
 
 def _lowest(mats: np.ndarray) -> np.ndarray:
-    """The smallest eigenvalue of each block of a stack; a block of side 1 is its own."""
-    if mats.shape[-1] == 1:
-        return mats[:, 0, 0].real
-    return np.linalg.eigvalsh(mats)[:, 0]
+    """The smallest eigenvalue of each block of a stack, over any leading axes.
+
+    A block of side 1 is its own.  A real block [[a, b], [b, c]] of side 2
+    has (a + c)/2 - hypot((a - c)/2, b), with b read off the lower triangle
+    as eigvalsh reads it; any other block takes eigvalsh.
+    """
+    side = mats.shape[-1]
+    if side == 1:
+        return mats[..., 0, 0].real
+    if side == 2 and not np.iscomplexobj(mats):
+        a, b, c = mats[..., 0, 0], mats[..., 1, 0], mats[..., 1, 1]
+        return 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
+    return np.linalg.eigvalsh(mats)[..., 0]
 
 
 def _min_eig(mats: np.ndarray) -> float:
@@ -700,9 +720,10 @@ def _warm_start(layout: SdpLayout, costs: np.ndarray, start: SdpSolution | None)
 
     The constraints on (X, W) do not involve the cost, and S1 = C - y I -
     PT*(S2) moves with it, so each stored iterate becomes (X, W, S1 + C -
-    C_start, S2), feasible as it stands.  One batched eigvalsh keeps those
-    whose four stacks are all positive definite, and the last of them is the
-    start: the reoptimization step of Gondzio & Grothey, SIAM J. Optim. 13
+    C_start, S2), feasible as it stands.  One batched `_lowest` over all of
+    them (in closed form on blocks of side <= 2) keeps those whose four
+    stacks are all positive definite, and the last of them is the start:
+    the reoptimization step of Gondzio & Grothey, SIAM J. Optim. 13
     (2002).  None (the cold start) for no start, a start with no iterates,
     or one whose iterates all leave the cones.
     """
@@ -711,7 +732,7 @@ def _warm_start(layout: SdpLayout, costs: np.ndarray, start: SdpSolution | None)
     nb = len(layout.mult)
     warm = start.iterates.copy()
     warm[:, 2 * nb : 3 * nb] += costs - start.problem.costs
-    inside = np.flatnonzero(np.linalg.eigvalsh(warm)[..., 0].min(axis=-1) > 0.0)
+    inside = np.flatnonzero(_lowest(warm).min(axis=-1) > 0.0)
     return warm[inside[-1]] if len(inside) else None
 
 
@@ -791,7 +812,7 @@ def _interior_point(
 
         def steps(d: np.ndarray) -> np.ndarray:
             """Largest primal and dual steps <= 1 that stay in the cones, per block."""
-            lam = np.minimum.reduceat(np.linalg.eigvalsh(factors @ d @ scaled)[:, 0], ops.halves)
+            lam = np.minimum.reduceat(_lowest(factors @ d @ scaled), ops.halves)
             return (-1.0 / np.minimum(lam, -1.0))[ops.half_of]
 
         gap = z @ dual

@@ -132,10 +132,12 @@ class ParityState(DensityMatrix):
     """A two-qubit state that commutes with Z x Z: no entry couples its even and odd ``sectors``."""
 
     sectors = ([0, 3], [1, 2])
+    # the entries between the sectors, as constant index arrays
+    _coupling = np.ix_(*sectors)
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.dims != (2, 2) or np.any(self.mat[np.ix_(*self.sectors)]):
+        if self.dims != (2, 2) or self.mat[self._coupling].any():
             raise ValueError("a parity state is a two-qubit state that commutes with Z x Z")
 
 
@@ -175,6 +177,13 @@ def isotropic_state(d: int, p: float) -> TwirledState:
     return TwirledState("isotropic", d, (w, w + p))
 
 
+# the parts of `hirsch_state`: |psi-><psi-|, |0><0| x I/2 and I/4
+_SINGLET = projector(psi_minus())
+_BIASED = kron(ket0_projector(), np.eye(2) / 2.0).real
+_MIXED = np.eye(4) / 4.0
+_SINGLET.flags.writeable = _BIASED.flags.writeable = _MIXED.flags.writeable = False
+
+
 def hirsch_state(p: float, q: float = 1.0) -> ParityState:
     """Two-qubit Hirsch state p |psi-><psi-| + (1-p) [q |0><0| + (1-q) I/2] x I/2, a `ParityState`.
 
@@ -184,8 +193,8 @@ def hirsch_state(p: float, q: float = 1.0) -> ParityState:
     """
     if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:
         raise ValueError(f"hirsch state requires 0 <= p, q <= 1, got p={p} q={q}")
-    alice = q * ket0_projector() + (1.0 - q) * np.eye(2) / 2.0
-    mat = p * projector(psi_minus()) + (1.0 - p) * kron(alice, np.eye(2) / 2.0)
+    # (q |0><0| + (1-q) I/2) x I/2 = q |0><0| x I/2 + (1-q) I/4 to the bit: the factors 1/2 are exact
+    mat = p * _SINGLET + (1.0 - p) * (q * _BIASED + (1.0 - q) * _MIXED)
     return ParityState(mat, (2, 2))
 
 

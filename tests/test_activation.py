@@ -27,6 +27,7 @@ from nlact.sdp import (
 )
 from nlact.states import ParityState, h_theta, hirsch_state, isotropic_state, werner_state, wi_state
 from test_sdp import FAMILY_PIVOTS, HIRSCH_TRAIL
+from test_states import kron_hirsch
 
 
 def _r_curve(p):
@@ -400,12 +401,24 @@ def test_parity_problem_rejects_a_relabel_that_does_not_fit():
 
 
 def test_parity_state_rejects_a_coupling_of_its_sectors():
-    # a Hirsch matrix with an entry between |00> and |01>
-    mat = hirsch_state(0.3).mat.copy()
-    mat[0, 1] = mat[1, 0] = 1e-3
-    DensityMatrix(mat, (2, 2))
-    with pytest.raises(ValueError, match="Z x Z"):
-        ParityState(mat, (2, 2))
+    # a Hirsch matrix with an entry between an even (|00>, |11>) and an odd (|01>, |10>) label
+    for i in (0, 3):
+        for j in (1, 2):
+            mat = hirsch_state(0.3, q=0.6).mat.copy()
+            mat[i, j] = mat[j, i] = 1e-3
+            DensityMatrix(mat, (2, 2))
+            with pytest.raises(ValueError, match="Z x Z"):
+                ParityState(mat, (2, 2))
+
+
+def test_parity_costs_are_the_sector_blocks_to_the_bit():
+    # the gather of tau^T's sector blocks, against one np.ix_ per sector of the Hirsch matrix built by kron
+    for p in np.linspace(0.0, 1.0, 21):
+        for q in (0.0, 0.3, 0.6, 1.0):
+            mat = kron_hirsch(p, q)
+            blocks = np.array([mat.T[np.ix_(sector, sector)] for sector in ParityState.sectors])
+            expected = (activation._BELL_H[:, None, None] * blocks[:, None]).reshape(8, 2, 2).real
+            assert np.array_equal(build_cost(hirsch_state(p, q)).costs, expected), (p, q)
 
 
 def test_bell_weights_give_h():

@@ -407,6 +407,50 @@ def test_side_one_lowest_eigenvalues_are_the_entries(monkeypatch, rng):
             assert sol.residuals == ref.residuals
 
 
+def test_side_two_lowest_eigenvalues_match_eigvalsh(rng):
+    # the closed form is eigvalsh's smallest eigenvalue to a few units of rounding of the block's spectrum
+    a, b, c = rng.standard_normal((3, 64))
+    t = rng.standard_normal((64, 2))
+    stacks = {
+        "random": np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2),
+        "diagonal": np.stack([np.diag(pair) for pair in zip(a, c)]),
+        "degenerate": a[:, None, None] * np.eye(2),
+        "rank-one": t[:, :, None] * t[:, None, :],
+    }
+    stacks |= {f"{name}-{scale:g}": scale * stacks[name] for name in ("random", "rank-one") for scale in (1e-30, 1e30)}
+    for name, mats in stacks.items():
+        reference = np.linalg.eigvalsh(mats)
+        bound = 4.0 * np.finfo(float).eps * np.abs(reference).max(axis=-1)
+        assert np.all(np.abs(sdp._lowest(mats) - reference[:, 0]) <= bound), name
+    mats = stacks["random"]
+    # over leading axes, as the warm start's stacks of states are read
+    assert np.array_equal(sdp._lowest(mats.reshape(4, 16, 2, 2)), sdp._lowest(mats).reshape(4, 16))
+    # the upper triangle is not read, as eigvalsh reads the lower one
+    skewed = mats + np.triu(np.ones((2, 2)), 1)
+    assert np.array_equal(sdp._lowest(skewed), sdp._lowest(mats))
+    # a complex block of side 2 keeps eigvalsh
+    assert np.array_equal(sdp._lowest(mats + 0j), np.linalg.eigvalsh(mats + 0j)[:, 0])
+
+
+def test_side_two_closed_form_keeps_the_hirsch_solves(monkeypatch):
+    # the hirsch1 search's points, cold and warm from the previous point as the search
+    # solves them, take the same steps to the same bounds as with eigvalsh everywhere
+    def trail():
+        solutions, previous = [], None
+        for p in HIRSCH_TRAIL:
+            problem = build_cost(hirsch_state(p), bisection_options())
+            solutions += [solve(problem), solve(problem, previous)]
+            previous = solutions[-1]
+        return solutions
+
+    fast = trail()
+    monkeypatch.setattr(sdp, "_lowest", lambda mats: np.linalg.eigvalsh(mats)[..., 0])
+    for sol, ref in zip(fast, trail(), strict=True):
+        assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
+        assert abs(sol.objective - ref.objective) <= 1e-15
+        assert abs(sol.objective_lb - ref.objective_lb) <= 1e-15
+
+
 def test_problem_validation(rng):
     with pytest.raises(ValueError, match="Hermitian"):
         SdpProblem.from_cost(np.eye(4, k=1), dims=(2, 2), t1_split=1)
@@ -480,6 +524,10 @@ def test_plain_problem_cost_round_trips(rng):
         # a float budget would pass the range check and then fail every solve in range()
         ({"max_iters": 1e3}, "max_iters"),
         ({"max_iters": 2.5}, "max_iters"),
+        # bool is an int subclass: True would pass as a budget of 1 or a tolerance of 1.0
+        ({"max_iters": True}, "max_iters"),
+        ({"tol_objective": True}, "tol_objective"),
+        ({"objective_cut": False}, "objective_cut"),
     ],
 )
 def test_options_reject_values_that_certify_nothing(kwargs, match):

@@ -10,6 +10,7 @@ from nlact.states import (
     h_theta,
     hirsch_state,
     isotropic_state,
+    ket0_projector,
     magic_basis,
     max_entangled,
     projector,
@@ -112,6 +113,18 @@ def test_hirsch_one_parameter_form():
     ket0[0, 0] = 1.0
     expected = p * projector(psi_minus()) + (1 - p) * kron(ket0, np.eye(2) / 2)
     assert np.max(np.abs(hirsch_state(p).mat - expected)) < 1e-14
+
+
+def kron_hirsch(p, q):
+    # the Hirsch matrix built factor by factor, as the definition reads
+    alice = q * ket0_projector() + (1.0 - q) * np.eye(2) / 2.0
+    return p * projector(psi_minus()) + (1.0 - p) * kron(alice, np.eye(2) / 2.0)
+
+
+def test_hirsch_state_is_the_kron_construction_to_the_bit():
+    for p in np.linspace(0.0, 1.0, 21):
+        for q in (0.0, 0.3, 0.6, 1.0):
+            assert np.array_equal(hirsch_state(p, q).mat, kron_hirsch(p, q)), (p, q)
 
 
 def test_hirsch_p0_separable():
