@@ -56,17 +56,22 @@ relabelled basis (``SdpLayout.relabel``).
 A sequence of problems that differ only in their cost (a threshold search
 along p) can reoptimize: the feasible set {X >= 0, X^T1 >= 0, Tr X = 1}
 does not depend on the cost, so `solve(problem, start)` starts the
-interior-point loop from the latest stored state of an earlier solve on the
-same layout (`SdpSolution.iterates`) whose dual slack stays positive
-definite at the new cost (Gondzio & Grothey, SIAM J. Optim. 13 (2002)),
-and from the cold start I/n when none does.  Nor does anything derived from
-the layout alone (the gather of T, the multiplicities, the adjoint,
-`_Operators`, the simplex's rows), so every loop takes the shared
+interior-point loop from a stored state of an earlier solve on the same
+layout (`SdpSolution.iterates`).  The dual variable y absorbs the cost's
+change: a state whose four stacks are interior stays feasible with its
+dual slack S1 moved by the change and shifted by t I, for the least t >= 0
+that keeps S1's smallest eigenvalue.  The start is the state of least gap
+mu after that shift among those whose mu grows by at most
+`WARM_GAP_GROWTH` (Gondzio & Grothey, SIAM J. Optim. 13 (2002); John &
+Yildirim, Comput. Optim. Appl. 41 (2008)), and the cold start I/n when
+there is none; `SdpSolution.warm_start` names it.  Nor does anything
+derived from the layout alone (the gather of T, the multiplicities, the
+adjoint, `_Operators`, the simplex's rows), so every loop takes the shared
 `SdpLayout`, which derives them once, for warm and cold solves alike.  A
 warm solve that ends ``infeasible_numerics`` is run again cold, so a warm
 start never costs a certificate that the cold start would give.
 
-Every smallest eigenvalue the loops read -- the warm start's test, the
+Every smallest eigenvalue the loops read -- the warm start's shift, the
 interior point's step lengths, the certificate's bounds and the minimizer's
 checks -- comes from `_lowest`.  It reads a block of side 1 and a real
 block of side 2 in closed form, where a step would otherwise spend more
@@ -139,6 +144,14 @@ IPM_MAX_SIDE = 16
 STEP_FRACTION = 0.9
 # interior-point steps without a tighter certified gap after which the loop has stalled
 STALL_STEPS = 5
+# the most a warm start's gap mu' may exceed its stored state's mu (`_warm_start`).
+# The five hirsch1 and hirsch2 tlf searches of the tests take 172, 159, 154, 151,
+# 154 and 158 Newton steps in all at 2, 4, 8, 16, 32 and 64 (207 from the latest
+# stored state that stays interior unshifted).  From 64 on, a start whose shift
+# dominates its gap (p = 0.22 from the solve at 0.12 has mu' = 180 mu when
+# unbounded) carries 1-ulp differences of `_lowest` into up to 5e-15 of its
+# lower bound.
+WARM_GAP_GROWTH = 16.0
 # rounding allowance of the simplex: how far below 0 a multiplier (an entry of
 # the primal vertex) may lie and the vertex still be taken as feasible
 VERTEX_TOL = 1e-12
@@ -427,6 +440,9 @@ class SdpSolution:
     # the simplex's one state, its vertex before the certificate mixes it toward
     # I/n; None for the splitting loop
     iterates: np.ndarray | None = None
+    # (index into the start's iterates, shift t of its dual slack) of a warm
+    # interior-point solve (`_warm_start`); None for a cold one
+    warm_start: tuple[int, float] | None = None
 
     @cached_property
     def minimizer(self) -> DensityMatrix:
@@ -591,10 +607,11 @@ def solve(problem: SdpProblem, start: SdpSolution | None = None) -> SdpSolution:
     interior-point loop, all others to the splitting loop.  ``start``, an
     earlier solution of a problem on the same layout object (ValueError
     otherwise, even for an equal copy), lets the interior-point loop start
-    from that solve's iterates (`_warm_start`); the others ignore them.  The stop rules are the same either way, and a
-    warm start never costs the certificate: a warm solve that ends
-    ``infeasible_numerics`` is run again cold, and the solution is that
-    run's, with the steps of both.
+    from one of that solve's iterates (`_warm_start`), which the solution's
+    ``warm_start`` names; the others ignore them.  The stop rules are the
+    same either way, and a warm start never costs the certificate: a warm
+    solve that ends ``infeasible_numerics`` is run again cold, and the
+    solution is that run's, with the steps of both.
     """
     if start is not None and start.problem.layout is not problem.layout:
         raise ValueError("the start solves a problem of another layout")
@@ -603,8 +620,11 @@ def solve(problem: SdpProblem, start: SdpSolution | None = None) -> SdpSolution:
     if problem.costs.shape[-1] == 1:
         return _solve(problem, _simplex)
     warm = _warm_start(problem.layout, problem.costs, start)
-    solution = _solve(problem, lambda layout, bounds, opts: _interior_point(layout, bounds, opts, warm))
-    if warm is None or solution.status != "infeasible_numerics":
+    if warm is None:
+        return _solve(problem, _interior_point)
+    solution = _solve(problem, lambda layout, bounds, opts: _interior_point(layout, bounds, opts, warm[2]))
+    if solution.status != "infeasible_numerics":
+        solution.warm_start = warm[:2]
         return solution
     cold = _solve(problem, _interior_point)
     cold.iterations += solution.iterations
@@ -715,25 +735,40 @@ def _start(layout: SdpLayout, costs: np.ndarray) -> np.ndarray:
     return np.concatenate([eye / layout.n, costs - (y + 1.0) * eye[:nb], eye[:nb]])
 
 
-def _warm_start(layout: SdpLayout, costs: np.ndarray, start: SdpSolution | None) -> np.ndarray | None:
-    """The latest iterate of ``start`` that stays interior at this real cost, else None.
+def _warm_start(
+    layout: SdpLayout, costs: np.ndarray, start: SdpSolution | None
+) -> tuple[int, float, np.ndarray] | None:
+    """The stored state of ``start`` to start from at this real cost, as (index, shift t, state), else None.
 
     The constraints on (X, W) do not involve the cost, and S1 = C - y I -
-    PT*(S2) moves with it, so each stored iterate becomes (X, W, S1 + C -
-    C_start, S2), feasible as it stands.  One batched `_lowest` over all of
-    them (in closed form on blocks of side <= 2) keeps those whose four
-    stacks are all positive definite, and the last of them is the start:
-    the reoptimization step of Gondzio & Grothey, SIAM J. Optim. 13
-    (2002).  None (the cold start) for no start, a start with no iterates,
-    or one whose iterates all leave the cones.
+    PT*(S2) moves with it, so a stored state (X, W, S1, S2) whose four
+    stacks are positive definite stays feasible at the new cost as (X, W,
+    S1 + C - C_start + t I, S2): y -> y - t keeps the dual equation exact.
+    With t = max(0, lambda_min(S1) - lambda_min(S1 + C - C_start)) the
+    shift restores S1's smallest eigenvalue, and the gap becomes mu' =
+    mu(X, W, S1 + C - C_start, S2) + t / (2 n), as Tr X = 1.  The start is
+    the state of least mu' among those whose mu' is at most
+    `WARM_GAP_GROWTH` times their stored mu: the reoptimization of Gondzio
+    & Grothey, SIAM J. Optim. 13 (2002), with the dual slack shifted as in
+    John & Yildirim, Comput. Optim. Appl. 41 (2008).  One batched `_lowest`
+    reads the stored states, and one the moved S1.  None (the cold start)
+    for no start, a start with no iterates, or one with no such state.
     """
     if start is None or start.iterates is None:
         return None
-    nb = len(layout.mult)
-    warm = start.iterates.copy()
-    warm[:, 2 * nb : 3 * nb] += costs - start.problem.costs
-    inside = np.flatnonzero(_lowest(warm).min(axis=-1) > 0.0)
-    return warm[inside[-1]] if len(inside) else None
+    nb, s, _ = layout.shape
+    stored, s1 = start.iterates, slice(2 * nb, 3 * nb)
+    low = _lowest(stored)
+    warm = stored.copy()
+    warm[:, s1] += costs - start.problem.costs
+    shift = np.maximum(0.0, low[:, s1].min(axis=-1) - _lowest(warm[:, s1]).min(axis=-1))
+    warm[:, s1] += shift[:, None, None, None] * np.eye(s)
+    mu, mu_warm = ((z[:, : 2 * nb] * z[:, 2 * nb :]).reshape(len(z), -1) @ layout.operators.gap for z in (stored, warm))
+    kept = np.flatnonzero((low.min(axis=-1) > 0.0) & (mu_warm <= WARM_GAP_GROWTH * mu))
+    if not len(kept):
+        return None
+    k = int(kept[np.argmin(mu_warm[kept])])
+    return k, float(shift[k]), warm[k]
 
 
 def _interior_point(

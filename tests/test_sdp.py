@@ -657,11 +657,56 @@ def test_start_without_iterates_is_the_cold_start():
     _assert_same_solve(solve(problem, start), solve(problem))
 
 
-def test_start_with_no_interior_iterate_is_the_cold_start():
-    # lowering the cost by 100 I takes every stored dual slack S1 out of its cone
+def test_start_whose_primal_stacks_left_their_cones_is_the_cold_start():
+    # a stored state is a candidate only while all four of its stacks are interior
+    problem = build_cost(hirsch_state(0.17), bisection_options())
+    start = solve(problem)
+    nb = len(problem.layout.mult)
+    for half in (slice(0, nb), slice(nb, 2 * nb)):
+        iterates = start.iterates.copy()
+        iterates[:, half] *= -1.0
+        warm = solve(problem, dataclasses.replace(start, iterates=iterates))
+        _assert_same_solve(warm, solve(problem))
+        assert warm.warm_start is None
+
+
+def test_lowered_cost_is_absorbed_by_the_dual_shift():
+    # lowering the cost by 100 I lowers every stored S1 by as much; the shift
+    # t = 100 restores it exactly, so the warm solve certifies in at most the cold steps
     problem = build_cost(hirsch_state(0.17), bisection_options())
     lowered = dataclasses.replace(problem, costs=problem.costs - 100.0 * np.eye(2))
-    _assert_same_solve(solve(lowered, solve(problem)), solve(lowered))
+    warm, cold = solve(lowered, solve(problem)), solve(lowered)
+    assert warm.status == cold.status == "decided"
+    assert warm.iterations <= cold.iterations
+    assert abs(warm.warm_start[1] - 100.0) <= 1e-12
+    assert cold.warm_start is None
+
+
+def test_every_warm_start_is_dual_feasible():
+    # S1 + PT*(S2) - C = -y I in every block, with one y, for each start the rule
+    # returns: between the trail's points and for the lowered cost
+    options = bisection_options()
+    problems = [build_cost(hirsch_state(p), options) for p in HIRSCH_TRAIL]
+    lowered = dataclasses.replace(problems[2], costs=problems[2].costs - 100.0 * np.eye(2))
+    solutions = [solve(problem) for problem in problems]
+    pairs = [(b, a) for j, b in enumerate(problems) for a in solutions[:j]] + [(lowered, solutions[2])]
+    nb = len(problems[0].layout.mult)
+    for problem, start in pairs:
+        state = sdp._warm_start(problem.layout, problem.costs, start)[2]
+        residual = state[2 * nb : 3 * nb] + problem.layout.pt_adj(state[3 * nb :]) - problem.costs
+        assert np.max(np.abs(residual - residual[0, 0, 0] * np.eye(2))) <= 1e-12
+        assert np.min(sdp._lowest(state)) > 0.0
+
+
+def test_warm_start_takes_the_least_gap_in_any_stored_order():
+    # the start is the kept state of least gap after the shift, not the latest one
+    options = bisection_options()
+    first, problem = (build_cost(hirsch_state(p), options) for p in (0.17, 0.1746875))
+    start = solve(first)
+    index, shift, state = sdp._warm_start(problem.layout, problem.costs, start)
+    flipped = sdp._warm_start(problem.layout, problem.costs, dataclasses.replace(start, iterates=start.iterates[::-1]))
+    assert flipped[:2] == (len(start.iterates) - 1 - index, shift)
+    assert np.array_equal(flipped[2], state)
 
 
 def _layout(kind):
@@ -780,16 +825,31 @@ def test_start_on_an_equal_copy_of_the_layout_is_rejected():
         solve(copy, solve(problem))
 
 
-@pytest.mark.parametrize("tol", [1e-10, 1e-11])
+@pytest.mark.parametrize("tol", [1e-9, 1e-10, 1e-11])
 def test_warm_start_never_costs_the_certificate(tol):
     # hirsch2 at q = 0: from the solve at p = 1, the warm solve at p = 1/sqrt(2)
-    # certifies as the cold one does, with bounds that overlap the cold ones
+    # certifies as the cold one does, in at most its Newton steps, with bounds
+    # that overlap the cold ones
     options = SdpOptions(tol_objective=tol)
     start = solve(build_cost(hirsch_state(1.0, 0.0), options))
     problem = build_cost(hirsch_state(0.7071067812, 0.0), options)
     warm, cold = solve(problem, start), solve(problem)
     assert warm.status == cold.status == "converged"
+    assert warm.iterations <= cold.iterations
     assert max(warm.objective_lb, cold.objective_lb) <= min(warm.objective, cold.objective)
+
+
+def test_warm_start_from_every_earlier_trail_point_ends_as_the_cold_solve():
+    # at tol_objective = 1e-11 each trail point, solved warm from the cold solve
+    # of each earlier point, ends with the cold status and overlapping bounds
+    options = SdpOptions(tol_objective=1e-11)
+    problems = [build_cost(hirsch_state(p), options) for p in HIRSCH_TRAIL]
+    colds = [solve(problem) for problem in problems]
+    for j, (problem, cold) in enumerate(zip(problems, colds)):
+        for i, start in enumerate(colds[:j]):
+            warm = solve(problem, start)
+            assert warm.status == cold.status, (i, j)
+            assert max(warm.objective_lb, cold.objective_lb) <= min(warm.objective, cold.objective), (i, j)
 
 
 def test_failed_warm_solve_is_run_again_cold(monkeypatch):
@@ -806,6 +866,8 @@ def test_failed_warm_solve_is_run_again_cold(monkeypatch):
     cold = solve(problem)
     monkeypatch.setattr(sdp, "_interior_point", failing_warm)
     rerun = solve(problem, start)
+    # the solution is the cold re-run's, so it reports no warm start
+    assert rerun.warm_start is None
     assert rerun.iterations == 3 + cold.iterations
     assert (rerun.status, rerun.objective, rerun.objective_lb) == (cold.status, cold.objective, cold.objective_lb)
     assert np.array_equal(rerun.blocks, cold.blocks)
