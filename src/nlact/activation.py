@@ -147,19 +147,27 @@ def build_cost(tau: DensityMatrix, options: SdpOptions | None = None) -> SdpProb
 
 
 def sigma_min(
-    tau: DensityMatrix, options: SdpOptions | None = None, start: SdpSolution | None = None
+    tau: DensityMatrix | SdpProblem, options: SdpOptions | None = None, start: SdpSolution | None = None
 ) -> ActivationResult:
     """Minimize Tr[rho (tau^T x H_{pi/4})] over PPT ancillas; negative means activation.
 
-    One `sdp.solve` from ``start``, the witness of an input of the same
-    layout, when one is given: a `TwirledState` by the simplex on its
-    scalar blocks, every other input by an SDP loop.  ``activated`` is True
+    ``tau`` is the input, or its problem as `build_cost` built it, which
+    carries its options (``options`` must then be None).  One `sdp.solve`
+    from ``start``, the witness of an input of the same layout, when one is
+    given: a `TwirledState` by the simplex on its scalar blocks, every
+    other input by an SDP loop.  ``activated`` is True
     when a certified solve (converged or sign-decided) puts its upper bound
     below -ACTIVATION_TOL, False when it puts its lower bound at or above
     it, and None when the solve certifies neither: a run out of budget or
     stalled, or a gap looser than the distance to the cut.
     """
-    witness = solve(build_cost(tau, options), start)
+    if isinstance(tau, SdpProblem):
+        if options is not None:
+            raise ValueError("a problem carries its own options")
+        problem = tau
+    else:
+        problem = build_cost(tau, options)
+    witness = solve(problem, start)
     activated = None
     if witness.status in ("converged", "decided"):
         if witness.objective < -ACTIVATION_TOL:

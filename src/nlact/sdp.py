@@ -6,7 +6,7 @@ entry, `solve`, which picks the loop from the cost's field and the blocks:
 - a primal-dual interior-point method (the HKM direction of Helmberg,
   Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 6 (1996), with Mehrotra's
   predictor-corrector) on min <C, X> over X >= 0 and W = X^T1 >= 0 with
-  Tr X = 1, scaled by the eigendecompositions of its iterates.  Its Newton
+  Tr X = 1, scaled by a factor of each block of its iterates.  Its Newton
   system has about side^2 / 2 unknowns per block, so `solve` takes it for
   a real cost in blocks of side 2 to `IPM_MAX_SIDE` (16): a plain real
   cost of side <= 16, the Hirsch inputs in their parity form (eight
@@ -77,7 +77,12 @@ checks -- comes from `_lowest`.  It reads a block of side 1 and a real
 block of side 2 in closed form, where a step would otherwise spend more
 time in eigvalsh's wrapper than in its arithmetic: a side-1 block is its
 own eigenvalue, and [[a, b], [b, c]] has (a + c)/2 - hypot((a - c)/2, b).
-Complex blocks of side 2 and all larger ones go through eigvalsh.
+Complex blocks of side 2 and all larger ones go through eigvalsh.  Beside
+it, `_scaling` gives the interior point's factors F with F Z F^T = I, and
+so F^T F = Z^-1, of its iterates' blocks Z: for a real block of side 2 the
+inverse of its Cholesky factor, in closed form once a > 0 and ac - b^2 > 0,
+and for any larger block diag(w)^-1/2 V^T from eigh.  So a solve in the
+parity form (the Hirsch inputs) makes no LAPACK eigendecomposition at all.
 
 The three loops feed one certificate of objective bounds:
 
@@ -96,8 +101,8 @@ long before the gap closes on degenerate instances.  With a cut set, a
 solve stops only once the bounds settle it, however small the gap.  Small
 consensus residuals alone stop nothing.  `max_iters` caps ADMM iterations,
 Newton steps and pivots alike.  A solve whose numbers break down (a non-finite
-ADMM residual, an interior-point iterate whose smallest eigenvalue is not
-positive, `STALL_STEPS` Newton steps without a tighter gap, or an optimal
+ADMM residual, an interior-point iterate that is not positive definite,
+`STALL_STEPS` Newton steps without a tighter gap, or an optimal
 vertex whose bounds stay apart) ends with its best bounds and status
 ``infeasible_numerics``.  A solve checks its minimizer's blocks against
 the invariants of a `DensityMatrix` (Hermitian, unit trace, PSD) and
@@ -139,8 +144,8 @@ IPM_MAX_SIDE = 16
 # 3.9e-10, 0.98 only 16 (the rest to 1.2e-9), and 0.8 all 40 in 657 steps.
 # Smaller blocks keep the floor: on 16 Hirsch costs (p in {0.172, 0.175, 0.18,
 # 0.2, 0.3, 0.5, 0.8, 1} x q in {1, 0.6}, max_iters 200), the parity form
-# (side 2) converges on 16 at tol_objective = 1e-11 and 12 at 1e-12, the Bell
-# form (side 4) on 15 and 11.
+# (side 2) converges on 16 at tol_objective = 1e-11 and 11 at 1e-12, the Bell
+# form (side 4) on 16 and 11.
 STEP_FRACTION = 0.9
 # interior-point steps without a tighter certified gap after which the loop has stalled
 STALL_STEPS = 5
@@ -559,6 +564,32 @@ def _min_eig(mats: np.ndarray) -> float:
     return float(np.min(_lowest(mats)))
 
 
+def _scaling(mats: np.ndarray) -> np.ndarray | None:
+    """Factors F with F Z F^T = I, so F^T F = Z^-1, of a stack of real blocks Z; None unless all are positive definite.
+
+    A block [[a, b], [b, c]] of side 2, with b read off the lower triangle
+    as in `_lowest`, is positive definite when a > 0 and det = ac - b^2 > 0,
+    tested before any square root.  F is then the inverse of its Cholesky
+    factor: [[1, 0], [-b / sqrt(det), a / sqrt(det)]] / sqrt(a).  Any other
+    block takes eigh, Z = V diag(w) V^T, and F = diag(w)^-1/2 V^T.
+    """
+    if mats.shape[-1] == 2:
+        a, b, c = mats[..., 0, 0], mats[..., 1, 0], mats[..., 1, 1]
+        det = a * c - b * b
+        if not (a.min() > 0.0 and det.min() > 0.0):
+            return None
+        root_a, root_det = np.sqrt(a), np.sqrt(det)
+        factors = np.zeros_like(mats)
+        factors[..., 0, 0] = 1.0 / root_a
+        factors[..., 1, 0] = -b / (root_a * root_det)
+        factors[..., 1, 1] = root_a / root_det
+        return factors
+    w, v = np.linalg.eigh(mats)
+    if not w[..., 0].min() > 0.0:
+        return None
+    return (v / np.sqrt(w)[..., None, :]).swapaxes(-1, -2)
+
+
 class _Bounds:
     """Best certified objective bounds of a solve at its cost, and the feasible point attaining the upper one."""
 
@@ -819,12 +850,10 @@ def _interior_point(
         r_trace = 1.0 - layout.trace(x)
         if not math.isfinite(mu):
             return None
-        # scale by the spectra: F = diag(w)^-1/2 V^T gives F Z F^T = I and F^T F = Z^-1
-        w, v = np.linalg.eigh(state)
-        if not w[:, 0].min() > 0.0:  # rounding has left an iterate on or outside its cone
+        factors = _scaling(state)
+        if factors is None:  # rounding has left an iterate on or outside its cone
             return None
-        scaled = v / np.sqrt(w)[:, None, :]
-        factors = scaled.swapaxes(-1, -2)
+        scaled = factors.swapaxes(-1, -2)
         dual_inv = scaled[2 * nb :] @ factors[2 * nb :]
         # [block, basis element, coordinate]: the images of the basis under each block's Xi
         sides = (z[:, None] @ ops.basis @ dual_inv[:, None]).reshape(2 * nb, per_block, s * s) @ ops.sym_coords

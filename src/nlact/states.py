@@ -223,6 +223,10 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        # as `SdpOptions.max_iters`: a bool is an int subclass, and a float d
+        # would fail only later, when a state is built
+        if isinstance(self.d, bool) or not isinstance(self.d, (int, np.integer)):
+            raise ValueError(f"d must be an integer, got {self.d!r}")
         if self.family in ("wi", "hirsch1", "hirsch2") and self.d != 2:
             raise ValueError(f"family {self.family} is two-qubit only")
         if self.d < 2:

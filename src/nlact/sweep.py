@@ -19,10 +19,11 @@ simplex returns, always under `DEFAULT_OPTIONS`, so the caller's solver
 options do not apply to it, and certified to `EXACT_TOL` by the solves'
 dual bounds (see `_exact_tlf_entry`).  Every search assumes a monotone
 indicator, and a point whose solve certifies nothing (indicator None)
-stops it with ``ValueError``.  Other SDP-backed points get one solve each
-under the caller's options (for a twirled family, the simplex's pivots,
-capped by ``max_iters``); within one search each solve starts from the
-previous point's, and a sampled curve solves every point cold.  In a
+stops it with ``ValueError``.  Other SDP-backed points get at most one
+solve each under the caller's options (for a twirled family, the simplex's
+pivots, capped by ``max_iters``); within one search a point whose sign the
+earlier solves' certificates settle is not solved, each solve starts from
+the previous one, and a sampled curve solves every point cold.  In a
 sampled curve a point whose solve certifies nothing is recorded as
 missing, with the solve's status and bounds, instead of aborting the
 sweep.
@@ -32,12 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import activation, measures
-from .activation import bisection_options, build_cost, sigma_min
+from .activation import ACTIVATION_TOL, bisection_options, build_cost, sigma_min
 from .sdp import SdpOptions, SdpProblem, SdpSolution, check_side
 from .states import FamilySpec
 
@@ -45,6 +46,9 @@ PROPERTIES = ("eof", "chsh", "hn", "sa", "tlf", "cglmp")
 
 SDP_TOL = 1e-3
 PRESCAN_POINTS = 20
+# the least tol of a search, in float spacings at its bracket's larger end:
+# a point strictly inside a wider bracket keeps shrinking it
+TOL_ULPS = 4
 # the stated tolerance of a closed-form threshold and of an exact p_TLF entry,
 # which their certificates must meet
 EXACT_TOL = 1e-12
@@ -73,7 +77,7 @@ class PointResult:
     error: str | None = None
     # a closed-form point's signed margin: the indicator is margin > 0
     margin: float | None = None
-    # a tlf point's solve
+    # a tlf point's solve; None where the search's earlier solves settle its sign
     witness: SdpSolution | None = None
 
 
@@ -99,24 +103,64 @@ class ThresholdReport:
     # summed over the search's solves (the simplex's pivots for a twirled
     # family); 0 where no point solves (closed-form columns)
     newton_steps: int
+    # the evaluations that were solved: a tlf point whose sign the earlier
+    # solves settle is not, and a closed-form point never is
+    solves: int = 0
 
 
-# an evaluator maps (spec, p, sdp_options, start) to the point's result; the
-# closed-form ones ignore the solver options and the start
-Evaluator = Callable[[FamilySpec, float, SdpOptions | None, SdpSolution | None], PointResult]
+# a tlf point already solved: (p, its solve)
+Solved = tuple[float, SdpSolution]
+# an evaluator maps (spec, p, sdp_options, earlier) to the point's result; the
+# closed-form ones ignore the solver options and the earlier points
+Evaluator = Callable[[FamilySpec, float, SdpOptions | None, Sequence[Solved]], PointResult]
 
 
 def default_tolerance(prop: str) -> float:
     return SDP_TOL if prop == "tlf" else EXACT_TOL
 
 
-def _tlf_point(
-    spec: FamilySpec, p: float, sdp_options: SdpOptions | None, start: SdpSolution | None = None
-) -> PointResult:
-    # one solve under the caller's options; a point whose solve certifies
-    # nothing (out of budget, stalled, or bounds on both sides of the cut) is
-    # recorded missing, with no indicator
-    result = sigma_min(spec.state(p), sdp_options, start)
+def _settled(problem: SdpProblem, p: float, earlier: Sequence[Solved]) -> PointResult | None:
+    """The point at p, whose problem is ``problem``, where the certificates of ``earlier`` settle its sign; else None.
+
+    The earlier points are of the same family, so their problems differ
+    from this one only in the costs, which are affine in p:
+
+    - each earlier minimizer is exactly feasible for every cost, so its
+      weighted dot with this one, as its own solve computed its value,
+      bounds sigma(p) above;
+    - sigma is the minimum of those affine costs over one feasible set, so
+      it is concave in p, and the chord between the certified lower bounds
+      of two earlier points a < p < b bounds sigma(p) below.
+
+    Either bound on its side of the cut -ACTIVATION_TOL gives the indicator
+    that `sigma_min` gives a certified solve.  The value is the least upper
+    bound.
+    """
+    if not earlier:
+        return None
+    if any(witness.problem.layout is not problem.layout for _, witness in earlier):
+        raise ValueError("an earlier point solves a problem of another layout")
+    weighted = problem.layout.mult[:, None, None] * problem.costs
+    upper = min(float(np.vdot(witness.blocks, weighted).real) for _, witness in earlier)
+    if upper < -ACTIVATION_TOL:
+        return PointResult(upper, True)
+    at, low = np.array([(q, witness.objective_lb) for q, witness in earlier]).T
+    a, b = at < p, at > p
+    chords = ((at[b] - p) * low[a][:, None] + (p - at[a][:, None]) * low[b]) / (at[b] - at[a][:, None])
+    if chords.size and chords.max() >= -ACTIVATION_TOL:
+        return PointResult(upper, False)
+    return None
+
+
+def _tlf_point(spec: FamilySpec, p: float, sdp_options: SdpOptions | None, earlier: Sequence[Solved]) -> PointResult:
+    # at most one solve under the caller's options, from the last earlier
+    # point's; a point whose solve certifies nothing (out of budget, stalled,
+    # or bounds on both sides of the cut) is recorded missing, with no indicator
+    problem = activation.build_cost(spec.state(p), sdp_options)
+    settled = _settled(problem, p, earlier)
+    if settled is not None:
+        return settled
+    result = sigma_min(problem, start=earlier[-1][1] if earlier else None)
     witness = result.witness
     if result.activated is None:
         bounds = f"sigma in [{witness.objective_lb:.6g}, {witness.objective:.6g}]"
@@ -197,14 +241,16 @@ def evaluate_point(
     prop: str,
     p: float,
     sdp_options: SdpOptions | None = None,
-    start: SdpSolution | None = None,
+    earlier: Sequence[Solved] = (),
 ) -> PointResult:
     """Evaluate one (family, property) pair at parameter p.
 
-    A tlf point's solve starts from ``start``, the witness of another point
-    of the same family (see `sdp.solve`); the other properties ignore it.
+    ``earlier`` holds tlf points of the same family already solved, as (p,
+    witness) in solve order; the other properties ignore it.  A tlf point
+    whose sign their certificates settle is not solved (`_settled`), and any
+    other starts its solve from the last one's witness (see `sdp.solve`).
     """
-    return evaluator(spec, prop)(spec, p, sdp_options, start)
+    return evaluator(spec, prop)(spec, p, sdp_options, earlier)
 
 
 def sample_curve(
@@ -291,10 +337,20 @@ def find_threshold(
     margin closes in four evaluations.  The midpoint is taken instead where a
     margin is missing (every tlf point) or has the wrong sign, and wherever
     the last two steps did not halve the bracket.  So a poor margin costs
-    evaluations, never the certificate.  Each tlf solve starts from the
-    previous point's witness and stops only on its certificate, as a cold
-    solve does, so any sign it certifies is the cold solve's;
-    ``newton_steps`` sums the solves' steps.
+    evaluations, never the certificate.
+
+    A tlf point is solved only where the search's earlier solves leave its
+    sign open (`_settled`): an earlier minimizer is feasible at every p, so
+    its value at p's cost bounds sigma(p) above, and sigma is concave in p,
+    so the chord between two earlier lower bounds that straddle p bounds it
+    below.  A bound past the cut on its side certifies the indicator that a
+    cold solve would certify, as the solves' own bounds do.  Each solve
+    starts from the previous solve's witness and stops only on its
+    certificate, as a cold solve does, so any sign it certifies is the cold
+    solve's.  ``solves`` counts the solved points and ``newton_steps`` sums
+    their steps.  A ``tol`` below `TOL_ULPS` float spacings at the bracket's
+    larger end raises ``ValueError``: the points could no longer shrink the
+    bracket.
     """
     tol = default_tolerance(prop) if tol is None else float(tol)
     if not (math.isfinite(tol) and tol > 0.0):
@@ -302,16 +358,17 @@ def find_threshold(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
+    resolution = TOL_ULPS * float(np.spacing(max(abs(lo), abs(hi))))
+    if tol < resolution:
+        raise ValueError(f"tol {tol:.3g} is below the float resolution {resolution:.3g} of the bracket")
     # the search only consumes the indicator, so the sign-decision stop applies
     sdp_options = bisection_options(sdp_options)
-    previous: SdpSolution | None = None  # the last point's solve, the next one's start
-    newton_steps = 0
+    solved: list[Solved] = []  # the tlf points solved so far, in order
 
     def point(p: float) -> PointResult:
-        nonlocal previous, newton_steps
-        result = evaluate_point(spec, prop, p, sdp_options, start=previous)
-        previous = result.witness
-        newton_steps += 0 if previous is None else previous.iterations
+        result = evaluate_point(spec, prop, p, sdp_options, solved)
+        if result.witness is not None:
+            solved.append((p, result.witness))
         return result
 
     low, high = point(lo), point(hi)
@@ -346,7 +403,8 @@ def find_threshold(
         bracket=(lo, hi),
         tolerance=tol,
         evaluations=evaluations,
-        newton_steps=newton_steps,
+        newton_steps=sum(witness.iterations for _, witness in solved),
+        solves=len(solved),
     )
 
 

@@ -451,6 +451,100 @@ def test_side_two_closed_form_keeps_the_hirsch_solves(monkeypatch):
         assert abs(sol.objective_lb - ref.objective_lb) <= 1e-15
 
 
+def _trail_iterates():
+    """Every interior-point state of the hirsch1 trail's solves, cold and warm from the previous point."""
+    states, previous = [], None
+    for p in HIRSCH_TRAIL:
+        problem = build_cost(hirsch_state(p), bisection_options())
+        cold, previous = solve(problem), solve(problem, previous)
+        states += [cold.iterates, previous.iterates]
+    return states
+
+
+def _eigh_factors(mats):
+    w, v = np.linalg.eigh(mats)
+    return (v / np.sqrt(w)[..., None, :]).swapaxes(-1, -2)
+
+
+def test_side_two_scaling_factors_whiten_and_invert():
+    # F Z F^T = I and F^T F = Z^-1 to the rounding that each block's condition
+    # number kappa allows, 4 eps kappa, which the eigh factors also meet; on
+    # the seeded stacks (kappa <= 1000) that is within 1e-12
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((256, 2, 2))
+    seeded = a @ a.swapaxes(-1, -2) + 0.1 * np.eye(2)
+    seeded *= np.exp(rng.uniform(-20.0, 20.0, 256))[:, None, None]
+    trail = np.concatenate([states.reshape(-1, 2, 2) for states in _trail_iterates()])
+    eps = np.finfo(float).eps
+    for name, mats in (("seeded", seeded), ("trail", trail)):
+        kappa, inverse = np.linalg.cond(mats), np.linalg.inv(mats)
+        for factors in (sdp._scaling(mats), _eigh_factors(mats)):
+            white = np.abs(factors @ mats @ factors.swapaxes(-1, -2) - np.eye(2)).max(axis=(-1, -2))
+            inv = np.abs(factors.swapaxes(-1, -2) @ factors - inverse).max(axis=(-1, -2))
+            inv /= np.abs(inverse).max(axis=(-1, -2))
+            assert np.all(white <= 4.0 * eps * kappa) and np.all(inv <= 4.0 * eps * kappa), name
+            if name == "seeded":
+                assert kappa.max() <= 1000.0 and white.max() <= 1e-12 and inv.max() <= 1e-12
+
+
+def test_side_two_scaling_keeps_the_step_lengths():
+    # along the trail's solves, the largest steps <= 1 that stay in the cones,
+    # read through either factor, agree within 1e-12; twice each state's move
+    # to the next one is a direction whose steps lie mostly below 1
+    below_one = 0
+    for states in _trail_iterates():
+        current, move = states[:-1], 2.0 * (states[1:] - states[:-1])
+        steps = []
+        for factors in (sdp._scaling(current), _eigh_factors(current)):
+            lowest = sdp._lowest(factors @ move @ factors.swapaxes(-1, -2))
+            steps.append(-1.0 / np.minimum(lowest, -1.0))
+        assert np.max(np.abs(steps[0] - steps[1])) <= 1e-12
+        below_one += np.count_nonzero(steps[0] < 1.0)
+    assert below_one > 1000
+
+
+def test_larger_blocks_keep_the_eigh_scaling(rng):
+    # a block of side 4 (the Bell form) is scaled by eigh, bit for bit as before
+    a = rng.standard_normal((4, 4, 4))
+    mats = a @ a.swapaxes(-1, -2) + np.eye(4)
+    assert np.array_equal(sdp._scaling(mats), _eigh_factors(mats))
+
+
+def test_parity_form_solves_call_no_eigh(monkeypatch):
+    # every smallest eigenvalue and every step's scaling of the trail's solves is in closed form
+    problems = [build_cost(hirsch_state(p), bisection_options()) for p in HIRSCH_TRAIL]
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("eigh called"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: pytest.fail("eigvalsh called"))
+    previous = None
+    for problem in problems:
+        assert solve(problem).status in CERTIFIED
+        previous = solve(problem, previous)
+        assert previous.status in CERTIFIED
+
+
+@pytest.mark.parametrize("block", ["negative-a", "negative-det", "singular", "nan"])
+def test_side_two_scaling_rejects_a_block_off_its_cone(block):
+    # one block that is not positive definite: no factors, and no square root of
+    # a negative number (a RuntimeWarning fails the suite)
+    bad = {
+        "negative-a": [[-1.0, 0.0], [0.0, 1.0]],
+        "negative-det": [[1.0, 2.0], [2.0, 1.0]],
+        "singular": [[1.0, 1.0], [1.0, 1.0]],
+        "nan": [[math.nan, 0.0], [0.0, 1.0]],
+    }[block]
+    mats = np.broadcast_to(np.eye(2), (8, 2, 2)).copy()
+    mats[5] = bad
+    assert sdp._scaling(mats) is None
+    # an interior-point run from a state with that block among its dual slacks
+    # ends infeasible_numerics at its first step
+    problem = build_cost(hirsch_state(0.17), bisection_options())
+    state = sdp._start(problem.layout, problem.costs)
+    state[2 * len(problem.layout.mult) + 5] = bad
+    bounds = sdp._Bounds(problem.layout, problem.costs, problem.options)
+    steps, status, _ = _interior_point(problem.layout, bounds, problem.options, state)
+    assert (steps, status) == (1, "infeasible_numerics")
+
+
 def test_problem_validation(rng):
     with pytest.raises(ValueError, match="Hermitian"):
         SdpProblem.from_cost(np.eye(4, k=1), dims=(2, 2), t1_split=1)

@@ -215,6 +215,13 @@ def test_family_spec_validation():
         with pytest.raises(ValueError, match="hirsch2 only"):
             FamilySpec(family, q=0.5)
     FamilySpec("hirsch2", q=0.5)
+    # d is an integer: a float, even a whole one, or a bool is rejected at construction
+    for d in (2.5, 3.0, True, np.bool_(True), "3"):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            FamilySpec("werner", d=d)
+    with pytest.raises(ValueError, match="d must be an integer"):
+        FamilySpec("wi", d=2.0)
+    assert FamilySpec("werner", d=np.int64(3)).state(0.5).dims == (3, 3)
 
 
 def test_twirl_projectors_match_their_definitions():

@@ -162,7 +162,7 @@ def test_uncertified_activation_point_is_missing(monkeypatch, status):
     # a solve that certifies nothing (sigma_min's activated None) is a missing
     # point, not a certified "not activated"
     stalled = ActivationResult(sigma=math.inf, witness=SimpleNamespace(status=status, objective_lb=-math.inf, objective=math.inf), activated=None)
-    monkeypatch.setattr(sweep, "sigma_min", lambda tau, options=None, start=None: stalled)
+    monkeypatch.setattr(sweep, "sigma_min", lambda problem, options=None, start=None: stalled)
     result = evaluate_point(WI, "tlf", 0.7)
     assert result.error is not None and result.indicator is None
     assert sorted(sample_curve(WI, "tlf", [0.6, 0.7]).failures) == [0, 1]
@@ -171,9 +171,16 @@ def test_uncertified_activation_point_is_missing(monkeypatch, status):
 @pytest.mark.parametrize("bisect", [False, True])
 def test_tlf_point_passes_budget_through(monkeypatch, bisect):
     # --sdp-max-iters N means N for every solve, bisection points included
+    # the point builds its problem under those options and hands it to sigma_min
     seen = []
     done = ActivationResult(sigma=0.0, witness=SimpleNamespace(status="converged"), activated=False)
-    monkeypatch.setattr(sweep, "sigma_min", lambda tau, options=None, start=None: seen.append(options) or done)
+
+    def fake(problem, options=None, start=None):
+        assert options is None
+        seen.append(problem.options)
+        return done
+
+    monkeypatch.setattr(sweep, "sigma_min", fake)
     budget = SdpOptions(max_iters=123)
     evaluate_point(WI, "tlf", 0.7, bisection_options(budget) if bisect else budget)
     assert [options.max_iters for options in seen] == [123]
@@ -397,12 +404,13 @@ def test_missing_point_whose_bounds_straddle_the_cut_names_them():
 
 
 def test_hirsch1_tlf_entry_is_one_bisection_of_the_range(monkeypatch):
-    # no prescan: find_threshold bisects [0, 1] to SDP_TOL, 2 ends and 10 midpoints
+    # no prescan: find_threshold bisects [0, 1] to SDP_TOL, 2 ends and 10 midpoints,
+    # each one evaluation, solved or settled by the earlier solves
     points = []
 
-    def counted(spec, prop, p, sdp_options=None, start=None):
+    def counted(spec, prop, p, sdp_options=None, earlier=()):
         points.append(p)
-        return evaluate_point(spec, prop, p, sdp_options, start)
+        return evaluate_point(spec, prop, p, sdp_options, earlier)
 
     monkeypatch.setattr(sweep, "prescan_bracket", lambda *args, **kwargs: pytest.fail("prescan called"))
     monkeypatch.setattr(sweep, "evaluate_point", counted)
@@ -428,17 +436,20 @@ def test_warm_started_tlf_search_reports_the_cold_search(family, q, bracket):
     assert (report.threshold, report.bracket, report.evaluations) == _TLF_SEARCHES[family, q, bracket]
 
 
-# Newton steps of the hirsch1 searches with each solve started from the previous
-# point's witness: 38 and 50 (cold, 95 and 107).  Tighten these budgets, never loosen them.
-# The ids keep the first budgets, 60 and 75, so the cases keep their names as they tighten
+# Newton steps and solves of the hirsch1 searches, where each solve starts from the
+# previous one's witness and a point that the earlier solves settle is not solved:
+# 33 steps in 7 solves and 43 in 9, of 9 and 12 evaluations (every point solved,
+# 38 and 50; every point solved cold, 95 and 107).  Tighten these budgets, never
+# loosen them.  The ids keep the first budgets, 60 and 75, so the cases keep their
+# names as they tighten
 @pytest.mark.parametrize(
-    "bracket,budget",
+    "bracket,budget,solve_budget",
     [
-        pytest.param((0.12, 0.22), 46, id="(0.12, 0.22)-60"),
-        pytest.param((0.0, 1.0), 61, id="(0.0, 1.0)-75"),
+        pytest.param((0.12, 0.22), 33, 7, id="(0.12, 0.22)-60"),
+        pytest.param((0.0, 1.0), 43, 9, id="(0.0, 1.0)-75"),
     ],
 )
-def test_hirsch1_tlf_search_newton_step_budget(monkeypatch, bracket, budget):
+def test_hirsch1_tlf_search_newton_step_budget(monkeypatch, bracket, budget, solve_budget):
     solves = []
 
     def counted_solve(problem, start=None):
@@ -447,7 +458,7 @@ def test_hirsch1_tlf_search_newton_step_budget(monkeypatch, bracket, budget):
 
     monkeypatch.setattr(activation, "solve", counted_solve)
     report = find_threshold(HIRSCH1, "tlf", bracket)
-    assert len(solves) == report.evaluations
+    assert len(solves) == report.solves <= solve_budget
     assert report.newton_steps == sum(solution.iterations for solution in solves) <= budget
 
 
@@ -465,8 +476,78 @@ def test_twirled_search_sums_the_simplex_pivots(monkeypatch):
 
     monkeypatch.setattr(activation, "solve", counted_solve)
     report = find_threshold(WI, "tlf", (0.5, 0.9))
-    assert len(solves) == report.evaluations
-    assert 0 < report.newton_steps == sum(solution.iterations for solution in solves)
+    # 12 pivots in 4 solves of 11 evaluations (33 pivots with every point solved)
+    assert len(solves) == report.solves <= 4 and report.evaluations == 11
+    assert 0 < report.newton_steps == sum(solution.iterations for solution in solves) <= 12
+
+
+def _settled_points(spec, bracket):
+    """The (p, indicator) of every point of a tlf search that its earlier solves settle."""
+    settled = []
+
+    def recorded(*args):
+        result = evaluate_point(*args)
+        if result.witness is None:
+            settled.append((args[2], result.indicator))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "evaluate_point", recorded)
+        report = find_threshold(spec, "tlf", bracket)
+    assert len(settled) == report.evaluations - report.solves
+    return settled
+
+
+_SETTLED_SEARCHES = [(FamilySpec(family, q=q), bracket) for family, q, bracket in _TLF_SEARCHES] + [(WI, (0.5, 0.9))]
+
+
+@pytest.mark.parametrize("spec,bracket", _SETTLED_SEARCHES, ids=str)
+def test_settled_points_have_the_cold_solves_indicator(spec, bracket):
+    # a point that a pinned search decides from its earlier solves' certificates,
+    # with no solve of its own, is decided alike by a cold solve
+    settled = _settled_points(spec, bracket)
+    assert settled
+    for p, indicator in settled:
+        assert sigma_min(spec.state(p), bisection_options()).activated is indicator, p
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [WI, FamilySpec("werner", 3), FamilySpec("isotropic", 3), HIRSCH1]
+    + [FamilySpec("hirsch2", q=q) for q in (0.0, 0.6, 0.9)],
+    ids=str,
+)
+def test_activation_costs_are_affine_in_p(spec):
+    # the premise of the chord bound: sigma is the minimum of costs affine in p
+    # over one feasible set, so it is concave in p
+    for a, b in [(0.0, 1.0), (0.12, 0.22), (0.3, 0.9), (0.17, 0.1746875)]:
+        ends = [build_cost(spec.state(p)).costs for p in (a, b)]
+        middle = build_cost(spec.state(0.5 * (a + b))).costs
+        assert np.max(np.abs(middle - 0.5 * (ends[0] + ends[1]))) <= 1e-15, (a, b)
+
+
+def test_earlier_points_must_share_the_layout():
+    # the certificates of another layout's solves bound nothing here
+    other = sigma_min(FamilySpec("werner", 3).state(0.5)).witness
+    with pytest.raises(ValueError, match="another layout"):
+        evaluate_point(FamilySpec("isotropic", 3), "tlf", 0.5, None, [(0.5, other)])
+
+
+@pytest.mark.parametrize("tol", [1e-18, 1e-16])
+def test_find_threshold_rejects_a_tol_below_the_float_resolution(monkeypatch, tol):
+    # once the ends are adjacent doubles, no point lies between them and the
+    # bracket stops shrinking: such a tol is rejected before any evaluation
+    monkeypatch.setattr(sweep, "evaluate_point", lambda *args, **kwargs: pytest.fail("point evaluated"))
+    with pytest.raises(ValueError, match="below the float resolution"):
+        find_threshold(WI, "chsh", (0.5, 0.9), tol=tol)
+
+
+def test_find_threshold_closes_at_the_least_tol():
+    tol = sweep.TOL_ULPS * float(np.spacing(0.9))
+    report = find_threshold(WI, "chsh", (0.5, 0.9), tol=tol)
+    lo, hi = report.bracket
+    assert 0.0 < hi - lo <= tol
+    assert abs(report.threshold - 1 / _SQRT2) <= 1e-14
 
 
 def test_exact_tlf_entry_ignores_a_loose_tolerance():
@@ -650,8 +731,8 @@ def test_find_threshold_certifies_whatever_the_margins(monkeypatch, scramble):
         "missing": lambda m: None,
     }[scramble]
 
-    def scrambled(spec, prop, p, sdp_options=None, start=None):
-        result = evaluate_point(spec, prop, p, sdp_options, start)
+    def scrambled(spec, prop, p, sdp_options=None, earlier=()):
+        result = evaluate_point(spec, prop, p, sdp_options, earlier)
         return dataclasses.replace(result, margin=margins(result.margin))
 
     monkeypatch.setattr(sweep, "evaluate_point", scrambled)
