@@ -76,6 +76,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     pmin, pmax, steps, q = (
         default if getattr(args, name) is None else getattr(args, name) for name, default in _LINE_FLAGS.items()
     )
+    # an infinite end would reach np.linspace, whose inf * 0 warns
+    if not np.isfinite([pmin, pmax]).all():
+        raise ValueError(f"--pmin and --pmax must be finite, got {pmin} and {pmax}")
     if not pmin < pmax:
         raise ValueError("--pmin must be below --pmax")
     if steps < 2:

@@ -910,6 +910,18 @@ def _interior_point(
     return opts.max_iters, "max_iters", np.stack(iterates)
 
 
+def _start_basis(layout: SdpLayout, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The simplex's start basis, x-row b and every s-row of `SdpLayout.lp_rows`, and its inverse.
+
+    The basis is [[m_b, pt_map[:, b]^T], [0, -I]], whose inverse is
+    [[1/m_b, pt_map[:, b]^T / m_b], [0, -I]].
+    """
+    nb = len(layout.mult)
+    inverse = -np.eye(nb + 1)
+    inverse[0, 0], inverse[0, 1:] = 1.0 / layout.mult[b], layout.pt_map[:, b] / layout.mult[b]
+    return np.array([b, *range(nb, 2 * nb)]), inverse
+
+
 def _simplex(layout: SdpLayout, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str, np.ndarray]:
     """Active-set simplex on the dual of a problem in blocks of side 1.
 
@@ -917,9 +929,10 @@ def _simplex(layout: SdpLayout, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
     x_b over x >= 0, pt_map x >= 0 and mult . x = 1, whose dual is max y
     over u = (y, s) with the x-rows y m_b + (pt_map^T s)_b <= m_b c_b and
     the s-rows -s_c <= 0.  The dual is feasible at s = 0, y = min_b c_b, so
-    the loop starts at that vertex (its x-row and every s-row active) with
-    no phase 1.  The multipliers of the active rows are the primal x on
-    the x-rows and pt_map x on the s-rows.  Each pivot lets the smallest
+    the loop starts at that vertex (its x-row b and every s-row active) with
+    no phase 1, and with that basis's inverse in closed form
+    (`_start_basis`).  The multipliers of the active rows are the primal x
+    on the x-rows and pt_map x on the s-rows.  Each pivot lets the smallest
     row whose multiplier lies below -`VERTEX_TOL` leave (Bland, Math. Oper.
     Res. 2, 103 (1977)) and the first row that the step reaches enter, the
     smallest on a tie, and updates the basis inverse and the slacks by rank
@@ -934,8 +947,7 @@ def _simplex(layout: SdpLayout, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
     rows, primal = layout.lp_rows
     costs = bounds.costs.ravel()
     rhs = np.concatenate([mult * costs, np.zeros(nb)])
-    active = np.array([costs.argmin(), *range(nb, 2 * nb)])
-    inverse = np.linalg.inv(rows[active])
+    active, inverse = _start_basis(layout, costs.argmin())
     slack = rhs - rows @ (inverse @ rhs[active])
     for pivots in range(opts.max_iters + 1):
         # the smallest active row whose multiplier is negative, if any (2 nb stands for none)

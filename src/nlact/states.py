@@ -11,11 +11,11 @@ declare their Z x Z symmetry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import DensityMatrix, kron
+from .linalg import PSD_TOL, TRACE_TOL, DensityMatrix, kron
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -41,6 +41,7 @@ __all__ = [
     "magic_basis",
     "projector",
     "twirl_projectors",
+    "twirl_ranks",
     "wi_state",
     "werner_state",
     "werner_coeffs",
@@ -112,20 +113,49 @@ def twirl_projectors(algebra: str, d: int) -> np.ndarray:
     return projectors
 
 
+def twirl_ranks(algebra: str, d: int) -> tuple[int, int]:
+    """The ranks Tr P_b of `twirl_projectors`: d(d+1)/2 and d(d-1)/2 (Werner), d^2 - 1 and 1 (isotropic)."""
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    if algebra == "werner":
+        return d * (d + 1) // 2, d * (d - 1) // 2
+    if algebra == "isotropic":
+        return d * d - 1, 1
+    raise ValueError(f"unknown twirl algebra {algebra!r}")
+
+
 @dataclass(eq=False, init=False)
 class TwirledState(DensityMatrix):
     """The twirl-invariant state whose ``mat`` is sum_b coeffs[b] twirl_projectors(algebra, d)[b].
 
     Werner, isotropic and wi states carry this exact decomposition (Vollbrecht
-    & Werner, PRA 64, 062307, 2001); it holds no matrix but ``mat``.
+    & Werner, PRA 64, 062307, 2001), so the state is checked at construction
+    from its coefficients alone: the projectors are orthogonal, so its
+    spectrum is the coefficients with multiplicities `twirl_ranks`, and the
+    checks of `DensityMatrix` read finiteness, trace and smallest eigenvalue
+    off them.  It holds no matrix until ``mat`` is first read, which builds
+    the matrix once through `DensityMatrix`'s own dense checks.
     """
 
     algebra: str
     coeffs: tuple[float, float]
 
     def __init__(self, algebra: str, d: int, coeffs: tuple[float, float]) -> None:
-        self.algebra, self.coeffs = algebra, coeffs
-        super().__init__(np.einsum("b,bij->ij", coeffs, twirl_projectors(algebra, d)), (d, d))
+        ranks = twirl_ranks(algebra, d)
+        self.algebra, self.coeffs, self.dims = algebra, coeffs, (int(d), int(d))
+        # the messages of DensityMatrix's checks, in their order
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("density matrix is not Hermitian within 1e-12")
+        tr = ranks[0] * coeffs[0] + ranks[1] * coeffs[1]
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"trace {tr} is not 1 within 1e-12")
+        if min(coeffs) < -PSD_TOL:
+            raise ValueError(f"smallest eigenvalue {min(coeffs)} below -1e-10")
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        projectors = twirl_projectors(self.algebra, self.dims[0])
+        return DensityMatrix(np.einsum("b,bij->ij", self.coeffs, projectors), self.dims).mat
 
 
 class ParityState(DensityMatrix):

@@ -244,6 +244,17 @@ def test_sweep_rejects_grid_outside_family_range(capsys, args):
     assert "range" in err
 
 
+@pytest.mark.parametrize(
+    "bound", [("--pmax", "inf"), ("--pmin=-inf",), ("--pmin", "nan")], ids=["pmax-inf", "pmin-minus-inf", "pmin-nan"]
+)
+def test_sweep_rejects_non_finite_bound(capsys, bound):
+    # a usage error before the grid is built, also under the suite's RuntimeWarning-as-error policy
+    code, out, err = run_cli(capsys, "sweep", "--family", "wi", "--property", "eof", "--steps", "3", *bound)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
 def test_io_error_exit_code(tmp_path, capsys):
     missing_dir = tmp_path / "nope" / "deeper" / "out.csv"
     code, _, err = run_cli(

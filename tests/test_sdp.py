@@ -17,6 +17,7 @@ from nlact.states import (
     projector,
     psi_minus,
     twirl_projectors,
+    twirl_ranks,
     werner_p_range,
     werner_state,
     wi_state,
@@ -179,6 +180,19 @@ def test_vertex_solve_matches_interior_point(algebra, d):
         assert vertex.status == "converged" and vertex.iterations <= FAMILY_PIVOTS, t
         assert oracle.objective_lb - 1e-12 <= vertex.objective <= oracle.objective + 1e-12, t
         assert _indicator(vertex) == _indicator(oracle) is not None, t
+
+
+@pytest.mark.parametrize("algebra", ["werner", "isotropic"])
+def test_simplex_start_inverse_is_the_basis_inverse(algebra):
+    # the closed-form inverse of each start basis, x-row b and every s-row
+    for d in range(2, 9):
+        layout = activation._layout(algebra, (d, 2, d, 2))
+        # each twirl block pairs with the four Bell blocks of multiplicity 1
+        assert np.array_equal(layout.mult, np.repeat(twirl_ranks(algebra, d), 4))
+        rows, _ = layout.lp_rows
+        for b in range(len(layout.mult)):
+            active, inverse = sdp._start_basis(layout, b)
+            assert np.max(np.abs(inverse - np.linalg.inv(rows[active]))) <= 1e-15, (d, b)
 
 
 def _witness_weights(theta):

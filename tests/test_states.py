@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nlact import states, sweep
 from nlact.linalg import DensityMatrix, kron, min_eig, partial_trace, partial_transpose
 from nlact.rand import haar_unitary
 from nlact.states import (
@@ -16,6 +17,7 @@ from nlact.states import (
     projector,
     psi_minus,
     twirl_projectors,
+    twirl_ranks,
     werner_p_range,
     werner_state,
     wi_state,
@@ -258,3 +260,72 @@ def test_twirled_states_declare_their_decomposition():
     assert wi_state(0.3).coeffs == werner_state(2, 0.3).coeffs
     with pytest.raises(ValueError, match="d must be"):
         isotropic_state(1, 0.5)
+
+
+def test_twirl_ranks_are_the_projector_traces():
+    for d in range(2, 9):
+        for algebra in ("werner", "isotropic"):
+            traces = np.trace(twirl_projectors(algebra, d), axis1=1, axis2=2)
+            assert np.max(np.abs(traces - twirl_ranks(algebra, d))) <= 1e-12
+    with pytest.raises(ValueError, match="algebra"):
+        twirl_ranks("pauli", 2)
+    with pytest.raises(ValueError, match="d must be"):
+        twirl_ranks("werner", 1)
+
+
+def _rejection(build):
+    """The first word of the ValueError that ``build()`` raises ("density", "trace", "smallest"), else None."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc).split()[0]
+    return None
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("algebra", ["werner", "isotropic"])
+def test_twirled_state_checks_its_coefficients_as_the_dense_checks(algebra, d):
+    # pairs whose trace lies just inside and just outside TRACE_TOL = 1e-12 of 1,
+    # with one coefficient just inside and just outside PSD_TOL = 1e-10 below 0,
+    # and non-finite ones: the closed-form checks accept exactly the pairs that
+    # DensityMatrix's dense checks accept, and reject the others for the same reason
+    ranks, projectors = twirl_ranks(algebra, d), twirl_projectors(algebra, d)
+    pairs = []
+    for trace in (1.0, 1.0 - 2e-12, 1.0 - 5e-13, 1.0 + 5e-13, 1.0 + 2e-12):
+        for low in (-2e-10, -5e-11, 0.0, 1e-3 / ranks[0]):
+            pairs.append((low, (trace - ranks[0] * low) / ranks[1]))
+            pairs.append(((trace - ranks[1] * low) / ranks[0], low))
+    for bad in (np.nan, np.inf, -np.inf):
+        pairs += [(bad, 0.5 / ranks[1]), (0.5 / ranks[0], bad)]
+    reasons = set()
+    for coeffs in pairs:
+        dense = _rejection(lambda: DensityMatrix(np.einsum("b,bij->ij", coeffs, projectors), (d, d)))
+        assert _rejection(lambda: TwirledState(algebra, d, coeffs)) == dense, coeffs
+        reasons.add(dense)
+    assert reasons == {None, "density", "trace", "smallest"}
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("algebra", ["werner", "isotropic"])
+def test_twirled_state_matrix_is_built_once_through_the_dense_checks(monkeypatch, algebra, d):
+    checks = []
+    dense_check = DensityMatrix.__post_init__
+    monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: checks.append(1) or dense_check(self))
+    spec = FamilySpec(algebra, d)
+    state = spec.state(0.5 * spec.p_range()[1])
+    assert checks == [] and "mat" not in vars(state)
+    mat = state.mat
+    assert state.mat is mat and checks == [1]
+    assert np.array_equal(mat, np.einsum("b,bij->ij", state.coeffs, twirl_projectors(algebra, d)))
+
+
+@pytest.mark.parametrize("family", ["werner", "isotropic"])
+def test_twirled_tlf_point_builds_no_matrix(monkeypatch, family):
+    # a tlf point reads the coefficients only, so its cost does not grow with d
+    built, solved = [], []
+    monkeypatch.setattr(states, "twirl_projectors", lambda *args: built.append(args) or twirl_projectors(*args))
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: solved.append(1) or eigvalsh(*args))
+    point = sweep.evaluate_point(FamilySpec(family, 8), "tlf", 0.9)
+    assert point.error is None and point.indicator is True
+    assert built == [] and solved == []
