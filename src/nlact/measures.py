@@ -156,12 +156,17 @@ def chsh_margin(excess: float) -> float:
     return 2.0 * excess / (math.sqrt(max(0.0, 1.0 + excess)) + 1.0)
 
 
+def chsh_value_from_excess(excess: float) -> float:
+    """`chsh_value` from excess = M - 1, for a caller that already holds M."""
+    return _entropy_form(math.sqrt(max(0.0, excess)))
+
+
 def chsh_value(rho: DensityMatrix) -> float:
     """Entropy-scaled CHSH violation h((1 + sqrt(1 - B^2))/2), B = sqrt(max{0, M-1}).
 
     Zero exactly when the state does not violate CHSH; 1 for the singlet.
     """
-    return _entropy_form(math.sqrt(max(0.0, chsh_M(rho) - 1.0)))
+    return chsh_value_from_excess(chsh_M(rho) - 1.0)
 
 
 def hidden_nonlocality(rho: DensityMatrix) -> HiddenNonlocality:

@@ -30,7 +30,12 @@ entry, `solve`, which picks the loop from the cost's field and the blocks:
   every cost, so it needs no phase 1 and no stored basis, and offers the
   certificate the optimal vertex and its dual once (`_simplex`).  The
   tests use the matrix interior-point loop on the same blocks as its
-  reference.
+  reference.  Its Bland loop (`_pivot`) takes its rows and start basis as
+  arguments, and `onset` runs it once more on the LP whose optimum is the
+  largest t with sigma >= 0 along a segment of costs, from the basis that
+  a solve at the segment's start ends in (`SdpSolution.basis`); that LP
+  certifies sigma >= 0 at t* by its S2 and sigma < 0 beyond t* by its
+  primal vertex.
 
 Every `SdpProblem` is stacked blocks with multiplicities on an `SdpLayout`,
 and so are the iterates.  A plain problem is one dense block of side n with
@@ -172,11 +177,13 @@ PARITY_PROJECTORS.flags.writeable = False
 __all__ = [
     "PARITY_PROJECTORS",
     "VERTEX_TOL",
+    "Onset",
     "SdpLayout",
     "SdpOptions",
     "SdpProblem",
     "SdpSolution",
     "check_side",
+    "onset",
     "solve",
 ]
 
@@ -448,6 +455,9 @@ class SdpSolution:
     # (index into the start's iterates, shift t of its dual slack) of a warm
     # interior-point solve (`_warm_start`); None for a cold one
     warm_start: tuple[int, float] | None = None
+    # the simplex's last basis, its active rows of `SdpLayout.lp_rows`, from
+    # which `onset` starts; None for the other loops
+    basis: np.ndarray | None = None
 
     @cached_property
     def minimizer(self) -> DensityMatrix:
@@ -665,7 +675,7 @@ def solve(problem: SdpProblem, start: SdpSolution | None = None) -> SdpSolution:
 def _solve(problem: SdpProblem, loop: Callable[[SdpLayout, _Bounds, SdpOptions], tuple]) -> SdpSolution:
     layout = problem.layout
     bounds = _Bounds(layout, problem.costs, problem.options)
-    iterations, status, iterates = loop(layout, bounds, problem.options)
+    iterations, status, iterates, basis = loop(layout, bounds, problem.options)
 
     # the invariants of a DensityMatrix, on the blocks: the dense minimizer's
     # spectrum and trace are the blocks' ones with multiplicities, and the
@@ -694,11 +704,12 @@ def _solve(problem: SdpProblem, loop: Callable[[SdpLayout, _Bounds, SdpOptions],
         blocks=x,
         problem=problem,
         iterates=iterates,
+        basis=basis,
     )
 
 
-def _splitting(layout: SdpLayout, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str, None]:
-    """Consensus ADMM; returns (iterations, status, None)."""
+def _splitting(layout: SdpLayout, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str, None, None]:
+    """Consensus ADMM; returns (iterations, status, None, None)."""
     nb, s, _ = layout.shape
     mult = np.repeat(layout.mult, s)  # eigenvalue multiplicities, block by block
     root_mult = np.sqrt(layout.mult)[:, None, None]
@@ -724,13 +735,13 @@ def _splitting(layout: SdpLayout, bounds: _Bounds, opts: SdpOptions) -> tuple[in
         r_prim = norm(x - y)
 
         if not math.isfinite(r_prim) or not math.isfinite(r_dual):
-            return it, "infeasible_numerics", None
+            return it, "infeasible_numerics", None, None
 
         if it % CHECK_EVERY == 0:
             # dual certificate: S2 = rho * (negative part of PT(x+u)) is PSD exactly
             stop = bounds.update(x, layout.pt(x), layout.pt_adj(_compose(v, np.maximum(-w, 0.0)) * rho))
             if stop is not None:
-                return it, stop, None
+                return it, stop, None, None
 
         if it % ADAPT_EVERY == 0:
             if r_prim > 10.0 * r_dual:
@@ -739,7 +750,7 @@ def _splitting(layout: SdpLayout, bounds: _Bounds, opts: SdpOptions) -> tuple[in
             elif r_dual > 10.0 * r_prim:
                 rho /= 2.0
                 u *= 2.0
-    return opts.max_iters, "max_iters", None
+    return opts.max_iters, "max_iters", None, None
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -825,7 +836,7 @@ def _interior_point(
     of its certificate -- PT, PT*, traces, mu, the Schur border, the
     right-hand side and the dual step -- is one product with the layout's
     `_Operators`, derived once per layout.  Returns (Newton steps, status,
-    iterates): the certificate's stop, ``max_iters``, or
+    iterates, None): the certificate's stop, ``max_iters``, or
     ``infeasible_numerics`` once an iterate leaves its cone or
     `STALL_STEPS` steps bring no tighter gap, and the states from the start
     onward.
@@ -896,18 +907,18 @@ def _interior_point(
         except np.linalg.LinAlgError:
             point = None
         if point is None:
-            return it, "infeasible_numerics", np.stack(iterates)
+            return it, "infeasible_numerics", np.stack(iterates), None
         iterates.append(state)
         stop = bounds.update(*point)
         if stop is not None:
-            return it, stop, np.stack(iterates)
+            return it, stop, np.stack(iterates), None
         if bounds.ub - bounds.lb < best_gap:
             best_gap, since_best = bounds.ub - bounds.lb, 0
         else:
             since_best += 1
             if since_best >= STALL_STEPS:
-                return it, "infeasible_numerics", np.stack(iterates)
-    return opts.max_iters, "max_iters", np.stack(iterates)
+                return it, "infeasible_numerics", np.stack(iterates), None
+    return opts.max_iters, "max_iters", np.stack(iterates), None
 
 
 def _start_basis(layout: SdpLayout, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -922,7 +933,54 @@ def _start_basis(layout: SdpLayout, b: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array([b, *range(nb, 2 * nb)]), inverse
 
 
-def _simplex(layout: SdpLayout, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str, np.ndarray]:
+def _pivot(rows: np.ndarray, rhs: np.ndarray, active: np.ndarray, inverse: np.ndarray, max_iters: int) -> tuple[int, str]:
+    """Bland's loop: max u[0] over rows @ u <= rhs, from the feasible vertex of the basis ``active``.
+
+    ``inverse`` is the inverse of rows[active], and its first row holds the
+    multipliers of the active rows.  Each pivot lets the smallest active row
+    whose multiplier lies below -`VERTEX_TOL` leave (Bland, Math. Oper. Res.
+    2, 103 (1977)) and the first row that the step reaches enter, the
+    smallest on a tie, and updates the basis inverse and the slacks by rank
+    one; ``active`` and ``inverse`` are updated in place.  Returns (pivots,
+    end): ``optimal`` once no multiplier is negative, ``max_iters`` at the
+    cap, or ``unbounded`` where the step reaches no row.
+    """
+    slack, pivots = rhs - rows @ (inverse @ rhs[active]), 0
+    while True:
+        # the smallest active row whose multiplier is negative, if any (len(rows) stands for none)
+        leaving = np.where(inverse[0] < -VERTEX_TOL, active, len(rows)).argmin()
+        if inverse[0, leaving] >= -VERTEX_TOL:
+            return pivots, "optimal"
+        if pivots == max_iters:
+            return pivots, "max_iters"
+        step = -inverse[:, leaving]
+        reach = rows @ step
+        ratios = np.where(reach > VERTEX_TOL, np.maximum(slack, 0.0), np.inf) / np.maximum(reach, VERTEX_TOL)
+        entering = ratios.argmin()
+        if ratios[entering] == np.inf:
+            return pivots, "unbounded"
+        slack -= ratios[entering] * reach
+        # the inverse with row `entering` in place of `leaving` (Sherman-Morrison)
+        shift = rows[entering] @ inverse / reach[entering]
+        shift[leaving] -= 1.0 / reach[entering]
+        inverse -= np.outer(step, shift)
+        active[leaving] = entering
+        pivots += 1
+
+
+def _vertex(layout: SdpLayout, active: np.ndarray) -> np.ndarray:
+    """The primal vertex of a dual basis at trace one: zero on the rows of (I; pt_map) outside the basis.
+
+    Rows past the 2 nb of `SdpLayout.lp_rows` (those of `onset`) are skipped.
+    """
+    nb = len(layout.mult)
+    _, primal = layout.lp_rows
+    vanishing = np.ones(2 * nb + 1, dtype=bool)
+    vanishing[active[active < 2 * nb]] = False
+    return np.linalg.solve(primal[vanishing], np.eye(nb)[-1])
+
+
+def _simplex(layout: SdpLayout, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str, np.ndarray, np.ndarray]:
     """Active-set simplex on the dual of a problem in blocks of side 1.
 
     With scalar costs c the problem is the linear program min sum_b m_b c_b
@@ -931,46 +989,93 @@ def _simplex(layout: SdpLayout, bounds: _Bounds, opts: SdpOptions) -> tuple[int,
     the s-rows -s_c <= 0.  The dual is feasible at s = 0, y = min_b c_b, so
     the loop starts at that vertex (its x-row b and every s-row active) with
     no phase 1, and with that basis's inverse in closed form
-    (`_start_basis`).  The multipliers of the active rows are the primal x
-    on the x-rows and pt_map x on the s-rows.  Each pivot lets the smallest
-    row whose multiplier lies below -`VERTEX_TOL` leave (Bland, Math. Oper.
-    Res. 2, 103 (1977)) and the first row that the step reaches enter, the
-    smallest on a tie, and updates the basis inverse and the slacks by rank
-    one.  Once no multiplier is negative the primal vertex is feasible and
-    optimal.  The certificate then takes that vertex, solved afresh from
-    its nb - 1 vanishing rows of (I; pt_map) and the trace row, and
-    S2 = s / pt_mult, once.  Returns (pivots, status, vertex): the
-    certificate's stop, else ``max_iters`` at the cap or
-    ``infeasible_numerics``, and the vertex before the certificate mixes it.
+    (`_start_basis`), and pivots by Bland's rule (`_pivot`).  The
+    multipliers of the active rows are the primal x on the x-rows and
+    pt_map x on the s-rows, so once none is negative the primal vertex is
+    feasible and optimal.  The certificate then takes that vertex, solved
+    afresh from its nb - 1 vanishing rows of (I; pt_map) and the trace row
+    (`_vertex`), and S2 = s / pt_mult, once.  Returns (pivots, status,
+    vertex, basis): the certificate's stop, else ``max_iters`` at the cap
+    or ``infeasible_numerics``, the vertex before the certificate mixes it,
+    and the last basis.
     """
     nb, mult = len(layout.mult), layout.mult
-    rows, primal = layout.lp_rows
+    rows, _ = layout.lp_rows
     costs = bounds.costs.ravel()
     rhs = np.concatenate([mult * costs, np.zeros(nb)])
     active, inverse = _start_basis(layout, costs.argmin())
-    slack = rhs - rows @ (inverse @ rhs[active])
-    for pivots in range(opts.max_iters + 1):
-        # the smallest active row whose multiplier is negative, if any (2 nb stands for none)
-        leaving = np.where(inverse[0] < -VERTEX_TOL, active, 2 * nb).argmin()
-        if inverse[0, leaving] >= -VERTEX_TOL or pivots == opts.max_iters:
-            break
-        step = -inverse[:, leaving]
-        reach = rows @ step
-        ratios = np.where(reach > VERTEX_TOL, np.maximum(slack, 0.0), np.inf) / np.maximum(reach, VERTEX_TOL)
-        entering = ratios.argmin()
-        slack -= ratios[entering] * reach
-        # the inverse with row `entering` in place of `leaving` (Sherman-Morrison)
-        shift = rows[entering] @ inverse / reach[entering]
-        shift[leaving] -= 1.0 / reach[entering]
-        inverse -= np.outer(step, shift)
-        active[leaving] = entering
-    u, optimal = inverse @ rhs[active], inverse[0, leaving] >= -VERTEX_TOL
-    vanishing = np.ones(2 * nb + 1, dtype=bool)
-    vanishing[active] = False
-    vertex = np.linalg.solve(primal[vanishing], np.eye(nb)[-1])
+    pivots, end = _pivot(rows, rhs, active, inverse, opts.max_iters)
+    u, vertex = inverse @ rhs[active], _vertex(layout, active)
     x = np.maximum(vertex, 0.0)
     x /= mult @ x
     # PT and PT* of scalar blocks are pt_map and its adjoint
     s2 = np.maximum(u[1:], 0.0) / layout.pt_mult
     stop = bounds.update(x[:, None, None], (layout.pt_map @ x)[:, None, None], (layout.adjoint @ s2)[:, None, None])
-    return pivots, stop or ("infeasible_numerics" if optimal else "max_iters"), vertex[None, :, None, None]
+    return pivots, stop or ("max_iters" if end == "max_iters" else "infeasible_numerics"), vertex[None, :, None, None], active
+
+
+@dataclass
+class Onset:
+    """The largest t with sigma >= 0 on the costs C(t) = C(0) - t A, and its two certificates (`onset`).
+
+    ``s2`` (a W-side stack, PSD) has C(t) - PT*(s2) >= 0, so sigma >= 0 at
+    t; ``x`` (an X-side stack, PSD, PPT and of trace one) has <C(t'), x> < 0
+    for every t' > t, so sigma < 0 there.  ``x`` is None unless the LP ended
+    ``optimal``.
+    """
+
+    t: float
+    pivots: int
+    status: str  # optimal | max_iters | unbounded (`_pivot`)
+    x: np.ndarray | None
+    s2: np.ndarray
+
+
+def onset(low: SdpSolution, high: SdpProblem) -> Onset:
+    """The onset of sigma on the segment of costs from ``low``'s problem (t = 0) to ``high``'s (t = 1), by one LP.
+
+    For scalar blocks sigma(t) >= 0 exactly where some s >= 0 has
+    m_b c_b(t) - (pt_map^T s)_b >= 0 for every b, and c(t) = c(0) - t a
+    with a = c(0) - c(1) is affine in t, so the largest such t is the linear
+    program max t over (t, y, s) >= 0 with the x-rows
+    t m_b a_b + y m_b + (pt_map^T s)_b <= m_b c_b(0) (Charnes & Cooper,
+    Naval Res. Logist. Q. 9, 181 (1962)).  It starts from ``low``'s basis
+    (a simplex solve on the same layout) plus the row t >= 0: that vertex,
+    (0, y, s) of ``low``'s dual, is feasible with y = sigma(0), so no phase
+    1 is needed, and `_pivot` runs under ``high``'s ``max_iters``.  With
+    y > 0 at the start, t can grow while y falls, so t* > 0, and at the
+    optimum y = 0: the LP certifies both sides of t*:
+
+    - lower: its s gives S2 = s / pt_mult with C(t*) - PT*(S2) >= 0, so
+      sigma(t*) >= 0, and sigma >= 0 on [0, t*] by concavity;
+    - upper: its multipliers x >= 0 on the x-rows, with pt_map x >= 0 on
+      the s-rows and <m a, x> = 1 from the t column, give the trace-one
+      PPT point X = x / <m, x> with <C(t), X> = (t* - t) / <m, x>, below 0
+      for every t > t*.  `Onset.x` is that X, solved at trace one from its
+      vanishing rows as the simplex solves its own vertex (`_vertex`).
+
+    ValueError for a ``low`` that is no simplex solve on ``high``'s layout
+    or whose dual point has y <= 0.
+    """
+    layout = high.layout
+    if low.problem.layout is not layout or low.basis is None:
+        raise ValueError("the onset starts from a simplex solve on the same layout")
+    nb, mult = len(layout.mult), layout.mult
+    dual, _ = layout.lp_rows
+    start = low.problem.costs.ravel()
+    # the columns (t, y, s) and the rows: x-rows, s-rows, then y >= 0 and t >= 0
+    rows = np.zeros((2 * nb + 2, nb + 2))
+    rows[: 2 * nb, 1:] = dual
+    rows[:nb, 0] = mult * (start - high.costs.ravel())
+    rows[2 * nb, 1] = rows[2 * nb + 1, 0] = -1.0
+    rhs = np.concatenate([mult * start, np.zeros(nb + 2)])
+    active = np.append(low.basis, 2 * nb + 1)
+    inverse = np.linalg.inv(rows[active])
+    if not (inverse @ rhs[active])[1] > 0.0:
+        raise ValueError("the onset needs a start whose dual point has y > 0")
+    pivots, status = _pivot(rows, rhs, active, inverse, high.options.max_iters)
+    u = inverse @ rhs[active]
+    s2 = (np.maximum(u[2:], 0.0) / layout.pt_mult)[:, None, None]
+    # at the optimum y's row is active (y = 0) and t's is not (t > 0 as y > 0 at the start)
+    x = _vertex(layout, active)[:, None, None] if status == "optimal" else None
+    return Onset(float(u[0]), pivots, status, x, s2)

@@ -13,11 +13,12 @@ evaluating any point, and a table routes each of its columns by it.  A
 table's searched entry is one `find_threshold` over the family's whole
 range: to `EXACT_TOL` for a closed-form column, to `SDP_TOL` for hirsch1's
 p_TLF.  The p_TLF entry of a twirled family (wi, Werner, isotropic) is
-exact: the first root of a vertex line of its activation LP, found by
-Newton's method on the lines of the optimal vertices that `sdp.solve`'s
-simplex returns, always under `DEFAULT_OPTIONS`, so the caller's solver
-options do not apply to it, and certified to `EXACT_TOL` by the solves'
-dual bounds (see `_exact_tlf_entry`).  Every search assumes a monotone
+exact: the largest p at which sigma >= 0, one LP in (p, S2) (`sdp.onset`)
+run from the basis of the simplex solve at the range's low end, always
+under `DEFAULT_OPTIONS`, so the caller's solver options do not apply to
+it, and certified to `EXACT_TOL` on both sides by that LP: its S2 gives
+sigma >= 0 at the entry, and its primal vertex sigma < 0 above it (see
+`_exact_tlf_entry`).  Every search assumes a monotone
 indicator, and a point whose solve certifies nothing (indicator None)
 stops it with ``ValueError``.  Other SDP-backed points get at most one
 solve each under the caller's options (for a twirled family, the simplex's
@@ -32,14 +33,14 @@ sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import activation, measures
 from .activation import ACTIVATION_TOL, bisection_options, build_cost, sigma_min
-from .sdp import SdpOptions, SdpProblem, SdpSolution, check_side
+from .sdp import SdpOptions, SdpProblem, SdpSolution, check_side, onset
 from .states import FamilySpec
 
 PROPERTIES = ("eof", "chsh", "hn", "sa", "tlf", "cglmp")
@@ -186,10 +187,11 @@ def _isotropic_sa_point(spec: FamilySpec, p: float, *_) -> PointResult:
 def _filtered_hn_point(spec: FamilySpec, p: float, *_) -> PointResult:
     # the fixed two-dim filter is the hidden-nonlocality route for qudit
     # Werner states; the criterion is CHSH violation of the filtered state.
-    # Weighted by the filter's success probability, the margin is affine in p
+    # Weighted by the filter's success probability, the margin is affine in p.
+    # Both come from one M of the filtered state
     popescu = measures.popescu_filter(spec.d, p)
     excess = measures.chsh_M(popescu.filtered) - 1.0
-    return _closed_form(measures.chsh_value(popescu.filtered), popescu.weight * measures.chsh_margin(excess))
+    return _closed_form(measures.chsh_value_from_excess(excess), popescu.weight * measures.chsh_margin(excess))
 
 
 def _eof_point(spec: FamilySpec, p: float, *_) -> PointResult:
@@ -462,52 +464,41 @@ def _exact_tlf_entry(spec: FamilySpec, top: SdpProblem) -> dict:
 
     sigma(p) is the minimum over a polytope fixed by d of costs affine in p
     (the scalar blocks that `sdp.solve` hands to its simplex), so it is
-    concave and piecewise linear, and every vertex v gives a line
-    sigma_v(p) >= sigma(p).  Newton's method on those lines: the first
-    solve is at hi, each next one at the root of the last optimal vertex's
-    line, with the costs interpolated between those of lo and hi, until the
-    root stops falling.  The entry is the last root r.  Every solve is under
-    `DEFAULT_OPTIONS`.  The certificate:
+    concave and piecewise linear, and the onset is one linear program in
+    (t, S2) with p = lo + t (hi - lo): the largest t at which some S2 >= 0
+    certifies sigma >= 0 (`sdp.onset`).  Two solves, both under
+    `DEFAULT_OPTIONS`: the simplex at lo, then that LP from its optimal
+    basis.  The entry is the root r of the line of the LP's primal vertex
+    v, which at the optimum vanishes at t*.  The certificates:
 
-    - v is feasible, so sigma <= sigma_v < 0 on (r, hi];
-    - the solves' lower bounds bound sigma below at lo, where it must be
-      positive, and at r, so by concavity sigma >= 0 on [lo, r] up to the
-      bound's rounding.
+    - v is feasible with <C(p), v> < 0 on (r, hi], so sigma < 0 there;
+    - the lo solve's lower bound bounds sigma below at lo, where it must be
+      positive, and the LP's S2 bounds it below at r, so by concavity
+      sigma >= 0 on [lo, r] up to the bound's rounding.
 
     The stated tolerance `EXACT_TOL` covers the rounding of both ends.  An
-    entry whose rounding leaves more, or whose line solve ends uncertified,
-    raises ValueError instead of stating a root.
+    entry whose rounding leaves more, or whose LP ends short of its
+    optimum, raises ValueError instead of stating a root.
     """
     lo, hi = spec.p_range()
     lo = max(lo, 0.0)  # as in the searched entries
-    bottom = build_cost(spec.state(lo))
-    ends = np.array([problem.costs.ravel() for problem in (bottom, top)])
-
-    def line_solve(t: float) -> tuple[SdpSolution, np.ndarray]:
-        """The solve at p = lo + t (hi - lo), t > 0, and its vertex's line values at (lo, hi)."""
-        problem = top if t == 1.0 else replace(top, costs=(ends[0] + t * (ends[1] - ends[0]))[:, None, None])
-        solution = activation.solve(problem)
-        if solution.status != "converged":
-            raise ValueError(f"the solve at p={lo + (hi - lo) * t} ended {solution.status}")
-        return solution, np.sum(ends * (top.layout.mult * solution.iterates[-1].ravel()), axis=-1)
-
-    low = activation.solve(bottom).objective_lb
+    bottom = activation.solve(build_cost(spec.state(lo)))
+    low = bottom.objective_lb
     if not low > 0.0:
         raise ValueError(f"the solves certify no sigma > 0 at p={lo} (lower bound {low:.3g})")
-    _, (at_lo, at_hi) = line_solve(1.0)
+    lp = onset(bottom, top)
+    if lp.status != "optimal":
+        raise ValueError(f"the onset LP ended {lp.status}")
+    ends = np.array([bottom.problem.costs.ravel(), top.costs.ravel()])
+    at_lo, at_hi = np.sum(ends * (top.layout.mult * lp.x.ravel()), axis=-1)
     if not at_hi < 0.0:
         raise ValueError(f"no vertex line falls below 0 in [{lo}, {hi}]")
     t = at_lo / (at_lo - at_hi)
-    while True:
-        solution, (next_lo, next_hi) = line_solve(t)
-        if not next_lo / (next_lo - next_hi) < t:
-            break
-        at_lo, at_hi = next_lo, next_hi
-        t = at_lo / (at_lo - at_hi)
     root = float(lo + (hi - lo) * t)
-    # how far the onset can lie above the root (sigma_v < 0 beyond) and below it (concavity)
+    # how far the onset can lie above the root (the line < 0 beyond) and below it (concavity)
     above = max(0.0, at_lo + t * (at_hi - at_lo)) * (hi - lo) / (at_lo - at_hi)
-    deficit = max(0.0, -solution.objective_lb)
+    costs = ends[0] + t * (ends[1] - ends[0])
+    deficit = max(0.0, -float(np.min(costs - top.layout.adjoint @ lp.s2.ravel())))
     below = deficit * (root - lo) / (low + deficit)
     if max(above, below) > EXACT_TOL:
         raise ValueError(f"the solves certify no root at p={root}: the onset may lie {max(above, below):.3g} away")

@@ -9,7 +9,7 @@ from nlact import activation, sweep
 from nlact.activation import ActivationResult
 from nlact.cli import main
 from nlact.measures import cglmp_value, popescu_threshold
-from nlact.sdp import solve
+from nlact.sdp import onset, solve
 from nlact.states import isotropic_state
 
 
@@ -301,7 +301,8 @@ def test_table_werner_csv_has_x_marker(capsys):
 # d = 2, 3; since the layout solves its LP vertices once, with one right-hand
 # side, isotropic d=3's p_TLF moved by 1 ulp again (0.5606601717798214 ->
 # 0.5606601717798213); Newton's method on the simplex's vertex lines, which
-# replaced the pinned table, prints the same bytes; a change of
+# replaced the pinned table, prints the same bytes, and so does the one onset LP
+# that replaced Newton's method; a change of
 # representation, solver loop or search that moves a threshold shows up here
 _TABLE_SHA256 = {
     ("--family", "wi"): "1a1b68d05bd6bc4b2532f8c54b89c2be586e6c91fa785ea32cd8250e0c0b6de8",
@@ -361,18 +362,20 @@ def test_table_exact_entries_ignore_a_loose_sdp_tol(capsys, args):
 @pytest.mark.parametrize("dmax,p_tlf", [("7", 0.3535533905932738), ("8", 0.32366324654752765)], ids=["7", "8"])
 def test_table_computes_every_column_of_the_last_row(monkeypatch, capsys, dmax, p_tlf):
     # CGLMP holds for every d: the isotropic p_NL is computed on every row, the
-    # root of the CGLMP margin at 2/I_d, and p_TLF exactly, from four converged
-    # solves per row and with no tlf point evaluated
+    # root of the CGLMP margin at 2/I_d, and p_TLF exactly, from one converged
+    # solve and one optimal onset LP per row and with no tlf point evaluated
     def no_point(*args, **kwargs):
         raise AssertionError("a tlf point was evaluated")
 
-    solves = []
+    solves, lps = [], []
     monkeypatch.setattr(sweep, "sigma_min", no_point)
     monkeypatch.setattr(activation, "solve", lambda problem: solves.append(solve(problem)) or solves[-1])
+    monkeypatch.setattr(sweep, "onset", lambda low, high: lps.append(onset(low, high)) or lps[-1])
     code, out, err = run_cli(capsys, "table", "--family", "isotropic", "--dmax", dmax)
     assert code == 0 and err == ""
-    assert len(solves) == 4 * (int(dmax) - 1)
+    assert len(solves) == len(lps) == int(dmax) - 1
     assert {solution.status for solution in solves} == {"converged"}
+    assert {lp.status for lp in lps} == {"optimal"}
     rows = json.loads(out)["rows"]
     assert [row["d"] for row in rows] == list(range(2, int(dmax) + 1))
     for row in rows:

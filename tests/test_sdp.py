@@ -231,6 +231,24 @@ def test_simplex_from_a_degenerate_start(state):
     assert oracle.objective_lb - 1e-12 <= vertex.objective <= oracle.objective + 1e-12
 
 
+def test_onset_starts_from_a_simplex_solve_on_the_same_layout():
+    low = solve(build_cost(werner_state(3, 0.0)))
+    with pytest.raises(ValueError, match="same layout"):
+        sdp.onset(low, build_cost(isotropic_state(3, 1.0)))
+    with pytest.raises(ValueError, match="same layout"):
+        sdp.onset(dataclasses.replace(low, basis=None), build_cost(werner_state(3, 1.0)))
+    # at p = 1 sigma < 0, so its basis is no feasible start
+    with pytest.raises(ValueError, match="y > 0"):
+        sdp.onset(solve(build_cost(werner_state(3, 1.0))), low.problem)
+
+
+def test_onset_of_a_segment_along_which_sigma_never_falls_is_unbounded():
+    # with the same costs at both ends the t column is 0: t grows without bound
+    low = solve(build_cost(werner_state(3, 0.2)))
+    lp = sdp.onset(low, low.problem)
+    assert (lp.status, lp.x) == ("unbounded", None)
+
+
 # p_TLF of each twirled row as bisected to a 1e-3 bracket, within 3e-4 of the
 # exact values; the grid below puts a point 0.002 on either side of each
 _TABLE_TLF = {
@@ -555,7 +573,7 @@ def test_side_two_scaling_rejects_a_block_off_its_cone(block):
     state = sdp._start(problem.layout, problem.costs)
     state[2 * len(problem.layout.mult) + 5] = bad
     bounds = sdp._Bounds(problem.layout, problem.costs, problem.options)
-    steps, status, _ = _interior_point(problem.layout, bounds, problem.options, state)
+    steps, status, _, _ = _interior_point(problem.layout, bounds, problem.options, state)
     assert (steps, status) == (1, "infeasible_numerics")
 
 
@@ -965,7 +983,7 @@ def test_failed_warm_solve_is_run_again_cold(monkeypatch):
     # the solution counts the Newton steps of both
     def failing_warm(st, bounds, opts, state=None):
         if state is not None:
-            return 3, "infeasible_numerics", state[None]
+            return 3, "infeasible_numerics", state[None], None
         return _interior_point(st, bounds, opts)
 
     options = bisection_options()

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nlact import activation, sweep
+from nlact import activation, measures, sweep
 from nlact.activation import (
     ACTIVATION_TOL,
     ActivationResult,
@@ -15,8 +15,9 @@ from nlact.activation import (
     build_cost,
     sigma_min,
 )
+from nlact.linalg import partial_transpose_mat
 from nlact.measures import cglmp_value, popescu_threshold
-from nlact.sdp import SdpOptions, solve
+from nlact.sdp import SdpOptions, onset, solve
 from nlact.states import FamilySpec, isotropic_state
 from nlact.sweep import (
     PointResult,
@@ -46,6 +47,23 @@ def test_evaluate_point_hn_degenerate_corner():
     # the product corner is an ordinary reading, off with a zero margin
     result = evaluate_point(HIRSCH1, "hn", 0.0)
     assert result == PointResult(0.0, False, margin=0.0)
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_filtered_hn_point_reads_one_correlation_matrix(monkeypatch, d):
+    # the value and margin of a qudit Werner p_HN point come from one M of the
+    # filtered state, bit for bit those of chsh_value and chsh_margin
+    spec = FamilySpec("werner", d)
+    correlations = []
+    correlation_matrix = measures.correlation_matrix
+    monkeypatch.setattr(measures, "correlation_matrix", lambda rho: correlations.append(rho) or correlation_matrix(rho))
+    for p in np.linspace(*spec.p_range(), 41):
+        correlations.clear()
+        result = evaluate_point(spec, "hn", float(p))
+        assert len(correlations) == 1, p
+        popescu = measures.popescu_filter(d, float(p))
+        margin = popescu.weight * measures.chsh_margin(measures.chsh_M(popescu.filtered) - 1.0)
+        assert (result.value, result.margin) == (measures.chsh_value(popescu.filtered), margin), p
 
 
 def test_evaluate_point_hn_passes_other_errors_on(monkeypatch):
@@ -268,15 +286,15 @@ def test_prescan_bisection_equals_linear_scan(monkeypatch, raising, uncertified_
 
 
 # per table: evaluate_point calls (the closed-form columns, each a root search
-# on its margin over the family's range), sdp.solve calls and their pivots:
-# every p_TLF entry is exact, four simplex solves (at both ends of the range
-# and at the roots of two vertex lines), and evaluates no tlf point
-_TABLE_EVALUATIONS = {("wi", 6): (54, 4, 11), ("werner", 6): (94, 20, 59), ("isotropic", 6): (151, 20, 61)}
+# on its margin over the family's range), simplex runs and their pivots: every
+# p_TLF entry is exact, one simplex solve at the low end of the range and one
+# onset LP from its basis, and evaluates no tlf point
+_TABLE_EVALUATIONS = {("wi", 6): (54, 2, 7), ("werner", 6): (94, 10, 35), ("isotropic", 6): (151, 10, 35)}
 
 
 @pytest.mark.parametrize("family,d_max", list(_TABLE_EVALUATIONS), ids=str)
 def test_build_table_evaluation_budget(monkeypatch, family, d_max):
-    evaluations, solves = [], []
+    evaluations, solves, lps = [], [], []
 
     def counted(*args, **kwargs):
         evaluations.append(args)
@@ -288,11 +306,12 @@ def test_build_table_evaluation_budget(monkeypatch, family, d_max):
 
     monkeypatch.setattr(sweep, "evaluate_point", counted)
     monkeypatch.setattr(activation, "solve", counted_solve)
+    monkeypatch.setattr(sweep, "onset", lambda low, high: lps.append(onset(low, high)) or lps[-1])
     build_table(family, d_max=d_max)
     max_evaluations, max_solves, max_steps = _TABLE_EVALUATIONS[family, d_max]
     assert len(evaluations) <= max_evaluations
-    assert len(solves) <= max_solves
-    assert sum(solution.iterations for solution in solves) <= max_steps
+    assert len(solves) + len(lps) <= max_solves
+    assert sum(solution.iterations for solution in solves) + sum(lp.pivots for lp in lps) <= max_steps
     assert not [args for args in evaluations if args[1] == "tlf"]  # every p_TLF entry is exact
 
 
@@ -313,12 +332,13 @@ _TWIRLED_ROWS = [("wi", 2)] + [(family, d) for family in ("werner", "isotropic")
 def test_exact_tlf_entry_matches_closed_form(monkeypatch, family, d):
     solves = []
     monkeypatch.setattr(activation, "solve", lambda problem: solves.append(problem) or solve(problem))
+    monkeypatch.setattr(sweep, "onset", lambda low, high: solves.append(high) or onset(low, high))
     entry = sweep._computed_entry(FamilySpec(family, d), "tlf", None)
     assert entry["provenance"] == "exact (LP vertex)"
     assert entry["tolerance"] <= 1e-12
     closed = _closed_form_tlf(family, d)
     assert abs(entry["value"] - closed) <= 4.4e-16
-    assert len(solves) <= 4  # both ends of the range and the roots of two vertex lines
+    assert len(solves) <= 2  # the low end of the range and the onset LP
     if d == 2:
         assert abs(closed - (4 * _SQRT2 - 5)) <= 1e-15
 
@@ -344,17 +364,44 @@ def test_exact_tlf_entry_is_the_sign_change(family, d):
     assert above.objective < 0.0 < below.objective_lb
 
 
-def _cap_solves(monkeypatch, uncapped):
-    """Let the first ``uncapped`` activation solves run, and stop every later one after a pivot."""
-    calls = []
+@pytest.mark.parametrize("family,d", [("wi", 2)] + [(f, d) for f in ("werner", "isotropic") for d in (2, 3)], ids=str)
+def test_exact_tlf_entry_certificates_hold_densely(monkeypatch, family, d):
+    # both certificates of the onset LP, re-checked on dense matrices with no
+    # solver: its X is a trace-one PSD and PPT point whose cost falls below 0
+    # just above the entry, so sigma < 0 there; its S2 is PSD on the
+    # partial-transpose side W, and C(p*) - PT(W) >= 0 makes every PPT X cost
+    # at least 0 at the entry, since <C, X> = <C - PT(W), X> + <W, PT(X)>.
+    # Dense eigensolvers round to ~1e-16, hence the allowance
+    lps = []
+    monkeypatch.setattr(sweep, "onset", lambda low, high: lps.append(onset(low, high)) or lps[-1])
+    spec = FamilySpec(family, d)
+    p = sweep._computed_entry(spec, "tlf", None)["value"]
+    (lp,) = lps
+    assert abs(lp.t - p) <= 1e-15  # the LP's optimum is the entry: the range is [0, 1]
+    layout = build_cost(spec.state(p)).layout
 
-    def capped(problem, start=None):
-        calls.append(problem)
-        if len(calls) > uncapped:
-            problem = dataclasses.replace(problem, options=SdpOptions(max_iters=1))
-        return solve(problem, start)
+    def pt(mat):
+        return partial_transpose_mat(mat, layout.dims, (0, 1))
 
-    monkeypatch.setattr(activation, "solve", capped)
+    def lowest(mat):
+        return np.linalg.eigvalsh(mat)[0]
+
+    x = layout.dense(lp.x)
+    assert abs(np.trace(x) - 1.0) <= 1e-15
+    assert min(lowest(x), lowest(pt(x))) >= -1e-15
+    assert np.vdot(x, activation._dense_cost(spec.state(p + 1e-9))).real < 0.0
+    w = pt(layout.dense(layout.pt_adj(lp.s2)))
+    assert lowest(w) >= -1e-15
+    assert lowest(activation._dense_cost(spec.state(p)) - pt(w)) >= -1e-15
+
+
+def _cap_pivots(monkeypatch, end):
+    """Stop the solve at the low end of the range (``low``) or the onset LP (``root``) after one pivot."""
+    one = SdpOptions(max_iters=1)
+    if end == "low":
+        monkeypatch.setattr(activation, "solve", lambda problem: solve(dataclasses.replace(problem, options=one)))
+    else:
+        monkeypatch.setattr(sweep, "onset", lambda low, high: onset(low, dataclasses.replace(high, options=one)))
 
 
 @pytest.mark.parametrize(
@@ -367,11 +414,11 @@ def _cap_solves(monkeypatch, uncapped):
     ids=["werner-3-root", "isotropic-6-root", "isotropic-6-low"],
 )
 def test_exact_tlf_entry_missing_an_optimal_basis_raises(monkeypatch, family, d, end, message):
-    # a solve stopped one pivot in lacks its optimal basis: at the first root
-    # (after the solves at p = 0 and p = 1) its vertex may leave the polytope,
-    # so its line certifies nothing, and at p = 0 its dual bound certifies no
-    # sigma > 0.  The entry is refused, never printed
-    _cap_solves(monkeypatch, 2 if end == "root" else 0)
+    # a run stopped one pivot in lacks its optimal basis: the onset LP (which
+    # places the root) then has no primal vertex to certify sigma < 0 above
+    # it, and at p = 0 the solve's dual bound certifies no sigma > 0.  The
+    # entry is refused, never printed
+    _cap_pivots(monkeypatch, end)
     with pytest.raises(ValueError, match=message):
         sweep._computed_entry(FamilySpec(family, d), "tlf", None)
 
