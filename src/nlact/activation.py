@@ -53,6 +53,7 @@ __all__ = [
     "ActivationResult",
     "bisection_options",
     "build_cost",
+    "certified_sign",
     "sigma_min",
     "ancilla_R",
     "verify_ancilla",
@@ -76,6 +77,18 @@ def bisection_options(options: SdpOptions | None = None) -> SdpOptions:
     """
     options = options or DEFAULT_OPTIONS
     return options if options.objective_cut is not None else replace(options, objective_cut=-ACTIVATION_TOL)
+
+
+def certified_sign(upper: float, lower: float) -> bool | None:
+    """The indicator of certified bounds lower <= sigma <= upper against the cut -ACTIVATION_TOL.
+
+    True when upper lies below the cut, False when lower lies at or above it, else None.
+    """
+    if upper < -ACTIVATION_TOL:
+        return True
+    if lower >= -ACTIVATION_TOL:
+        return False
+    return None
 
 
 def _cost_dims(tau: DensityMatrix) -> tuple[int, int, int, int]:
@@ -155,11 +168,10 @@ def sigma_min(
     carries its options (``options`` must then be None).  One `sdp.solve`
     from ``start``, the witness of an input of the same layout, when one is
     given: a `TwirledState` by the simplex on its scalar blocks, every
-    other input by an SDP loop.  ``activated`` is True
-    when a certified solve (converged or sign-decided) puts its upper bound
-    below -ACTIVATION_TOL, False when it puts its lower bound at or above
-    it, and None when the solve certifies neither: a run out of budget or
-    stalled, or a gap looser than the distance to the cut.
+    other input by an SDP loop.  ``activated`` is the `certified_sign` of
+    a certified solve's (converged or sign-decided) bounds, and None for any
+    other solve or where the bounds settle neither side: a run out of
+    budget or stalled, or a gap looser than the distance to the cut.
     """
     if isinstance(tau, SdpProblem):
         if options is not None:
@@ -168,12 +180,8 @@ def sigma_min(
     else:
         problem = build_cost(tau, options)
     witness = solve(problem, start)
-    activated = None
-    if witness.status in ("converged", "decided"):
-        if witness.objective < -ACTIVATION_TOL:
-            activated = True
-        elif witness.objective_lb >= -ACTIVATION_TOL:
-            activated = False
+    certified = witness.status in ("converged", "decided")
+    activated = certified_sign(witness.objective, witness.objective_lb) if certified else None
     return ActivationResult(sigma=witness.objective, witness=witness, activated=activated)
 
 

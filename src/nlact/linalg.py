@@ -14,6 +14,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "TRACE_TOL",
     "PSD_TOL",
     "DensityMatrix",
+    "check_density",
     "EigenDecomposition",
     "kron",
     "is_hermitian",
@@ -55,13 +57,28 @@ def is_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return square and np.all(np.isfinite(mat)) and np.max(np.abs(mat - mat.conj().swapaxes(-1, -2))) <= tol
 
 
+def check_density(hermitian: bool, trace: Callable[[], complex], lowest: Callable[[], float]) -> tuple[complex, float]:
+    """The invariants of a `DensityMatrix` in their order, each read only once the earlier ones hold.
+
+    Raises the ``ValueError`` of the first that fails: finite and Hermitian within `HERMITICITY_TOL`,
+    trace 1 within `TRACE_TOL`, smallest eigenvalue at least -`PSD_TOL`.  Returns the trace and that eigenvalue.
+    """
+    if not hermitian:
+        raise ValueError(f"density matrix is not Hermitian within {HERMITICITY_TOL}")
+    tr = trace()
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace {tr} is not 1 within {TRACE_TOL}")
+    lo = lowest()
+    if lo < -PSD_TOL:
+        raise ValueError(f"smallest eigenvalue {lo} below {-PSD_TOL}")
+    return tr, lo
+
+
 @dataclass(eq=False)
 class DensityMatrix:
     """A validated quantum state: Hermitian, PSD, unit trace, with subsystem dims.
 
-    Raises ``ValueError`` on construction if any invariant fails
-    (Hermiticity within 1e-12, trace within 1e-12 of one, smallest
-    eigenvalue >= -1e-10).
+    Raises ``ValueError`` on construction if any invariant fails (`check_density`).
     """
 
     mat: np.ndarray
@@ -75,14 +92,9 @@ class DensityMatrix:
         n = self.mat.shape[0]
         if any(d < 1 for d in self.dims) or int(np.prod(self.dims)) != n:
             raise ValueError(f"dims {self.dims} do not multiply to matrix side {n}")
-        if not is_hermitian(self.mat, HERMITICITY_TOL):
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        tr = self.mat.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr} is not 1 within 1e-12")
-        lo = float(np.linalg.eigvalsh(self.mat)[0])
-        if lo < -PSD_TOL:
-            raise ValueError(f"smallest eigenvalue {lo} below -1e-10")
+        check_density(
+            is_hermitian(self.mat, HERMITICITY_TOL), self.mat.trace, lambda: float(np.linalg.eigvalsh(self.mat)[0])
+        )
 
     @property
     def n(self) -> int:

@@ -30,12 +30,13 @@ entry, `solve`, which picks the loop from the cost's field and the blocks:
   every cost, so it needs no phase 1 and no stored basis, and offers the
   certificate the optimal vertex and its dual once (`_simplex`).  The
   tests use the matrix interior-point loop on the same blocks as its
-  reference.  Its Bland loop (`_pivot`) takes its rows and start basis as
-  arguments, and `onset` runs it once more on the LP whose optimum is the
-  largest t with sigma >= 0 along a segment of costs, from the basis that
-  a solve at the segment's start ends in (`SdpSolution.basis`); that LP
-  certifies sigma >= 0 at t* by its S2 and sigma < 0 beyond t* by its
-  primal vertex.
+  reference.  `onset` runs the same Bland loop (`_pivot`) twice on the
+  same layout without a solve: from the start basis at the first of two
+  problems, which certifies sigma > 0 there, and on from that basis,
+  bordered by one row, on the LP whose optimum is the largest t with
+  sigma >= 0 along the segment of costs between the two problems.  That
+  LP certifies sigma >= 0 at its root by its S2 and sigma < 0 beyond by
+  its primal vertex.
 
 Every `SdpProblem` is stacked blocks with multiplicities on an `SdpLayout`,
 and so are the iterates.  A plain problem is one dense block of side n with
@@ -78,16 +79,10 @@ start never costs a certificate that the cold start would give.
 
 Every smallest eigenvalue the loops read -- the warm start's shift, the
 interior point's step lengths, the certificate's bounds and the minimizer's
-checks -- comes from `_lowest`.  It reads a block of side 1 and a real
-block of side 2 in closed form, where a step would otherwise spend more
-time in eigvalsh's wrapper than in its arithmetic: a side-1 block is its
-own eigenvalue, and [[a, b], [b, c]] has (a + c)/2 - hypot((a - c)/2, b).
-Complex blocks of side 2 and all larger ones go through eigvalsh.  Beside
-it, `_scaling` gives the interior point's factors F with F Z F^T = I, and
-so F^T F = Z^-1, of its iterates' blocks Z: for a real block of side 2 the
-inverse of its Cholesky factor, in closed form once a > 0 and ac - b^2 > 0,
-and for any larger block diag(w)^-1/2 V^T from eigh.  So a solve in the
-parity form (the Hirsch inputs) makes no LAPACK eigendecomposition at all.
+checks -- comes from `_lowest`, and the interior point's scaling factors
+from `_scaling`.  Both read blocks of side 1 and real blocks of side 2 in
+closed form, so a solve in the parity form (the Hirsch inputs) makes no
+LAPACK eigendecomposition at all.
 
 The three loops feed one certificate of objective bounds:
 
@@ -127,9 +122,8 @@ import numpy as np
 from .linalg import (
     HERM_INPUT_TOL,
     HERMITICITY_TOL,
-    PSD_TOL,
-    TRACE_TOL,
     DensityMatrix,
+    check_density,
     is_hermitian,
     kron,
     permute_mat,
@@ -432,6 +426,21 @@ class SdpProblem:
         """The dense cost sum_b P_b (x) costs[b]."""
         return self.layout.dense(self.costs)
 
+    @cached_property
+    def weighted_costs(self) -> np.ndarray:
+        return self.layout.mult[:, None, None] * self.costs
+
+    def value(self, x: np.ndarray | SdpSolution) -> float:
+        """<C, X> of an X-side stack on this layout, or of a solution's minimizer on it (ValueError for another layout).
+
+        X is feasible at every cost on the layout, so this bounds the optimum above.
+        """
+        if isinstance(x, SdpSolution):
+            if x.problem.layout is not self.layout:
+                raise ValueError("the solution solves a problem of another layout")
+            x = x.blocks
+        return float(np.vdot(x, self.weighted_costs).real)
+
 
 @dataclass
 class SdpSolution:
@@ -449,15 +458,11 @@ class SdpSolution:
     blocks: np.ndarray
     problem: SdpProblem
     # the interior-point states (X, W, S1, S2) from the start onward, stacked;
-    # the simplex's one state, its vertex before the certificate mixes it toward
-    # I/n; None for the splitting loop
+    # None for the other loops
     iterates: np.ndarray | None = None
     # (index into the start's iterates, shift t of its dual slack) of a warm
     # interior-point solve (`_warm_start`); None for a cold one
     warm_start: tuple[int, float] | None = None
-    # the simplex's last basis, its active rows of `SdpLayout.lp_rows`, from
-    # which `onset` starts; None for the other loops
-    basis: np.ndarray | None = None
 
     @cached_property
     def minimizer(self) -> DensityMatrix:
@@ -603,14 +608,14 @@ def _scaling(mats: np.ndarray) -> np.ndarray | None:
 class _Bounds:
     """Best certified objective bounds of a solve at its cost, and the feasible point attaining the upper one."""
 
-    def __init__(self, layout: SdpLayout, costs: np.ndarray, opts: SdpOptions) -> None:
-        self.layout = layout
-        self.costs = costs
-        self.weighted_costs = layout.mult[:, None, None] * costs
-        self.opts = opts
+    def __init__(self, problem: SdpProblem) -> None:
+        self.layout = problem.layout
+        self.costs = problem.costs
+        self.value = problem.value
+        self.opts = problem.options
         self.ub = math.inf
         self.lb = -math.inf
-        self.x = layout.center
+        self.x = self.layout.center
 
     def update(self, x: np.ndarray, pt_x: np.ndarray, adj_s2: np.ndarray) -> str | None:
         """Tighten the bounds from a trace-one PSD X-side stack x with PT(x), and PT*(S2) of a PSD W-side stack S2.
@@ -627,7 +632,7 @@ class _Bounds:
         slack = max(0.0, -float(low[1]))
         gamma = slack * self.layout.n / (1.0 + slack * self.layout.n)
         x_feas = (1.0 - gamma) * x + gamma * self.layout.center
-        ub = float(np.vdot(x_feas, self.weighted_costs).real)
+        ub = self.value(x_feas)
         if ub < self.ub:
             self.ub = ub
             self.x = x_feas
@@ -674,21 +679,14 @@ def solve(problem: SdpProblem, start: SdpSolution | None = None) -> SdpSolution:
 
 def _solve(problem: SdpProblem, loop: Callable[[SdpLayout, _Bounds, SdpOptions], tuple]) -> SdpSolution:
     layout = problem.layout
-    bounds = _Bounds(layout, problem.costs, problem.options)
-    iterations, status, iterates, basis = loop(layout, bounds, problem.options)
+    bounds = _Bounds(problem)
+    iterations, status, iterates = loop(layout, bounds, problem.options)
 
     # the invariants of a DensityMatrix, on the blocks: the dense minimizer's
     # spectrum and trace are the blocks' ones with multiplicities, and the
     # spectrum of its partial transpose is that of the W-side stack
     x = bounds.x
-    if not is_hermitian(x, HERMITICITY_TOL):
-        raise ValueError(f"density matrix is not Hermitian within {HERMITICITY_TOL}")
-    trace = layout.trace(x)
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace {trace} is not 1 within {TRACE_TOL}")
-    low = _min_eig(x)
-    if low < -PSD_TOL:
-        raise ValueError(f"smallest eigenvalue {low} below {-PSD_TOL}")
+    trace, low = check_density(is_hermitian(x, HERMITICITY_TOL), lambda: layout.trace(x), lambda: _min_eig(x))
     residuals = {
         "psd_slack": max(0.0, -low),
         "ppt_slack": max(0.0, -_min_eig(layout.pt(x))),
@@ -704,12 +702,11 @@ def _solve(problem: SdpProblem, loop: Callable[[SdpLayout, _Bounds, SdpOptions],
         blocks=x,
         problem=problem,
         iterates=iterates,
-        basis=basis,
     )
 
 
-def _splitting(layout: SdpLayout, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str, None, None]:
-    """Consensus ADMM; returns (iterations, status, None, None)."""
+def _splitting(layout: SdpLayout, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str, None]:
+    """Consensus ADMM; returns (iterations, status, None)."""
     nb, s, _ = layout.shape
     mult = np.repeat(layout.mult, s)  # eigenvalue multiplicities, block by block
     root_mult = np.sqrt(layout.mult)[:, None, None]
@@ -735,13 +732,13 @@ def _splitting(layout: SdpLayout, bounds: _Bounds, opts: SdpOptions) -> tuple[in
         r_prim = norm(x - y)
 
         if not math.isfinite(r_prim) or not math.isfinite(r_dual):
-            return it, "infeasible_numerics", None, None
+            return it, "infeasible_numerics", None
 
         if it % CHECK_EVERY == 0:
             # dual certificate: S2 = rho * (negative part of PT(x+u)) is PSD exactly
             stop = bounds.update(x, layout.pt(x), layout.pt_adj(_compose(v, np.maximum(-w, 0.0)) * rho))
             if stop is not None:
-                return it, stop, None, None
+                return it, stop, None
 
         if it % ADAPT_EVERY == 0:
             if r_prim > 10.0 * r_dual:
@@ -750,7 +747,7 @@ def _splitting(layout: SdpLayout, bounds: _Bounds, opts: SdpOptions) -> tuple[in
             elif r_dual > 10.0 * r_prim:
                 rho /= 2.0
                 u *= 2.0
-    return opts.max_iters, "max_iters", None, None
+    return opts.max_iters, "max_iters", None
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -836,7 +833,7 @@ def _interior_point(
     of its certificate -- PT, PT*, traces, mu, the Schur border, the
     right-hand side and the dual step -- is one product with the layout's
     `_Operators`, derived once per layout.  Returns (Newton steps, status,
-    iterates, None): the certificate's stop, ``max_iters``, or
+    iterates): the certificate's stop, ``max_iters``, or
     ``infeasible_numerics`` once an iterate leaves its cone or
     `STALL_STEPS` steps bring no tighter gap, and the states from the start
     onward.
@@ -907,18 +904,18 @@ def _interior_point(
         except np.linalg.LinAlgError:
             point = None
         if point is None:
-            return it, "infeasible_numerics", np.stack(iterates), None
+            return it, "infeasible_numerics", np.stack(iterates)
         iterates.append(state)
         stop = bounds.update(*point)
         if stop is not None:
-            return it, stop, np.stack(iterates), None
+            return it, stop, np.stack(iterates)
         if bounds.ub - bounds.lb < best_gap:
             best_gap, since_best = bounds.ub - bounds.lb, 0
         else:
             since_best += 1
             if since_best >= STALL_STEPS:
-                return it, "infeasible_numerics", np.stack(iterates), None
-    return opts.max_iters, "max_iters", np.stack(iterates), None
+                return it, "infeasible_numerics", np.stack(iterates)
+    return opts.max_iters, "max_iters", np.stack(iterates)
 
 
 def _start_basis(layout: SdpLayout, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -980,102 +977,119 @@ def _vertex(layout: SdpLayout, active: np.ndarray) -> np.ndarray:
     return np.linalg.solve(primal[vanishing], np.eye(nb)[-1])
 
 
-def _simplex(layout: SdpLayout, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str, np.ndarray, np.ndarray]:
+def _dual_vertex(
+    layout: SdpLayout, costs: np.ndarray, max_iters: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, str]:
+    """`_pivot` on the dual at scalar costs from `_start_basis`: basis, inverse, S2 = s / pt_mult, pivots, end."""
+    rows, _ = layout.lp_rows
+    rhs = np.concatenate([layout.mult * costs, np.zeros(len(costs))])
+    active, inverse = _start_basis(layout, costs.argmin())
+    pivots, end = _pivot(rows, rhs, active, inverse, max_iters)
+    return active, inverse, np.maximum((inverse @ rhs[active])[1:], 0.0) / layout.pt_mult, pivots, end
+
+
+def _simplex(layout: SdpLayout, bounds: _Bounds, opts: SdpOptions) -> tuple[int, str, None]:
     """Active-set simplex on the dual of a problem in blocks of side 1.
 
     With scalar costs c the problem is the linear program min sum_b m_b c_b
     x_b over x >= 0, pt_map x >= 0 and mult . x = 1, whose dual is max y
     over u = (y, s) with the x-rows y m_b + (pt_map^T s)_b <= m_b c_b and
     the s-rows -s_c <= 0.  The dual is feasible at s = 0, y = min_b c_b, so
-    the loop starts at that vertex (its x-row b and every s-row active) with
-    no phase 1, and with that basis's inverse in closed form
-    (`_start_basis`), and pivots by Bland's rule (`_pivot`).  The
+    the loop starts at that vertex (`_start_basis`, inverse in closed form)
+    with no phase 1 and pivots by Bland's rule (`_dual_vertex`).  The
     multipliers of the active rows are the primal x on the x-rows and
     pt_map x on the s-rows, so once none is negative the primal vertex is
     feasible and optimal.  The certificate then takes that vertex, solved
-    afresh from its nb - 1 vanishing rows of (I; pt_map) and the trace row
-    (`_vertex`), and S2 = s / pt_mult, once.  Returns (pivots, status,
-    vertex, basis): the certificate's stop, else ``max_iters`` at the cap
-    or ``infeasible_numerics``, the vertex before the certificate mixes it,
-    and the last basis.
+    afresh from its vanishing rows (`_vertex`), and S2 once.  Returns
+    (pivots, status, None): the certificate's stop, else ``max_iters`` at
+    the cap or ``infeasible_numerics``.
     """
-    nb, mult = len(layout.mult), layout.mult
-    rows, _ = layout.lp_rows
-    costs = bounds.costs.ravel()
-    rhs = np.concatenate([mult * costs, np.zeros(nb)])
-    active, inverse = _start_basis(layout, costs.argmin())
-    pivots, end = _pivot(rows, rhs, active, inverse, opts.max_iters)
-    u, vertex = inverse @ rhs[active], _vertex(layout, active)
-    x = np.maximum(vertex, 0.0)
-    x /= mult @ x
+    active, _, s2, pivots, end = _dual_vertex(layout, bounds.costs.ravel(), opts.max_iters)
+    x = np.maximum(_vertex(layout, active), 0.0)
+    x /= layout.mult @ x
     # PT and PT* of scalar blocks are pt_map and its adjoint
-    s2 = np.maximum(u[1:], 0.0) / layout.pt_mult
     stop = bounds.update(x[:, None, None], (layout.pt_map @ x)[:, None, None], (layout.adjoint @ s2)[:, None, None])
-    return pivots, stop or ("max_iters" if end == "max_iters" else "infeasible_numerics"), vertex[None, :, None, None], active
+    return pivots, stop or ("max_iters" if end == "max_iters" else "infeasible_numerics"), None
 
 
 @dataclass
 class Onset:
-    """The largest t with sigma >= 0 on the costs C(t) = C(0) - t A, and its two certificates (`onset`).
+    """The first root of sigma on the costs C(t) = C(0) + t (C(1) - C(0)), t in [0, 1], and its certificates.
 
-    ``s2`` (a W-side stack, PSD) has C(t) - PT*(s2) >= 0, so sigma >= 0 at
-    t; ``x`` (an X-side stack, PSD, PPT and of trace one) has <C(t'), x> < 0
-    for every t' > t, so sigma < 0 there.  ``x`` is None unless the LP ended
-    ``optimal``.
+    ``root`` is where the line t -> <C(t), x> crosses 0, and rounding may
+    put sigma's first root up to ``above`` above it and ``below`` below it:
+    ``x`` (an X-side stack, PSD, PPT and of trace one) has <C(t), x> < 0
+    past root + above; ``lower`` > 0 bounds sigma(0) below, and ``s2`` (a
+    W-side stack, PSD) bounds sigma(root) below by min(C(root) - PT*(s2)),
+    so sigma >= 0 on [0, root - below] by concavity.  ``t`` is the LP's
+    optimum, and ``pivots`` counts both runs' pivots.
     """
 
     t: float
+    root: float
+    above: float
+    below: float
+    lower: float
     pivots: int
-    status: str  # optimal | max_iters | unbounded (`_pivot`)
-    x: np.ndarray | None
+    x: np.ndarray
     s2: np.ndarray
 
 
-def onset(low: SdpSolution, high: SdpProblem) -> Onset:
-    """The onset of sigma on the segment of costs from ``low``'s problem (t = 0) to ``high``'s (t = 1), by one LP.
+def onset(low: SdpProblem, high: SdpProblem) -> Onset:
+    """The first root of sigma on the segment of costs from ``low``'s (t = 0) to ``high``'s (t = 1), by one LP.
 
     For scalar blocks sigma(t) >= 0 exactly where some s >= 0 has
     m_b c_b(t) - (pt_map^T s)_b >= 0 for every b, and c(t) = c(0) - t a
-    with a = c(0) - c(1) is affine in t, so the largest such t is the linear
-    program max t over (t, y, s) >= 0 with the x-rows
-    t m_b a_b + y m_b + (pt_map^T s)_b <= m_b c_b(0) (Charnes & Cooper,
-    Naval Res. Logist. Q. 9, 181 (1962)).  It starts from ``low``'s basis
-    (a simplex solve on the same layout) plus the row t >= 0: that vertex,
-    (0, y, s) of ``low``'s dual, is feasible with y = sigma(0), so no phase
-    1 is needed, and `_pivot` runs under ``high``'s ``max_iters``.  With
-    y > 0 at the start, t can grow while y falls, so t* > 0, and at the
-    optimum y = 0: the LP certifies both sides of t*:
+    with a = c(0) - c(1), so the largest such t is the linear program max t
+    over (t, y, s) >= 0 with the x-rows t m_b a_b + y m_b + (pt_map^T s)_b
+    <= m_b c_b(0) (Charnes & Cooper, Naval Res. Logist. Q. 9, 181 (1962)).
+    Two runs of `_pivot` solve it:
 
-    - lower: its s gives S2 = s / pt_mult with C(t*) - PT*(S2) >= 0, so
-      sigma(t*) >= 0, and sigma >= 0 on [0, t*] by concavity;
-    - upper: its multipliers x >= 0 on the x-rows, with pt_map x >= 0 on
-      the s-rows and <m a, x> = 1 from the t column, give the trace-one
-      PPT point X = x / <m, x> with <C(t), X> = (t* - t) / <m, x>, below 0
-      for every t > t*.  `Onset.x` is that X, solved at trace one from its
-      vanishing rows as the simplex solves its own vertex (`_vertex`).
+    - the simplex's own loop at ``low`` under its ``max_iters``
+      (`_dual_vertex`), whose dual point must certify sigma(0) >= ``lower``
+      > 0.  ValueError otherwise, or for two problems not on one layout of
+      scalar blocks;
+    - on from that basis bordered by the row t >= 0, under ``high``'s
+      ``max_iters``: with ``low``'s dual point, (0, y, s) is a feasible
+      vertex with y > 0, and rows[active] = [[a, B], [-1, 0]] has the
+      inverse [[0, -1], [B^-1, B^-1 a]].  t grows while y falls, so t* > 0.
 
-    ValueError for a ``low`` that is no simplex solve on ``high``'s layout
-    or whose dual point has y <= 0.
+    An optimum (ValueError for any other end) certifies both sides.  Its
+    multipliers x >= 0 on the x-rows, with pt_map x >= 0 on the s-rows and
+    <m a, x> = 1 from the t column, give the trace-one PPT point X = x /
+    <m, x> with <C(t), X> = (t* - t) / <m, x> (`Onset.x`, solved from its
+    vanishing rows by `_vertex`; ValueError unless it is < 0 at t = 1).
+    Its s gives S2 = s / pt_mult with C(t*) - PT*(S2) >= 0 at y = 0.
     """
-    layout = high.layout
-    if low.problem.layout is not layout or low.basis is None:
-        raise ValueError("the onset starts from a simplex solve on the same layout")
+    layout, lower = low.layout, -math.inf
+    if high.layout is layout and layout.shape[1] == 1:
+        start = low.costs.ravel()
+        active, inverse, s2, pivots, _ = _dual_vertex(layout, start, low.options.max_iters)
+        lower = float(np.min(start - layout.adjoint @ s2))
+    if not lower > 0.0:
+        raise ValueError(f"no sigma > 0 certified ({lower:.3g}) at the first of two problems on one scalar-block layout")
     nb, mult = len(layout.mult), layout.mult
-    dual, _ = layout.lp_rows
-    start = low.problem.costs.ravel()
+    ends = np.array([start, high.costs.ravel()])
     # the columns (t, y, s) and the rows: x-rows, s-rows, then y >= 0 and t >= 0
     rows = np.zeros((2 * nb + 2, nb + 2))
-    rows[: 2 * nb, 1:] = dual
-    rows[:nb, 0] = mult * (start - high.costs.ravel())
+    rows[: 2 * nb, 1:] = layout.lp_rows[0]
+    rows[:nb, 0] = mult * (ends[0] - ends[1])
     rows[2 * nb, 1] = rows[2 * nb + 1, 0] = -1.0
     rhs = np.concatenate([mult * start, np.zeros(nb + 2)])
-    active = np.append(low.basis, 2 * nb + 1)
-    inverse = np.linalg.inv(rows[active])
-    if not (inverse @ rhs[active])[1] > 0.0:
-        raise ValueError("the onset needs a start whose dual point has y > 0")
-    pivots, status = _pivot(rows, rhs, active, inverse, high.options.max_iters)
-    u = inverse @ rhs[active]
-    s2 = (np.maximum(u[2:], 0.0) / layout.pt_mult)[:, None, None]
-    # at the optimum y's row is active (y = 0) and t's is not (t > 0 as y > 0 at the start)
-    x = _vertex(layout, active)[:, None, None] if status == "optimal" else None
-    return Onset(float(u[0]), pivots, status, x, s2)
+    bordered = np.block([[np.zeros((1, nb + 1)), -np.ones((1, 1))], [inverse, (inverse @ rows[active, 0])[:, None]]])
+    active = np.append(active, 2 * nb + 1)
+    more, status = _pivot(rows, rhs, active, bordered, high.options.max_iters)
+    if status != "optimal":
+        raise ValueError(f"the onset LP ended {status}")
+    u = bordered @ rhs[active]
+    s2 = np.maximum(u[2:], 0.0) / layout.pt_mult
+    x = _vertex(layout, active)  # y's row is active at the optimum, and t's is not
+    at_lo, at_hi = np.sum(ends * (mult * x), axis=-1)
+    if not at_hi < 0.0:
+        raise ValueError("no vertex line falls below 0 on the segment")
+    root = float(at_lo / (at_lo - at_hi))
+    # how far the first root can lie above the vertex line's (the line < 0 beyond) and below it (concavity)
+    above = float(max(0.0, at_lo + root * (at_hi - at_lo)) / (at_lo - at_hi))
+    deficit = max(0.0, -float(np.min(ends[0] + root * (ends[1] - ends[0]) - layout.adjoint @ s2)))
+    below = deficit * root / (lower + deficit)
+    return Onset(float(u[0]), root, above, below, lower, pivots + more, x[:, None, None], s2[:, None, None])

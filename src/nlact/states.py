@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import PSD_TOL, TRACE_TOL, DensityMatrix, kron
+from .linalg import DensityMatrix, check_density, kron
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -143,14 +143,9 @@ class TwirledState(DensityMatrix):
     def __init__(self, algebra: str, d: int, coeffs: tuple[float, float]) -> None:
         ranks = twirl_ranks(algebra, d)
         self.algebra, self.coeffs, self.dims = algebra, coeffs, (int(d), int(d))
-        # the messages of DensityMatrix's checks, in their order
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        tr = ranks[0] * coeffs[0] + ranks[1] * coeffs[1]
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr} is not 1 within 1e-12")
-        if min(coeffs) < -PSD_TOL:
-            raise ValueError(f"smallest eigenvalue {min(coeffs)} below -1e-10")
+        check_density(
+            bool(np.all(np.isfinite(coeffs))), lambda: ranks[0] * coeffs[0] + ranks[1] * coeffs[1], lambda: min(coeffs)
+        )
 
     @cached_property
     def mat(self) -> np.ndarray:

@@ -13,21 +13,18 @@ evaluating any point, and a table routes each of its columns by it.  A
 table's searched entry is one `find_threshold` over the family's whole
 range: to `EXACT_TOL` for a closed-form column, to `SDP_TOL` for hirsch1's
 p_TLF.  The p_TLF entry of a twirled family (wi, Werner, isotropic) is
-exact: the largest p at which sigma >= 0, one LP in (p, S2) (`sdp.onset`)
-run from the basis of the simplex solve at the range's low end, always
-under `DEFAULT_OPTIONS`, so the caller's solver options do not apply to
-it, and certified to `EXACT_TOL` on both sides by that LP: its S2 gives
-sigma >= 0 at the entry, and its primal vertex sigma < 0 above it (see
-`_exact_tlf_entry`).  Every search assumes a monotone
-indicator, and a point whose solve certifies nothing (indicator None)
-stops it with ``ValueError``.  Other SDP-backed points get at most one
-solve each under the caller's options (for a twirled family, the simplex's
-pivots, capped by ``max_iters``); within one search a point whose sign the
-earlier solves' certificates settle is not solved, each solve starts from
-the previous one, and a sampled curve solves every point cold.  In a
-sampled curve a point whose solve certifies nothing is recorded as
-missing, with the solve's status and bounds, instead of aborting the
-sweep.
+exact: the largest p at which sigma >= 0, one LP in (p, S2) between the
+problems at the range's ends (`sdp.onset`), always under `DEFAULT_OPTIONS`,
+and certified to `EXACT_TOL` on both sides by that LP (`_exact_tlf_entry`).
+Every search assumes a monotone indicator, and a point whose solve
+certifies nothing (indicator None) stops it with ``ValueError``.  Other
+SDP-backed points get at most one solve each under the caller's options
+(for a twirled family, the simplex's pivots, capped by ``max_iters``);
+within one search a point whose sign the earlier solves' certificates
+settle is not solved, each solve starts from the previous one, and a
+sampled curve solves every point cold.  In a sampled curve a point whose
+solve certifies nothing is recorded as missing, with the solve's status
+and bounds, instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import activation, measures
-from .activation import ACTIVATION_TOL, bisection_options, build_cost, sigma_min
+from .activation import bisection_options, build_cost, certified_sign, sigma_min
 from .sdp import SdpOptions, SdpProblem, SdpSolution, check_side, onset
 from .states import FamilySpec
 
@@ -127,30 +124,23 @@ def _settled(problem: SdpProblem, p: float, earlier: Sequence[Solved]) -> PointR
     from this one only in the costs, which are affine in p:
 
     - each earlier minimizer is exactly feasible for every cost, so its
-      weighted dot with this one, as its own solve computed its value,
-      bounds sigma(p) above;
+      value at this cost (`SdpProblem.value`, as its own solve computed
+      its value; ValueError for another layout) bounds sigma(p) above;
     - sigma is the minimum of those affine costs over one feasible set, so
       it is concave in p, and the chord between the certified lower bounds
       of two earlier points a < p < b bounds sigma(p) below.
 
-    Either bound on its side of the cut -ACTIVATION_TOL gives the indicator
-    that `sigma_min` gives a certified solve.  The value is the least upper
-    bound.
+    The bounds give the indicator that `sigma_min` gives a certified solve
+    (`certified_sign`).  The value is the least upper bound.
     """
     if not earlier:
         return None
-    if any(witness.problem.layout is not problem.layout for _, witness in earlier):
-        raise ValueError("an earlier point solves a problem of another layout")
-    weighted = problem.layout.mult[:, None, None] * problem.costs
-    upper = min(float(np.vdot(witness.blocks, weighted).real) for _, witness in earlier)
-    if upper < -ACTIVATION_TOL:
-        return PointResult(upper, True)
+    upper = min(problem.value(witness) for _, witness in earlier)
     at, low = np.array([(q, witness.objective_lb) for q, witness in earlier]).T
     a, b = at < p, at > p
     chords = ((at[b] - p) * low[a][:, None] + (p - at[a][:, None]) * low[b]) / (at[b] - at[a][:, None])
-    if chords.size and chords.max() >= -ACTIVATION_TOL:
-        return PointResult(upper, False)
-    return None
+    sign = certified_sign(upper, chords.max(initial=-math.inf))
+    return None if sign is None else PointResult(upper, sign)
 
 
 def _tlf_point(spec: FamilySpec, p: float, sdp_options: SdpOptions | None, earlier: Sequence[Solved]) -> PointResult:
@@ -261,9 +251,11 @@ def sample_curve(
     grid: list[float] | np.ndarray,
     sdp_options: SdpOptions | None = None,
 ) -> PropertyCurve:
-    """Pointwise evaluation over an increasing grid in the family's p range; failures are recorded, not fatal."""
+    """Pointwise evaluation over an increasing finite grid in the family's p range; failures are recorded, not fatal."""
     evaluator(spec, prop)
     grid = [float(p) for p in grid]
+    if not all(map(math.isfinite, grid)):
+        raise ValueError("grid points must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     lo, hi = spec.p_range()
@@ -341,18 +333,14 @@ def find_threshold(
     the last two steps did not halve the bracket.  So a poor margin costs
     evaluations, never the certificate.
 
-    A tlf point is solved only where the search's earlier solves leave its
-    sign open (`_settled`): an earlier minimizer is feasible at every p, so
-    its value at p's cost bounds sigma(p) above, and sigma is concave in p,
-    so the chord between two earlier lower bounds that straddle p bounds it
-    below.  A bound past the cut on its side certifies the indicator that a
-    cold solve would certify, as the solves' own bounds do.  Each solve
-    starts from the previous solve's witness and stops only on its
-    certificate, as a cold solve does, so any sign it certifies is the cold
-    solve's.  ``solves`` counts the solved points and ``newton_steps`` sums
-    their steps.  A ``tol`` below `TOL_ULPS` float spacings at the bracket's
-    larger end raises ``ValueError``: the points could no longer shrink the
-    bracket.
+    A tlf point is solved only where the certificates of the search's
+    earlier solves leave its sign open (`_settled`), whose bounds certify
+    the indicator that a cold solve would.  Each solve starts from the
+    previous solve's witness and stops only on its certificate, as a cold
+    solve does, so any sign it certifies is the cold solve's.  ``solves``
+    counts the solved points and ``newton_steps`` sums their steps.  A
+    ``tol`` below `TOL_ULPS` float spacings at the bracket's larger end
+    raises ``ValueError``: the points could no longer shrink the bracket.
     """
     tol = default_tolerance(prop) if tol is None else float(tol)
     if not (math.isfinite(tol) and tol > 0.0):
@@ -464,44 +452,20 @@ def _exact_tlf_entry(spec: FamilySpec, top: SdpProblem) -> dict:
 
     sigma(p) is the minimum over a polytope fixed by d of costs affine in p
     (the scalar blocks that `sdp.solve` hands to its simplex), so it is
-    concave and piecewise linear, and the onset is one linear program in
-    (t, S2) with p = lo + t (hi - lo): the largest t at which some S2 >= 0
-    certifies sigma >= 0 (`sdp.onset`).  Two solves, both under
-    `DEFAULT_OPTIONS`: the simplex at lo, then that LP from its optimal
-    basis.  The entry is the root r of the line of the LP's primal vertex
-    v, which at the optimum vanishes at t*.  The certificates:
-
-    - v is feasible with <C(p), v> < 0 on (r, hi], so sigma < 0 there;
-    - the lo solve's lower bound bounds sigma below at lo, where it must be
-      positive, and the LP's S2 bounds it below at r, so by concavity
-      sigma >= 0 on [lo, r] up to the bound's rounding.
-
-    The stated tolerance `EXACT_TOL` covers the rounding of both ends.  An
-    entry whose rounding leaves more, or whose LP ends short of its
-    optimum, raises ValueError instead of stating a root.
+    concave and piecewise linear, and its first root is one linear program
+    in (t, S2) with p = lo + t (hi - lo): `sdp.onset` from the problem at
+    lo to ``top``, under `DEFAULT_OPTIONS`.  The entry is the root of its
+    primal vertex's line, where it certifies sigma >= 0 below and sigma < 0
+    above up to rounding allowances, which must lie within `EXACT_TOL`;
+    else, or where `onset` refuses, ValueError instead of a root.
     """
     lo, hi = spec.p_range()
     lo = max(lo, 0.0)  # as in the searched entries
-    bottom = activation.solve(build_cost(spec.state(lo)))
-    low = bottom.objective_lb
-    if not low > 0.0:
-        raise ValueError(f"the solves certify no sigma > 0 at p={lo} (lower bound {low:.3g})")
-    lp = onset(bottom, top)
-    if lp.status != "optimal":
-        raise ValueError(f"the onset LP ended {lp.status}")
-    ends = np.array([bottom.problem.costs.ravel(), top.costs.ravel()])
-    at_lo, at_hi = np.sum(ends * (top.layout.mult * lp.x.ravel()), axis=-1)
-    if not at_hi < 0.0:
-        raise ValueError(f"no vertex line falls below 0 in [{lo}, {hi}]")
-    t = at_lo / (at_lo - at_hi)
-    root = float(lo + (hi - lo) * t)
-    # how far the onset can lie above the root (the line < 0 beyond) and below it (concavity)
-    above = max(0.0, at_lo + t * (at_hi - at_lo)) * (hi - lo) / (at_lo - at_hi)
-    costs = ends[0] + t * (ends[1] - ends[0])
-    deficit = max(0.0, -float(np.min(costs - top.layout.adjoint @ lp.s2.ravel())))
-    below = deficit * (root - lo) / (low + deficit)
-    if max(above, below) > EXACT_TOL:
-        raise ValueError(f"the solves certify no root at p={root}: the onset may lie {max(above, below):.3g} away")
+    lp = onset(build_cost(spec.state(lo)), top)
+    root = float(lo + (hi - lo) * lp.root)
+    slack = max(lp.above, lp.below) * (hi - lo)
+    if slack > EXACT_TOL:
+        raise ValueError(f"the onset LP certifies no root at p={root}: the onset may lie {slack:.3g} away")
     return {"value": root, "tolerance": EXACT_TOL, "provenance": "exact (LP vertex)"}
 
 
@@ -556,6 +520,9 @@ def build_table(
     """
     if family not in _TABLE_COLUMNS:
         raise ValueError(f"no table for family {family!r}")
+    # as `FamilySpec.d`: a bool is an int subclass, and a float would pass for the two-qubit tables
+    if isinstance(d_max, bool) or not isinstance(d_max, (int, np.integer)):
+        raise ValueError(f"d_max must be an integer, got {d_max!r}")
     if d_max < 2:
         raise ValueError(f"d_max must be at least 2, got {d_max}")
     d_values = range(2, 3 if family in ("wi", "hirsch1") else d_max + 1)

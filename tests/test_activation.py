@@ -237,19 +237,19 @@ def test_twirled_pt_maps_are_shared_and_read_only():
 
 @pytest.mark.parametrize("family,d", [("wi", 2), ("werner", 3), ("werner", 6), ("isotropic", 3), ("isotropic", 6)])
 def test_lp_vertex_bounds_sigma_on_both_sides(family, d):
-    # the simplex's optimal vertex at p = 1, before the mix toward I/n, is
-    # feasible, so its line bounds sigma above at every p, as the exact p_TLF
-    # entry takes it; each p's own solve bounds sigma below.  The reference is
-    # the matrix interior-point loop
+    # the simplex's minimizer at p = 1, its optimal vertex, is feasible, so its
+    # line bounds sigma above at every p, as a search's settled points take
+    # it (`SdpProblem.value`); each p's own solve bounds sigma below.  The
+    # reference is the matrix interior-point loop
     top = sigma_min(_twirled_state(family, d, 1.0)).witness
-    layout, vertex = top.problem.layout, top.iterates[0].ravel()
+    layout, vertex = top.problem.layout, top.blocks.ravel()
     assert np.min(np.concatenate([vertex, layout.pt_map @ vertex])) >= -VERTEX_TOL
     assert abs(layout.mult @ vertex - 1.0) <= 1e-12
-    assert abs(top.objective - top.problem.costs.ravel() @ (layout.mult * vertex)) <= 1e-15
+    assert top.objective == top.problem.value(top)
     for p in np.linspace(0.0, 1.0, 11):
         problem = build_cost(_twirled_state(family, d, float(p)), SdpOptions(tol_objective=1e-10))
         tight = _solve(problem, _interior_point)
-        assert problem.costs.ravel() @ (layout.mult * vertex) >= tight.objective_lb - 1e-12, p
+        assert problem.value(top) >= tight.objective_lb - 1e-12, p
         assert solve(problem).objective_lb <= tight.objective + 1e-12, p
     # at p = 1 the vertex is optimal: both bounds meet
     assert top.objective - top.objective_lb <= 1e-15

@@ -362,8 +362,8 @@ def test_table_exact_entries_ignore_a_loose_sdp_tol(capsys, args):
 @pytest.mark.parametrize("dmax,p_tlf", [("7", 0.3535533905932738), ("8", 0.32366324654752765)], ids=["7", "8"])
 def test_table_computes_every_column_of_the_last_row(monkeypatch, capsys, dmax, p_tlf):
     # CGLMP holds for every d: the isotropic p_NL is computed on every row, the
-    # root of the CGLMP margin at 2/I_d, and p_TLF exactly, from one converged
-    # solve and one optimal onset LP per row and with no tlf point evaluated
+    # root of the CGLMP margin at 2/I_d, and p_TLF exactly, from one onset LP
+    # per row, with no solve and no tlf point evaluated
     def no_point(*args, **kwargs):
         raise AssertionError("a tlf point was evaluated")
 
@@ -373,9 +373,7 @@ def test_table_computes_every_column_of_the_last_row(monkeypatch, capsys, dmax, 
     monkeypatch.setattr(sweep, "onset", lambda low, high: lps.append(onset(low, high)) or lps[-1])
     code, out, err = run_cli(capsys, "table", "--family", "isotropic", "--dmax", dmax)
     assert code == 0 and err == ""
-    assert len(solves) == len(lps) == int(dmax) - 1
-    assert {solution.status for solution in solves} == {"converged"}
-    assert {lp.status for lp in lps} == {"optimal"}
+    assert (len(lps), solves) == (int(dmax) - 1, [])
     rows = json.loads(out)["rows"]
     assert [row["d"] for row in rows] == list(range(2, int(dmax) + 1))
     for row in rows:

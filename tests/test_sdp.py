@@ -6,7 +6,7 @@ import pytest
 
 from nlact import activation, sdp
 from nlact.activation import ACTIVATION_TOL, DEFAULT_OPTIONS, H_ANGLE, bisection_options, build_cost
-from nlact.linalg import DensityMatrix, min_eig, partial_transpose_mat
+from nlact.linalg import PSD_TOL, TRACE_TOL, DensityMatrix, min_eig, partial_transpose_mat
 from nlact.rand import random_density
 from nlact.sdp import SdpLayout, SdpOptions, SdpProblem, _interior_point, _solve, _splitting, solve
 from nlact.states import (
@@ -231,22 +231,35 @@ def test_simplex_from_a_degenerate_start(state):
     assert oracle.objective_lb - 1e-12 <= vertex.objective <= oracle.objective + 1e-12
 
 
-def test_onset_starts_from_a_simplex_solve_on_the_same_layout():
-    low = solve(build_cost(werner_state(3, 0.0)))
-    with pytest.raises(ValueError, match="same layout"):
-        sdp.onset(low, build_cost(isotropic_state(3, 1.0)))
-    with pytest.raises(ValueError, match="same layout"):
-        sdp.onset(dataclasses.replace(low, basis=None), build_cost(werner_state(3, 1.0)))
-    # at p = 1 sigma < 0, so its basis is no feasible start
-    with pytest.raises(ValueError, match="y > 0"):
-        sdp.onset(solve(build_cost(werner_state(3, 1.0))), low.problem)
+def test_onset_refuses_all_but_a_certified_start_on_one_scalar_layout():
+    low, high = build_cost(werner_state(3, 0.0)), build_cost(werner_state(3, 1.0))
+    refused = [
+        (low, build_cost(isotropic_state(3, 1.0))),  # another layout
+        (build_cost(hirsch_state(0.0)), build_cost(hirsch_state(1.0))),  # blocks of side 2
+        (high, low),  # at p = 1 sigma < 0
+        # one pivot in, the dual point at p = 0 is short of sigma > 0
+        (build_cost(isotropic_state(6, 0.0), SdpOptions(max_iters=1)), build_cost(isotropic_state(6, 1.0))),
+    ]
+    for first, second in refused:
+        with pytest.raises(ValueError, match="no sigma > 0 certified"):
+            sdp.onset(first, second)
+    lp = sdp.onset(low, high)
+    assert lp.lower > 0.0 and 0.0 < lp.root < 1.0 and abs(lp.t - lp.root) <= 1e-15
+
+
+def test_onset_lower_bound_is_the_simplex_solves():
+    # the first run is the simplex's own loop, so sigma's certified lower bound at
+    # the low end is the one a solve there certifies, bit for bit
+    for spec in (FamilySpec("wi"), FamilySpec("werner", 5), FamilySpec("isotropic", 7)):
+        low = build_cost(spec.state(0.0))
+        assert sdp.onset(low, build_cost(spec.state(1.0))).lower == solve(low).objective_lb
 
 
 def test_onset_of_a_segment_along_which_sigma_never_falls_is_unbounded():
     # with the same costs at both ends the t column is 0: t grows without bound
-    low = solve(build_cost(werner_state(3, 0.2)))
-    lp = sdp.onset(low, low.problem)
-    assert (lp.status, lp.x) == ("unbounded", None)
+    low = build_cost(werner_state(3, 0.2))
+    with pytest.raises(ValueError, match="ended unbounded"):
+        sdp.onset(low, low)
 
 
 # p_TLF of each twirled row as bisected to a 1e-3 bracket, within 3e-4 of the
@@ -336,7 +349,7 @@ def test_scalar_loop_rounds_past_a_singular_transposed_basis(tol):
     sol = solve(problem)
     assert sol.status == "converged" and sol.iterations <= FAMILY_PIVOTS
     assert sol.objective - sol.objective_lb <= 1e-15
-    assert np.all(np.isfinite(sol.iterates))
+    assert np.all(np.isfinite(sol.blocks))
 
 
 def _expand(images, onto):
@@ -572,8 +585,7 @@ def test_side_two_scaling_rejects_a_block_off_its_cone(block):
     problem = build_cost(hirsch_state(0.17), bisection_options())
     state = sdp._start(problem.layout, problem.costs)
     state[2 * len(problem.layout.mult) + 5] = bad
-    bounds = sdp._Bounds(problem.layout, problem.costs, problem.options)
-    steps, status, _, _ = _interior_point(problem.layout, bounds, problem.options, state)
+    steps, status, _ = _interior_point(problem.layout, sdp._Bounds(problem), problem.options, state)
     assert (steps, status) == (1, "infeasible_numerics")
 
 
@@ -757,11 +769,9 @@ def test_interior_point_solution_stores_its_states_from_the_start():
     nb, s = problem.costs.shape[:2]
     assert sol.iterates.shape == (sol.iterations + 1, 4 * nb, s, s)
     assert np.array_equal(sol.iterates[0], sdp._start(problem.layout, problem.costs))
+    # the other loops store none: no solve starts from theirs
     assert _admm(problem).iterates is None
-    # the simplex stores one state, its vertex before the mix toward I/n
-    twirled = solve(build_cost(werner_state(3, 0.6)))
-    assert twirled.iterates.shape == (1, 8, 1, 1)
-    assert abs(twirled.problem.layout.trace(twirled.iterates[0]) - 1.0) <= 1e-15
+    assert solve(build_cost(werner_state(3, 0.6))).iterates is None
 
 
 def test_start_from_another_layout_is_rejected(rng):
@@ -983,7 +993,7 @@ def test_failed_warm_solve_is_run_again_cold(monkeypatch):
     # the solution counts the Newton steps of both
     def failing_warm(st, bounds, opts, state=None):
         if state is not None:
-            return 3, "infeasible_numerics", state[None], None
+            return 3, "infeasible_numerics", state[None]
         return _interior_point(st, bounds, opts)
 
     options = bisection_options()
@@ -1012,4 +1022,4 @@ def test_matrix_loop_ends_infeasible_numerics_short_of_an_unreachable_gap(monkey
     assert sol.objective_lb <= sol.objective
     assert sol.objective - sol.objective_lb > options.tol_objective
     assert sol.iterations < options.max_iters
-    assert sol.residuals["psd_slack"] <= sdp.PSD_TOL and sol.residuals["trace_err"] <= sdp.TRACE_TOL
+    assert sol.residuals["psd_slack"] <= PSD_TOL and sol.residuals["trace_err"] <= TRACE_TOL

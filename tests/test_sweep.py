@@ -121,6 +121,19 @@ def test_sample_curve_grid_must_increase():
         sample_curve(WI, "eof", [0.5, 0.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sample_curve_rejects_a_non_finite_point_before_any_evaluation(monkeypatch, bad):
+    # a NaN compares false, so it would pass the "strictly increasing" check
+    # and come back as a recorded failure; it is refused up front instead
+    def no_point(*args, **kwargs):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(sweep, "evaluate_point", no_point)
+    for grid in ([0.0, bad, 1.0], [bad], np.array([0.0, bad])):
+        with pytest.raises(ValueError, match="grid points must be finite"):
+            sample_curve(WI, "chsh", grid)
+
+
 def test_find_threshold_chsh():
     report = find_threshold(WI, "chsh", (0.6, 0.8))
     assert abs(report.threshold - 1 / np.sqrt(2)) < 5e-4
@@ -286,32 +299,27 @@ def test_prescan_bisection_equals_linear_scan(monkeypatch, raising, uncertified_
 
 
 # per table: evaluate_point calls (the closed-form columns, each a root search
-# on its margin over the family's range), simplex runs and their pivots: every
-# p_TLF entry is exact, one simplex solve at the low end of the range and one
-# onset LP from its basis, and evaluates no tlf point
-_TABLE_EVALUATIONS = {("wi", 6): (54, 2, 7), ("werner", 6): (94, 10, 35), ("isotropic", 6): (151, 10, 35)}
+# on its margin over the family's range), onset LPs and their pivots: every
+# p_TLF entry is exact, one onset LP between the ends of the range, and
+# evaluates no tlf point
+_TABLE_EVALUATIONS = {("wi", 6): (54, 1, 7), ("werner", 6): (94, 5, 35), ("isotropic", 6): (151, 5, 35)}
 
 
 @pytest.mark.parametrize("family,d_max", list(_TABLE_EVALUATIONS), ids=str)
 def test_build_table_evaluation_budget(monkeypatch, family, d_max):
-    evaluations, solves, lps = [], [], []
+    evaluations, lps = [], []
 
     def counted(*args, **kwargs):
         evaluations.append(args)
         return evaluate_point(*args, **kwargs)
 
-    def counted_solve(problem):
-        solves.append(solve(problem))
-        return solves[-1]
-
     monkeypatch.setattr(sweep, "evaluate_point", counted)
-    monkeypatch.setattr(activation, "solve", counted_solve)
     monkeypatch.setattr(sweep, "onset", lambda low, high: lps.append(onset(low, high)) or lps[-1])
     build_table(family, d_max=d_max)
-    max_evaluations, max_solves, max_steps = _TABLE_EVALUATIONS[family, d_max]
+    max_evaluations, max_lps, max_pivots = _TABLE_EVALUATIONS[family, d_max]
     assert len(evaluations) <= max_evaluations
-    assert len(solves) + len(lps) <= max_solves
-    assert sum(solution.iterations for solution in solves) + sum(lp.pivots for lp in lps) <= max_steps
+    assert len(lps) <= max_lps
+    assert sum(lp.pivots for lp in lps) <= max_pivots
     assert not [args for args in evaluations if args[1] == "tlf"]  # every p_TLF entry is exact
 
 
@@ -330,15 +338,15 @@ _TWIRLED_ROWS = [("wi", 2)] + [(family, d) for family in ("werner", "isotropic")
 
 @pytest.mark.parametrize("family,d", _TWIRLED_ROWS, ids=str)
 def test_exact_tlf_entry_matches_closed_form(monkeypatch, family, d):
-    solves = []
+    solves, lps = [], []
     monkeypatch.setattr(activation, "solve", lambda problem: solves.append(problem) or solve(problem))
-    monkeypatch.setattr(sweep, "onset", lambda low, high: solves.append(high) or onset(low, high))
+    monkeypatch.setattr(sweep, "onset", lambda low, high: lps.append(high) or onset(low, high))
     entry = sweep._computed_entry(FamilySpec(family, d), "tlf", None)
     assert entry["provenance"] == "exact (LP vertex)"
     assert entry["tolerance"] <= 1e-12
     closed = _closed_form_tlf(family, d)
     assert abs(entry["value"] - closed) <= 4.4e-16
-    assert len(solves) <= 2  # the low end of the range and the onset LP
+    assert (len(lps), solves) == (1, [])  # one onset LP, and no solve
     if d == 2:
         assert abs(closed - (4 * _SQRT2 - 5)) <= 1e-15
 
@@ -396,10 +404,10 @@ def test_exact_tlf_entry_certificates_hold_densely(monkeypatch, family, d):
 
 
 def _cap_pivots(monkeypatch, end):
-    """Stop the solve at the low end of the range (``low``) or the onset LP (``root``) after one pivot."""
+    """Stop the onset's run at the low end of the range (``low``) or its LP (``root``) after one pivot."""
     one = SdpOptions(max_iters=1)
     if end == "low":
-        monkeypatch.setattr(activation, "solve", lambda problem: solve(dataclasses.replace(problem, options=one)))
+        monkeypatch.setattr(sweep, "onset", lambda low, high: onset(dataclasses.replace(low, options=one), high))
     else:
         monkeypatch.setattr(sweep, "onset", lambda low, high: onset(low, dataclasses.replace(high, options=one)))
 
@@ -416,7 +424,7 @@ def _cap_pivots(monkeypatch, end):
 def test_exact_tlf_entry_missing_an_optimal_basis_raises(monkeypatch, family, d, end, message):
     # a run stopped one pivot in lacks its optimal basis: the onset LP (which
     # places the root) then has no primal vertex to certify sigma < 0 above
-    # it, and at p = 0 the solve's dual bound certifies no sigma > 0.  The
+    # it, and at p = 0 the first run's dual bound certifies no sigma > 0.  The
     # entry is refused, never printed
     _cap_pivots(monkeypatch, end)
     with pytest.raises(ValueError, match=message):
@@ -631,6 +639,19 @@ def test_build_table_werner_marks_sa():
 def test_build_table_unknown_family():
     with pytest.raises(ValueError, match="no table"):
         build_table("ghz")
+
+
+@pytest.mark.parametrize("family", ["wi", "werner", "isotropic", "hirsch1"])
+@pytest.mark.parametrize("d_max", [2.5, 3.0, np.float64(3.0), True, "3"], ids=repr)
+def test_build_table_rejects_a_d_max_that_is_no_integer(monkeypatch, family, d_max):
+    # as FamilySpec does for d: before any row is routed or computed; a numpy integer is an integer
+    entries = []
+    monkeypatch.setattr(sweep, "_computed_entry", lambda *args: entries.append(args) or {})
+    with pytest.raises(ValueError, match="d_max must be an integer"):
+        build_table(family, d_max)
+    assert not entries
+    rows = build_table(family, np.int64(3))["rows"]
+    assert [row["d"] for row in rows] == ([2] if family in ("wi", "hirsch1") else [2, 3])
 
 
 def test_too_large_activation_problem_rejected_up_front(monkeypatch):
