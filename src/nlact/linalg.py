@@ -22,11 +22,14 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 HERM_INPUT_TOL = 1e-10
+MAX_SIDE = 256
 
 __all__ = [
     "HERMITICITY_TOL",
     "TRACE_TOL",
     "PSD_TOL",
+    "MAX_SIDE",
+    "check_side",
     "DensityMatrix",
     "check_density",
     "EigenDecomposition",
@@ -40,6 +43,12 @@ __all__ = [
     "partial_transpose",
     "partial_transpose_mat",
 ]
+
+
+def check_side(n: int) -> None:
+    """Reject a matrix of side n above the desk-scale limit `MAX_SIDE`; called before it is allocated."""
+    if n > MAX_SIDE:
+        raise ValueError(f"problem side {n} exceeds the desk-scale limit {MAX_SIDE}")
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:

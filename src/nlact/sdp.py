@@ -124,12 +124,12 @@ from .linalg import (
     HERMITICITY_TOL,
     DensityMatrix,
     check_density,
+    check_side,
     is_hermitian,
     kron,
     permute_mat,
 )
 
-MAX_SIDE = 256
 # largest block side solved by the interior-point loop: its Newton system has
 # about side^2 unknowns per block
 IPM_MAX_SIDE = 16
@@ -176,16 +176,9 @@ __all__ = [
     "SdpOptions",
     "SdpProblem",
     "SdpSolution",
-    "check_side",
     "onset",
     "solve",
 ]
-
-
-def check_side(n: int) -> None:
-    """Reject a problem of side n above `MAX_SIDE`."""
-    if n > MAX_SIDE:
-        raise ValueError(f"problem side {n} exceeds the desk-scale limit {MAX_SIDE}")
 
 
 @dataclass(frozen=True)
@@ -249,8 +242,9 @@ class SdpLayout:
     PT(X)_c = sum_b pt_map[c, b] T(X)_b, and `pt_adj` its adjoint under the
     multiplicity-weighted inner products.  Every loop takes the layout, which
     derives these, its `_Operators` and the simplex's ``lp_rows`` on first
-    use.  It is validated whole when built: the adjoint must invert
-    ``pt_map``, and every entry be finite.
+    use.  It is validated whole when built: the block side at most
+    `MAX_SIDE`, the adjoint must invert ``pt_map``, and every entry be
+    finite; `dense` checks the dense side n before it builds anything.
     """
 
     factors: tuple[tuple[np.ndarray, tuple[int, ...]], ...]
@@ -261,7 +255,7 @@ class SdpLayout:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        check_side(int(np.prod(self.dims)))
+        check_side(self.shape[1])
         if not all(np.all(np.isfinite(a)) for a in (self.pt_map, *(p for p, _ in self.factors))):
             raise ValueError("layout entries must be finite")
         for projectors, subsystems in self.factors:
@@ -373,6 +367,7 @@ class SdpLayout:
 
     def dense(self, blocks: np.ndarray) -> np.ndarray:
         """The dense operator sum_b P_b (x) blocks[b] in the subsystem order ``dims``, in the canonical basis."""
+        check_side(int(self.n))
         inner = tuple(i for i in range(len(self.dims)) if i not in self.outer)
         order = self.outer + inner
         stacks = [projectors for projectors, _ in self.factors]

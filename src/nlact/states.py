@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import DensityMatrix, check_density, kron
+from .linalg import DensityMatrix, check_density, check_side, kron
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -100,7 +100,11 @@ def magic_basis() -> list[np.ndarray]:
 
 @lru_cache(maxsize=None)
 def twirl_projectors(algebra: str, d: int) -> np.ndarray:
-    """Read-only, real symmetric (P_sym, P_anti) of "werner" (U x U) or (1 - Phi, Phi) of "isotropic" (U x conj(U))."""
+    """Read-only, real symmetric (P_sym, P_anti) of "werner" (U x U) or (1 - Phi, Phi) of "isotropic" (U x conj(U)).
+
+    A side d^2 above `MAX_SIDE` is rejected before anything is built, so a rejected d caches nothing.
+    """
+    check_side(d * d)
     eye = np.eye(d * d)
     if algebra == "werner":
         last = 0.5 * (eye - eye.reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d))

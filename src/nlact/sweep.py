@@ -3,28 +3,24 @@
 A threshold is certified by a boolean property indicator (entangled, CHSH
 violated, filter-violated, teleportation-useful, activation certified,
 CGLMP violated): the final bracket is off at its low end and on at its high
-end.  Every closed-form evaluator also returns a signed margin, the
-unclipped quantity its indicator compares with zero (the values are clipped
-at the onset, so they cannot serve), and `find_threshold` places its points
-by root-finding on that margin; a tlf point has none, so a tlf search
-bisects.  One routing rule, ``evaluator``, maps a (family, d, property)
-triple to its evaluator or rejects it; every entry point applies it before
-evaluating any point, and a table routes each of its columns by it.  A
-table's searched entry is one `find_threshold` over the family's whole
-range: to `EXACT_TOL` for a closed-form column, to `SDP_TOL` for hirsch1's
-p_TLF.  The p_TLF entry of a twirled family (wi, Werner, isotropic) is
-exact: the largest p at which sigma >= 0, one LP in (p, S2) between the
-problems at the range's ends (`sdp.onset`), always under `DEFAULT_OPTIONS`,
-and certified to `EXACT_TOL` on both sides by that LP (`_exact_tlf_entry`).
-Every search assumes a monotone indicator, and a point whose solve
-certifies nothing (indicator None) stops it with ``ValueError``.  Other
-SDP-backed points get at most one solve each under the caller's options
-(for a twirled family, the simplex's pivots, capped by ``max_iters``);
-within one search a point whose sign the earlier solves' certificates
-settle is not solved, each solve starts from the previous one, and a
-sampled curve solves every point cold.  In a sampled curve a point whose
-solve certifies nothing is recorded as missing, with the solve's status
-and bounds, instead of aborting the sweep.
+end.  One routing rule, ``evaluator``, maps a (family, d, property) triple
+to its evaluator or rejects it; every entry point applies it before
+evaluating any point, and a table routes each of its columns by it (a
+searched entry is one `find_threshold` over the family's range).
+`find_threshold` has one route per question.  A closed-form property is
+root-found to `EXACT_TOL` on the signed margin that its evaluator returns,
+the unclipped quantity its indicator compares with zero (the values are
+clipped at the onset, so they cannot serve).  The p_TLF of a twirled family
+(wi, Werner, isotropic) is exact: the largest p at which sigma >= 0, one LP
+in (p, S2) between the problems at the bracket's ends (`sdp.onset`), always
+under `DEFAULT_OPTIONS`, certified to `EXACT_TOL` on both sides.  A Hirsch
+p_TLF is bisected to `SDP_TOL` on certified activation signs, at most one
+solve per point under the caller's options: a point whose sign the earlier
+solves' certificates settle is not solved, and each solve starts from the
+previous one.  A search assumes a monotone indicator, and a point whose
+solve certifies nothing (indicator None) stops it with ``ValueError``.  A
+sampled curve solves every point cold and records such a point as missing,
+with the solve's status and bounds, instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -37,8 +33,9 @@ import numpy as np
 
 from . import activation, measures
 from .activation import bisection_options, build_cost, certified_sign, sigma_min
-from .sdp import SdpOptions, SdpProblem, SdpSolution, check_side, onset
-from .states import FamilySpec
+from .linalg import check_side
+from .sdp import SdpOptions, SdpProblem, SdpSolution, onset
+from .states import FamilySpec, TwirledState
 
 PROPERTIES = ("eof", "chsh", "hn", "sa", "tlf", "cglmp")
 
@@ -91,6 +88,8 @@ class PropertyCurve:
 
 @dataclass
 class ThresholdReport:
+    """A threshold, the bracket that certifies it to ``tolerance``, its cost, and its route (``provenance``)."""
+
     family: str
     d: int
     prop: str
@@ -98,12 +97,14 @@ class ThresholdReport:
     bracket: tuple[float, float]
     tolerance: float
     evaluations: int
-    # summed over the search's solves (the simplex's pivots for a twirled
+    # summed over the search's solves (the onset LP's pivots for a twirled
     # family); 0 where no point solves (closed-form columns)
     newton_steps: int
-    # the evaluations that were solved: a tlf point whose sign the earlier
-    # solves settle is not, and a closed-form point never is
+    # the evaluations that were solved: a Hirsch tlf point whose sign the
+    # earlier solves settle is not, and a closed-form point never is
     solves: int = 0
+    # "exact (LP vertex)" for a twirled p_TLF (2 end problems, 1 onset LP), else "computed"
+    provenance: str = "computed"
 
 
 # a tlf point already solved: (p, its solve)
@@ -111,10 +112,6 @@ Solved = tuple[float, SdpSolution]
 # an evaluator maps (spec, p, sdp_options, earlier) to the point's result; the
 # closed-form ones ignore the solver options and the earlier points
 Evaluator = Callable[[FamilySpec, float, SdpOptions | None, Sequence[Solved]], PointResult]
-
-
-def default_tolerance(prop: str) -> float:
-    return SDP_TOL if prop == "tlf" else EXACT_TOL
 
 
 def _settled(problem: SdpProblem, p: float, earlier: Sequence[Solved]) -> PointResult | None:
@@ -213,12 +210,11 @@ def evaluator(spec: FamilySpec, prop: str) -> Evaluator:
     """The evaluator of (family, d, property); ValueError for a pair that has none."""
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
-    if prop == "tlf":
-        check_side(4 * spec.d * spec.d)  # the activation problem's side, d_A d_B times the two ancilla qubits
-        return _tlf_point
-    if prop == "cglmp":
-        check_side(spec.d * spec.d)  # the d x d state that the point builds
-        return _cglmp_point
+    if prop in ("tlf", "cglmp"):
+        # the d^2-sided matrix that the point builds: the twirl projectors of
+        # a tlf problem's layout, or the d x d state of a cglmp point
+        check_side(spec.d * spec.d)
+        return _tlf_point if prop == "tlf" else _cglmp_point
     if prop == "sa" and spec.family == "isotropic":
         return _isotropic_sa_point
     if prop == "hn" and spec.family == "werner" and spec.d > 2:
@@ -322,6 +318,14 @@ def find_threshold(
 ) -> ThresholdReport:
     """Locate the indicator's onset in a straddling bracket, down to a bracket of width tol.
 
+    The p_TLF of a twirled family (a `TwirledState` at lo) is exact: sigma
+    is concave and piecewise linear in p, and its first root is one LP,
+    `sdp.onset` between the problems at lo and hi under `DEFAULT_OPTIONS`,
+    whatever ``sdp_options`` are.  The threshold is its vertex line's root,
+    and the bracket spans the LP's rounding allowances below and above it,
+    each within the tolerance min(tol, `EXACT_TOL`).  A bracket that does
+    not straddle the onset raises `sdp.onset`'s ``ValueError``.
+
     Each step evaluates one point, and its indicator decides which end of
     the bracket moves there, so the final bracket (off at its low end, on at
     its high end) certifies the threshold, and its width is the stated
@@ -329,11 +333,11 @@ def find_threshold(
     variant of regula falsi (Dowell & Jarratt, BIT 11, 168, 1971) on the
     ends' margins, clamped at least tol/2 inside the bracket, so an affine
     margin closes in four evaluations.  The midpoint is taken instead where a
-    margin is missing (every tlf point) or has the wrong sign, and wherever
+    margin is missing (every Hirsch tlf point) or has the wrong sign, and wherever
     the last two steps did not halve the bracket.  So a poor margin costs
     evaluations, never the certificate.
 
-    A tlf point is solved only where the certificates of the search's
+    A Hirsch tlf point is solved only where the certificates of the search's
     earlier solves leave its sign open (`_settled`), whose bounds certify
     the indicator that a cold solve would.  Each solve starts from the
     previous solve's witness and stops only on its certificate, as a cold
@@ -342,7 +346,8 @@ def find_threshold(
     ``tol`` below `TOL_ULPS` float spacings at the bracket's larger end
     raises ``ValueError``: the points could no longer shrink the bracket.
     """
-    tol = default_tolerance(prop) if tol is None else float(tol)
+    evaluator(spec, prop)
+    tol = (SDP_TOL if prop == "tlf" else EXACT_TOL) if tol is None else float(tol)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -351,6 +356,14 @@ def find_threshold(
     resolution = TOL_ULPS * float(np.spacing(max(abs(lo), abs(hi))))
     if tol < resolution:
         raise ValueError(f"tol {tol:.3g} is below the float resolution {resolution:.3g} of the bracket")
+    if prop == "tlf" and isinstance(low := spec.state(lo), TwirledState):
+        lp = onset(build_cost(low), build_cost(spec.state(hi)))
+        root, below, above = lo + (hi - lo) * lp.root, lp.below * (hi - lo), lp.above * (hi - lo)
+        tol = min(tol, EXACT_TOL)
+        if max(below, above) > tol:
+            raise ValueError(f"the onset LP certifies no root at p={root}: the onset may lie {max(below, above):.3g} away")
+        return ThresholdReport(spec.family, spec.d, prop, root, (root - below, root + above), tol,
+                               evaluations=2, newton_steps=lp.pivots, solves=1, provenance="exact (LP vertex)")
     # the search only consumes the indicator, so the sign-decision stop applies
     sdp_options = bisection_options(sdp_options)
     solved: list[Solved] = []  # the tlf points solved so far, in order
@@ -447,36 +460,11 @@ _TABLE_COLUMNS = {
 TABLE_FAMILIES = tuple(_TABLE_COLUMNS)
 
 
-def _exact_tlf_entry(spec: FamilySpec, top: SdpProblem) -> dict:
-    """The exact p_TLF of a twirled family, whose problem at hi is ``top``: the first root of sigma(p).
-
-    sigma(p) is the minimum over a polytope fixed by d of costs affine in p
-    (the scalar blocks that `sdp.solve` hands to its simplex), so it is
-    concave and piecewise linear, and its first root is one linear program
-    in (t, S2) with p = lo + t (hi - lo): `sdp.onset` from the problem at
-    lo to ``top``, under `DEFAULT_OPTIONS`.  The entry is the root of its
-    primal vertex's line, where it certifies sigma >= 0 below and sigma < 0
-    above up to rounding allowances, which must lie within `EXACT_TOL`;
-    else, or where `onset` refuses, ValueError instead of a root.
-    """
-    lo, hi = spec.p_range()
-    lo = max(lo, 0.0)  # as in the searched entries
-    lp = onset(build_cost(spec.state(lo)), top)
-    root = float(lo + (hi - lo) * lp.root)
-    slack = max(lp.above, lp.below) * (hi - lo)
-    if slack > EXACT_TOL:
-        raise ValueError(f"the onset LP certifies no root at p={root}: the onset may lie {slack:.3g} away")
-    return {"value": root, "tolerance": EXACT_TOL, "provenance": "exact (LP vertex)"}
-
-
 def _computed_entry(spec: FamilySpec, prop: str, sdp_options: SdpOptions | None) -> dict:
-    """A searched entry: one `find_threshold` over the range, or the exact p_TLF of a problem in scalar blocks."""
+    """A searched entry: one `find_threshold` over the family's range, from p = 0 where the range reaches below."""
     lo, hi = spec.p_range()
-    top = build_cost(spec.state(hi)) if prop == "tlf" else None
-    if top is not None and top.layout.shape[1] == 1:
-        return _exact_tlf_entry(spec, top)
     report = find_threshold(spec, prop, (max(lo, 0.0), hi), sdp_options=sdp_options)
-    return {"value": report.threshold, "tolerance": report.tolerance, "provenance": "computed"}
+    return {"value": report.threshold, "tolerance": report.tolerance, "provenance": report.provenance}
 
 
 def _stored_entry(bound: measures.ReferenceBound) -> dict:

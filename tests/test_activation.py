@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,15 @@ from nlact.sdp import (
     _solve,
     solve,
 )
-from nlact.states import ParityState, h_theta, hirsch_state, isotropic_state, werner_state, wi_state
+from nlact.states import (
+    ParityState,
+    h_theta,
+    hirsch_state,
+    isotropic_state,
+    twirl_projectors,
+    werner_state,
+    wi_state,
+)
 from test_sdp import FAMILY_PIVOTS, HIRSCH_TRAIL
 from test_states import kron_hirsch
 
@@ -90,6 +99,22 @@ def test_sigma_min_isotropic_d4():
     result = sigma_min(isotropic_state(4, 0.6))
     assert result.activated
     assert result.sigma < 0
+
+
+@pytest.mark.parametrize("state", [werner_state(40, 0.5), isotropic_state(17, 0.5)], ids=["werner40", "isotropic17"])
+def test_too_large_twirled_solve_is_rejected_before_it_allocates(state):
+    # the twirl projectors of side d^2 > MAX_SIDE are refused before they are
+    # built, so the rejection allocates next to nothing and caches nothing
+    cached = twirl_projectors.cache_info().currsize
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"problem side {state.dims[0] ** 2} exceeds the desk-scale limit 256"):
+            sigma_min(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert twirl_projectors.cache_info().currsize == cached
 
 
 def test_ancilla_R_feasible():

@@ -387,27 +387,28 @@ def test_table_computes_every_column_of_the_last_row(monkeypatch, capsys, dmax, 
 
 
 def test_isotropic_table_past_the_problem_side_limit_is_rejected(monkeypatch, capsys):
-    # d = 9 needs an activation problem of side 324: rejected before any row is computed
+    # d = 17 needs twirl projectors of side 289: rejected before any row is computed
     def no_solve(*args, **kwargs):
         raise AssertionError("a row was computed")
 
     monkeypatch.setattr(sweep, "sigma_min", no_solve)
-    code, out, err = run_cli(capsys, "table", "--family", "isotropic", "--dmax", "9")
+    monkeypatch.setattr(sweep, "onset", no_solve)
+    code, out, err = run_cli(capsys, "table", "--family", "isotropic", "--dmax", "17")
     assert code == 2
     assert out == ""
-    assert "isotropic d=9 p_TLF: problem side 324 exceeds the desk-scale limit 256" in err
+    assert "isotropic d=17 p_TLF: problem side 289 exceeds the desk-scale limit 256" in err
 
 
 def test_table_with_a_huge_dmax_fails_at_the_first_row_past_the_limit(monkeypatch, capsys):
-    # the rows are routed one at a time, and d = 9 is the first whose p_TLF is too large
+    # the rows are routed one at a time, and d = 17 is the first whose p_TLF is too large
     monkeypatch.setattr(sweep, "_computed_entry", lambda *args: pytest.fail("an entry was computed"))
     code, out, err = run_cli(capsys, "table", "--family", "werner", "--dmax", "1000000000")
     assert code == 2
     assert out == ""
-    assert "werner d=9 p_TLF: problem side 324 exceeds the desk-scale limit 256" in err
+    assert "werner d=17 p_TLF: problem side 289 exceeds the desk-scale limit 256" in err
 
 
-@pytest.mark.parametrize("dmax", ["1", "9", "-3"])
+@pytest.mark.parametrize("dmax", ["1", "17", "-3"])
 def test_table_rejects_dmax_out_of_range(monkeypatch, capsys, dmax):
     # rejected before any row is computed, in every family; only werner and
     # isotropic have rows past d = 2 that can exceed the desk-scale limit
@@ -416,10 +417,10 @@ def test_table_rejects_dmax_out_of_range(monkeypatch, capsys, dmax):
 
     monkeypatch.setattr(sweep, "sigma_min", no_entry)
     monkeypatch.setattr(sweep, "_computed_entry", no_entry)
-    for family in ("werner", "isotropic") if dmax == "9" else sweep.TABLE_FAMILIES:
+    for family in ("werner", "isotropic") if dmax == "17" else sweep.TABLE_FAMILIES:
         code, out, err = run_cli(capsys, "table", "--family", family, "--dmax", dmax)
         assert (code, out) == (2, ""), family
-        assert ("desk-scale" if dmax == "9" else "at least 2") in err, family
+        assert ("desk-scale" if dmax == "17" else "at least 2") in err, family
 
 
 @pytest.mark.parametrize("flag", [("--sdp-max-iters", "0"), ("--sdp-max-iters", "-5"), ("--sdp-tol", "nan"), ("--sdp-tol", "-1")])

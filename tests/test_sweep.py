@@ -27,6 +27,7 @@ from nlact.sweep import (
     prescan_bracket,
     sample_curve,
 )
+from test_acceptance import ISOTROPIC_TLF, WERNER_TLF
 
 WI = FamilySpec("wi")
 HIRSCH1 = FamilySpec("hirsch1")
@@ -351,13 +352,70 @@ def test_exact_tlf_entry_matches_closed_form(monkeypatch, family, d):
         assert abs(closed - (4 * _SQRT2 - 5)) <= 1e-15
 
 
+def _exact_searches():
+    """(spec, bracket) of twirled tlf searches: each family's range, and the brackets of criteria 1, 2 and 4."""
+    searches = [(WI, (0.0, 1.0)), (WI, (0.6, 0.72))]
+    for family in ("werner", "isotropic"):
+        for d in range(2, 17):
+            lo, hi = FamilySpec(family, d).p_range()
+            searches.append((FamilySpec(family, d), (max(lo, 0.0), hi)))
+    for family, column in (("werner", WERNER_TLF), ("isotropic", ISOTROPIC_TLF)):
+        searches += [(FamilySpec(family, d), (p - 0.04, p + 0.04)) for d, p in column.items()]
+    return searches
+
+
+@pytest.mark.parametrize("spec,bracket", _exact_searches(), ids=str)
+def test_find_threshold_of_a_twirled_tlf_is_the_exact_onset(monkeypatch, spec, bracket):
+    # one onset LP between the bracket's ends: no point is solved, settled or
+    # given the bisection's options
+    def fail(*args, **kwargs):
+        raise AssertionError("a twirled search reached the bisection")
+
+    lps = []
+    for module, name in ((sweep, "sigma_min"), (activation, "solve"), (sweep, "_settled"), (sweep, "bisection_options")):
+        monkeypatch.setattr(module, name, fail)
+    monkeypatch.setattr(sweep, "onset", lambda low, high: lps.append(onset(low, high)) or lps[-1])
+    report = find_threshold(spec, "tlf", bracket)
+    assert report.provenance == "exact (LP vertex)"
+    closed = _closed_form_tlf("werner" if spec.family == "wi" else spec.family, spec.d)
+    assert abs(report.threshold - closed) <= 4.4e-16
+    lo, hi = report.bracket
+    assert lo <= report.threshold <= hi and max(hi - report.threshold, report.threshold - lo) <= report.tolerance
+    assert report.tolerance == sweep.EXACT_TOL
+    assert len(lps) == 1 and (report.evaluations, report.solves, report.newton_steps) == (2, 1, lps[0].pivots)
+
+
+def test_twirled_search_refuses_allowances_past_its_tolerance(monkeypatch):
+    # rounding allowances wider than min(tol, EXACT_TOL) certify no root at that tolerance
+    monkeypatch.setattr(sweep, "onset", lambda low, high: dataclasses.replace(onset(low, high), above=1e-11))
+    with pytest.raises(ValueError, match="certifies no root at p=0.65685.*may lie 4e-12 away"):
+        find_threshold(WI, "tlf", (0.5, 0.9))
+
+
+@pytest.mark.parametrize(
+    "bracket,message",
+    [((0.7, 0.9), "no sigma > 0 certified"), ((0.5, 0.6), "no vertex line falls below 0")],
+    ids=["above", "below"],
+)
+def test_twirled_bracket_that_does_not_straddle_raises_the_onset_error(bracket, message):
+    with pytest.raises(ValueError, match=message):
+        find_threshold(WI, "tlf", bracket)
+
+
 @pytest.mark.parametrize("family,d", [("wi", 2)] + [(f, d) for f in ("werner", "isotropic") for d in range(2, 7)], ids=str)
 def test_exact_tlf_entry_inside_bisected_bracket(family, d):
-    # the prescan-plus-bisection route, which the table took before, as the reference
+    # the reference is a bisection written here on per-point solves' certified
+    # indicators, from the prescan's bracket down to SDP_TOL; the indicator's
+    # cut at -ACTIVATION_TOL puts the bisected onset at most one tolerance off sigma's root
     spec = FamilySpec(family, d)
-    report = find_threshold(spec, "tlf", prescan_bracket(spec, "tlf"))
+    lo, hi = prescan_bracket(spec, "tlf")
+    while hi - lo > sweep.SDP_TOL:
+        mid = 0.5 * (lo + hi)
+        indicator = evaluate_point(spec, "tlf", mid, bisection_options()).indicator
+        assert indicator is not None, mid
+        lo, hi = (lo, mid) if indicator else (mid, hi)
     exact = sweep._computed_entry(spec, "tlf", None)["value"]
-    assert report.bracket[0] - report.tolerance <= exact <= report.bracket[1] + report.tolerance
+    assert lo - sweep.SDP_TOL <= exact <= hi + sweep.SDP_TOL
 
 
 @pytest.mark.parametrize("family,d", _TWIRLED_ROWS, ids=str)
@@ -523,17 +581,16 @@ def test_search_without_a_solve_takes_no_newton_step():
 
 
 def test_twirled_search_sums_the_simplex_pivots(monkeypatch):
-    solves = []
-
-    def counted_solve(problem, start=None):
-        solves.append(solve(problem, start))
-        return solves[-1]
-
-    monkeypatch.setattr(activation, "solve", counted_solve)
+    # a twirled tlf search is one onset LP between its two end problems and
+    # solves no point: its steps are the LP's pivots, within the table's bound of 9
+    solves, lps = [], []
+    monkeypatch.setattr(activation, "solve", lambda problem, start=None: solves.append(problem) or solve(problem))
+    monkeypatch.setattr(sweep, "onset", lambda low, high: lps.append(onset(low, high)) or lps[-1])
     report = find_threshold(WI, "tlf", (0.5, 0.9))
-    # 12 pivots in 4 solves of 11 evaluations (33 pivots with every point solved)
-    assert len(solves) == report.solves <= 4 and report.evaluations == 11
-    assert 0 < report.newton_steps == sum(solution.iterations for solution in solves) <= 12
+    assert (len(lps), solves) == (1, [])
+    assert (report.evaluations, report.solves) == (2, 1)
+    assert 0 < report.newton_steps == lps[0].pivots <= 9
+    assert abs(report.threshold - (4 * _SQRT2 - 5)) <= 4.4e-16
 
 
 def _settled_points(spec, bracket):
@@ -553,7 +610,8 @@ def _settled_points(spec, bracket):
     return settled
 
 
-_SETTLED_SEARCHES = [(FamilySpec(family, q=q), bracket) for family, q, bracket in _TLF_SEARCHES] + [(WI, (0.5, 0.9))]
+# the Hirsch searches: a twirled search is one onset LP and settles no point
+_SETTLED_SEARCHES = [(FamilySpec(family, q=q), bracket) for family, q, bracket in _TLF_SEARCHES]
 
 
 @pytest.mark.parametrize("spec,bracket", _SETTLED_SEARCHES, ids=str)
@@ -655,30 +713,31 @@ def test_build_table_rejects_a_d_max_that_is_no_integer(monkeypatch, family, d_m
 
 
 def test_too_large_activation_problem_rejected_up_front(monkeypatch):
-    # werner d = 9 needs side 4 * 81 = 324 > MAX_SIDE: every entry point says so before solving
+    # werner d = 17 needs twirl projectors of side 17^2 = 289 > MAX_SIDE: every entry point says so before solving
     def no_solve(*args, **kwargs):
         raise AssertionError("a point was solved")
 
     monkeypatch.setattr(sweep, "sigma_min", no_solve)
-    spec = FamilySpec("werner", d=9)
+    monkeypatch.setattr(sweep, "onset", no_solve)
+    spec = FamilySpec("werner", d=17)
     for call in (
         lambda: prescan_bracket(spec, "tlf"),
         lambda: find_threshold(spec, "tlf", (0.6, 0.7)),
         lambda: sample_curve(spec, "tlf", [0.6, 0.7]),
-        lambda: build_table("werner", d_max=9),
+        lambda: build_table("werner", d_max=17),
     ):
-        with pytest.raises(ValueError, match="problem side 324 exceeds the desk-scale limit 256"):
+        with pytest.raises(ValueError, match="problem side 289 exceeds the desk-scale limit 256"):
             call()
     with pytest.raises(ValueError, match="at least 2"):
         build_table("isotropic", d_max=1)
 
 
 def test_table_rows_are_routed_one_at_a_time():
-    # a d_max far past the limit fails at its first row past it, d = 9,
+    # a d_max far past the limit fails at its first row past it, d = 17,
     # without building the list of rows up to d_max
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="werner d=9 p_TLF: problem side 324"):
+        with pytest.raises(ValueError, match="werner d=17 p_TLF: problem side 289"):
             build_table("werner", 10**6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -686,9 +745,21 @@ def test_table_rows_are_routed_one_at_a_time():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("family", ["werner", "isotropic"])
+def test_table_rows_past_d_8_match_the_closed_forms(family):
+    # the twirled problems are eight scalar blocks at every d, so the table runs
+    # to the side limit d = 16, and each p_TLF is the closed form's root
+    rows = build_table(family, d_max=16)["rows"]
+    assert [row["d"] for row in rows] == list(range(2, 17))
+    for row in rows[7:]:
+        entry = row["thresholds"]["p_TLF"]
+        assert entry["provenance"] == "exact (LP vertex)"
+        assert abs(entry["value"] - _closed_form_tlf(family, row["d"])) <= 4.4e-16, row["d"]
+
+
 # every route at d = 32 or 10^6 either is rejected by `evaluator` (the
-# two-qubit properties; cglmp, whose state has side d^2 > 256; tlf, whose
-# problem has side 4 d^2 > 256) or builds nothing d^2-sided
+# two-qubit properties; cglmp and tlf, whose state or twirl projectors have
+# side d^2 > 256) or builds nothing d^2-sided
 _EVALUATED_ROUTES = {("werner", "hn"), ("isotropic", "sa")}
 
 
